@@ -156,6 +156,12 @@ def _cmd_angular(args, cfg: ToolConfig) -> int:
 # --------------------------------------------------------------- spatial ---
 
 def _cmd_spatial(args, cfg: ToolConfig) -> int:
+    if args.x_count < 2:
+        raise ConfigError(f"--x-count must be >= 2, got {args.x_count}")
+    if not math.isfinite(args.x_start):
+        raise ConfigError(f"--x-start must be finite, got {args.x_start}")
+    if not (math.isfinite(args.x_step) and args.x_step > 0.0):
+        raise ConfigError(f"--x-step must be finite and > 0, got {args.x_step}")
     scans = _baseline(dataio.ingest(args.input))
     input_hash = dataio.file_sha256(args.input)
     wanted = [args.x_start + args.x_step * k for k in range(args.x_count)]

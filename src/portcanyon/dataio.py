@@ -7,7 +7,14 @@ are serialized in degrees and gains in dB at full double precision
 dataset to within one or two floating-point ulps.
 
 Every emitted file starts with a '#' provenance comment (tool version, seed,
-input hash) followed by the header row; files are written atomically.
+input hash) followed by the header row; files are written atomically, with
+the mode the umask gives a newly created file.
+
+`ingest` parses a canonical file columnar: one C-level `np.loadtxt` pass and
+array checks.  Anything unusual (a bad or non-finite value, an unknown
+token, a duplicate angle, quotes, CR line ends, non-ASCII bytes, a comment
+row among the data) is re-read row by row, and that row loop is the only
+source of the line-numbered errors.
 """
 
 from __future__ import annotations
@@ -18,6 +25,7 @@ import io
 import math
 import os
 import tempfile
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -63,6 +71,10 @@ def _atomic_write_text(path, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
+        # mkstemp creates 0600; give the file the mode open() would have.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
@@ -113,14 +125,29 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
     return value
 
 
-def ingest(path) -> list[AngularScan]:
-    """Read and validate a canonical measurement CSV into scans.
+def _scans_from_groups(groups) -> list[AngularScan]:
+    """Build scans from (key, phi_deg, gain_db) groups, angle-sorted, in order."""
+    scans = []
+    for key, phis, gains_db in groups:
+        tx_id, x, y, vehicle_s, stacking_s = key
+        try:
+            scan = AngularScan(
+                tx=tx_id,
+                x=x,
+                y=y,
+                angles=np.radians(phis),
+                gains=10.0 ** (gains_db / 10.0),
+                vehicle_state=VehicleState(vehicle_s),
+                stacking=Stacking(stacking_s),
+            )
+        except GridError as exc:
+            raise GridError(f"scan {key}: {exc}") from exc
+        scans.append(scan)
+    return scans
 
-    Rows are grouped by (tx, x, y, vehicle state, stacking) and sorted by
-    angle; duplicate angles within a group and malformed rows are rejected
-    with their line number, and each group's grid must be uniform over one
-    full rotation.
-    """
+
+def _ingest_rows(path) -> list[AngularScan]:
+    """Row-by-row reader: the reference semantics and every ingest error."""
     groups: dict[tuple, dict[float, float]] = defaultdict(dict)
     order: list[tuple] = []
 
@@ -169,26 +196,135 @@ def ingest(path) -> list[AngularScan]:
     if not order:
         raise IngestError("file contains no measurement rows")
 
-    scans = []
-    for key in order:
-        tx_id, x, y, vehicle_s, stacking_s = key
-        by_angle = groups[key]
-        phis = np.array(sorted(by_angle))
-        gains_db = np.array([by_angle[p] for p in phis])
+    def sorted_groups():
+        for key in order:
+            by_angle = groups[key]
+            phis = np.array(sorted(by_angle))
+            yield key, phis, np.array([by_angle[p] for p in phis])
+
+    return _scans_from_groups(sorted_groups())
+
+
+class _NotCanonical(Exception):
+    """The columnar reader cannot vouch for a file; it is re-read row by row."""
+
+
+# Bytes of a canonical file: printable ASCII except the quote, and LF.  Any
+# other byte (CR, NUL, tab, non-ASCII, '"') sends the file to the row loop,
+# whose csv/str semantics the columnar parse does not reproduce.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+_HEADER_LINE = CANONICAL_HEADER.encode("ascii") + b"\n"
+_KEY_FIELDS = ("tx_id", "x_m", "y_m", "vehicle_state", "stacking")
+# Fixed-width text fields.  Both are longer than every token, so a truncated
+# field never passes as a token; a tx_id that fills its width may have been
+# truncated and is re-read.
+_TX_WIDTH = 16
+_TOKEN_WIDTH = 1 + max(map(len, _VEHICLE_TOKENS | _STACKING_TOKENS))
+_COLUMNS = np.dtype([
+    ("tx_id", f"S{_TX_WIDTH}"),
+    ("x_m", "f8"), ("y_m", "f8"), ("phi_deg", "f8"), ("gain_db", "f8"),
+    ("vehicle_state", f"S{_TOKEN_WIDTH}"),
+    ("stacking", f"S{_TOKEN_WIDTH}"),
+])
+
+
+def _read_runs(path):
+    """One np.loadtxt pass over a plain canonical file, checked column-wise.
+
+    Rows of one scan are contiguous in a canonical file, so the key fields
+    are validated once per run of equal keys.  Returns the run keys, the
+    first row of each run, and contiguous phi_deg and gain_db columns; the
+    wide parsed table is dropped on return.
+    """
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            if chunk.translate(None, _PLAIN_BYTES):
+                raise _NotCanonical
+        fh.seek(0)
+        skip = 0
+        while True:
+            line = fh.readline()
+            skip += 1
+            if line == _HEADER_LINE:
+                break
+            if line != b"\n" and not line.startswith(b"#"):
+                raise _NotCanonical
+    with warnings.catch_warnings():
+        # "input contained no data": an empty body is re-read below.
+        warnings.simplefilter("ignore", UserWarning)
         try:
-            scan = AngularScan(
-                tx=tx_id,
-                x=x,
-                y=y,
-                angles=np.radians(phis),
-                gains=10.0 ** (gains_db / 10.0),
-                vehicle_state=VehicleState(vehicle_s),
-                stacking=Stacking(stacking_s),
+            table = np.loadtxt(
+                path, dtype=_COLUMNS, delimiter=",", comments=None,
+                skiprows=skip, encoding="ascii", ndmin=1,
             )
-        except GridError as exc:
-            raise GridError(f"scan {key}: {exc}") from exc
-        scans.append(scan)
-    return scans
+        except ValueError:
+            raise _NotCanonical from None
+    if table.size == 0:
+        raise _NotCanonical
+    if not all(np.isfinite(table[name]).all() for name in CANONICAL_FIELDS[1:5]):
+        raise _NotCanonical
+
+    key_columns = [table[name] for name in _KEY_FIELDS]
+    changed = np.zeros(table.size, dtype=bool)
+    changed[0] = True
+    for col in key_columns:
+        changed[1:] |= col[1:] != col[:-1]
+    starts = np.flatnonzero(changed)
+    keys = []
+    for tx_b, x, y, vehicle_b, stacking_b in zip(
+        *(col[starts].tolist() for col in key_columns)
+    ):
+        if not tx_b or tx_b.startswith(b"#") or len(tx_b) == _TX_WIDTH:
+            raise _NotCanonical
+        key = (tx_b.decode("ascii"), x, y,
+               vehicle_b.decode("ascii"), stacking_b.decode("ascii"))
+        if key[3] not in _VEHICLE_TOKENS or key[4] not in _STACKING_TOKENS:
+            raise _NotCanonical
+        keys.append(key)
+    phi = np.ascontiguousarray(table["phi_deg"])
+    gain = np.ascontiguousarray(table["gain_db"])
+    return keys, starts, phi, gain
+
+
+def _ingest_columnar(path) -> list[AngularScan]:
+    """Columnar reader: the scans `_ingest_rows` would return, or `_NotCanonical`.
+
+    Runs are grouped by first-seen key, as in the row loop, so -0.0 joins
+    0.0 and a scan split across the file is rejoined; a duplicate angle, a
+    bad token, a non-finite value or anything but a plain canonical table
+    raises `_NotCanonical`.
+    """
+    keys, starts, phi, gain = _read_runs(path)
+    group_ids: dict[tuple, int] = {}
+    run_group = [group_ids.setdefault(key, len(group_ids)) for key in keys]
+    row_group = np.repeat(run_group, np.diff(starts, append=phi.size))
+    by_group = np.lexsort((phi, row_group))
+    phi = phi[by_group]
+    gain = gain[by_group]
+    bounds = np.cumsum(np.bincount(row_group))[:-1]
+    repeated = phi[1:] == phi[:-1]
+    repeated[bounds - 1] = False
+    if repeated.any():
+        raise _NotCanonical
+    return _scans_from_groups(
+        zip(group_ids, np.split(phi, bounds), np.split(gain, bounds))
+    )
+
+
+def ingest(path) -> list[AngularScan]:
+    """Read and validate a canonical measurement CSV into scans.
+
+    Rows are grouped by (tx, x, y, vehicle state, stacking) and sorted by
+    angle; duplicate angles within a group and malformed rows are rejected
+    with their line number, and each group's grid must be uniform over one
+    full rotation.  A plain canonical file is parsed columnar; anything the
+    columnar checks cannot vouch for is re-read row by row, which is where
+    every line-numbered error comes from.
+    """
+    try:
+        return _ingest_columnar(path)
+    except _NotCanonical:
+        return _ingest_rows(path)
 
 
 def _cell(value) -> str:

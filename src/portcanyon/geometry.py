@@ -63,6 +63,10 @@ class CanyonGeometry:
     psi: float = 0.1
 
     def __post_init__(self) -> None:
+        for name in ("h", "d", "D", "h_prime", "psi"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {name}={value}")
         if not (self.h > 0.0 and self.D > 0.0 and self.h_prime > 0.0):
             raise DomainError(
                 "h, D and h_prime must be positive, got "

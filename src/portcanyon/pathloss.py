@@ -63,6 +63,10 @@ class LogLinFit:
     sample_count: int
 
     def __post_init__(self) -> None:
+        for name in ("n", "r0_db", "ci_n", "ci_r0", "rmse_db"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {name}={value}")
         if self.rmse_db < 0.0 or self.ci_n < 0.0 or self.ci_r0 < 0.0:
             raise DomainError("rmse and CI half-widths must be >= 0")
 
@@ -128,6 +132,8 @@ def fit_fixed_slope(samples, n_fixed: float) -> LogLinFit:
 
     ci_n is 0 by construction; the intercept CI uses N-1 degrees of freedom.
     """
+    if not math.isfinite(n_fixed):
+        raise DomainError(f"fixed slope must be finite, got {n_fixed}")
     x, y = _xy(samples)
     n_samples = x.size
     if n_samples < 2:

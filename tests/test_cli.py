@@ -225,6 +225,65 @@ class TestErrors:
         assert rc == 3
 
 
+class TestBoundaryValues:
+    """Bad option values end in a categorized error, never a traceback or NaN."""
+
+    @pytest.fixture
+    def line_data(self, tmp_path):
+        scans = [
+            AngularScan(tx="TX1_63", x=x, y=3.5, angles=GRID,
+                        gains=np.full(N_ANGLES, 1e-6 / x))
+            for x in (1.0, 5.0, 9.0)
+        ]
+        data = tmp_path / "line.csv"
+        write_scans(data, scans)
+        return data
+
+    @pytest.mark.parametrize("flags", [
+        ["--x-count", "0"],
+        ["--x-count", "1"],
+        ["--x-step", "0"],
+        ["--x-step", "-0.1"],
+        ["--x-step", "nan"],
+        ["--x-step", "inf"],
+        ["--x-start", "nan"],
+    ])
+    def test_spatial_line_options_are_config_errors(self, tmp_path, line_data,
+                                                    capsys, flags):
+        out = tmp_path / "corr.csv"
+        rc = main(["spatial", "--input", str(line_data), "--out", str(out), *flags])
+        assert rc == 2
+        assert "error[config]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_coverage_nan_slope_is_domain_error(self, capsys):
+        rc = main(["coverage", "--fit-n", "nan"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "error[domain]" in captured.err
+        assert "nan" not in captured.out
+
+    def test_fit_nan_fixed_slope_is_domain_error(self, tmp_path, line_data, capsys):
+        out = tmp_path / "fit.csv"
+        rc = main(["fit", "--input", str(line_data), "--out", str(out),
+                   "--fixed-slope", "nan"])
+        assert rc == 4
+        assert "error[domain]" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--height", "--width", "--distance", "--rx-depth"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_geometry_non_finite_is_domain_error(self, capsys, flag, value):
+        argv = {"--height": "17.4", "--width": "8", "--distance": "63",
+                "--rx-depth": "5"}
+        argv[flag] = value
+        rc = main(["geometry", *(t for kv in argv.items() for t in kv)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert "error[domain]" in captured.err
+        assert "nan" not in captured.out
+
+
 def test_default_config_round_trips(tmp_path, capsys):
     assert main(["--print-default-config"]) == 0
     text = capsys.readouterr().out

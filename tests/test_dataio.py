@@ -1,11 +1,20 @@
 """Canonical CSV: round-trips, validation errors with line numbers."""
 
+import os
+import stat
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from portcanyon.angular import AngularScan
 from portcanyon.dataio import (
     CANONICAL_HEADER,
+    _ingest_columnar,
+    _ingest_rows,
+    _NotCanonical,
     file_sha256,
     ingest,
     provenance_line,
@@ -62,6 +71,18 @@ class TestWriter:
         write_scans(b, scans, seed=3)
         assert a.read_bytes() == b.read_bytes()
         assert file_sha256(a) == file_sha256(b)
+
+
+    def test_output_mode_follows_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            scans_path, table_path = tmp_path / "scans.csv", tmp_path / "table.csv"
+            write_scans(scans_path, [make_scan()])
+            write_table(table_path, ("a",), [(1.0,)])
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(scans_path.stat().st_mode) == 0o644
+        assert stat.S_IMODE(table_path.stat().st_mode) == 0o644
 
 
 class TestRoundTrip:
@@ -178,3 +199,204 @@ def test_write_table_format(tmp_path):
     assert lines[0].startswith("#") and "input_sha256=ff" in lines[0]
     assert lines[1] == "a,b,count"
     assert lines[2] == "1.5,x,3"
+
+
+# ------------------------------------------------ columnar vs row-loop ingest
+
+def _outcome(read, path):
+    """Scans a reader returns, or the (type, message) of what it raises."""
+    try:
+        return read(path)
+    except Exception as exc:  # the comparison covers non-toolkit errors too
+        return type(exc), str(exc)
+
+
+def _same_scans(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.key == b.key
+        assert (repr(a.x), repr(a.y)) == (repr(b.x), repr(b.y))
+        assert a.angles.tobytes() == b.angles.tobytes()
+        assert a.gains.tobytes() == b.gains.tobytes()
+
+
+def check_paths_agree(path) -> str:
+    """Assert both ingest paths agree on path; return the one that answered.
+
+    The columnar reader must either return exactly the row loop's scans,
+    raise exactly the row loop's error, or decline; the public ingest must
+    always match the row loop.
+    """
+    want = _outcome(_ingest_rows, path)
+    columnar = _outcome(_ingest_columnar, path)
+    public = _outcome(ingest, path)
+    for got in (public, columnar):
+        if isinstance(got, tuple) and got[0] is _NotCanonical:
+            continue
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert not isinstance(got, tuple), got
+            _same_scans(got, want)
+    declined = isinstance(columnar, tuple) and columnar[0] is _NotCanonical
+    return "rows" if declined else "columnar"
+
+
+def _rows(tx="TX2", x="1.0", y="3.5", n=8, state="absent", stacking="uniform"):
+    return [f"{tx},{x},{y},{k * 360.0 / n},{-60.0 - k},{state},{stacking}"
+            for k in range(n)]
+
+
+class TestColumnarIngest:
+    def ingest_lines(self, tmp_path, body, head=None):
+        path = tmp_path / "case.csv"
+        lines = [provenance_line(), CANONICAL_HEADER] if head is None else head
+        write_csv(path, lines + body)
+        return check_paths_agree(path)
+
+    def test_campaign_with_vehicle_variants(self, tmp_path):
+        layout = build_layout("nonuniform")
+        scans = generate_campaign(
+            layout, SynthConfig(seed=3, n_angles=24), vehicle_mode="dense"
+        )
+        assert {s.vehicle_state.value for s in scans} == {
+            "absent", "position1", "position2"
+        }
+        assert len({s.tx for s in scans}) > 1
+        path = tmp_path / "campaign.csv"
+        write_scans(path, scans, seed=3)
+        assert check_paths_agree(path) == "columnar"
+
+    def test_non_contiguous_groups_keep_first_seen_order(self, tmp_path):
+        a, b = _rows(tx="TX1_63"), _rows(tx="TX2", x="5.0")
+        body = a[:3] + b[5:] + a[3:] + b[:5]
+        assert self.ingest_lines(tmp_path, body) == "columnar"
+        assert [s.tx for s in ingest(tmp_path / "case.csv")] == ["TX1_63", "TX2"]
+
+    def test_signed_zero_key_joins_first_seen(self, tmp_path):
+        first, rest = _rows(x="-0.0")[:2], _rows(x="0.0")[2:]
+        assert self.ingest_lines(tmp_path, first + rest) == "columnar"
+        (scan,) = ingest(tmp_path / "case.csv")
+        assert repr(scan.x) == "-0.0"
+
+    def test_signed_zero_angle_is_a_duplicate(self, tmp_path):
+        body = _rows() + ["TX2,1.0,3.5,-0.0,-60.0,absent,uniform"]
+        assert self.ingest_lines(tmp_path, body) == "rows"
+        with pytest.raises(IngestError, match="duplicate angle"):
+            ingest(tmp_path / "case.csv")
+
+    def test_equal_numbers_spelled_differently_share_a_key(self, tmp_path):
+        body = _rows(x="1.0")[:4] + _rows(x="1.00", y="3.50e0")[4:]
+        assert self.ingest_lines(tmp_path, body) == "columnar"
+        assert len(ingest(tmp_path / "case.csv")) == 1
+
+    @pytest.mark.parametrize("width", [16, 17, 40])
+    def test_tx_id_at_or_over_the_field_width(self, tmp_path, width):
+        tx = "TX1_" + "9" * (width - 4)
+        assert self.ingest_lines(tmp_path, _rows(tx=tx)) == "rows"
+        assert ingest(tmp_path / "case.csv")[0].tx == tx
+
+    def test_tx_id_just_under_the_field_width(self, tmp_path):
+        tx = "TX1_" + "9" * 11
+        assert self.ingest_lines(tmp_path, _rows(tx=tx)) == "columnar"
+
+    @pytest.mark.parametrize("row", [
+        '"TX2",1.0,3.5,0.0,-60.0,absent,uniform',
+        'TX2,"1.0",3.5,0.0,-60.0,absent,uniform',
+        'TX2,1.0,3.5,0.0,-60.0,"absent",uniform',
+        '"TX,2",1.0,3.5,0.0,-60.0,absent,uniform',
+    ])
+    def test_quoted_field(self, tmp_path, row):
+        assert self.ingest_lines(tmp_path, [row] + _rows()[1:]) == "rows"
+
+    def test_comment_row_mid_file(self, tmp_path):
+        rows = _rows()
+        body = rows[:4] + ["#TX2,1.0,3.5,45.0,-1.0,absent,uniform", "# note"] + rows[4:]
+        assert self.ingest_lines(tmp_path, body) == "rows"
+        assert ingest(tmp_path / "case.csv")[0].angles.size == 8
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        rows = _rows()
+        body = ["", ""] + rows[:4] + [""] + rows[4:] + [""]
+        head = ["", provenance_line(), "", CANONICAL_HEADER]
+        assert self.ingest_lines(tmp_path, body, head=head) == "columnar"
+
+    @pytest.mark.parametrize("blank", [" ", "   ", "\t"])
+    def test_whitespace_only_line_is_an_error(self, tmp_path, blank):
+        rows = _rows()
+        self.ingest_lines(tmp_path, rows[:4] + [blank] + rows[4:])
+        with pytest.raises(IngestError, match="line 7: expected 7 columns, got 1"):
+            ingest(tmp_path / "case.csv")
+
+    def test_crlf_line_endings(self, tmp_path):
+        path = tmp_path / "crlf.csv"
+        lines = [provenance_line(), CANONICAL_HEADER] + _rows()
+        path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
+        assert check_paths_agree(path) == "rows"
+        assert len(ingest(path)) == 1
+
+    def test_spaces_around_numbers(self, tmp_path):
+        body = [r.replace(",1.0,", ", 1.0 ,") for r in _rows()]
+        assert self.ingest_lines(tmp_path, body) == "columnar"
+        assert ingest(tmp_path / "case.csv")[0].x == 1.0
+
+    @pytest.mark.parametrize("old, new, path_taken", [
+        ("TX2,", " TX2,", "columnar"),
+        (",absent,", ",absent ,", "rows"),
+        (",uniform", ", uniform", "rows"),
+    ])
+    def test_spaces_around_text(self, tmp_path, old, new, path_taken):
+        body = [r.replace(old, new) for r in _rows()]
+        assert self.ingest_lines(tmp_path, body) == path_taken
+
+    def test_underscore_in_number(self, tmp_path):
+        body = [r.replace(",1.0,", ",1_0,") for r in _rows()]
+        assert self.ingest_lines(tmp_path, body) == "rows"
+        assert ingest(tmp_path / "case.csv")[0].x == 10.0
+
+    def test_non_ascii_tx_id(self, tmp_path):
+        assert self.ingest_lines(tmp_path, _rows(tx="TXé")) == "rows"
+        assert ingest(tmp_path / "case.csv")[0].tx == "TXé"
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "", "x"])
+    def test_bad_numbers(self, tmp_path, bad):
+        rows = _rows()
+        rows[5] = rows[5].replace(",-65.0,", f",{bad},")
+        assert self.ingest_lines(tmp_path, rows) == "rows"
+
+    def test_grid_error_is_wrapped_like_the_row_loop(self, tmp_path):
+        rows = _rows(tx="TX1_63") + _rows(n=9)
+        rows[3] = rows[3].replace(",135.0,", ",136.0,")
+        assert self.ingest_lines(tmp_path, rows) == "columnar"
+        with pytest.raises(GridError, match=r"^scan \('TX1_63', 1.0, 3.5"):
+            ingest(tmp_path / "case.csv")
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.integers(min_value=0),
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(list(',"#\r\n -.0_19e\té\x00') + ["nan", "1.00"]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    def test_mutated_files_agree(self, edits):
+        text = "\n".join(
+            [provenance_line(), CANONICAL_HEADER] + _rows(tx="TX1_63") + _rows(n=9)
+        ) + "\n"
+        for position, action, snippet in edits:
+            at = position % (len(text) + 1)
+            if action == 0:
+                text = text[:at] + snippet + text[at:]
+            elif action == 1:
+                text = text[:at] + text[at + 1:]
+            else:
+                text = text[:at] + snippet + text[at + len(snippet):]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutant.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            check_paths_agree(path)
