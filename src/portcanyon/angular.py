@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
-from .stats import EmpiricalCdf, empirical_cdf
+from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf
 
 __all__ = [
     "VehicleState",
@@ -60,7 +60,7 @@ class AngularScan:
         x, y: RX position (m); x runs along the canyon, y across it.
         angles: strictly increasing uniform azimuth grid (rad) covering one
             full rotation, first angle in [0, spacing).
-        gains: linear power channel gain per angle, all > 0.
+        gains: linear power channel gain per angle, all finite and > 0.
         vehicle_state: vehicle presence during the measurement.
         stacking: container stacking configuration.
     """
@@ -88,8 +88,8 @@ class AngularScan:
         n = angles.size
         if n < 8:
             raise GridError(f"need at least 8 azimuth samples, got {n}")
-        if not np.all(gains > 0.0):
-            raise DomainError("all linear gains must be > 0")
+        if not np.all((gains > 0.0) & (gains < np.inf)):
+            raise DomainError("all linear gains must be finite and > 0")
         steps = np.diff(angles)
         if not np.all(steps > 0.0):
             raise GridError("angles must be strictly increasing")
@@ -179,29 +179,17 @@ def ensemble_stats(scans, db_bin_width: float = 1.0) -> AngularSpectrumStats:
 
     The mean is taken in the linear domain and reported in dB.  The
     histogram bins the raw per-scan dB gains at each angle with the given
-    bin width; edges are aligned to multiples of the width.
+    bin width; edges are aligned to multiples of the width
+    (`stats.aligned_histograms`, which bounds the bin count).
     """
     scans = list(scans)
     if not scans:
         raise DomainError("ensemble_stats needs at least one scan")
-    if db_bin_width <= 0.0:
-        raise DomainError(f"bin width must be > 0, got {db_bin_width}")
     grid = _require_common_grid(scans)
 
     gains = np.stack([s.gains for s in scans])          # (n_scans, n_angles)
     mean_db = 10.0 * np.log10(np.mean(gains, axis=0))
-
-    gains_db = 10.0 * np.log10(gains)
-    lo = math.floor(gains_db.min() / db_bin_width) * db_bin_width
-    hi = math.ceil(gains_db.max() / db_bin_width) * db_bin_width
-    if hi <= lo:
-        hi = lo + db_bin_width
-    n_bins = int(round((hi - lo) / db_bin_width))
-    edges = lo + db_bin_width * np.arange(n_bins + 1)
-
-    counts = np.empty((grid.size, n_bins), dtype=int)
-    for i in range(grid.size):
-        counts[i], _ = np.histogram(gains_db[:, i], bins=edges)
+    edges, counts = aligned_histograms(10.0 * np.log10(gains), db_bin_width)
 
     return AngularSpectrumStats(
         angles=grid,

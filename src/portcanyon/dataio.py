@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .angular import AngularScan, Stacking, VehicleState
-from .errors import GridError, IngestError
+from .errors import DomainError, GridError, IngestError
 
 __all__ = [
     "CANONICAL_HEADER",
@@ -130,20 +130,32 @@ def _scans_from_groups(groups) -> list[AngularScan]:
     scans = []
     for key, phis, gains_db in groups:
         tx_id, x, y, vehicle_s, stacking_s = key
+        # A gain_db too large for a float overflows to inf, which the scan
+        # rejects; numpy's overflow warning would only repeat that.
+        with np.errstate(over="ignore"):
+            gains = 10.0 ** (gains_db / 10.0)
         try:
             scan = AngularScan(
                 tx=tx_id,
                 x=x,
                 y=y,
                 angles=np.radians(phis),
-                gains=10.0 ** (gains_db / 10.0),
+                gains=gains,
                 vehicle_state=VehicleState(vehicle_s),
                 stacking=Stacking(stacking_s),
             )
-        except GridError as exc:
-            raise GridError(f"scan {key}: {exc}") from exc
+        except (GridError, DomainError) as exc:
+            raise type(exc)(f"scan {key}: {exc}") from exc
         scans.append(scan)
     return scans
+
+
+def _csv_rows(fh):
+    """csv.reader over a text file, with a decoding failure as an IngestError."""
+    try:
+        yield from csv.reader(fh)
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
 
 
 def _ingest_rows(path) -> list[AngularScan]:
@@ -154,7 +166,7 @@ def _ingest_rows(path) -> list[AngularScan]:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         line_no = 0
         header_seen = False
-        for row in csv.reader(fh):
+        for row in _csv_rows(fh):
             line_no += 1
             if not row:
                 continue

@@ -124,18 +124,39 @@ def vertical_fraction(geom: CanyonGeometry) -> float:
     return (geom.h / (geom.h_prime * geom.D)) ** 2
 
 
+def _checked_power(geom: CanyonGeometry, power) -> float:
+    """Evaluate power(); a result that overflowed or underflowed is an error.
+
+    Zero is a valid power only for the zero-width canyon.
+    """
+    try:
+        value = power()
+    except (OverflowError, ZeroDivisionError):
+        value = math.inf
+    if not (math.isfinite(value) and (value > 0.0 or geom.d == 0.0)):
+        raise DomainError(
+            f"received power is not representable for h={geom.h}, d={geom.d}, "
+            f"D={geom.D}, h_prime={geom.h_prime}, got {value}"
+        )
+    return value
+
+
 def received_power_exact(geom: CanyonGeometry) -> float:
     """Proportional received power with the exact geometric chain.
 
     Product vertical_fraction * acceptance_length * projected_aperture_exact
     * poynting_fspl; only the vertical-fraction factor uses the far-TX path
     approximation, the aperture and acceptance length are exact.
+
+    Raises:
+        DomainError: the power overflows, or underflows to zero for d > 0.
     """
-    return (
-        vertical_fraction(geom)
+    return _checked_power(
+        geom,
+        lambda: vertical_fraction(geom)
         * acceptance_length(geom)
         * projected_aperture_exact(geom)
-        * poynting_fspl(geom)
+        * poynting_fspl(geom),
     )
 
 
@@ -145,5 +166,8 @@ def received_power_approx(geom: CanyonGeometry) -> float:
     psi * h * d / D^4 exactly; h_prime is absorbed into the omitted constant.
     The numerator is constant for a given layout, so the model predicts a
     pure fourth-power distance decay.
+
+    Raises:
+        DomainError: the power overflows, or underflows to zero for d > 0.
     """
-    return geom.psi * geom.h * geom.d / geom.D**4
+    return _checked_power(geom, lambda: geom.psi * geom.h * geom.d / geom.D**4)

@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 from .errors import DegenerateFitError, DomainError
+from .stats import t_quantile
 
 __all__ = [
     "GainSample",
@@ -113,7 +113,7 @@ def fit_loglinear(samples) -> LogLinFit:
     resid = y - (slope * x + intercept)
     ssr = float(np.sum(resid**2))
     s2 = ssr / (n_samples - 2)
-    t_q = float(sps.t.ppf(0.975, n_samples - 2))
+    t_q = t_quantile(0.975, n_samples - 2)
     se_slope = math.sqrt(s2 / sxx)
     se_intercept = math.sqrt(s2 * (1.0 / n_samples + x_mean**2 / sxx))
 
@@ -143,7 +143,7 @@ def fit_fixed_slope(samples, n_fixed: float) -> LogLinFit:
     resid = y - (n_fixed * x + intercept)
     ssr = float(np.sum(resid**2))
     s2 = ssr / (n_samples - 1)
-    t_q = float(sps.t.ppf(0.975, n_samples - 1))
+    t_q = t_quantile(0.975, n_samples - 1)
 
     return LogLinFit(
         n=float(n_fixed),

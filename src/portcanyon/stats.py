@@ -1,4 +1,11 @@
-"""Small shared statistics helpers: empirical CDFs and Gaussian CDF."""
+"""Small shared statistics helpers: empirical CDFs, Gaussian CDF, t quantiles
+and aligned per-column histograms.
+
+This is the only module that imports scipy, and it imports only
+`scipy.special`.  The t quantile comes from `special.stdtrit`, so scipy's
+statistics subpackage, most of a second of import time, stays off every
+CLI start.
+"""
 
 from __future__ import annotations
 
@@ -8,9 +15,21 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import InsufficientDataError
+from .errors import DomainError, InsufficientDataError
 
-__all__ = ["EmpiricalCdf", "empirical_cdf", "gaussian_cdf", "ks_gap"]
+__all__ = [
+    "EmpiricalCdf",
+    "empirical_cdf",
+    "gaussian_cdf",
+    "ks_gap",
+    "t_quantile",
+    "aligned_histograms",
+    "MAX_HISTOGRAM_BINS",
+]
+
+# Upper bound on the bins of one histogram: a tiny bin width over a wide dB
+# range would otherwise ask for an (angles x bins) array of any size.
+MAX_HISTOGRAM_BINS = 10_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,6 +70,52 @@ def gaussian_cdf(x, mu: float, sigma: float):
         return (x >= mu).astype(float)
     z = (x - mu) / (sigma * math.sqrt(2.0))
     return 0.5 * (1.0 + special.erf(z))
+
+
+def t_quantile(p: float, df) -> float:
+    """Quantile p of Student's t distribution with df degrees of freedom.
+
+    Bit for bit scipy's `t.ppf(p, df)`, which evaluates the same
+    `special.stdtrit` call.
+    """
+    return float(special.stdtrit(df, p))
+
+
+def aligned_histograms(samples, bin_width: float):
+    """Histogram of each column of a 2-D sample on one set of aligned edges.
+
+    The edges run from the largest multiple of bin_width at or below the
+    sample minimum to the smallest at or above its maximum (one bin if they
+    coincide).
+
+    Returns:
+        (edges, counts) with counts shaped (n_columns, n_bins).
+
+    Raises:
+        DomainError: bin_width is not a finite number > 0, or the edges
+            would need more than MAX_HISTOGRAM_BINS bins.
+    """
+    samples = np.asarray(samples, dtype=float)
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise DomainError(f"bin width must be > 0, got {bin_width}")
+    # A width tiny enough to overflow the span is caught by the bound below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = np.floor(samples.min() / bin_width) * bin_width
+        hi = np.ceil(samples.max() / bin_width) * bin_width
+        if hi <= lo:
+            hi = lo + bin_width
+        span = (hi - lo) / bin_width
+    if not span < MAX_HISTOGRAM_BINS + 0.5:
+        raise DomainError(
+            f"bin width {bin_width} dB gives more than {MAX_HISTOGRAM_BINS} bins "
+            f"over [{lo}, {hi}] dB"
+        )
+    n_bins = int(round(span))
+    edges = lo + bin_width * np.arange(n_bins + 1)
+    counts = np.empty((samples.shape[1], n_bins), dtype=int)
+    for i in range(samples.shape[1]):
+        counts[i], _ = np.histogram(samples[:, i], bins=edges)
+    return edges, counts
 
 
 def ks_gap(samples, mu: float, sigma: float) -> float:

@@ -14,7 +14,7 @@ import numpy as np
 
 from .angular import GRID_MATCH_TOL, AngularScan, VehicleState, to_db
 from .errors import DomainError, GridError, InsufficientDataError, PairingError
-from .stats import gaussian_cdf, ks_gap
+from .stats import aligned_histograms, gaussian_cdf, ks_gap
 
 __all__ = [
     "GaussianFitResult",
@@ -96,24 +96,15 @@ def delta_angle_stats(delta_matrix, db_bin_width: float = 1.0):
     """Per-angle mean and histogram of a (n_pairs, n_angles) delta matrix.
 
     Deltas are already in dB, so the mean is a plain arithmetic mean per
-    angle; histogram edges are aligned to multiples of the bin width.
+    angle; histogram edges are aligned to multiples of the bin width
+    (`stats.aligned_histograms`, which bounds the bin count).
 
     Returns:
         (mean_db, bin_edges_db, counts) with counts shaped (n_angles, n_bins).
     """
     matrix = np.atleast_2d(np.asarray(delta_matrix, dtype=float))
-    if db_bin_width <= 0.0:
-        raise DomainError(f"bin width must be > 0, got {db_bin_width}")
+    edges, counts = aligned_histograms(matrix, db_bin_width)
     mean_db = matrix.mean(axis=0)
-    lo = np.floor(matrix.min() / db_bin_width) * db_bin_width
-    hi = np.ceil(matrix.max() / db_bin_width) * db_bin_width
-    if hi <= lo:
-        hi = lo + db_bin_width
-    n_bins = int(round((hi - lo) / db_bin_width))
-    edges = lo + db_bin_width * np.arange(n_bins + 1)
-    counts = np.empty((matrix.shape[1], n_bins), dtype=int)
-    for i in range(matrix.shape[1]):
-        counts[i], _ = np.histogram(matrix[:, i], bins=edges)
     return mean_db, edges, counts
 
 

@@ -41,6 +41,13 @@ class TestScanValidation:
         with pytest.raises(DomainError):
             make_scan(gains)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite_gain(self, bad):
+        gains = np.ones(16)
+        gains[3] = bad
+        with pytest.raises(DomainError, match="finite"):
+            make_scan(gains)
+
     def test_rejects_non_uniform_grid(self):
         angles = grid(16)
         angles[5] += 1e-6
@@ -170,6 +177,12 @@ class TestEnsembleStats:
         scans = [make_scan(rng.lognormal(-14.0, 1.0, 16)) for _ in range(4)]
         stats = ensemble_stats(scans, db_bin_width=1.0)
         assert np.allclose(stats.bin_edges_db, np.round(stats.bin_edges_db), atol=1e-9)
+
+
+    def test_bin_count_is_bounded(self):
+        scans = [make_scan(np.ones(16)), make_scan(np.full(16, 1e-3))]
+        with pytest.raises(DomainError, match="bins"):
+            ensemble_stats(scans, db_bin_width=1e-9)
 
 
 class TestTxBearing:

@@ -2,6 +2,10 @@
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +286,76 @@ class TestBoundaryValues:
         assert rc == 4
         assert "error[domain]" in captured.err
         assert "nan" not in captured.out
+
+    def test_overflowing_gain_is_domain_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        rows = [f"TX2,1.0,3.5,{45.0 * i},{4000.0 if i == 0 else -60.0},absent,uniform"
+                for i in range(8)]
+        data.write_text("\n".join(["tx_id,x_m,y_m,phi_deg,gain_db,vehicle_state,stacking",
+                                   *rows]) + "\n", encoding="utf-8")
+        rc = main(["angular", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: ")
+        assert "finite" in captured.err
+
+    def test_non_utf8_csv_is_ingest_error(self, tmp_path, line_data, capsys):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(line_data.read_bytes().replace(b"TX1_63", b"TX1_\xff3"))
+        rc = main(["angular", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error[ingest]: ")
+        assert "UTF-8" in captured.err
+
+    @pytest.mark.parametrize("flag,value", [("--distance", "1e200"),
+                                            ("--height", "1e-300")])
+    def test_geometry_extreme_finite_is_domain_error(self, capsys, flag, value):
+        argv = {"--height": "17.4", "--width": "8", "--distance": "63",
+                "--rx-depth": "5"}
+        argv[flag] = value
+        rc = main(["geometry", *(t for kv in argv.items() for t in kv)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: ")
+        assert captured.out == ""
+
+    def test_angular_bin_count_is_bounded(self, tmp_path, line_data, capsys):
+        # The gains span about 9.5 dB, so 5e-4 dB bins would be about 19,000.
+        out_dir = tmp_path / "o"
+        rc = main(["angular", "--input", str(line_data), "--out-dir", str(out_dir),
+                   "--bin-db", "5e-4"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: ")
+        assert "bins" in captured.err
+        assert not list(out_dir.glob("angular_hist_*.csv"))
+
+
+def test_fit_does_not_import_scipy_stats(tmp_path):
+    script = """
+import sys
+import numpy as np
+from portcanyon.angular import AngularScan
+from portcanyon.cli import main
+from portcanyon.dataio import write_scans
+
+grid = np.radians(360.0 * np.arange(8) / 8)
+scans = [AngularScan(tx="TX1_63", x=x, y=3.5, angles=grid,
+                     gains=np.full(8, 1e-6 / x)) for x in (1.0, 5.0, 9.0)]
+write_scans(sys.argv[1], scans)
+assert main(["fit", "--input", sys.argv[1], "--out", sys.argv[2]]) == 0
+assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "line.csv"),
+         str(tmp_path / "fit.csv")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "fit.csv").exists()
 
 
 def test_default_config_round_trips(tmp_path, capsys):

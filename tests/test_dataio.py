@@ -21,7 +21,7 @@ from portcanyon.dataio import (
     write_scans,
     write_table,
 )
-from portcanyon.errors import GridError, IngestError
+from portcanyon.errors import DomainError, GridError, IngestError
 from portcanyon.synth import SynthConfig, build_layout, generate_campaign
 
 GRID = np.radians(360.0 * np.arange(12) / 12)
@@ -181,6 +181,22 @@ class TestIngestValidation:
         path = tmp_path / "grid.csv"
         write_csv(path, self.header() + rows)
         with pytest.raises(GridError, match="TX2"):
+            ingest(path)
+
+    @pytest.mark.parametrize("gain_db", ["4000.0", "1e300"])
+    def test_gain_overflowing_to_inf_rejected(self, tmp_path, gain_db):
+        rows = self.rows_for()
+        rows[2] = f"TX2,1.0,3.5,60.0,{gain_db},absent,uniform"
+        path = tmp_path / "huge.csv"
+        write_csv(path, self.header() + rows)
+        with pytest.raises(DomainError, match=r"^scan \('TX2'.*finite"):
+            ingest(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        write_csv(path, self.header() + self.rows_for())
+        path.write_bytes(path.read_bytes().replace(b"TX2,1.0,3.5,30.0", b"TX\xe92,1.0,3.5,30.0"))
+        with pytest.raises(IngestError, match="UTF-8"):
             ingest(path)
 
     def test_empty_file_rejected(self, tmp_path):
@@ -370,6 +386,11 @@ class TestColumnarIngest:
         assert self.ingest_lines(tmp_path, rows) == "columnar"
         with pytest.raises(GridError, match=r"^scan \('TX1_63', 1.0, 3.5"):
             ingest(tmp_path / "case.csv")
+
+    def test_overflowing_gain_fails_alike_on_both_paths(self, tmp_path):
+        rows = _rows()
+        rows[5] = rows[5].replace(",-65.0,", ",4000.0,")
+        assert self.ingest_lines(tmp_path, rows) == "columnar"
 
     @settings(max_examples=150, deadline=None)
     @given(

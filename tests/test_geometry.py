@@ -187,6 +187,24 @@ class TestReceivedPower:
         assert ratios[1] == pytest.approx(ratios[2], rel=1e-4)
         assert ratios[0] == pytest.approx(ratios[2], rel=1e-2)
 
+    @pytest.mark.parametrize("power", [received_power_exact, received_power_approx])
+    @pytest.mark.parametrize("overrides", [
+        dict(D=1e200),      # D**4 overflows
+        dict(D=1e-300),     # D**4 underflows to zero
+        dict(d=1e-320),     # the product underflows to zero
+    ])
+    def test_unrepresentable_power_is_domain_error(self, power, overrides):
+        with pytest.raises(DomainError, match="received power"):
+            power(geom(**overrides))
+
+    @pytest.mark.parametrize("h", [1e200, 1e-300])
+    def test_exact_unrepresentable_in_height_is_domain_error(self, h):
+        with pytest.raises(DomainError, match="received power"):
+            received_power_exact(geom(h=h))
+
+    def test_approx_zero_width_gives_zero(self):
+        assert received_power_approx(geom(d=0.0)) == 0.0
+
 
 def _loglog_slope_db_per_decade(g: CanyonGeometry, D: float) -> float:
     step = 1.05

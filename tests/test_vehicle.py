@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from portcanyon.angular import AngularScan, VehicleState
-from portcanyon.errors import GridError, InsufficientDataError, PairingError
+from portcanyon.errors import DomainError, GridError, InsufficientDataError, PairingError
 from portcanyon.stats import gaussian_cdf
 from portcanyon.vehicle import (
     delta_angle_stats,
@@ -172,3 +172,8 @@ class TestDeltaAngleStats:
         assert counts.shape[0] == 2
         assert np.all(counts.sum(axis=1) == 3)
         assert mean_db == pytest.approx(matrix.mean(axis=0), abs=1e-12)
+
+    def test_bin_count_is_bounded(self):
+        matrix = np.array([[-15.0, 0.0], [15.0, 2.0]])
+        with pytest.raises(DomainError, match="bins"):
+            delta_angle_stats(matrix, db_bin_width=1e-9)
