@@ -75,6 +75,24 @@ def _baseline(scans):
     return [s for s in scans if s.vehicle_state is angular.VehicleState.ABSENT]
 
 
+def _write_angle_stats(out_dir, prefix, key, mean_name, angles_deg, mean, edges, counts,
+                       input_hash) -> None:
+    """The per-angle mean table, and the histogram table with one row per
+    (angle, bin): the angle, the bin's edges and its count."""
+    dataio.write_table(
+        os.path.join(out_dir, f"{prefix}_mean_{key}.csv"), ("angle_deg", mean_name),
+        (angles_deg, mean), input_hash=input_hash,
+    )
+    n_angles, n_bins = counts.shape
+    dataio.write_table(
+        os.path.join(out_dir, f"{prefix}_hist_{key}.csv"),
+        ("angle_deg", "bin_lo_db", "bin_hi_db", "count"),
+        (np.repeat(angles_deg, n_bins), np.tile(edges[:-1], n_angles),
+         np.tile(edges[1:], n_angles), counts.ravel()),
+        input_hash=input_hash,
+    )
+
+
 # ----------------------------------------------------------------- synth ---
 
 def _cmd_synth(args, cfg: ToolConfig) -> int:
@@ -103,48 +121,21 @@ def _cmd_angular(args, cfg: ToolConfig) -> int:
 
     for tx_id, tx_scans in by_tx.items():
         stats = angular.ensemble_stats(tx_scans, db_bin_width=cfg.histogram_bin_db)
-        mean_path = os.path.join(args.out_dir, f"angular_mean_{tx_id}.csv")
-        dataio.write_table(
-            mean_path,
-            ("angle_deg", "mean_db"),
-            zip(np.degrees(stats.angles), stats.mean_db),
-            input_hash=input_hash,
-        )
-        hist_rows = []
-        for i, angle in enumerate(np.degrees(stats.angles)):
-            for j in range(stats.counts.shape[1]):
-                hist_rows.append(
-                    (angle, stats.bin_edges_db[j], stats.bin_edges_db[j + 1],
-                     stats.counts[i, j])
-                )
-        dataio.write_table(
-            os.path.join(args.out_dir, f"angular_hist_{tx_id}.csv"),
-            ("angle_deg", "bin_lo_db", "bin_hi_db", "count"),
-            hist_rows,
-            input_hash=input_hash,
-        )
+        _write_angle_stats(args.out_dir, "angular", tx_id, "mean_db", np.degrees(stats.angles),
+                           stats.mean_db, stats.bin_edges_db, stats.counts, input_hash)
 
     positions = {tx_id: _tx_position(tx_id)[:2] for tx_id in by_tx}
     cdf_all, cdf_tx = angular.gain_cdfs(scans, positions)
-    dataio.write_table(
-        os.path.join(args.out_dir, "gain_cdf_all_directions.csv"),
-        ("normalized_gain_db", "probability"),
-        zip(cdf_all.values, cdf_all.probs),
-        input_hash=input_hash,
-    )
-    dataio.write_table(
-        os.path.join(args.out_dir, "gain_cdf_tx_direction.csv"),
-        ("normalized_gain_db", "probability"),
-        zip(cdf_tx.values, cdf_tx.probs),
-        input_hash=input_hash,
-    )
     az_cdf = empirical_cdf([angular.azimuth_gain(s) for s in scans])
-    dataio.write_table(
-        os.path.join(args.out_dir, "azimuth_gain_cdf.csv"),
-        ("azimuth_gain_db", "probability"),
-        zip(az_cdf.values, az_cdf.probs),
-        input_hash=input_hash,
-    )
+    for name, value_name, cdf in (
+        ("gain_cdf_all_directions", "normalized_gain_db", cdf_all),
+        ("gain_cdf_tx_direction", "normalized_gain_db", cdf_tx),
+        ("azimuth_gain_cdf", "azimuth_gain_db", az_cdf),
+    ):
+        dataio.write_table(
+            os.path.join(args.out_dir, f"{name}.csv"), (value_name, "probability"),
+            (cdf.values, cdf.probs), input_hash=input_hash,
+        )
     print(f"angular: {len(scans)} scans, {len(by_tx)} transmitters -> {args.out_dir}")
     print(
         "angular: median azimuth gain "
@@ -193,7 +184,7 @@ def _cmd_spatial(args, cfg: ToolConfig) -> int:
     dataio.write_table(
         args.out,
         ("lag_m", "correlation"),
-        zip((round(lag, 9) for lag in lag_m), corr),
+        (np.round(lag_m, 9), corr),
         input_hash=input_hash,
     )
     print(f"spatial: averaged {len(lines)} dense lines -> {args.out}")
@@ -240,30 +231,14 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> int:
         dataio.write_table(
             os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
             ("delta_db", "empirical_cdf", "gaussian_cdf"),
-            zip(report.values_db, report.empirical, report.gaussian),
+            (report.values_db, report.empirical, report.gaussian),
             input_hash=input_hash,
         )
         mean_db, edges, counts = vehicle.delta_angle_stats(
             matrix, db_bin_width=cfg.histogram_bin_db
         )
-        angles_deg = np.degrees(grid)
-        dataio.write_table(
-            os.path.join(args.out_dir, f"vehicle_delta_mean_{label}.csv"),
-            ("angle_deg", "mean_delta_db"),
-            zip(angles_deg, mean_db),
-            input_hash=input_hash,
-        )
-        hist_rows = [
-            (angles_deg[i], edges[j], edges[j + 1], counts[i, j])
-            for i in range(counts.shape[0])
-            for j in range(counts.shape[1])
-        ]
-        dataio.write_table(
-            os.path.join(args.out_dir, f"vehicle_delta_hist_{label}.csv"),
-            ("angle_deg", "bin_lo_db", "bin_hi_db", "count"),
-            hist_rows,
-            input_hash=input_hash,
-        )
+        _write_angle_stats(args.out_dir, "vehicle_delta", label, "mean_delta_db",
+                           np.degrees(grid), mean_db, edges, counts, input_hash)
         params_rows.append(
             (label, report.fit.mu_db, report.fit.sigma_db, report.fit.sample_count,
              report.sup_gap)
@@ -278,7 +253,7 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> int:
     dataio.write_table(
         os.path.join(args.out_dir, "vehicle_fit_params.csv"),
         ("vehicle_position", "mu_db", "sigma_db", "sample_count", "cdf_sup_gap"),
-        params_rows,
+        list(zip(*params_rows)),
         input_hash=input_hash,
     )
     return EXIT_OK
@@ -336,7 +311,7 @@ def _cmd_fit(args, cfg: ToolConfig) -> int:
         args.out,
         ("configuration", "n", "ci95_n", "r0_db", "ci95_r0_db", "rmse_db",
          "sample_count"),
-        rows,
+        list(zip(*rows)),
         input_hash=input_hash,
     )
     print(f"fit: wrote {args.out}")
@@ -379,7 +354,7 @@ def _cmd_coverage(args, cfg: ToolConfig) -> int:
         dataio.write_table(
             args.out,
             ("quantity", "value", "unit"),
-            [
+            list(zip(*[
                 ("eirp", eirp, "dBm"),
                 ("noise_floor", floor, "dBm"),
                 ("required_snr", lb.required_snr_db, "dB"),
@@ -389,7 +364,7 @@ def _cmd_coverage(args, cfg: ToolConfig) -> int:
                 ("fit_r0", fit.r0_db, "dB"),
                 ("coverage_range", range_m, "m"),
                 ("dual_pol_throughput", throughput_gbps, "Gbps"),
-            ],
+            ])),
         )
         print(f"coverage: wrote {args.out}")
     return EXIT_OK
@@ -402,21 +377,24 @@ def _cmd_geometry(args, cfg: ToolConfig) -> int:
         h=args.height, d=args.width, D=args.distance,
         h_prime=args.rx_depth, psi=cfg.psi_rad if args.psi is None else args.psi,
     )
+    # All values first: a domain error (say, 0 power in dB) leaves stdout empty.
     phi1, phi2, theta = elevation_angles(geom)
     p_exact = received_power_exact(geom)
     p_approx = received_power_approx(geom)
-    print("canyon model evaluation")
-    print("-----------------------")
-    print(f"phi1 / phi2 / theta:      {math.degrees(phi1):.3f} / "
-          f"{math.degrees(phi2):.3f} / {math.degrees(theta):.4f} deg")
-    print(f"free-space spreading:     {poynting_fspl(geom):.6e} (prop., 1/m^2)")
-    print(f"projected aperture:       {projected_aperture_exact(geom):.4f} m")
-    print(f"acceptance length:        {acceptance_length(geom):.4f} m")
-    print(f"vertical fraction:        {vertical_fraction(geom):.6e} (prop.)")
-    print(f"received power (exact):   {p_exact:.6e} (prop.) = "
-          f"{10 * math.log10(p_exact):+.2f} dB + const")
-    print(f"received power (approx):  {p_approx:.6e} (prop.) = "
-          f"{10 * math.log10(p_approx):+.2f} dB + const")
+    print("\n".join([
+        "canyon model evaluation",
+        "-----------------------",
+        f"phi1 / phi2 / theta:      {math.degrees(phi1):.3f} / "
+        f"{math.degrees(phi2):.3f} / {math.degrees(theta):.4f} deg",
+        f"free-space spreading:     {poynting_fspl(geom):.6e} (prop., 1/m^2)",
+        f"projected aperture:       {projected_aperture_exact(geom):.4f} m",
+        f"acceptance length:        {acceptance_length(geom):.4f} m",
+        f"vertical fraction:        {vertical_fraction(geom):.6e} (prop.)",
+        f"received power (exact):   {p_exact:.6e} (prop.) = "
+        f"{angular.to_db(p_exact):+.2f} dB + const",
+        f"received power (approx):  {p_approx:.6e} (prop.) = "
+        f"{angular.to_db(p_approx):+.2f} dB + const",
+    ]))
     return EXIT_OK
 
 

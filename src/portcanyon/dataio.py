@@ -8,7 +8,9 @@ dataset to within one or two floating-point ulps.
 
 Every emitted file starts with a '#' provenance comment (tool version, seed,
 input hash) followed by the header row; files are written atomically, with
-the mode the umask gives a newly created file.
+the mode the umask gives a newly created file.  `write_table` takes columns
+and streams its text `_CHUNK_ROWS` rows at a time, and `write_scans` one scan
+at a time, so no output exists as one string.
 
 `ingest` parses a canonical file columnar: one C-level `np.loadtxt` pass and
 array checks.  Anything unusual (a bad or non-finite value, an unknown
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import io
+import itertools
 import math
 import os
 import tempfile
@@ -36,7 +38,6 @@ from .errors import DomainError, GridError, IngestError
 
 __all__ = [
     "CANONICAL_HEADER",
-    "scan_rows",
     "write_scans",
     "ingest",
     "write_table",
@@ -67,7 +68,7 @@ def file_sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write_text(path, text: str) -> None:
+def _atomic_write_text(path, chunks) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -76,7 +77,7 @@ def _atomic_write_text(path, text: str) -> None:
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -84,35 +85,19 @@ def _atomic_write_text(path, text: str) -> None:
         raise
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
-def scan_rows(scan: AngularScan):
-    """Yield canonical CSV rows (tuples of strings) for one scan."""
-    phi_deg = np.degrees(scan.angles)
-    gain_db = 10.0 * np.log10(scan.gains)
-    for phi, gain in zip(phi_deg, gain_db):
-        yield (
-            scan.tx,
-            _fmt(scan.x),
-            _fmt(scan.y),
-            _fmt(phi),
-            _fmt(gain),
-            scan.vehicle_state.value,
-            scan.stacking.value,
-        )
+def _scan_text(scan: AngularScan) -> str:
+    """Canonical CSV rows of one scan; only phi_deg and gain_db vary by row."""
+    prefix = f"{_cell(scan.tx)},{float(scan.x)!r},{float(scan.y)!r},"
+    suffix = f",{scan.vehicle_state.value},{scan.stacking.value}\n"
+    phi_deg = map(repr, np.degrees(scan.angles).tolist())
+    gain_db = map(repr, (10.0 * np.log10(scan.gains)).tolist())
+    return "".join([prefix + phi + "," + gain + suffix for phi, gain in zip(phi_deg, gain_db)])
 
 
 def write_scans(path, scans, seed=None, input_hash=None) -> None:
     """Write scans to the canonical CSV, atomically and deterministically."""
-    buf = io.StringIO()
-    buf.write(provenance_line(seed=seed, input_hash=input_hash) + "\n")
-    buf.write(CANONICAL_HEADER + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    for scan in scans:
-        writer.writerows(scan_rows(scan))
-    _atomic_write_text(path, buf.getvalue())
+    head = provenance_line(seed=seed, input_hash=input_hash) + "\n" + CANONICAL_HEADER + "\n"
+    _atomic_write_text(path, itertools.chain([head], map(_scan_text, scans)))
 
 
 def _parse_float(token: str, column: str, line_no: int) -> float:
@@ -340,19 +325,43 @@ def ingest(path) -> list[AngularScan]:
 
 
 def _cell(value) -> str:
+    """One CSV field: text quoted as csv's QUOTE_MINIMAL does (CR too)."""
     if isinstance(value, str):
+        if "," in value or '"' in value or "\n" in value or "\r" in value:
+            return '"' + value.replace('"', '""') + '"'
         return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    return _fmt(value)
+    return repr(float(value))
 
 
-def write_table(path, columns, rows, seed=None, input_hash=None) -> None:
-    """Write a plot-ready CSV table with the provenance comment and header."""
-    buf = io.StringIO()
-    buf.write(provenance_line(seed=seed, input_hash=input_hash) + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_cell(c) for c in row])
-    _atomic_write_text(path, buf.getvalue())
+def _lines(columns) -> str:
+    """CSV lines of columns: float arrays by `repr`, int arrays by `str`, else `_cell`."""
+    fields = [
+        map(repr if col.dtype.kind == "f" else str, col.tolist())
+        if isinstance(col, np.ndarray) and col.dtype.kind in "fiu" else map(_cell, col)
+        for col in columns
+    ]
+    if len(fields) == 1:  # csv writes a lone empty field as "", not a blank line
+        fields = [['""' if f == "" else f for f in fields[0]]]
+    return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n"
+
+
+_CHUNK_ROWS = 1 << 14  # rows formatted per write: a few MB of text at most
+
+
+def write_table(path, header, columns, seed=None, input_hash=None) -> None:
+    """Write a plot-ready CSV table with the provenance comment and header.
+
+    `columns` holds one sequence per header field, all of one length.
+    """
+    if len(columns) != len(header):
+        raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+
+    def chunks():
+        yield provenance_line(seed=seed, input_hash=input_hash) + "\n"
+        yield _lines([[name] for name in header])
+        for start in range(0, len(columns[0]), _CHUNK_ROWS):
+            yield _lines([col[start:start + _CHUNK_ROWS] for col in columns])
+
+    _atomic_write_text(path, chunks())

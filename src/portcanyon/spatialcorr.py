@@ -150,10 +150,19 @@ def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
         if line.positions.size != n_pos or abs(line.spacing_m - spacing) > POSITION_SPACING_TOL:
             raise DomainError("all lines must share position count and spacing")
 
+    # Each angle count is one (lines, angles, positions) array.  A 1xm @ mx1
+    # matmul sums like np.correlate in `autocorrelation`, so the curves match
+    # it bit for bit; einsum and sum(axis) differ in the last bits.
     per_line = np.empty((len(lines), n_pos))
-    for i, line in enumerate(lines):
-        curves = np.stack(
-            [autocorrelation(line, phi).values for phi in line.angles]
-        )
-        per_line[i] = curves.mean(axis=0)
+    for size in {line.angles.size for line in lines}:
+        group = [i for i, line in enumerate(lines) if line.angles.size == size]
+        db = 10.0 * np.log10(
+            np.stack([np.stack([s.gains for s in lines[i].scans], axis=-1) for i in group]))
+        z = db - db.mean(axis=2, keepdims=True)
+        raw = np.empty_like(z)
+        for k in range(n_pos):
+            raw[..., k] = np.matmul(z[..., None, :n_pos - k], z[..., k:, None])[..., 0, 0]
+        lag0 = raw[..., :1]
+        curves = np.where(lag0 == 0.0, np.eye(1, n_pos), raw / np.where(lag0 == 0.0, 1.0, lag0))
+        per_line[group] = curves.mean(axis=1)
     return spacing * np.arange(n_pos), per_line.mean(axis=0)

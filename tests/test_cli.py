@@ -309,7 +309,8 @@ class TestBoundaryValues:
         assert "UTF-8" in captured.err
 
     @pytest.mark.parametrize("flag,value", [("--distance", "1e200"),
-                                            ("--height", "1e-300")])
+                                            ("--height", "1e-300"),
+                                            ("--width", "0")])
     def test_geometry_extreme_finite_is_domain_error(self, capsys, flag, value):
         argv = {"--height": "17.4", "--width": "8", "--distance": "63",
                 "--rx-depth": "5"}

@@ -1,5 +1,7 @@
 """Canonical CSV: round-trips, validation errors with line numbers."""
 
+import csv
+import io
 import os
 import stat
 import tempfile
@@ -9,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portcanyon.angular import AngularScan
+from portcanyon.angular import AngularScan, Stacking, VehicleState
 from portcanyon.dataio import (
+    _CHUNK_ROWS,
     CANONICAL_HEADER,
     _ingest_columnar,
     _ingest_rows,
@@ -209,7 +212,7 @@ class TestIngestValidation:
 def test_write_table_format(tmp_path):
     path = tmp_path / "table.csv"
     write_table(
-        path, ("a", "b", "count"), [(1.5, "x", 3), (2.5, "y", 4)], input_hash="ff"
+        path, ("a", "b", "count"), [(1.5, 2.5), ("x", "y"), (3, 4)], input_hash="ff"
     )
     lines = path.read_text().splitlines()
     assert lines[0].startswith("#") and "input_sha256=ff" in lines[0]
@@ -421,3 +424,169 @@ class TestColumnarIngest:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             check_paths_agree(path)
+
+
+# ------------------------------------------------ writers vs csv.writer oracles
+
+def _oracle_cell(value) -> str:
+    if isinstance(value, str):
+        return value
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    return repr(float(value))
+
+
+def oracle_table_bytes(header, rows, seed=None, input_hash=None) -> bytes:
+    """The row-wise csv.writer table writer the column writer replaced."""
+    buf = io.StringIO()
+    buf.write(provenance_line(seed=seed, input_hash=input_hash) + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_oracle_cell(c) for c in row])
+    return buf.getvalue().encode("utf-8")
+
+
+def oracle_scans_bytes(scans, seed=None, input_hash=None) -> bytes:
+    """The row-wise csv.writer scan writer the per-scan writer replaced."""
+    buf = io.StringIO()
+    buf.write(provenance_line(seed=seed, input_hash=input_hash) + "\n")
+    buf.write(CANONICAL_HEADER + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    for scan in scans:
+        for phi, gain in zip(np.degrees(scan.angles), 10.0 * np.log10(scan.gains)):
+            writer.writerow((
+                scan.tx, repr(float(scan.x)), repr(float(scan.y)), repr(float(phi)),
+                repr(float(gain)), scan.vehicle_state.value, scan.stacking.value,
+            ))
+    return buf.getvalue().encode("utf-8")
+
+
+def table_bytes(header, columns, **kwargs) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "table.csv")
+        write_table(path, header, columns, **kwargs)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-7, -1.5e300, float("inf"), float("nan")]
+EDGE_TEXT = [",", '"', "\n", " leading space", "", 'a,"b"\nc', "trailing ", "plain"]
+# Python 3.11's csv.writer leaves a CR unquoted (a bare CR does not read back);
+# the column writer quotes it, so CR is left out of the byte-equality text.
+TEXT = st.one_of(
+    st.sampled_from(EDGE_TEXT),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")),
+)
+FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): float and int arrays, and lists of any cell type."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    kinds = draw(st.lists(st.sampled_from(
+        ["float_array", "int_array", "int", "np_int", "text", "mixed"]), min_size=1, max_size=4))
+    columns = []
+    for kind in kinds:
+        if kind == "float_array":
+            columns.append(np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float))
+        elif kind == "int_array":
+            columns.append(np.array(draw(st.lists(INTS, min_size=n, max_size=n)), dtype=np.int64))
+        elif kind == "int":
+            columns.append(draw(st.lists(INTS, min_size=n, max_size=n)))
+        elif kind == "np_int":
+            columns.append([np.int64(v) for v in draw(st.lists(INTS, min_size=n, max_size=n))])
+        elif kind == "text":
+            columns.append(draw(st.lists(TEXT, min_size=n, max_size=n)))
+        else:
+            columns.append(draw(st.lists(st.one_of(FLOATS, INTS, TEXT), min_size=n, max_size=n)))
+    header = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
+    return header, columns
+
+
+class TestColumnWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(table=tables(), seed=st.one_of(st.none(), st.integers(0, 99)))
+    def test_table_bytes_match_csv_writer(self, table, seed):
+        header, columns = table
+        rows = list(zip(*columns))
+        assert table_bytes(header, columns, seed=seed, input_hash="ab") == \
+            oracle_table_bytes(header, rows, seed=seed, input_hash="ab")
+
+    @pytest.mark.parametrize("cells", [[""], ["", ""], ["", "x", ""], []])
+    def test_one_column_of_empty_strings(self, cells):
+        assert table_bytes(("",), [cells]) == \
+            oracle_table_bytes(("",), [(c,) for c in cells])
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1,
+                                   2 * _CHUNK_ROWS + 1])
+    def test_row_counts_around_the_chunk_size(self, n):
+        rng = np.random.default_rng(n)
+        columns = (rng.normal(size=n), rng.integers(-5, 5, size=n),
+                   [f"r{i}" if i % 3 else "a,b" for i in range(n)])
+        header = ("x", "count", "label")
+        assert table_bytes(header, columns) == oracle_table_bytes(header, zip(*columns))
+
+    def test_carriage_return_is_quoted_and_reads_back(self):
+        cells = ["a\rb", "\r", "c"]
+        data = table_bytes(("text",), [cells]).decode("utf-8")
+        assert '"a\rb"' in data
+        back = list(csv.reader(io.StringIO(data, newline="")))
+        assert [row[0] for row in back[2:]] == cells
+
+    @pytest.mark.parametrize("header,columns", [
+        (("a", "b"), ([1.0],)),
+        (("a",), ([1.0], [2.0])),
+        (("a", "b"), ([1.0, 2.0], [3.0])),
+    ])
+    def test_column_shape_mismatch_is_rejected(self, tmp_path, header, columns):
+        with pytest.raises(ValueError):
+            write_table(tmp_path / "t.csv", header, columns)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_leaves_no_trace(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_text("previous contents\n", encoding="utf-8")
+        # The first chunk formats and is written; the bad cell fails in the second.
+        column = [0.5] * (_CHUNK_ROWS + 3) + [object()]
+        with pytest.raises(TypeError):
+            write_table(path, ("x",), [column])
+        assert path.read_text(encoding="utf-8") == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["table.csv"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        specs=st.lists(st.tuples(
+            TEXT.filter(bool), FLOATS.filter(np.isfinite), FLOATS.filter(np.isfinite),
+            st.sampled_from([8, 12, 36]), st.sampled_from(list(VehicleState)),
+            st.sampled_from(list(Stacking)), st.integers(0, 2**32 - 1),
+        ), max_size=4),
+        seed=st.one_of(st.none(), st.integers(0, 99)),
+    )
+    def test_scan_bytes_match_csv_writer(self, specs, seed):
+        scans = [
+            AngularScan(
+                tx=tx, x=x, y=y, angles=np.radians(360.0 * np.arange(n) / n),
+                gains=np.random.default_rng(g).lognormal(-14.0, 3.0, n),
+                vehicle_state=vehicle, stacking=stacking,
+            )
+            for tx, x, y, n, vehicle, stacking, g in specs
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "scans.csv")
+            write_scans(path, scans, seed=seed)
+            with open(path, "rb") as fh:
+                assert fh.read() == oracle_scans_bytes(scans, seed=seed)
+
+    @pytest.mark.parametrize("tx", ["TX,1", 'TX"1', 'a,"b'])
+    def test_tx_id_with_csv_specials_round_trips(self, tmp_path, tx):
+        scans = [make_scan(tx=tx), make_scan(seed=1, tx=tx, x=9.0)]
+        path = tmp_path / "scans.csv"
+        write_scans(path, scans)
+        assert path.read_bytes() == oracle_scans_bytes(scans)
+        back = ingest(path)
+        assert [s.key for s in back] == [s.key for s in scans]
+        for orig, rec in zip(scans, back):
+            assert np.allclose(rec.gains, orig.gains, rtol=1e-12)

@@ -199,6 +199,28 @@ class TestAveragedCorrelation:
         _, moved = averaged_correlation([shifted])
         assert np.allclose(base, moved, atol=1e-9)
 
+    def test_equals_the_per_angle_loop_bit_for_bit(self):
+        rng = np.random.default_rng(9)
+        lines = [self._random_line(rng, y=float(y)) for y in range(6)]
+        lines.append(line_from_db([-60.0] * 15))  # every angle degenerate
+        gains = rng.exponential(1e-6, size=(15, N_ANGLES))
+        gains[:, 3] = 2e-6  # one degenerate angle
+        positions = 13.5 + 0.1 * np.arange(15)
+        lines.append(DenseLine(positions=positions, scans=tuple(
+            AngularScan(tx="TX2", x=float(x), y=3.5, angles=GRID, gains=gains[i])
+            for i, x in enumerate(positions))))
+        grid16 = np.radians(360.0 * np.arange(16) / 16)  # a second angle count
+        lines.append(DenseLine(positions=positions, scans=tuple(
+            AngularScan(tx="TX2", x=float(x), y=5.5, angles=grid16,
+                        gains=rng.exponential(1e-6, 16))
+            for x in positions)))
+        reference = np.mean([
+            np.stack([autocorrelation(line, phi).values for phi in line.angles]).mean(axis=0)
+            for line in lines
+        ], axis=0)
+        _, avg = averaged_correlation(lines)
+        assert avg.tobytes() == reference.tobytes()
+
     def test_requires_shared_lag_structure(self):
         rng = np.random.default_rng(8)
         a = self._random_line(rng)
