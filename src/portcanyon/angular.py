@@ -27,6 +27,7 @@ __all__ = [
     "from_db",
     "circular_mean_gain",
     "normalized_spectrum",
+    "require_common_grid",
     "ensemble_stats",
     "tx_bearing",
     "azimuth_gain",
@@ -164,7 +165,9 @@ def normalized_spectrum(scan: AngularScan) -> np.ndarray:
     return to_db(scan.gains) - circular_mean_gain(scan)
 
 
-def _require_common_grid(scans) -> np.ndarray:
+def require_common_grid(scans) -> np.ndarray:
+    """The angle grid every scan shares; a GridError names the first that
+    differs in size or by more than GRID_MATCH_TOL at any angle."""
     grid = scans[0].angles
     for scan in scans[1:]:
         if scan.angles.size != grid.size or np.max(np.abs(scan.angles - grid)) > GRID_MATCH_TOL:
@@ -185,7 +188,7 @@ def ensemble_stats(scans, db_bin_width: float = 1.0) -> AngularSpectrumStats:
     scans = list(scans)
     if not scans:
         raise DomainError("ensemble_stats needs at least one scan")
-    grid = _require_common_grid(scans)
+    grid = require_common_grid(scans)
 
     gains = np.stack([s.gains for s in scans])          # (n_scans, n_angles)
     mean_db = 10.0 * np.log10(np.mean(gains, axis=0))

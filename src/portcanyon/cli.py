@@ -15,18 +15,13 @@ import math
 import os
 import sys
 from collections import defaultdict
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__, angular, dataio, spatialcorr, synth, vehicle
 from .config import DEFAULT_INI, ToolConfig, load_config
-from .errors import (
-    ConfigError,
-    DegenerateFitError,
-    GridError,
-    IngestError,
-    ToolkitError,
-)
+from .errors import ConfigError, DegenerateFitError, IngestError, ToolkitError
 from .geometry import (
     CanyonGeometry,
     acceptance_length,
@@ -53,22 +48,6 @@ EXIT_DATA = 3
 EXIT_DOMAIN = 4
 
 _DATA_CATEGORIES = {"ingest", "grid", "pairing", "data"}
-
-
-def _tx_position(tx_id: str) -> tuple[float, float, float]:
-    """Campaign TX position (x, y, z) from its identifier."""
-    if tx_id == "TX2":
-        return (synth.TX2_X_M, synth.TX2_Y_M, synth.TX2_Z_M)
-    if tx_id.startswith("TX1_"):
-        try:
-            y = float(tx_id[4:])
-        except ValueError:
-            raise IngestError(f"malformed transmitter id {tx_id!r}")
-        return (synth.TX1_X_M, y, synth.TX1_Z_M)
-    raise IngestError(
-        f"cannot derive a position for transmitter id {tx_id!r}; "
-        "expected 'TX1_<y>' or 'TX2'"
-    )
 
 
 def _baseline(scans):
@@ -113,18 +92,18 @@ def _cmd_angular(args, cfg: ToolConfig) -> int:
     if not scans:
         raise IngestError("dataset has no baseline (vehicle absent) scans")
     input_hash = dataio.file_sha256(args.input)
-    os.makedirs(args.out_dir, exist_ok=True)
 
     by_tx = defaultdict(list)
     for scan in scans:
         by_tx[scan.tx].append(scan)
+    positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in by_tx}
 
+    os.makedirs(args.out_dir, exist_ok=True)
     for tx_id, tx_scans in by_tx.items():
         stats = angular.ensemble_stats(tx_scans, db_bin_width=cfg.histogram_bin_db)
         _write_angle_stats(args.out_dir, "angular", tx_id, "mean_db", np.degrees(stats.angles),
                            stats.mean_db, stats.bin_edges_db, stats.counts, input_hash)
 
-    positions = {tx_id: _tx_position(tx_id)[:2] for tx_id in by_tx}
     cdf_all, cdf_tx = angular.gain_cdfs(scans, positions)
     az_cdf = empirical_cdf([angular.azimuth_gain(s) for s in scans])
     for name, value_name, cdf in (
@@ -206,25 +185,19 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> int:
     }
     params_rows = []
     for state in (angular.VehicleState.POSITION1, angular.VehicleState.POSITION2):
+        with_vehicle = [s for s in scans if s.vehicle_state is state]
+        if not with_vehicle:
+            continue
+        # The deltas are pooled per angle, so all of them need one grid.
+        grid = angular.require_common_grid(with_vehicle)
         deltas = []
-        grid = None
-        for scan in scans:
-            if scan.vehicle_state is not state:
-                continue
+        for scan in with_vehicle:
             key = (scan.tx, scan.x, scan.y, scan.stacking)
             if key not in base_by_key:
                 raise IngestError(
                     f"no baseline scan for vehicle scan at {key}; cannot pair"
                 )
-            if grid is None:
-                grid = scan.angles
-            elif scan.angles.size != grid.size:
-                raise GridError(
-                    "vehicle scans must share one angle grid for pooled statistics"
-                )
             deltas.append(vehicle.vehicle_delta(base_by_key[key], scan))
-        if not deltas:
-            continue
         matrix = np.stack(deltas)
         report = vehicle.delta_cdf_report(matrix.ravel())
         label = state.value
@@ -262,7 +235,7 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> int:
 # ------------------------------------------------------------------- fit ---
 
 def _euclidean_distance(tx_id: str, scan, rx_height_m: float) -> float:
-    tx_x, tx_y, tx_z = _tx_position(tx_id)
+    tx_x, tx_y, tx_z = synth.tx_position(tx_id)
     return math.sqrt(
         (tx_x - scan.x) ** 2 + (tx_y - scan.y) ** 2 + (tx_z - rx_height_m) ** 2
     )
@@ -375,7 +348,7 @@ def _cmd_coverage(args, cfg: ToolConfig) -> int:
 def _cmd_geometry(args, cfg: ToolConfig) -> int:
     geom = CanyonGeometry(
         h=args.height, d=args.width, D=args.distance,
-        h_prime=args.rx_depth, psi=cfg.psi_rad if args.psi is None else args.psi,
+        h_prime=args.rx_depth, psi=cfg.psi_rad,
     )
     # All values first: a domain error (say, 0 power in dB) leaves stdout empty.
     phi1, phi2, theta = elevation_angles(geom)
@@ -416,6 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic campaign dataset")
     p.add_argument("--layout", required=True, choices=("uniform", "nonuniform"))
     p.add_argument("--out", required=True, help="output CSV path")
+    # A flag that overrides a config key has that key's name as its dest.
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument(
         "--vehicle-mode", default="none", choices=("none", "dense", "all"),
@@ -424,14 +398,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-angles", type=int, help="azimuth samples per rotation")
     p.add_argument("--hpbw-deg", type=float, help="horn half-power beamwidth (deg)")
     p.add_argument("--gain-offset-db", type=float, help="calibration offset (dB)")
-    p.add_argument("--no-fading", action="store_true",
+    p.add_argument("--no-fading", dest="fading", action="store_false", default=None,
                    help="disable per-bin Rayleigh fading")
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("angular", help="angular-spectrum statistics of a dataset")
     p.add_argument("--input", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--bin-db", type=float, help="histogram bin width override (dB)")
+    p.add_argument("--bin-db", dest="histogram_bin_db", type=float,
+                   help="histogram bin width override (dB)")
     p.set_defaults(func=_cmd_angular)
 
     p = sub.add_parser("spatial", help="spatial autocorrelation along dense lines")
@@ -467,27 +442,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--width", type=float, required=True, help="canyon internal width (m)")
     p.add_argument("--distance", type=float, required=True, help="TX to near edge (m)")
     p.add_argument("--rx-depth", type=float, required=True, help="RX depth below canyon top (m)")
-    p.add_argument("--psi", type=float, help="acceptance angle override (rad)")
+    p.add_argument("--psi", dest="psi_rad", type=float, help="acceptance angle override (rad)")
     p.set_defaults(func=_cmd_geometry)
 
     return parser
 
 
 def _apply_overrides(args, cfg: ToolConfig) -> None:
-    if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        cfg.seed = args.seed
-    if getattr(args, "bin_db", None) is not None:
-        if args.bin_db <= 0:
-            raise ConfigError("histogram bin width must be > 0")
-        cfg.histogram_bin_db = args.bin_db
-    for flag in ("n_angles", "hpbw_deg", "gain_offset_db"):
-        value = getattr(args, flag, None)
+    """Each flag given overrides the config key its dest names; the values are
+    checked where they are used, as file values are."""
+    for f in fields(cfg):
+        value = getattr(args, f.name, None)
         if value is not None:
-            setattr(cfg, flag, value)
-    if getattr(args, "no_fading", False):
-        cfg.fading = False
+            setattr(cfg, f.name, value)
 
 
 def main(argv=None) -> int:

@@ -1,126 +1,100 @@
-"""Tool configuration: one INI file, every default in one place.
+"""Tool configuration: one INI file, every knob declared once.
 
-CLI flags override file values, file values override the defaults below.
-`DEFAULT_INI` doubles as the documented reference for all available keys.
+Each `ToolConfig` field is the only declaration of its INI key: its section and
+reference comment are field metadata, and the generator and link-budget
+defaults are those of `SynthConfig`, `CampaignLayout` and `LinkBudgetConfig`.
+The key check, the value parsers, the reference file `DEFAULT_INI` and the CLI
+overrides are derived from the fields.  Flags override file values, file
+values override the defaults.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
 from .linkbudget import LinkBudgetConfig
-from .synth import SynthConfig
+from .synth import CampaignLayout, SynthConfig
 
 __all__ = ["ToolConfig", "DEFAULT_INI", "load_config"]
 
-DEFAULT_INI = """\
-# portcanyon configuration file (INI). Every key is optional; the values
-# below are the built-in defaults.
 
-[model]
-# Maximum azimuthal acceptance angle of the canyon model (rad).
-psi_rad = 0.1
-# RX antenna height above ground (m).
-rx_height_m = 1.5
-
-[angular]
-# Histogram bin width for ensemble spectrum statistics (dB).
-histogram_bin_db = 1.0
-
-[synth]
-# Master seed; a fixed seed makes datasets and reports byte-identical.
-seed = 0
-# Azimuth samples per rotation.
-n_angles = 360
-# RX horn half-power beamwidth (deg).
-hpbw_deg = 10.0
-# Per-bin Rayleigh fading on/off.
-fading = true
-# Monte Carlo realizations for the full-spread reference distribution.
-n_realizations = 10000
-# Calibration offset added to the proportional model gain (dB).
-gain_offset_db = 0.0
-# Vehicle perturbation: Gaussian mean/std of the gain difference (dB).
-vehicle_mu_db = 1.13
-vehicle_sigma_db = 6.91
-
-[linkbudget]
-# Transmit power per polarization (dBm) and antenna gain (dBi).
-tx_power_dbm_per_pol = 28.0
-tx_antenna_gain_dbi = 23.0
-shadow_margin_db = 10.0
-bandwidth_hz = 400e6
-temperature_k = 300.0
-noise_figure_db = 10.0
-required_snr_db = 8.0
-# Informational only: single-polarization spectral efficiency (bit/s/Hz).
-spectral_efficiency_bps_hz = 2.0
-"""
+def _key(section: str, default, doc: str = "", text: str = ""):
+    """A key of [section]: the comment printed above it, if any, and its printed
+    value where that is not `repr(default)`."""
+    return field(default=default, metadata={"section": section, "doc": doc, "text": text})
 
 
 @dataclass
 class ToolConfig:
-    psi_rad: float = 0.1
-    rx_height_m: float = 1.5
-    histogram_bin_db: float = 1.0
-    seed: int = 0
-    n_angles: int = 360
-    hpbw_deg: float = 10.0
-    fading: bool = True
-    n_realizations: int = 10_000
-    gain_offset_db: float = 0.0
-    vehicle_mu_db: float = 1.13
-    vehicle_sigma_db: float = 6.91
-    tx_power_dbm_per_pol: float = 28.0
-    tx_antenna_gain_dbi: float = 23.0
-    shadow_margin_db: float = 10.0
-    bandwidth_hz: float = 400e6
-    temperature_k: float = 300.0
-    noise_figure_db: float = 10.0
-    required_snr_db: float = 8.0
-    spectral_efficiency_bps_hz: float = 2.0
+    psi_rad: float = _key(
+        "model", SynthConfig.psi,
+        "Maximum azimuthal acceptance angle of the canyon model (rad).")
+    rx_height_m: float = _key(
+        "model", CampaignLayout.rx_height_m, "RX antenna height above ground (m).")
+    histogram_bin_db: float = _key(
+        "angular", 1.0, "Histogram bin width for ensemble spectrum statistics (dB).")
+    seed: int = _key(
+        "synth", SynthConfig.seed,
+        "Master seed; a fixed seed makes datasets and reports byte-identical.")
+    n_angles: int = _key("synth", SynthConfig.n_angles, "Azimuth samples per rotation.")
+    hpbw_deg: float = _key("synth", SynthConfig.hpbw_deg, "RX horn half-power beamwidth (deg).")
+    fading: bool = _key("synth", SynthConfig.fading, "Per-bin Rayleigh fading on/off.")
+    n_realizations: int = _key(
+        "synth", SynthConfig.n_realizations,
+        "Monte Carlo realizations for the full-spread reference distribution.")
+    gain_offset_db: float = _key(
+        "synth", SynthConfig.gain_offset_db,
+        "Calibration offset added to the proportional model gain (dB).")
+    vehicle_mu_db: float = _key(
+        "synth", SynthConfig.vehicle_mu_db,
+        "Vehicle perturbation: Gaussian mean/std of the gain difference (dB).")
+    vehicle_sigma_db: float = _key("synth", SynthConfig.vehicle_sigma_db)
+    tx_power_dbm_per_pol: float = _key(
+        "linkbudget", LinkBudgetConfig.tx_power_dbm_per_pol,
+        "Transmit power per polarization (dBm) and antenna gain (dBi).")
+    tx_antenna_gain_dbi: float = _key("linkbudget", LinkBudgetConfig.tx_antenna_gain_dbi)
+    shadow_margin_db: float = _key("linkbudget", LinkBudgetConfig.shadow_margin_db)
+    bandwidth_hz: float = _key("linkbudget", LinkBudgetConfig.bandwidth_hz, text="400e6")
+    temperature_k: float = _key("linkbudget", LinkBudgetConfig.temperature_k)
+    noise_figure_db: float = _key("linkbudget", LinkBudgetConfig.noise_figure_db)
+    required_snr_db: float = _key("linkbudget", LinkBudgetConfig.required_snr_db)
+    spectral_efficiency_bps_hz: float = _key(
+        "linkbudget", LinkBudgetConfig.spectral_efficiency_bps_hz,
+        "Informational only: single-polarization spectral efficiency (bit/s/Hz).")
+
+    def _build(self, cls, **renamed):
+        """A cls from the fields of the same name, plus the `renamed` ones."""
+        return cls(**{f.name: getattr(self, f.name) for f in fields(cls)
+                      if f.name in self.__dataclass_fields__}, **renamed)
 
     def synth_config(self) -> SynthConfig:
-        return SynthConfig(
-            seed=self.seed,
-            n_angles=self.n_angles,
-            hpbw_deg=self.hpbw_deg,
-            psi=self.psi_rad,
-            fading=self.fading,
-            n_realizations=self.n_realizations,
-            gain_offset_db=self.gain_offset_db,
-            vehicle_mu_db=self.vehicle_mu_db,
-            vehicle_sigma_db=self.vehicle_sigma_db,
-        )
+        return self._build(SynthConfig, psi=self.psi_rad)
 
     def linkbudget_config(self) -> LinkBudgetConfig:
-        return LinkBudgetConfig(
-            tx_power_dbm_per_pol=self.tx_power_dbm_per_pol,
-            tx_antenna_gain_dbi=self.tx_antenna_gain_dbi,
-            shadow_margin_db=self.shadow_margin_db,
-            bandwidth_hz=self.bandwidth_hz,
-            temperature_k=self.temperature_k,
-            noise_figure_db=self.noise_figure_db,
-            required_snr_db=self.required_snr_db,
-            spectral_efficiency_bps_hz=self.spectral_efficiency_bps_hz,
-        )
+        return self._build(LinkBudgetConfig)
 
 
-_SECTIONS = {
-    "model": ("psi_rad", "rx_height_m"),
-    "angular": ("histogram_bin_db",),
-    "synth": (
-        "seed", "n_angles", "hpbw_deg", "fading", "n_realizations",
-        "gain_offset_db", "vehicle_mu_db", "vehicle_sigma_db",
-    ),
-    "linkbudget": (
-        "tx_power_dbm_per_pol", "tx_antenna_gain_dbi", "shadow_margin_db",
-        "bandwidth_hz", "temperature_k", "noise_figure_db", "required_snr_db",
-        "spectral_efficiency_bps_hz",
-    ),
-}
+def _render() -> str:
+    lines = ["# portcanyon configuration file (INI). Every key is optional; the values",
+             "# below are the built-in defaults."]
+    section = None
+    for f in fields(ToolConfig):
+        if f.metadata["section"] != section:
+            section = f.metadata["section"]
+            lines += ["", f"[{section}]"]
+        if f.metadata["doc"]:
+            lines.append(f"# {f.metadata['doc']}")
+        value = str(f.default).lower() if type(f.default) is bool else repr(f.default)
+        lines.append(f"{f.name} = {f.metadata['text'] or value}")
+    return "\n".join(lines) + "\n"
+
+
+DEFAULT_INI = _render()
+
+# The parser of a key's value, by the type of its default.
+_GETTERS = {bool: "getboolean", int: "getint", float: "getfloat"}
 
 
 def load_config(path=None) -> ToolConfig:
@@ -129,23 +103,17 @@ def load_config(path=None) -> ToolConfig:
     if path is None:
         return cfg
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
+    if not parser.read(path):
         raise ConfigError(f"cannot read config file {path!r}")
-    types = {f.name: f.type for f in fields(ToolConfig)}
-    for section, keys in _SECTIONS.items():
-        if not parser.has_section(section):
-            continue
+    keys = {(f.metadata["section"], f.name): f for f in fields(ToolConfig)}
+    for section in parser.sections():
+        if section not in {s for s, _ in keys}:
+            raise ConfigError(f"unknown section [{section}]")
         for key in parser.options(section):
-            if key not in keys:
+            if (section, key) not in keys:
                 raise ConfigError(f"unknown key [{section}] {key}")
             try:
-                if types[key] == "bool":
-                    value = parser.getboolean(section, key)
-                elif types[key] == "int":
-                    value = parser.getint(section, key)
-                else:
-                    value = parser.getfloat(section, key)
+                value = getattr(parser, _GETTERS[type(keys[section, key].default)])(section, key)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
             setattr(cfg, key, value)

@@ -8,7 +8,7 @@ path loss in dB and converted to gain exactly once, inside
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import DomainError, NoSolutionError
 from .pathloss import LogLinFit
@@ -30,20 +30,25 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 class LinkBudgetConfig:
     """Base-station and receiver assumptions for the coverage estimate.
 
+    Every value must be finite, and the bandwidth and temperature > 0.
+
     spectral_efficiency_bps_hz is informational only (throughput note); it
     never enters the path-loss arithmetic.
     """
 
-    tx_power_dbm_per_pol: float
-    tx_antenna_gain_dbi: float
-    shadow_margin_db: float
-    bandwidth_hz: float
-    temperature_k: float
-    noise_figure_db: float
-    required_snr_db: float
+    tx_power_dbm_per_pol: float = 28.0
+    tx_antenna_gain_dbi: float = 23.0
+    shadow_margin_db: float = 10.0
+    bandwidth_hz: float = 400e6
+    temperature_k: float = 300.0
+    noise_figure_db: float = 10.0
+    required_snr_db: float = 8.0
     spectral_efficiency_bps_hz: float = 2.0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise DomainError(f"{f.name} must be finite, got {getattr(self, f.name)}")
         if self.bandwidth_hz <= 0.0:
             raise DomainError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
         if self.temperature_k <= 0.0:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import GRID_MATCH_TOL, AngularScan, to_db
+from .angular import GRID_MATCH_TOL, AngularScan, require_common_grid, to_db
 from .errors import DomainError, GridError, PairingError
 
 __all__ = [
@@ -69,10 +69,7 @@ class DenseLine:
                 raise PairingError(
                     f"scan {scan.key} does not belong to the line of {ref.key}"
                 )
-            if scan.angles.size != ref.angles.size or np.max(
-                np.abs(scan.angles - ref.angles)
-            ) > GRID_MATCH_TOL:
-                raise GridError("scans on a dense line must share one angle grid")
+        require_common_grid(scans)
 
     @property
     def spacing_m(self) -> float:

@@ -25,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularScan, Stacking, VehicleState, azimuth_gain, to_db
-from .errors import DomainError
+from .angular import AngularScan, Stacking, VehicleState, to_db
+from .errors import DomainError, IngestError
 from .geometry import CanyonGeometry, received_power_approx
 from .stats import EmpiricalCdf, empirical_cdf
 
@@ -42,7 +42,7 @@ __all__ = [
     "add_vehicle_offset",
     "fullspread_gain_distribution",
     "generate_campaign",
-    "tx_position_map",
+    "tx_position",
 ]
 
 CANYON_LENGTH_M = 36.0
@@ -190,7 +190,24 @@ class CampaignLayout:
             raise DomainError(f"transmitter {tx.tx_id!r} is not part of this layout")
 
 
-def build_layout(kind, rx_height_m: float = 1.5) -> CampaignLayout:
+def tx_position(tx_id: str) -> tuple[float, float, float]:
+    """Campaign TX position (x, y, z) from its id: 'TX2', or 'TX1_<y>' for the
+    crane at y metres, as `build_layout` names it.  Any other id is an
+    IngestError."""
+    if tx_id == "TX2":
+        return (TX2_X_M, TX2_Y_M, TX2_Z_M)
+    try:
+        y = float(tx_id[4:]) if tx_id.startswith("TX1_") else math.nan
+    except ValueError:
+        y = math.nan
+    if not math.isfinite(y):
+        raise IngestError(
+            f"no position for transmitter id {tx_id!r}; expected 'TX1_<y>' (finite y) or 'TX2'"
+        )
+    return (TX1_X_M, y, TX1_Z_M)
+
+
+def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> CampaignLayout:
     """Assemble the campaign layout for one stacking configuration.
 
     Coarse RX grid: 4 lines across the canyon, x starting at 1 m with a 4 m
@@ -207,9 +224,8 @@ def build_layout(kind, rx_height_m: float = 1.5) -> CampaignLayout:
         tx1_ys = TX1_Y_NONUNIFORM_M
         coarse_step = COARSE_X_STEP_NONUNIFORM_M
 
-    txs = tuple(
-        TxSpec(tx_id=f"TX1_{y:g}", x=TX1_X_M, y=y, z=TX1_Z_M) for y in tx1_ys
-    ) + (TxSpec(tx_id="TX2", x=TX2_X_M, y=TX2_Y_M, z=TX2_Z_M),)
+    tx_ids = [f"TX1_{y:g}" for y in tx1_ys] + ["TX2"]
+    txs = tuple(TxSpec(tx_id, *tx_position(tx_id)) for tx_id in tx_ids)
 
     n_coarse = int((CANYON_LENGTH_M - COARSE_X_START_M) // coarse_step) + 1
     coarse_xs = [COARSE_X_START_M + coarse_step * i for i in range(n_coarse)]
@@ -231,11 +247,6 @@ def build_layout(kind, rx_height_m: float = 1.5) -> CampaignLayout:
         dense_points=dense,
         rx_height_m=rx_height_m,
     )
-
-
-def tx_position_map(layout: CampaignLayout) -> dict[str, tuple[float, float]]:
-    """tx id -> (x, y) map, as needed by the angular gain-CDF statistics."""
-    return {tx.tx_id: (tx.x, tx.y) for tx in layout.txs}
 
 
 def geometry_for(
@@ -364,17 +375,15 @@ def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
     Generates cfg.n_realizations unit-mean fully spread scans (independent
     exponential bins smoothed by the horn) and returns the empirical CDF of
     their azimuth gain.  This is the reference any measured azimuth-gain
-    distribution is compared against.
+    distribution is compared against.  The azimuth gain of each row is taken
+    on the matrix as `angular.azimuth_gain` takes it on one scan: the row's
+    max dB gain over its circular mean.
     """
     rng = _rng((cfg.seed, _STREAM_FULLSPREAD))
     raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
     smoothed = _smooth(raw, cfg.horn.kernel(cfg.n_angles))
-    angles = cfg.angles_rad
-    gains_db = np.empty(cfg.n_realizations)
-    for i in range(cfg.n_realizations):
-        scan = AngularScan(tx="fullspread", x=0.0, y=0.0, angles=angles, gains=smoothed[i])
-        gains_db[i] = azimuth_gain(scan)
-    return empirical_cdf(gains_db)
+    normalized_db = to_db(smoothed) - 10.0 * np.log10(smoothed.mean(axis=1, keepdims=True))
+    return empirical_cdf(normalized_db.max(axis=1))
 
 
 def generate_campaign(

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import GRID_MATCH_TOL, AngularScan, VehicleState, to_db
-from .errors import DomainError, GridError, InsufficientDataError, PairingError
+from .angular import AngularScan, VehicleState, require_common_grid, to_db
+from .errors import DomainError, InsufficientDataError, PairingError
 from .stats import aligned_histograms, gaussian_cdf, ks_gap
 
 __all__ = [
@@ -71,10 +71,7 @@ def vehicle_delta(base: AngularScan, with_vehicle: AngularScan) -> np.ndarray:
         raise PairingError(
             f"scans describe different links: {base.key} vs {with_vehicle.key}"
         )
-    if base.angles.size != with_vehicle.angles.size or np.max(
-        np.abs(base.angles - with_vehicle.angles)
-    ) > GRID_MATCH_TOL:
-        raise GridError("paired scans must share one angle grid")
+    require_common_grid((base, with_vehicle))
     return to_db(base.gains) - to_db(with_vehicle.gains)
 
 

@@ -367,3 +367,163 @@ def test_default_config_round_trips(tmp_path, capsys):
     from portcanyon.config import ToolConfig, load_config
 
     assert load_config(str(path)) == ToolConfig()
+
+
+# The documented reference file, verbatim.  `test_default_config_round_trips`
+# checks only the values it parses to; a changed comment, key order or value
+# spelling (`400e6`) fails here.
+REFERENCE_INI = """\
+# portcanyon configuration file (INI). Every key is optional; the values
+# below are the built-in defaults.
+
+[model]
+# Maximum azimuthal acceptance angle of the canyon model (rad).
+psi_rad = 0.1
+# RX antenna height above ground (m).
+rx_height_m = 1.5
+
+[angular]
+# Histogram bin width for ensemble spectrum statistics (dB).
+histogram_bin_db = 1.0
+
+[synth]
+# Master seed; a fixed seed makes datasets and reports byte-identical.
+seed = 0
+# Azimuth samples per rotation.
+n_angles = 360
+# RX horn half-power beamwidth (deg).
+hpbw_deg = 10.0
+# Per-bin Rayleigh fading on/off.
+fading = true
+# Monte Carlo realizations for the full-spread reference distribution.
+n_realizations = 10000
+# Calibration offset added to the proportional model gain (dB).
+gain_offset_db = 0.0
+# Vehicle perturbation: Gaussian mean/std of the gain difference (dB).
+vehicle_mu_db = 1.13
+vehicle_sigma_db = 6.91
+
+[linkbudget]
+# Transmit power per polarization (dBm) and antenna gain (dBi).
+tx_power_dbm_per_pol = 28.0
+tx_antenna_gain_dbi = 23.0
+shadow_margin_db = 10.0
+bandwidth_hz = 400e6
+temperature_k = 300.0
+noise_figure_db = 10.0
+required_snr_db = 8.0
+# Informational only: single-polarization spectral efficiency (bit/s/Hz).
+spectral_efficiency_bps_hz = 2.0
+"""
+
+
+def test_default_config_text_is_pinned(capsys):
+    assert main(["--print-default-config"]) == 0
+    assert capsys.readouterr().out == REFERENCE_INI
+
+
+def _write_ini(tmp_path, text):
+    path = tmp_path / "cfg.ini"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def _write_scans(tmp_path, scans):
+    data = tmp_path / "data.csv"
+    write_scans(data, scans)
+    return str(data)
+
+
+class TestOneCheckPerValue:
+    """A value ends the same way from the config file and from its flag."""
+
+    @pytest.mark.parametrize("route", ["ini", "flag"])
+    @pytest.mark.parametrize("section,key,flag,value", [
+        ("synth", "seed", "--seed", "-3"),
+        ("angular", "histogram_bin_db", "--bin-db", "0"),
+    ])
+    def test_bad_value_exits_4_by_either_route(self, tmp_path, capsys, route, section,
+                                               key, flag, value):
+        out = str(tmp_path / "out")
+        if section == "synth":
+            command = ["synth", "--layout", "uniform", "--out", out]
+        else:
+            data = _write_scans(tmp_path, [
+                AngularScan(tx="TX2", x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, x))
+                for x in (1.0, 5.0)
+            ])
+            command = ["angular", "--input", data, "--out-dir", out]
+        if route == "ini":
+            argv = ["--config", _write_ini(tmp_path, f"[{section}]\n{key} = {value}\n"),
+                    *command]
+        else:
+            argv = [*command, flag, value]
+        rc = main(argv)
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("line", [
+        "bandwidth_hz = nan", "temperature_k = inf", "tx_power_dbm_per_pol = nan",
+    ])
+    def test_non_finite_link_budget_is_domain_error(self, tmp_path, capsys, line):
+        rc = main(["--config", _write_ini(tmp_path, f"[linkbudget]\n{line}\n"), "coverage"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: ")
+        assert captured.out == ""
+
+    def test_unknown_config_section(self, tmp_path, capsys):
+        rc = main(["--config", _write_ini(tmp_path, "[warp]\nspeed = 9\n"), "coverage"])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err == "error[config]: unknown section [warp]\n"
+
+    def test_psi_flag_overrides_config(self, tmp_path, capsys):
+        argv = ["geometry", "--height", "17.4", "--width", "8", "--distance", "63",
+                "--rx-depth", "5"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(["--config", _write_ini(tmp_path, "[model]\npsi_rad = 0.2\n"), *argv]) == 0
+        from_file = capsys.readouterr().out
+        assert main([*argv, "--psi", "0.2"]) == 0
+        assert capsys.readouterr().out == from_file != default
+
+
+@pytest.mark.parametrize("tx_id", ["TX3", "TX1_abc", "TX1_nan"])
+@pytest.mark.parametrize("command", ["angular", "fit"])
+def test_tx_without_a_position_is_ingest_error(tmp_path, capsys, tx_id, command):
+    data = _write_scans(tmp_path, [
+        AngularScan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, 1e-6 / x))
+        for x in (1.0, 5.0, 9.0)
+    ])
+    out_dir = tmp_path / "out"
+    target = ["--out-dir", str(out_dir)] if command == "angular" else [
+        "--out", str(out_dir / "fit.csv")]
+    rc = main([command, "--input", data, *target])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error[ingest]: ")
+    assert tx_id in captured.err
+    assert list(out_dir.glob("*")) == []
+
+
+@pytest.mark.parametrize("command", ["angular", "vehicle"])
+def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
+    # Two baseline + vehicle pairs of one TX; the second pair's 8-angle grid
+    # is offset by half a step (22.5 deg), so no per-angle pooling exists.
+    grids = [np.radians(45.0 * np.arange(8) + offset) for offset in (0.0, 22.5)]
+    scans = [
+        AngularScan(tx="TX2", x=x, y=3.5, angles=grid, gains=np.full(8, gain),
+                    vehicle_state=state)
+        for x, grid in zip((1.0, 5.0), grids)
+        for state, gain in (("absent", 1e-6), ("position1", 2e-6))
+    ]
+    data = _write_scans(tmp_path, scans)
+    out_dir = tmp_path / "out"
+    rc = main([command, "--input", data, "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error[grid]: ")
+    assert captured.out == ""

@@ -37,6 +37,19 @@ class TestConfig:
         with pytest.raises(DomainError):
             LinkBudgetConfig(28, 23, 10, 400e6, -1.0, 10, 8)
 
+    def test_defaults_are_the_reference_budget(self):
+        assert LinkBudgetConfig() == REFERENCE
+
+    @pytest.mark.parametrize("name", [
+        "tx_power_dbm_per_pol", "tx_antenna_gain_dbi", "shadow_margin_db",
+        "bandwidth_hz", "temperature_k", "noise_figure_db", "required_snr_db",
+        "spectral_efficiency_bps_hz",
+    ])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_values(self, name, value):
+        with pytest.raises(DomainError, match=name):
+            LinkBudgetConfig(**{name: value})
+
 
 class TestNoiseFloor:
     def test_reference_configuration(self):

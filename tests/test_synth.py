@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from portcanyon.angular import Stacking, VehicleState, circular_mean_gain
+from portcanyon import synth
+from portcanyon.angular import (
+    AngularScan,
+    Stacking,
+    VehicleState,
+    azimuth_gain,
+    circular_mean_gain,
+)
 from portcanyon.errors import DomainError
 from portcanyon.geometry import CanyonGeometry, received_power_approx
 from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
@@ -20,7 +27,7 @@ from portcanyon.synth import (
     generate_scan,
     geometry_for,
     mean_gain_at,
-    tx_position_map,
+    tx_position,
 )
 from portcanyon.vehicle import fit_gaussian, vehicle_delta
 
@@ -57,7 +64,7 @@ class TestLayout:
         ]
         non = build_layout("nonuniform")
         assert [t.tx_id for t in non.txs] == ["TX1_63", "TX1_83", "TX1_103", "TX2"]
-        assert tx_position_map(uni)["TX2"] == (18.85, 60.5)
+        assert tx_position("TX2")[:2] == (18.85, 60.5)
 
     def test_uniform_wall_heights(self):
         layout = build_layout("uniform")
@@ -231,6 +238,21 @@ class TestVehicleOffset:
 
 
 class TestFullspread:
+    @pytest.mark.parametrize("seed,hpbw", [(0, 10.0), (5, 5.0), (7, 20.0)])
+    def test_matches_per_scan_azimuth_gain(self, seed, hpbw):
+        cfg = SynthConfig(seed=seed, hpbw_deg=hpbw, n_realizations=300, n_angles=72)
+        # The generator's draws, taken one validated scan per row.
+        rng = synth._rng((cfg.seed, synth._STREAM_FULLSPREAD))
+        raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
+        smoothed = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
+        expected = sorted(
+            azimuth_gain(AngularScan(tx="fullspread", x=0.0, y=0.0,
+                                     angles=cfg.angles_rad, gains=row))
+            for row in smoothed
+        )
+        cdf = fullspread_gain_distribution(cfg)
+        assert cdf.values.tolist() == expected
+
     def test_support_strictly_positive(self):
         cdf = fullspread_gain_distribution(SynthConfig(seed=5, n_realizations=500))
         assert cdf.values[0] > 0.0
