@@ -7,58 +7,3 @@ same pipelines as measured data.
 """
 
 __version__ = "0.1.0"
-
-from .angular import (
-    AngularScan,
-    AngularSpectrumStats,
-    Stacking,
-    VehicleState,
-    azimuth_gain,
-    circular_mean_gain,
-    ensemble_stats,
-    from_db,
-    gain_cdfs,
-    normalized_spectrum,
-    to_db,
-    tx_bearing,
-)
-from .errors import ToolkitError
-from .geometry import (
-    CanyonGeometry,
-    acceptance_length,
-    elevation_angles,
-    poynting_fspl,
-    projected_aperture_exact,
-    received_power_approx,
-    received_power_exact,
-    vertical_fraction,
-)
-from .linkbudget import (
-    LinkBudgetConfig,
-    coverage_range_m,
-    eirp_dbm,
-    max_allowable_pathloss_db,
-    noise_floor_dbm,
-)
-from .pathloss import (
-    GainSample,
-    LogLinFit,
-    fit_fixed_slope,
-    fit_loglinear,
-    fspl_db,
-    predict,
-)
-from .spatialcorr import DenseLine, autocorrelation, averaged_correlation, line_mean, zero_mean
-from .stats import EmpiricalCdf, empirical_cdf
-from .synth import (
-    CampaignLayout,
-    HornPattern,
-    SynthConfig,
-    TxSpec,
-    build_layout,
-    fullspread_gain_distribution,
-    generate_campaign,
-    generate_scan,
-    mean_gain_at,
-)
-from .vehicle import GaussianFitResult, delta_cdf_report, fit_gaussian, vehicle_delta

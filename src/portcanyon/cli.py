@@ -97,15 +97,18 @@ def _cmd_angular(args, cfg: ToolConfig) -> int:
     for scan in scans:
         by_tx[scan.tx].append(scan)
     positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in by_tx}
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    for tx_id, tx_scans in by_tx.items():
-        stats = angular.ensemble_stats(tx_scans, db_bin_width=cfg.histogram_bin_db)
-        _write_angle_stats(args.out_dir, "angular", tx_id, "mean_db", np.degrees(stats.angles),
-                           stats.mean_db, stats.bin_edges_db, stats.counts, input_hash)
-
+    # Every table is computed before any is written, so an error leaves none.
+    tx_stats = {
+        tx_id: angular.ensemble_stats(tx_scans, db_bin_width=cfg.histogram_bin_db)
+        for tx_id, tx_scans in by_tx.items()
+    }
     cdf_all, cdf_tx = angular.gain_cdfs(scans, positions)
     az_cdf = empirical_cdf([angular.azimuth_gain(s) for s in scans])
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    for tx_id, stats in tx_stats.items():
+        _write_angle_stats(args.out_dir, "angular", tx_id, "mean_db", np.degrees(stats.angles),
+                           stats.mean_db, stats.bin_edges_db, stats.counts, input_hash)
     for name, value_name, cdf in (
         ("gain_cdf_all_directions", "normalized_gain_db", cdf_all),
         ("gain_cdf_tx_direction", "normalized_gain_db", cdf_tx),
@@ -139,7 +142,7 @@ def _cmd_spatial(args, cfg: ToolConfig) -> int:
     by_line = defaultdict(dict)
     for scan in scans:
         for k, x in enumerate(wanted):
-            if abs(scan.x - x) <= 1e-6:
+            if abs(scan.x - x) <= spatialcorr.POSITION_SPACING_TOL:
                 by_line[(scan.tx, scan.y, scan.stacking)][k] = scan
                 break
 
@@ -392,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     # A flag that overrides a config key has that key's name as its dest.
     p.add_argument("--seed", type=int, help="override the configured seed")
     p.add_argument(
-        "--vehicle-mode", default="none", choices=("none", "dense", "all"),
-        help="add vehicle variants: nowhere, on the dense grid, or everywhere",
+        "--vehicle-mode", default="none", choices=("none", "dense"),
+        help="add vehicle variants: nowhere, or on the dense grid",
     )
     p.add_argument("--n-angles", type=int, help="azimuth samples per rotation")
     p.add_argument("--hpbw-deg", type=float, help="horn half-power beamwidth (deg)")

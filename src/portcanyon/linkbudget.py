@@ -80,13 +80,19 @@ def coverage_range_m(fit: LogLinFit, mapl_db: float) -> float:
     """Distance at which the fitted gain model hits -mapl_db.
 
     Closed form inversion of the log-linear model: D = 10^((-mapl - R0) / (10n)).
-    Requires a decaying model (negative slope).
+    Requires a decaying model (negative slope) and a finite distance.
     """
     if fit.n >= 0.0:
         raise NoSolutionError(
             f"gain model must decay with distance (n < 0), got n={fit.n}"
         )
-    return 10.0 ** ((-mapl_db - fit.r0_db) / (10.0 * fit.n))
+    try:
+        range_m = 10.0 ** ((-mapl_db - fit.r0_db) / (10.0 * fit.n))
+    except OverflowError:
+        range_m = math.inf
+    if not math.isfinite(range_m):
+        raise DomainError(f"coverage range overflows for n={fit.n}, R0={fit.r0_db} dB")
+    return range_m
 
 
 def dual_pol_throughput_bps(cfg: LinkBudgetConfig) -> float:

@@ -394,24 +394,20 @@ def generate_campaign(
     vehicle_mode:
         "none"  - baseline scans only;
         "dense" - vehicle variants (both positions) on the dense grid, the
-                  part of the campaign where the vehicle was parked;
-        "all"   - vehicle variants everywhere.
+                  part of the campaign where the vehicle was parked.
 
     Scans come out in a canonical order (tx, then grid point, baseline
     before vehicle states); with a fixed seed the dataset is byte-identical
     run to run and independent of how generation is scheduled.
     """
-    if vehicle_mode not in ("none", "dense", "all"):
+    if vehicle_mode not in ("none", "dense"):
         raise DomainError(f"unknown vehicle_mode {vehicle_mode!r}")
     scans: list[AngularScan] = []
     for tx in layout.txs:
         for point in layout.all_points():
             base = generate_scan(layout, tx, point, cfg)
             scans.append(base)
-            vehicle_here = vehicle_mode == "all" or (
-                vehicle_mode == "dense" and point in layout.dense_points
-            )
-            if vehicle_here:
+            if vehicle_mode == "dense" and point in layout.dense_points:
                 for state in (VehicleState.POSITION1, VehicleState.POSITION2):
                     scans.append(add_vehicle_offset(layout, tx, base, state, cfg))
     return scans

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, outputs, exit codes, determinism."""
 
 import csv
+import importlib.util
 import math
 import os
 import subprocess
@@ -527,3 +528,152 @@ def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
     assert rc == 3
     assert captured.err.startswith("error[grid]: ")
     assert captured.out == ""
+
+
+def _line_scans(xs, tx="TX1_63", **kwargs):
+    rng = np.random.default_rng(11)
+    return [
+        AngularScan(tx=tx, x=x, y=3.5, angles=GRID,
+                    gains=rng.lognormal(-14.0, 1.0, N_ANGLES), **kwargs)
+        for x in xs
+    ]
+
+
+class TestRegressions:
+    def test_vehicle_mode_all_is_not_a_choice(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--layout", "uniform", "--out", str(tmp_path / "d.csv"),
+                  "--vehicle-mode", "all"])
+        assert exc.value.code == 2
+        assert not (tmp_path / "d.csv").exists()
+
+    def test_spatial_matches_positions_with_the_line_tolerance(self, tmp_path, capsys):
+        # The first x sits 5e-7 m off the nominal 13.5 m: outside the dense
+        # line's tolerance, so the line is incomplete rather than rejected.
+        xs = [13.5 + 0.1 * k for k in range(15)]
+        xs[0] = 13.5000005
+        data = _write_scans(tmp_path, _line_scans(xs))
+        out = tmp_path / "corr.csv"
+        rc = main(["spatial", "--input", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error[ingest]: no complete dense line found")
+        assert not out.exists()
+
+    def test_angular_error_in_a_later_tx_leaves_no_table(self, tmp_path, capsys):
+        flat = [AngularScan(tx="TX1_63", x=x, y=3.5, angles=GRID,
+                            gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
+        spread = [AngularScan(tx="TX2", x=x, y=3.5, angles=GRID,
+                              gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
+                  for x in (1.0, 5.0)]
+        data = _write_scans(tmp_path, flat + spread)
+        out_dir = tmp_path / "out"
+        rc = main(["angular", "--input", data, "--out-dir", str(out_dir),
+                   "--bin-db", "0.001"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: ")
+        assert list(out_dir.glob("angular_*_TX1_63.csv")) == []
+
+    @pytest.mark.parametrize("n,r0", [("-1e-300", "-23"), ("-4", "1e308"),
+                                      ("-1e-320", "-23")])
+    def test_coverage_range_overflow_is_domain_error(self, capsys, n, r0):
+        rc = main(["coverage", f"--fit-n={n}", f"--fit-r0={r0}"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: ")
+        assert captured.out == ""
+
+
+class TestBranches:
+    """Command branches that the pipeline tests above do not reach."""
+
+    def test_fit_both_stackings_writes_aggregated_row(self, tmp_path, capsys):
+        xs = (1.0, 5.0, 9.0, 13.0)
+        data = _write_scans(tmp_path, _line_scans(xs, stacking="uniform")
+                            + _line_scans(xs, stacking="nonuniform"))
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--input", data, "--out", str(out)]) == 0
+        _, rows = read_table(out)
+        assert [r[0] for r in rows] == ["nonuniform", "uniform", "aggregated"]
+        assert [int(r[-1]) for r in rows] == [4, 4, 8]
+
+    def test_fit_too_small_group_names_it(self, tmp_path, capsys):
+        data = _write_scans(tmp_path, _line_scans((1.0, 5.0, 9.0), stacking="uniform")
+                            + _line_scans((1.0,), stacking="nonuniform"))
+        out = tmp_path / "fit.csv"
+        rc = main(["fit", "--input", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[fit]: group 'nonuniform': ")
+        assert not out.exists()
+
+    def test_vehicle_scan_without_baseline(self, tmp_path, capsys):
+        data = _write_scans(tmp_path, _line_scans((1.0,))
+                            + _line_scans((5.0,), vehicle_state="position1"))
+        rc = main(["vehicle", "--input", data, "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error[ingest]: no baseline scan for vehicle scan")
+
+    def test_vehicle_on_file_without_vehicle_scans(self, tmp_path, capsys):
+        data = _write_scans(tmp_path, _line_scans((1.0, 5.0)))
+        rc = main(["vehicle", "--input", data, "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == "error[ingest]: dataset has no vehicle scans\n"
+
+    def test_vehicle_position1_only_writes_one_row(self, tmp_path, capsys):
+        xs = (1.0, 5.0, 9.0)
+        base = _line_scans(xs)
+        moved = [AngularScan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * 2.0,
+                             vehicle_state="position1") for s in base]
+        data = _write_scans(tmp_path, base + moved)
+        out_dir = tmp_path / "out"
+        assert main(["vehicle", "--input", data, "--out-dir", str(out_dir)]) == 0
+        _, rows = read_table(out_dir / "vehicle_fit_params.csv")
+        assert [r[0] for r in rows] == ["position1"]
+        assert int(rows[0][3]) == len(xs) * N_ANGLES
+        assert not list(out_dir.glob("*position2*"))
+
+    @pytest.mark.parametrize("command", ["angular", "fit"])
+    def test_vehicle_only_file_has_no_baseline(self, tmp_path, capsys, command):
+        data = _write_scans(tmp_path, _line_scans((1.0, 5.0, 9.0),
+                                                  vehicle_state="position2"))
+        out_dir = tmp_path / "out"
+        target = ["--out-dir", str(out_dir)] if command == "angular" else [
+            "--out", str(out_dir / "fit.csv")]
+        rc = main([command, "--input", data, *target])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == (
+            "error[ingest]: dataset has no baseline (vehicle absent) scans\n")
+        assert not out_dir.exists()
+
+
+def test_package_import_stays_light_and_cli_loads_every_layer():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    script = """
+import sys
+
+def heavy():
+    return sorted(m for m in sys.modules if m.split(".")[0] in ("numpy", "scipy"))
+
+import portcanyon
+assert not heavy(), ("import portcanyon", heavy())
+import portcanyon.geometry
+assert not heavy(), ("import portcanyon.geometry", heavy())
+import portcanyon.cli
+missing = [name for name in sys.argv[1:] if "portcanyon." + name not in sys.modules]
+assert not missing, ("import portcanyon.cli", missing)
+"""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script, *spans.LAYERS],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr

@@ -208,6 +208,20 @@ class TestIngestValidation:
         with pytest.raises(IngestError, match="no measurement rows"):
             ingest(path)
 
+    def test_comments_only_file_has_no_header(self, tmp_path):
+        path = tmp_path / "comments.csv"
+        write_csv(path, [provenance_line(), "# nothing else"])
+        with pytest.raises(IngestError, match="^file has no header row$"):
+            ingest(path)
+
+    def test_empty_tx_id_reports_line(self, tmp_path):
+        rows = self.rows_for()
+        rows[4] = ",1.0,3.5,120.0,-60.0,absent,uniform"
+        path = tmp_path / "notx.csv"
+        write_csv(path, self.header() + rows)
+        with pytest.raises(IngestError, match="^line 7: empty tx_id$"):
+            ingest(path)
+
 
 def test_write_table_format(tmp_path):
     path = tmp_path / "table.csv"

@@ -315,3 +315,8 @@ class TestCampaign:
         # Angle-averaging 360 iid exponential bins leaves a residual spread
         # of about (10/ln10)/sqrt(360) ~ 0.23 dB.
         assert 0.1 < fit.rmse_db < 0.45
+
+
+def test_vehicle_mode_all_is_unknown():
+    with pytest.raises(DomainError, match="unknown vehicle_mode 'all'"):
+        generate_campaign(build_layout("uniform"), CFG, vehicle_mode="all")
