@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -19,19 +21,9 @@ from .errors import DomainError, GridError
 from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf
 
 __all__ = [
-    "VehicleState",
-    "Stacking",
-    "AngularScan",
-    "AngularSpectrumStats",
-    "to_db",
-    "from_db",
-    "circular_mean_gain",
-    "normalized_spectrum",
-    "require_common_grid",
-    "ensemble_stats",
-    "tx_bearing",
-    "azimuth_gain",
-    "gain_cdfs",
+    "VehicleState", "Stacking", "AngularScan", "ScanBlock", "ScanSet", "first_invalid",
+    "AngularSpectrumStats", "to_db", "from_db", "circular_mean_gain", "normalized_spectrum",
+    "require_common_grid", "ensemble_stats", "tx_bearing", "azimuth_gain", "gain_cdfs",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -82,37 +74,134 @@ class AngularScan:
         object.__setattr__(self, "vehicle_state", VehicleState(self.vehicle_state))
         object.__setattr__(self, "stacking", Stacking(self.stacking))
         if angles.ndim != 1 or angles.shape != gains.shape:
-            raise GridError(
-                f"angles and gains must be 1-D and equal length, got "
-                f"{angles.shape} vs {gains.shape}"
-            )
-        n = angles.size
-        if n < 8:
-            raise GridError(f"need at least 8 azimuth samples, got {n}")
-        if not np.all((gains > 0.0) & (gains < np.inf)):
-            raise DomainError("all linear gains must be finite and > 0")
-        steps = np.diff(angles)
-        if not np.all(steps > 0.0):
-            raise GridError("angles must be strictly increasing")
-        spacing = TWO_PI / n
-        if np.max(np.abs(steps - spacing)) > GRID_SPACING_TOL:
-            raise GridError(
-                "angle grid must be uniform with spacing 2*pi/N "
-                f"(max deviation {np.max(np.abs(steps - spacing)):.3e} rad)"
-            )
-        if not 0.0 <= angles[0] < spacing + GRID_SPACING_TOL:
-            raise GridError(
-                f"grid must start within the first spacing interval, got {angles[0]}"
-            )
+            raise GridError(f"angles and gains must be 1-D and equal length, got "
+                            f"{angles.shape} vs {gains.shape}")
+        invalid = first_invalid(angles[None], gains[None])
+        if invalid:
+            raise invalid[1]
 
     @property
     def key(self) -> tuple:
         """Grouping key identifying the measurement this scan belongs to."""
         return (self.tx, self.x, self.y, self.vehicle_state, self.stacking)
 
-    @property
-    def spacing(self) -> float:
-        return TWO_PI / self.angles.size
+
+def first_invalid(angles, gains):
+    """(row, error) for the first row of (scans x angles) matrices that is not
+    a valid scan, with the error `AngularScan` raises for it; None if all are."""
+    n = angles.shape[1]
+    if n < 8:
+        return 0, GridError(f"need at least 8 azimuth samples, got {n}")
+    spacing = TWO_PI / n
+    steps = angles[:, 1:] - angles[:, :-1]
+    deviation = np.abs(steps - spacing).max(axis=1)
+    start = angles[:, 0]
+    bad = (~((gains > 0.0) & (gains < np.inf)).all(axis=1), ~(steps > 0.0).all(axis=1),
+           deviation > GRID_SPACING_TOL, ~((0.0 <= start) & (start < spacing + GRID_SPACING_TOL)))
+    rows = np.flatnonzero(bad[0] | bad[1] | bad[2] | bad[3])
+    if not rows.size:
+        return None
+    row = int(rows[0])
+    return row, (
+        DomainError("all linear gains must be finite and > 0"),
+        GridError("angles must be strictly increasing"),
+        GridError("angle grid must be uniform with spacing 2*pi/N "
+                  f"(max deviation {deviation[row]:.3e} rad)"),
+        GridError(f"grid must start within the first spacing interval, got {start[row]}"),
+    )[[check[row] for check in bad].index(True)]
+
+
+class ScanBlock(NamedTuple):
+    """The scans of a ScanSet with one angle count: their positions in the set
+    (ascending) and their (scans x angles) angles (rad) and linear gains."""
+
+    index: np.ndarray
+    angles: np.ndarray
+    gains: np.ndarray
+
+
+class ScanSet(Sequence):
+    """Scans as columns, in order: what `dataio.ingest` returns.
+
+    The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
+    values) hold one entry per scan, `blocks` one ScanBlock per angle count,
+    and `sha256` the hash of the file read, if any.  An item is an
+    `AngularScan` view, built and checked on access; a slice, mask or index
+    array selects a ScanSet.  The matrices are taken as already checked.
+    """
+
+    KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
+
+    def __init__(self, columns, blocks, sha256=None):
+        self.tx, self.x, self.y, self.vehicle_state, self.stacking = columns
+        self.blocks, self.sha256 = tuple(blocks), sha256
+        self._block, self._row = np.zeros((2, len(self.tx)), dtype=int)
+        for b, block in enumerate(self.blocks):
+            self._block[block.index], self._row[block.index] = b, np.arange(block.index.size)
+
+    @classmethod
+    def from_keys(cls, keys, blocks, sha256=None) -> "ScanSet":
+        """The ScanSet of one (tx, x, y, vehicle_state, stacking) key per scan."""
+        tx, x, y, vehicle_state, stacking = zip(*keys) if keys else ((),) * 5
+        return cls((np.array(tx, dtype=object), np.array(x, dtype=float),
+                    np.array(y, dtype=float), np.array(vehicle_state, dtype=object),
+                    np.array(stacking, dtype=object)), blocks, sha256)
+
+    @classmethod
+    def of(cls, scans) -> "ScanSet":
+        """scans itself if it is a ScanSet, else the ScanSet of the AngularScans."""
+        if isinstance(scans, ScanSet):
+            return scans
+        scans = list(scans)
+        sizes = np.array([s.angles.size for s in scans], dtype=int)
+        blocks = [ScanBlock(index, *(np.stack([getattr(scans[i], name) for i in index])
+                                     for name in ("angles", "gains")))
+                  for index in (np.flatnonzero(sizes == n) for n in dict.fromkeys(sizes.tolist()))]
+        return cls.from_keys([(*s.key[:3], s.vehicle_state.value, s.stacking.value)
+                              for s in scans], blocks)
+
+    def __len__(self) -> int:
+        return len(self.tx)
+
+    def __getitem__(self, which):
+        if not isinstance(which, (int, np.integer)):
+            return self.select(which)
+        block, row = self.blocks[self._block[which]], self._row[which]
+        return AngularScan(self.tx[which], float(self.x[which]), float(self.y[which]),
+                           block.angles[row], block.gains[row],
+                           self.vehicle_state[which], self.stacking[which])
+
+    def select(self, which) -> "ScanSet":
+        """The scans a slice, boolean mask or index array picks, in its order."""
+        index = np.arange(len(self))[which]
+        blocks = []
+        for b, block in enumerate(self.blocks):
+            picked = np.flatnonzero(self._block[index] == b)
+            if picked.size:
+                rows = self._row[index[picked]]
+                blocks.append(ScanBlock(picked, block.angles[rows], block.gains[rows]))
+        return ScanSet([getattr(self, key)[index] for key in self.KEYS], blocks, self.sha256)
+
+    def differs(self, other, keys) -> np.ndarray:
+        """Per scan: does a named key column differ from other's row (or one scan)?"""
+        return np.logical_or.reduce([getattr(self, key) != getattr(other, key) for key in keys])
+
+    def grid_differs(self, reference) -> np.ndarray:
+        """Per scan: does its grid differ, in size or by more than GRID_MATCH_TOL
+        at any angle, from reference (one grid, or one grid per scan)?"""
+        out = np.ones(len(self), dtype=bool)
+        for block in self.blocks:
+            if block.angles.shape[1] == reference.shape[-1]:
+                ref = reference if reference.ndim == 1 else reference[block.index]
+                out[block.index] = np.max(np.abs(block.angles - ref), axis=1) > GRID_MATCH_TOL
+        return out
+
+    def per_scan(self, statistic) -> np.ndarray:
+        """statistic(gains matrix), one value per row, for every scan in order."""
+        out = np.empty(len(self))
+        for block in self.blocks:
+            out[block.index] = statistic(block.gains)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -147,13 +236,24 @@ def from_db(db):
     return float(out) if np.isscalar(db) or arr.ndim == 0 else out
 
 
-def circular_mean_gain(scan: AngularScan) -> float:
-    """Channel gain averaged over angle, in dB.
+def _mean_db(gains):
+    """Linear mean over the last (angle) axis, in dB."""
+    return 10.0 * np.log10(np.mean(gains, axis=-1))
+
+
+def _normalized(gains):
+    return to_db(gains) - _mean_db(gains)[..., None]
+
+
+def circular_mean_gain(scan):
+    """Channel gain averaged over angle, in dB; a ScanSet gives one per scan.
 
     Arithmetic mean of the linear gains on the uniform grid (rectangle rule
     on the periodic domain), then converted to dB.
     """
-    return float(10.0 * np.log10(np.mean(scan.gains)))
+    if isinstance(scan, ScanSet):
+        return scan.per_scan(_mean_db)
+    return float(_mean_db(scan.gains))
 
 
 def normalized_spectrum(scan: AngularScan) -> np.ndarray:
@@ -162,18 +262,19 @@ def normalized_spectrum(scan: AngularScan) -> np.ndarray:
     The output's linear-domain circular mean is 1 (0 dB), so spectra from
     links with different absolute gains become comparable.
     """
-    return to_db(scan.gains) - circular_mean_gain(scan)
+    return _normalized(scan.gains)
 
 
 def require_common_grid(scans) -> np.ndarray:
-    """The angle grid every scan shares; a GridError names the first that
-    differs in size or by more than GRID_MATCH_TOL at any angle."""
-    grid = scans[0].angles
-    for scan in scans[1:]:
-        if scan.angles.size != grid.size or np.max(np.abs(scan.angles - grid)) > GRID_MATCH_TOL:
-            raise GridError(
-                f"scans must share one angle grid; scan {scan.key} differs"
-            )
+    """The angle grid every scan shares (so a ScanSet of one block); a
+    GridError names the first scan that differs in size or by more than
+    GRID_MATCH_TOL at any angle."""
+    scans = ScanSet.of(scans)
+    grid = scans.blocks[scans._block[0]].angles[scans._row[0]]
+    differs = scans.grid_differs(grid)
+    if differs.any():
+        raise GridError(f"scans must share one angle grid; scan {scans[int(differs.argmax())].key}"
+                        " differs")
     return grid
 
 
@@ -185,22 +286,15 @@ def ensemble_stats(scans, db_bin_width: float = 1.0) -> AngularSpectrumStats:
     bin width; edges are aligned to multiples of the width
     (`stats.aligned_histograms`, which bounds the bin count).
     """
-    scans = list(scans)
-    if not scans:
+    scans = ScanSet.of(scans)
+    if not len(scans):
         raise DomainError("ensemble_stats needs at least one scan")
     grid = require_common_grid(scans)
-
-    gains = np.stack([s.gains for s in scans])          # (n_scans, n_angles)
+    gains = scans.blocks[0].gains                        # (n_scans, n_angles), one grid
     mean_db = 10.0 * np.log10(np.mean(gains, axis=0))
     edges, counts = aligned_histograms(10.0 * np.log10(gains), db_bin_width)
-
-    return AngularSpectrumStats(
-        angles=grid,
-        mean_db=mean_db,
-        bin_edges_db=edges,
-        counts=counts,
-        n_scans=len(scans),
-    )
+    return AngularSpectrumStats(angles=grid, mean_db=mean_db, bin_edges_db=edges,
+                                counts=counts, n_scans=len(scans))
 
 
 def tx_bearing(tx_pos, rx_pos) -> float:
@@ -217,17 +311,16 @@ def tx_bearing(tx_pos, rx_pos) -> float:
     return math.atan2(y_rx - y_tx, x_tx - x_rx) % TWO_PI
 
 
-def azimuth_gain(scan: AngularScan) -> float:
-    """Best-direction gain over the mean (dB): max of the normalized spectrum.
+def azimuth_gain(scan):
+    """Best-direction gain over the mean (dB): max of the normalized spectrum;
+    a ScanSet gives one per scan.
 
     Always >= 0 dB, with equality only for a perfectly flat spectrum; this is
     the benefit an ideal azimuth-pointed beam would get over an average one.
     """
+    if isinstance(scan, ScanSet):
+        return scan.per_scan(lambda gains: _normalized(gains).max(axis=1))
     return float(np.max(normalized_spectrum(scan)))
-
-
-def _nearest_grid_index(scan: AngularScan, angle: float) -> int:
-    return int(round((angle - scan.angles[0]) / scan.spacing)) % scan.angles.size
 
 
 def gain_cdfs(scans, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]:
@@ -236,25 +329,26 @@ def gain_cdfs(scans, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]:
     The first CDF pools the normalized spectrum over every angle of every
     scan; the second takes, per scan, the normalized gain at the grid angle
     nearest the transmitter bearing.  If the two are close, pointing a beam
-    at the TX buys nothing over pointing it anywhere.
-
-    Args:
-        scans: iterable of AngularScan.
-        tx_positions: mapping tx id -> (x, y) position.
-
-    Returns:
-        (cdf_all_directions, cdf_tx_direction)
+    at the TX buys nothing over pointing it anywhere.  scans is a ScanSet or
+    AngularScans, tx_positions maps tx id -> (x, y); returns (cdf_all_directions,
+    cdf_tx_direction).
     """
-    scans = list(scans)
-    if not scans:
+    scans = ScanSet.of(scans)
+    if not len(scans):
         raise DomainError("gain_cdfs needs at least one scan")
+    bearings = []
+    for tx, x, y in zip(scans.tx.tolist(), scans.x.tolist(), scans.y.tolist()):
+        if tx not in tx_positions:
+            raise KeyError(f"no position known for transmitter {tx!r}")
+        bearings.append(tx_bearing(tx_positions[tx], (x, y)))
+    bearings = np.array(bearings)
     pooled = []
-    at_tx = []
-    for scan in scans:
-        if scan.tx not in tx_positions:
-            raise KeyError(f"no position known for transmitter {scan.tx!r}")
-        spectrum = normalized_spectrum(scan)
-        pooled.append(spectrum)
-        bearing = tx_bearing(tx_positions[scan.tx], (scan.x, scan.y))
-        at_tx.append(spectrum[_nearest_grid_index(scan, bearing)])
-    return empirical_cdf(np.concatenate(pooled)), empirical_cdf(np.array(at_tx))
+    at_tx = np.empty(len(scans))
+    for block in scans.blocks:
+        spectra = _normalized(block.gains)
+        n = spectra.shape[1]
+        # The grid angle nearest each bearing; np.rint rounds half to even, as round does.
+        nearest = np.rint((bearings[block.index] - block.angles[:, 0]) / (TWO_PI / n))
+        at_tx[block.index] = spectra[np.arange(len(spectra)), nearest.astype(int) % n]
+        pooled.append(spectra.ravel())
+    return empirical_cdf(np.concatenate(pooled)), empirical_cdf(at_tx)

@@ -19,26 +19,9 @@ from dataclasses import fields
 
 import numpy as np
 
-from . import __version__, angular, dataio, spatialcorr, synth, vehicle
+from . import __version__, angular, dataio, geometry, linkbudget, spatialcorr, synth, vehicle
 from .config import DEFAULT_INI, ToolConfig, load_config
 from .errors import ConfigError, DegenerateFitError, IngestError, ToolkitError
-from .geometry import (
-    CanyonGeometry,
-    acceptance_length,
-    elevation_angles,
-    poynting_fspl,
-    projected_aperture_exact,
-    received_power_approx,
-    received_power_exact,
-    vertical_fraction,
-)
-from .linkbudget import (
-    coverage_range_m,
-    dual_pol_throughput_bps,
-    eirp_dbm,
-    max_allowable_pathloss_db,
-    noise_floor_dbm,
-)
 from .pathloss import GainSample, LogLinFit, fit_fixed_slope, fit_loglinear
 from .stats import empirical_cdf
 
@@ -51,7 +34,7 @@ _DATA_CATEGORIES = {"ingest", "grid", "pairing", "data"}
 
 
 def _baseline(scans):
-    return [s for s in scans if s.vehicle_state is angular.VehicleState.ABSENT]
+    return scans[scans.vehicle_state == angular.VehicleState.ABSENT.value]
 
 
 def _write_angle_stats(out_dir, prefix, key, mean_name, angles_deg, mean, edges, counts,
@@ -89,21 +72,19 @@ def _cmd_synth(args, cfg: ToolConfig) -> int:
 
 def _cmd_angular(args, cfg: ToolConfig) -> int:
     scans = _baseline(dataio.ingest(args.input))
-    if not scans:
+    if not len(scans):
         raise IngestError("dataset has no baseline (vehicle absent) scans")
-    input_hash = dataio.file_sha256(args.input)
+    input_hash = scans.sha256
 
     by_tx = defaultdict(list)
-    for scan in scans:
-        by_tx[scan.tx].append(scan)
+    for i, tx_id in enumerate(scans.tx.tolist()):
+        by_tx[tx_id].append(i)
     positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in by_tx}
     # Every table is computed before any is written, so an error leaves none.
-    tx_stats = {
-        tx_id: angular.ensemble_stats(tx_scans, db_bin_width=cfg.histogram_bin_db)
-        for tx_id, tx_scans in by_tx.items()
-    }
+    tx_stats = {tx_id: angular.ensemble_stats(scans[index], db_bin_width=cfg.histogram_bin_db)
+                for tx_id, index in by_tx.items()}
     cdf_all, cdf_tx = angular.gain_cdfs(scans, positions)
-    az_cdf = empirical_cdf([angular.azimuth_gain(s) for s in scans])
+    az_cdf = empirical_cdf(angular.azimuth_gain(scans))
 
     os.makedirs(args.out_dir, exist_ok=True)
     for tx_id, stats in tx_stats.items():
@@ -119,10 +100,7 @@ def _cmd_angular(args, cfg: ToolConfig) -> int:
             (cdf.values, cdf.probs), input_hash=input_hash,
         )
     print(f"angular: {len(scans)} scans, {len(by_tx)} transmitters -> {args.out_dir}")
-    print(
-        "angular: median azimuth gain "
-        f"{az_cdf.median():.2f} dB over {az_cdf.n} scans"
-    )
+    print(f"angular: median azimuth gain {az_cdf.median():.2f} dB over {az_cdf.n} scans")
     return EXIT_OK
 
 
@@ -136,39 +114,33 @@ def _cmd_spatial(args, cfg: ToolConfig) -> int:
     if not (math.isfinite(args.x_step) and args.x_step > 0.0):
         raise ConfigError(f"--x-step must be finite and > 0, got {args.x_step}")
     scans = _baseline(dataio.ingest(args.input))
-    input_hash = dataio.file_sha256(args.input)
     wanted = [args.x_start + args.x_step * k for k in range(args.x_count)]
 
+    # Each scan takes the first line position within the tolerance, if any;
+    # a later scan at a taken position replaces the earlier one.
+    slot = np.full(len(scans), -1)
+    for k, x in enumerate(wanted):
+        slot[(slot < 0) & (np.abs(scans.x - x) <= spatialcorr.POSITION_SPACING_TOL)] = k
+    slot = slot.tolist()
     by_line = defaultdict(dict)
-    for scan in scans:
-        for k, x in enumerate(wanted):
-            if abs(scan.x - x) <= spatialcorr.POSITION_SPACING_TOL:
-                by_line[(scan.tx, scan.y, scan.stacking)][k] = scan
-                break
+    for i, (tx_id, y, stacking) in enumerate(zip(
+            scans.tx.tolist(), scans.y.tolist(), map(angular.Stacking, scans.stacking))):
+        if slot[i] >= 0:
+            by_line[(tx_id, y, stacking)][slot[i]] = i
 
     lines = []
     for key in sorted(by_line, key=str):
         slots = by_line[key]
         if len(slots) == len(wanted):
-            lines.append(
-                spatialcorr.DenseLine(
-                    positions=np.array(wanted),
-                    scans=tuple(slots[k] for k in range(len(wanted))),
-                )
-            )
+            lines.append(spatialcorr.DenseLine(
+                positions=np.array(wanted), scans=scans[[slots[k] for k in range(len(wanted))]]))
     if not lines:
-        raise IngestError(
-            f"no complete dense line found (need x = {wanted[0]:g}..{wanted[-1]:g} "
-            f"step {args.x_step:g})"
-        )
+        raise IngestError(f"no complete dense line found (need x = {wanted[0]:g}.."
+                          f"{wanted[-1]:g} step {args.x_step:g})")
 
     lag_m, corr = spatialcorr.averaged_correlation(lines)
-    dataio.write_table(
-        args.out,
-        ("lag_m", "correlation"),
-        (np.round(lag_m, 9), corr),
-        input_hash=input_hash,
-    )
+    dataio.write_table(args.out, ("lag_m", "correlation"), (np.round(lag_m, 9), corr),
+                       input_hash=scans.sha256)
     print(f"spatial: averaged {len(lines)} dense lines -> {args.out}")
     print(f"spatial: correlation at first lag ({lag_m[1]:.1f} m) = {corr[1]:+.3f}")
     return EXIT_OK
@@ -178,94 +150,65 @@ def _cmd_spatial(args, cfg: ToolConfig) -> int:
 
 def _cmd_vehicle(args, cfg: ToolConfig) -> int:
     scans = dataio.ingest(args.input)
-    input_hash = dataio.file_sha256(args.input)
-    os.makedirs(args.out_dir, exist_ok=True)
+    keys = list(zip(*(getattr(scans, name).tolist() for name in ("tx", "x", "y", "stacking"))))
+    base_at = {keys[i]: i for i in np.flatnonzero(
+        scans.vehicle_state == angular.VehicleState.ABSENT.value).tolist()}
 
-    base_by_key = {
-        (s.tx, s.x, s.y, s.stacking): s
-        for s in scans
-        if s.vehicle_state is angular.VehicleState.ABSENT
-    }
-    params_rows = []
-    for state in (angular.VehicleState.POSITION1, angular.VehicleState.POSITION2):
-        with_vehicle = [s for s in scans if s.vehicle_state is state]
-        if not with_vehicle:
+    # Both positions are computed before anything is written or printed.
+    results = []
+    for label in (angular.VehicleState.POSITION1.value, angular.VehicleState.POSITION2.value):
+        which = np.flatnonzero(scans.vehicle_state == label)
+        if not which.size:
             continue
+        with_vehicle = scans[which]
         # The deltas are pooled per angle, so all of them need one grid.
         grid = angular.require_common_grid(with_vehicle)
-        deltas = []
-        for scan in with_vehicle:
-            key = (scan.tx, scan.x, scan.y, scan.stacking)
-            if key not in base_by_key:
-                raise IngestError(
-                    f"no baseline scan for vehicle scan at {key}; cannot pair"
-                )
-            deltas.append(vehicle.vehicle_delta(base_by_key[key], scan))
-        matrix = np.stack(deltas)
-        report = vehicle.delta_cdf_report(matrix.ravel())
-        label = state.value
-        dataio.write_table(
-            os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
-            ("delta_db", "empirical_cdf", "gaussian_cdf"),
-            (report.values_db, report.empirical, report.gaussian),
-            input_hash=input_hash,
-        )
-        mean_db, edges, counts = vehicle.delta_angle_stats(
-            matrix, db_bin_width=cfg.histogram_bin_db
-        )
-        _write_angle_stats(args.out_dir, "vehicle_delta", label, "mean_delta_db",
-                           np.degrees(grid), mean_db, edges, counts, input_hash)
-        params_rows.append(
-            (label, report.fit.mu_db, report.fit.sigma_db, report.fit.sample_count,
-             report.sup_gap)
-        )
-        print(
-            f"vehicle[{label}]: mu={report.fit.mu_db:+.2f} dB "
-            f"sigma={report.fit.sigma_db:.2f} dB over {report.fit.sample_count} "
-            f"deltas (CDF sup-gap {report.sup_gap:.4f})"
-        )
-    if not params_rows:
+        base = [base_at.get(keys[i]) for i in which.tolist()]
+        if None in base:
+            tx_id, x, y, stacking = keys[which[base.index(None)]]
+            raise IngestError(f"no baseline scan for vehicle scan at "
+                              f"{(tx_id, x, y, angular.Stacking(stacking))}; cannot pair")
+        matrix = vehicle.vehicle_delta(scans[base], with_vehicle)
+        results.append((label, grid, vehicle.delta_cdf_report(matrix.ravel()),
+                        vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)))
+    if not results:
         raise IngestError("dataset has no vehicle scans")
+
+    os.makedirs(args.out_dir, exist_ok=True)
+    for label, grid, report, (mean_db, edges, counts) in results:
+        dataio.write_table(os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
+                           ("delta_db", "empirical_cdf", "gaussian_cdf"),
+                           (report.values_db, report.empirical, report.gaussian),
+                           input_hash=scans.sha256)
+        _write_angle_stats(args.out_dir, "vehicle_delta", label, "mean_delta_db",
+                           np.degrees(grid), mean_db, edges, counts, scans.sha256)
+        print(f"vehicle[{label}]: mu={report.fit.mu_db:+.2f} dB sigma={report.fit.sigma_db:.2f}"
+              f" dB over {report.fit.sample_count} deltas (CDF sup-gap {report.sup_gap:.4f})")
     dataio.write_table(
         os.path.join(args.out_dir, "vehicle_fit_params.csv"),
         ("vehicle_position", "mu_db", "sigma_db", "sample_count", "cdf_sup_gap"),
-        list(zip(*params_rows)),
-        input_hash=input_hash,
+        list(zip(*[(label, report.fit.mu_db, report.fit.sigma_db, report.fit.sample_count,
+                    report.sup_gap) for label, _, report, _ in results])),
+        input_hash=scans.sha256,
     )
     return EXIT_OK
 
 
 # ------------------------------------------------------------------- fit ---
 
-def _euclidean_distance(tx_id: str, scan, rx_height_m: float) -> float:
-    tx_x, tx_y, tx_z = synth.tx_position(tx_id)
-    return math.sqrt(
-        (tx_x - scan.x) ** 2 + (tx_y - scan.y) ** 2 + (tx_z - rx_height_m) ** 2
-    )
-
-
-def _fit_group(samples, label: str, fixed_slope):
-    try:
-        if fixed_slope is None:
-            return fit_loglinear(samples)
-        return fit_fixed_slope(samples, fixed_slope)
-    except DegenerateFitError as exc:
-        raise DegenerateFitError(f"group {label!r}: {exc}") from exc
-
-
 def _cmd_fit(args, cfg: ToolConfig) -> int:
     scans = _baseline(dataio.ingest(args.input))
-    if not scans:
+    if not len(scans):
         raise IngestError("dataset has no baseline (vehicle absent) scans")
-    input_hash = dataio.file_sha256(args.input)
 
     by_stacking = defaultdict(list)
-    for scan in scans:
-        sample = GainSample(
-            distance_m=_euclidean_distance(scan.tx, scan, cfg.rx_height_m),
-            gain_db=angular.circular_mean_gain(scan),
-        )
-        by_stacking[scan.stacking.value].append(sample)
+    for tx_id, x, y, stacking, gain_db in zip(
+        scans.tx.tolist(), scans.x.tolist(), scans.y.tolist(), scans.stacking.tolist(),
+        angular.circular_mean_gain(scans).tolist(),
+    ):
+        tx_x, tx_y, tx_z = synth.tx_position(tx_id)
+        distance = math.sqrt((tx_x - x) ** 2 + (tx_y - y) ** 2 + (tx_z - cfg.rx_height_m) ** 2)
+        by_stacking[stacking].append(GainSample(distance_m=distance, gain_db=gain_db))
 
     groups = [(label, by_stacking[label]) for label in sorted(by_stacking)]
     if len(groups) > 1:
@@ -273,11 +216,12 @@ def _cmd_fit(args, cfg: ToolConfig) -> int:
 
     rows = []
     for label, samples in groups:
-        fit = _fit_group(samples, label, args.fixed_slope)
-        rows.append(
-            (label, fit.n, fit.ci_n, fit.r0_db, fit.ci_r0, fit.rmse_db,
-             fit.sample_count)
-        )
+        try:
+            fit = (fit_loglinear(samples) if args.fixed_slope is None
+                   else fit_fixed_slope(samples, args.fixed_slope))
+        except DegenerateFitError as exc:
+            raise DegenerateFitError(f"group {label!r}: {exc}") from exc
+        rows.append((label, fit.n, fit.ci_n, fit.r0_db, fit.ci_r0, fit.rmse_db, fit.sample_count))
         print(
             f"fit[{label}]: n = {fit.n:+.3f} +/- {fit.ci_n:.3f}, "
             f"R0 = {fit.r0_db:+.2f} +/- {fit.ci_r0:.2f} dB, "
@@ -288,7 +232,7 @@ def _cmd_fit(args, cfg: ToolConfig) -> int:
         ("configuration", "n", "ci95_n", "r0_db", "ci95_r0_db", "rmse_db",
          "sample_count"),
         list(zip(*rows)),
-        input_hash=input_hash,
+        input_hash=scans.sha256,
     )
     print(f"fit: wrote {args.out}")
     return EXIT_OK
@@ -298,15 +242,15 @@ def _cmd_fit(args, cfg: ToolConfig) -> int:
 
 def _cmd_coverage(args, cfg: ToolConfig) -> int:
     lb = cfg.linkbudget_config()
-    floor = noise_floor_dbm(lb)
-    eirp = eirp_dbm(lb)
-    mapl = max_allowable_pathloss_db(lb)
+    floor = linkbudget.noise_floor_dbm(lb)
+    eirp = linkbudget.eirp_dbm(lb)
+    mapl = linkbudget.max_allowable_pathloss_db(lb)
     fit = LogLinFit(
         n=args.fit_n, r0_db=args.fit_r0, ci_n=0.0, ci_r0=0.0, rmse_db=0.0,
         sample_count=0,
     )
-    range_m = coverage_range_m(fit, mapl)
-    throughput_gbps = dual_pol_throughput_bps(lb) / 1e9
+    range_m = linkbudget.coverage_range_m(fit, mapl)
+    throughput_gbps = linkbudget.dual_pol_throughput_bps(lb) / 1e9
 
     lines = [
         "coverage estimate",
@@ -349,23 +293,23 @@ def _cmd_coverage(args, cfg: ToolConfig) -> int:
 # -------------------------------------------------------------- geometry ---
 
 def _cmd_geometry(args, cfg: ToolConfig) -> int:
-    geom = CanyonGeometry(
+    geom = geometry.CanyonGeometry(
         h=args.height, d=args.width, D=args.distance,
         h_prime=args.rx_depth, psi=cfg.psi_rad,
     )
     # All values first: a domain error (say, 0 power in dB) leaves stdout empty.
-    phi1, phi2, theta = elevation_angles(geom)
-    p_exact = received_power_exact(geom)
-    p_approx = received_power_approx(geom)
+    phi1, phi2, theta = geometry.elevation_angles(geom)
+    p_exact = geometry.received_power_exact(geom)
+    p_approx = geometry.received_power_approx(geom)
     print("\n".join([
         "canyon model evaluation",
         "-----------------------",
         f"phi1 / phi2 / theta:      {math.degrees(phi1):.3f} / "
         f"{math.degrees(phi2):.3f} / {math.degrees(theta):.4f} deg",
-        f"free-space spreading:     {poynting_fspl(geom):.6e} (prop., 1/m^2)",
-        f"projected aperture:       {projected_aperture_exact(geom):.4f} m",
-        f"acceptance length:        {acceptance_length(geom):.4f} m",
-        f"vertical fraction:        {vertical_fraction(geom):.6e} (prop.)",
+        f"free-space spreading:     {geometry.poynting_fspl(geom):.6e} (prop., 1/m^2)",
+        f"projected aperture:       {geometry.projected_aperture_exact(geom):.4f} m",
+        f"acceptance length:        {geometry.acceptance_length(geom):.4f} m",
+        f"vertical fraction:        {geometry.vertical_fraction(geom):.6e} (prop.)",
         f"received power (exact):   {p_exact:.6e} (prop.) = "
         f"{angular.to_db(p_exact):+.2f} dB + const",
         f"received power (approx):  {p_approx:.6e} (prop.) = "

@@ -12,11 +12,13 @@ the mode the umask gives a newly created file.  `write_table` takes columns
 and streams its text `_CHUNK_ROWS` rows at a time, and `write_scans` one scan
 at a time, so no output exists as one string.
 
-`ingest` parses a canonical file columnar: one C-level `np.loadtxt` pass and
-array checks.  Anything unusual (a bad or non-finite value, an unknown
-token, a duplicate angle, quotes, CR line ends, non-ASCII bytes, a comment
-row among the data) is re-read row by row, and that row loop is the only
-source of the line-numbered errors.
+`ingest` returns an `angular.ScanSet`: key columns, one (scans x angles)
+matrix pair per angle count, and the file's sha256, taken in the byte scan
+that vets the file.  A canonical file is parsed columnar: one C-level
+`np.loadtxt` pass and array checks.  Anything unusual (a bad or non-finite
+value, an unknown token, a duplicate angle, quotes, CR line ends, non-ASCII
+bytes, a comment row among the data) is re-read row by row, and that row
+loop is the only source of the line-numbered errors.
 """
 
 from __future__ import annotations
@@ -33,21 +35,15 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .angular import AngularScan, Stacking, VehicleState
-from .errors import DomainError, GridError, IngestError
+from .angular import AngularScan, ScanBlock, ScanSet, Stacking, VehicleState, first_invalid
+from .errors import IngestError
 
 __all__ = [
-    "CANONICAL_HEADER",
-    "write_scans",
-    "ingest",
-    "write_table",
-    "provenance_line",
+    "CANONICAL_HEADER", "write_scans", "ingest", "write_table", "provenance_line",
     "file_sha256",
 ]
 
-CANONICAL_FIELDS = (
-    "tx_id", "x_m", "y_m", "phi_deg", "gain_db", "vehicle_state", "stacking",
-)
+CANONICAL_FIELDS = ("tx_id", "x_m", "y_m", "phi_deg", "gain_db", "vehicle_state", "stacking")
 CANONICAL_HEADER = ",".join(CANONICAL_FIELDS)
 
 _VEHICLE_TOKENS = {v.value for v in VehicleState}
@@ -110,29 +106,28 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
     return value
 
 
-def _scans_from_groups(groups) -> list[AngularScan]:
-    """Build scans from (key, phi_deg, gain_db) groups, angle-sorted, in order."""
-    scans = []
-    for key, phis, gains_db in groups:
-        tx_id, x, y, vehicle_s, stacking_s = key
-        # A gain_db too large for a float overflows to inf, which the scan
-        # rejects; numpy's overflow warning would only repeat that.
-        with np.errstate(over="ignore"):
-            gains = 10.0 ** (gains_db / 10.0)
-        try:
-            scan = AngularScan(
-                tx=tx_id,
-                x=x,
-                y=y,
-                angles=np.radians(phis),
-                gains=gains,
-                vehicle_state=VehicleState(vehicle_s),
-                stacking=Stacking(stacking_s),
-            )
-        except (GridError, DomainError) as exc:
-            raise type(exc)(f"scan {key}: {exc}") from exc
-        scans.append(scan)
-    return scans
+def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
+    """The ScanSet of angle-sorted scans stored back to back, checked a matrix
+    at a time; the first invalid scan raises its `AngularScan` error and key."""
+    sizes = np.asarray(sizes, dtype=int)
+    starts = np.cumsum(sizes) - sizes
+    angles = np.radians(phi_deg)
+    # A gain_db too large for a float overflows to inf, which the check
+    # rejects; numpy's overflow warning would only repeat that.
+    with np.errstate(over="ignore"):
+        gains = 10.0 ** (gain_db / 10.0)
+    blocks, invalid = [], []
+    for n in dict.fromkeys(sizes.tolist()):
+        index = np.flatnonzero(sizes == n)
+        rows = slice(None) if index.size == sizes.size else starts[index, None] + np.arange(n)
+        blocks.append(ScanBlock(index, angles[rows].reshape(-1, n), gains[rows].reshape(-1, n)))
+        found = first_invalid(blocks[-1].angles, blocks[-1].gains)
+        if found:
+            invalid.append((int(index[found[0]]), found[1]))
+    if invalid:
+        scan, exc = min(invalid, key=lambda item: item[0])
+        raise type(exc)(f"scan {keys[scan]}: {exc}") from exc
+    return ScanSet.from_keys(keys, blocks, sha256)
 
 
 def _csv_rows(fh):
@@ -143,7 +138,7 @@ def _csv_rows(fh):
         raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
 
 
-def _ingest_rows(path) -> list[AngularScan]:
+def _ingest_rows(path) -> ScanSet:
     """Row-by-row reader: the reference semantics and every ingest error."""
     groups: dict[tuple, dict[float, float]] = defaultdict(dict)
     order: list[tuple] = []
@@ -183,9 +178,7 @@ def _ingest_rows(path) -> list[AngularScan]:
             if key not in groups:
                 order.append(key)
             if phi in groups[key]:
-                raise IngestError(
-                    f"line {line_no}: duplicate angle {phi} deg for scan {key}"
-                )
+                raise IngestError(f"line {line_no}: duplicate angle {phi} deg for scan {key}")
             groups[key][phi] = gain
 
     if not header_seen:
@@ -193,13 +186,10 @@ def _ingest_rows(path) -> list[AngularScan]:
     if not order:
         raise IngestError("file contains no measurement rows")
 
-    def sorted_groups():
-        for key in order:
-            by_angle = groups[key]
-            phis = np.array(sorted(by_angle))
-            yield key, phis, np.array([by_angle[p] for p in phis])
-
-    return _scans_from_groups(sorted_groups())
+    phis = [sorted(groups[key]) for key in order]
+    gains = [groups[key][p] for key, key_phis in zip(order, phis) for p in key_phis]
+    return _scan_set(order, list(map(len, phis)), np.array(list(itertools.chain(*phis))),
+                     np.array(gains), file_sha256(path))
 
 
 class _NotCanonical(Exception):
@@ -230,13 +220,16 @@ def _read_runs(path):
 
     Rows of one scan are contiguous in a canonical file, so the key fields
     are validated once per run of equal keys.  Returns the run keys, the
-    first row of each run, and contiguous phi_deg and gain_db columns; the
-    wide parsed table is dropped on return.
+    first row of each run, contiguous phi_deg and gain_db columns and the
+    file's sha256, taken in the byte scan; the wide parsed table is dropped
+    on return.
     """
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             if chunk.translate(None, _PLAIN_BYTES):
                 raise _NotCanonical
+            digest.update(chunk)
         fh.seek(0)
         skip = 0
         while True:
@@ -258,9 +251,12 @@ def _read_runs(path):
             raise _NotCanonical from None
     if table.size == 0:
         raise _NotCanonical
-    if not all(np.isfinite(table[name]).all() for name in CANONICAL_FIELDS[1:5]):
+    phi = np.ascontiguousarray(table["phi_deg"])
+    gain = np.ascontiguousarray(table["gain_db"])
+    if not (np.isfinite(phi).all() and np.isfinite(gain).all()):
         raise _NotCanonical
 
+    # A NaN or inf x or y differs from the row before, so it starts a run.
     key_columns = [table[name] for name in _KEY_FIELDS]
     changed = np.zeros(table.size, dtype=bool)
     changed[0] = True
@@ -271,52 +267,54 @@ def _read_runs(path):
     for tx_b, x, y, vehicle_b, stacking_b in zip(
         *(col[starts].tolist() for col in key_columns)
     ):
-        if not tx_b or tx_b.startswith(b"#") or len(tx_b) == _TX_WIDTH:
+        if (not tx_b or tx_b.startswith(b"#") or len(tx_b) == _TX_WIDTH
+                or not (math.isfinite(x) and math.isfinite(y))):
             raise _NotCanonical
         key = (tx_b.decode("ascii"), x, y,
                vehicle_b.decode("ascii"), stacking_b.decode("ascii"))
         if key[3] not in _VEHICLE_TOKENS or key[4] not in _STACKING_TOKENS:
             raise _NotCanonical
         keys.append(key)
-    phi = np.ascontiguousarray(table["phi_deg"])
-    gain = np.ascontiguousarray(table["gain_db"])
-    return keys, starts, phi, gain
+    return keys, starts, phi, gain, digest.hexdigest()
 
 
-def _ingest_columnar(path) -> list[AngularScan]:
+def _ingest_columnar(path) -> ScanSet:
     """Columnar reader: the scans `_ingest_rows` would return, or `_NotCanonical`.
 
     Runs are grouped by first-seen key, as in the row loop, so -0.0 joins
     0.0 and a scan split across the file is rejoined; a duplicate angle, a
     bad token, a non-finite value or anything but a plain canonical table
-    raises `_NotCanonical`.
+    raises `_NotCanonical`.  Rows that already come one run per scan with
+    rising angles, as written, are not sorted.
     """
-    keys, starts, phi, gain = _read_runs(path)
+    keys, starts, phi, gain, sha256 = _read_runs(path)
     group_ids: dict[tuple, int] = {}
     run_group = [group_ids.setdefault(key, len(group_ids)) for key in keys]
-    row_group = np.repeat(run_group, np.diff(starts, append=phi.size))
-    by_group = np.lexsort((phi, row_group))
-    phi = phi[by_group]
-    gain = gain[by_group]
-    bounds = np.cumsum(np.bincount(row_group))[:-1]
-    repeated = phi[1:] == phi[:-1]
-    repeated[bounds - 1] = False
-    if repeated.any():
-        raise _NotCanonical
-    return _scans_from_groups(
-        zip(group_ids, np.split(phi, bounds), np.split(gain, bounds))
-    )
+    sizes = np.diff(starts, append=phi.size)
+    rising = phi[1:] > phi[:-1]
+    rising[starts[1:] - 1] = True
+    if len(group_ids) < len(keys) or not rising.all():
+        row_group = np.repeat(run_group, sizes)
+        by_group = np.lexsort((phi, row_group))
+        phi = phi[by_group]
+        gain = gain[by_group]
+        sizes = np.bincount(row_group)
+        repeated = phi[1:] == phi[:-1]
+        repeated[np.cumsum(sizes)[:-1] - 1] = False
+        if repeated.any():
+            raise _NotCanonical
+    return _scan_set(list(group_ids), sizes, phi, gain, sha256)
 
 
-def ingest(path) -> list[AngularScan]:
-    """Read and validate a canonical measurement CSV into scans.
+def ingest(path) -> ScanSet:
+    """Read and validate a canonical measurement CSV into a ScanSet.
 
     Rows are grouped by (tx, x, y, vehicle state, stacking) and sorted by
     angle; duplicate angles within a group and malformed rows are rejected
     with their line number, and each group's grid must be uniform over one
     full rotation.  A plain canonical file is parsed columnar; anything the
     columnar checks cannot vouch for is re-read row by row, which is where
-    every line-numbered error comes from.
+    every line-numbered error comes from.  The set's `sha256` is the file's.
     """
     try:
         return _ingest_columnar(path)

@@ -29,13 +29,8 @@ from dataclasses import dataclass
 from .errors import DomainError
 
 __all__ = [
-    "CanyonGeometry",
-    "elevation_angles",
-    "poynting_fspl",
-    "projected_aperture_exact",
-    "acceptance_length",
-    "vertical_fraction",
-    "received_power_exact",
+    "CanyonGeometry", "elevation_angles", "poynting_fspl", "projected_aperture_exact",
+    "acceptance_length", "vertical_fraction", "received_power_exact",
     "received_power_approx",
 ]
 

@@ -14,13 +14,8 @@ from .errors import DomainError, NoSolutionError
 from .pathloss import LogLinFit
 
 __all__ = [
-    "BOLTZMANN_J_PER_K",
-    "LinkBudgetConfig",
-    "eirp_dbm",
-    "noise_floor_dbm",
-    "max_allowable_pathloss_db",
-    "coverage_range_m",
-    "dual_pol_throughput_bps",
+    "BOLTZMANN_J_PER_K", "LinkBudgetConfig", "eirp_dbm", "noise_floor_dbm",
+    "max_allowable_pathloss_db", "coverage_range_m", "dual_pol_throughput_bps",
 ]
 
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -63,17 +58,15 @@ def eirp_dbm(cfg: LinkBudgetConfig) -> float:
 def noise_floor_dbm(cfg: LinkBudgetConfig) -> float:
     """Thermal noise power in the receiver bandwidth plus its noise figure."""
     ktb_mw = BOLTZMANN_J_PER_K * cfg.temperature_k * cfg.bandwidth_hz / 1e-3
+    if not 0.0 < ktb_mw < math.inf:
+        raise DomainError(
+            f"noise power k*T*B is out of range for {cfg.temperature_k} K, {cfg.bandwidth_hz} Hz")
     return 10.0 * math.log10(ktb_mw) + cfg.noise_figure_db
 
 
 def max_allowable_pathloss_db(cfg: LinkBudgetConfig) -> float:
     """Largest path loss still meeting the SNR target after the shadow margin."""
-    return (
-        eirp_dbm(cfg)
-        - noise_floor_dbm(cfg)
-        - cfg.required_snr_db
-        - cfg.shadow_margin_db
-    )
+    return eirp_dbm(cfg) - noise_floor_dbm(cfg) - cfg.required_snr_db - cfg.shadow_margin_db
 
 
 def coverage_range_m(fit: LogLinFit, mapl_db: float) -> float:
@@ -83,9 +76,7 @@ def coverage_range_m(fit: LogLinFit, mapl_db: float) -> float:
     Requires a decaying model (negative slope) and a finite distance.
     """
     if fit.n >= 0.0:
-        raise NoSolutionError(
-            f"gain model must decay with distance (n < 0), got n={fit.n}"
-        )
+        raise NoSolutionError(f"gain model must decay with distance (n < 0), got n={fit.n}")
     try:
         range_m = 10.0 ** ((-mapl_db - fit.r0_db) / (10.0 * fit.n))
     except OverflowError:

@@ -17,13 +17,8 @@ from .errors import DegenerateFitError, DomainError
 from .stats import t_quantile
 
 __all__ = [
-    "GainSample",
-    "LogLinFit",
-    "SPEED_OF_LIGHT_M_S",
-    "fspl_db",
-    "fit_loglinear",
-    "fit_fixed_slope",
-    "predict",
+    "GainSample", "LogLinFit", "SPEED_OF_LIGHT_M_S", "fspl_db", "fit_loglinear",
+    "fit_fixed_slope", "predict",
 ]
 
 SPEED_OF_LIGHT_M_S = 299_792_458.0
@@ -42,9 +37,7 @@ class GainSample:
 
     def __post_init__(self) -> None:
         if not self.distance_m >= MIN_DISTANCE_M:
-            raise DomainError(
-                f"distance must be >= {MIN_DISTANCE_M} m, got {self.distance_m}"
-            )
+            raise DomainError(f"distance must be >= {MIN_DISTANCE_M} m, got {self.distance_m}")
 
 
 @dataclass(frozen=True)
@@ -75,9 +68,7 @@ def fspl_db(distance_m: float, frequency_hz: float) -> float:
     """Free-space path loss between isotropic antennas: 20*log10(4*pi*D*f/c)."""
     if distance_m <= 0.0 or frequency_hz <= 0.0:
         raise DomainError("distance and frequency must be > 0")
-    return 20.0 * math.log10(
-        4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT_M_S
-    )
+    return 20.0 * math.log10(4.0 * math.pi * distance_m * frequency_hz / SPEED_OF_LIGHT_M_S)
 
 
 def _xy(samples) -> tuple[np.ndarray, np.ndarray]:

@@ -14,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import GRID_MATCH_TOL, AngularScan, require_common_grid, to_db
+from .angular import GRID_MATCH_TOL, ScanSet, require_common_grid, to_db
 from .errors import DomainError, GridError, PairingError
 
 __all__ = [
-    "DenseLine",
-    "AutocorrResult",
-    "line_mean",
-    "zero_mean",
-    "autocorrelation",
+    "DenseLine", "AutocorrResult", "line_mean", "zero_mean", "autocorrelation",
     "averaged_correlation",
 ]
 
@@ -34,41 +30,36 @@ class DenseLine:
     """Uniformly spaced X positions with one scan per position.
 
     All scans must share tx, y, vehicle state, stacking and angle grid;
-    positions must be strictly increasing with uniform spacing.
+    positions must be strictly increasing with uniform spacing.  `scans`
+    may be any sequence of AngularScan; it is kept as a ScanSet.
     """
 
     positions: np.ndarray
-    scans: tuple[AngularScan, ...]
+    scans: ScanSet
 
     def __post_init__(self) -> None:
         positions = np.asarray(self.positions, dtype=float)
-        scans = tuple(self.scans)
+        scans = ScanSet.of(self.scans)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "scans", scans)
         if positions.ndim != 1 or positions.size < 2:
             raise DomainError("a dense line needs at least 2 positions")
         if len(scans) != positions.size:
-            raise DomainError(
-                f"{positions.size} positions but {len(scans)} scans"
-            )
+            raise DomainError(f"{positions.size} positions but {len(scans)} scans")
         steps = np.diff(positions)
         if not np.all(steps > 0.0):
             raise DomainError("positions must be strictly increasing")
         if np.max(np.abs(steps - steps[0])) > POSITION_SPACING_TOL:
             raise DomainError("positions must be uniformly spaced")
-        for pos, scan in zip(positions, scans):
-            if abs(scan.x - pos) > POSITION_SPACING_TOL:
-                raise DomainError(
-                    f"scan at x={scan.x} assigned to line position {pos}"
-                )
-        ref = scans[0]
-        for scan in scans[1:]:
-            if (scan.tx, scan.y, scan.vehicle_state, scan.stacking) != (
-                ref.tx, ref.y, ref.vehicle_state, ref.stacking,
-            ):
-                raise PairingError(
-                    f"scan {scan.key} does not belong to the line of {ref.key}"
-                )
+        misplaced = np.abs(scans.x - positions) > POSITION_SPACING_TOL
+        if misplaced.any():
+            i = int(misplaced.argmax())
+            raise DomainError(f"scan at x={float(scans.x[i])} assigned to line position "
+                              f"{positions[i]}")
+        apart = scans.differs(scans[:1], ("tx", "y", "vehicle_state", "stacking"))
+        if apart.any():
+            raise PairingError(f"scan {scans[int(apart.argmax())].key} does not belong to the "
+                               f"line of {scans[0].key}")
         require_common_grid(scans)
 
     @property
@@ -77,12 +68,12 @@ class DenseLine:
 
     @property
     def angles(self) -> np.ndarray:
-        return self.scans[0].angles
+        return self.scans.blocks[0].angles[0]
 
     def gains_db(self, phi: float) -> np.ndarray:
         """Per-position dB gain at grid angle phi (off-grid -> GridError)."""
         idx = _grid_index(self.angles, phi)
-        return np.array([to_db(scan.gains[idx]) for scan in self.scans])
+        return to_db(self.scans.blocks[0].gains[:, idx])
 
 
 def _grid_index(angles: np.ndarray, phi: float) -> int:
@@ -153,8 +144,8 @@ def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
     per_line = np.empty((len(lines), n_pos))
     for size in {line.angles.size for line in lines}:
         group = [i for i, line in enumerate(lines) if line.angles.size == size]
-        db = 10.0 * np.log10(
-            np.stack([np.stack([s.gains for s in lines[i].scans], axis=-1) for i in group]))
+        # np.array lays this out in C order, so each mean runs along memory.
+        db = 10.0 * np.log10(np.array([lines[i].scans.blocks[0].gains.T for i in group]))
         z = db - db.mean(axis=2, keepdims=True)
         raw = np.empty_like(z)
         for k in range(n_pos):

@@ -18,13 +18,8 @@ from scipy import special
 from .errors import DomainError, InsufficientDataError
 
 __all__ = [
-    "EmpiricalCdf",
-    "empirical_cdf",
-    "gaussian_cdf",
-    "ks_gap",
-    "t_quantile",
-    "aligned_histograms",
-    "MAX_HISTOGRAM_BINS",
+    "EmpiricalCdf", "empirical_cdf", "gaussian_cdf", "ks_gap", "sorted_ks_gap",
+    "t_quantile", "aligned_histograms", "MAX_HISTOGRAM_BINS",
 ]
 
 # Upper bound on the bins of one histogram: a tiny bin width over a wide dB
@@ -46,7 +41,7 @@ class EmpiricalCdf:
     def quantile(self, p: float) -> float:
         """Smallest sample value whose CDF reaches p (0 < p <= 1)."""
         if not 0.0 < p <= 1.0:
-            raise ValueError(f"p must be in (0, 1], got {p}")
+            raise DomainError(f"p must be in (0, 1], got {p}")
         idx = int(np.searchsorted(self.probs, p, side="left"))
         return float(self.values[min(idx, self.n - 1)])
 
@@ -125,10 +120,15 @@ def ks_gap(samples, mu: float, sigma: float) -> float:
     supremum for a continuous reference CDF.
     """
     values = np.sort(np.asarray(samples, dtype=float).ravel())
-    n = values.size
-    if n == 0:
+    if values.size == 0:
         raise InsufficientDataError("KS gap needs at least one sample")
-    ref = gaussian_cdf(values, mu, sigma)
-    upper = np.arange(1, n + 1) / n - ref
-    lower = ref - np.arange(0, n) / n
+    return sorted_ks_gap(gaussian_cdf(values, mu, sigma))
+
+
+def sorted_ks_gap(reference) -> float:
+    """Kolmogorov sup-gap between the empirical CDF of n sorted samples and
+    `reference`, a continuous CDF evaluated at them (so it need not re-sort)."""
+    n = reference.size
+    upper = np.arange(1, n + 1) / n - reference
+    lower = reference - np.arange(0, n) / n
     return float(max(upper.max(), lower.max()))

@@ -31,18 +31,9 @@ from .geometry import CanyonGeometry, received_power_approx
 from .stats import EmpiricalCdf, empirical_cdf
 
 __all__ = [
-    "TxSpec",
-    "CampaignLayout",
-    "HornPattern",
-    "SynthConfig",
-    "build_layout",
-    "geometry_for",
-    "mean_gain_at",
-    "generate_scan",
-    "add_vehicle_offset",
-    "fullspread_gain_distribution",
-    "generate_campaign",
-    "tx_position",
+    "TxSpec", "CampaignLayout", "HornPattern", "SynthConfig", "build_layout",
+    "geometry_for", "mean_gain_at", "generate_scan", "add_vehicle_offset",
+    "fullspread_gain_distribution", "generate_campaign", "tx_position",
 ]
 
 CANYON_LENGTH_M = 36.0

@@ -12,17 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularScan, VehicleState, require_common_grid, to_db
-from .errors import DomainError, InsufficientDataError, PairingError
-from .stats import aligned_histograms, gaussian_cdf, ks_gap
+from .angular import AngularScan, ScanSet, VehicleState, require_common_grid, to_db
+from .errors import DomainError, GridError, InsufficientDataError, PairingError
+from .stats import aligned_histograms, gaussian_cdf, sorted_ks_gap
 
 __all__ = [
-    "GaussianFitResult",
-    "DeltaCdfReport",
-    "vehicle_delta",
-    "fit_gaussian",
-    "delta_cdf_report",
-    "delta_angle_stats",
+    "GaussianFitResult", "DeltaCdfReport", "vehicle_delta", "fit_gaussian",
+    "delta_cdf_report", "delta_angle_stats",
 ]
 
 
@@ -54,34 +50,41 @@ class DeltaCdfReport:
     fit: GaussianFitResult
 
 
-def vehicle_delta(base: AngularScan, with_vehicle: AngularScan) -> np.ndarray:
+def vehicle_delta(base, with_vehicle) -> np.ndarray:
     """Per-angle gain difference baseline minus vehicle, in dB.
 
     The two scans must describe the same link: same tx and RX position and
     the same angle grid; the baseline must have no vehicle and the other
-    scan must have one.
+    scan must have one.  Two ScanSets are paired row by row, their vehicle
+    scans on one grid, and give one row of deltas per pair.
     """
-    if base.vehicle_state is not VehicleState.ABSENT:
-        raise PairingError(f"baseline scan has vehicle_state={base.vehicle_state.value}")
-    if with_vehicle.vehicle_state is VehicleState.ABSENT:
+    if single := isinstance(base, AngularScan):
+        base, with_vehicle = [base], [with_vehicle]
+    base, with_vehicle = ScanSet.of(base), ScanSet.of(with_vehicle)
+    moved = base.vehicle_state != VehicleState.ABSENT.value
+    if moved.any():
+        raise PairingError(f"baseline scan has vehicle_state={base.vehicle_state[moved.argmax()]}")
+    if (with_vehicle.vehicle_state == VehicleState.ABSENT.value).any():
         raise PairingError("second scan must have a vehicle present")
-    if (base.tx, base.x, base.y, base.stacking) != (
-        with_vehicle.tx, with_vehicle.x, with_vehicle.y, with_vehicle.stacking,
-    ):
+    apart = base.differs(with_vehicle, ("tx", "x", "y", "stacking"))
+    if apart.any():
+        i = int(apart.argmax())
         raise PairingError(
-            f"scans describe different links: {base.key} vs {with_vehicle.key}"
-        )
-    require_common_grid((base, with_vehicle))
-    return to_db(base.gains) - to_db(with_vehicle.gains)
+            f"scans describe different links: {base[i].key} vs {with_vehicle[i].key}")
+    require_common_grid(with_vehicle)
+    off_grid = base.grid_differs(with_vehicle.blocks[0].angles)
+    if off_grid.any():
+        raise GridError(f"scans must share one angle grid; scan "
+                        f"{with_vehicle[int(off_grid.argmax())].key} differs")
+    deltas = to_db(base.blocks[0].gains) - to_db(with_vehicle.blocks[0].gains)
+    return deltas[0] if single else deltas
 
 
 def fit_gaussian(samples) -> GaussianFitResult:
     """ML Gaussian fit of dB samples: mean and population (1/N) std deviation."""
     arr = np.asarray(samples, dtype=float).ravel()
     if arr.size < 2:
-        raise InsufficientDataError(
-            f"Gaussian fit needs at least 2 samples, got {arr.size}"
-        )
+        raise InsufficientDataError(f"Gaussian fit needs at least 2 samples, got {arr.size}")
     return GaussianFitResult(
         mu_db=float(np.mean(arr)),
         sigma_db=float(np.std(arr)),
@@ -116,11 +119,10 @@ def delta_cdf_report(deltas) -> DeltaCdfReport:
     fit = fit_gaussian(arr)
     empirical = np.arange(1, arr.size + 1, dtype=float) / arr.size
     gaussian = gaussian_cdf(arr, fit.mu_db, fit.sigma_db)
-    gap = ks_gap(arr, fit.mu_db, fit.sigma_db)
     return DeltaCdfReport(
         values_db=arr,
         empirical=empirical,
         gaussian=np.asarray(gaussian, dtype=float),
-        sup_gap=gap,
+        sup_gap=sorted_ks_gap(gaussian),
         fit=fit,
     )

@@ -1,6 +1,7 @@
 """CLI surface: subcommands, outputs, exit codes, determinism."""
 
 import csv
+import hashlib
 import importlib.util
 import math
 import os
@@ -677,3 +678,47 @@ assert not missing, ("import portcanyon.cli", missing)
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def _moved(scans, state, factor=2.0):
+    return [AngularScan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * factor,
+                        vehicle_state=state) for s in scans]
+
+
+class TestScanSetPipeline:
+    """Regressions and provenance around the columnar scan set."""
+
+    def test_vehicle_unpaired_position2_leaves_nothing(self, tmp_path, capsys):
+        base = _line_scans((1.0, 5.0, 9.0))
+        unpaired = _line_scans((13.0,), vehicle_state="position2")
+        data = _write_scans(tmp_path, base + _moved(base, "position1") + unpaired)
+        out_dir = tmp_path / "out"
+        rc = main(["vehicle", "--input", data, "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error[ingest]: no baseline scan for vehicle scan at "
+                                       "('TX1_63', 13.0, 3.5, <Stacking.UNIFORM: 'uniform'>)")
+        assert captured.out == ""
+        assert not list(out_dir.glob("vehicle_delta_*_position1.csv"))
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("line", ["temperature_k = 1e300\nbandwidth_hz = 1e300",
+                                      "temperature_k = 1e-300\nbandwidth_hz = 1e-300"])
+    def test_noise_floor_out_of_range_is_domain_error(self, tmp_path, capsys, line):
+        ini = _write_ini(tmp_path, f"[linkbudget]\n{line}\n")
+        rc = main(["--config", ini, "coverage"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err.startswith("error[domain]: noise power")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_input_hash_is_the_file_sha256(self, tmp_path, newline):
+        data = tmp_path / "data.csv"
+        write_scans(data, _line_scans((1.0, 5.0, 9.0, 13.0)))
+        text = data.read_bytes().replace(b"\n", newline.encode())
+        data.write_bytes(text)
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--input", str(data), "--out", str(out)]) == 0
+        first = out.read_text().splitlines()[0]
+        assert first.endswith(f"input_sha256={hashlib.sha256(text).hexdigest()}")

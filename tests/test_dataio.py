@@ -1,6 +1,7 @@
 """Canonical CSV: round-trips, validation errors with line numbers."""
 
 import csv
+import hashlib
 import io
 import os
 import stat
@@ -438,6 +439,89 @@ class TestColumnarIngest:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             check_paths_agree(path)
+
+
+def check_sets_agree(path) -> None:
+    """Both readers that return give the same ScanSet: key columns, blocks
+    and the file's sha256; the public ingest always carries that hash."""
+    want_sha = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    sets = [_outcome(read, path) for read in (_ingest_rows, _ingest_columnar, ingest)]
+    sets = [got for got in sets if not isinstance(got, tuple)]
+    for got in sets:
+        assert got.sha256 == want_sha
+    for got in sets[1:]:
+        assert got.tx.tolist() == sets[0].tx.tolist()
+        for name in ("x", "y"):
+            assert getattr(got, name).tobytes() == getattr(sets[0], name).tobytes()
+        for name in ("vehicle_state", "stacking"):
+            assert getattr(got, name).tolist() == getattr(sets[0], name).tolist()
+        assert len(got.blocks) == len(sets[0].blocks)
+        for a, b in zip(got.blocks, sets[0].blocks):
+            assert [m.tobytes() for m in a] == [m.tobytes() for m in b]
+
+
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(min_value=0),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from(list(',"#\r\n -.0_19e\té\x00') + ["nan", "1.00", "-0.0"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestScanSetIngest:
+    @settings(max_examples=150, deadline=None)
+    @given(edits=_EDITS)
+    def test_mutated_files_give_equal_sets_and_hashes(self, edits):
+        # One scan split around another whose angles fall; x is -0.0, then 0.0.
+        text = "\n".join([provenance_line(), CANONICAL_HEADER] + _rows(x="-0.0", n=9)[:4]
+                         + _rows(tx="TX1_63")[::-1] + _rows(x="0.0", n=9)[4:]) + "\n"
+        for position, action, snippet in edits:
+            at = position % (len(text) + 1)
+            if action == 0:
+                text = text[:at] + snippet + text[at:]
+            elif action == 1:
+                text = text[:at] + text[at + 1:]
+            else:
+                text = text[:at] + snippet + text[at + len(snippet):]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutant.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            check_sets_agree(path)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_sha256_is_the_file_hash(self, tmp_path, newline):
+        path = tmp_path / "case.csv"
+        path.write_bytes(newline.join(
+            [provenance_line(), CANONICAL_HEADER] + _rows()).encode() + newline.encode())
+        assert ingest(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+        check_sets_agree(path)
+
+    def test_first_invalid_scan_in_file_order_raises(self, tmp_path):
+        rows = _rows(tx="TX1_63", n=9) + _rows(n=8) + _rows(tx="TX2", x="5.0", n=9)
+        rows[10] = rows[10].replace(",45.0,", ",46.0,")      # 8-angle scan: off grid
+        rows[-1] = rows[-1].replace(",-68.0,", ",4000.0,")   # later 9-angle scan: overflow
+        path = tmp_path / "case.csv"
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + rows)
+        assert check_paths_agree(path) == "columnar"
+        with pytest.raises(GridError, match=r"^scan \('TX2', 1.0, 3.5, 'absent', 'uniform'\): "
+                                            "angle grid must be uniform"):
+            ingest(path)
+
+    def test_only_unsorted_rows_are_sorted(self, tmp_path, monkeypatch):
+        def no_sort(*args):
+            raise AssertionError("lexsort called")
+
+        monkeypatch.setattr(np, "lexsort", no_sort)
+        path = tmp_path / "case.csv"
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows() + _rows(x="2.0"))
+        assert [s.x for s in _ingest_columnar(path)] == [1.0, 2.0]
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows()[::-1])
+        with pytest.raises(AssertionError, match="lexsort called"):
+            _ingest_columnar(path)
 
 
 # ------------------------------------------------ writers vs csv.writer oracles

@@ -114,3 +114,12 @@ class TestCoverageRange:
 def test_dual_pol_throughput_note():
     # 2 bit/s/Hz per polarization in 400 MHz -> 1.6 Gbps.
     assert dual_pol_throughput_bps(REFERENCE) == pytest.approx(1.6e9, rel=1e-12)
+
+
+@pytest.mark.parametrize("temperature_k, bandwidth_hz", [(1e300, 1e300), (1e-300, 1e-300)])
+def test_noise_power_out_of_range_is_domain_error(temperature_k, bandwidth_hz):
+    cfg = LinkBudgetConfig(temperature_k=temperature_k, bandwidth_hz=bandwidth_hz)
+    with pytest.raises(DomainError, match="noise power"):
+        noise_floor_dbm(cfg)
+    with pytest.raises(DomainError, match="noise power"):
+        max_allowable_pathloss_db(cfg)

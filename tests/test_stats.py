@@ -1,4 +1,4 @@
-"""Shared statistics helpers: t quantiles and aligned histograms."""
+"""Shared statistics helpers: t quantiles, aligned histograms, KS gaps, quantiles."""
 
 import math
 
@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 from scipy import stats as sps
 
+from portcanyon import vehicle
 from portcanyon.errors import DomainError
-from portcanyon.stats import MAX_HISTOGRAM_BINS, aligned_histograms, t_quantile
+from portcanyon.stats import (
+    MAX_HISTOGRAM_BINS,
+    aligned_histograms,
+    empirical_cdf,
+    gaussian_cdf,
+    ks_gap,
+    sorted_ks_gap,
+    t_quantile,
+)
 
 
 class TestTQuantile:
@@ -68,3 +77,20 @@ class TestAlignedHistograms:
     def test_bad_width_is_domain_error(self, width):
         with pytest.raises(DomainError, match="bin width"):
             aligned_histograms(np.zeros((2, 2)), width)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.5, 6.91])
+def test_sorted_ks_gap_equals_ks_gap_bit_for_bit(sigma):
+    rng = np.random.default_rng(3)
+    samples = np.round(rng.normal(1.13, 6.91, 5000), 1)  # ties included
+    values = np.sort(samples)
+    reference = gaussian_cdf(values, 1.13, sigma)
+    assert sorted_ks_gap(reference) == ks_gap(samples, 1.13, sigma)
+    report = vehicle.delta_cdf_report(samples)
+    assert report.sup_gap == ks_gap(samples, report.fit.mu_db, report.fit.sigma_db)
+
+
+@pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])
+def test_quantile_outside_unit_interval_is_domain_error(p):
+    with pytest.raises(DomainError, match="p must be in"):
+        empirical_cdf([1.0, 2.0, 3.0]).quantile(p)
