@@ -339,7 +339,7 @@ def gain_cdfs(scans, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]:
     bearings = []
     for tx, x, y in zip(scans.tx.tolist(), scans.x.tolist(), scans.y.tolist()):
         if tx not in tx_positions:
-            raise KeyError(f"no position known for transmitter {tx!r}")
+            raise DomainError(f"no position known for transmitter {tx!r}")
         bearings.append(tx_bearing(tx_positions[tx], (x, y)))
     bearings = np.array(bearings)
     pooled = []

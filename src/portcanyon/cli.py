@@ -16,6 +16,7 @@ import os
 import sys
 from collections import defaultdict
 from dataclasses import fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,80 +34,82 @@ EXIT_DOMAIN = 4
 _DATA_CATEGORIES = {"ingest", "grid", "pairing", "data"}
 
 
+class Report(NamedTuple):
+    """What a command computed, for `main` to emit: the tables as (path, header,
+    columns), the stdout lines, and the input hash the tables' provenance names."""
+
+    tables: list
+    lines: list
+    input_hash: str | None = None
+
+
 def _baseline(scans):
     return scans[scans.vehicle_state == angular.VehicleState.ABSENT.value]
 
 
-def _write_angle_stats(out_dir, prefix, key, mean_name, angles_deg, mean, edges, counts,
-                       input_hash) -> None:
+def _angle_stats_tables(out_dir, prefix, key, mean_name, angles_deg, mean, edges, counts):
     """The per-angle mean table, and the histogram table with one row per
     (angle, bin): the angle, the bin's edges and its count."""
-    dataio.write_table(
-        os.path.join(out_dir, f"{prefix}_mean_{key}.csv"), ("angle_deg", mean_name),
-        (angles_deg, mean), input_hash=input_hash,
-    )
     n_angles, n_bins = counts.shape
-    dataio.write_table(
-        os.path.join(out_dir, f"{prefix}_hist_{key}.csv"),
-        ("angle_deg", "bin_lo_db", "bin_hi_db", "count"),
-        (np.repeat(angles_deg, n_bins), np.tile(edges[:-1], n_angles),
-         np.tile(edges[1:], n_angles), counts.ravel()),
-        input_hash=input_hash,
-    )
+    return [
+        (os.path.join(out_dir, f"{prefix}_mean_{key}.csv"), ("angle_deg", mean_name),
+         (angles_deg, mean)),
+        (os.path.join(out_dir, f"{prefix}_hist_{key}.csv"),
+         ("angle_deg", "bin_lo_db", "bin_hi_db", "count"),
+         (np.repeat(angles_deg, n_bins), np.tile(edges[:-1], n_angles),
+          np.tile(edges[1:], n_angles), counts.ravel())),
+    ]
 
 
 # ----------------------------------------------------------------- synth ---
 
-def _cmd_synth(args, cfg: ToolConfig) -> int:
+def _cmd_synth(args, cfg: ToolConfig) -> Report:
     scfg = cfg.synth_config()
     layout = synth.build_layout(args.layout, rx_height_m=cfg.rx_height_m)
     scans = synth.generate_campaign(layout, scfg, vehicle_mode=args.vehicle_mode)
     dataio.write_scans(args.out, scans, seed=scfg.seed)
     rows = sum(s.angles.size for s in scans)
-    print(f"synth: wrote {len(scans)} scans ({rows} rows) to {args.out}")
-    print(f"synth: layout={args.layout} seed={scfg.seed} vehicle_mode={args.vehicle_mode}")
-    return EXIT_OK
+    return Report([], [
+        f"synth: wrote {len(scans)} scans ({rows} rows) to {args.out}",
+        f"synth: layout={args.layout} seed={scfg.seed} vehicle_mode={args.vehicle_mode}",
+    ])
 
 
 # --------------------------------------------------------------- angular ---
 
-def _cmd_angular(args, cfg: ToolConfig) -> int:
+def _cmd_angular(args, cfg: ToolConfig) -> Report:
     scans = _baseline(dataio.ingest(args.input))
     if not len(scans):
         raise IngestError("dataset has no baseline (vehicle absent) scans")
-    input_hash = scans.sha256
 
     by_tx = defaultdict(list)
     for i, tx_id in enumerate(scans.tx.tolist()):
         by_tx[tx_id].append(i)
     positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in by_tx}
-    # Every table is computed before any is written, so an error leaves none.
-    tx_stats = {tx_id: angular.ensemble_stats(scans[index], db_bin_width=cfg.histogram_bin_db)
-                for tx_id, index in by_tx.items()}
+    tables = []
+    for tx_id, index in by_tx.items():
+        stats = angular.ensemble_stats(scans[index], db_bin_width=cfg.histogram_bin_db)
+        tables += _angle_stats_tables(args.out_dir, "angular", tx_id, "mean_db",
+                                      np.degrees(stats.angles), stats.mean_db,
+                                      stats.bin_edges_db, stats.counts)
     cdf_all, cdf_tx = angular.gain_cdfs(scans, positions)
     az_cdf = empirical_cdf(angular.azimuth_gain(scans))
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    for tx_id, stats in tx_stats.items():
-        _write_angle_stats(args.out_dir, "angular", tx_id, "mean_db", np.degrees(stats.angles),
-                           stats.mean_db, stats.bin_edges_db, stats.counts, input_hash)
     for name, value_name, cdf in (
         ("gain_cdf_all_directions", "normalized_gain_db", cdf_all),
         ("gain_cdf_tx_direction", "normalized_gain_db", cdf_tx),
         ("azimuth_gain_cdf", "azimuth_gain_db", az_cdf),
     ):
-        dataio.write_table(
-            os.path.join(args.out_dir, f"{name}.csv"), (value_name, "probability"),
-            (cdf.values, cdf.probs), input_hash=input_hash,
-        )
-    print(f"angular: {len(scans)} scans, {len(by_tx)} transmitters -> {args.out_dir}")
-    print(f"angular: median azimuth gain {az_cdf.median():.2f} dB over {az_cdf.n} scans")
-    return EXIT_OK
+        tables.append((os.path.join(args.out_dir, f"{name}.csv"), (value_name, "probability"),
+                       (cdf.values, cdf.probs)))
+    return Report(tables, [
+        f"angular: {len(scans)} scans, {len(by_tx)} transmitters -> {args.out_dir}",
+        f"angular: median azimuth gain {az_cdf.median():.2f} dB over {az_cdf.n} scans",
+    ], scans.sha256)
 
 
 # --------------------------------------------------------------- spatial ---
 
-def _cmd_spatial(args, cfg: ToolConfig) -> int:
+def _cmd_spatial(args, cfg: ToolConfig) -> Report:
     if args.x_count < 2:
         raise ConfigError(f"--x-count must be >= 2, got {args.x_count}")
     if not math.isfinite(args.x_start):
@@ -139,23 +142,21 @@ def _cmd_spatial(args, cfg: ToolConfig) -> int:
                           f"{wanted[-1]:g} step {args.x_step:g})")
 
     lag_m, corr = spatialcorr.averaged_correlation(lines)
-    dataio.write_table(args.out, ("lag_m", "correlation"), (np.round(lag_m, 9), corr),
-                       input_hash=scans.sha256)
-    print(f"spatial: averaged {len(lines)} dense lines -> {args.out}")
-    print(f"spatial: correlation at first lag ({lag_m[1]:.1f} m) = {corr[1]:+.3f}")
-    return EXIT_OK
+    return Report([(args.out, ("lag_m", "correlation"), (np.round(lag_m, 9), corr))], [
+        f"spatial: averaged {len(lines)} dense lines -> {args.out}",
+        f"spatial: correlation at first lag ({lag_m[1]:.1f} m) = {corr[1]:+.3f}",
+    ], scans.sha256)
 
 
 # --------------------------------------------------------------- vehicle ---
 
-def _cmd_vehicle(args, cfg: ToolConfig) -> int:
+def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     scans = dataio.ingest(args.input)
     keys = list(zip(*(getattr(scans, name).tolist() for name in ("tx", "x", "y", "stacking"))))
     base_at = {keys[i]: i for i in np.flatnonzero(
         scans.vehicle_state == angular.VehicleState.ABSENT.value).tolist()}
 
-    # Both positions are computed before anything is written or printed.
-    results = []
+    tables, lines, fits = [], [], []
     for label in (angular.VehicleState.POSITION1.value, angular.VehicleState.POSITION2.value):
         which = np.flatnonzero(scans.vehicle_state == label)
         if not which.size:
@@ -169,34 +170,27 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> int:
             raise IngestError(f"no baseline scan for vehicle scan at "
                               f"{(tx_id, x, y, angular.Stacking(stacking))}; cannot pair")
         matrix = vehicle.vehicle_delta(scans[base], with_vehicle)
-        results.append((label, grid, vehicle.delta_cdf_report(matrix.ravel()),
-                        vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)))
-    if not results:
+        cdf = vehicle.delta_cdf_report(matrix.ravel())
+        stats = vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)
+        tables.append((os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
+                       ("delta_db", "empirical_cdf", "gaussian_cdf"),
+                       (cdf.values_db, cdf.empirical, cdf.gaussian)))
+        tables += _angle_stats_tables(args.out_dir, "vehicle_delta", label, "mean_delta_db",
+                                      np.degrees(grid), *stats)
+        lines.append(f"vehicle[{label}]: mu={cdf.fit.mu_db:+.2f} dB sigma={cdf.fit.sigma_db:.2f}"
+                     f" dB over {cdf.fit.sample_count} deltas (CDF sup-gap {cdf.sup_gap:.4f})")
+        fits.append((label, cdf.fit.mu_db, cdf.fit.sigma_db, cdf.fit.sample_count, cdf.sup_gap))
+    if not fits:
         raise IngestError("dataset has no vehicle scans")
-
-    os.makedirs(args.out_dir, exist_ok=True)
-    for label, grid, report, (mean_db, edges, counts) in results:
-        dataio.write_table(os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
-                           ("delta_db", "empirical_cdf", "gaussian_cdf"),
-                           (report.values_db, report.empirical, report.gaussian),
-                           input_hash=scans.sha256)
-        _write_angle_stats(args.out_dir, "vehicle_delta", label, "mean_delta_db",
-                           np.degrees(grid), mean_db, edges, counts, scans.sha256)
-        print(f"vehicle[{label}]: mu={report.fit.mu_db:+.2f} dB sigma={report.fit.sigma_db:.2f}"
-              f" dB over {report.fit.sample_count} deltas (CDF sup-gap {report.sup_gap:.4f})")
-    dataio.write_table(
-        os.path.join(args.out_dir, "vehicle_fit_params.csv"),
-        ("vehicle_position", "mu_db", "sigma_db", "sample_count", "cdf_sup_gap"),
-        list(zip(*[(label, report.fit.mu_db, report.fit.sigma_db, report.fit.sample_count,
-                    report.sup_gap) for label, _, report, _ in results])),
-        input_hash=scans.sha256,
-    )
-    return EXIT_OK
+    tables.append((os.path.join(args.out_dir, "vehicle_fit_params.csv"),
+                   ("vehicle_position", "mu_db", "sigma_db", "sample_count", "cdf_sup_gap"),
+                   list(zip(*fits))))
+    return Report(tables, lines, scans.sha256)
 
 
 # ------------------------------------------------------------------- fit ---
 
-def _cmd_fit(args, cfg: ToolConfig) -> int:
+def _cmd_fit(args, cfg: ToolConfig) -> Report:
     scans = _baseline(dataio.ingest(args.input))
     if not len(scans):
         raise IngestError("dataset has no baseline (vehicle absent) scans")
@@ -214,7 +208,7 @@ def _cmd_fit(args, cfg: ToolConfig) -> int:
     if len(groups) > 1:
         groups.append(("aggregated", [s for _, ss in groups for s in ss]))
 
-    rows = []
+    rows, lines = [], []
     for label, samples in groups:
         try:
             fit = (fit_loglinear(samples) if args.fixed_slope is None
@@ -222,25 +216,23 @@ def _cmd_fit(args, cfg: ToolConfig) -> int:
         except DegenerateFitError as exc:
             raise DegenerateFitError(f"group {label!r}: {exc}") from exc
         rows.append((label, fit.n, fit.ci_n, fit.r0_db, fit.ci_r0, fit.rmse_db, fit.sample_count))
-        print(
+        lines.append(
             f"fit[{label}]: n = {fit.n:+.3f} +/- {fit.ci_n:.3f}, "
             f"R0 = {fit.r0_db:+.2f} +/- {fit.ci_r0:.2f} dB, "
             f"RMSE = {fit.rmse_db:.2f} dB ({fit.sample_count} samples)"
         )
-    dataio.write_table(
+    lines.append(f"fit: wrote {args.out}")
+    return Report([(
         args.out,
         ("configuration", "n", "ci95_n", "r0_db", "ci95_r0_db", "rmse_db",
          "sample_count"),
         list(zip(*rows)),
-        input_hash=scans.sha256,
-    )
-    print(f"fit: wrote {args.out}")
-    return EXIT_OK
+    )], lines, scans.sha256)
 
 
 # -------------------------------------------------------------- coverage ---
 
-def _cmd_coverage(args, cfg: ToolConfig) -> int:
+def _cmd_coverage(args, cfg: ToolConfig) -> Report:
     lb = cfg.linkbudget_config()
     floor = linkbudget.noise_floor_dbm(lb)
     eirp = linkbudget.eirp_dbm(lb)
@@ -268,40 +260,36 @@ def _cmd_coverage(args, cfg: ToolConfig) -> int:
         f"throughput note:         {2 * lb.spectral_efficiency_bps_hz:g} bit/s/Hz "
         f"dual-pol -> {throughput_gbps:.1f} Gbps in {lb.bandwidth_hz / 1e6:g} MHz",
     ]
-    text = "\n".join(lines) + "\n"
-    print(text, end="")
-    if args.out:
-        dataio.write_table(
-            args.out,
-            ("quantity", "value", "unit"),
-            list(zip(*[
-                ("eirp", eirp, "dBm"),
-                ("noise_floor", floor, "dBm"),
-                ("required_snr", lb.required_snr_db, "dB"),
-                ("shadow_margin", lb.shadow_margin_db, "dB"),
-                ("max_allowable_pathloss", mapl, "dB"),
-                ("fit_n", fit.n, ""),
-                ("fit_r0", fit.r0_db, "dB"),
-                ("coverage_range", range_m, "m"),
-                ("dual_pol_throughput", throughput_gbps, "Gbps"),
-            ])),
-        )
-        print(f"coverage: wrote {args.out}")
-    return EXIT_OK
+    if not args.out:
+        return Report([], lines)
+    return Report([(
+        args.out,
+        ("quantity", "value", "unit"),
+        list(zip(*[
+            ("eirp", eirp, "dBm"),
+            ("noise_floor", floor, "dBm"),
+            ("required_snr", lb.required_snr_db, "dB"),
+            ("shadow_margin", lb.shadow_margin_db, "dB"),
+            ("max_allowable_pathloss", mapl, "dB"),
+            ("fit_n", fit.n, ""),
+            ("fit_r0", fit.r0_db, "dB"),
+            ("coverage_range", range_m, "m"),
+            ("dual_pol_throughput", throughput_gbps, "Gbps"),
+        ])),
+    )], lines + [f"coverage: wrote {args.out}"])
 
 
 # -------------------------------------------------------------- geometry ---
 
-def _cmd_geometry(args, cfg: ToolConfig) -> int:
+def _cmd_geometry(args, cfg: ToolConfig) -> Report:
     geom = geometry.CanyonGeometry(
         h=args.height, d=args.width, D=args.distance,
         h_prime=args.rx_depth, psi=cfg.psi_rad,
     )
-    # All values first: a domain error (say, 0 power in dB) leaves stdout empty.
     phi1, phi2, theta = geometry.elevation_angles(geom)
     p_exact = geometry.received_power_exact(geom)
     p_approx = geometry.received_power_approx(geom)
-    print("\n".join([
+    return Report([], [
         "canyon model evaluation",
         "-----------------------",
         f"phi1 / phi2 / theta:      {math.degrees(phi1):.3f} / "
@@ -314,8 +302,7 @@ def _cmd_geometry(args, cfg: ToolConfig) -> int:
         f"{angular.to_db(p_exact):+.2f} dB + const",
         f"received power (approx):  {p_approx:.6e} (prop.) = "
         f"{angular.to_db(p_approx):+.2f} dB + const",
-    ]))
-    return EXIT_OK
+    ])
 
 
 # ------------------------------------------------------------ entry point --
@@ -416,7 +403,13 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_overrides(args, cfg)
-        return args.func(args, cfg)
+        # The command computes everything first, so a failing one leaves no
+        # out-dir, table or stdout behind.
+        report = args.func(args, cfg)
+        if getattr(args, "out_dir", None):
+            os.makedirs(args.out_dir, exist_ok=True)
+        for path, header, columns in report.tables:
+            dataio.write_table(path, header, columns, input_hash=report.input_hash)
     except ToolkitError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):
@@ -427,6 +420,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EXIT_DATA
+    for line in report.lines:
+        print(line)
+    return EXIT_OK
 
 
 if __name__ == "__main__":

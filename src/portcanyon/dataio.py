@@ -65,9 +65,12 @@ def file_sha256(path) -> str:
 
 
 def _atomic_write_text(path, chunks) -> None:
+    """Write chunks to path through a temporary file in its directory; an
+    OSError names path, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
         # mkstemp creates 0600; give the file the mode open() would have.
         umask = os.umask(0)
         os.umask(umask)
@@ -75,9 +78,11 @@ def _atomic_write_text(path, chunks) -> None:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -90,9 +95,9 @@ def _scan_text(scan: AngularScan) -> str:
     return "".join([prefix + phi + "," + gain + suffix for phi, gain in zip(phi_deg, gain_db)])
 
 
-def write_scans(path, scans, seed=None, input_hash=None) -> None:
+def write_scans(path, scans, seed=None) -> None:
     """Write scans to the canonical CSV, atomically and deterministically."""
-    head = provenance_line(seed=seed, input_hash=input_hash) + "\n" + CANONICAL_HEADER + "\n"
+    head = provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n"
     _atomic_write_text(path, itertools.chain([head], map(_scan_text, scans)))
 
 
@@ -348,7 +353,7 @@ def _lines(columns) -> str:
 _CHUNK_ROWS = 1 << 14  # rows formatted per write: a few MB of text at most
 
 
-def write_table(path, header, columns, seed=None, input_hash=None) -> None:
+def write_table(path, header, columns, input_hash=None) -> None:
     """Write a plot-ready CSV table with the provenance comment and header.
 
     `columns` holds one sequence per header field, all of one length.
@@ -357,7 +362,7 @@ def write_table(path, header, columns, seed=None, input_hash=None) -> None:
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
 
     def chunks():
-        yield provenance_line(seed=seed, input_hash=input_hash) + "\n"
+        yield provenance_line(input_hash=input_hash) + "\n"
         yield _lines([[name] for name in header])
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             yield _lines([col[start:start + _CHUNK_ROWS] for col in columns])

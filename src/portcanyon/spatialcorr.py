@@ -124,7 +124,9 @@ def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
     Every line contributes the mean of its per-angle normalized curves
     (rectangle rule over the uniform angle grid); lines are then averaged
     with equal weight.  Both reductions are plain means, so the order does
-    not matter.
+    not matter.  On lines of 12 or more positions the result equals that mean
+    of `autocorrelation` curves bit for bit; on shorter lines it agrees to
+    within an ulp or so.
 
     Returns:
         (lag_m, correlation): lag axis in metres and the averaged curve.
@@ -139,8 +141,11 @@ def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
             raise DomainError("all lines must share position count and spacing")
 
     # Each angle count is one (lines, angles, positions) array.  A 1xm @ mx1
-    # matmul sums like np.correlate in `autocorrelation`, so the curves match
-    # it bit for bit; einsum and sum(axis) differ in the last bits.
+    # matmul sums like np.correlate in `autocorrelation` once the line has 12
+    # or more positions (the CLI's lines have 15), so there the curves match
+    # it bit for bit; on shorter lines np.correlate sums in another order and
+    # the curves differ by about an ulp.  einsum and sum(axis) differ in the
+    # last bits.
     per_line = np.empty((len(lines), n_pos))
     for size in {line.angles.size for line in lines}:
         group = [i for i, line in enumerate(lines) if line.angles.size == size]

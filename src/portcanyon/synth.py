@@ -33,7 +33,7 @@ from .stats import EmpiricalCdf, empirical_cdf
 __all__ = [
     "TxSpec", "CampaignLayout", "HornPattern", "SynthConfig", "build_layout",
     "geometry_for", "mean_gain_at", "generate_scan", "add_vehicle_offset",
-    "fullspread_gain_distribution", "generate_campaign", "tx_position",
+    "fullspread_gain_distribution", "generate_campaign", "tx_position", "MAX_N_ANGLES",
 ]
 
 CANYON_LENGTH_M = 36.0
@@ -65,6 +65,10 @@ COARSE_X_STEP_NONUNIFORM_M = 2.0
 _STREAM_SCAN = 0
 _STREAM_VEHICLE = 1
 _STREAM_FULLSPREAD = 2
+
+# Azimuth samples per rotation, at most 0.01 deg steps: each scan's arrays
+# then stay under 300 kB, as `MAX_HISTOGRAM_BINS` bounds a histogram.
+MAX_N_ANGLES = 36_000
 
 _VEHICLE_CODE = {VehicleState.POSITION1: 1, VehicleState.POSITION2: 2}
 
@@ -98,7 +102,10 @@ class HornPattern:
         """Normalized pattern at an offset from boresight (rad, wrapped)."""
         offset = np.mod(np.asarray(offset_rad, dtype=float) + math.pi, 2.0 * math.pi) - math.pi
         hpbw = math.radians(self.hpbw_deg)
-        return np.exp(-4.0 * math.log(2.0) * (offset / hpbw) ** 2)
+        # A tiny HPBW squares offset/hpbw to inf; exp(-inf) = 0 is the exact
+        # limit, so numpy's overflow warning would report no error.
+        with np.errstate(over="ignore"):
+            return np.exp(-4.0 * math.log(2.0) * (offset / hpbw) ** 2)
 
     def kernel(self, n_angles: int) -> np.ndarray:
         """Unit-sum circular smoothing kernel on an n-point uniform grid."""
@@ -126,6 +133,8 @@ class SynthConfig:
             raise DomainError(f"seed must be >= 0, got {self.seed}")
         if self.n_angles < 8:
             raise DomainError(f"need at least 8 angles, got {self.n_angles}")
+        if self.n_angles > MAX_N_ANGLES:
+            raise DomainError(f"at most {MAX_N_ANGLES} angles, got {self.n_angles}")
         if self.n_realizations < 1:
             raise DomainError("n_realizations must be >= 1")
         if self.vehicle_sigma_db < 0.0:

@@ -239,8 +239,8 @@ class TestGainCdfs:
         assert cdf_tx.n == len(scans)
         assert cdf_all.n == 16 * len(scans)
 
-    def test_missing_tx_position_is_lookup_error(self):
-        with pytest.raises(KeyError):
+    def test_missing_tx_position_is_domain_error(self):
+        with pytest.raises(DomainError, match="'TX9'"):
             gain_cdfs([make_scan(np.ones(8), tx="TX9")], self.POSITIONS)
 
     def test_probabilities_reach_one(self):

@@ -722,3 +722,74 @@ class TestScanSetPipeline:
         assert main(["fit", "--input", str(data), "--out", str(out)]) == 0
         first = out.read_text().splitlines()[0]
         assert first.endswith(f"input_sha256={hashlib.sha256(text).hexdigest()}")
+
+
+def _failing_case(tmp_path, command):
+    """argv and exit code of a run of command that fails after part of its
+    work; every table path lies in tmp_path / "out"."""
+    out = tmp_path / "out"
+    if command == "angular":
+        # TX1_63 is computed first; TX2's 28 dB span needs too many 0.001 dB bins.
+        flat = [AngularScan(tx="TX1_63", x=x, y=3.5, angles=GRID,
+                            gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
+        spread = [AngularScan(tx="TX2", x=x, y=3.5, angles=GRID,
+                              gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
+                  for x in (1.0, 5.0)]
+        return ["angular", "--input", _write_scans(tmp_path, flat + spread),
+                "--out-dir", str(out), "--bin-db", "0.001"], 4
+    if command == "spatial":
+        data = _write_scans(tmp_path, _line_scans([13.5 + 0.1 * k for k in range(14)]))
+        return ["spatial", "--input", data, "--out", str(out / "corr.csv")], 3
+    if command == "vehicle":
+        # position1 pairs; the position2 scan has no baseline.
+        base = _line_scans((1.0, 5.0, 9.0))
+        data = _write_scans(tmp_path, base + _moved(base, "position1")
+                            + _line_scans((13.0,), vehicle_state="position2"))
+        return ["vehicle", "--input", data, "--out-dir", str(out)], 3
+    if command == "fit":
+        # 'nonuniform' fits; the later 'uniform' group has one distance.
+        data = _write_scans(tmp_path, _line_scans((1.0, 5.0, 9.0), stacking="nonuniform")
+                            + _line_scans((1.0,), stacking="uniform"))
+        return ["fit", "--input", data, "--out", str(out / "fit.csv")], 4
+    if command == "coverage":
+        return ["coverage", "--out", str(out / "missing" / "c.csv")], 3
+    return ["geometry", "--height", "17.4", "--width", "0", "--distance", "63",
+            "--rx-depth", "5"], 4
+
+
+@pytest.mark.parametrize("command", ["angular", "spatial", "vehicle", "fit", "coverage",
+                                     "geometry"])
+def test_failing_command_writes_and_prints_nothing(tmp_path, capsys, command):
+    argv, code = _failing_case(tmp_path, command)
+    if "--out" in argv:
+        (tmp_path / "out").mkdir()
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == code
+    assert captured.err.startswith("error[")
+    assert captured.out == ""
+    assert not (tmp_path / "out").exists() or not list((tmp_path / "out").iterdir())
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_io_error_names_the_output_path(tmp_path, capsys):
+    out = tmp_path / "nodir" / "c.csv"
+    rc = main(["coverage", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error[io]: ")
+    assert str(out) in captured.err
+    assert ".tmp" not in captured.err
+    assert captured.out == ""
+
+
+def test_tiny_beamwidth_synth_is_silent(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "portcanyon.cli", "synth", "--layout", "nonuniform",
+         "--out", str(tmp_path / "d.csv"), "--hpbw-deg", "1e-300", "--n-angles", "8"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
+    assert done.stdout.startswith("synth: wrote ")

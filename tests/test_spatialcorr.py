@@ -221,6 +221,22 @@ class TestAveragedCorrelation:
         _, avg = averaged_correlation(lines)
         assert avg.tobytes() == reference.tobytes()
 
+    @pytest.mark.parametrize("n_pos", [3, 4])
+    def test_short_lines_equal_the_per_angle_loop_to_an_ulp(self, n_pos):
+        # np.correlate sums short lines in another order than the matmul,
+        # so only the 15-position case above is bit for bit.
+        rng = np.random.default_rng(10)
+        positions = 13.5 + 0.1 * np.arange(n_pos)
+        for _ in range(50):
+            gains = rng.exponential(1e-6, size=(n_pos, N_ANGLES))
+            line = DenseLine(positions=positions, scans=tuple(
+                AngularScan(tx="TX2", x=float(x), y=3.5, angles=GRID, gains=gains[i])
+                for i, x in enumerate(positions)))
+            reference = np.stack([autocorrelation(line, phi).values for phi in GRID])
+            _, avg = averaged_correlation([line])
+            np.testing.assert_allclose(avg, reference.mean(axis=0), rtol=0,
+                                       atol=4 * np.finfo(float).eps)
+
     def test_requires_shared_lag_structure(self):
         rng = np.random.default_rng(8)
         a = self._random_line(rng)

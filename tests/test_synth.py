@@ -13,6 +13,7 @@ from portcanyon.angular import (
     azimuth_gain,
     circular_mean_gain,
 )
+from portcanyon.config import load_config
 from portcanyon.errors import DomainError
 from portcanyon.geometry import CanyonGeometry, received_power_approx
 from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
@@ -320,3 +321,19 @@ class TestCampaign:
 def test_vehicle_mode_all_is_unknown():
     with pytest.raises(DomainError, match="unknown vehicle_mode 'all'"):
         generate_campaign(build_layout("uniform"), CFG, vehicle_mode="all")
+
+
+@pytest.mark.parametrize("n_angles", [synth.MAX_N_ANGLES + 1, 100_000_000])
+def test_n_angles_is_bounded(tmp_path, n_angles):
+    # Checked where the config becomes a SynthConfig: nothing is allocated.
+    ini = tmp_path / "big.ini"
+    ini.write_text(f"[synth]\nn_angles = {n_angles}\n", encoding="utf-8")
+    cfg = load_config(str(ini))
+    with pytest.raises(DomainError, match=f"at most {synth.MAX_N_ANGLES} angles"):
+        cfg.synth_config()
+
+
+def test_n_angles_bound_admits_hundredth_degree_steps(tmp_path):
+    ini = tmp_path / "fine.ini"
+    ini.write_text("[synth]\nn_angles = 36000\n", encoding="utf-8")
+    assert load_config(str(ini)).synth_config().n_angles == synth.MAX_N_ANGLES
