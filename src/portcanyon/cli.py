@@ -11,6 +11,7 @@ table carries a '#' provenance line (tool version, seed, input hash).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -391,9 +392,60 @@ def _apply_overrides(args, cfg: ToolConfig) -> None:
             setattr(cfg, f.name, value)
 
 
+def _write_tables(report: Report, out_dir) -> None:
+    """Create out_dir (if given) and write the report's tables; if a write
+    fails, remove the tables written so far and the directories this call
+    made, then re-raise."""
+    made = []  # the directories of out_dir that do not exist yet, deepest first
+    if out_dir:
+        path = os.path.abspath(out_dir)
+        while not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
+    written = []
+    try:
+        if out_dir:
+            os.makedirs(out_dir, exist_ok=True)
+        for path, header, columns in report.tables:
+            dataio.write_table(path, header, columns, input_hash=report.input_hash)
+            written.append(path)
+    except BaseException:
+        for remove, paths in ((os.unlink, written), (os.rmdir, made)):
+            for path in paths:
+                with contextlib.suppress(OSError):
+                    remove(path)
+        raise
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def bind_option_values(argv):
+    """argv with each value that starts with '-' and that float() accepts
+    joined to the --option before it, as --option=value.
+
+    argparse reads only -N and -N.N as negative numbers; it takes -1e-300,
+    -4E2 or -inf for an option and reports "expected one argument".  Joined,
+    such a value binds the same way after a space as after '='.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and "=" not in out[-1] and out[-1] != "--"
+                and token.startswith("-") and _is_float(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(bind_option_values(sys.argv[1:] if argv is None else argv))
     if args.print_default_config:
         print(DEFAULT_INI, end="")
         return EXIT_OK
@@ -403,13 +455,10 @@ def main(argv=None) -> int:
     try:
         cfg = load_config(args.config)
         _apply_overrides(args, cfg)
-        # The command computes everything first, so a failing one leaves no
-        # out-dir, table or stdout behind.
+        # The command computes everything first and a failed write is rolled
+        # back, so a failing run leaves no out-dir, table or stdout behind.
         report = args.func(args, cfg)
-        if getattr(args, "out_dir", None):
-            os.makedirs(args.out_dir, exist_ok=True)
-        for path, header, columns in report.tables:
-            dataio.write_table(path, header, columns, input_hash=report.input_hash)
+        _write_tables(report, getattr(args, "out_dir", None))
     except ToolkitError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
         if isinstance(exc, ConfigError):

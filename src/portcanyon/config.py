@@ -5,7 +5,8 @@ reference comment are field metadata, and the generator and link-budget
 defaults are those of `SynthConfig`, `CampaignLayout` and `LinkBudgetConfig`.
 The key check, the value parsers, the reference file `DEFAULT_INI` and the CLI
 overrides are derived from the fields.  Flags override file values, file
-values override the defaults.
+values override the defaults.  `load_config` range-checks every key of a file
+at once; a flag's value is checked where it is used.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import configparser
 from dataclasses import dataclass, field, fields
 
 from .errors import ConfigError
-from .linkbudget import LinkBudgetConfig
-from .synth import CampaignLayout, SynthConfig
+from .linkbudget import LinkBudgetConfig, noise_floor_dbm
+from .stats import check_bin_width
+from .synth import CampaignLayout, SynthConfig, build_layout
 
 __all__ = ["ToolConfig", "DEFAULT_INI", "load_config"]
 
@@ -75,6 +77,14 @@ class ToolConfig:
     def linkbudget_config(self) -> LinkBudgetConfig:
         return self._build(LinkBudgetConfig)
 
+    def check(self) -> None:
+        """Range-check every key with the check of the code that uses it, so
+        that a file gets one verdict whatever the command (a DomainError)."""
+        self.synth_config()
+        noise_floor_dbm(self.linkbudget_config())
+        build_layout("uniform", rx_height_m=self.rx_height_m)
+        check_bin_width(self.histogram_bin_db)
+
 
 def _render() -> str:
     lines = ["# portcanyon configuration file (INI). Every key is optional; the values",
@@ -117,4 +127,5 @@ def load_config(path=None) -> ToolConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {exc}") from exc
             setattr(cfg, key, value)
+    cfg.check()
     return cfg

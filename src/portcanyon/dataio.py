@@ -19,10 +19,22 @@ that vets the file.  A canonical file is parsed columnar: one C-level
 value, an unknown token, a duplicate angle, quotes, CR line ends, non-ASCII
 bytes, a comment row among the data) is re-read row by row, and that row
 loop is the only source of the line-numbered errors.
+
+`ingest` keeps the ScanSet it parsed in a sidecar beside the input,
+`<input>.scanset.npz`, so the next read of the same content skips the parse.
+It is written atomically (umask mode) only after an ingest succeeds; a
+directory that refuses the write just leaves no sidecar.  It is trusted only
+if its format version and stored input sha256 match, every member has the
+expected name, dtype and shape, no larger than the input, and reads whole
+(zipfile checks each CRC-32); the matrices are then checked again.
+Anything else, an I/O error included, is a miss: the file is parsed and the
+sidecar rewritten.  So a sidecar never changes a result, and deleting it is
+always safe.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import itertools
@@ -39,8 +51,8 @@ from .angular import AngularScan, ScanBlock, ScanSet, Stacking, VehicleState, fi
 from .errors import IngestError
 
 __all__ = [
-    "CANONICAL_HEADER", "write_scans", "ingest", "write_table", "provenance_line",
-    "file_sha256",
+    "CANONICAL_HEADER", "SIDECAR_SUFFIX", "write_scans", "ingest", "write_table",
+    "provenance_line", "file_sha256",
 ]
 
 CANONICAL_FIELDS = ("tx_id", "x_m", "y_m", "phi_deg", "gain_db", "vehicle_state", "stacking")
@@ -56,17 +68,24 @@ def provenance_line(seed=None, input_hash=None) -> str:
     return f"# portcanyon {__version__}; seed={seed_txt}; input_sha256={hash_txt}"
 
 
-def file_sha256(path) -> str:
-    digest = hashlib.sha256()
+def _scan_bytes(path):
+    """The file's sha256, and whether every byte of it is a plain canonical
+    byte (`_PLAIN_BYTES`), from one chunked read."""
+    digest, plain = hashlib.sha256(), True
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-    return digest.hexdigest()
+            plain = plain and not chunk.translate(None, _PLAIN_BYTES)
+    return digest.hexdigest(), plain
 
 
-def _atomic_write_text(path, chunks) -> None:
-    """Write chunks to path through a temporary file in its directory; an
-    OSError names path, not the temporary file."""
+def file_sha256(path) -> str:
+    return _scan_bytes(path)[0]
+
+
+def _atomic_write(path, write) -> None:
+    """Call write(fh) on a binary temporary file in path's directory, then move
+    it to path; an OSError names path, not the temporary file."""
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
@@ -75,8 +94,8 @@ def _atomic_write_text(path, chunks) -> None:
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
+        with os.fdopen(fd, "wb") as fh:
+            write(fh)
         os.replace(tmp, path)
     except BaseException as exc:
         if tmp is not None and os.path.exists(tmp):
@@ -98,7 +117,8 @@ def _scan_text(scan: AngularScan) -> str:
 def write_scans(path, scans, seed=None) -> None:
     """Write scans to the canonical CSV, atomically and deterministically."""
     head = provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n"
-    _atomic_write_text(path, itertools.chain([head], map(_scan_text, scans)))
+    chunks = itertools.chain([head], map(_scan_text, scans))
+    _atomic_write(path, lambda fh: fh.writelines(map(str.encode, chunks)))
 
 
 def _parse_float(token: str, column: str, line_no: int) -> float:
@@ -143,7 +163,7 @@ def _csv_rows(fh):
         raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
 
 
-def _ingest_rows(path) -> ScanSet:
+def _ingest_rows(path, sha256=None) -> ScanSet:
     """Row-by-row reader: the reference semantics and every ingest error."""
     groups: dict[tuple, dict[float, float]] = defaultdict(dict)
     order: list[tuple] = []
@@ -194,7 +214,7 @@ def _ingest_rows(path) -> ScanSet:
     phis = [sorted(groups[key]) for key in order]
     gains = [groups[key][p] for key, key_phis in zip(order, phis) for p in key_phis]
     return _scan_set(order, list(map(len, phis)), np.array(list(itertools.chain(*phis))),
-                     np.array(gains), file_sha256(path))
+                     np.array(gains), sha256 or file_sha256(path))
 
 
 class _NotCanonical(Exception):
@@ -225,17 +245,10 @@ def _read_runs(path):
 
     Rows of one scan are contiguous in a canonical file, so the key fields
     are validated once per run of equal keys.  Returns the run keys, the
-    first row of each run, contiguous phi_deg and gain_db columns and the
-    file's sha256, taken in the byte scan; the wide parsed table is dropped
-    on return.
+    first row of each run and contiguous phi_deg and gain_db columns; the
+    wide parsed table is dropped on return.
     """
-    digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            if chunk.translate(None, _PLAIN_BYTES):
-                raise _NotCanonical
-            digest.update(chunk)
-        fh.seek(0)
         skip = 0
         while True:
             line = fh.readline()
@@ -280,19 +293,23 @@ def _read_runs(path):
         if key[3] not in _VEHICLE_TOKENS or key[4] not in _STACKING_TOKENS:
             raise _NotCanonical
         keys.append(key)
-    return keys, starts, phi, gain, digest.hexdigest()
+    return keys, starts, phi, gain
 
 
-def _ingest_columnar(path) -> ScanSet:
+def _ingest_columnar(path, scanned=None) -> ScanSet:
     """Columnar reader: the scans `_ingest_rows` would return, or `_NotCanonical`.
 
     Runs are grouped by first-seen key, as in the row loop, so -0.0 joins
     0.0 and a scan split across the file is rejoined; a duplicate angle, a
     bad token, a non-finite value or anything but a plain canonical table
     raises `_NotCanonical`.  Rows that already come one run per scan with
-    rising angles, as written, are not sorted.
+    rising angles, as written, are not sorted.  `scanned` is the file's
+    `_scan_bytes`, if already taken.
     """
-    keys, starts, phi, gain, sha256 = _read_runs(path)
+    sha256, plain = scanned or _scan_bytes(path)
+    if not plain:
+        raise _NotCanonical
+    keys, starts, phi, gain = _read_runs(path)
     group_ids: dict[tuple, int] = {}
     run_group = [group_ids.setdefault(key, len(group_ids)) for key in keys]
     sizes = np.diff(starts, append=phi.size)
@@ -311,6 +328,85 @@ def _ingest_columnar(path) -> ScanSet:
     return _scan_set(list(group_ids), sizes, phi, gain, sha256)
 
 
+SIDECAR_SUFFIX = ".scanset.npz"
+_SIDECAR_VERSION = 1
+_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _sidecar_members(scans: ScanSet):
+    """The sidecar's arrays by member name: each block's index, angles and gains
+    as members of their own, so writing copies nothing.  None if a text key
+    would not survive numpy's fixed-width strings (a trailing NUL)."""
+    members = {"version": np.array(_SIDECAR_VERSION, dtype=np.int64),
+               "sha256": np.array(scans.sha256),
+               "blocks": np.array([b.angles.shape for b in scans.blocks], dtype=np.int64)}
+    for key in ScanSet.KEYS:
+        column = getattr(scans, key)
+        if column.dtype == object:
+            column, text = column.astype(str), column
+            if not (column == text).all():
+                return None
+        members[key] = column
+    for b, block in enumerate(scans.blocks):
+        members.update({f"{name}{b}": arr for name, arr in zip(ScanBlock._fields, block)})
+    return members
+
+
+def _load_sidecar(path, sha256, limit):
+    """The ScanSet in the sidecar at path, if it holds the input of hash
+    sha256; None if it is missing or anything about it is off.  No member is
+    read unless its header has the expected dtype and shape and at most
+    limit (the input's size in) bytes."""
+    try:
+        with open(path, "rb") as fh:
+            # np.load would read a bare .npy whole, whatever shape it claims.
+            if fh.read(4) != b"PK\x03\x04":
+                return None
+            fh.seek(0)
+            with np.load(fh, allow_pickle=False) as npz:
+                def member(name, dtype, shape=None):
+                    with npz.zip.open(name + ".npy") as raw:
+                        header = _NPY_HEADERS[np.lib.format.read_magic(raw)](raw)
+                    got_shape, fortran, got = header
+                    if (fortran or not got.isnative or not got.str[1:].startswith(dtype)
+                            or shape not in (None, got_shape)
+                            or math.prod(got_shape) * got.itemsize > limit):
+                        raise ValueError(f"unexpected sidecar member {name}")
+                    return npz[name]  # read whole, so zipfile checks its CRC-32
+
+                if (member("version", "i8", ()) != _SIDECAR_VERSION
+                        or member("sha256", "U", ()) != sha256):
+                    return None
+                sizes = member("blocks", "i8").reshape(-1, 2).tolist()
+                names = {"version", "sha256", "blocks", *ScanSet.KEYS}
+                names.update(f"{name}{b}" for b in range(len(sizes)) for name in ScanBlock._fields)
+                if set(npz.files) != names:
+                    return None
+                n = sum(rows for rows, _ in sizes)
+                columns = [member(key, "f8" if key in ("x", "y") else "U", (n,))
+                           for key in ScanSet.KEYS]
+                blocks = [ScanBlock(member(f"index{b}", "i8", (rows,)),
+                                    member(f"angles{b}", "f8", (rows, k)),
+                                    member(f"gains{b}", "f8", (rows, k)))
+                          for b, (rows, k) in enumerate(sizes)]
+        if any(first_invalid(block.angles, block.gains) for block in blocks):
+            return None
+        return ScanSet([c.astype(object) if c.dtype.kind == "U" else c for c in columns],
+                       blocks, sha256)
+    except Exception:  # whatever the file holds, a sidecar that fails is a miss
+        return None
+
+
+def _save_sidecar(path, scans: ScanSet) -> None:
+    """Write scans' sidecar atomically, if it can hold them; a directory that
+    refuses the write leaves no sidecar and no error."""
+    members = _sidecar_members(scans)
+    if members is not None:
+        with contextlib.suppress(OSError):
+            _atomic_write(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
+
+
 def ingest(path) -> ScanSet:
     """Read and validate a canonical measurement CSV into a ScanSet.
 
@@ -320,11 +416,25 @@ def ingest(path) -> ScanSet:
     full rotation.  A plain canonical file is parsed columnar; anything the
     columnar checks cannot vouch for is re-read row by row, which is where
     every line-numbered error comes from.  The set's `sha256` is the file's.
+
+    The parsed set is kept in the sidecar `<path>.scanset.npz` and taken from
+    there while it holds the file's sha256 (see the module docstring).
     """
-    try:
-        return _ingest_columnar(path)
-    except _NotCanonical:
-        return _ingest_rows(path)
+    before = os.stat(path)
+    scanned = _scan_bytes(path)
+    sidecar = os.fspath(path) + SIDECAR_SUFFIX
+    scans = _load_sidecar(sidecar, scanned[0], before.st_size)
+    if scans is None:
+        try:
+            scans = _ingest_columnar(path, scanned)
+        except _NotCanonical:
+            scans = _ingest_rows(path, scanned[0])
+        after = os.stat(path)
+        # A file changed while it was read may not match its hash.
+        if (before.st_ino, before.st_size, before.st_mtime_ns) == (
+                after.st_ino, after.st_size, after.st_mtime_ns):
+            _save_sidecar(sidecar, scans)
+    return scans
 
 
 def _cell(value) -> str:
@@ -367,4 +477,4 @@ def write_table(path, header, columns, input_hash=None) -> None:
         for start in range(0, len(columns[0]), _CHUNK_ROWS):
             yield _lines([col[start:start + _CHUNK_ROWS] for col in columns])
 
-    _atomic_write_text(path, chunks())
+    _atomic_write(path, lambda fh: fh.writelines(map(str.encode, chunks())))

@@ -19,7 +19,7 @@ from .errors import DomainError, InsufficientDataError
 
 __all__ = [
     "EmpiricalCdf", "empirical_cdf", "gaussian_cdf", "ks_gap", "sorted_ks_gap",
-    "t_quantile", "aligned_histograms", "MAX_HISTOGRAM_BINS",
+    "t_quantile", "check_bin_width", "aligned_histograms", "MAX_HISTOGRAM_BINS",
 ]
 
 # Upper bound on the bins of one histogram: a tiny bin width over a wide dB
@@ -76,6 +76,12 @@ def t_quantile(p: float, df) -> float:
     return float(special.stdtrit(df, p))
 
 
+def check_bin_width(bin_width: float) -> None:
+    """Raise DomainError unless bin_width is a finite number > 0."""
+    if not (math.isfinite(bin_width) and bin_width > 0.0):
+        raise DomainError(f"bin width must be > 0, got {bin_width}")
+
+
 def aligned_histograms(samples, bin_width: float):
     """Histogram of each column of a 2-D sample on one set of aligned edges.
 
@@ -91,8 +97,7 @@ def aligned_histograms(samples, bin_width: float):
             would need more than MAX_HISTOGRAM_BINS bins.
     """
     samples = np.asarray(samples, dtype=float)
-    if not (math.isfinite(bin_width) and bin_width > 0.0):
-        raise DomainError(f"bin width must be > 0, got {bin_width}")
+    check_bin_width(bin_width)
     # A width tiny enough to overflow the span is caught by the bound below.
     with np.errstate(over="ignore", invalid="ignore"):
         lo = np.floor(samples.min() / bin_width) * bin_width

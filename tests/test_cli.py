@@ -5,6 +5,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -793,3 +794,229 @@ def test_tiny_beamwidth_synth_is_silent(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout.startswith("synth: wrote ")
+
+
+# ------------------------------------------------- partial output, config, flags
+
+def test_failed_table_write_removes_the_tables_before_it(tmp_path, capsys):
+    data = tmp_path / "data.csv"
+    write_scans(data, _line_scans((1.0, 5.0, 9.0)) + _line_scans((1.0, 5.0), tx="TX2"))
+    out_dir = tmp_path / "out"
+    (out_dir / "gain_cdf_all_directions.csv").mkdir(parents=True)
+    rc = main(["angular", "--input", str(data), "--out-dir", str(out_dir)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error[io]: [Errno 21] Is a directory: ")
+    assert captured.out == ""
+    assert [p.name for p in out_dir.iterdir()] == ["gain_cdf_all_directions.csv"]
+    assert not list(tmp_path.rglob("*.tmp"))
+
+
+def test_failed_table_write_removes_the_out_dirs_it_made(tmp_path, capsys, monkeypatch):
+    from portcanyon import dataio
+
+    data = tmp_path / "data.csv"
+    write_scans(data, _line_scans((1.0, 5.0, 9.0)))
+    real, calls = dataio.write_table, []
+
+    def second_write_fails(path, *args, **kwargs):
+        calls.append(path)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device", path)
+        return real(path, *args, **kwargs)
+
+    monkeypatch.setattr(dataio, "write_table", second_write_fails)
+    rc = main(["angular", "--input", str(data), "--out-dir", str(tmp_path / "a" / "b")])
+    assert rc == 3
+    assert capsys.readouterr().out == ""
+    assert len(calls) == 2
+    assert not (tmp_path / "a").exists()
+
+
+def test_one_config_file_gets_one_verdict(tmp_path, capsys):
+    ini = _write_ini(tmp_path, "[synth]\nseed = -3\n")
+    for argv in (["coverage"], ["synth", "--layout", "uniform", "--out", str(tmp_path / "d.csv")],
+                 ["geometry", "--height", "17.4", "--width", "8", "--distance", "63",
+                  "--rx-depth", "5"]):
+        rc = main(["--config", ini, *argv])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "error[domain]: seed must be >= 0, got -3\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize("line", [
+    "[model]\nrx_height_m = 0", "[angular]\nhistogram_bin_db = nan",
+    "[linkbudget]\nbandwidth_hz = -1", "[linkbudget]\ntemperature_k = 1e300\nbandwidth_hz = 1e300",
+])
+def test_every_section_is_checked_at_load(tmp_path, capsys, line):
+    rc = main(["--config", _write_ini(tmp_path, line + "\n"), "geometry", "--height", "17.4",
+               "--width", "8", "--distance", "63", "--rx-depth", "5"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error[domain]: ")
+    assert captured.out == ""
+
+
+# Arguments each subcommand needs besides the option under test.
+_REQUIRED = {
+    "synth": ["--layout", "uniform", "--out", "d.csv"],
+    "angular": ["--input", "d.csv", "--out-dir", "out"],
+    "spatial": ["--input", "d.csv", "--out", "c.csv"],
+    "vehicle": ["--input", "d.csv", "--out-dir", "out"],
+    "fit": ["--input", "d.csv", "--out", "f.csv"],
+    "coverage": [],
+    "geometry": ["--height", "17.4", "--width", "8", "--distance", "63", "--rx-depth", "5"],
+}
+
+
+def _float_options():
+    """(subcommand, option string, dest) of every float-valued option."""
+    from portcanyon.cli import build_parser
+
+    parser = build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert sorted(commands) == sorted(_REQUIRED)
+    return [(command, option, action.dest) for command, sub in commands.items()
+            for action in sub._actions if action.type is float
+            for option in action.option_strings]
+
+
+@pytest.mark.parametrize("value", ["-1e-300", "-4E2", "-inf", "-2.5e+3", "-23"])
+@pytest.mark.parametrize("command,option,dest", _float_options())
+def test_float_value_binds_after_a_space_as_after_equals(command, option, dest, value):
+    from portcanyon.cli import bind_option_values, build_parser
+
+    required = list(_REQUIRED[command])
+    if option in required:  # one of geometry's required floats
+        del required[required.index(option):required.index(option) + 2]
+    spaced = build_parser().parse_args(bind_option_values([command, *required, option, value]))
+    joined = build_parser().parse_args([command, *required, f"{option}={value}"])
+    assert vars(spaced) == vars(joined)
+    assert getattr(spaced, dest) == float(value)
+
+
+def test_negative_exponent_slope_runs_as_with_equals(capsys):
+    rc = main(["coverage", "--fit-n", "-4E0", "--fit-r0", "-23"])
+    spaced = (rc, capsys.readouterr())
+    rc = main(["coverage", "--fit-n=-4E0", "--fit-r0=-23"])
+    assert spaced == (rc, capsys.readouterr())
+    assert spaced[0] == 0
+    rc = main(["coverage", "--fit-n", "-1e-300", "--fit-r0", "-23"])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err.startswith("error[domain]: coverage range overflows for n=-1e-300")
+
+
+# ------------------------------------------------------------ ScanSet sidecar
+
+class TestSidecar:
+    @pytest.fixture
+    def dataset(self, tmp_path, small_config):
+        out = tmp_path / "data" / "campaign.csv"
+        out.parent.mkdir()
+        assert main(["--config", small_config, "synth", "--layout", "uniform",
+                     "--out", str(out), "--vehicle-mode", "dense"]) == 0
+        return out
+
+    @staticmethod
+    def commands(data, out):
+        return [
+            ["angular", "--input", data, "--out-dir", f"{out}/angular"],
+            ["spatial", "--input", data, "--out", f"{out}/correlation.csv"],
+            ["vehicle", "--input", data, "--out-dir", f"{out}/vehicle"],
+            ["fit", "--input", data, "--out", f"{out}/fit.csv"],
+            ["fit", "--input", data, "--out", f"{out}/fit4.csv", "--fixed-slope", "-4"],
+        ]
+
+    def run_all(self, data, out, capsys, before=None):
+        stdout = []
+        for argv in self.commands(str(data), str(out)):
+            if before:
+                before()
+            assert main(argv) == 0
+            stdout.append(capsys.readouterr().out)
+        files = {p.relative_to(out).as_posix(): p.read_bytes()
+                 for p in sorted(out.rglob("*")) if p.is_file()}
+        return stdout, files
+
+    def test_cold_and_warm_runs_are_byte_identical(self, tmp_path, dataset, capsys,
+                                                   monkeypatch):
+        from portcanyon import dataio
+
+        sidecar = Path(str(dataset) + ".scanset.npz")
+        out = tmp_path / "out"
+        cold = self.run_all(dataset, out, capsys, before=lambda: sidecar.unlink(missing_ok=True))
+        assert sidecar.exists()
+        shutil.rmtree(out)
+
+        def no_parse(*args):
+            raise AssertionError("a warm run parsed the CSV")
+
+        monkeypatch.setattr(dataio, "_ingest_columnar", no_parse)
+        monkeypatch.setattr(dataio, "_ingest_rows", no_parse)
+        warm = self.run_all(dataset, out, capsys)
+        assert warm == cold
+        assert len(cold[1]) == 27  # 17 angular, 7 vehicle, 3 single tables
+        assert sorted(p.name for p in dataset.parent.iterdir()) == [
+            "campaign.csv", "campaign.csv.scanset.npz"]
+
+    def test_failing_ingest_writes_no_sidecar(self, tmp_path, capsys):
+        data = tmp_path / "bad.csv"
+        write_scans(data, _line_scans((1.0, 5.0)))
+        data.write_text(data.read_text().replace(",absent,", ",parked,", 1))
+        rc = main(["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("error[ingest]: line 3: unknown vehicle_state")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_sidecar_mode_follows_the_umask(self, tmp_path, umask):
+        from portcanyon.dataio import ingest
+
+        data = tmp_path / "data.csv"
+        write_scans(data, _line_scans((1.0, 5.0)))
+        old = os.umask(umask)
+        try:
+            ingest(data)
+        finally:
+            os.umask(old)
+        mode = os.stat(str(data) + ".scanset.npz").st_mode & 0o777
+        assert mode == 0o666 & ~umask
+
+    def test_read_only_input_dir_still_succeeds(self, tmp_path, capsys, monkeypatch):
+        import tempfile
+
+        data_dir = tmp_path / "ro"
+        data_dir.mkdir()
+        data = data_dir / "data.csv"
+        write_scans(data, _line_scans((1.0, 5.0, 9.0)))
+        argv = ["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]
+        assert main(argv) == 0
+        want = (capsys.readouterr(), (tmp_path / "fit.csv").read_bytes())
+        os.unlink(str(data) + ".scanset.npz")
+        real = tempfile.mkstemp
+
+        def refuse_in_data_dir(*args, dir=None, **kwargs):
+            # What a directory without write permission gives a non-root user.
+            if dir == str(data_dir):
+                raise PermissionError(13, "Permission denied", dir)
+            return real(*args, dir=dir, **kwargs)
+
+        monkeypatch.setattr(tempfile, "mkstemp", refuse_in_data_dir)
+        data_dir.chmod(0o555)
+        try:
+            assert main(argv) == 0
+            assert (capsys.readouterr(), (tmp_path / "fit.csv").read_bytes()) == want
+        finally:
+            data_dir.chmod(0o755)
+        assert sorted(p.name for p in data_dir.iterdir()) == ["data.csv"]
+
+    def test_unwritable_sidecar_path_still_succeeds(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_scans(data, _line_scans((1.0, 5.0, 9.0)))
+        Path(str(data) + ".scanset.npz").mkdir()
+        argv = ["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]
+        assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert not list(tmp_path.rglob("*.tmp"))

@@ -688,3 +688,197 @@ class TestColumnWriter:
         assert [s.key for s in back] == [s.key for s in scans]
         for orig, rec in zip(scans, back):
             assert np.allclose(rec.gains, orig.gains, rtol=1e-12)
+
+
+# ------------------------------------------------------------ ScanSet sidecar
+
+def _set_state(scans):
+    """Everything a ScanSet holds, as comparable values: column values with
+    their Python types, the float columns' and matrices' bytes, the hash."""
+    return (
+        [(v, type(v)) for key in ("tx", "vehicle_state", "stacking")
+         for v in getattr(scans, key).tolist()],
+        [(getattr(scans, key).dtype.str, getattr(scans, key).tobytes()) for key in ("x", "y")],
+        [[(m.dtype.str, m.shape, m.tobytes()) for m in block] for block in scans.blocks],
+        scans.sha256,
+    )
+
+
+def _run_outcome(path, out):
+    """What ingest and the `fit` command give for path: the ScanSet's state or
+    the error, and fit's exit code, stdout, stderr and table bytes."""
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from portcanyon.cli import main
+
+    got = _outcome(ingest, path)
+    got = got if isinstance(got, tuple) else _set_state(got)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        rc = main(["fit", "--input", path, "--out", out])
+    table = open(out, "rb").read() if os.path.exists(out) else None
+    if table is not None:
+        os.unlink(out)
+    return got, rc, stdout.getvalue(), stderr.getvalue(), table
+
+
+def _members(data: bytes) -> dict:
+    with np.load(io.BytesIO(data), allow_pickle=False) as npz:
+        return {name: npz[name] for name in npz.files}
+
+
+def _npz(members, raw=None) -> bytes:
+    """An npz of members, with the .npy bytes of some replaced by raw ones."""
+    import zipfile
+
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as zf:
+        for name, arr in members.items():
+            member = io.BytesIO()
+            np.lib.format.write_array(member, arr, allow_pickle=True)
+            zf.writestr(name + ".npy", (raw or {}).get(name, member.getvalue()))
+    return buf.getvalue()
+
+
+def _oversized(members) -> bytes:
+    """An npz of members whose blocks and headers all claim 10**12 times the
+    scans, consistently, over the original data."""
+    scale, raw = 10**12, {}
+    for name, arr in members.items():
+        if arr.ndim and name != "blocks":
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(header, {
+                "descr": arr.dtype.str, "fortran_order": False,
+                "shape": (arr.shape[0] * scale, *arr.shape[1:])})
+            raw[name] = header.getvalue() + arr.tobytes()
+    return _npz(dict(members, blocks=members["blocks"] * np.array([scale, 1])), raw)
+
+
+SIDECAR_KINDS = ("missing", "intact", "stale", "truncated", "bitflip", "npy", "version",
+                 "pickled", "reshaped", "invalid", "oversized")
+
+
+def _corrupt(kind, good, stale, sha256, pick):
+    """Sidecar bytes of a kind (None: no file).  good is this file's own
+    sidecar, or None if it has none; stale is another file's; pick(n) picks
+    an int in [0, n)."""
+    base = good if good is not None else stale
+    if kind == "missing":
+        return None
+    if kind in ("intact", "stale"):
+        return base if kind == "intact" else stale
+    if kind == "truncated":
+        return base[:pick(len(base))]
+    if kind == "bitflip":
+        at = pick(len(base))
+        return base[:at] + bytes([base[at] ^ (1 << pick(8))]) + base[at + 1:]
+    if kind == "npy":  # a bare .npy whose header claims 10**12 values
+        member = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            member, {"descr": "<f8", "fortran_order": False, "shape": (10**12,)})
+        return member.getvalue() + bytes(64)
+    # The rest carry this file's hash, so only the defect stands between
+    # them and a hit.
+    members = dict(_members(base), sha256=np.array(sha256))
+    if kind == "version":
+        return _npz(dict(members, version=np.array(2, dtype=np.int64)))
+    if kind == "pickled":
+        return _npz(dict(members, tx=members["tx"].astype(object)))
+    if kind == "reshaped":
+        return _npz(dict(members, x=members["x"][:-1]))
+    if kind == "invalid":
+        return _npz(dict(members, gains0=-members["gains0"]))
+    return _oversized(members)
+
+
+def _canonical_text(newline="\n"):
+    body = _rows(tx="TX1_63", x="5.0") + _rows(x="-0.0", n=9) + _rows(tx="TX1_63", x="9.0")
+    return newline.join([provenance_line(), CANONICAL_HEADER] + body) + newline
+
+
+class TestSidecar:
+    @settings(max_examples=120, deadline=None)
+    @given(newline=st.sampled_from(["\n", "\r\n"]), edits=st.one_of(st.just([]), _EDITS),
+           kind=st.sampled_from(SIDECAR_KINDS), data=st.data())
+    def test_any_sidecar_gives_what_no_sidecar_gives(self, newline, edits, kind, data):
+        text = _canonical_text(newline)
+        for position, action, snippet in edits:
+            at = position % (len(text) + 1)
+            if action == 0:
+                text = text[:at] + snippet + text[at:]
+            elif action == 1:
+                text = text[:at] + text[at + 1:]
+            else:
+                text = text[:at] + snippet + text[at + len(snippet):]
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "case.csv"), os.path.join(tmp, "fit.csv")
+            sidecar = path + ".scanset.npz"
+            other = os.path.join(tmp, "other.csv")
+            write_scans(other, [make_scan(), make_scan(seed=1, x=9.0)])
+            ingest(other)
+            with open(other + ".scanset.npz", "rb") as fh:
+                stale = fh.read()
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            want = _run_outcome(path, out)
+            good = open(sidecar, "rb").read() if os.path.exists(sidecar) else None
+            assert (good is None) == isinstance(want[0][0], type)
+            if os.path.exists(sidecar):
+                os.unlink(sidecar)
+            corrupt = _corrupt(kind, good, stale, file_sha256(path),
+                               lambda n: data.draw(st.integers(0, n - 1)))
+            if corrupt is not None:
+                with open(sidecar, "wb") as fh:
+                    fh.write(corrupt)
+            assert _run_outcome(path, out) == want
+            assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")]
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    def test_only_an_intact_sidecar_is_trusted(self, tmp_path, kind, monkeypatch):
+        from portcanyon.dataio import _load_sidecar
+
+        path = tmp_path / "case.csv"
+        path.write_text(_canonical_text(), encoding="utf-8")
+        other = tmp_path / "other.csv"
+        write_scans(other, [make_scan(), make_scan(seed=1, x=9.0)])
+        for csv_path in (path, other):
+            ingest(csv_path)
+        good = (tmp_path / "case.csv.scanset.npz").read_bytes()
+        stale = (tmp_path / "other.csv.scanset.npz").read_bytes()
+        corrupt = _corrupt(kind, good, stale, file_sha256(path), lambda n: n // 3)
+        sidecar = tmp_path / "case.csv.scanset.npz"
+        sidecar.unlink()
+        if corrupt is not None:
+            sidecar.write_bytes(corrupt)
+        read, real, real_fromfile = [], np.lib.npyio.NpzFile.__getitem__, np.fromfile
+        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__",
+                            lambda npz, key: read.append(key) or real(npz, key))
+        monkeypatch.setattr(np, "fromfile", lambda *a, **k: read.append("fromfile")
+                            or real_fromfile(*a, **k))
+        got = _load_sidecar(str(sidecar), file_sha256(path), path.stat().st_size)
+        assert (got is not None) == (kind == "intact")
+        if kind == "intact":
+            assert _set_state(got) == _set_state(_ingest_columnar(path))
+        if kind == "oversized":
+            assert read == ["version", "sha256", "blocks"]
+        assert "fromfile" not in read
+
+    def test_sidecar_keeps_signed_zero_order_and_str_columns(self, tmp_path):
+        from portcanyon.dataio import _load_sidecar
+
+        path = tmp_path / "case.csv"
+        # 8-angle scans around a 9-angle one: two blocks, the first not contiguous.
+        path.write_text(_canonical_text(), encoding="utf-8")
+        parsed = ingest(path)
+        cached = _load_sidecar(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
+        assert _set_state(cached) == _set_state(parsed)
+        assert [b.index.tolist() for b in cached.blocks] == [[0, 2], [1]]
+        assert repr(float(cached.x[1])) == "-0.0"
+
+    def test_trailing_nul_in_tx_is_not_cached(self, tmp_path):
+        path = tmp_path / "case.csv"
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows(tx="TX2\x00"))
+        scans = ingest(path)
+        assert scans.tx.tolist() == ["TX2\x00"]
+        assert not os.path.exists(str(path) + ".scanset.npz")
+        assert _set_state(ingest(path)) == _set_state(scans)

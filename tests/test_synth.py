@@ -325,10 +325,14 @@ def test_vehicle_mode_all_is_unknown():
 
 @pytest.mark.parametrize("n_angles", [synth.MAX_N_ANGLES + 1, 100_000_000])
 def test_n_angles_is_bounded(tmp_path, n_angles):
-    # Checked where the config becomes a SynthConfig: nothing is allocated.
+    # Checked where the config becomes a SynthConfig, which a loaded file does
+    # at once: nothing is allocated.
     ini = tmp_path / "big.ini"
     ini.write_text(f"[synth]\nn_angles = {n_angles}\n", encoding="utf-8")
-    cfg = load_config(str(ini))
+    with pytest.raises(DomainError, match=f"at most {synth.MAX_N_ANGLES} angles"):
+        load_config(str(ini))
+    cfg = load_config()
+    cfg.n_angles = n_angles  # as the --n-angles flag sets it
     with pytest.raises(DomainError, match=f"at most {synth.MAX_N_ANGLES} angles"):
         cfg.synth_config()
 
