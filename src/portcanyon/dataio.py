@@ -13,21 +13,23 @@ and streams its text `_CHUNK_ROWS` rows at a time, and `write_scans` one scan
 at a time, so no output exists as one string.
 
 `ingest` returns an `angular.ScanSet`: key columns, one (scans x angles)
-matrix pair per angle count, and the file's sha256, taken in the byte scan
-that vets the file.  A canonical file is parsed columnar: one C-level
-`np.loadtxt` pass and array checks.  Anything unusual (a bad or non-finite
-value, an unknown token, a duplicate angle, quotes, CR line ends, non-ASCII
-bytes, a comment row among the data) is re-read row by row, and that row
-loop is the only source of the line-numbered errors.
+matrix pair per angle count, and the file's sha256.  A canonical file is
+parsed columnar: one C-level `np.loadtxt` pass and array checks.  Anything
+unusual (a bad or non-finite value, an unknown token, a duplicate angle,
+quotes, CR line ends, non-ASCII bytes, a comment row among the data) is
+re-read row by row, the only source of the line-numbered errors.  Each
+reader returns rows: keys, angle counts, phi_deg and gain_db.
 
-`ingest` keeps the ScanSet it parsed in a sidecar beside the input,
-`<input>.scanset.npz`, so the next read of the same content skips the parse.
-It is written atomically (umask mode) only after an ingest succeeds; a
-directory that refuses the write just leaves no sidecar.  It is trusted only
-if its format version and stored input sha256 match, every member has the
-expected name, dtype and shape, no larger than the input, and reads whole
-(zipfile checks each CRC-32); the matrices are then checked again.
-Anything else, an I/O error included, is a miss: the file is parsed and the
+`ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
+input, `<input>.scanset.npz`, so the next read of the same content skips the
+parse.  It is written atomically (umask mode) only after an ingest succeeds;
+a directory that refuses the write just leaves no sidecar.  It is trusted
+only if its format version and input sha256 match, its members are exactly
+the expected ones, each with the expected dtype and shape, no larger than
+the input, each reads whole (zipfile checks each CRC-32), its angle counts
+are positive and its keys pass the readers' key rules.  Its rows then go
+through the same `_scan_set` and checks as a parse's.  Anything else, an I/O
+error or a format-1 sidecar included, is a miss: the file is parsed and the
 sidecar rewritten.  So a sidecar never changes a result, and deleting it is
 always safe.
 """
@@ -68,19 +70,12 @@ def provenance_line(seed=None, input_hash=None) -> str:
     return f"# portcanyon {__version__}; seed={seed_txt}; input_sha256={hash_txt}"
 
 
-def _scan_bytes(path):
-    """The file's sha256, and whether every byte of it is a plain canonical
-    byte (`_PLAIN_BYTES`), from one chunked read."""
-    digest, plain = hashlib.sha256(), True
+def file_sha256(path) -> str:
+    digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             digest.update(chunk)
-            plain = plain and not chunk.translate(None, _PLAIN_BYTES)
-    return digest.hexdigest(), plain
-
-
-def file_sha256(path) -> str:
-    return _scan_bytes(path)[0]
+    return digest.hexdigest()
 
 
 def _atomic_write(path, write) -> None:
@@ -163,8 +158,9 @@ def _csv_rows(fh):
         raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
 
 
-def _ingest_rows(path, sha256=None) -> ScanSet:
-    """Row-by-row reader: the reference semantics and every ingest error."""
+def _ingest_rows(path):
+    """Row-by-row reader: the reference semantics and every ingest error.
+    Returns the rows `_scan_set` takes, scans in first-seen order."""
     groups: dict[tuple, dict[float, float]] = defaultdict(dict)
     order: list[tuple] = []
 
@@ -213,8 +209,7 @@ def _ingest_rows(path, sha256=None) -> ScanSet:
 
     phis = [sorted(groups[key]) for key in order]
     gains = [groups[key][p] for key, key_phis in zip(order, phis) for p in key_phis]
-    return _scan_set(order, list(map(len, phis)), np.array(list(itertools.chain(*phis))),
-                     np.array(gains), sha256 or file_sha256(path))
+    return order, list(map(len, phis)), np.array(list(itertools.chain(*phis))), np.array(gains)
 
 
 class _NotCanonical(Exception):
@@ -238,6 +233,12 @@ _COLUMNS = np.dtype([
     ("vehicle_state", f"S{_TOKEN_WIDTH}"),
     ("stacking", f"S{_TOKEN_WIDTH}"),
 ])
+
+
+def _valid_key(tx, x, y, vehicle_state, stacking) -> bool:
+    """Does a scan key pass the rules both readers enforce?"""
+    return (bool(tx) and not tx.startswith("#") and math.isfinite(x) and math.isfinite(y)
+            and vehicle_state in _VEHICLE_TOKENS and stacking in _STACKING_TOKENS)
 
 
 def _read_runs(path):
@@ -285,29 +286,31 @@ def _read_runs(path):
     for tx_b, x, y, vehicle_b, stacking_b in zip(
         *(col[starts].tolist() for col in key_columns)
     ):
-        if (not tx_b or tx_b.startswith(b"#") or len(tx_b) == _TX_WIDTH
-                or not (math.isfinite(x) and math.isfinite(y))):
-            raise _NotCanonical
         key = (tx_b.decode("ascii"), x, y,
                vehicle_b.decode("ascii"), stacking_b.decode("ascii"))
-        if key[3] not in _VEHICLE_TOKENS or key[4] not in _STACKING_TOKENS:
+        if len(tx_b) == _TX_WIDTH or not _valid_key(*key):
             raise _NotCanonical
         keys.append(key)
     return keys, starts, phi, gain
 
 
-def _ingest_columnar(path, scanned=None) -> ScanSet:
-    """Columnar reader: the scans `_ingest_rows` would return, or `_NotCanonical`.
+def _is_plain(path) -> bool:
+    """Is every byte of the file a plain canonical byte (`_PLAIN_BYTES`)?"""
+    with open(path, "rb") as fh:
+        return not any(chunk.translate(None, _PLAIN_BYTES)
+                       for chunk in iter(lambda: fh.read(1 << 20), b""))
+
+
+def _ingest_columnar(path):
+    """Columnar reader: the rows `_ingest_rows` would return, or `_NotCanonical`.
 
     Runs are grouped by first-seen key, as in the row loop, so -0.0 joins
     0.0 and a scan split across the file is rejoined; a duplicate angle, a
     bad token, a non-finite value or anything but a plain canonical table
     raises `_NotCanonical`.  Rows that already come one run per scan with
-    rising angles, as written, are not sorted.  `scanned` is the file's
-    `_scan_bytes`, if already taken.
+    rising angles, as written, are not sorted.
     """
-    sha256, plain = scanned or _scan_bytes(path)
-    if not plain:
+    if not _is_plain(path):
         raise _NotCanonical
     keys, starts, phi, gain = _read_runs(path)
     group_ids: dict[tuple, int] = {}
@@ -325,39 +328,21 @@ def _ingest_columnar(path, scanned=None) -> ScanSet:
         repeated[np.cumsum(sizes)[:-1] - 1] = False
         if repeated.any():
             raise _NotCanonical
-    return _scan_set(list(group_ids), sizes, phi, gain, sha256)
+    return list(group_ids), sizes, phi, gain
 
 
 SIDECAR_SUFFIX = ".scanset.npz"
-_SIDECAR_VERSION = 1
+_SIDECAR_VERSION = 2
+_SIDECAR_MEMBERS = {"version", "sha256", "sizes", *ScanSet.KEYS, "phi_deg", "gain_db"}
 _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
                 (2, 0): np.lib.format.read_array_header_2_0}
 
 
-def _sidecar_members(scans: ScanSet):
-    """The sidecar's arrays by member name: each block's index, angles and gains
-    as members of their own, so writing copies nothing.  None if a text key
-    would not survive numpy's fixed-width strings (a trailing NUL)."""
-    members = {"version": np.array(_SIDECAR_VERSION, dtype=np.int64),
-               "sha256": np.array(scans.sha256),
-               "blocks": np.array([b.angles.shape for b in scans.blocks], dtype=np.int64)}
-    for key in ScanSet.KEYS:
-        column = getattr(scans, key)
-        if column.dtype == object:
-            column, text = column.astype(str), column
-            if not (column == text).all():
-                return None
-        members[key] = column
-    for b, block in enumerate(scans.blocks):
-        members.update({f"{name}{b}": arr for name, arr in zip(ScanBlock._fields, block)})
-    return members
-
-
 def _load_sidecar(path, sha256, limit):
-    """The ScanSet in the sidecar at path, if it holds the input of hash
-    sha256; None if it is missing or anything about it is off.  No member is
-    read unless its header has the expected dtype and shape and at most
-    limit (the input's size in) bytes."""
+    """The rows in the sidecar at path, if it holds the input of hash sha256;
+    None if it is missing or anything about it is off.  No member is read
+    unless its header has the expected dtype and shape and at most limit
+    (the input's size in) bytes."""
     try:
         with open(path, "rb") as fh:
             # np.load would read a bare .npy whole, whatever shape it claims.
@@ -375,36 +360,46 @@ def _load_sidecar(path, sha256, limit):
                         raise ValueError(f"unexpected sidecar member {name}")
                     return npz[name]  # read whole, so zipfile checks its CRC-32
 
-                if (member("version", "i8", ()) != _SIDECAR_VERSION
+                if (set(npz.files) != _SIDECAR_MEMBERS
+                        or member("version", "i8", ()) != _SIDECAR_VERSION
                         or member("sha256", "U", ()) != sha256):
                     return None
-                sizes = member("blocks", "i8").reshape(-1, 2).tolist()
-                names = {"version", "sha256", "blocks", *ScanSet.KEYS}
-                names.update(f"{name}{b}" for b in range(len(sizes)) for name in ScanBlock._fields)
-                if set(npz.files) != names:
-                    return None
-                n = sum(rows for rows, _ in sizes)
-                columns = [member(key, "f8" if key in ("x", "y") else "U", (n,))
-                           for key in ScanSet.KEYS]
-                blocks = [ScanBlock(member(f"index{b}", "i8", (rows,)),
-                                    member(f"angles{b}", "f8", (rows, k)),
-                                    member(f"gains{b}", "f8", (rows, k)))
-                          for b, (rows, k) in enumerate(sizes)]
-        if any(first_invalid(block.angles, block.gains) for block in blocks):
-            return None
-        return ScanSet([c.astype(object) if c.dtype.kind == "U" else c for c in columns],
-                       blocks, sha256)
+                sizes = member("sizes", "i8")
+                n, total = len(sizes), sum(sizes.tolist())  # Python ints: no overflow
+                keys = list(zip(*(member(key, "f8" if key in ("x", "y") else "U", (n,)).tolist()
+                                  for key in ScanSet.KEYS)))
+                phi_deg, gain_db = (member(name, "f8", (total,)) for name in ("phi_deg", "gain_db"))
+        if (sizes > 0).all() and all(_valid_key(*key) for key in keys):
+            return keys, sizes, phi_deg, gain_db
+        return None
     except Exception:  # whatever the file holds, a sidecar that fails is a miss
         return None
 
 
-def _save_sidecar(path, scans: ScanSet) -> None:
-    """Write scans' sidecar atomically, if it can hold them; a directory that
-    refuses the write leaves no sidecar and no error."""
-    members = _sidecar_members(scans)
-    if members is not None:
-        with contextlib.suppress(OSError):
-            _atomic_write(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
+def _save_sidecar(path, rows, sha256) -> None:
+    """Write the rows' sidecar atomically, unless a text key would not survive
+    numpy's fixed-width strings (a trailing NUL); a directory that refuses
+    the write leaves no sidecar and no error."""
+    keys, sizes, phi_deg, gain_db = rows
+    members = {"version": np.array(_SIDECAR_VERSION, dtype=np.int64), "sha256": np.array(sha256),
+               "sizes": np.asarray(sizes, dtype=np.int64), "phi_deg": phi_deg, "gain_db": gain_db}
+    for key, values in zip(ScanSet.KEYS, zip(*keys)):
+        members[key] = np.array(values)
+        if members[key].tolist() != list(values):
+            return
+    with contextlib.suppress(OSError):
+        _atomic_write(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
+
+
+def _row_sources(path, sidecar, sha256, limit):
+    """(rows, parsed) to try in turn: the sidecar's rows if any, then the parse's."""
+    cached = _load_sidecar(sidecar, sha256, limit)
+    if cached is not None:
+        yield cached, False
+    try:
+        yield _ingest_columnar(path), True
+    except _NotCanonical:
+        yield _ingest_rows(path), True
 
 
 def ingest(path) -> ScanSet:
@@ -417,24 +412,25 @@ def ingest(path) -> ScanSet:
     columnar checks cannot vouch for is re-read row by row, which is where
     every line-numbered error comes from.  The set's `sha256` is the file's.
 
-    The parsed set is kept in the sidecar `<path>.scanset.npz` and taken from
-    there while it holds the file's sha256 (see the module docstring).
+    The parsed rows are kept in the sidecar `<path>.scanset.npz` and taken
+    from there while it holds the file's sha256 (see the module docstring).
     """
     before = os.stat(path)
-    scanned = _scan_bytes(path)
+    sha256 = file_sha256(path)
     sidecar = os.fspath(path) + SIDECAR_SUFFIX
-    scans = _load_sidecar(sidecar, scanned[0], before.st_size)
-    if scans is None:
+    for rows, parsed in _row_sources(path, sidecar, sha256, before.st_size):
         try:
-            scans = _ingest_columnar(path, scanned)
-        except _NotCanonical:
-            scans = _ingest_rows(path, scanned[0])
+            scans = _scan_set(*rows, sha256)
+        except Exception:
+            if parsed:
+                raise
+            continue  # sidecar rows that do not build are a miss
         after = os.stat(path)
         # A file changed while it was read may not match its hash.
-        if (before.st_ino, before.st_size, before.st_mtime_ns) == (
+        if parsed and (before.st_ino, before.st_size, before.st_mtime_ns) == (
                 after.st_ino, after.st_size, after.st_mtime_ns):
-            _save_sidecar(sidecar, scans)
-    return scans
+            _save_sidecar(sidecar, rows, sha256)
+        return scans
 
 
 def _cell(value) -> str:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from portcanyon.angular import AngularScan
+from portcanyon.angular import AngularScan, ScanSet
 from portcanyon.cli import main
 from portcanyon.dataio import write_scans
 
@@ -960,6 +960,51 @@ class TestSidecar:
         assert len(cold[1]) == 27  # 17 angular, 7 vehicle, 3 single tables
         assert sorted(p.name for p in dataset.parent.iterdir()) == [
             "campaign.csv", "campaign.csv.scanset.npz"]
+
+    @staticmethod
+    def format1_sidecar(scans):
+        """The sidecar of scans in format 1: a ScanSet's per-block matrices."""
+        members = {"version": np.array(1, dtype=np.int64), "sha256": np.array(scans.sha256),
+                   "blocks": np.array([b.angles.shape for b in scans.blocks], dtype=np.int64)}
+        members.update({key: getattr(scans, key).astype(float if key in ("x", "y") else str)
+                        for key in ScanSet.KEYS})
+        for b, block in enumerate(scans.blocks):
+            members.update({f"{name}{b}": arr for name, arr in zip(block._fields, block)})
+        return members
+
+    def test_format1_sidecar_is_replaced(self, tmp_path, dataset, capsys, monkeypatch):
+        from portcanyon import dataio
+
+        sidecar = Path(str(dataset) + ".scanset.npz")
+        out = tmp_path / "out"
+        cold = self.run_all(dataset, out, capsys, before=lambda: sidecar.unlink(missing_ok=True))
+        shutil.rmtree(out)
+        format1 = self.format1_sidecar(dataio.ingest(dataset))
+        parses, real = [], dataio._ingest_columnar
+        monkeypatch.setattr(dataio, "_ingest_columnar",
+                            lambda path: parses.append(path) or real(path))
+        upgraded = self.run_all(dataset, out, capsys,
+                                before=lambda: np.savez(sidecar, allow_pickle=False, **format1))
+        assert upgraded == cold
+        assert len(parses) == 5
+        with np.load(sidecar, allow_pickle=False) as npz:
+            assert int(npz["version"]) == 2
+            assert sorted(npz.files) == sorted([
+                "version", "sha256", "sizes", "tx", "x", "y", "vehicle_state", "stacking",
+                "phi_deg", "gain_db"])
+
+    def test_own_hash_sidecar_with_bogus_stacking_is_a_miss(self, tmp_path, dataset, capsys):
+        sidecar = Path(str(dataset) + ".scanset.npz")
+        out = tmp_path / "out"
+        cold = self.run_all(dataset, out, capsys)
+        shutil.rmtree(out)
+        with np.load(sidecar, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        members["stacking"] = np.full(members["stacking"].size, "bogus")
+        bogus = self.run_all(dataset, out, capsys,
+                             before=lambda: np.savez(sidecar, allow_pickle=False, **members))
+        assert bogus == cold
+        assert b"bogus" not in cold[1]["fit.csv"]
 
     def test_failing_ingest_writes_no_sidecar(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"

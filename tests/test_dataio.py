@@ -12,13 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from portcanyon.angular import AngularScan, Stacking, VehicleState
+from portcanyon.angular import AngularScan, ScanSet, Stacking, VehicleState
 from portcanyon.dataio import (
     _CHUNK_ROWS,
     CANONICAL_HEADER,
     _ingest_columnar,
     _ingest_rows,
     _NotCanonical,
+    _scan_set,
     file_sha256,
     ingest,
     provenance_line,
@@ -245,6 +246,11 @@ def _outcome(read, path):
         return type(exc), str(exc)
 
 
+def _built(read):
+    """read, then the ScanSet `_scan_set` builds of the rows it returns."""
+    return lambda path: _scan_set(*read(path), file_sha256(path))
+
+
 def _same_scans(got, want):
     assert len(got) == len(want)
     for a, b in zip(got, want):
@@ -261,8 +267,8 @@ def check_paths_agree(path) -> str:
     raise exactly the row loop's error, or decline; the public ingest must
     always match the row loop.
     """
-    want = _outcome(_ingest_rows, path)
-    columnar = _outcome(_ingest_columnar, path)
+    want = _outcome(_built(_ingest_rows), path)
+    columnar = _outcome(_built(_ingest_columnar), path)
     public = _outcome(ingest, path)
     for got in (public, columnar):
         if isinstance(got, tuple) and got[0] is _NotCanonical:
@@ -445,7 +451,8 @@ def check_sets_agree(path) -> None:
     """Both readers that return give the same ScanSet: key columns, blocks
     and the file's sha256; the public ingest always carries that hash."""
     want_sha = hashlib.sha256(open(path, "rb").read()).hexdigest()
-    sets = [_outcome(read, path) for read in (_ingest_rows, _ingest_columnar, ingest)]
+    sets = [_outcome(read, path)
+            for read in (_built(_ingest_rows), _built(_ingest_columnar), ingest)]
     sets = [got for got in sets if not isinstance(got, tuple)]
     for got in sets:
         assert got.sha256 == want_sha
@@ -518,7 +525,7 @@ class TestScanSetIngest:
         monkeypatch.setattr(np, "lexsort", no_sort)
         path = tmp_path / "case.csv"
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows() + _rows(x="2.0"))
-        assert [s.x for s in _ingest_columnar(path)] == [1.0, 2.0]
+        assert [key[1] for key in _ingest_columnar(path)[0]] == [1.0, 2.0]
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows()[::-1])
         with pytest.raises(AssertionError, match="lexsort called"):
             _ingest_columnar(path)
@@ -705,21 +712,26 @@ def _set_state(scans):
 
 
 def _run_outcome(path, out):
-    """What ingest and the `fit` command give for path: the ScanSet's state or
-    the error, and fit's exit code, stdout, stderr and table bytes."""
+    """What ingest and the `fit` and `spatial` commands give for path: the
+    ScanSet's state or the error, and each command's exit code (or error),
+    stdout, stderr and table bytes."""
     from contextlib import redirect_stderr, redirect_stdout
 
     from portcanyon.cli import main
 
     got = _outcome(ingest, path)
-    got = got if isinstance(got, tuple) else _set_state(got)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with redirect_stdout(stdout), redirect_stderr(stderr):
-        rc = main(["fit", "--input", path, "--out", out])
-    table = open(out, "rb").read() if os.path.exists(out) else None
-    if table is not None:
-        os.unlink(out)
-    return got, rc, stdout.getvalue(), stderr.getvalue(), table
+    runs = [got if isinstance(got, tuple) else _set_state(got)]
+    for argv in (["fit", "--input", path, "--out", out],
+                 ["spatial", "--input", path, "--out", out,
+                  "--x-start", "5", "--x-step", "4", "--x-count", "2"]):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with redirect_stdout(stdout), redirect_stderr(stderr):
+            rc = _outcome(main, argv)
+        table = open(out, "rb").read() if os.path.exists(out) else None
+        if table is not None:
+            os.unlink(out)
+        runs.append((rc, stdout.getvalue(), stderr.getvalue(), table))
+    return runs
 
 
 def _members(data: bytes) -> dict:
@@ -740,22 +752,26 @@ def _npz(members, raw=None) -> bytes:
     return buf.getvalue()
 
 
+def _raw_member(arr, **header) -> bytes:
+    """The .npy bytes of arr's data under a header with some fields replaced."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(buf, {
+        "descr": arr.dtype.str, "fortran_order": False, "shape": arr.shape, **header})
+    return buf.getvalue() + arr.tobytes()
+
+
 def _oversized(members) -> bytes:
-    """An npz of members whose blocks and headers all claim 10**12 times the
-    scans, consistently, over the original data."""
-    scale, raw = 10**12, {}
-    for name, arr in members.items():
-        if arr.ndim and name != "blocks":
-            header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(header, {
-                "descr": arr.dtype.str, "fortran_order": False,
-                "shape": (arr.shape[0] * scale, *arr.shape[1:])})
-            raw[name] = header.getvalue() + arr.tobytes()
-    return _npz(dict(members, blocks=members["blocks"] * np.array([scale, 1])), raw)
+    """An npz of members whose sizes and row headers all claim 10**12 times the
+    rows, consistently, over the original data."""
+    scale = 10**12
+    raw = {name: _raw_member(members[name], shape=(members[name].size * scale,))
+           for name in ("phi_deg", "gain_db")}
+    return _npz(dict(members, sizes=members["sizes"] * scale), raw)
 
 
 SIDECAR_KINDS = ("missing", "intact", "stale", "truncated", "bitflip", "npy", "version",
-                 "pickled", "reshaped", "invalid", "oversized")
+                 "extra", "pickled", "retyped", "swapped", "fortran", "reshaped", "invalid",
+                 "nonpositive", "stacking", "oversized")
 
 
 def _corrupt(kind, good, stale, sha256, pick):
@@ -781,13 +797,29 @@ def _corrupt(kind, good, stale, sha256, pick):
     # them and a hit.
     members = dict(_members(base), sha256=np.array(sha256))
     if kind == "version":
-        return _npz(dict(members, version=np.array(2, dtype=np.int64)))
+        return _npz(dict(members, version=np.array(1, dtype=np.int64)))
+    if kind == "extra":
+        return _npz(dict(members, blocks=np.array([[1, 8]], dtype=np.int64)))
     if kind == "pickled":
         return _npz(dict(members, tx=members["tx"].astype(object)))
+    if kind == "retyped":
+        return _npz(dict(members, x=members["x"].astype("<f4")))
+    if kind == "swapped":
+        return _npz(dict(members, x=members["x"].astype(">f8")))
+    if kind == "fortran":
+        return _npz(members, {"phi_deg": _raw_member(members["phi_deg"], fortran_order=True)})
     if kind == "reshaped":
         return _npz(dict(members, x=members["x"][:-1]))
-    if kind == "invalid":
-        return _npz(dict(members, gains0=-members["gains0"]))
+    if kind == "invalid":  # a gain whose linear value overflows
+        gain_db = members["gain_db"].copy()
+        gain_db[pick(gain_db.size)] = 4000.0
+        return _npz(dict(members, gain_db=gain_db))
+    if kind == "nonpositive":  # one more scan, of no rows
+        return _npz(dict(members, sizes=np.append(members["sizes"], 0),
+                         **{key: np.append(members[key], members[key][-1:])
+                            for key in ScanSet.KEYS}))
+    if kind == "stacking":
+        return _npz(dict(members, stacking=np.full(members["stacking"].size, "bogus")))
     return _oversized(members)
 
 
@@ -834,6 +866,25 @@ class TestSidecar:
             assert not [name for name in os.listdir(tmp) if name.endswith(".tmp")]
 
     @pytest.mark.parametrize("kind", SIDECAR_KINDS)
+    def test_each_kind_gives_what_no_sidecar_gives(self, tmp_path, kind):
+        path, out = str(tmp_path / "case.csv"), str(tmp_path / "out.csv")
+        other = tmp_path / "other.csv"
+        write_scans(other, [make_scan(), make_scan(seed=1, x=9.0)])
+        ingest(other)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(_canonical_text())
+        want = _run_outcome(path, out)
+        assert [run[0] for run in want[1:]] == [0, 0]
+        sidecar = tmp_path / "case.csv.scanset.npz"
+        corrupt = _corrupt(kind, sidecar.read_bytes(),
+                           (tmp_path / "other.csv.scanset.npz").read_bytes(),
+                           file_sha256(path), lambda n: n // 3)
+        sidecar.unlink()
+        if corrupt is not None:
+            sidecar.write_bytes(corrupt)
+        assert _run_outcome(path, out) == want
+
+    @pytest.mark.parametrize("kind", SIDECAR_KINDS)
     def test_only_an_intact_sidecar_is_trusted(self, tmp_path, kind, monkeypatch):
         from portcanyon.dataio import _load_sidecar
 
@@ -856,12 +907,48 @@ class TestSidecar:
         monkeypatch.setattr(np, "fromfile", lambda *a, **k: read.append("fromfile")
                             or real_fromfile(*a, **k))
         got = _load_sidecar(str(sidecar), file_sha256(path), path.stat().st_size)
-        assert (got is not None) == (kind == "intact")
+        # The loader passes rows that only the build refuses.
+        assert (got is not None) == (kind in ("intact", "invalid"))
+        if kind == "invalid":
+            with pytest.raises(DomainError, match="finite"):
+                _scan_set(*got, "h")
         if kind == "intact":
-            assert _set_state(got) == _set_state(_ingest_columnar(path))
+            assert _set_state(_scan_set(*got, "h")) == _set_state(
+                _scan_set(*_ingest_columnar(path), "h"))
         if kind == "oversized":
-            assert read == ["version", "sha256", "blocks"]
+            assert read == ["version", "sha256", "sizes", *ScanSet.KEYS]
         assert "fromfile" not in read
+
+    @pytest.mark.parametrize("key, value", [
+        ("tx", ""), ("tx", "#TX2"), ("x", np.nan), ("y", np.inf), ("y", -np.inf),
+        ("vehicle_state", "parked"), ("stacking", "bogus"),
+    ])
+    def test_keys_must_pass_the_readers_rules(self, tmp_path, key, value):
+        from portcanyon.dataio import _load_sidecar
+
+        path = tmp_path / "case.csv"
+        path.write_text(_canonical_text(), encoding="utf-8")
+        sha256, size = ingest(path).sha256, path.stat().st_size
+        sidecar = tmp_path / "case.csv.scanset.npz"
+        assert _load_sidecar(str(sidecar), sha256, size) is not None
+        members = _members(sidecar.read_bytes())
+        column = members[key].tolist()
+        column[1] = value
+        sidecar.write_bytes(_npz(dict(members, **{key: np.array(column)})))
+        assert _load_sidecar(str(sidecar), sha256, size) is None
+
+    def test_a_hit_skips_the_byte_check(self, tmp_path, monkeypatch):
+        from portcanyon import dataio
+
+        path = tmp_path / "case.csv"
+        path.write_text(_canonical_text(), encoding="utf-8")
+        cold = _set_state(ingest(path))
+
+        def no_byte_check(path):
+            raise AssertionError("a sidecar hit checked the bytes")
+
+        monkeypatch.setattr(dataio, "_is_plain", no_byte_check)
+        assert _set_state(ingest(path)) == cold
 
     def test_sidecar_keeps_signed_zero_order_and_str_columns(self, tmp_path):
         from portcanyon.dataio import _load_sidecar
@@ -870,7 +957,8 @@ class TestSidecar:
         # 8-angle scans around a 9-angle one: two blocks, the first not contiguous.
         path.write_text(_canonical_text(), encoding="utf-8")
         parsed = ingest(path)
-        cached = _load_sidecar(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
+        rows = _load_sidecar(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
+        cached = _scan_set(*rows, parsed.sha256)
         assert _set_state(cached) == _set_state(parsed)
         assert [b.index.tolist() for b in cached.blocks] == [[0, 2], [1]]
         assert repr(float(cached.x[1])) == "-0.0"
