@@ -69,7 +69,7 @@ def _cmd_synth(args, cfg: ToolConfig) -> Report:
     layout = synth.build_layout(args.layout, rx_height_m=cfg.rx_height_m)
     scans = synth.generate_campaign(layout, scfg, vehicle_mode=args.vehicle_mode)
     dataio.write_scans(args.out, scans, seed=scfg.seed)
-    rows = sum(s.angles.size for s in scans)
+    rows = sum(block.gains.size for block in scans.blocks)
     return Report([], [
         f"synth: wrote {len(scans)} scans ({rows} rows) to {args.out}",
         f"synth: layout={args.layout} seed={scfg.seed} vehicle_mode={args.vehicle_mode}",

@@ -9,8 +9,9 @@ dataset to within one or two floating-point ulps.
 Every emitted file starts with a '#' provenance comment (tool version, seed,
 input hash) followed by the header row; files are written atomically, with
 the mode the umask gives a newly created file.  `write_table` takes columns
-and streams its text `_CHUNK_ROWS` rows at a time, and `write_scans` one scan
-at a time, so no output exists as one string.
+and streams its text `_CHUNK_ROWS` rows at a time.  `write_scans` takes a
+ScanSet's blocks, formats each distinct angle grid once per block and writes
+one scan at a time, in set order, so no output exists as one string.
 
 `ingest` returns an `angular.ScanSet`: key columns, one (scans x angles)
 matrix pair per angle count, and the file's sha256.  A canonical file is
@@ -26,12 +27,12 @@ parse.  It is written atomically (umask mode) only after an ingest succeeds;
 a directory that refuses the write just leaves no sidecar.  It is trusted
 only if its format version and input sha256 match, its members are exactly
 the expected ones, each with the expected dtype and shape, no larger than
-the input, each reads whole (zipfile checks each CRC-32), its angle counts
-are positive and its keys pass the readers' key rules.  Its rows then go
-through the same `_scan_set` and checks as a parse's.  Anything else, an I/O
-error or a format-1 sidecar included, is a miss: the file is parsed and the
-sidecar rewritten.  So a sidecar never changes a result, and deleting it is
-always safe.
+the input, each reads whole (zipfile checks each CRC-32), it holds at
+least one scan, its angle counts are positive, no key repeats and its keys
+pass the readers' key rules.  Its rows then go through the same `_scan_set`
+and checks as a parse's.  Anything else, an I/O error or a format-1 sidecar
+included, is a miss: the file is parsed and the sidecar rewritten.  So a
+sidecar never changes a result, and deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import hashlib
+import heapq
 import itertools
 import math
 import os
@@ -49,7 +51,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .angular import AngularScan, ScanBlock, ScanSet, Stacking, VehicleState, first_invalid
+from .angular import ScanBlock, ScanSet, Stacking, VehicleState, first_invalid
 from .errors import IngestError
 
 __all__ = [
@@ -100,19 +102,28 @@ def _atomic_write(path, write) -> None:
         raise
 
 
-def _scan_text(scan: AngularScan) -> str:
-    """Canonical CSV rows of one scan; only phi_deg and gain_db vary by row."""
-    prefix = f"{_cell(scan.tx)},{float(scan.x)!r},{float(scan.y)!r},"
-    suffix = f",{scan.vehicle_state.value},{scan.stacking.value}\n"
-    phi_deg = map(repr, np.degrees(scan.angles).tolist())
-    gain_db = map(repr, (10.0 * np.log10(scan.gains)).tolist())
-    return "".join([prefix + phi + "," + gain + suffix for phi, gain in zip(phi_deg, gain_db)])
+def _scan_texts(scans: ScanSet, block):
+    """(position, canonical CSV rows) of each scan of one of the set's blocks,
+    in block order; each distinct grid row's phi_deg text is formatted once."""
+    phi_cells = {}
+    for i, angles, gains in zip(block.index.tolist(), block.angles, block.gains):
+        grid = angles.tobytes()  # by bytes: -0.0 and 0.0 format differently
+        if grid not in phi_cells:
+            phi_cells[grid] = [phi + "," for phi in map(repr, np.degrees(angles).tolist())]
+        prefix = f"{_cell(scans.tx[i])},{float(scans.x[i])!r},{float(scans.y[i])!r},"
+        suffix = f",{scans.vehicle_state[i]},{scans.stacking[i]}\n"
+        gain_db = map(repr, (10.0 * np.log10(gains)).tolist())
+        rows = (suffix + prefix).join(map(str.__add__, phi_cells[grid], gain_db))
+        yield i, prefix + rows + suffix
 
 
 def write_scans(path, scans, seed=None) -> None:
-    """Write scans to the canonical CSV, atomically and deterministically."""
+    """Write scans, a ScanSet or AngularScans, to the canonical CSV, atomically
+    and deterministically: one scan per write, in set order."""
+    scans = ScanSet.of(scans)
+    texts = heapq.merge(*(_scan_texts(scans, block) for block in scans.blocks))
     head = provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n"
-    chunks = itertools.chain([head], map(_scan_text, scans))
+    chunks = itertools.chain([head], (text for _, text in texts))
     _atomic_write(path, lambda fh: fh.writelines(map(str.encode, chunks)))
 
 
@@ -369,7 +380,9 @@ def _load_sidecar(path, sha256, limit):
                 keys = list(zip(*(member(key, "f8" if key in ("x", "y") else "U", (n,)).tolist()
                                   for key in ScanSet.KEYS)))
                 phi_deg, gain_db = (member(name, "f8", (total,)) for name in ("phi_deg", "gain_db"))
-        if (sizes > 0).all() and all(_valid_key(*key) for key in keys):
+        # Keys compare as the readers group them: -0.0 joins 0.0.
+        if (sizes.size > 0 and (sizes > 0).all() and len(set(keys)) == len(keys)
+                and all(_valid_key(*key) for key in keys)):
             return keys, sizes, phi_deg, gain_db
         return None
     except Exception:  # whatever the file holds, a sidecar that fails is a miss

@@ -4,9 +4,11 @@ Stands in for the (non-public) measured dataset: replicates the campaign
 layouts (canyon dimensions, stacking profiles, TX mounts, coarse and dense
 RX grids) and produces angular scans whose mean power follows the canyon
 model with fully spread Rayleigh fading, smoothed by the rotating horn's
-pattern.  Everything is driven by one integer seed; every (tx, point,
-variant) gets its own child random stream, so scans can be generated in any
-order, or in parallel, with identical results.
+pattern.  `generate_campaign` returns the whole campaign as one
+`angular.ScanSet`, its gains checked as `AngularScan` checks one scan's, and
+`dataio.write_scans` writes it.  Everything is driven by one integer seed;
+every (tx, point, variant) gets its own child random stream, so scans can be
+generated in any order, or in parallel, with identical results.
 
 Layout coordinate conventions (lengths in metres):
 
@@ -25,15 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularScan, Stacking, VehicleState, to_db
+from .angular import ScanBlock, ScanSet, Stacking, VehicleState, first_invalid, from_db, to_db
 from .errors import DomainError, IngestError
 from .geometry import CanyonGeometry, received_power_approx
 from .stats import EmpiricalCdf, empirical_cdf
 
 __all__ = [
     "TxSpec", "CampaignLayout", "HornPattern", "SynthConfig", "build_layout",
-    "geometry_for", "mean_gain_at", "generate_scan", "add_vehicle_offset",
-    "fullspread_gain_distribution", "generate_campaign", "tx_position", "MAX_N_ANGLES",
+    "geometry_for", "mean_gain_at", "fullspread_gain_distribution", "generate_campaign",
+    "tx_position", "MAX_N_ANGLES",
 ]
 
 CANYON_LENGTH_M = 36.0
@@ -302,72 +304,6 @@ def _smooth(values: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(values) * np.fft.rfft(kernel), n=n)
 
 
-def generate_scan(
-    layout: CampaignLayout, tx: TxSpec, rx_point, cfg: SynthConfig
-) -> AngularScan:
-    """One synthetic rotation measurement at one RX point (no vehicle).
-
-    Per-angle-bin independent exponential power draws (Rayleigh envelope)
-    around the model mean, circularly convolved with the horn pattern; with
-    fading disabled the spectrum is flat at the mean gain.  The draw stream
-    depends only on (seed, tx, point), so generation order is irrelevant.
-    """
-    mean_lin = 10.0 ** (mean_gain_at(layout, tx, rx_point, cfg) / 10.0)
-    if cfg.fading:
-        rng = _rng(_point_entropy(cfg, _STREAM_SCAN, layout.tx_index(tx), rx_point))
-        raw = rng.exponential(scale=mean_lin, size=cfg.n_angles)
-    else:
-        raw = np.full(cfg.n_angles, mean_lin)
-    gains = _smooth(raw, cfg.horn.kernel(cfg.n_angles))
-    x, y = rx_point
-    return AngularScan(
-        tx=tx.tx_id,
-        x=x,
-        y=y,
-        angles=cfg.angles_rad,
-        gains=gains,
-        vehicle_state=VehicleState.ABSENT,
-        stacking=layout.stacking,
-    )
-
-
-def add_vehicle_offset(
-    layout: CampaignLayout,
-    tx: TxSpec,
-    base: AngularScan,
-    state: VehicleState,
-    cfg: SynthConfig,
-) -> AngularScan:
-    """Derive a with-vehicle scan from a baseline scan.
-
-    The vehicle is modelled statistically: an independent Gaussian dB
-    perturbation per angle, subtracted from the baseline so that
-    baseline - vehicle recovers draws from N(mu, sigma).
-    """
-    state = VehicleState(state)
-    if state is VehicleState.ABSENT:
-        raise DomainError("vehicle state must be position1 or position2")
-    if base.tx != tx.tx_id:
-        raise DomainError(f"scan belongs to {base.tx!r}, not {tx.tx_id!r}")
-    rng = _rng(
-        _point_entropy(
-            cfg, _STREAM_VEHICLE, layout.tx_index(tx), (base.x, base.y),
-            extra=(_VEHICLE_CODE[state],),
-        )
-    )
-    delta_db = rng.normal(cfg.vehicle_mu_db, cfg.vehicle_sigma_db, base.gains.size)
-    gains = 10.0 ** ((to_db(base.gains) - delta_db) / 10.0)
-    return AngularScan(
-        tx=base.tx,
-        x=base.x,
-        y=base.y,
-        angles=base.angles,
-        gains=gains,
-        vehicle_state=state,
-        stacking=base.stacking,
-    )
-
-
 def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
     """Monte Carlo distribution of the azimuth directional gain for a fully
     spread channel.
@@ -386,28 +322,70 @@ def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
     return empirical_cdf(normalized_db.max(axis=1))
 
 
+def _require_valid(gains, grid) -> None:
+    """Raise what `AngularScan` raises for the first row of gains on grid that
+    is not a valid scan."""
+    found = first_invalid(np.broadcast_to(grid, gains.shape), gains)
+    if found:
+        raise found[1]
+
+
 def generate_campaign(
     layout: CampaignLayout, cfg: SynthConfig, vehicle_mode: str = "none"
-) -> list[AngularScan]:
-    """Generate the full scan dataset for a layout.
+) -> ScanSet:
+    """Generate the full scan dataset for a layout, as one checked ScanSet.
 
     vehicle_mode:
         "none"  - baseline scans only;
         "dense" - vehicle variants (both positions) on the dense grid, the
                   part of the campaign where the vehicle was parked.
 
-    Scans come out in a canonical order (tx, then grid point, baseline
-    before vehicle states); with a fixed seed the dataset is byte-identical
+    A baseline scan draws independent exponential powers per angle bin
+    (Rayleigh envelope) around the model mean, and each transmitter's
+    (points x angles) draws are smoothed with the horn pattern in one call;
+    with fading disabled the spectrum is flat at the mean gain.  A vehicle
+    scan subtracts an independent N(mu, sigma) dB perturbation per angle from
+    its baseline, so that baseline - vehicle recovers those draws.  Each (tx,
+    point) and each (tx, point, vehicle state) draws from its own child
+    stream of the seed, so with a fixed seed the dataset is byte-identical
     run to run and independent of how generation is scheduled.
+
+    Scans come out in a canonical order (tx, then grid point, baseline
+    before vehicle states), in one block on the grid `cfg.angles_rad`.  Every
+    linear gain must be finite and > 0, as `AngularScan` requires; an offset
+    or vehicle spread that breaks that raises its DomainError.
     """
     if vehicle_mode not in ("none", "dense"):
         raise DomainError(f"unknown vehicle_mode {vehicle_mode!r}")
-    scans: list[AngularScan] = []
-    for tx in layout.txs:
-        for point in layout.all_points():
-            base = generate_scan(layout, tx, point, cfg)
-            scans.append(base)
+    n, points, kernel = cfg.n_angles, layout.all_points(), cfg.horn.kernel(cfg.n_angles)
+    base = np.empty((len(layout.txs), len(points), n))  # draws, then smoothed in place
+    keys, source, moved, deltas = [], [], [], []
+    for t, tx in enumerate(layout.txs):
+        for p, point in enumerate(points):
+            # A huge offset overflows the mean to inf, which the check rejects.
+            with np.errstate(over="ignore"):
+                mean_lin = from_db(mean_gain_at(layout, tx, point, cfg))
+            base[t, p] = (_rng(_point_entropy(cfg, _STREAM_SCAN, t, point)).exponential(mean_lin, n)
+                          if cfg.fading else mean_lin)
+            states = (VehicleState.ABSENT,)
             if vehicle_mode == "dense" and point in layout.dense_points:
-                for state in (VehicleState.POSITION1, VehicleState.POSITION2):
-                    scans.append(add_vehicle_offset(layout, tx, base, state, cfg))
-    return scans
+                states += (VehicleState.POSITION1, VehicleState.POSITION2)
+            for state in states:
+                keys.append((tx.tx_id, *point, state.value, layout.stacking.value))
+                source.append(t * len(points) + p)
+                moved.append(state in _VEHICLE_CODE)
+                if moved[-1]:
+                    rng = _rng(_point_entropy(cfg, _STREAM_VEHICLE, t, point,
+                                              extra=(_VEHICLE_CODE[state],)))
+                    deltas.append(rng.normal(cfg.vehicle_mu_db, cfg.vehicle_sigma_db, n))
+        with np.errstate(over="ignore", invalid="ignore"):
+            base[t] = _smooth(base[t], kernel)
+    base = base.reshape(-1, n)
+    _require_valid(base, cfg.angles_rad)  # before to_db takes the baselines' logs
+    gains, moved = base[source], np.array(moved, dtype=bool)
+    if deltas:
+        with np.errstate(over="ignore"):
+            gains[moved] = 10.0 ** ((to_db(gains[moved]) - np.array(deltas)) / 10.0)
+        _require_valid(gains[moved], cfg.angles_rad)
+    grid = np.broadcast_to(cfg.angles_rad, gains.shape)
+    return ScanSet.from_keys(keys, [ScanBlock(np.arange(len(keys)), grid, gains)])

@@ -39,11 +39,9 @@ from portcanyon.synth import (
     SynthConfig,
     TxSpec,
     _smooth,
-    add_vehicle_offset,
     build_layout,
     fullspread_gain_distribution,
     generate_campaign,
-    generate_scan,
     mean_gain_at,
 )
 from portcanyon.vehicle import fit_gaussian, vehicle_delta
@@ -283,16 +281,15 @@ def test_criterion_08_spatial_decorrelation():
 
 # --------------------------------------------------------------------------
 def test_criterion_09_vehicle_statistics():
-    layout = build_layout("uniform")
+    layout = replace(build_layout("uniform"), coarse_points=())  # the vehicle's dense grid
     deltas = []
     for seed in range(5):
         cfg = SynthConfig(seed=seed, n_angles=360,
                           vehicle_mu_db=1.13, vehicle_sigma_db=6.91)
-        for tx in layout.txs:
-            for point in layout.dense_points:
-                base = generate_scan(layout, tx, point, cfg)
-                veh = add_vehicle_offset(layout, tx, base, VehicleState.POSITION1, cfg)
-                deltas.append(vehicle_delta(base, veh))
+        scans = generate_campaign(layout, cfg, vehicle_mode="dense")
+        deltas.append(vehicle_delta(
+            scans[scans.vehicle_state == VehicleState.ABSENT.value],
+            scans[scans.vehicle_state == VehicleState.POSITION1.value]).ravel())
     pool = np.concatenate(deltas)
     fit = fit_gaussian(pool)
     gap = ks_gap(pool, fit.mu_db, fit.sigma_db)

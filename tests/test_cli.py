@@ -8,6 +8,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +302,27 @@ class TestBoundaryValues:
         assert rc == 4
         assert captured.err.startswith("error[domain]: ")
         assert "finite" in captured.err
+
+    @pytest.mark.parametrize("flags, ini", [
+        (["--gain-offset-db", "-4000"], ""),
+        (["--gain-offset-db", "nan"], ""),
+        (["--gain-offset-db", "4000"], ""),   # the mean gain overflows to inf
+        (["--gain-offset-db", "1e308"], ""),
+        ([], "vehicle_sigma_db = inf\n"),
+    ])
+    def test_synth_gains_out_of_range_are_domain_errors(self, tmp_path, capsys, flags, ini):
+        config = tmp_path / "synth.ini"
+        config.write_text(f"[synth]\nn_angles = 16\n{ini}", encoding="utf-8")
+        out = tmp_path / "d.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be noise on stderr
+            rc = main(["--config", str(config), "synth", "--layout", "uniform",
+                       "--vehicle-mode", "dense", "--out", str(out), *flags])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "error[domain]: all linear gains must be finite and > 0\n"
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_non_utf8_csv_is_ingest_error(self, tmp_path, line_data, capsys):
         data = tmp_path / "latin1.csv"

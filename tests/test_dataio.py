@@ -771,7 +771,7 @@ def _oversized(members) -> bytes:
 
 SIDECAR_KINDS = ("missing", "intact", "stale", "truncated", "bitflip", "npy", "version",
                  "extra", "pickled", "retyped", "swapped", "fortran", "reshaped", "invalid",
-                 "nonpositive", "stacking", "oversized")
+                 "nonpositive", "stacking", "empty", "duplicate", "oversized")
 
 
 def _corrupt(kind, good, stale, sha256, pick):
@@ -820,6 +820,17 @@ def _corrupt(kind, good, stale, sha256, pick):
                             for key in ScanSet.KEYS}))
     if kind == "stacking":
         return _npz(dict(members, stacking=np.full(members["stacking"].size, "bogus")))
+    if kind == "empty":  # no scans at all
+        return _npz({name: arr[:0] if arr.ndim else arr for name, arr in members.items()})
+    if kind == "duplicate":  # one scan twice, a -0.0 x as 0.0: the same key
+        sizes = members["sizes"]
+        scan = pick(sizes.size)
+        start = int(sizes[:scan].sum())
+        rows = {name: np.append(members[name], members[name][start:start + sizes[scan]])
+                for name in ("phi_deg", "gain_db")}
+        keys = {key: np.append(members[key], members[key][scan]) for key in ScanSet.KEYS}
+        keys["x"][-1] += 0.0
+        return _npz(dict(members, sizes=np.append(sizes, sizes[scan]), **keys, **rows))
     return _oversized(members)
 
 

@@ -1,9 +1,15 @@
 """Synthetic campaign generator: layouts, horn smoothing, determinism."""
 
 import math
+import os
+import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_dataio import oracle_scans_bytes
 
 from portcanyon import synth
 from portcanyon.angular import (
@@ -12,8 +18,10 @@ from portcanyon.angular import (
     VehicleState,
     azimuth_gain,
     circular_mean_gain,
+    to_db,
 )
 from portcanyon.config import load_config
+from portcanyon.dataio import write_scans
 from portcanyon.errors import DomainError
 from portcanyon.geometry import CanyonGeometry, received_power_approx
 from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
@@ -21,11 +29,9 @@ from portcanyon.synth import (
     HornPattern,
     SynthConfig,
     TxSpec,
-    add_vehicle_offset,
     build_layout,
     fullspread_gain_distribution,
     generate_campaign,
-    generate_scan,
     geometry_for,
     mean_gain_at,
     tx_position,
@@ -33,6 +39,55 @@ from portcanyon.synth import (
 from portcanyon.vehicle import fit_gaussian, vehicle_delta
 
 CFG = SynthConfig(seed=3, n_angles=360)
+
+
+def one_point(layout, point, dense=False):
+    """layout narrowed to one grid point, coarse or dense.  The transmitters
+    stay whole: each random stream is keyed by the TX's index in the layout."""
+    if dense:
+        return replace(layout, coarse_points=(), dense_points=(point,))
+    return replace(layout, coarse_points=(point,), dense_points=())
+
+
+# ----------------------------------------------- per-scan reference generator
+
+def oracle_scan(layout, tx, rx_point, cfg) -> AngularScan:
+    """One baseline scan, generated and checked on its own, as the per-scan
+    generator did before `generate_campaign` worked on matrices."""
+    mean_lin = 10.0 ** (mean_gain_at(layout, tx, rx_point, cfg) / 10.0)
+    if cfg.fading:
+        rng = synth._rng(synth._point_entropy(cfg, synth._STREAM_SCAN, layout.tx_index(tx),
+                                              rx_point))
+        raw = rng.exponential(scale=mean_lin, size=cfg.n_angles)
+    else:
+        raw = np.full(cfg.n_angles, mean_lin)
+    gains = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
+    x, y = rx_point
+    return AngularScan(tx=tx.tx_id, x=x, y=y, angles=cfg.angles_rad, gains=gains,
+                       vehicle_state=VehicleState.ABSENT, stacking=layout.stacking)
+
+
+def oracle_vehicle_scan(layout, tx, base, state, cfg) -> AngularScan:
+    """The with-vehicle scan derived from a baseline scan, on its own."""
+    rng = synth._rng(synth._point_entropy(
+        cfg, synth._STREAM_VEHICLE, layout.tx_index(tx), (base.x, base.y),
+        extra=(synth._VEHICLE_CODE[state],)))
+    delta_db = rng.normal(cfg.vehicle_mu_db, cfg.vehicle_sigma_db, base.gains.size)
+    gains = 10.0 ** ((to_db(base.gains) - delta_db) / 10.0)
+    return AngularScan(tx=base.tx, x=base.x, y=base.y, angles=base.angles, gains=gains,
+                       vehicle_state=state, stacking=base.stacking)
+
+
+def oracle_campaign(layout, cfg, vehicle_mode) -> list:
+    scans = []
+    for tx in layout.txs:
+        for point in layout.all_points():
+            base = oracle_scan(layout, tx, point, cfg)
+            scans.append(base)
+            if vehicle_mode == "dense" and point in layout.dense_points:
+                for state in (VehicleState.POSITION1, VehicleState.POSITION2):
+                    scans.append(oracle_vehicle_scan(layout, tx, base, state, cfg))
+    return scans
 
 
 class TestLayout:
@@ -168,74 +223,96 @@ class TestHornPattern:
             HornPattern(0.0)
 
 
-class TestGenerateScan:
+class TestBaselineScans:
     def setup_method(self):
         self.layout = build_layout("uniform")
-        self.tx = self.layout.txs[0]
         self.point = self.layout.coarse_points[0]
 
+    def first_tx_gains(self, point, cfg):
+        return generate_campaign(one_point(self.layout, point), cfg).blocks[0].gains[0]
+
     def test_deterministic_and_order_independent(self):
-        a1 = generate_scan(self.layout, self.tx, self.point, CFG)
-        b = generate_scan(self.layout, self.tx, self.layout.coarse_points[1], CFG)
-        a2 = generate_scan(self.layout, self.tx, self.point, CFG)
-        assert np.array_equal(a1.gains, a2.gains)
-        assert not np.array_equal(a1.gains, b.gains)
+        a1 = self.first_tx_gains(self.point, CFG)
+        b = self.first_tx_gains(self.layout.coarse_points[1], CFG)
+        a2 = generate_campaign(self.layout, CFG).blocks[0].gains[0]  # TX1_63, first point
+        assert np.array_equal(a1, a2)
+        assert not np.array_equal(a1, b)
 
     def test_fading_disabled_gives_flat_spectrum(self):
         cfg = SynthConfig(seed=3, n_angles=360, fading=False)
-        scan = generate_scan(self.layout, self.tx, self.point, cfg)
-        mean = mean_gain_at(self.layout, self.tx, self.point, cfg)
+        mean = mean_gain_at(self.layout, self.layout.txs[0], self.point, cfg)
         assert np.allclose(
-            10.0 * np.log10(scan.gains), mean, atol=1e-9
+            10.0 * np.log10(self.first_tx_gains(self.point, cfg)), mean, atol=1e-9
         )
 
     def test_scan_metadata(self):
-        scan = generate_scan(self.layout, self.tx, self.point, CFG)
-        assert scan.tx == "TX1_63"
-        assert (scan.x, scan.y) == self.point
-        assert scan.stacking is Stacking.UNIFORM
-        assert scan.vehicle_state is VehicleState.ABSENT
-        assert scan.angles.size == 360
+        scans = generate_campaign(one_point(self.layout, self.point), CFG)
+        assert scans.tx.tolist() == [tx.tx_id for tx in self.layout.txs]
+        assert (scans.x[0], scans.y[0]) == self.point
+        assert set(scans.stacking) == {Stacking.UNIFORM.value}
+        assert set(scans.vehicle_state) == {VehicleState.ABSENT.value}
+        (block,) = scans.blocks
+        assert block.gains.shape == (len(self.layout.txs), 360)
+        assert np.array_equal(block.angles, np.broadcast_to(CFG.angles_rad, (7, 360)))
 
     def test_ensemble_mean_converges_to_model(self):
         # Law of large numbers over independent seeds, per angle.
-        mean_db = mean_gain_at(self.layout, self.tx, self.point, CFG)
+        mean_db = mean_gain_at(self.layout, self.layout.txs[0], self.point, CFG)
         acc = np.zeros(72)
         n = 3000
         for seed in range(n):
-            cfg = SynthConfig(seed=seed, n_angles=72)
-            acc += generate_scan(self.layout, self.tx, self.point, cfg).gains
+            acc += self.first_tx_gains(self.point, SynthConfig(seed=seed, n_angles=72))
         ensemble_db = 10.0 * np.log10(acc / n)
         assert np.all(np.abs(ensemble_db - mean_db) < 0.25)
 
 
-class TestVehicleOffset:
+class TestVehicleScans:
     def test_recovers_configured_parameters(self):
-        layout = build_layout("uniform")
+        layout = replace(build_layout("uniform"), coarse_points=())
         cfg = SynthConfig(seed=11, n_angles=360, vehicle_mu_db=1.13, vehicle_sigma_db=6.91)
-        deltas = []
-        for tx in layout.txs:
-            for point in layout.dense_points:
-                base = generate_scan(layout, tx, point, cfg)
-                veh = add_vehicle_offset(layout, tx, base, VehicleState.POSITION1, cfg)
-                deltas.append(vehicle_delta(base, veh))
-        fit = fit_gaussian(np.concatenate(deltas))
+        scans = generate_campaign(layout, cfg, vehicle_mode="dense")
+        deltas = vehicle_delta(scans[scans.vehicle_state == VehicleState.ABSENT.value],
+                               scans[scans.vehicle_state == VehicleState.POSITION1.value])
+        fit = fit_gaussian(deltas.ravel())
         assert fit.mu_db == pytest.approx(1.13, abs=0.02)
         assert fit.sigma_db == pytest.approx(6.91, abs=0.02)
 
     def test_positions_use_independent_streams(self):
         layout = build_layout("uniform")
         cfg = SynthConfig(seed=11, n_angles=64)
-        base = generate_scan(layout, layout.txs[0], layout.dense_points[0], cfg)
-        v1 = add_vehicle_offset(layout, layout.txs[0], base, VehicleState.POSITION1, cfg)
-        v2 = add_vehicle_offset(layout, layout.txs[0], base, VehicleState.POSITION2, cfg)
-        assert not np.array_equal(v1.gains, v2.gains)
+        scans = generate_campaign(one_point(layout, layout.dense_points[0], dense=True), cfg,
+                                  vehicle_mode="dense")
+        assert scans.vehicle_state[:3].tolist() == ["absent", "position1", "position2"]
+        v1, v2 = scans.blocks[0].gains[1:3]
+        assert not np.array_equal(v1, v2)
 
-    def test_absent_state_rejected(self):
-        layout = build_layout("uniform")
-        base = generate_scan(layout, layout.txs[0], layout.dense_points[0], CFG)
-        with pytest.raises(DomainError):
-            add_vehicle_offset(layout, layout.txs[0], base, VehicleState.ABSENT, CFG)
+
+@settings(max_examples=15, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1), n_angles=st.integers(8, 64),
+    hpbw_deg=st.floats(0.01, 360.0), fading=st.booleans(),
+    gain_offset_db=st.floats(-60.0, 60.0), vehicle_mu_db=st.floats(-10.0, 10.0),
+    vehicle_sigma_db=st.floats(0.0, 15.0),
+    kind=st.sampled_from(["uniform", "nonuniform"]),
+    vehicle_mode=st.sampled_from(["none", "dense"]),
+    stride=st.integers(1, 6),
+)
+def test_campaign_matches_per_scan_oracle(kind, vehicle_mode, stride, **knobs):
+    cfg = SynthConfig(**knobs)
+    layout = build_layout(kind)
+    # Every stride-th grid point keeps each example short; stride 1 is the full layout.
+    layout = replace(layout, coarse_points=layout.coarse_points[::stride],
+                     dense_points=layout.dense_points[::stride])
+    scans = generate_campaign(layout, cfg, vehicle_mode=vehicle_mode)
+    oracle = oracle_campaign(layout, cfg, vehicle_mode)
+    assert [s.key for s in scans] == [s.key for s in oracle]
+    (block,) = scans.blocks
+    assert block.gains.tobytes() == np.stack([s.gains for s in oracle]).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "campaign.csv")
+        write_scans(path, scans, seed=cfg.seed)
+        with open(path, "rb") as fh:
+            assert fh.read() == oracle_scans_bytes(oracle, seed=cfg.seed)
 
 
 class TestFullspread:
@@ -294,16 +371,12 @@ class TestCampaign:
     def _crane_sweep_samples(cfg):
         """Angle-averaged gains over the TX1 crane positions (shared mount
         height, model distance varying), against the model distance."""
-        layout = build_layout("uniform")
-        samples = []
-        for tx in layout.txs:
-            if not tx.tx_id.startswith("TX1_"):
-                continue
-            geom_d = tx.y - layout.near_edge_y_m
-            for point in layout.coarse_points:
-                scan = generate_scan(layout, tx, point, cfg)
-                samples.append(GainSample(geom_d, circular_mean_gain(scan)))
-        return samples
+        layout = replace(build_layout("uniform"), dense_points=())
+        scans = generate_campaign(layout, cfg)
+        distance = {tx.tx_id: tx.y - layout.near_edge_y_m for tx in layout.txs}
+        return [GainSample(distance[tx], gain)
+                for tx, gain in zip(scans.tx.tolist(), circular_mean_gain(scans).tolist())
+                if tx.startswith("TX1_")]
 
     def test_free_slope_regression_recovers_fourth_power(self):
         samples = self._crane_sweep_samples(SynthConfig(seed=2, n_angles=360))
