@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -21,7 +20,7 @@ from .errors import DomainError, GridError
 from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf
 
 __all__ = [
-    "VehicleState", "Stacking", "AngularScan", "ScanBlock", "ScanSet", "first_invalid",
+    "VehicleState", "Stacking", "ScanBlock", "ScanSet", "first_invalid",
     "AngularSpectrumStats", "to_db", "from_db", "circular_mean_gain", "normalized_spectrum",
     "require_common_grid", "ensemble_stats", "tx_bearing", "azimuth_gain", "gain_cdfs",
 ]
@@ -44,51 +43,10 @@ class Stacking(str, enum.Enum):
     NONUNIFORM = "nonuniform"
 
 
-@dataclass(frozen=True, eq=False)
-class AngularScan:
-    """One rotation measurement: linear channel gain vs azimuth at one RX point.
-
-    Attributes:
-        tx: transmitter identifier (e.g. "TX1_63", "TX2").
-        x, y: RX position (m); x runs along the canyon, y across it.
-        angles: strictly increasing uniform azimuth grid (rad) covering one
-            full rotation, first angle in [0, spacing).
-        gains: linear power channel gain per angle, all finite and > 0.
-        vehicle_state: vehicle presence during the measurement.
-        stacking: container stacking configuration.
-    """
-
-    tx: str
-    x: float
-    y: float
-    angles: np.ndarray
-    gains: np.ndarray
-    vehicle_state: VehicleState = VehicleState.ABSENT
-    stacking: Stacking = Stacking.UNIFORM
-
-    def __post_init__(self) -> None:
-        angles = np.asarray(self.angles, dtype=float)
-        gains = np.asarray(self.gains, dtype=float)
-        object.__setattr__(self, "angles", angles)
-        object.__setattr__(self, "gains", gains)
-        object.__setattr__(self, "vehicle_state", VehicleState(self.vehicle_state))
-        object.__setattr__(self, "stacking", Stacking(self.stacking))
-        if angles.ndim != 1 or angles.shape != gains.shape:
-            raise GridError(f"angles and gains must be 1-D and equal length, got "
-                            f"{angles.shape} vs {gains.shape}")
-        invalid = first_invalid(angles[None], gains[None])
-        if invalid:
-            raise invalid[1]
-
-    @property
-    def key(self) -> tuple:
-        """Grouping key identifying the measurement this scan belongs to."""
-        return (self.tx, self.x, self.y, self.vehicle_state, self.stacking)
-
-
 def first_invalid(angles, gains):
     """(row, error) for the first row of (scans x angles) matrices that is not
-    a valid scan, with the error `AngularScan` raises for it; None if all are."""
+    a valid scan (8 or more angles, uniform over one rotation from [0, spacing),
+    every gain finite and > 0) and the error saying why; None if all are."""
     n = angles.shape[1]
     if n < 8:
         return 0, GridError(f"need at least 8 azimuth samples, got {n}")
@@ -120,14 +78,14 @@ class ScanBlock(NamedTuple):
     gains: np.ndarray
 
 
-class ScanSet(Sequence):
+class ScanSet:
     """Scans as columns, in order: what `dataio.ingest` returns.
 
     The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
     values) hold one entry per scan, `blocks` one ScanBlock per angle count,
-    and `sha256` the hash of the file read, if any.  An item is an
-    `AngularScan` view, built and checked on access; a slice, mask or index
-    array selects a ScanSet.  The matrices are taken as already checked.
+    and `sha256` the hash of the file read, if any.  A slice, mask or index
+    array selects a ScanSet; `key(i)` names scan i.  `from_rows` checks the
+    scans it builds; the constructor and `from_keys` take them as checked.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
@@ -141,38 +99,42 @@ class ScanSet(Sequence):
 
     @classmethod
     def from_keys(cls, keys, blocks, sha256=None) -> "ScanSet":
-        """The ScanSet of one (tx, x, y, vehicle_state, stacking) key per scan."""
+        """A ScanSet with one (tx, x, y, vehicle_state, stacking) key per scan."""
         tx, x, y, vehicle_state, stacking = zip(*keys) if keys else ((),) * 5
         return cls((np.array(tx, dtype=object), np.array(x, dtype=float),
                     np.array(y, dtype=float), np.array(vehicle_state, dtype=object),
                     np.array(stacking, dtype=object)), blocks, sha256)
 
     @classmethod
-    def of(cls, scans) -> "ScanSet":
-        """scans itself if it is a ScanSet, else the ScanSet of the AngularScans."""
-        if isinstance(scans, ScanSet):
-            return scans
-        scans = list(scans)
-        sizes = np.array([s.angles.size for s in scans], dtype=int)
-        blocks = [ScanBlock(index, *(np.stack([getattr(scans[i], name) for i in index])
-                                     for name in ("angles", "gains")))
-                  for index in (np.flatnonzero(sizes == n) for n in dict.fromkeys(sizes.tolist()))]
-        return cls.from_keys([(*s.key[:3], s.vehicle_state.value, s.stacking.value)
-                              for s in scans], blocks)
+    def from_rows(cls, keys, sizes, angles_rad, gains, sha256=None) -> "ScanSet":
+        """A checked ScanSet from scans stored back to back: scan i is keys[i]
+        with the next sizes[i] entries of the angles (rad) and linear gains
+        arrays.  The earliest scan that `first_invalid` rejects, whatever its
+        angle count, raises that error prefixed with its key as given."""
+        sizes = np.asarray(sizes, dtype=int)
+        starts = np.cumsum(sizes) - sizes
+        blocks, invalid = [], []
+        for n in dict.fromkeys(sizes.tolist()):
+            index = np.flatnonzero(sizes == n)
+            rows = slice(None) if index.size == sizes.size else starts[index, None] + np.arange(n)
+            blocks.append(ScanBlock(index, angles_rad[rows].reshape(-1, n),
+                                    gains[rows].reshape(-1, n)))
+            found = first_invalid(blocks[-1].angles, blocks[-1].gains)
+            if found:
+                invalid.append((int(index[found[0]]), found[1]))
+        if invalid:
+            scan, exc = min(invalid, key=lambda item: item[0])
+            raise type(exc)(f"scan {keys[scan]}: {exc}") from exc
+        return cls.from_keys(keys, blocks, sha256)
 
     def __len__(self) -> int:
         return len(self.tx)
 
-    def __getitem__(self, which):
-        if not isinstance(which, (int, np.integer)):
-            return self.select(which)
-        block, row = self.blocks[self._block[which]], self._row[which]
-        return AngularScan(self.tx[which], float(self.x[which]), float(self.y[which]),
-                           block.angles[row], block.gains[row],
-                           self.vehicle_state[which], self.stacking[which])
-
-    def select(self, which) -> "ScanSet":
-        """The scans a slice, boolean mask or index array picks, in its order."""
+    def __getitem__(self, which) -> "ScanSet":
+        """The scans a slice, boolean mask or index array picks, in its order.
+        One int is a TypeError, so iterating a ScanSet fails too."""
+        if isinstance(which, (int, np.integer)):
+            raise TypeError("a ScanSet takes a slice, mask or index array; key(i) names scan i")
         index = np.arange(len(self))[which]
         blocks = []
         for b, block in enumerate(self.blocks):
@@ -182,8 +144,13 @@ class ScanSet(Sequence):
                 blocks.append(ScanBlock(picked, block.angles[rows], block.gains[rows]))
         return ScanSet([getattr(self, key)[index] for key in self.KEYS], blocks, self.sha256)
 
+    def key(self, i) -> tuple:
+        """Scan i's (tx, x, y, VehicleState, Stacking) key, as errors name it."""
+        return (self.tx[i], float(self.x[i]), float(self.y[i]),
+                VehicleState(self.vehicle_state[i]), Stacking(self.stacking[i]))
+
     def differs(self, other, keys) -> np.ndarray:
-        """Per scan: does a named key column differ from other's row (or one scan)?"""
+        """Per scan: does a named key column differ from other's (as many, or one) row?"""
         return np.logical_or.reduce([getattr(self, key) != getattr(other, key) for key in keys])
 
     def grid_differs(self, reference) -> np.ndarray:
@@ -245,40 +212,39 @@ def _normalized(gains):
     return to_db(gains) - _mean_db(gains)[..., None]
 
 
-def circular_mean_gain(scan):
-    """Channel gain averaged over angle, in dB; a ScanSet gives one per scan.
+def circular_mean_gain(scans: ScanSet) -> np.ndarray:
+    """Channel gain averaged over angle, in dB, one per scan.
 
     Arithmetic mean of the linear gains on the uniform grid (rectangle rule
     on the periodic domain), then converted to dB.
     """
-    if isinstance(scan, ScanSet):
-        return scan.per_scan(_mean_db)
-    return float(_mean_db(scan.gains))
+    return scans.per_scan(_mean_db)
 
 
-def normalized_spectrum(scan: AngularScan) -> np.ndarray:
-    """Per-angle dB gain relative to the scan's circular mean.
+def normalized_spectrum(scans: ScanSet) -> np.ndarray:
+    """Per-angle dB gain relative to each scan's circular mean, as a (scans x
+    angles) matrix; the scans must share one grid (`require_common_grid`).
 
-    The output's linear-domain circular mean is 1 (0 dB), so spectra from
-    links with different absolute gains become comparable.
+    Each row's linear-domain circular mean is 1 (0 dB), so spectra from links
+    with different absolute gains become comparable.
     """
-    return _normalized(scan.gains)
+    require_common_grid(scans)
+    return _normalized(scans.blocks[0].gains)
 
 
-def require_common_grid(scans) -> np.ndarray:
-    """The angle grid every scan shares (so a ScanSet of one block); a
+def require_common_grid(scans: ScanSet) -> np.ndarray:
+    """The angle grid every scan shares (so the set has one block); a
     GridError names the first scan that differs in size or by more than
     GRID_MATCH_TOL at any angle."""
-    scans = ScanSet.of(scans)
     grid = scans.blocks[scans._block[0]].angles[scans._row[0]]
     differs = scans.grid_differs(grid)
     if differs.any():
-        raise GridError(f"scans must share one angle grid; scan {scans[int(differs.argmax())].key}"
+        raise GridError(f"scans must share one angle grid; scan {scans.key(int(differs.argmax()))}"
                         " differs")
     return grid
 
 
-def ensemble_stats(scans, db_bin_width: float = 1.0) -> AngularSpectrumStats:
+def ensemble_stats(scans: ScanSet, db_bin_width: float = 1.0) -> AngularSpectrumStats:
     """Per-angle ensemble mean and dB-gain histogram over a set of scans.
 
     The mean is taken in the linear domain and reported in dB.  The
@@ -286,7 +252,6 @@ def ensemble_stats(scans, db_bin_width: float = 1.0) -> AngularSpectrumStats:
     bin width; edges are aligned to multiples of the width
     (`stats.aligned_histograms`, which bounds the bin count).
     """
-    scans = ScanSet.of(scans)
     if not len(scans):
         raise DomainError("ensemble_stats needs at least one scan")
     grid = require_common_grid(scans)
@@ -311,29 +276,25 @@ def tx_bearing(tx_pos, rx_pos) -> float:
     return math.atan2(y_rx - y_tx, x_tx - x_rx) % TWO_PI
 
 
-def azimuth_gain(scan):
-    """Best-direction gain over the mean (dB): max of the normalized spectrum;
-    a ScanSet gives one per scan.
+def azimuth_gain(scans: ScanSet) -> np.ndarray:
+    """Best-direction gain over the mean (dB), one per scan: the max of its
+    normalized spectrum.
 
     Always >= 0 dB, with equality only for a perfectly flat spectrum; this is
     the benefit an ideal azimuth-pointed beam would get over an average one.
     """
-    if isinstance(scan, ScanSet):
-        return scan.per_scan(lambda gains: _normalized(gains).max(axis=1))
-    return float(np.max(normalized_spectrum(scan)))
+    return scans.per_scan(lambda gains: _normalized(gains).max(axis=1))
 
 
-def gain_cdfs(scans, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]:
+def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]:
     """Normalized-gain CDFs over all directions vs the TX direction.
 
     The first CDF pools the normalized spectrum over every angle of every
     scan; the second takes, per scan, the normalized gain at the grid angle
     nearest the transmitter bearing.  If the two are close, pointing a beam
-    at the TX buys nothing over pointing it anywhere.  scans is a ScanSet or
-    AngularScans, tx_positions maps tx id -> (x, y); returns (cdf_all_directions,
-    cdf_tx_direction).
+    at the TX buys nothing over pointing it anywhere.  tx_positions maps tx
+    id -> (x, y); returns (cdf_all_directions, cdf_tx_direction).
     """
-    scans = ScanSet.of(scans)
     if not len(scans):
         raise DomainError("gain_cdfs needs at least one scan")
     bearings = []

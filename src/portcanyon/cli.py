@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__, angular, dataio, geometry, linkbudget, spatialcorr, synth, vehicle
 from .config import DEFAULT_INI, ToolConfig, load_config
 from .errors import ConfigError, DegenerateFitError, IngestError, ToolkitError
-from .pathloss import GainSample, LogLinFit, fit_fixed_slope, fit_loglinear
+from .pathloss import GainSample, fit_fixed_slope, fit_loglinear
 from .stats import empirical_cdf
 
 EXIT_OK = 0
@@ -118,6 +118,12 @@ def _cmd_spatial(args, cfg: ToolConfig) -> Report:
     if not (math.isfinite(args.x_step) and args.x_step > 0.0):
         raise ConfigError(f"--x-step must be finite and > 0, got {args.x_step}")
     scans = _baseline(dataio.ingest(args.input))
+    first, last = (args.x_start + args.x_step * k for k in (0, args.x_count - 1))
+    no_line = IngestError(f"no complete dense line found (need x = {first:g}..{last:g} "
+                          f"step {args.x_step:g})")
+    # A complete line takes x_count distinct scans, so with fewer there is none.
+    if args.x_count > len(scans):
+        raise no_line
     wanted = [args.x_start + args.x_step * k for k in range(args.x_count)]
 
     # Each scan takes the first line position within the tolerance, if any;
@@ -139,8 +145,7 @@ def _cmd_spatial(args, cfg: ToolConfig) -> Report:
             lines.append(spatialcorr.DenseLine(
                 positions=np.array(wanted), scans=scans[[slots[k] for k in range(len(wanted))]]))
     if not lines:
-        raise IngestError(f"no complete dense line found (need x = {wanted[0]:g}.."
-                          f"{wanted[-1]:g} step {args.x_step:g})")
+        raise no_line
 
     lag_m, corr = spatialcorr.averaged_correlation(lines)
     return Report([(args.out, ("lag_m", "correlation"), (np.round(lag_m, 9), corr))], [
@@ -238,11 +243,7 @@ def _cmd_coverage(args, cfg: ToolConfig) -> Report:
     floor = linkbudget.noise_floor_dbm(lb)
     eirp = linkbudget.eirp_dbm(lb)
     mapl = linkbudget.max_allowable_pathloss_db(lb)
-    fit = LogLinFit(
-        n=args.fit_n, r0_db=args.fit_r0, ci_n=0.0, ci_r0=0.0, rmse_db=0.0,
-        sample_count=0,
-    )
-    range_m = linkbudget.coverage_range_m(fit, mapl)
+    range_m = linkbudget.coverage_range_m(args.fit_n, args.fit_r0, mapl)
     throughput_gbps = linkbudget.dual_pol_throughput_bps(lb) / 1e9
 
     lines = [
@@ -256,7 +257,7 @@ def _cmd_coverage(args, cfg: ToolConfig) -> Report:
         f"required SNR:            {lb.required_snr_db:8.1f} dB",
         f"shadow-fading margin:    {lb.shadow_margin_db:8.1f} dB",
         f"max allowable path loss: {mapl:8.1f} dB",
-        f"gain model:              gain = 10*({fit.n:g})*log10(D) + ({fit.r0_db:g}) dB",
+        f"gain model:              gain = 10*({args.fit_n:g})*log10(D) + ({args.fit_r0:g}) dB",
         f"coverage range:          {range_m:8.1f} m",
         f"throughput note:         {2 * lb.spectral_efficiency_bps_hz:g} bit/s/Hz "
         f"dual-pol -> {throughput_gbps:.1f} Gbps in {lb.bandwidth_hz / 1e6:g} MHz",
@@ -272,8 +273,8 @@ def _cmd_coverage(args, cfg: ToolConfig) -> Report:
             ("required_snr", lb.required_snr_db, "dB"),
             ("shadow_margin", lb.shadow_margin_db, "dB"),
             ("max_allowable_pathloss", mapl, "dB"),
-            ("fit_n", fit.n, ""),
-            ("fit_r0", fit.r0_db, "dB"),
+            ("fit_n", args.fit_n, ""),
+            ("fit_r0", args.fit_r0, "dB"),
             ("coverage_range", range_m, "m"),
             ("dual_pol_throughput", throughput_gbps, "Gbps"),
         ])),

@@ -51,7 +51,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .angular import ScanBlock, ScanSet, Stacking, VehicleState, first_invalid
+from .angular import ScanSet, Stacking, VehicleState
 from .errors import IngestError
 
 __all__ = [
@@ -117,10 +117,9 @@ def _scan_texts(scans: ScanSet, block):
         yield i, prefix + rows + suffix
 
 
-def write_scans(path, scans, seed=None) -> None:
-    """Write scans, a ScanSet or AngularScans, to the canonical CSV, atomically
-    and deterministically: one scan per write, in set order."""
-    scans = ScanSet.of(scans)
+def write_scans(path, scans: ScanSet, seed=None) -> None:
+    """Write a ScanSet to the canonical CSV, atomically and deterministically:
+    one scan per write, in set order."""
     texts = heapq.merge(*(_scan_texts(scans, block) for block in scans.blocks))
     head = provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n"
     chunks = itertools.chain([head], (text for _, text in texts))
@@ -138,27 +137,12 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
 
 
 def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
-    """The ScanSet of angle-sorted scans stored back to back, checked a matrix
-    at a time; the first invalid scan raises its `AngularScan` error and key."""
-    sizes = np.asarray(sizes, dtype=int)
-    starts = np.cumsum(sizes) - sizes
-    angles = np.radians(phi_deg)
+    """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units."""
     # A gain_db too large for a float overflows to inf, which the check
     # rejects; numpy's overflow warning would only repeat that.
     with np.errstate(over="ignore"):
         gains = 10.0 ** (gain_db / 10.0)
-    blocks, invalid = [], []
-    for n in dict.fromkeys(sizes.tolist()):
-        index = np.flatnonzero(sizes == n)
-        rows = slice(None) if index.size == sizes.size else starts[index, None] + np.arange(n)
-        blocks.append(ScanBlock(index, angles[rows].reshape(-1, n), gains[rows].reshape(-1, n)))
-        found = first_invalid(blocks[-1].angles, blocks[-1].gains)
-        if found:
-            invalid.append((int(index[found[0]]), found[1]))
-    if invalid:
-        scan, exc = min(invalid, key=lambda item: item[0])
-        raise type(exc)(f"scan {keys[scan]}: {exc}") from exc
-    return ScanSet.from_keys(keys, blocks, sha256)
+    return ScanSet.from_rows(keys, sizes, np.radians(phi_deg), gains, sha256)
 
 
 def _csv_rows(fh):

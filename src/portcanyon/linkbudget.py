@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import DomainError, NoSolutionError
-from .pathloss import LogLinFit
 
 __all__ = [
     "BOLTZMANN_J_PER_K", "LinkBudgetConfig", "eirp_dbm", "noise_floor_dbm",
@@ -69,20 +68,23 @@ def max_allowable_pathloss_db(cfg: LinkBudgetConfig) -> float:
     return eirp_dbm(cfg) - noise_floor_dbm(cfg) - cfg.required_snr_db - cfg.shadow_margin_db
 
 
-def coverage_range_m(fit: LogLinFit, mapl_db: float) -> float:
-    """Distance at which the fitted gain model hits -mapl_db.
+def coverage_range_m(n: float, r0_db: float, mapl_db: float) -> float:
+    """Distance at which the gain model 10*n*log10(D) + R0 hits -mapl_db.
 
     Closed form inversion of the log-linear model: D = 10^((-mapl - R0) / (10n)).
-    Requires a decaying model (negative slope) and a finite distance.
+    Requires a finite, decaying model (negative slope) and a finite distance.
     """
-    if fit.n >= 0.0:
-        raise NoSolutionError(f"gain model must decay with distance (n < 0), got n={fit.n}")
+    for name, value in (("n", n), ("r0_db", r0_db)):
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {name}={value}")
+    if n >= 0.0:
+        raise NoSolutionError(f"gain model must decay with distance (n < 0), got n={n}")
     try:
-        range_m = 10.0 ** ((-mapl_db - fit.r0_db) / (10.0 * fit.n))
+        range_m = 10.0 ** ((-mapl_db - r0_db) / (10.0 * n))
     except OverflowError:
         range_m = math.inf
     if not math.isfinite(range_m):
-        raise DomainError(f"coverage range overflows for n={fit.n}, R0={fit.r0_db} dB")
+        raise DomainError(f"coverage range overflows for n={n}, R0={r0_db} dB")
     return range_m
 
 

@@ -27,21 +27,18 @@ POSITION_SPACING_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class DenseLine:
-    """Uniformly spaced X positions with one scan per position.
+    """Uniformly spaced X positions with one scan of a ScanSet per position.
 
     All scans must share tx, y, vehicle state, stacking and angle grid;
-    positions must be strictly increasing with uniform spacing.  `scans`
-    may be any sequence of AngularScan; it is kept as a ScanSet.
+    positions must be strictly increasing with uniform spacing.
     """
 
     positions: np.ndarray
     scans: ScanSet
 
     def __post_init__(self) -> None:
-        positions = np.asarray(self.positions, dtype=float)
-        scans = ScanSet.of(self.scans)
+        positions, scans = np.asarray(self.positions, dtype=float), self.scans
         object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "scans", scans)
         if positions.ndim != 1 or positions.size < 2:
             raise DomainError("a dense line needs at least 2 positions")
         if len(scans) != positions.size:
@@ -58,8 +55,8 @@ class DenseLine:
                               f"{positions[i]}")
         apart = scans.differs(scans[:1], ("tx", "y", "vehicle_state", "stacking"))
         if apart.any():
-            raise PairingError(f"scan {scans[int(apart.argmax())].key} does not belong to the "
-                               f"line of {scans[0].key}")
+            raise PairingError(f"scan {scans.key(int(apart.argmax()))} does not belong to the "
+                               f"line of {scans.key(0)}")
         require_common_grid(scans)
 
     @property

@@ -5,7 +5,7 @@ layouts (canyon dimensions, stacking profiles, TX mounts, coarse and dense
 RX grids) and produces angular scans whose mean power follows the canyon
 model with fully spread Rayleigh fading, smoothed by the rotating horn's
 pattern.  `generate_campaign` returns the whole campaign as one
-`angular.ScanSet`, its gains checked as `AngularScan` checks one scan's, and
+`angular.ScanSet`, its gains checked by `angular.first_invalid`, and
 `dataio.write_scans` writes it.  Everything is driven by one integer seed;
 every (tx, point, variant) gets its own child random stream, so scans can be
 generated in any order, or in parallel, with identical results.
@@ -312,8 +312,8 @@ def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
     exponential bins smoothed by the horn) and returns the empirical CDF of
     their azimuth gain.  This is the reference any measured azimuth-gain
     distribution is compared against.  The azimuth gain of each row is taken
-    on the matrix as `angular.azimuth_gain` takes it on one scan: the row's
-    max dB gain over its circular mean.
+    as `angular.azimuth_gain` takes it: the row's max dB gain over its
+    circular mean.
     """
     rng = _rng((cfg.seed, _STREAM_FULLSPREAD))
     raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
@@ -323,8 +323,8 @@ def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
 
 
 def _require_valid(gains, grid) -> None:
-    """Raise what `AngularScan` raises for the first row of gains on grid that
-    is not a valid scan."""
+    """Raise the `angular.first_invalid` error of the first row of gains on
+    grid that is not a valid scan."""
     found = first_invalid(np.broadcast_to(grid, gains.shape), gains)
     if found:
         raise found[1]
@@ -352,8 +352,8 @@ def generate_campaign(
 
     Scans come out in a canonical order (tx, then grid point, baseline
     before vehicle states), in one block on the grid `cfg.angles_rad`.  Every
-    linear gain must be finite and > 0, as `AngularScan` requires; an offset
-    or vehicle spread that breaks that raises its DomainError.
+    linear gain must be finite and > 0, as in every ScanSet; an offset or
+    vehicle spread that breaks that raises its DomainError.
     """
     if vehicle_mode not in ("none", "dense"):
         raise DomainError(f"unknown vehicle_mode {vehicle_mode!r}")

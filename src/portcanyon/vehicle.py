@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import AngularScan, ScanSet, VehicleState, require_common_grid, to_db
+from .angular import ScanSet, VehicleState, require_common_grid, to_db
 from .errors import DomainError, GridError, InsufficientDataError, PairingError
 from .stats import aligned_histograms, gaussian_cdf, sorted_ks_gap
 
@@ -50,17 +50,12 @@ class DeltaCdfReport:
     fit: GaussianFitResult
 
 
-def vehicle_delta(base, with_vehicle) -> np.ndarray:
-    """Per-angle gain difference baseline minus vehicle, in dB.
-
-    The two scans must describe the same link: same tx and RX position and
-    the same angle grid; the baseline must have no vehicle and the other
-    scan must have one.  Two ScanSets are paired row by row, their vehicle
-    scans on one grid, and give one row of deltas per pair.
+def vehicle_delta(base: ScanSet, with_vehicle: ScanSet) -> np.ndarray:
+    """Per-angle gain difference baseline minus vehicle, in dB, one row per
+    pair: the two sets are paired row by row.  Each pair must describe the
+    same link (tx, RX position, stacking) on the one grid all vehicle scans
+    share; the baseline must have no vehicle and the other scan must have one.
     """
-    if single := isinstance(base, AngularScan):
-        base, with_vehicle = [base], [with_vehicle]
-    base, with_vehicle = ScanSet.of(base), ScanSet.of(with_vehicle)
     moved = base.vehicle_state != VehicleState.ABSENT.value
     if moved.any():
         raise PairingError(f"baseline scan has vehicle_state={base.vehicle_state[moved.argmax()]}")
@@ -70,14 +65,13 @@ def vehicle_delta(base, with_vehicle) -> np.ndarray:
     if apart.any():
         i = int(apart.argmax())
         raise PairingError(
-            f"scans describe different links: {base[i].key} vs {with_vehicle[i].key}")
+            f"scans describe different links: {base.key(i)} vs {with_vehicle.key(i)}")
     require_common_grid(with_vehicle)
     off_grid = base.grid_differs(with_vehicle.blocks[0].angles)
     if off_grid.any():
         raise GridError(f"scans must share one angle grid; scan "
-                        f"{with_vehicle[int(off_grid.argmax())].key} differs")
-    deltas = to_db(base.blocks[0].gains) - to_db(with_vehicle.blocks[0].gains)
-    return deltas[0] if single else deltas
+                        f"{with_vehicle.key(int(off_grid.argmax()))} differs")
+    return to_db(base.blocks[0].gains) - to_db(with_vehicle.blocks[0].gains)
 
 
 def fit_gaussian(samples) -> GaussianFitResult:

@@ -1,0 +1,56 @@
+"""ScanSets from per-scan arrays, for tests.
+
+Every set goes through `ScanSet.from_rows`, the checked constructor an
+ingested set goes through, so a test scan is checked as a scan read from a
+file is.
+"""
+
+from typing import NamedTuple
+
+import numpy as np
+
+from portcanyon.angular import ScanSet, Stacking, VehicleState
+
+
+def grid(n):
+    """The n-angle uniform azimuth grid from 0, in rad."""
+    return np.radians(360.0 * np.arange(n) / n)
+
+
+class Scan(NamedTuple):
+    """One scan: its key fields and its angles (rad) and linear gains."""
+
+    tx: str
+    x: float
+    y: float
+    angles: np.ndarray
+    gains: np.ndarray
+    vehicle_state: str = "absent"
+    stacking: str = "uniform"
+
+    @property
+    def key(self) -> tuple:
+        """The key as `ScanSet.key` gives it."""
+        return (self.tx, self.x, self.y, VehicleState(self.vehicle_state), Stacking(self.stacking))
+
+
+def scan_set(scans, sha256=None) -> ScanSet:
+    """The ScanSet of the scans, in order; tokens or enums name the states."""
+    scans = list(scans)
+    for s in scans:
+        assert np.shape(s.angles) == np.shape(s.gains), "one gain per angle"
+    keys = [(s.tx, float(s.x), float(s.y), VehicleState(s.vehicle_state).value,
+             Stacking(s.stacking).value) for s in scans]
+    angles, gains = (np.concatenate([np.ravel(getattr(s, name)) for s in scans] or [[]])
+                     for name in ("angles", "gains"))
+    return ScanSet.from_rows(keys, [np.size(s.gains) for s in scans], angles, gains, sha256)
+
+
+def records(scans: ScanSet) -> list:
+    """The set's scans, in order, as Scan records keyed as `ScanSet.key` keys them."""
+    out = [None] * len(scans)
+    for block in scans.blocks:
+        for row, i in enumerate(block.index.tolist()):
+            tx, x, y, state, stacking = scans.key(i)
+            out[i] = Scan(tx, x, y, block.angles[row], block.gains[row], state, stacking)
+    return out

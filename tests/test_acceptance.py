@@ -9,9 +9,10 @@ import math
 from dataclasses import replace
 
 import numpy as np
+from scansets import Scan, records, scan_set
 
 from portcanyon.angular import (
-    AngularScan,
+    ScanSet,
     VehicleState,
     azimuth_gain,
     from_db,
@@ -31,7 +32,7 @@ from portcanyon.linkbudget import (
     max_allowable_pathloss_db,
     noise_floor_dbm,
 )
-from portcanyon.pathloss import GainSample, LogLinFit, fit_fixed_slope, fit_loglinear
+from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
 from portcanyon.spatialcorr import DenseLine, averaged_correlation
 from portcanyon.stats import ks_gap
 from portcanyon.synth import (
@@ -69,9 +70,7 @@ def test_criterion_01_link_budget():
     )
     floor = noise_floor_dbm(cfg)
     mapl = max_allowable_pathloss_db(cfg)
-    fit = LogLinFit(n=-4.09, r0_db=-23.4, ci_n=0.0, ci_r0=0.0, rmse_db=0.0,
-                    sample_count=0)
-    rng_m = coverage_range_m(fit, 110.8)
+    rng_m = coverage_range_m(-4.09, -23.4, 110.8)
     ok = (
         abs(floor - (-77.8)) <= 0.05
         and abs(mapl - 110.8) <= 0.05
@@ -238,14 +237,14 @@ def test_criterion_06_fixed_slope_parity():
 def test_criterion_07_angular_invariants():
     rng = np.random.default_rng(70)
     grid = uniform_grid(360)
-    worst_mean_err = 0.0
-    min_gain = math.inf
-    for _ in range(1000):
-        gains = rng.lognormal(mean=-14.0, sigma=rng.uniform(0.2, 2.0), size=360)
-        scan = AngularScan(tx="TX2", x=1.0, y=3.5, angles=grid, gains=gains)
-        spectrum = normalized_spectrum(scan)
-        worst_mean_err = max(worst_mean_err, abs(np.mean(from_db(spectrum)) - 1.0))
-        min_gain = min(min_gain, azimuth_gain(scan))
+    scans = scan_set(
+        Scan(tx="TX2", x=1.0, y=3.5, angles=grid,
+             gains=rng.lognormal(mean=-14.0, sigma=rng.uniform(0.2, 2.0), size=360))
+        for _ in range(1000)
+    )
+    spectra = normalized_spectrum(scans)
+    worst_mean_err = float(np.max(np.abs(np.mean(from_db(spectra), axis=1) - 1.0)))
+    min_gain = float(np.min(azimuth_gain(scans)))
     ok = worst_mean_err < 1e-12 and min_gain >= 0.0
     check(
         7,
@@ -261,12 +260,11 @@ def test_criterion_08_spatial_decorrelation():
     grid = uniform_grid(8)
     positions = 13.5 + 0.1 * np.arange(15)
     lines = []
+    keys = [("TX1_63", float(x), 3.5, "absent", "uniform") for x in positions]
+    angles = np.tile(grid, len(positions))
     for _ in range(10_000):
         gains = rng.exponential(1e-6, size=(15, 8))
-        scans = tuple(
-            AngularScan(tx="TX1_63", x=float(x), y=3.5, angles=grid, gains=gains[i])
-            for i, x in enumerate(positions)
-        )
+        scans = ScanSet.from_rows(keys, [8] * len(positions), angles, gains.ravel())
         lines.append(DenseLine(positions=positions, scans=scans))
     _, corr = averaged_correlation(lines)
     worst = float(np.max(np.abs(corr[1:])))
@@ -327,11 +325,9 @@ def test_criterion_10_fullspread_azimuth_gain():
     grid = uniform_grid(n_angles)
     xs = 1.0 + (np.arange(n_scans) % 33)
     ys = np.array([3.5, 5.5, 7.5, 9.5])[np.arange(n_scans) % 4]
-    scans = [
-        AngularScan(tx="TX1_63", x=float(xs[i]), y=float(ys[i]), angles=grid,
-                    gains=smoothed[i])
-        for i in range(n_scans)
-    ]
+    scans = ScanSet.from_rows(
+        [("TX1_63", float(xs[i]), float(ys[i]), "absent", "uniform") for i in range(n_scans)],
+        [n_angles] * n_scans, np.tile(grid, n_scans), smoothed.ravel())
     cdf_all, cdf_tx = gain_cdfs(scans, {"TX1_63": (18.8, 63.0)})
     ps = np.arange(0.02, 0.981, 0.02)
     gap = max(abs(cdf_all.quantile(p) - cdf_tx.quantile(p)) for p in ps)
@@ -366,7 +362,7 @@ def test_criterion_11_roundtrip_determinism(tmp_path):
         rec.key == orig.key
         and np.allclose(rec.angles, orig.angles, atol=1e-12)
         and np.allclose(rec.gains, orig.gains, rtol=1e-12)
-        for rec, orig in zip(back, scans)
+        for rec, orig in zip(records(back), records(scans))
     )
 
     from portcanyon.cli import main

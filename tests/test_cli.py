@@ -13,13 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scansets import Scan, grid, records, scan_set
 
-from portcanyon.angular import AngularScan, ScanSet
+from portcanyon.angular import ScanSet
 from portcanyon.cli import main
 from portcanyon.dataio import write_scans
 
 N_ANGLES = 24
-GRID = np.radians(360.0 * np.arange(N_ANGLES) / N_ANGLES)
+GRID = grid(N_ANGLES)
 
 
 @pytest.fixture
@@ -70,8 +71,8 @@ class TestSynth:
                    "--out", str(out), "--no-fading", "--n-angles", "12"])
         assert rc == 0
         scans = ingest(out)
-        assert scans[0].angles.size == 12
-        for scan in scans[:5]:
+        assert scans.blocks[0].angles.shape[1] == 12
+        for scan in records(scans[:5]):
             assert np.ptp(10.0 * np.log10(scan.gains)) < 1e-9
 
 
@@ -153,13 +154,13 @@ class TestFitExactLine:
             dist = math.sqrt((18.8 - x) ** 2 + (63.0 - 3.5) ** 2 + (23.0 - 1.5) ** 2)
             gain_db = -20.0 * math.log10(dist) - 60.0
             scans.append(
-                AngularScan(
+                Scan(
                     tx="TX1_63", x=x, y=3.5, angles=GRID,
                     gains=np.full(N_ANGLES, 10.0 ** (gain_db / 10.0)),
                 )
             )
         data = tmp_path / "line.csv"
-        write_scans(data, scans)
+        write_scans(data, scan_set(scans))
         out = tmp_path / "fit.csv"
         assert main(["fit", "--input", str(data), "--out", str(out)]) == 0
         _, rows = read_table(out)
@@ -224,13 +225,27 @@ class TestErrors:
 
     def test_spatial_without_dense_line(self, tmp_path, small_config, capsys):
         scans = [
-            AngularScan(tx="TX2", x=1.0, y=3.5, angles=GRID,
-                        gains=np.full(N_ANGLES, 1e-6))
+            Scan(tx="TX2", x=1.0, y=3.5, angles=GRID,
+                 gains=np.full(N_ANGLES, 1e-6))
         ]
         data = tmp_path / "sparse.csv"
-        write_scans(data, scans)
+        write_scans(data, scan_set(scans))
         rc = main(["spatial", "--input", str(data), "--out", str(tmp_path / "o.csv")])
         assert rc == 3
+
+    def test_spatial_x_count_beyond_the_scan_count(self, tmp_path, capsys):
+        # A complete line takes x_count distinct baseline scans: three scans
+        # make a line of 3, and a line of 4 fails before any slot is searched.
+        data = _write_scans(tmp_path, _line_scans((13.5, 13.6, 13.7))
+                            + _line_scans((13.8,), vehicle_state="position1"))
+        out = tmp_path / "corr.csv"
+        assert main(["spatial", "--input", data, "--out", str(out), "--x-count", "3"]) == 0
+        capsys.readouterr()
+        out.unlink()
+        assert main(["spatial", "--input", data, "--out", str(out), "--x-count", "4"]) == 3
+        assert capsys.readouterr().err == (
+            "error[ingest]: no complete dense line found (need x = 13.5..13.8 step 0.1)\n")
+        assert not out.exists()
 
 
 class TestBoundaryValues:
@@ -239,12 +254,12 @@ class TestBoundaryValues:
     @pytest.fixture
     def line_data(self, tmp_path):
         scans = [
-            AngularScan(tx="TX1_63", x=x, y=3.5, angles=GRID,
-                        gains=np.full(N_ANGLES, 1e-6 / x))
+            Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
+                 gains=np.full(N_ANGLES, 1e-6 / x))
             for x in (1.0, 5.0, 9.0)
         ]
         data = tmp_path / "line.csv"
-        write_scans(data, scans)
+        write_scans(data, scan_set(scans))
         return data
 
     @pytest.mark.parametrize("flags", [
@@ -263,6 +278,15 @@ class TestBoundaryValues:
         assert rc == 2
         assert "error[config]" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--fit-n", "nan"], "n must be finite, got n=nan"),
+        (["--fit-n", "-inf"], "n must be finite, got n=-inf"),
+        (["--fit-n", "-4", "--fit-r0", "inf"], "r0_db must be finite, got r0_db=inf"),
+    ])
+    def test_coverage_non_finite_model_messages(self, capsys, flags, message):
+        assert main(["coverage", *flags]) == 4
+        assert capsys.readouterr().err == f"error[domain]: {message}\n"
 
     def test_coverage_nan_slope_is_domain_error(self, capsys):
         rc = main(["coverage", "--fit-n", "nan"])
@@ -362,13 +386,14 @@ def test_fit_does_not_import_scipy_stats(tmp_path):
     script = """
 import sys
 import numpy as np
-from portcanyon.angular import AngularScan
+from portcanyon.angular import ScanSet
 from portcanyon.cli import main
 from portcanyon.dataio import write_scans
 
-grid = np.radians(360.0 * np.arange(8) / 8)
-scans = [AngularScan(tx="TX1_63", x=x, y=3.5, angles=grid,
-                     gains=np.full(8, 1e-6 / x)) for x in (1.0, 5.0, 9.0)]
+xs = (1.0, 5.0, 9.0)
+scans = ScanSet.from_rows([("TX1_63", x, 3.5, "absent", "uniform") for x in xs], [8] * 3,
+                          np.tile(np.radians(45.0 * np.arange(8)), 3),
+                          np.repeat([1e-6 / x for x in xs], 8))
 write_scans(sys.argv[1], scans)
 assert main(["fit", "--input", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
@@ -455,7 +480,7 @@ def _write_ini(tmp_path, text):
 
 def _write_scans(tmp_path, scans):
     data = tmp_path / "data.csv"
-    write_scans(data, scans)
+    write_scans(data, scan_set(scans))
     return str(data)
 
 
@@ -474,7 +499,7 @@ class TestOneCheckPerValue:
             command = ["synth", "--layout", "uniform", "--out", out]
         else:
             data = _write_scans(tmp_path, [
-                AngularScan(tx="TX2", x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, x))
+                Scan(tx="TX2", x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, x))
                 for x in (1.0, 5.0)
             ])
             command = ["angular", "--input", data, "--out-dir", out]
@@ -520,7 +545,7 @@ class TestOneCheckPerValue:
 @pytest.mark.parametrize("command", ["angular", "fit"])
 def test_tx_without_a_position_is_ingest_error(tmp_path, capsys, tx_id, command):
     data = _write_scans(tmp_path, [
-        AngularScan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, 1e-6 / x))
+        Scan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, 1e-6 / x))
         for x in (1.0, 5.0, 9.0)
     ])
     out_dir = tmp_path / "out"
@@ -540,8 +565,8 @@ def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
     # is offset by half a step (22.5 deg), so no per-angle pooling exists.
     grids = [np.radians(45.0 * np.arange(8) + offset) for offset in (0.0, 22.5)]
     scans = [
-        AngularScan(tx="TX2", x=x, y=3.5, angles=grid, gains=np.full(8, gain),
-                    vehicle_state=state)
+        Scan(tx="TX2", x=x, y=3.5, angles=grid, gains=np.full(8, gain),
+             vehicle_state=state)
         for x, grid in zip((1.0, 5.0), grids)
         for state, gain in (("absent", 1e-6), ("position1", 2e-6))
     ]
@@ -557,8 +582,8 @@ def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
 def _line_scans(xs, tx="TX1_63", **kwargs):
     rng = np.random.default_rng(11)
     return [
-        AngularScan(tx=tx, x=x, y=3.5, angles=GRID,
-                    gains=rng.lognormal(-14.0, 1.0, N_ANGLES), **kwargs)
+        Scan(tx=tx, x=x, y=3.5, angles=GRID,
+             gains=rng.lognormal(-14.0, 1.0, N_ANGLES), **kwargs)
         for x in xs
     ]
 
@@ -585,10 +610,10 @@ class TestRegressions:
         assert not out.exists()
 
     def test_angular_error_in_a_later_tx_leaves_no_table(self, tmp_path, capsys):
-        flat = [AngularScan(tx="TX1_63", x=x, y=3.5, angles=GRID,
-                            gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
-        spread = [AngularScan(tx="TX2", x=x, y=3.5, angles=GRID,
-                              gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
+        flat = [Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
+                     gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
+        spread = [Scan(tx="TX2", x=x, y=3.5, angles=GRID,
+                       gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
                   for x in (1.0, 5.0)]
         data = _write_scans(tmp_path, flat + spread)
         out_dir = tmp_path / "out"
@@ -650,8 +675,8 @@ class TestBranches:
     def test_vehicle_position1_only_writes_one_row(self, tmp_path, capsys):
         xs = (1.0, 5.0, 9.0)
         base = _line_scans(xs)
-        moved = [AngularScan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * 2.0,
-                             vehicle_state="position1") for s in base]
+        moved = [Scan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * 2.0,
+                      vehicle_state="position1") for s in base]
         data = _write_scans(tmp_path, base + moved)
         out_dir = tmp_path / "out"
         assert main(["vehicle", "--input", data, "--out-dir", str(out_dir)]) == 0
@@ -690,6 +715,8 @@ import portcanyon
 assert not heavy(), ("import portcanyon", heavy())
 import portcanyon.geometry
 assert not heavy(), ("import portcanyon.geometry", heavy())
+import portcanyon.linkbudget
+assert not heavy(), ("import portcanyon.linkbudget", heavy())
 import portcanyon.cli
 missing = [name for name in sys.argv[1:] if "portcanyon." + name not in sys.modules]
 assert not missing, ("import portcanyon.cli", missing)
@@ -703,9 +730,23 @@ assert not missing, ("import portcanyon.cli", missing)
     assert done.returncode == 0, done.stderr
 
 
+def test_every_export_exists():
+    import pkgutil
+
+    import portcanyon
+
+    for info in pkgutil.iter_modules(portcanyon.__path__):
+        module = importlib.import_module(f"portcanyon.{info.name}")
+        names = getattr(module, "__all__", [])
+        assert [name for name in names if not hasattr(module, name)] == [], info.name
+        namespace = {}
+        exec(f"from portcanyon.{info.name} import *", namespace)
+        assert set(names) <= set(namespace), info.name
+
+
 def _moved(scans, state, factor=2.0):
-    return [AngularScan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * factor,
-                        vehicle_state=state) for s in scans]
+    return [Scan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * factor,
+                 vehicle_state=state) for s in scans]
 
 
 class TestScanSetPipeline:
@@ -738,7 +779,7 @@ class TestScanSetPipeline:
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
     def test_input_hash_is_the_file_sha256(self, tmp_path, newline):
         data = tmp_path / "data.csv"
-        write_scans(data, _line_scans((1.0, 5.0, 9.0, 13.0)))
+        write_scans(data, scan_set(_line_scans((1.0, 5.0, 9.0, 13.0))))
         text = data.read_bytes().replace(b"\n", newline.encode())
         data.write_bytes(text)
         out = tmp_path / "fit.csv"
@@ -753,10 +794,10 @@ def _failing_case(tmp_path, command):
     out = tmp_path / "out"
     if command == "angular":
         # TX1_63 is computed first; TX2's 28 dB span needs too many 0.001 dB bins.
-        flat = [AngularScan(tx="TX1_63", x=x, y=3.5, angles=GRID,
-                            gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
-        spread = [AngularScan(tx="TX2", x=x, y=3.5, angles=GRID,
-                              gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
+        flat = [Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
+                     gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
+        spread = [Scan(tx="TX2", x=x, y=3.5, angles=GRID,
+                       gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
                   for x in (1.0, 5.0)]
         return ["angular", "--input", _write_scans(tmp_path, flat + spread),
                 "--out-dir", str(out), "--bin-db", "0.001"], 4
@@ -822,7 +863,8 @@ def test_tiny_beamwidth_synth_is_silent(tmp_path):
 
 def test_failed_table_write_removes_the_tables_before_it(tmp_path, capsys):
     data = tmp_path / "data.csv"
-    write_scans(data, _line_scans((1.0, 5.0, 9.0)) + _line_scans((1.0, 5.0), tx="TX2"))
+    write_scans(data, scan_set(_line_scans((1.0, 5.0, 9.0))
+                               + _line_scans((1.0, 5.0), tx="TX2")))
     out_dir = tmp_path / "out"
     (out_dir / "gain_cdf_all_directions.csv").mkdir(parents=True)
     rc = main(["angular", "--input", str(data), "--out-dir", str(out_dir)])
@@ -838,7 +880,7 @@ def test_failed_table_write_removes_the_out_dirs_it_made(tmp_path, capsys, monke
     from portcanyon import dataio
 
     data = tmp_path / "data.csv"
-    write_scans(data, _line_scans((1.0, 5.0, 9.0)))
+    write_scans(data, scan_set(_line_scans((1.0, 5.0, 9.0))))
     real, calls = dataio.write_table, []
 
     def second_write_fails(path, *args, **kwargs):
@@ -1030,7 +1072,7 @@ class TestSidecar:
 
     def test_failing_ingest_writes_no_sidecar(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
-        write_scans(data, _line_scans((1.0, 5.0)))
+        write_scans(data, scan_set(_line_scans((1.0, 5.0))))
         data.write_text(data.read_text().replace(",absent,", ",parked,", 1))
         rc = main(["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")])
         assert rc == 3
@@ -1042,7 +1084,7 @@ class TestSidecar:
         from portcanyon.dataio import ingest
 
         data = tmp_path / "data.csv"
-        write_scans(data, _line_scans((1.0, 5.0)))
+        write_scans(data, scan_set(_line_scans((1.0, 5.0))))
         old = os.umask(umask)
         try:
             ingest(data)
@@ -1057,7 +1099,7 @@ class TestSidecar:
         data_dir = tmp_path / "ro"
         data_dir.mkdir()
         data = data_dir / "data.csv"
-        write_scans(data, _line_scans((1.0, 5.0, 9.0)))
+        write_scans(data, scan_set(_line_scans((1.0, 5.0, 9.0))))
         argv = ["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]
         assert main(argv) == 0
         want = (capsys.readouterr(), (tmp_path / "fit.csv").read_bytes())
@@ -1081,7 +1123,7 @@ class TestSidecar:
 
     def test_unwritable_sidecar_path_still_succeeds(self, tmp_path, capsys):
         data = tmp_path / "data.csv"
-        write_scans(data, _line_scans((1.0, 5.0, 9.0)))
+        write_scans(data, scan_set(_line_scans((1.0, 5.0, 9.0))))
         Path(str(data) + ".scanset.npz").mkdir()
         argv = ["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]
         assert main(argv) == 0

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scansets import Scan, grid, records, scan_set
 
-from portcanyon.angular import AngularScan, ScanSet, Stacking, VehicleState
+from portcanyon.angular import ScanSet, Stacking, VehicleState
 from portcanyon.dataio import (
     _CHUNK_ROWS,
     CANONICAL_HEADER,
@@ -29,7 +30,7 @@ from portcanyon.dataio import (
 from portcanyon.errors import DomainError, GridError, IngestError
 from portcanyon.synth import SynthConfig, build_layout, generate_campaign
 
-GRID = np.radians(360.0 * np.arange(12) / 12)
+GRID = grid(12)
 
 
 def make_scan(seed=0, **kwargs):
@@ -39,7 +40,7 @@ def make_scan(seed=0, **kwargs):
         gains=rng.lognormal(-14.0, 1.0, GRID.size),
     )
     defaults.update(kwargs)
-    return AngularScan(**defaults)
+    return Scan(**defaults)
 
 
 def write_csv(path, lines):
@@ -49,7 +50,7 @@ def write_csv(path, lines):
 class TestWriter:
     def test_layout_of_written_file(self, tmp_path):
         path = tmp_path / "scan.csv"
-        write_scans(path, [make_scan()], seed=7)
+        write_scans(path, scan_set([make_scan()]), seed=7)
         lines = path.read_text().splitlines()
         assert lines[0].startswith("# portcanyon ")
         assert "seed=7" in lines[0]
@@ -59,18 +60,15 @@ class TestWriter:
     def test_single_360_row_scan(self, tmp_path):
         angles = np.radians(np.arange(360.0))
         rng = np.random.default_rng(1)
-        scan = AngularScan(
-            tx="TX2", x=1.0, y=3.5, angles=angles,
-            gains=rng.lognormal(-14, 1, 360),
-        )
+        scan = Scan(tx="TX2", x=1.0, y=3.5, angles=angles, gains=rng.lognormal(-14, 1, 360))
         path = tmp_path / "one.csv"
-        write_scans(path, [scan])
+        write_scans(path, scan_set([scan]))
         back = ingest(path)
         assert len(back) == 1
-        assert back[0].angles.size == 360
+        assert back.blocks[0].angles.shape == (1, 360)
 
     def test_deterministic_bytes(self, tmp_path):
-        scans = [make_scan(), make_scan(seed=1, x=9.0)]
+        scans = scan_set([make_scan(), make_scan(seed=1, x=9.0)])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         write_scans(a, scans, seed=3)
         write_scans(b, scans, seed=3)
@@ -82,7 +80,7 @@ class TestWriter:
         old = os.umask(0o022)
         try:
             scans_path, table_path = tmp_path / "scans.csv", tmp_path / "table.csv"
-            write_scans(scans_path, [make_scan()])
+            write_scans(scans_path, scan_set([make_scan()]))
             write_table(table_path, ("a",), [(1.0,)])
         finally:
             os.umask(old)
@@ -94,10 +92,10 @@ class TestRoundTrip:
     def test_scan_round_trip_precision(self, tmp_path):
         scans = [make_scan(seed=s, x=float(s)) for s in range(1, 4)]
         path = tmp_path / "rt.csv"
-        write_scans(path, scans)
+        write_scans(path, scan_set(scans))
         back = ingest(path)
         assert len(back) == len(scans)
-        for orig, rec in zip(scans, back):
+        for orig, rec in zip(scans, records(back)):
             assert rec.key == orig.key
             assert np.allclose(rec.angles, orig.angles, atol=1e-12)
             assert np.allclose(rec.gains, orig.gains, rtol=1e-12)
@@ -109,8 +107,8 @@ class TestRoundTrip:
         path = tmp_path / "campaign.csv"
         write_scans(path, scans, seed=cfg.seed)
         back = ingest(path)
-        assert [s.key for s in back] == [s.key for s in scans]
-        for orig, rec in zip(scans, back):
+        assert [s.key for s in records(back)] == [s.key for s in records(scans)]
+        for orig, rec in zip(records(scans), records(back)):
             assert np.allclose(rec.gains, orig.gains, rtol=1e-12)
 
 
@@ -128,7 +126,7 @@ class TestIngestValidation:
         write_csv(path, self.header() + self.rows_for())
         scans = ingest(path)
         assert len(scans) == 1
-        assert scans[0].tx == "TX2"
+        assert scans.tx.tolist() == ["TX2"]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.csv"
@@ -253,7 +251,7 @@ def _built(read):
 
 def _same_scans(got, want):
     assert len(got) == len(want)
-    for a, b in zip(got, want):
+    for a, b in zip(records(got), records(want)):
         assert a.key == b.key
         assert (repr(a.x), repr(a.y)) == (repr(b.x), repr(b.y))
         assert a.angles.tobytes() == b.angles.tobytes()
@@ -299,10 +297,8 @@ class TestColumnarIngest:
         scans = generate_campaign(
             layout, SynthConfig(seed=3, n_angles=24), vehicle_mode="dense"
         )
-        assert {s.vehicle_state.value for s in scans} == {
-            "absent", "position1", "position2"
-        }
-        assert len({s.tx for s in scans}) > 1
+        assert set(scans.vehicle_state.tolist()) == {"absent", "position1", "position2"}
+        assert len(set(scans.tx.tolist())) > 1
         path = tmp_path / "campaign.csv"
         write_scans(path, scans, seed=3)
         assert check_paths_agree(path) == "columnar"
@@ -311,13 +307,13 @@ class TestColumnarIngest:
         a, b = _rows(tx="TX1_63"), _rows(tx="TX2", x="5.0")
         body = a[:3] + b[5:] + a[3:] + b[:5]
         assert self.ingest_lines(tmp_path, body) == "columnar"
-        assert [s.tx for s in ingest(tmp_path / "case.csv")] == ["TX1_63", "TX2"]
+        assert ingest(tmp_path / "case.csv").tx.tolist() == ["TX1_63", "TX2"]
 
     def test_signed_zero_key_joins_first_seen(self, tmp_path):
         first, rest = _rows(x="-0.0")[:2], _rows(x="0.0")[2:]
         assert self.ingest_lines(tmp_path, first + rest) == "columnar"
-        (scan,) = ingest(tmp_path / "case.csv")
-        assert repr(scan.x) == "-0.0"
+        scans = ingest(tmp_path / "case.csv")
+        assert len(scans) == 1 and repr(scans.key(0)[1]) == "-0.0"
 
     def test_signed_zero_angle_is_a_duplicate(self, tmp_path):
         body = _rows() + ["TX2,1.0,3.5,-0.0,-60.0,absent,uniform"]
@@ -334,7 +330,7 @@ class TestColumnarIngest:
     def test_tx_id_at_or_over_the_field_width(self, tmp_path, width):
         tx = "TX1_" + "9" * (width - 4)
         assert self.ingest_lines(tmp_path, _rows(tx=tx)) == "rows"
-        assert ingest(tmp_path / "case.csv")[0].tx == tx
+        assert ingest(tmp_path / "case.csv").tx.tolist() == [tx]
 
     def test_tx_id_just_under_the_field_width(self, tmp_path):
         tx = "TX1_" + "9" * 11
@@ -353,7 +349,7 @@ class TestColumnarIngest:
         rows = _rows()
         body = rows[:4] + ["#TX2,1.0,3.5,45.0,-1.0,absent,uniform", "# note"] + rows[4:]
         assert self.ingest_lines(tmp_path, body) == "rows"
-        assert ingest(tmp_path / "case.csv")[0].angles.size == 8
+        assert ingest(tmp_path / "case.csv").blocks[0].angles.shape == (1, 8)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         rows = _rows()
@@ -378,7 +374,7 @@ class TestColumnarIngest:
     def test_spaces_around_numbers(self, tmp_path):
         body = [r.replace(",1.0,", ", 1.0 ,") for r in _rows()]
         assert self.ingest_lines(tmp_path, body) == "columnar"
-        assert ingest(tmp_path / "case.csv")[0].x == 1.0
+        assert ingest(tmp_path / "case.csv").x.tolist() == [1.0]
 
     @pytest.mark.parametrize("old, new, path_taken", [
         ("TX2,", " TX2,", "columnar"),
@@ -392,11 +388,11 @@ class TestColumnarIngest:
     def test_underscore_in_number(self, tmp_path):
         body = [r.replace(",1.0,", ",1_0,") for r in _rows()]
         assert self.ingest_lines(tmp_path, body) == "rows"
-        assert ingest(tmp_path / "case.csv")[0].x == 10.0
+        assert ingest(tmp_path / "case.csv").x.tolist() == [10.0]
 
     def test_non_ascii_tx_id(self, tmp_path):
         assert self.ingest_lines(tmp_path, _rows(tx="TXé")) == "rows"
-        assert ingest(tmp_path / "case.csv")[0].tx == "TXé"
+        assert ingest(tmp_path / "case.csv").tx.tolist() == ["TXé"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "", "x"])
     def test_bad_numbers(self, tmp_path, bad):
@@ -518,6 +514,20 @@ class TestScanSetIngest:
                                             "angle grid must be uniform"):
             ingest(path)
 
+    def test_earliest_invalid_scan_across_angle_counts_raises(self, tmp_path):
+        # The 12-angle block comes first and holds a bad scan, but the bad
+        # 16-angle scan comes earlier in the file.
+        bad_gain = _rows(x="2.0", n=16)
+        bad_gain[5] = bad_gain[5].replace(",-65.0,", ",4000,")
+        bad_grid = _rows(x="3.0", n=12)
+        bad_grid[4] = bad_grid[4].replace(",120.0,", ",121.0,")
+        path = tmp_path / "case.csv"
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows(n=12) + bad_gain + bad_grid)
+        assert check_paths_agree(path) == "columnar"
+        with pytest.raises(DomainError, match=r"^scan \('TX2', 2.0, 3.5, 'absent', 'uniform'\): "
+                                              "all linear gains must be finite and > 0$"):
+            ingest(path)
+
     def test_only_unsorted_rows_are_sorted(self, tmp_path, monkeypatch):
         def no_sort(*args):
             raise AssertionError("lexsort called")
@@ -553,7 +563,8 @@ def oracle_table_bytes(header, rows, input_hash=None) -> bytes:
 
 
 def oracle_scans_bytes(scans, seed=None) -> bytes:
-    """The row-wise csv.writer scan writer the per-scan writer replaced."""
+    """The row-wise csv.writer scan writer the per-scan writer replaced, over
+    Scan records."""
     buf = io.StringIO()
     buf.write(provenance_line(seed=seed) + "\n")
     buf.write(CANONICAL_HEADER + "\n")
@@ -562,7 +573,8 @@ def oracle_scans_bytes(scans, seed=None) -> bytes:
         for phi, gain in zip(np.degrees(scan.angles), 10.0 * np.log10(scan.gains)):
             writer.writerow((
                 scan.tx, repr(float(scan.x)), repr(float(scan.y)), repr(float(phi)),
-                repr(float(gain)), scan.vehicle_state.value, scan.stacking.value,
+                repr(float(gain)), VehicleState(scan.vehicle_state).value,
+                Stacking(scan.stacking).value,
             ))
     return buf.getvalue().encode("utf-8")
 
@@ -672,16 +684,14 @@ class TestColumnWriter:
     )
     def test_scan_bytes_match_csv_writer(self, specs, seed):
         scans = [
-            AngularScan(
-                tx=tx, x=x, y=y, angles=np.radians(360.0 * np.arange(n) / n),
-                gains=np.random.default_rng(g).lognormal(-14.0, 3.0, n),
-                vehicle_state=vehicle, stacking=stacking,
-            )
+            Scan(tx=tx, x=x, y=y, angles=grid(n),
+                 gains=np.random.default_rng(g).lognormal(-14.0, 3.0, n),
+                 vehicle_state=vehicle, stacking=stacking)
             for tx, x, y, n, vehicle, stacking, g in specs
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "scans.csv")
-            write_scans(path, scans, seed=seed)
+            write_scans(path, scan_set(scans), seed=seed)
             with open(path, "rb") as fh:
                 assert fh.read() == oracle_scans_bytes(scans, seed=seed)
 
@@ -689,9 +699,9 @@ class TestColumnWriter:
     def test_tx_id_with_csv_specials_round_trips(self, tmp_path, tx):
         scans = [make_scan(tx=tx), make_scan(seed=1, tx=tx, x=9.0)]
         path = tmp_path / "scans.csv"
-        write_scans(path, scans)
+        write_scans(path, scan_set(scans))
         assert path.read_bytes() == oracle_scans_bytes(scans)
-        back = ingest(path)
+        back = records(ingest(path))
         assert [s.key for s in back] == [s.key for s in scans]
         for orig, rec in zip(scans, back):
             assert np.allclose(rec.gains, orig.gains, rtol=1e-12)
@@ -857,7 +867,7 @@ class TestSidecar:
             path, out = os.path.join(tmp, "case.csv"), os.path.join(tmp, "fit.csv")
             sidecar = path + ".scanset.npz"
             other = os.path.join(tmp, "other.csv")
-            write_scans(other, [make_scan(), make_scan(seed=1, x=9.0)])
+            write_scans(other, scan_set([make_scan(), make_scan(seed=1, x=9.0)]))
             ingest(other)
             with open(other + ".scanset.npz", "rb") as fh:
                 stale = fh.read()
@@ -880,7 +890,7 @@ class TestSidecar:
     def test_each_kind_gives_what_no_sidecar_gives(self, tmp_path, kind):
         path, out = str(tmp_path / "case.csv"), str(tmp_path / "out.csv")
         other = tmp_path / "other.csv"
-        write_scans(other, [make_scan(), make_scan(seed=1, x=9.0)])
+        write_scans(other, scan_set([make_scan(), make_scan(seed=1, x=9.0)]))
         ingest(other)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_canonical_text())
@@ -902,7 +912,7 @@ class TestSidecar:
         path = tmp_path / "case.csv"
         path.write_text(_canonical_text(), encoding="utf-8")
         other = tmp_path / "other.csv"
-        write_scans(other, [make_scan(), make_scan(seed=1, x=9.0)])
+        write_scans(other, scan_set([make_scan(), make_scan(seed=1, x=9.0)]))
         for csv_path in (path, other):
             ingest(csv_path)
         good = (tmp_path / "case.csv.scanset.npz").read_bytes()

@@ -86,29 +86,36 @@ class TestMapl:
 
 class TestCoverageRange:
     def test_reference_model(self):
-        assert coverage_range_m(fit(-4.09, -23.4), 110.8) == pytest.approx(137.0, abs=2.0)
+        assert coverage_range_m(-4.09, -23.4, 110.8) == pytest.approx(137.0, abs=2.0)
 
     def test_round_numbers(self):
-        assert coverage_range_m(fit(-2.0, 0.0), 40.0) == pytest.approx(100.0, rel=1e-12)
+        assert coverage_range_m(-2.0, 0.0, 40.0) == pytest.approx(100.0, rel=1e-12)
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(0)
         for _ in range(100):
             model = fit(rng.uniform(-6.0, -0.5), rng.uniform(-80.0, 0.0))
             mapl = rng.uniform(60.0, 150.0)
-            d = coverage_range_m(model, mapl)
+            d = coverage_range_m(model.n, model.r0_db, mapl)
             assert predict(model, d) == pytest.approx(-mapl, abs=1e-6)
 
     def test_monotone_in_mapl_and_intercept(self):
-        base = coverage_range_m(fit(-4.09, -23.4), 110.8)
-        assert coverage_range_m(fit(-4.09, -23.4), 111.8) > base
-        assert coverage_range_m(fit(-4.09, -22.4), 110.8) > base
+        base = coverage_range_m(-4.09, -23.4, 110.8)
+        assert coverage_range_m(-4.09, -23.4, 111.8) > base
+        assert coverage_range_m(-4.09, -22.4, 110.8) > base
 
     def test_non_decaying_model_rejected(self):
         with pytest.raises(NoSolutionError):
-            coverage_range_m(fit(0.5, -20.0), 110.8)
+            coverage_range_m(0.5, -20.0, 110.8)
         with pytest.raises(NoSolutionError):
-            coverage_range_m(fit(0.0, -20.0), 110.8)
+            coverage_range_m(0.0, -20.0, 110.8)
+
+    @pytest.mark.parametrize("n, r0, name", [
+        (float("nan"), -20.0, "n"), (-float("inf"), -20.0, "n"), (-4.0, float("inf"), "r0_db"),
+    ])
+    def test_non_finite_model_rejected(self, n, r0, name):
+        with pytest.raises(DomainError, match=f"^{name} must be finite"):
+            coverage_range_m(n, r0, 110.8)
 
 
 def test_dual_pol_throughput_note():

@@ -1,8 +1,8 @@
 """ScanSet: the columnar scans `ingest` returns, against per-scan oracles.
 
-The oracles below are the per-`AngularScan` computations the CLI made before
-scans were columns: one scan object per measurement, statistics in Python
-loops over them.  Every statistic the CLI writes must equal them bit for bit.
+The oracles below are per-scan computations: one record per measurement,
+statistics in Python loops over them.  Every statistic the CLI writes must
+equal them bit for bit.
 """
 
 import csv
@@ -11,10 +11,10 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from scansets import Scan, records, scan_set
 
-from portcanyon import spatialcorr, synth
+from portcanyon import synth
 from portcanyon.angular import (
-    AngularScan,
     ScanSet,
     Stacking,
     VehicleState,
@@ -72,7 +72,7 @@ def campaign(tmp_path_factory):
 
 
 def _oracle_scans(path):
-    """The scans the per-scan reader built: grouped, angle-sorted, converted
+    """The scans a per-scan reader builds: grouped, angle-sorted, converted
     one scan at a time."""
     groups = defaultdict(dict)
     with open(path, newline="") as fh:
@@ -84,9 +84,9 @@ def _oracle_scans(path):
     for (tx, x, y, state, stacking), by_angle in groups.items():
         phis = np.array(sorted(by_angle))
         gains_db = np.array([by_angle[p] for p in phis])
-        scans.append(AngularScan(tx=tx, x=x, y=y, angles=np.radians(phis),
-                                 gains=10.0 ** (gains_db / 10.0),
-                                 vehicle_state=state, stacking=stacking))
+        scans.append(Scan(tx=tx, x=x, y=y, angles=np.radians(phis),
+                          gains=10.0 ** (gains_db / 10.0),
+                          vehicle_state=state, stacking=stacking))
     return scans
 
 
@@ -117,7 +117,11 @@ def _oracle_gain_cdfs(scans, positions):
 
 
 def _baseline(scans):
-    return [s for s in scans if s.vehicle_state is VehicleState.ABSENT]
+    return [s for s in scans if s.vehicle_state == VehicleState.ABSENT.value]
+
+
+def _keys(scans):
+    return [scans.key(i) for i in range(len(scans))]
 
 
 def _column(path, index):
@@ -135,29 +139,42 @@ class TestIngestedSet:
         scans, oracle = ingest(campaign), _oracle_scans(campaign)
         assert isinstance(scans, ScanSet) and len(scans) == len(oracle) == 22
         assert {block.angles.shape[1] for block in scans.blocks} == {12, 16}
-        for got, want in zip(scans, oracle):
+        for got, want in zip(records(scans), oracle):
             assert got.key == want.key
             assert (repr(got.x), repr(got.y)) == (repr(want.x), repr(want.y))
             assert got.angles.tobytes() == want.angles.tobytes()
             assert got.gains.tobytes() == want.gains.tobytes()
-        assert repr(scans[3].x) == "-0.0"  # the first spelling of the key wins
+        assert repr(scans.key(3)[1]) == "-0.0"  # the first spelling of the key wins
+
+    def test_key_names_a_scan_with_enum_values(self, campaign):
+        key = ingest(campaign).key(17)
+        assert key == ("TX1_63", 13.5, 3.5, VehicleState.POSITION1, Stacking.UNIFORM)
+        assert type(key[1]) is float and type(key[2]) is float
+        assert key[3] is VehicleState.POSITION1 and key[4] is Stacking.UNIFORM
+
+    @pytest.mark.parametrize("which", [0, np.int64(0), -1])
+    def test_one_index_is_a_type_error(self, campaign, which):
+        with pytest.raises(TypeError, match="key"):
+            ingest(campaign)[which]
+
+    def test_iterating_is_a_type_error_even_when_empty(self, campaign):
+        scans = ingest(campaign)
+        for picked in (scans, scans[:0]):
+            with pytest.raises(TypeError):
+                list(picked)
+            with pytest.raises(TypeError):
+                for _ in picked:
+                    pass
 
     def test_select_keeps_the_order_it_is_given(self, campaign):
         scans = ingest(campaign)
         picked = scans[[5, 0, 3]]
-        assert [s.key for s in picked] == [scans[i].key for i in (5, 0, 3)]
+        assert _keys(picked) == [scans.key(i) for i in (5, 0, 3)]
         assert picked.sha256 == scans.sha256
-        assert [s.key for s in scans[2:4]] == [scans[2].key, scans[3].key]
+        assert _keys(scans[2:4]) == [scans.key(2), scans.key(3)]
         mask = scans.vehicle_state == "absent"
         assert len(scans[mask]) == int(mask.sum()) == 17
         assert len(scans[np.zeros(len(scans), dtype=bool)]) == 0
-
-    def test_of_round_trips_scan_lists(self, campaign):
-        oracle = _oracle_scans(campaign)
-        rebuilt = ScanSet.of(oracle)
-        assert ScanSet.of(rebuilt) is rebuilt
-        assert [s.key for s in rebuilt] == [s.key for s in oracle]
-        assert all(a.gains.tobytes() == b.gains.tobytes() for a, b in zip(rebuilt, oracle))
 
 
 class TestStatisticsOracle:
@@ -189,14 +206,16 @@ class TestStatisticsOracle:
 
     def test_vehicle_delta_pairs_row_by_row(self, campaign):
         scans = ingest(campaign)
-        moved = scans[scans.vehicle_state == "position2"]  # TX2 at x=5.0, then x=0.0
-        base = scans[[1, 3]]  # TX2 at x=5.0, then x=-0.0
-        got = vehicle_delta(base, moved)
-        want = np.stack([to_db(b.gains) - to_db(v.gains) for b, v in zip(base, moved)])
+        oracle = _oracle_scans(campaign)
+        moved_at = np.flatnonzero(scans.vehicle_state == "position2")  # TX2, x=5.0 then x=0.0
+        base_at = [1, 3]  # TX2 at x=5.0, then x=-0.0
+        got = vehicle_delta(scans[base_at], scans[moved_at])
+        want = np.stack([to_db(oracle[b].gains) - to_db(oracle[v].gains)
+                         for b, v in zip(base_at, moved_at)])
         assert got.tobytes() == want.tobytes()
-        assert vehicle_delta(base[0], moved[0]).tobytes() == want[0].tobytes()
+        assert vehicle_delta(scans[1:2], scans[moved_at[:1]]).tobytes() == want[:1].tobytes()
         with pytest.raises(PairingError, match="different links"):
-            vehicle_delta(scans[[3, 1]], moved)
+            vehicle_delta(scans[[3, 1]], scans[moved_at])
 
 
 class TestCliOutputsOracle:
@@ -221,7 +240,7 @@ class TestCliOutputsOracle:
         oracle = _oracle_scans(campaign)
         base = {(s.tx, s.x, s.y, s.stacking): s for s in _baseline(oracle)}
         for state in (VehicleState.POSITION1, VehicleState.POSITION2):
-            moved = [s for s in oracle if s.vehicle_state is state]
+            moved = [s for s in oracle if s.vehicle_state == state.value]
             matrix = np.stack([to_db(base[(s.tx, s.x, s.y, s.stacking)].gains) - to_db(s.gains)
                                for s in moved])
             report = delta_cdf_report(matrix.ravel())
@@ -262,31 +281,19 @@ class TestCliOutputsOracle:
 class TestChecks:
     def test_grid_check_names_the_first_scan_that_differs(self):
         grid12 = np.radians(30.0 * np.arange(12))
-        scans = [AngularScan("TX2", float(x), 3.5, grid12, np.ones(12)) for x in range(3)]
-        scans.append(AngularScan("TX2", 9.0, 3.5, np.radians(22.5 * np.arange(16)),
-                                 np.ones(16)))
-        scans.append(AngularScan("TX2", 7.0, 3.5, grid12 + 0.01, np.ones(12)))
-        assert require_common_grid(scans[:3]).tobytes() == grid12.tobytes()
+        scans = [Scan("TX2", float(x), 3.5, grid12, np.ones(12)) for x in range(3)]
+        scans.append(Scan("TX2", 9.0, 3.5, np.radians(22.5 * np.arange(16)), np.ones(16)))
+        scans.append(Scan("TX2", 7.0, 3.5, grid12 + 0.01, np.ones(12)))
+        assert require_common_grid(scan_set(scans[:3])).tobytes() == grid12.tobytes()
         with pytest.raises(GridError, match=r"scan \('TX2', 9.0"):
-            require_common_grid(scans)
+            require_common_grid(scan_set(scans))
         with pytest.raises(GridError, match=r"scan \('TX2', 7.0"):
-            require_common_grid(scans[:3] + scans[4:])
+            require_common_grid(scan_set(scans[:3] + scans[4:]))
 
     def test_empty_set_statistics_are_domain_errors(self):
-        empty = ScanSet.of([])
-        assert len(empty) == 0 and list(empty) == []
+        empty = scan_set([])
+        assert len(empty) == 0 and empty.blocks == ()
         with pytest.raises(DomainError):
             ensemble_stats(empty)
         with pytest.raises(DomainError):
             gain_cdfs(empty, {})
-
-    def test_dense_line_from_a_set_equals_one_from_scans(self, campaign):
-        scans = ingest(campaign)
-        picked = scans[[0, 2, 4]]
-        positions = np.array([13.5, 13.6, 13.7])  # the first three of the dense line
-        a = spatialcorr.DenseLine(positions=positions, scans=picked)
-        b = spatialcorr.DenseLine(positions=positions, scans=tuple(picked))
-        for phi in a.angles:
-            assert a.gains_db(phi).tobytes() == b.gains_db(phi).tobytes()
-        assert [s.key for s in a.scans] == [s.key for s in b.scans]
-        assert Stacking(a.scans.stacking[0]) is Stacking.UNIFORM

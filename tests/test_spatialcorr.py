@@ -2,8 +2,8 @@
 
 import numpy as np
 import pytest
+from scansets import Scan, grid, scan_set
 
-from portcanyon.angular import AngularScan
 from portcanyon.errors import DomainError, GridError, PairingError
 from portcanyon.spatialcorr import (
     DenseLine,
@@ -14,7 +14,8 @@ from portcanyon.spatialcorr import (
 )
 
 N_ANGLES = 8
-GRID = np.radians(360.0 * np.arange(N_ANGLES) / N_ANGLES)
+GRID = grid(N_ANGLES)
+POSITIONS = 13.5 + 0.1 * np.arange(15)
 
 
 def brute_force_autocorr(db_values):
@@ -29,19 +30,17 @@ def brute_force_autocorr(db_values):
     return [r / raw[0] for r in raw]
 
 
-def line_from_db(db_values, positions=None, tx="TX1_63", y=3.5):
+def make_line(gains, positions=POSITIONS, tx="TX1_63", y=3.5):
+    """A dense line of one scan per row of linear gains, on the uniform grid."""
+    scans = scan_set(Scan(tx=tx, x=float(x), y=y, angles=grid(len(row)), gains=row)
+                     for x, row in zip(positions, gains))
+    return DenseLine(positions=np.asarray(positions[:len(gains)], dtype=float), scans=scans)
+
+
+def line_from_db(db_values, positions=POSITIONS, tx="TX1_63", y=3.5):
     """Build a dense line whose gain at EVERY angle equals the given dB value."""
-    db_values = list(db_values)
-    if positions is None:
-        positions = 13.5 + 0.1 * np.arange(len(db_values))
-    scans = tuple(
-        AngularScan(
-            tx=tx, x=float(x), y=y, angles=GRID,
-            gains=np.full(N_ANGLES, 10.0 ** (db / 10.0)),
-        )
-        for x, db in zip(positions, db_values)
-    )
-    return DenseLine(positions=np.asarray(positions, dtype=float), scans=scans)
+    gains = [np.full(N_ANGLES, 10.0 ** (db / 10.0)) for db in db_values]
+    return make_line(gains, positions, tx, y)
 
 
 class TestDenseLineValidation:
@@ -60,10 +59,10 @@ class TestDenseLineValidation:
             DenseLine(positions=np.array([1.0, 1.1, 1.2, 1.3]), scans=scans)
 
     def test_rejects_mixed_transmitters(self):
-        a = line_from_db([-60.0, -61.0], positions=[13.5, 13.6]).scans
-        b = line_from_db([-60.0, -61.0], positions=[13.5, 13.6], tx="TX2").scans
-        with pytest.raises(PairingError):
-            DenseLine(positions=np.array([13.5, 13.6]), scans=(a[0], b[1]))
+        scans = scan_set([Scan("TX1_63", 13.5, 3.5, GRID, np.ones(N_ANGLES)),
+                          Scan("TX2", 13.6, 3.5, GRID, np.ones(N_ANGLES))])
+        with pytest.raises(PairingError, match=r"scan \('TX2', 13.6, 3.5, <VehicleState"):
+            DenseLine(positions=np.array([13.5, 13.6]), scans=scans)
 
     def test_off_grid_angle_lookup(self):
         line = line_from_db([-60.0] * 4)
@@ -139,13 +138,7 @@ class TestAutocorrelation:
 
 class TestAveragedCorrelation:
     def _random_line(self, rng, tx="TX1_63", y=3.5):
-        gains = rng.exponential(1e-6, size=(15, N_ANGLES))
-        positions = 13.5 + 0.1 * np.arange(15)
-        scans = tuple(
-            AngularScan(tx=tx, x=float(x), y=y, angles=GRID, gains=gains[i])
-            for i, x in enumerate(positions)
-        )
-        return DenseLine(positions=positions, scans=scans)
+        return make_line(rng.exponential(1e-6, size=(15, N_ANGLES)), tx=tx, y=y)
 
     def test_single_line_passthrough(self):
         rng = np.random.default_rng(4)
@@ -185,16 +178,7 @@ class TestAveragedCorrelation:
     def test_global_offset_invariance(self):
         rng = np.random.default_rng(7)
         line = self._random_line(rng)
-        shifted = DenseLine(
-            positions=line.positions,
-            scans=tuple(
-                AngularScan(
-                    tx=s.tx, x=s.x, y=s.y, angles=s.angles,
-                    gains=s.gains * 10.0 ** (23.0 / 10.0),
-                )
-                for s in line.scans
-            ),
-        )
+        shifted = make_line(line.scans.blocks[0].gains * 10.0 ** (23.0 / 10.0))
         _, base = averaged_correlation([line])
         _, moved = averaged_correlation([shifted])
         assert np.allclose(base, moved, atol=1e-9)
@@ -205,15 +189,9 @@ class TestAveragedCorrelation:
         lines.append(line_from_db([-60.0] * 15))  # every angle degenerate
         gains = rng.exponential(1e-6, size=(15, N_ANGLES))
         gains[:, 3] = 2e-6  # one degenerate angle
-        positions = 13.5 + 0.1 * np.arange(15)
-        lines.append(DenseLine(positions=positions, scans=tuple(
-            AngularScan(tx="TX2", x=float(x), y=3.5, angles=GRID, gains=gains[i])
-            for i, x in enumerate(positions))))
-        grid16 = np.radians(360.0 * np.arange(16) / 16)  # a second angle count
-        lines.append(DenseLine(positions=positions, scans=tuple(
-            AngularScan(tx="TX2", x=float(x), y=5.5, angles=grid16,
-                        gains=rng.exponential(1e-6, 16))
-            for x in positions)))
+        lines.append(make_line(gains, tx="TX2"))
+        # a second angle count
+        lines.append(make_line([rng.exponential(1e-6, 16) for _ in POSITIONS], tx="TX2", y=5.5))
         reference = np.mean([
             np.stack([autocorrelation(line, phi).values for phi in line.angles]).mean(axis=0)
             for line in lines
@@ -229,9 +207,7 @@ class TestAveragedCorrelation:
         positions = 13.5 + 0.1 * np.arange(n_pos)
         for _ in range(50):
             gains = rng.exponential(1e-6, size=(n_pos, N_ANGLES))
-            line = DenseLine(positions=positions, scans=tuple(
-                AngularScan(tx="TX2", x=float(x), y=3.5, angles=GRID, gains=gains[i])
-                for i, x in enumerate(positions)))
+            line = make_line(gains, positions, tx="TX2")
             reference = np.stack([autocorrelation(line, phi).values for phi in GRID])
             _, avg = averaged_correlation([line])
             np.testing.assert_allclose(avg, reference.mean(axis=0), rtol=0,

@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scansets import Scan, records, scan_set
 from test_dataio import oracle_scans_bytes
 
 from portcanyon import synth
 from portcanyon.angular import (
-    AngularScan,
     Stacking,
     VehicleState,
     azimuth_gain,
@@ -51,9 +51,9 @@ def one_point(layout, point, dense=False):
 
 # ----------------------------------------------- per-scan reference generator
 
-def oracle_scan(layout, tx, rx_point, cfg) -> AngularScan:
-    """One baseline scan, generated and checked on its own, as the per-scan
-    generator did before `generate_campaign` worked on matrices."""
+def oracle_scan(layout, tx, rx_point, cfg) -> Scan:
+    """One baseline scan, generated on its own, as the per-scan generator did
+    before `generate_campaign` worked on matrices."""
     mean_lin = 10.0 ** (mean_gain_at(layout, tx, rx_point, cfg) / 10.0)
     if cfg.fading:
         rng = synth._rng(synth._point_entropy(cfg, synth._STREAM_SCAN, layout.tx_index(tx),
@@ -63,22 +63,23 @@ def oracle_scan(layout, tx, rx_point, cfg) -> AngularScan:
         raw = np.full(cfg.n_angles, mean_lin)
     gains = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
     x, y = rx_point
-    return AngularScan(tx=tx.tx_id, x=x, y=y, angles=cfg.angles_rad, gains=gains,
-                       vehicle_state=VehicleState.ABSENT, stacking=layout.stacking)
+    return Scan(tx=tx.tx_id, x=x, y=y, angles=cfg.angles_rad, gains=gains,
+                vehicle_state=VehicleState.ABSENT, stacking=layout.stacking)
 
 
-def oracle_vehicle_scan(layout, tx, base, state, cfg) -> AngularScan:
+def oracle_vehicle_scan(layout, tx, base, state, cfg) -> Scan:
     """The with-vehicle scan derived from a baseline scan, on its own."""
     rng = synth._rng(synth._point_entropy(
         cfg, synth._STREAM_VEHICLE, layout.tx_index(tx), (base.x, base.y),
         extra=(synth._VEHICLE_CODE[state],)))
     delta_db = rng.normal(cfg.vehicle_mu_db, cfg.vehicle_sigma_db, base.gains.size)
     gains = 10.0 ** ((to_db(base.gains) - delta_db) / 10.0)
-    return AngularScan(tx=base.tx, x=base.x, y=base.y, angles=base.angles, gains=gains,
-                       vehicle_state=state, stacking=base.stacking)
+    return Scan(tx=base.tx, x=base.x, y=base.y, angles=base.angles, gains=gains,
+                vehicle_state=state, stacking=base.stacking)
 
 
 def oracle_campaign(layout, cfg, vehicle_mode) -> list:
+    """The per-scan campaign, its scans checked as one set."""
     scans = []
     for tx in layout.txs:
         for point in layout.all_points():
@@ -87,6 +88,7 @@ def oracle_campaign(layout, cfg, vehicle_mode) -> list:
             if vehicle_mode == "dense" and point in layout.dense_points:
                 for state in (VehicleState.POSITION1, VehicleState.POSITION2):
                     scans.append(oracle_vehicle_scan(layout, tx, base, state, cfg))
+    scan_set(scans)
     return scans
 
 
@@ -305,7 +307,7 @@ def test_campaign_matches_per_scan_oracle(kind, vehicle_mode, stride, **knobs):
                      dense_points=layout.dense_points[::stride])
     scans = generate_campaign(layout, cfg, vehicle_mode=vehicle_mode)
     oracle = oracle_campaign(layout, cfg, vehicle_mode)
-    assert [s.key for s in scans] == [s.key for s in oracle]
+    assert [s.key for s in records(scans)] == [s.key for s in oracle]
     (block,) = scans.blocks
     assert block.gains.tobytes() == np.stack([s.gains for s in oracle]).tobytes()
     with tempfile.TemporaryDirectory() as tmp:
@@ -324,8 +326,7 @@ class TestFullspread:
         raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
         smoothed = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
         expected = sorted(
-            azimuth_gain(AngularScan(tx="fullspread", x=0.0, y=0.0,
-                                     angles=cfg.angles_rad, gains=row))
+            azimuth_gain(scan_set([Scan("fullspread", 0.0, 0.0, cfg.angles_rad, row)]))[0]
             for row in smoothed
         )
         cdf = fullspread_gain_distribution(cfg)

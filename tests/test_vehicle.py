@@ -2,8 +2,9 @@
 
 import numpy as np
 import pytest
+from scansets import Scan, grid, scan_set
 
-from portcanyon.angular import AngularScan, VehicleState
+from portcanyon.angular import VehicleState
 from portcanyon.errors import DomainError, GridError, InsufficientDataError, PairingError
 from portcanyon.stats import gaussian_cdf
 from portcanyon.vehicle import (
@@ -13,18 +14,20 @@ from portcanyon.vehicle import (
     vehicle_delta,
 )
 
-GRID = np.radians(360.0 * np.arange(8) / 8)
+GRID = grid(8)
 
 
 def scan(gains_db, state=VehicleState.ABSENT, tx="TX1_63", x=13.5, y=3.5):
+    """The ScanSet of one scan of the given dB gains."""
     gains = 10.0 ** (np.asarray(gains_db, dtype=float) / 10.0)
-    return AngularScan(tx=tx, x=x, y=y, angles=GRID, gains=gains, vehicle_state=state)
+    return scan_set([Scan(tx=tx, x=x, y=y, angles=GRID, gains=gains, vehicle_state=state)])
 
 
 class TestVehicleDelta:
     def test_identical_scans_give_zero(self):
         db = np.full(8, -60.0)
         delta = vehicle_delta(scan(db), scan(db, VehicleState.POSITION1))
+        assert delta.shape == (1, 8)
         assert np.allclose(delta, 0.0, atol=1e-9)
 
     def test_uniform_shift(self):
@@ -55,19 +58,16 @@ class TestVehicleDelta:
 
     def test_rejects_mismatched_link(self):
         db = np.full(8, -60.0)
-        with pytest.raises(PairingError):
+        with pytest.raises(PairingError, match=r"different links: \('TX1_63', 13.5, 3.5, "
+                           r"<VehicleState.ABSENT: 'absent'>.* vs \('TX1_63', 14.5"):
             vehicle_delta(scan(db), scan(db, VehicleState.POSITION1, x=14.5))
         with pytest.raises(PairingError):
             vehicle_delta(scan(db), scan(db, VehicleState.POSITION1, tx="TX2"))
 
     def test_rejects_mismatched_grid(self):
         base = scan(np.full(8, -60.0))
-        other = AngularScan(
-            tx="TX1_63", x=13.5, y=3.5,
-            angles=np.radians(360.0 * np.arange(16) / 16),
-            gains=np.full(16, 1e-6),
-            vehicle_state=VehicleState.POSITION1,
-        )
+        other = scan_set([Scan(tx="TX1_63", x=13.5, y=3.5, angles=grid(16),
+                               gains=np.full(16, 1e-6), vehicle_state=VehicleState.POSITION1)])
         with pytest.raises(GridError):
             vehicle_delta(base, other)
 
