@@ -235,7 +235,9 @@ def normalized_spectrum(scans: ScanSet) -> np.ndarray:
 def require_common_grid(scans: ScanSet) -> np.ndarray:
     """The angle grid every scan shares (so the set has one block); a
     GridError names the first scan that differs in size or by more than
-    GRID_MATCH_TOL at any angle."""
+    GRID_MATCH_TOL at any angle.  An empty set has no grid: a DomainError."""
+    if not len(scans):
+        raise DomainError("an empty scan set has no angle grid")
     grid = scans.blocks[scans._block[0]].angles[scans._row[0]]
     differs = scans.grid_differs(grid)
     if differs.any():

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__, angular, dataio, geometry, linkbudget, spatialcorr, synth, vehicle
 from .config import DEFAULT_INI, ToolConfig, load_config
-from .errors import ConfigError, DegenerateFitError, IngestError, ToolkitError
+from .errors import ConfigError, DegenerateFitError, DomainError, IngestError, ToolkitError
 from .pathloss import GainSample, fit_fixed_slope, fit_loglinear
 from .stats import empirical_cdf
 
@@ -207,7 +207,13 @@ def _cmd_fit(args, cfg: ToolConfig) -> Report:
         angular.circular_mean_gain(scans).tolist(),
     ):
         tx_x, tx_y, tx_z = synth.tx_position(tx_id)
-        distance = math.sqrt((tx_x - x) ** 2 + (tx_y - y) ** 2 + (tx_z - cfg.rx_height_m) ** 2)
+        try:
+            distance = math.sqrt((tx_x - x) ** 2 + (tx_y - y) ** 2 + (tx_z - cfg.rx_height_m) ** 2)
+        except OverflowError:
+            distance = math.inf
+        if distance == math.inf:
+            raise DomainError(f"transmitter {tx_id!r} is too far from the RX at x={x}, y={y} "
+                              "for a finite distance")
         by_stacking[stacking].append(GainSample(distance_m=distance, gain_db=gain_db))
 
     groups = [(label, by_stacking[label]) for label in sorted(by_stacking)]

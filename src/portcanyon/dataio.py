@@ -388,17 +388,6 @@ def _save_sidecar(path, rows, sha256) -> None:
         _atomic_write(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
 
 
-def _row_sources(path, sidecar, sha256, limit):
-    """(rows, parsed) to try in turn: the sidecar's rows if any, then the parse's."""
-    cached = _load_sidecar(sidecar, sha256, limit)
-    if cached is not None:
-        yield cached, False
-    try:
-        yield _ingest_columnar(path), True
-    except _NotCanonical:
-        yield _ingest_rows(path), True
-
-
 def ingest(path) -> ScanSet:
     """Read and validate a canonical measurement CSV into a ScanSet.
 
@@ -415,19 +404,21 @@ def ingest(path) -> ScanSet:
     before = os.stat(path)
     sha256 = file_sha256(path)
     sidecar = os.fspath(path) + SIDECAR_SUFFIX
-    for rows, parsed in _row_sources(path, sidecar, sha256, before.st_size):
-        try:
-            scans = _scan_set(*rows, sha256)
-        except Exception:
-            if parsed:
-                raise
-            continue  # sidecar rows that do not build are a miss
-        after = os.stat(path)
-        # A file changed while it was read may not match its hash.
-        if parsed and (before.st_ino, before.st_size, before.st_mtime_ns) == (
-                after.st_ino, after.st_size, after.st_mtime_ns):
-            _save_sidecar(sidecar, rows, sha256)
-        return scans
+    cached = _load_sidecar(sidecar, sha256, before.st_size)
+    if cached is not None:
+        with contextlib.suppress(Exception):  # sidecar rows that do not build are a miss
+            return _scan_set(*cached, sha256)
+    try:
+        rows = _ingest_columnar(path)
+    except _NotCanonical:
+        rows = _ingest_rows(path)
+    scans = _scan_set(*rows, sha256)
+    after = os.stat(path)
+    # A file changed while it was read may not match its hash.
+    if (before.st_ino, before.st_size, before.st_mtime_ns) == (
+            after.st_ino, after.st_size, after.st_mtime_ns):
+        _save_sidecar(sidecar, rows, sha256)
+    return scans
 
 
 def _cell(value) -> str:

@@ -1,11 +1,11 @@
-"""Spatial autocorrelation of fixed-beam channel gain along a dense RX line.
+"""Spatial autocorrelation of fixed-beam channel gain along dense RX lines.
 
 Gains are correlated in the dB domain, since that is the scale link
-adaptation and beam refinement react to.  Each line is a set of scans at
+adaptation and beam refinement react to.  A `DenseLine` is a set of scans at
 uniformly spaced positions along the canyon (nominally 15 points, 0.1 m
-apart); the per-line, per-angle autocorrelation is the lagged autocovariance
-of the zero-mean dB gain sequence, normalized by its lag-0 value so it
-starts at 1 and stays within [-1, 1].
+apart); `averaged_correlation` takes the normalized lagged autocovariance of
+each line's zero-mean dB gains at each grid angle and averages it over
+angles and lines.
 """
 
 from __future__ import annotations
@@ -14,13 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import GRID_MATCH_TOL, ScanSet, require_common_grid, to_db
-from .errors import DomainError, GridError, PairingError
+from .angular import ScanSet, require_common_grid
+from .errors import DomainError, PairingError
 
-__all__ = [
-    "DenseLine", "AutocorrResult", "line_mean", "zero_mean", "autocorrelation",
-    "averaged_correlation",
-]
+__all__ = ["DenseLine", "averaged_correlation"]
 
 POSITION_SPACING_TOL = 1e-9
 
@@ -67,63 +64,19 @@ class DenseLine:
     def angles(self) -> np.ndarray:
         return self.scans.blocks[0].angles[0]
 
-    def gains_db(self, phi: float) -> np.ndarray:
-        """Per-position dB gain at grid angle phi (off-grid -> GridError)."""
-        idx = _grid_index(self.angles, phi)
-        return to_db(self.scans.blocks[0].gains[:, idx])
-
-
-def _grid_index(angles: np.ndarray, phi: float) -> int:
-    hits = np.nonzero(np.abs(angles - phi) <= GRID_MATCH_TOL)[0]
-    if hits.size != 1:
-        raise GridError(f"angle {phi} rad is not on the scan grid")
-    return int(hits[0])
-
-
-@dataclass(frozen=True, eq=False)
-class AutocorrResult:
-    """Normalized per-lag autocorrelation; degenerate marks a zero-variance line."""
-
-    values: np.ndarray
-    degenerate: bool = False
-
-
-def line_mean(line: DenseLine, phi: float) -> float:
-    """Mean dB gain over the line's positions at one grid angle."""
-    return float(np.mean(line.gains_db(phi)))
-
-
-def zero_mean(line: DenseLine, phi: float) -> np.ndarray:
-    """Per-position dB gain minus the line mean; sums to 0."""
-    db = line.gains_db(phi)
-    return db - np.mean(db)
-
-
-def autocorrelation(line: DenseLine, phi: float) -> AutocorrResult:
-    """Normalized lagged autocovariance of the zero-mean dB gains.
-
-    r[k] = sum_j z[j] * z[j+k] normalized by r[0], for lags k = 0..N-1, so
-    r[0] = 1 and |r[k]| <= 1.  A constant line has zero variance; it is
-    returned as r = [1, 0, ..., 0] with the degenerate flag set.
-    """
-    z = zero_mean(line, phi)
-    raw = np.correlate(z, z, mode="full")[z.size - 1:]
-    if raw[0] == 0.0:
-        values = np.zeros(z.size)
-        values[0] = 1.0
-        return AutocorrResult(values=values, degenerate=True)
-    return AutocorrResult(values=raw / raw[0], degenerate=False)
-
 
 def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
     """Autocorrelation averaged over all grid angles and all lines.
 
-    Every line contributes the mean of its per-angle normalized curves
-    (rectangle rule over the uniform angle grid); lines are then averaged
-    with equal weight.  Both reductions are plain means, so the order does
-    not matter.  On lines of 12 or more positions the result equals that mean
-    of `autocorrelation` curves bit for bit; on shorter lines it agrees to
-    within an ulp or so.
+    The curve of one line at one angle is r[k] = sum_j z[j] * z[j+k] / r[0]
+    for lags k = 0..N-1, z being the line's zero-mean dB gains there, so
+    r[0] = 1 and |r[k]| <= 1.  A constant line has zero variance; its curve
+    is [1, 0, ..., 0].  Every line contributes the mean of its per-angle
+    curves (rectangle rule over the uniform angle grid); lines are then
+    averaged with equal weight.  Both reductions are plain means, so the
+    order does not matter.  On lines of 12 or more positions the result
+    equals that mean of per-angle `np.correlate` curves (the tests'
+    reference) bit for bit; on shorter lines it agrees to within an ulp or so.
 
     Returns:
         (lag_m, correlation): lag axis in metres and the averaged curve.
@@ -138,7 +91,7 @@ def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
             raise DomainError("all lines must share position count and spacing")
 
     # Each angle count is one (lines, angles, positions) array.  A 1xm @ mx1
-    # matmul sums like np.correlate in `autocorrelation` once the line has 12
+    # matmul sums like the tests' np.correlate reference once the line has 12
     # or more positions (the CLI's lines have 15), so there the curves match
     # it bit for bit; on shorter lines np.correlate sums in another order and
     # the curves differ by about an ulp.  einsum and sum(axis) differ in the

@@ -185,12 +185,6 @@ class CampaignLayout:
     def all_points(self) -> tuple[tuple[float, float], ...]:
         return self.coarse_points + self.dense_points
 
-    def tx_index(self, tx: TxSpec) -> int:
-        try:
-            return self.txs.index(tx)
-        except ValueError:
-            raise DomainError(f"transmitter {tx.tx_id!r} is not part of this layout")
-
 
 def tx_position(tx_id: str) -> tuple[float, float, float]:
     """Campaign TX position (x, y, z) from its id: 'TX2', or 'TX1_<y>' for the

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import importlib.util
+import json
 import math
 import os
 import shutil
@@ -559,6 +560,25 @@ def test_tx_without_a_position_is_ingest_error(tmp_path, capsys, tx_id, command)
     assert list(out_dir.glob("*")) == []
 
 
+@pytest.mark.parametrize("tx_id,xs", [
+    ("TX1_1e200", (1.0, 5.0, 9.0)),       # squaring the y offset overflows
+    ("TX1_1e154", (-1e154, 5.0, 9.0)),    # each square is finite, their sum is not
+])
+def test_fit_distance_beyond_float_range_is_domain_error(tmp_path, capsys, tx_id, xs):
+    data = _write_scans(tmp_path, [
+        Scan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, 1e-6))
+        for x in xs
+    ])
+    out = tmp_path / "out" / "fit.csv"
+    rc = main(["fit", "--input", data, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 4
+    assert captured.err == (f"error[domain]: transmitter {tx_id!r} is too far from the RX at "
+                            f"x={xs[0]}, y=3.5 for a finite distance\n")
+    assert captured.out == ""
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("command", ["angular", "vehicle"])
 def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
     # Two baseline + vehicle pairs of one TX; the second pair's 8-angle grid
@@ -700,11 +720,20 @@ class TestBranches:
         assert not out_dir.exists()
 
 
-def test_package_import_stays_light_and_cli_loads_every_layer():
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_spans", Path(__file__).resolve().parents[1] / "perfbench" / "spans.py")
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PY = ROOT / "perfbench" / "spans.py"
+
+
+def _perfbench_spans():
+    """The bench's span recorder, imported by path: perfbench is no package."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PY)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_package_import_stays_light_and_cli_loads_every_layer():
+    spans = _perfbench_spans()
     script = """
 import sys
 
@@ -721,13 +750,44 @@ import portcanyon.cli
 missing = [name for name in sys.argv[1:] if "portcanyon." + name not in sys.modules]
 assert not missing, ("import portcanyon.cli", missing)
 """
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     done = subprocess.run(
         [sys.executable, "-c", script, *spans.LAYERS],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
+
+
+def test_traced_child_runs_every_command(tmp_path):
+    # The traced bench run binds parameters by name (spans.WORK); a renamed
+    # one crashes the traced child, and only there.
+    spans = _perfbench_spans()
+    data = str(tmp_path / "data.csv")
+    calls = {
+        "synth": ["synth", "--layout", "uniform", "--vehicle-mode", "dense", "--seed", "5",
+                  "--n-angles", "16", "--out", data],
+        "angular": ["angular", "--input", data, "--out-dir", str(tmp_path / "angular")],
+        "spatial": ["spatial", "--input", data, "--out", str(tmp_path / "correlation.csv")],
+        "vehicle": ["vehicle", "--input", data, "--out-dir", str(tmp_path / "vehicle")],
+        "fit": ["fit", "--input", data, "--out", str(tmp_path / "fit.csv")],
+        "coverage": ["coverage", "--out", str(tmp_path / "coverage.csv")],
+        "geometry": ["geometry", "--height", "17.4", "--width", "8", "--distance", "63",
+                     "--rx-depth", "5"],
+    }
+    assert tuple(calls) == spans.COMMANDS
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    for command, argv in calls.items():
+        out = tmp_path / f"{command}.spans.json"
+        done = subprocess.run(
+            [sys.executable, str(SPANS_PY), "--out", str(out), "--trace-id", command,
+             "--command", command, "--", *argv],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, (command, done.stderr)
+        recorded = json.loads(out.read_text(encoding="utf-8"))["spans"]
+        assert recorded[0][:2] == [f"cli.{command}", "cli"], command
+        _, _, residual = spans.command_balance(recorded)
+        assert abs(residual) <= 1e-6, (command, residual)
 
 
 def test_every_export_exists():

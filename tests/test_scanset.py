@@ -22,6 +22,7 @@ from portcanyon.angular import (
     circular_mean_gain,
     ensemble_stats,
     gain_cdfs,
+    normalized_spectrum,
     require_common_grid,
     to_db,
     tx_bearing,
@@ -297,3 +298,7 @@ class TestChecks:
             ensemble_stats(empty)
         with pytest.raises(DomainError):
             gain_cdfs(empty, {})
+        for call in (lambda: require_common_grid(empty), lambda: normalized_spectrum(empty),
+                     lambda: vehicle_delta(empty, empty)):
+            with pytest.raises(DomainError, match="empty scan set"):
+                call()

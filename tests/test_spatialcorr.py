@@ -5,13 +5,7 @@ import pytest
 from scansets import Scan, grid, scan_set
 
 from portcanyon.errors import DomainError, GridError, PairingError
-from portcanyon.spatialcorr import (
-    DenseLine,
-    autocorrelation,
-    averaged_correlation,
-    line_mean,
-    zero_mean,
-)
+from portcanyon.spatialcorr import DenseLine, averaged_correlation
 
 N_ANGLES = 8
 GRID = grid(N_ANGLES)
@@ -28,6 +22,23 @@ def brute_force_autocorr(db_values):
     if raw[0] == 0.0:
         return [1.0] + [0.0] * (n - 1)
     return [r / raw[0] for r in raw]
+
+
+def per_angle_curves(line):
+    """Reference for the batched path: one np.correlate curve per grid angle,
+    normalized by lag 0; a constant line's curve is [1, 0, ..., 0]."""
+    curves = []
+    for gains in line.scans.blocks[0].gains.T:
+        db = 10 * np.log10(gains)
+        z = db - np.mean(db)
+        raw = np.correlate(z, z, "full")[z.size - 1:]
+        curves.append(np.eye(1, z.size)[0] if raw[0] == 0.0 else raw / raw[0])
+    return np.stack(curves)
+
+
+def line_correlation(db_values):
+    """averaged_correlation of one line whose every angle carries db_values."""
+    return averaged_correlation([line_from_db(db_values)])[1]
 
 
 def make_line(gains, positions=POSITIONS, tx="TX1_63", y=3.5):
@@ -64,36 +75,14 @@ class TestDenseLineValidation:
         with pytest.raises(PairingError, match=r"scan \('TX2', 13.6, 3.5, <VehicleState"):
             DenseLine(positions=np.array([13.5, 13.6]), scans=scans)
 
-    def test_off_grid_angle_lookup(self):
-        line = line_from_db([-60.0] * 4)
-        with pytest.raises(GridError):
-            line_mean(line, 0.1234)
+    def test_angles_are_the_scan_grid(self):
+        assert line_from_db([-60.0] * 4).angles.tobytes() == GRID.tobytes()
 
-
-class TestLineMeanAndZeroMean:
-    def test_constant_line(self):
-        line = line_from_db([-60.0] * 15)
-        assert line_mean(line, GRID[0]) == pytest.approx(-60.0, abs=1e-9)
-        assert np.allclose(zero_mean(line, GRID[3]), 0.0, atol=1e-9)
-
-    def test_hand_mean(self):
-        values = [-60.0, -70.0, -55.0, -65.0, -50.0]
-        line = line_from_db(values)
-        assert line_mean(line, GRID[1]) == pytest.approx(np.mean(values), abs=1e-9)
-        assert min(values) <= line_mean(line, GRID[1]) <= max(values)
-
-    def test_alternating_pattern(self):
-        line = line_from_db([-58.0, -62.0] * 4)
-        out = zero_mean(line, GRID[0])
-        assert np.allclose(out, np.tile([2.0, -2.0], 4), atol=1e-9)
-
-    def test_zero_mean_sums_to_zero_and_ignores_offset(self):
-        rng = np.random.default_rng(0)
-        values = list(-60.0 + 5.0 * rng.standard_normal(15))
-        base = zero_mean(line_from_db(values), GRID[2])
-        shifted = zero_mean(line_from_db([v + 13.0 for v in values]), GRID[2])
-        assert abs(np.sum(base)) < 1e-9
-        assert np.allclose(base, shifted, atol=1e-9)
+    def test_rejects_a_scan_off_the_line_grid(self):
+        scans = scan_set([Scan("TX2", 13.5, 3.5, GRID, np.ones(N_ANGLES)),
+                          Scan("TX2", 13.6, 3.5, GRID + 0.01, np.ones(N_ANGLES))])
+        with pytest.raises(GridError, match=r"scan \('TX2', 13.6, 3.5, <VehicleState"):
+            DenseLine(positions=np.array([13.5, 13.6]), scans=scans)
 
 
 class TestAutocorrelation:
@@ -101,39 +90,34 @@ class TestAutocorrelation:
         rng = np.random.default_rng(1)
         for _ in range(25):
             values = list(-60.0 + 6.0 * rng.standard_normal(15))
-            result = autocorrelation(line_from_db(values), GRID[0])
-            assert not result.degenerate
-            assert np.allclose(result.values, brute_force_autocorr(values), atol=1e-9)
+            assert np.allclose(line_correlation(values), brute_force_autocorr(values), atol=1e-9)
 
     def test_alternating_signs(self):
         values = [-60.0 + s for s in (1.0, -1.0) * 7 + (1.0,)]
-        result = autocorrelation(line_from_db(values), GRID[0])
-        assert np.allclose(result.values, brute_force_autocorr(values), atol=1e-9)
-        assert result.values[1] < 0.0
+        result = line_correlation(values)
+        assert np.allclose(result, brute_force_autocorr(values), atol=1e-9)
+        assert result[1] < 0.0
 
     def test_single_spike(self):
         values = [-60.0] * 15
         values[7] = -50.0
-        result = autocorrelation(line_from_db(values), GRID[0])
-        assert np.allclose(result.values, brute_force_autocorr(values), atol=1e-9)
+        assert np.allclose(line_correlation(values), brute_force_autocorr(values), atol=1e-9)
 
     def test_lag_zero_is_one(self):
         rng = np.random.default_rng(2)
         values = list(-60.0 + rng.standard_normal(15))
-        assert autocorrelation(line_from_db(values), GRID[0]).values[0] == 1.0
+        assert line_correlation(values)[0] == 1.0
 
     def test_degenerate_constant_line(self):
-        result = autocorrelation(line_from_db([-60.0] * 15), GRID[0])
-        assert result.degenerate
-        assert result.values[0] == 1.0
-        assert np.all(result.values[1:] == 0.0)
+        result = line_correlation([-60.0] * 15)
+        assert result[0] == 1.0
+        assert np.all(result[1:] == 0.0)
 
     def test_bounded_in_unit_interval(self):
         rng = np.random.default_rng(3)
         for _ in range(50):
             values = list(-60.0 + 8.0 * rng.standard_normal(15))
-            result = autocorrelation(line_from_db(values), GRID[0])
-            assert np.all(np.abs(result.values) <= 1.0 + 1e-12)
+            assert np.all(np.abs(line_correlation(values)) <= 1.0 + 1e-12)
 
 
 class TestAveragedCorrelation:
@@ -144,28 +128,18 @@ class TestAveragedCorrelation:
         rng = np.random.default_rng(4)
         line = self._random_line(rng)
         lag_m, avg = averaged_correlation([line])
-        direct = np.mean(
-            [autocorrelation(line, phi).values for phi in GRID], axis=0
-        )
-        assert np.allclose(avg, direct, atol=1e-12)
+        assert np.allclose(avg, per_angle_curves(line).mean(axis=0), atol=1e-12)
         assert np.allclose(lag_m, 0.1 * np.arange(15), atol=1e-9)
 
     def test_averaging_order_is_irrelevant(self):
         rng = np.random.default_rng(5)
         lines = [self._random_line(rng, y=y) for y in (3.5, 5.5, 7.5)]
         _, avg = averaged_correlation(lines)
+        curves = np.stack([per_angle_curves(line) for line in lines])  # lines, angles, lags
         # angles first, then lines
-        per_line = [
-            np.mean([autocorrelation(line, phi).values for phi in GRID], axis=0)
-            for line in lines
-        ]
-        assert np.allclose(avg, np.mean(per_line, axis=0), atol=1e-12)
+        assert np.allclose(avg, curves.mean(axis=1).mean(axis=0), atol=1e-12)
         # lines first, then angles
-        per_angle = [
-            np.mean([autocorrelation(line, phi).values for line in lines], axis=0)
-            for phi in GRID
-        ]
-        assert np.allclose(avg, np.mean(per_angle, axis=0), atol=1e-12)
+        assert np.allclose(avg, curves.mean(axis=0).mean(axis=0), atol=1e-12)
 
     def test_iid_fading_decorrelates_at_first_lag(self):
         # Scaled-down Monte Carlo; the acceptance suite runs the full one.
@@ -183,6 +157,21 @@ class TestAveragedCorrelation:
         _, moved = averaged_correlation([shifted])
         assert np.allclose(base, moved, atol=1e-9)
 
+    def test_each_angle_loses_its_own_mean(self):
+        # A different dB offset at every angle leaves every per-angle curve,
+        # and so the average, unchanged.
+        rng = np.random.default_rng(11)
+        line = self._random_line(rng)
+        offsets_db = np.linspace(-30.0, 30.0, N_ANGLES)
+        shifted = make_line(line.scans.blocks[0].gains * 10.0 ** (offsets_db / 10.0))
+        _, base = averaged_correlation([line])
+        _, moved = averaged_correlation([shifted])
+        assert np.allclose(base, moved, atol=1e-9)
+
+    def test_rejects_no_lines(self):
+        with pytest.raises(DomainError, match="at least one line"):
+            averaged_correlation([])
+
     def test_equals_the_per_angle_loop_bit_for_bit(self):
         rng = np.random.default_rng(9)
         lines = [self._random_line(rng, y=float(y)) for y in range(6)]
@@ -192,10 +181,7 @@ class TestAveragedCorrelation:
         lines.append(make_line(gains, tx="TX2"))
         # a second angle count
         lines.append(make_line([rng.exponential(1e-6, 16) for _ in POSITIONS], tx="TX2", y=5.5))
-        reference = np.mean([
-            np.stack([autocorrelation(line, phi).values for phi in line.angles]).mean(axis=0)
-            for line in lines
-        ], axis=0)
+        reference = np.mean([per_angle_curves(line).mean(axis=0) for line in lines], axis=0)
         _, avg = averaged_correlation(lines)
         assert avg.tobytes() == reference.tobytes()
 
@@ -208,7 +194,7 @@ class TestAveragedCorrelation:
         for _ in range(50):
             gains = rng.exponential(1e-6, size=(n_pos, N_ANGLES))
             line = make_line(gains, positions, tx="TX2")
-            reference = np.stack([autocorrelation(line, phi).values for phi in GRID])
+            reference = per_angle_curves(line)
             _, avg = averaged_correlation([line])
             np.testing.assert_allclose(avg, reference.mean(axis=0), rtol=0,
                                        atol=4 * np.finfo(float).eps)

@@ -56,7 +56,7 @@ def oracle_scan(layout, tx, rx_point, cfg) -> Scan:
     before `generate_campaign` worked on matrices."""
     mean_lin = 10.0 ** (mean_gain_at(layout, tx, rx_point, cfg) / 10.0)
     if cfg.fading:
-        rng = synth._rng(synth._point_entropy(cfg, synth._STREAM_SCAN, layout.tx_index(tx),
+        rng = synth._rng(synth._point_entropy(cfg, synth._STREAM_SCAN, layout.txs.index(tx),
                                               rx_point))
         raw = rng.exponential(scale=mean_lin, size=cfg.n_angles)
     else:
@@ -70,7 +70,7 @@ def oracle_scan(layout, tx, rx_point, cfg) -> Scan:
 def oracle_vehicle_scan(layout, tx, base, state, cfg) -> Scan:
     """The with-vehicle scan derived from a baseline scan, on its own."""
     rng = synth._rng(synth._point_entropy(
-        cfg, synth._STREAM_VEHICLE, layout.tx_index(tx), (base.x, base.y),
+        cfg, synth._STREAM_VEHICLE, layout.txs.index(tx), (base.x, base.y),
         extra=(synth._VEHICLE_CODE[state],)))
     delta_db = rng.normal(cfg.vehicle_mu_db, cfg.vehicle_sigma_db, base.gains.size)
     gains = 10.0 ** ((to_db(base.gains) - delta_db) / 10.0)
@@ -143,11 +143,6 @@ class TestLayout:
         layout = build_layout("uniform")
         with pytest.raises(DomainError):
             layout.tx_side_height_at(40.0)
-
-    def test_foreign_transmitter_rejected(self):
-        layout = build_layout("uniform")
-        with pytest.raises(DomainError):
-            layout.tx_index(TxSpec("TX9", 0.0, 99.0, 30.0))
 
 
 class TestGeometryMapping:
