@@ -15,11 +15,15 @@ one scan at a time, in set order, so no output exists as one string.
 
 `ingest` returns an `angular.ScanSet`: key columns, one (scans x angles)
 matrix pair per angle count, and the file's sha256.  A canonical file is
-parsed columnar: one C-level `np.loadtxt` pass and array checks.  Anything
-unusual (a bad or non-finite value, an unknown token, a duplicate angle,
-quotes, CR line ends, non-ASCII bytes, a comment row among the data) is
-re-read row by row, the only source of the line-numbered errors.  Each
-reader returns rows: keys, angle counts, phi_deg and gain_db.
+parsed columnar, in one read of the file in blocks of whole lines
+(`_BLOCK_BYTES`): each block's bytes are checked, its lines go through
+`np.loadtxt`, and its phi_deg and gain_db go into the result before the
+next block is read, so the parse holds one block's table, not the file's.
+Anything unusual (a bad or non-finite value, an unknown token, a duplicate
+angle, quotes, CR line ends, non-ASCII bytes, a comment row among the
+data, a line over `_MAX_LINE_BYTES`) is re-read row by row, the only
+source of the line-numbered errors.  Each reader returns rows: keys, angle
+counts, phi_deg and gain_db.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -146,11 +150,15 @@ def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
 
 
 def _csv_rows(fh):
-    """csv.reader over a text file, with a decoding failure as an IngestError."""
+    """csv.reader over a text file, with a decoding failure or a csv error (a
+    field over csv's size limit) as an IngestError."""
+    reader = csv.reader(fh)
     try:
-        yield from csv.reader(fh)
+        yield from reader
     except UnicodeDecodeError as exc:
         raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise IngestError(f"line {reader.line_num}: {exc}") from None
 
 
 def _ingest_rows(path):
@@ -215,19 +223,35 @@ class _NotCanonical(Exception):
 # other byte (CR, NUL, tab, non-ASCII, '"') sends the file to the row loop,
 # whose csv/str semantics the columnar parse does not reproduce.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
-_HEADER_LINE = CANONICAL_HEADER.encode("ascii") + b"\n"
+# The columnar parse reads the file in blocks of _BLOCK_BYTES, small enough
+# that one block's lines and table stay in the CPU caches.  A line over
+# _MAX_LINE_BYTES, far longer than a canonical row (under 150 bytes: a tx_id
+# under _TX_WIDTH bytes, four floats of at most 24 characters, two tokens),
+# sends the file to the row loop.
+_BLOCK_BYTES = 1 << 18
+_MAX_LINE_BYTES = 1 << 12
+# The key fields are parsed as fixed-width text, each field wider than the
+# values it takes, so one that fills its width may have been truncated and
+# the file is re-read.  Every width is a multiple of 8, so rows compare keys
+# as the 8-byte words outside phi_deg and gain_db, much faster than numpy
+# compares strings; x and y are parsed once per run of equal key text.
 _KEY_FIELDS = ("tx_id", "x_m", "y_m", "vehicle_state", "stacking")
-# Fixed-width text fields.  Both are longer than every token, so a truncated
-# field never passes as a token; a tx_id that fills its width may have been
-# truncated and is re-read.
 _TX_WIDTH = 16
-_TOKEN_WIDTH = 1 + max(map(len, _VEHICLE_TOKENS | _STACKING_TOKENS))
+_NUMBER_WIDTH = 32
+_TOKEN_WIDTH = 16
 _COLUMNS = np.dtype([
     ("tx_id", f"S{_TX_WIDTH}"),
-    ("x_m", "f8"), ("y_m", "f8"), ("phi_deg", "f8"), ("gain_db", "f8"),
+    ("x_m", f"S{_NUMBER_WIDTH}"), ("y_m", f"S{_NUMBER_WIDTH}"),
+    ("phi_deg", "f8"), ("gain_db", "f8"),
     ("vehicle_state", f"S{_TOKEN_WIDTH}"),
     ("stacking", f"S{_TOKEN_WIDTH}"),
 ])
+_KEY_WORDS = [word for word in range(_COLUMNS.itemsize // 8)
+              if word * 8 not in (_COLUMNS.fields["phi_deg"][1], _COLUMNS.fields["gain_db"][1])]
+# The shortest row that can pass, LF included: one-character tx_id and
+# numbers, the shortest tokens.
+_MIN_ROW_BYTES = len(",".join(["T", "0", "0", "0", "0", min(_VEHICLE_TOKENS, key=len),
+                               min(_STACKING_TOKENS, key=len)])) + 1
 
 
 def _valid_key(tx, x, y, vehicle_state, stacking) -> bool:
@@ -236,64 +260,120 @@ def _valid_key(tx, x, y, vehicle_state, stacking) -> bool:
             and vehicle_state in _VEHICLE_TOKENS and stacking in _STACKING_TOKENS)
 
 
-def _read_runs(path):
-    """One np.loadtxt pass over a plain canonical file, checked column-wise.
+def _lines_fit(text) -> bool:
+    """Is every line of text, the part after its last LF too, at most
+    `_MAX_LINE_BYTES` long?  Goes from line start to the last LF in reach."""
+    start = 0
+    while len(text) - start > _MAX_LINE_BYTES:
+        start = text.rfind("\n", start, start + _MAX_LINE_BYTES + 1) + 1
+        if not start:
+            return False
+    return True
 
-    Rows of one scan are contiguous in a canonical file, so the key fields
-    are validated once per run of equal keys.  Returns the run keys, the
-    first row of each run and contiguous phi_deg and gain_db columns; the
-    wide parsed table is dropped on return.
+
+def _body_lines(path):
+    """The lines after the header (str, no line ends), in one list per block.
+
+    One read of the file, in blocks of `_BLOCK_BYTES`: each block is checked
+    against `_PLAIN_BYTES` and cut after its last LF, and the partial line
+    after that is carried into the next block.  A disallowed byte, a line
+    longer than `_MAX_LINE_BYTES` (so the carried part stays short), a line
+    before the header that is neither blank nor a comment, or no header
+    raises `_NotCanonical`.
     """
+    tail, header_seen = "", False
     with open(path, "rb") as fh:
-        skip = 0
-        while True:
-            line = fh.readline()
-            skip += 1
-            if line == _HEADER_LINE:
-                break
-            if line != b"\n" and not line.startswith(b"#"):
+        # A last LF ends a last line that has none.
+        for block in itertools.chain(iter(lambda: fh.read(_BLOCK_BYTES), b""), [b"\n"]):
+            if block.translate(None, _PLAIN_BYTES):
                 raise _NotCanonical
-    with warnings.catch_warnings():
-        # "input contained no data": an empty body is re-read below.
-        warnings.simplefilter("ignore", UserWarning)
-        try:
-            table = np.loadtxt(
-                path, dtype=_COLUMNS, delimiter=",", comments=None,
-                skiprows=skip, encoding="ascii", ndmin=1,
-            )
-        except ValueError:
-            raise _NotCanonical from None
-    if table.size == 0:
-        raise _NotCanonical
-    phi = np.ascontiguousarray(table["phi_deg"])
-    gain = np.ascontiguousarray(table["gain_db"])
-    if not (np.isfinite(phi).all() and np.isfinite(gain).all()):
+            text = tail + block.decode("ascii")
+            if not _lines_fit(text):
+                raise _NotCanonical
+            lines = text.split("\n")
+            tail = lines.pop()
+            if not header_seen:
+                for at, line in enumerate(lines):
+                    if line == CANONICAL_HEADER:
+                        lines, header_seen = lines[at + 1:], True
+                        break
+                    if line and not line.startswith("#"):
+                        raise _NotCanonical
+            if header_seen:
+                yield lines
+    if not header_seen:
         raise _NotCanonical
 
-    # A NaN or inf x or y differs from the row before, so it starts a run.
-    key_columns = [table[name] for name in _KEY_FIELDS]
-    changed = np.zeros(table.size, dtype=bool)
-    changed[0] = True
-    for col in key_columns:
-        changed[1:] |= col[1:] != col[:-1]
-    starts = np.flatnonzero(changed)
+
+def _run_keys(texts):
+    """The checked keys of runs from their key texts (tuples of bytes).
+
+    x and y are parsed by the same `np.loadtxt` rules as phi_deg and gain_db.
+    A field that may have been truncated, a bad number or a key that fails
+    `_valid_key` raises `_NotCanonical`.
+    """
+    try:
+        xy = np.loadtxt([(x + b"," + y).decode("ascii") for _, x, y, _, _ in texts],
+                        delimiter=",", comments=None, ndmin=2).tolist()
+    except ValueError:
+        raise _NotCanonical from None
     keys = []
-    for tx_b, x, y, vehicle_b, stacking_b in zip(
-        *(col[starts].tolist() for col in key_columns)
-    ):
-        key = (tx_b.decode("ascii"), x, y,
-               vehicle_b.decode("ascii"), stacking_b.decode("ascii"))
-        if len(tx_b) == _TX_WIDTH or not _valid_key(*key):
+    for (tx, x_text, y_text, vehicle, stacking), (x, y) in zip(texts, xy, strict=True):
+        key = (tx.decode("ascii"), x, y, vehicle.decode("ascii"), stacking.decode("ascii"))
+        if (len(tx) == _TX_WIDTH or _NUMBER_WIDTH in (len(x_text), len(y_text))
+                or not _valid_key(*key)):
             raise _NotCanonical
         keys.append(key)
-    return keys, starts, phi, gain
+    return keys
 
 
-def _is_plain(path) -> bool:
-    """Is every byte of the file a plain canonical byte (`_PLAIN_BYTES`)?"""
-    with open(path, "rb") as fh:
-        return not any(chunk.translate(None, _PLAIN_BYTES)
-                       for chunk in iter(lambda: fh.read(1 << 20), b""))
+def _read_runs(path):
+    """One pass over a plain canonical file in blocks, checked column-wise.
+
+    Each block's lines go through `np.loadtxt`; its phi_deg and gain_db go
+    straight into the result columns and its wide table is dropped before
+    the next block is read.  Rows of one scan are contiguous in a canonical
+    file, so a run of rows with the same key text, across block boundaries
+    too, has its key parsed and checked once.  Returns the run keys, the
+    first row of each run and the phi_deg and gain_db columns.
+    """
+    # Room for every row a file of this size can hold; pages no row reaches
+    # are never touched.  A file with more rows has a row too short to pass.
+    capacity = os.path.getsize(path) // _MIN_ROW_BYTES + 1
+    phi, gain = np.empty(capacity), np.empty(capacity)
+    texts, starts = [], []
+    rows, last_words = 0, None
+    with warnings.catch_warnings():
+        # "input contained no data": a block of blank lines.
+        warnings.simplefilter("ignore", UserWarning)
+        for lines in _body_lines(path):
+            try:
+                table = np.loadtxt(lines, dtype=_COLUMNS, delimiter=",", comments=None,
+                                   encoding="ascii", ndmin=1)
+            except ValueError:
+                raise _NotCanonical from None
+            del lines
+            if table.size == 0:
+                continue
+            if rows + table.size > capacity:
+                raise _NotCanonical
+            phi[rows:rows + table.size] = table["phi_deg"]
+            gain[rows:rows + table.size] = table["gain_db"]
+            # Text compares as bytes: the padding is NUL, which a plain file lacks.
+            words = table.view(np.uint64).reshape(table.size, -1)[:, _KEY_WORDS]
+            changed = np.empty(table.size, dtype=bool)
+            changed[0] = last_words is None or (words[0] != last_words).any()
+            np.any(words[1:] != words[:-1], axis=1, out=changed[1:])
+            last_words = words[-1].copy()
+            block_starts = np.flatnonzero(changed)
+            texts += zip(*(table[name][block_starts].tolist() for name in _KEY_FIELDS))
+            starts.append(block_starts + rows)
+            rows += table.size
+            del table, words
+    phi, gain = phi[:rows], gain[:rows]
+    if rows == 0 or not (np.isfinite(phi).all() and np.isfinite(gain).all()):
+        raise _NotCanonical
+    return _run_keys(texts), np.concatenate(starts), phi, gain
 
 
 def _ingest_columnar(path):
@@ -305,8 +385,6 @@ def _ingest_columnar(path):
     raises `_NotCanonical`.  Rows that already come one run per scan with
     rising angles, as written, are not sorted.
     """
-    if not _is_plain(path):
-        raise _NotCanonical
     keys, starts, phi, gain = _read_runs(path)
     group_ids: dict[tuple, int] = {}
     run_group = [group_ids.setdefault(key, len(group_ids)) for key in keys]

@@ -112,10 +112,18 @@ def aligned_histograms(samples, bin_width: float):
         )
     n_bins = int(round(span))
     edges = lo + bin_width * np.arange(n_bins + 1)
-    counts = np.empty((samples.shape[1], n_bins), dtype=int)
-    for i in range(samples.shape[1]):
-        counts[i], _ = np.histogram(samples[:, i], bins=edges)
-    return edges, counts
+    # np.histogram's bins: [edges[k], edges[k + 1]), the last one closed, and
+    # nothing outside the edges; one bincount over every column at once.  The
+    # quotient gives each value's bin; searchsorted places the few values
+    # that rounding, or the clip, put in a bin that does not hold them.
+    bins = np.clip(np.floor((samples - lo) / bin_width), 0, n_bins - 1).astype(np.intp)
+    misplaced = (samples < edges[bins]) | (samples >= edges[bins + 1])
+    bins[misplaced] = np.searchsorted(edges, samples[misplaced], side="right") - 1
+    bins[samples == edges[-1]] = n_bins - 1
+    inside = (bins >= 0) & (bins < n_bins)
+    flat = (np.arange(samples.shape[1]) * n_bins + bins)[inside]
+    counts = np.bincount(flat, minlength=samples.shape[1] * n_bins)
+    return edges, counts.reshape(samples.shape[1], n_bins)
 
 
 def ks_gap(samples, mu: float, sigma: float) -> float:

@@ -358,6 +358,20 @@ class TestBoundaryValues:
         assert captured.err.startswith("error[ingest]: ")
         assert "UTF-8" in captured.err
 
+    def test_field_over_the_csv_limit_is_ingest_error(self, tmp_path, line_data, capsys):
+        lines = line_data.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("TX"))
+        tx, x, rest = lines[first].split(",", 2)
+        lines[first] = ",".join([tx, "1" + "0" * 199_999, rest])
+        data = tmp_path / "long.csv"
+        data.write_text("".join(lines), encoding="utf-8")
+        rc = main(["angular", "--input", str(data), "--out-dir", str(tmp_path / "o")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == (f"error[ingest]: line {first + 1}: "
+                                "field larger than field limit (131072)\n")
+        assert captured.out == ""
+
     @pytest.mark.parametrize("flag,value", [("--distance", "1e200"),
                                             ("--height", "1e-300"),
                                             ("--width", "0")])

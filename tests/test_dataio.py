@@ -5,7 +5,10 @@ import hashlib
 import io
 import os
 import stat
+import subprocess
+import sys
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scansets import Scan, grid, records, scan_set
 
+from portcanyon import dataio
 from portcanyon.angular import ScanSet, Stacking, VehicleState
 from portcanyon.dataio import (
     _CHUNK_ROWS,
@@ -280,6 +284,20 @@ def check_paths_agree(path) -> str:
     return "rows" if declined else "columnar"
 
 
+def _mutated(text, edits):
+    """text after each (position, action, snippet) edit: insert, delete a
+    character or overwrite."""
+    for position, action, snippet in edits:
+        at = position % (len(text) + 1)
+        if action == 0:
+            text = text[:at] + snippet + text[at:]
+        elif action == 1:
+            text = text[:at] + text[at + 1:]
+        else:
+            text = text[:at] + snippet + text[at + len(snippet):]
+    return text
+
+
 def _rows(tx="TX2", x="1.0", y="3.5", n=8, state="absent", stacking="uniform"):
     return [f"{tx},{x},{y},{k * 360.0 / n},{-60.0 - k},{state},{stacking}"
             for k in range(n)]
@@ -331,6 +349,12 @@ class TestColumnarIngest:
         tx = "TX1_" + "9" * (width - 4)
         assert self.ingest_lines(tmp_path, _rows(tx=tx)) == "rows"
         assert ingest(tmp_path / "case.csv").tx.tolist() == [tx]
+
+    @pytest.mark.parametrize("width, path_taken", [(31, "columnar"), (32, "rows"), (40, "rows")])
+    def test_number_text_at_or_over_the_field_width(self, tmp_path, width, path_taken):
+        y = "3." + "5" + "0" * (width - 3)
+        assert self.ingest_lines(tmp_path, _rows(y=y)) == path_taken
+        assert ingest(tmp_path / "case.csv").y.tolist() == [3.5]
 
     def test_tx_id_just_under_the_field_width(self, tmp_path):
         tx = "TX1_" + "9" * 11
@@ -428,14 +452,7 @@ class TestColumnarIngest:
         text = "\n".join(
             [provenance_line(), CANONICAL_HEADER] + _rows(tx="TX1_63") + _rows(n=9)
         ) + "\n"
-        for position, action, snippet in edits:
-            at = position % (len(text) + 1)
-            if action == 0:
-                text = text[:at] + snippet + text[at:]
-            elif action == 1:
-                text = text[:at] + text[at + 1:]
-            else:
-                text = text[:at] + snippet + text[at + len(snippet):]
+        text = _mutated(text, edits)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "mutant.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -481,14 +498,7 @@ class TestScanSetIngest:
         # One scan split around another whose angles fall; x is -0.0, then 0.0.
         text = "\n".join([provenance_line(), CANONICAL_HEADER] + _rows(x="-0.0", n=9)[:4]
                          + _rows(tx="TX1_63")[::-1] + _rows(x="0.0", n=9)[4:]) + "\n"
-        for position, action, snippet in edits:
-            at = position % (len(text) + 1)
-            if action == 0:
-                text = text[:at] + snippet + text[at:]
-            elif action == 1:
-                text = text[:at] + text[at + 1:]
-            else:
-                text = text[:at] + snippet + text[at + len(snippet):]
+        text = _mutated(text, edits)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "mutant.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -539,6 +549,138 @@ class TestScanSetIngest:
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows()[::-1])
         with pytest.raises(AssertionError, match="lexsort called"):
             _ingest_columnar(path)
+
+
+# ------------------------------------------------ the columnar parse's blocks
+
+def _rows_of(read, path):
+    """The rows a reader returns, comparable bit for bit (keys by repr, so
+    -0.0 and 0.0 differ), or the type of what it raises."""
+    try:
+        keys, sizes, phi, gain = read(path)
+    except Exception as exc:  # the comparison covers non-toolkit errors too
+        return type(exc)
+    return ([tuple(map(repr, key)) for key in keys], [int(n) for n in sizes],
+            phi.tobytes(), gain.tobytes())
+
+
+def _columnar_in_blocks(path, size):
+    with mock.patch.object(dataio, "_BLOCK_BYTES", size):
+        return _rows_of(_ingest_columnar, path)
+
+
+def _block_size(text, data):
+    """A block size from the longest line (LF included) to the whole file."""
+    longest = max(map(len, text.split("\n"))) + 1
+    return data.draw(st.integers(min_value=longest, max_value=max(longest, len(text))))
+
+
+@st.composite
+def _canonical_bodies(draw):
+    """Data lines of 2-5 scans, one of them split in two runs around
+    another, one keyed x = -0.0 and then 0.0, some angles shuffled and blank
+    lines anywhere."""
+    scans = [_rows(tx=draw(st.sampled_from(["TX2", "TX1_63", "TX1_103"])), x=f"{i}.5",
+                   n=draw(st.integers(min_value=8, max_value=12)),
+                   state=draw(st.sampled_from(sorted(dataio._VEHICLE_TOKENS))))
+             for i in range(draw(st.integers(min_value=2, max_value=5)))]
+    zero = draw(st.integers(min_value=0, max_value=len(scans) - 1))
+    cut = draw(st.integers(min_value=1, max_value=len(scans[zero]) - 1))
+    scans[zero] = ([r.replace(f",{zero}.5,", ",-0.0,") for r in scans[zero][:cut]]
+                   + [r.replace(f",{zero}.5,", ",0.0,") for r in scans[zero][cut:]])
+    if draw(st.booleans()):
+        scans[-1] = draw(st.permutations(scans[-1]))
+    split = draw(st.integers(min_value=1, max_value=len(scans[0]) - 1))
+    body = scans[0][:split] + scans[1] + scans[0][split:] + [r for s in scans[2:] for r in s]
+    for at in draw(st.lists(st.integers(min_value=0, max_value=len(body)), max_size=4)):
+        body.insert(at, "")
+    return body
+
+
+class TestBlockBoundaries:
+    @settings(max_examples=200, deadline=None)
+    @given(body=_canonical_bodies(), last_newline=st.booleans(), data=st.data())
+    def test_blocks_give_the_row_readers_rows(self, body, last_newline, data):
+        text = "\n".join([provenance_line(), CANONICAL_HEADER] + body) + "\n" * last_newline
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "case.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            want = _rows_of(_ingest_rows, path)
+            assert isinstance(want, tuple), want
+            assert _rows_of(_ingest_columnar, path) == want
+            assert _columnar_in_blocks(path, _block_size(text, data)) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(edits=_EDITS, data=st.data())
+    def test_blocks_decline_the_same_files(self, edits, data):
+        text = _mutated("\n".join([provenance_line(), CANONICAL_HEADER]
+                                  + _rows(x="-0.0", n=9)[:4] + _rows(tx="TX1_63")
+                                  + _rows(x="0.0", n=9)[4:]) + "\n", edits)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "mutant.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            whole = _rows_of(_ingest_columnar, path)
+            assert _columnar_in_blocks(path, _block_size(text, data)) == whole
+            if whole is not _NotCanonical:
+                assert whole == _rows_of(_ingest_rows, path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.text(alphabet="ab\n", max_size=40), limit=st.integers(min_value=0, max_value=8))
+    def test_lines_fit_checks_every_line(self, text, limit):
+        with mock.patch.object(dataio, "_MAX_LINE_BYTES", limit):
+            assert dataio._lines_fit(text) == (max(map(len, text.split("\n"))) <= limit)
+
+    @pytest.mark.parametrize("where", ["comment", "number"])
+    def test_a_line_over_the_limit_goes_to_the_row_reader(self, tmp_path, where):
+        long = dataio._MAX_LINE_BYTES
+        head = [provenance_line(), CANONICAL_HEADER]
+        body = _rows()
+        if where == "comment":
+            head.insert(0, "#" + "c" * long)
+        else:
+            body[3] = body[3].replace(",-63.0,", ", " + " " * long + "-63.0,")
+        path = tmp_path / "case.csv"
+        write_csv(path, head + body)
+        assert check_paths_agree(path) == "rows"
+        assert len(ingest(path)) == 1
+
+    def test_carried_line_stays_short(self, tmp_path, monkeypatch):
+        path = tmp_path / "case.csv"
+        path.write_text("#" + "c" * 10 * dataio._MAX_LINE_BYTES, encoding="ascii")
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", 100)
+        seen, lines_fit = [], dataio._lines_fit
+        monkeypatch.setattr(dataio, "_lines_fit", lambda text: seen.append(len(text))
+                            or lines_fit(text))
+        with pytest.raises(_NotCanonical):
+            _ingest_columnar(path)
+        assert max(seen) <= dataio._MAX_LINE_BYTES + 100
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_cold_ingest_peak_is_a_warm_ingests(self, tmp_path):
+        # A 12.5 MB file, 48 blocks; a whole-file table added about 7.5 MB.
+        rng = np.random.default_rng(0)
+        path = tmp_path / "campaign.csv"
+        write_scans(path, scan_set([make_scan(x=float(i), angles=grid(360),
+                                              gains=rng.lognormal(-14.0, 1.0, 360))
+                                    for i in range(600)]))
+        # Peak RSS of a new process (VmHWM: ru_maxrss keeps the forking
+        # parent's), grown by one ingest; the first is cold, the second warm.
+        child = ("import sys\n"
+                 "def peak_kib():\n"
+                 "    with open('/proc/self/status') as fh:\n"
+                 "        return int(next(v.split()[1] for v in fh if v.startswith('VmHWM:')))\n"
+                 "from portcanyon.dataio import ingest\n"
+                 "before = peak_kib()\n"
+                 "ingest(sys.argv[1])\n"
+                 "print(peak_kib() - before)\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dataio.__file__)))
+        cold, warm = (int(subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                                         capture_output=True, text=True, check=True).stdout)
+                      for _ in range(2))
+        assert os.path.exists(str(path) + ".scanset.npz")
+        assert cold <= warm + 4096, (cold, warm)
 
 
 # ------------------------------------------------ writers vs csv.writer oracles
@@ -855,14 +997,7 @@ class TestSidecar:
            kind=st.sampled_from(SIDECAR_KINDS), data=st.data())
     def test_any_sidecar_gives_what_no_sidecar_gives(self, newline, edits, kind, data):
         text = _canonical_text(newline)
-        for position, action, snippet in edits:
-            at = position % (len(text) + 1)
-            if action == 0:
-                text = text[:at] + snippet + text[at:]
-            elif action == 1:
-                text = text[:at] + text[at + 1:]
-            else:
-                text = text[:at] + snippet + text[at + len(snippet):]
+        text = _mutated(text, edits)
         with tempfile.TemporaryDirectory() as tmp:
             path, out = os.path.join(tmp, "case.csv"), os.path.join(tmp, "fit.csv")
             sidecar = path + ".scanset.npz"
@@ -968,7 +1103,7 @@ class TestSidecar:
         def no_byte_check(path):
             raise AssertionError("a sidecar hit checked the bytes")
 
-        monkeypatch.setattr(dataio, "_is_plain", no_byte_check)
+        monkeypatch.setattr(dataio, "_body_lines", no_byte_check)
         assert _set_state(ingest(path)) == cold
 
     def test_sidecar_keeps_signed_zero_order_and_str_columns(self, tmp_path):

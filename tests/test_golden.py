@@ -20,6 +20,7 @@ import os
 import sys
 from pathlib import Path
 
+from portcanyon import dataio
 from portcanyon.cli import main
 from portcanyon.dataio import SIDECAR_SUFFIX
 
@@ -78,6 +79,13 @@ def test_outputs_match_golden_digests(tmp_path, capsys):
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(got) == sorted(want)
     assert [key for key in want if got[key] != want[key]] == []
+
+
+def test_outputs_match_golden_digests_in_small_blocks(tmp_path, capsys, monkeypatch):
+    # Each CSV's first ingest parses it in blocks of 997 bytes, a dozen rows
+    # or so: scans and lines straddle the block boundaries.
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 997)
+    test_outputs_match_golden_digests(tmp_path, capsys)
 
 
 if __name__ == "__main__":

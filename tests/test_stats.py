@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
 from portcanyon import vehicle
@@ -42,7 +44,43 @@ def _reference_edges(samples, width):
     return lo + width * np.arange(n_bins + 1)
 
 
+def _reference_counts(samples, edges):
+    """The per-column np.histogram loop that the one-pass count replaced."""
+    return np.stack([np.histogram(samples[:, i], bins=edges)[0]
+                     for i in range(samples.shape[1])])
+
+
 class TestAlignedHistograms:
+    @pytest.mark.parametrize("columns, width, edge_case", [
+        ([[-60.0, -50.0, -55.0], [-52.5, -50.0, -59.0]], 1.0, "max on the last edge"),
+        ([[-63.6, -4.1, -63.6], [-30.0, -4.2, -63.6]], 0.3, "min below the first edge"),
+        ([[-60.8, -27.2], [-27.2, -55.55]], 0.1, "max above the last edge"),
+    ])
+    def test_counts_equal_the_histogram_loop(self, columns, width, edge_case):
+        samples = np.array(columns).T
+        edges, counts = aligned_histograms(samples, width)
+        if edge_case == "max on the last edge":
+            assert samples.max() == edges[-1]
+        elif edge_case == "min below the first edge":
+            assert samples.min() < edges[0]
+        else:
+            assert samples.max() > edges[-1]
+        assert counts.tolist() == _reference_counts(samples, edges).tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        shape=st.tuples(st.integers(1, 40), st.integers(1, 12)),
+        width=st.sampled_from([0.01, 0.1, 0.3, 0.5, 1.0, 3.3]),
+        decimals=st.integers(0, 3),
+        offset=st.sampled_from([0.0, 1e6, 1e14]),  # far from 0, edges round unevenly
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_random_counts_equal_the_histogram_loop(self, shape, width, decimals, offset, seed):
+        samples = np.round(np.random.default_rng(seed).normal(-70.0, 10.0, shape),
+                           decimals) + offset
+        edges, counts = aligned_histograms(samples, width)
+        assert counts.tolist() == _reference_counts(samples, edges).tolist()
+
     @pytest.mark.parametrize("width", [1.0, 0.5, 2.0, 0.1])
     def test_edges_byte_identical_to_reference_rule(self, width):
         rng = np.random.default_rng(3)
