@@ -186,6 +186,9 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
         lines.append(f"vehicle[{label}]: mu={cdf.fit.mu_db:+.2f} dB sigma={cdf.fit.sigma_db:.2f}"
                      f" dB over {cdf.fit.sample_count} deltas (CDF sup-gap {cdf.sup_gap:.4f})")
         fits.append((label, cdf.fit.mu_db, cdf.fit.sigma_db, cdf.fit.sample_count, cdf.sup_gap))
+        # The next position's copies need not sit beside this one's (grid
+        # is a view of with_vehicle's angles).
+        del with_vehicle, grid, matrix
     if not fits:
         raise IngestError("dataset has no vehicle scans")
     tables.append((os.path.join(args.out_dir, "vehicle_fit_params.csv"),

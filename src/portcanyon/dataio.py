@@ -22,8 +22,9 @@ next block is read, so the parse holds one block's table, not the file's.
 Anything unusual (a bad or non-finite value, an unknown token, a duplicate
 angle, quotes, CR line ends, non-ASCII bytes, a comment row among the
 data, a line over `_MAX_LINE_BYTES`) is re-read row by row, the only
-source of the line-numbered errors.  Each reader returns rows: keys, angle
-counts, phi_deg and gain_db.
+source of the line-numbered errors.  Both readers skip one leading UTF-8
+byte-order mark.  Each reader returns rows: keys, angle counts, phi_deg
+and gain_db.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -41,6 +42,7 @@ sidecar never changes a result, and deleting it is always safe.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import hashlib
@@ -142,10 +144,13 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
 
 def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units."""
-    # A gain_db too large for a float overflows to inf, which the check
-    # rejects; numpy's overflow warning would only repeat that.
+    # dB to linear in one array, no full-size temporary: the same ufuncs as
+    # 10.0 ** (gain_db / 10.0), so the same bits.  A gain_db too large for a
+    # float overflows to inf, which the check rejects; numpy's overflow
+    # warning would only repeat that.
+    gains = np.divide(gain_db, 10.0)
     with np.errstate(over="ignore"):
-        gains = 10.0 ** (gain_db / 10.0)
+        np.power(10.0, gains, out=gains)
     return ScanSet.from_rows(keys, sizes, np.radians(phi_deg), gains, sha256)
 
 
@@ -167,7 +172,8 @@ def _ingest_rows(path):
     groups: dict[tuple, dict[float, float]] = defaultdict(dict)
     order: list[tuple] = []
 
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops one leading byte-order mark, as Windows tools write it.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         line_no = 0
         header_seen = False
         for row in _csv_rows(fh):
@@ -274,7 +280,8 @@ def _lines_fit(text) -> bool:
 def _body_lines(path):
     """The lines after the header (str, no line ends), in one list per block.
 
-    One read of the file, in blocks of `_BLOCK_BYTES`: each block is checked
+    One read of the file after one leading UTF-8 byte-order mark, if it has
+    one, in blocks of `_BLOCK_BYTES`: each block is checked
     against `_PLAIN_BYTES` and cut after its last LF, and the partial line
     after that is carried into the next block.  A disallowed byte, a line
     longer than `_MAX_LINE_BYTES` (so the carried part stays short), a line
@@ -283,6 +290,8 @@ def _body_lines(path):
     """
     tail, header_seen = "", False
     with open(path, "rb") as fh:
+        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+            fh.seek(0)
         # A last LF ends a last line that has none.
         for block in itertools.chain(iter(lambda: fh.read(_BLOCK_BYTES), b""), [b"\n"]):
             if block.translate(None, _PLAIN_BYTES):

@@ -63,8 +63,13 @@ def gaussian_cdf(x, mu: float, sigma: float):
     x = np.asarray(x, dtype=float)
     if sigma == 0.0:
         return (x >= mu).astype(float)
-    z = (x - mu) / (sigma * math.sqrt(2.0))
-    return 0.5 * (1.0 + special.erf(z))
+    # 0.5 * (1 + erf(z)), finished in z's array: no further full-size temporary.
+    z = np.asarray(x - mu)
+    z /= sigma * math.sqrt(2.0)
+    special.erf(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 def t_quantile(p: float, df) -> float:
@@ -116,13 +121,18 @@ def aligned_histograms(samples, bin_width: float):
     # nothing outside the edges; one bincount over every column at once.  The
     # quotient gives each value's bin; searchsorted places the few values
     # that rounding, or the clip, put in a bin that does not hold them.
-    bins = np.clip(np.floor((samples - lo) / bin_width), 0, n_bins - 1).astype(np.intp)
-    misplaced = (samples < edges[bins]) | (samples >= edges[bins + 1])
+    # Each step works in place where it can: the scratch is one or two arrays
+    # of the sample's size.
+    bins = samples - lo
+    bins /= bin_width
+    bins = np.clip(np.floor(bins, out=bins), 0, n_bins - 1, out=bins).astype(np.intp)
+    misplaced = samples < edges[bins]
+    misplaced |= samples >= edges[1:][bins]
     bins[misplaced] = np.searchsorted(edges, samples[misplaced], side="right") - 1
     bins[samples == edges[-1]] = n_bins - 1
     inside = (bins >= 0) & (bins < n_bins)
-    flat = (np.arange(samples.shape[1]) * n_bins + bins)[inside]
-    counts = np.bincount(flat, minlength=samples.shape[1] * n_bins)
+    bins += np.arange(samples.shape[1]) * n_bins
+    counts = np.bincount(bins[inside], minlength=samples.shape[1] * n_bins)
     return edges, counts.reshape(samples.shape[1], n_bins)
 
 
@@ -141,7 +151,5 @@ def ks_gap(samples, mu: float, sigma: float) -> float:
 def sorted_ks_gap(reference) -> float:
     """Kolmogorov sup-gap between the empirical CDF of n sorted samples and
     `reference`, a continuous CDF evaluated at them (so it need not re-sort)."""
-    n = reference.size
-    upper = np.arange(1, n + 1) / n - reference
-    lower = reference - np.arange(0, n) / n
-    return float(max(upper.max(), lower.max()))
+    steps = np.arange(reference.size + 1.0) / reference.size  # the empirical CDF's k/n
+    return float(max((steps[1:] - reference).max(), (reference - steps[:-1]).max()))

@@ -71,7 +71,9 @@ def vehicle_delta(base: ScanSet, with_vehicle: ScanSet) -> np.ndarray:
     if off_grid.any():
         raise GridError(f"scans must share one angle grid; scan "
                         f"{with_vehicle.key(int(off_grid.argmax()))} differs")
-    return to_db(base.blocks[0].gains) - to_db(with_vehicle.blocks[0].gains)
+    delta = to_db(base.blocks[0].gains)
+    delta -= to_db(with_vehicle.blocks[0].gains)
+    return delta
 
 
 def fit_gaussian(samples) -> GaussianFitResult:

@@ -4,14 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scansets import Scan, grid, scan_set
 
+from portcanyon import angular
 from portcanyon.angular import (
     Stacking,
     VehicleState,
     azimuth_gain,
     circular_mean_gain,
     ensemble_stats,
+    first_invalid,
     from_db,
     gain_cdfs,
     normalized_spectrum,
@@ -69,6 +73,94 @@ class TestScanValidation:
         scans = make_set(np.ones(8), vehicle_state="position1", stacking="nonuniform")
         assert scans.key(0)[3] is VehicleState.POSITION1
         assert scans.key(0)[4] is Stacking.NONUNIFORM
+
+
+def whole_first_invalid(angles, gains):
+    """The check over the whole (scans x angles) matrices at once that
+    `first_invalid` replaced: the oracle of its chunked check."""
+    n = angles.shape[1]
+    if n < 8:
+        return 0, GridError(f"need at least 8 azimuth samples, got {n}")
+    spacing = angular.TWO_PI / n
+    steps = angles[:, 1:] - angles[:, :-1]
+    deviation = np.abs(steps - spacing).max(axis=1)
+    start = angles[:, 0]
+    bad = (~((gains > 0.0) & (gains < np.inf)).all(axis=1), ~(steps > 0.0).all(axis=1),
+           deviation > angular.GRID_SPACING_TOL,
+           ~((0.0 <= start) & (start < spacing + angular.GRID_SPACING_TOL)))
+    rows = np.flatnonzero(bad[0] | bad[1] | bad[2] | bad[3])
+    if not rows.size:
+        return None
+    row = int(rows[0])
+    return row, (
+        DomainError("all linear gains must be finite and > 0"),
+        GridError("angles must be strictly increasing"),
+        GridError("angle grid must be uniform with spacing 2*pi/N "
+                  f"(max deviation {deviation[row]:.3e} rad)"),
+        GridError(f"grid must start within the first spacing interval, got {start[row]}"),
+    )[[check[row] for check in bad].index(True)]
+
+
+def _verdict(found):
+    return None if found is None else (found[0], type(found[1]), str(found[1]))
+
+
+_CHUNK = angular._CHECK_ROWS
+
+
+@st.composite
+def _bad_rows(draw, n_rows):
+    """A row index: a chunk's edges and the last row are drawn explicitly."""
+    edges = [r for r in (_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK, n_rows - 1) if r < n_rows]
+    return draw(st.one_of(st.sampled_from(edges), st.integers(0, n_rows - 1)))
+
+
+def _plant(draw, angles, gains, row, kind):
+    """Make one row invalid in one of the four ways the check tells apart."""
+    n = angles.shape[1]
+    spacing = angular.TWO_PI / n
+    at = draw(st.integers(1, n - 1))
+    if kind == "gain":
+        gains[row, at] = draw(st.sampled_from([0.0, -1e-9, math.inf, math.nan]))
+    elif kind == "order":
+        angles[row, at] = angles[row, at - 1]
+    elif kind == "spacing":  # one step longer, the next (if any) shorter
+        angles[row, at] += draw(st.floats(1e-8, spacing / 3))
+    else:
+        angles[row] += draw(st.sampled_from([-1e-3, spacing + 1e-6, 2.0])) - angles[row, 0]
+
+
+class TestChunkedGridCheck:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_chunks_give_the_whole_matrix_verdict(self, data):
+        n_rows = data.draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1, 700]),
+                                     st.integers(1, 700)), label="rows")
+        n = data.draw(st.integers(8, 12), label="angles")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        angles = grid(n) + rng.uniform(0.0, 0.5 * angular.TWO_PI / n, (n_rows, 1))
+        gains = rng.lognormal(-14.0, 1.0, (n_rows, n))
+        assert first_invalid(angles, gains) is None
+        kinds = ("gain", "order", "spacing", "start")
+        for _ in range(data.draw(st.integers(1, 2))):
+            row = data.draw(_bad_rows(n_rows), label="bad row")
+            _plant(data.draw, angles, gains, row, data.draw(st.sampled_from(kinds), label="kind"))
+        want = _verdict(whole_first_invalid(angles, gains))
+        assert want is not None
+        assert _verdict(first_invalid(angles, gains)) == want
+
+    def test_earliest_scan_past_the_first_chunk_across_blocks(self):
+        # Two angle counts interleaved: each block's bad scan lies past its
+        # first chunk, and the one earlier in set order is named.
+        scans = [Scan("TX2", float(i), 3.5, grid(8 + 4 * (i % 2)), np.ones(8 + 4 * (i % 2)))
+                 for i in range(3 * _CHUNK)]
+        for i in (2 * _CHUNK + 1, 2 * _CHUNK + 4):
+            angles = scans[i].angles.copy()
+            angles[3] += 1e-6
+            scans[i] = scans[i]._replace(angles=angles)
+        with pytest.raises(GridError, match=rf"^scan \('TX2', {2 * _CHUNK + 1}.0, .*"
+                                            r"\(max deviation 1.000e-06 rad\)$"):
+            scan_set(scans)
 
 
 class TestDbConversion:

@@ -658,6 +658,27 @@ class TestRegressions:
         assert captured.err.startswith("error[domain]: ")
         assert list(out_dir.glob("angular_*_TX1_63.csv")) == []
 
+    @pytest.mark.parametrize("provenance", [True, False])
+    def test_csv_with_a_leading_bom_reads_as_without_it(self, tmp_path, capsys, provenance):
+        plain = Path(_write_scans(tmp_path, [
+            Scan(tx="TX2", x=x, y=3.5, angles=GRID, gains=np.geomspace(1e-6, 1e-7, N_ANGLES))
+            for x in (1.0, 5.0)]))
+        if not provenance:
+            plain.write_bytes(plain.read_bytes().split(b"\n", 1)[1])
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for data in (plain, marked):
+            assert main(["angular", "--input", str(data), "--out-dir",
+                         str(tmp_path / data.stem)]) == 0
+        capsys.readouterr()
+        tables = sorted(p.name for p in (tmp_path / plain.stem).iterdir())
+        assert tables == sorted(p.name for p in (tmp_path / marked.stem).iterdir())
+        sha256 = hashlib.sha256(marked.read_bytes()).hexdigest()
+        for name in tables:
+            first, rest = (tmp_path / marked.stem / name).read_text().split("\n", 1)
+            assert f"input_sha256={sha256}" in first
+            assert rest == (tmp_path / plain.stem / name).read_text().split("\n", 1)[1]
+
     @pytest.mark.parametrize("n,r0", [("-1e-300", "-23"), ("-4", "1e308"),
                                       ("-1e-320", "-23")])
     def test_coverage_range_overflow_is_domain_error(self, capsys, n, r0):

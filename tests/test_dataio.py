@@ -1,5 +1,6 @@
 """Canonical CSV: round-trips, validation errors with line numbers."""
 
+import codecs
 import csv
 import hashlib
 import io
@@ -395,6 +396,24 @@ class TestColumnarIngest:
         assert check_paths_agree(path) == "rows"
         assert len(ingest(path)) == 1
 
+    @pytest.mark.parametrize("head", [[provenance_line(), CANONICAL_HEADER], [CANONICAL_HEADER]])
+    def test_one_leading_bom_reads_as_the_file_without_it(self, tmp_path, head):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_csv(plain, head + _rows() + _rows(x="2.0", n=9))
+        marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
+        want = _rows_of(_ingest_rows, plain)
+        assert isinstance(want, tuple)
+        assert _rows_of(_ingest_rows, marked) == want
+        assert _rows_of(_ingest_columnar, marked) == _rows_of(_ingest_columnar, plain) == want
+        assert check_paths_agree(marked) == "columnar"
+
+    def test_a_second_bom_is_a_header_error(self, tmp_path):
+        path = tmp_path / "twice.csv"
+        path.write_bytes(codecs.BOM_UTF8 * 2 + "\n".join([CANONICAL_HEADER] + _rows()).encode())
+        assert check_paths_agree(path) == "rows"
+        with pytest.raises(IngestError, match="line 1: header must be exactly"):
+            ingest(path)
+
     def test_spaces_around_numbers(self, tmp_path):
         body = [r.replace(",1.0,", ", 1.0 ,") for r in _rows()]
         assert self.ingest_lines(tmp_path, body) == "columnar"
@@ -660,27 +679,49 @@ class TestBlockBoundaries:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
     def test_cold_ingest_peak_is_a_warm_ingests(self, tmp_path):
         # A 12.5 MB file, 48 blocks; a whole-file table added about 7.5 MB.
-        rng = np.random.default_rng(0)
-        path = tmp_path / "campaign.csv"
-        write_scans(path, scan_set([make_scan(x=float(i), angles=grid(360),
-                                              gains=rng.lognormal(-14.0, 1.0, 360))
-                                    for i in range(600)]))
-        # Peak RSS of a new process (VmHWM: ru_maxrss keeps the forking
-        # parent's), grown by one ingest; the first is cold, the second warm.
-        child = ("import sys\n"
-                 "def peak_kib():\n"
-                 "    with open('/proc/self/status') as fh:\n"
-                 "        return int(next(v.split()[1] for v in fh if v.startswith('VmHWM:')))\n"
-                 "from portcanyon.dataio import ingest\n"
-                 "before = peak_kib()\n"
-                 "ingest(sys.argv[1])\n"
-                 "print(peak_kib() - before)\n")
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dataio.__file__)))
-        cold, warm = (int(subprocess.run([sys.executable, "-c", child, str(path)], env=env,
-                                         capture_output=True, text=True, check=True).stdout)
-                      for _ in range(2))
+        path = _campaign_of_600_scans(tmp_path)
+        cold, warm = _ingest_peak_kib(path), _ingest_peak_kib(path)
         assert os.path.exists(str(path) + ".scanset.npz")
         assert cold <= warm + 4096, (cold, warm)
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    def test_warm_ingest_peak_is_its_rows_and_matrices(self, tmp_path):
+        # Whole-matrix grid check temporaries and a full-size dB temporary
+        # added about 5.4 MB here.
+        path = _campaign_of_600_scans(tmp_path)
+        scans = ingest(path)  # cold: writes the sidecar
+        rows = dataio._load_sidecar(str(path) + dataio.SIDECAR_SUFFIX, scans.sha256,
+                                    os.path.getsize(path))
+        matrices = sum(block.angles.nbytes + block.gains.nbytes for block in scans.blocks)
+        data_kib = (sum(np.asarray(column).nbytes for column in rows[1:]) + matrices) // 1024
+        warm = _ingest_peak_kib(path)
+        assert warm <= data_kib + 4096, (warm, data_kib)
+
+
+def _campaign_of_600_scans(tmp_path):
+    """A 12.5 MB canonical file of 600 scans of 360 angles."""
+    rng = np.random.default_rng(0)
+    path = tmp_path / "campaign.csv"
+    write_scans(path, scan_set([make_scan(x=float(i), angles=grid(360),
+                                          gains=rng.lognormal(-14.0, 1.0, 360))
+                                for i in range(600)]))
+    return path
+
+
+def _ingest_peak_kib(path) -> int:
+    """How much one ingest of path grows the peak RSS of a new process
+    (VmHWM: ru_maxrss keeps the forking parent's), in KiB."""
+    child = ("import sys\n"
+             "def peak_kib():\n"
+             "    with open('/proc/self/status') as fh:\n"
+             "        return int(next(v.split()[1] for v in fh if v.startswith('VmHWM:')))\n"
+             "from portcanyon.dataio import ingest\n"
+             "before = peak_kib()\n"
+             "ingest(sys.argv[1])\n"
+             "print(peak_kib() - before)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dataio.__file__)))
+    return int(subprocess.run([sys.executable, "-c", child, str(path)], env=env,
+                              capture_output=True, text=True, check=True).stdout)
 
 
 # ------------------------------------------------ writers vs csv.writer oracles
