@@ -147,31 +147,42 @@ class ScanSet:
         if isinstance(which, (int, np.integer)):
             raise TypeError("a ScanSet takes a slice, mask or index array; key(i) names scan i")
         index = np.arange(len(self))[which]
-        blocks = []
+        blocks = [ScanBlock(picked, block.angles[rows], block.gains[rows])
+                  for block, picked, rows in self.rows_of(index)]
+        return ScanSet([getattr(self, key)[index] for key in self.KEYS], blocks, self.sha256)
+
+    def rows_of(self, index):
+        """(block, positions in index, rows of the block) for each block that
+        holds a scan of the index array, in block order."""
         for b, block in enumerate(self.blocks):
             picked = np.flatnonzero(self._block[index] == b)
             if picked.size:
-                rows = self._row[index[picked]]
-                blocks.append(ScanBlock(picked, block.angles[rows], block.gains[rows]))
-        return ScanSet([getattr(self, key)[index] for key in self.KEYS], blocks, self.sha256)
+                yield block, picked, self._row[index[picked]]
 
     def key(self, i) -> tuple:
         """Scan i's (tx, x, y, VehicleState, Stacking) key, as errors name it."""
         return (self.tx[i], float(self.x[i]), float(self.y[i]),
                 VehicleState(self.vehicle_state[i]), Stacking(self.stacking[i]))
 
-    def differs(self, other, keys) -> np.ndarray:
-        """Per scan: does a named key column differ from other's (as many, or one) row?"""
-        return np.logical_or.reduce([getattr(self, key) != getattr(other, key) for key in keys])
+    def differs(self, keys, which, other) -> np.ndarray:
+        """Per pair of the scans which and other pick (slices, masks or index
+        arrays, or one index for all): does a named key column differ?"""
+        return np.logical_or.reduce([getattr(self, key)[which] != getattr(self, key)[other]
+                                     for key in keys])
 
-    def grid_differs(self, reference) -> np.ndarray:
-        """Per scan: does its grid differ, in size or by more than GRID_MATCH_TOL
-        at any angle, from reference (one grid, or one grid per scan)?"""
-        out = np.ones(len(self), dtype=bool)
-        for block in self.blocks:
+    def grid_differs(self, reference, which=slice(None)) -> np.ndarray:
+        """Per scan which picks (a slice, mask or index array; default: all):
+        does its grid differ, in size or by more than GRID_MATCH_TOL at any
+        angle, from reference (one grid, or one grid per scan picked)?"""
+        index = np.arange(len(self))[which]
+        out = np.ones(len(index), dtype=bool)
+        for block, picked, rows in self.rows_of(index):
             if block.angles.shape[1] == reference.shape[-1]:
-                ref = reference if reference.ndim == 1 else reference[block.index]
-                out[block.index] = np.max(np.abs(block.angles - ref), axis=1) > GRID_MATCH_TOL
+                # One scratch array: the picked rows' angles, less the reference, made absolute.
+                gap = block.angles[rows]
+                gap -= (reference if reference.ndim == 1 or picked.size == len(reference)
+                        else reference[picked])
+                out[picked] = np.abs(gap, out=gap).max(axis=1) > GRID_MATCH_TOL
         return out
 
     def per_scan(self, statistic) -> np.ndarray:
@@ -203,7 +214,8 @@ def to_db(gain):
     arr = np.asarray(gain, dtype=float)
     if not np.all(arr > 0.0):
         raise DomainError("gain must be > 0 to convert to dB")
-    out = 10.0 * np.log10(arr)
+    out = np.log10(arr)
+    out *= 10.0  # in out's array: the bits of 10.0 * np.log10(arr)
     return float(out) if np.isscalar(gain) or arr.ndim == 0 else out
 
 
@@ -220,7 +232,9 @@ def _mean_db(gains):
 
 
 def _normalized(gains):
-    return to_db(gains) - _mean_db(gains)[..., None]
+    out = to_db(gains)
+    out -= _mean_db(gains)[..., None]
+    return out
 
 
 def circular_mean_gain(scans: ScanSet) -> np.ndarray:
@@ -243,17 +257,18 @@ def normalized_spectrum(scans: ScanSet) -> np.ndarray:
     return _normalized(scans.blocks[0].gains)
 
 
-def require_common_grid(scans: ScanSet) -> np.ndarray:
-    """The angle grid every scan shares (so the set has one block); a
-    GridError names the first scan that differs in size or by more than
-    GRID_MATCH_TOL at any angle.  An empty set has no grid: a DomainError."""
-    if not len(scans):
+def require_common_grid(scans: ScanSet, which=slice(None)) -> np.ndarray:
+    """The angle grid the scans which picks (default: all) share, so they sit
+    in one block; a GridError names the first that differs in size or by
+    more than GRID_MATCH_TOL at any angle.  No scans: a DomainError."""
+    index = np.arange(len(scans))[which]
+    if not index.size:
         raise DomainError("an empty scan set has no angle grid")
-    grid = scans.blocks[scans._block[0]].angles[scans._row[0]]
-    differs = scans.grid_differs(grid)
+    grid = scans.blocks[scans._block[index[0]]].angles[scans._row[index[0]]]
+    differs = scans.grid_differs(grid, index)
     if differs.any():
-        raise GridError(f"scans must share one angle grid; scan {scans.key(int(differs.argmax()))}"
-                        " differs")
+        raise GridError(f"scans must share one angle grid; scan "
+                        f"{scans.key(int(index[differs.argmax()]))} differs")
     return grid
 
 

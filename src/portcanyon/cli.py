@@ -162,39 +162,44 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     base_at = {keys[i]: i for i in np.flatnonzero(
         scans.vehicle_state == angular.VehicleState.ABSENT.value).tolist()}
 
-    tables, lines, fits = [], [], []
+    # Every pairing and grid check, and each position's delta matrix, from
+    # index arrays into the one set; then the set goes before any statistic.
+    deltas = []
     for label in (angular.VehicleState.POSITION1.value, angular.VehicleState.POSITION2.value):
         which = np.flatnonzero(scans.vehicle_state == label)
         if not which.size:
             continue
-        with_vehicle = scans[which]
         # The deltas are pooled per angle, so all of them need one grid.
-        grid = angular.require_common_grid(with_vehicle)
+        angles_deg = np.degrees(angular.require_common_grid(scans, which))
         base = [base_at.get(keys[i]) for i in which.tolist()]
         if None in base:
             tx_id, x, y, stacking = keys[which[base.index(None)]]
             raise IngestError(f"no baseline scan for vehicle scan at "
                               f"{(tx_id, x, y, angular.Stacking(stacking))}; cannot pair")
-        matrix = vehicle.vehicle_delta(scans[base], with_vehicle)
+        deltas.append((label, angles_deg, vehicle.vehicle_delta(scans, base, which)))
+    if not deltas:
+        raise IngestError("dataset has no vehicle scans")
+    input_hash = scans.sha256
+    del scans
+
+    tables, lines, fits = [], [], []
+    while deltas:  # popped, so each matrix goes once its statistics are taken
+        label, angles_deg, matrix = deltas.pop(0)
         cdf = vehicle.delta_cdf_report(matrix.ravel())
         stats = vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)
+        del matrix
         tables.append((os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
                        ("delta_db", "empirical_cdf", "gaussian_cdf"),
                        (cdf.values_db, cdf.empirical, cdf.gaussian)))
         tables += _angle_stats_tables(args.out_dir, "vehicle_delta", label, "mean_delta_db",
-                                      np.degrees(grid), *stats)
+                                      angles_deg, *stats)
         lines.append(f"vehicle[{label}]: mu={cdf.fit.mu_db:+.2f} dB sigma={cdf.fit.sigma_db:.2f}"
                      f" dB over {cdf.fit.sample_count} deltas (CDF sup-gap {cdf.sup_gap:.4f})")
         fits.append((label, cdf.fit.mu_db, cdf.fit.sigma_db, cdf.fit.sample_count, cdf.sup_gap))
-        # The next position's copies need not sit beside this one's (grid
-        # is a view of with_vehicle's angles).
-        del with_vehicle, grid, matrix
-    if not fits:
-        raise IngestError("dataset has no vehicle scans")
     tables.append((os.path.join(args.out_dir, "vehicle_fit_params.csv"),
                    ("vehicle_position", "mu_db", "sigma_db", "sample_count", "cdf_sup_gap"),
                    list(zip(*fits))))
-    return Report(tables, lines, scans.sha256)
+    return Report(tables, lines, input_hash)
 
 
 # ------------------------------------------------------------------- fit ---

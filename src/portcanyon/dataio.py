@@ -14,30 +14,33 @@ ScanSet's blocks, formats each distinct angle grid once per block and writes
 one scan at a time, in set order, so no output exists as one string.
 
 `ingest` returns an `angular.ScanSet`: key columns, one (scans x angles)
-matrix pair per angle count, and the file's sha256.  A canonical file is
-parsed columnar, in one read of the file in blocks of whole lines
-(`_BLOCK_BYTES`): each block's bytes are checked, its lines go through
-`np.loadtxt`, and its phi_deg and gain_db go into the result before the
-next block is read, so the parse holds one block's table, not the file's.
+matrix pair per angle count, and the file's sha256.  A canonical file, LF
+or CRLF, is parsed columnar, in one read of the file in blocks of whole
+lines (`_BLOCK_BYTES`): each block's bytes are checked, its lines go
+through `np.loadtxt`, and its phi_deg and gain_db go into the result before
+the next block is read, so the parse holds one block's table, not the file's.
 Anything unusual (a bad or non-finite value, an unknown token, a duplicate
-angle, quotes, CR line ends, non-ASCII bytes, a comment row among the
-data, a line over `_MAX_LINE_BYTES`) is re-read row by row, the only
-source of the line-numbered errors.  Both readers skip one leading UTF-8
-byte-order mark.  Each reader returns rows: keys, angle counts, phi_deg
-and gain_db.
+angle, quotes, a CR outside a CRLF but for one ending the file, non-ASCII
+bytes, a comment row among the data, a line over `_MAX_LINE_BYTES`) is
+re-read row by row, the only source of the line-numbered errors.  Both
+readers skip one leading UTF-8 byte-order mark.  Each reader returns rows:
+keys, angle counts, phi_deg and gain_db, which `_scan_set` converts in
+place, so an ingest holds one copy.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
-parse.  It is written atomically (umask mode) only after an ingest succeeds;
-a directory that refuses the write just leaves no sidecar.  It is trusted
+parse.  It is saved atomically (umask mode) before the rows are converted
+and removed if the build fails, so a failing ingest leaves none; a
+directory that refuses the write just leaves no sidecar.  It is trusted
 only if its format version and input sha256 match, its members are exactly
 the expected ones, each with the expected dtype and shape, no larger than
 the input, each reads whole (zipfile checks each CRC-32), it holds at
 least one scan, its angle counts are positive, no key repeats and its keys
-pass the readers' key rules.  Its rows then go through the same `_scan_set`
-and checks as a parse's.  Anything else, an I/O error or a format-1 sidecar
-included, is a miss: the file is parsed and the sidecar rewritten.  So a
-sidecar never changes a result, and deleting it is always safe.
+pass the readers' key rules.  Its rows, which the load owns, then go
+through the same `_scan_set` and checks as a parse's.  Anything else, an
+I/O error or a format-1 sidecar included, is a miss: the file is parsed
+and the sidecar rewritten.  So a sidecar never changes a result, and
+deleting it is always safe.
 """
 
 from __future__ import annotations
@@ -143,15 +146,16 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
 
 
 def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
-    """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units."""
-    # dB to linear in one array, no full-size temporary: the same ufuncs as
-    # 10.0 ** (gain_db / 10.0), so the same bits.  A gain_db too large for a
-    # float overflows to inf, which the check rejects; numpy's overflow
-    # warning would only repeat that.
-    gains = np.divide(gain_db, 10.0)
+    """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units,
+    converted in place: phi_deg and gain_db must be the caller's to give up."""
+    # The ufuncs of np.radians(phi_deg) and 10.0 ** (gain_db / 10.0), so their
+    # bits.  A gain_db too large for a float overflows to inf, which the check
+    # rejects; numpy's overflow warning would only repeat that.
+    np.radians(phi_deg, out=phi_deg)
+    np.divide(gain_db, 10.0, out=gain_db)
     with np.errstate(over="ignore"):
-        np.power(10.0, gains, out=gains)
-    return ScanSet.from_rows(keys, sizes, np.radians(phi_deg), gains, sha256)
+        np.power(10.0, gain_db, out=gain_db)
+    return ScanSet.from_rows(keys, sizes, phi_deg, gain_db, sha256)
 
 
 def _csv_rows(fh):
@@ -225,10 +229,11 @@ class _NotCanonical(Exception):
     """The columnar reader cannot vouch for a file; it is re-read row by row."""
 
 
-# Bytes of a canonical file: printable ASCII except the quote, and LF.  Any
-# other byte (CR, NUL, tab, non-ASCII, '"') sends the file to the row loop,
-# whose csv/str semantics the columnar parse does not reproduce.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n"
+# Bytes of a canonical file: printable ASCII except the quote, LF and CR (as
+# part of a CRLF line end only, `_body_lines` checks).  Any other byte (NUL,
+# tab, non-ASCII, '"') sends the file to the row loop, whose csv/str
+# semantics the columnar parse does not reproduce.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n\r"
 # The columnar parse reads the file in blocks of _BLOCK_BYTES, small enough
 # that one block's lines and table stay in the CPU caches.  A line over
 # _MAX_LINE_BYTES, far longer than a canonical row (under 150 bytes: a tx_id
@@ -282,8 +287,9 @@ def _body_lines(path):
 
     One read of the file after one leading UTF-8 byte-order mark, if it has
     one, in blocks of `_BLOCK_BYTES`: each block is checked
-    against `_PLAIN_BYTES` and cut after its last LF, and the partial line
-    after that is carried into the next block.  A disallowed byte, a line
+    against `_PLAIN_BYTES`, its CRLFs become LFs, and it is cut after its
+    last LF; the partial line after that, with a CR that ends the block, is
+    carried into the next block.  A disallowed byte, any other CR, a line
     longer than `_MAX_LINE_BYTES` (so the carried part stays short), a line
     before the header that is neither blank nor a comment, or no header
     raises `_NotCanonical`.
@@ -296,8 +302,9 @@ def _body_lines(path):
         for block in itertools.chain(iter(lambda: fh.read(_BLOCK_BYTES), b""), [b"\n"]):
             if block.translate(None, _PLAIN_BYTES):
                 raise _NotCanonical
-            text = tail + block.decode("ascii")
-            if not _lines_fit(text):
+            text = (tail + block.decode("ascii")).replace("\r\n", "\n")
+            # csv ends a line at a bare CR too; the row loop reads those.
+            if text.find("\r", 0, len(text) - 1) >= 0 or not _lines_fit(text):
                 raise _NotCanonical
             lines = text.split("\n")
             tail = lines.pop()
@@ -499,13 +506,18 @@ def ingest(path) -> ScanSet:
         rows = _ingest_columnar(path)
     except _NotCanonical:
         rows = _ingest_rows(path)
-    scans = _scan_set(*rows, sha256)
     after = os.stat(path)
-    # A file changed while it was read may not match its hash.
+    # A file changed while it was read may not match its hash.  The rows are
+    # saved before the build converts them; a failing build removes them.
     if (before.st_ino, before.st_size, before.st_mtime_ns) == (
             after.st_ino, after.st_size, after.st_mtime_ns):
         _save_sidecar(sidecar, rows, sha256)
-    return scans
+    try:
+        return _scan_set(*rows, sha256)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(sidecar)
+        raise
 
 
 def _cell(value) -> str:

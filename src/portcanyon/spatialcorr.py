@@ -50,7 +50,7 @@ class DenseLine:
             i = int(misplaced.argmax())
             raise DomainError(f"scan at x={float(scans.x[i])} assigned to line position "
                               f"{positions[i]}")
-        apart = scans.differs(scans[:1], ("tx", "y", "vehicle_state", "stacking"))
+        apart = scans.differs(("tx", "y", "vehicle_state", "stacking"), slice(None), 0)
         if apart.any():
             raise PairingError(f"scan {scans.key(int(apart.argmax()))} does not belong to the "
                                f"line of {scans.key(0)}")

@@ -50,29 +50,34 @@ class DeltaCdfReport:
     fit: GaussianFitResult
 
 
-def vehicle_delta(base: ScanSet, with_vehicle: ScanSet) -> np.ndarray:
+def vehicle_delta(scans: ScanSet, base, with_vehicle) -> np.ndarray:
     """Per-angle gain difference baseline minus vehicle, in dB, one row per
-    pair: the two sets are paired row by row.  Each pair must describe the
-    same link (tx, RX position, stacking) on the one grid all vehicle scans
-    share; the baseline must have no vehicle and the other scan must have one.
-    """
-    moved = base.vehicle_state != VehicleState.ABSENT.value
+    pair: the scans base picks against those with_vehicle picks (slices,
+    masks or index arrays), read from the set's matrices without copying
+    subsets.  Each pair must describe the same link (tx, RX position,
+    stacking) on the one grid all vehicle scans share; the baseline must
+    have no vehicle and the other scan must have one."""
+    base, with_vehicle = np.arange(len(scans))[base], np.arange(len(scans))[with_vehicle]
+    state = scans.vehicle_state
+    moved = state[base] != VehicleState.ABSENT.value
     if moved.any():
-        raise PairingError(f"baseline scan has vehicle_state={base.vehicle_state[moved.argmax()]}")
-    if (with_vehicle.vehicle_state == VehicleState.ABSENT.value).any():
+        raise PairingError(f"baseline scan has vehicle_state={state[base[moved.argmax()]]}")
+    if (state[with_vehicle] == VehicleState.ABSENT.value).any():
         raise PairingError("second scan must have a vehicle present")
-    apart = base.differs(with_vehicle, ("tx", "x", "y", "stacking"))
+    apart = scans.differs(("tx", "x", "y", "stacking"), base, with_vehicle)
     if apart.any():
         i = int(apart.argmax())
-        raise PairingError(
-            f"scans describe different links: {base.key(i)} vs {with_vehicle.key(i)}")
-    require_common_grid(with_vehicle)
-    off_grid = base.grid_differs(with_vehicle.blocks[0].angles)
+        raise PairingError(f"scans describe different links: {scans.key(int(base[i]))} vs "
+                           f"{scans.key(int(with_vehicle[i]))}")
+    require_common_grid(scans, with_vehicle)
+    ((block, _, rows),) = scans.rows_of(with_vehicle)  # one grid: one block
+    off_grid = scans.grid_differs(block.angles[rows], base)
     if off_grid.any():
         raise GridError(f"scans must share one angle grid; scan "
-                        f"{with_vehicle.key(int(off_grid.argmax()))} differs")
-    delta = to_db(base.blocks[0].gains)
-    delta -= to_db(with_vehicle.blocks[0].gains)
+                        f"{scans.key(int(with_vehicle[off_grid.argmax()]))} differs")
+    ((_, _, base_rows),) = scans.rows_of(base)  # on the grid: in the same block
+    delta = to_db(block.gains[base_rows])
+    delta -= to_db(block.gains[rows])
     return delta
 
 

@@ -286,8 +286,8 @@ def test_criterion_09_vehicle_statistics():
                           vehicle_mu_db=1.13, vehicle_sigma_db=6.91)
         scans = generate_campaign(layout, cfg, vehicle_mode="dense")
         deltas.append(vehicle_delta(
-            scans[scans.vehicle_state == VehicleState.ABSENT.value],
-            scans[scans.vehicle_state == VehicleState.POSITION1.value]).ravel())
+            scans, scans.vehicle_state == VehicleState.ABSENT.value,
+            scans.vehicle_state == VehicleState.POSITION1.value).ravel())
     pool = np.concatenate(deltas)
     fit = fit_gaussian(pool)
     gap = ks_gap(pool, fit.mu_db, fit.sigma_db)

@@ -177,6 +177,18 @@ class TestDbConversion:
         with pytest.raises(DomainError):
             to_db(np.array([1.0, -2.0]))
 
+    @settings(max_examples=100, deadline=None)
+    @given(gains=st.lists(st.floats(min_value=5e-324, max_value=1e308), min_size=1, max_size=50))
+    def test_bits_of_ten_times_log10(self, gains):
+        arr = np.array(gains)
+        assert to_db(arr).tobytes() == (10.0 * np.log10(arr)).tobytes()
+        assert to_db(gains[0]) == float(10.0 * np.log10(gains[0]))
+
+    def test_normalized_bits_of_the_difference(self):
+        gains = np.random.default_rng(4).lognormal(-14.0, 2.0, (30, 24))
+        want = 10.0 * np.log10(gains) - 10.0 * np.log10(np.mean(gains, axis=-1))[:, None]
+        assert angular._normalized(gains).tobytes() == want.tobytes()
+
     def test_from_db_inverts(self):
         values = np.array([-80.0, -3.0, 0.0, 12.5])
         assert np.allclose(to_db(from_db(values)), values, atol=1e-12)

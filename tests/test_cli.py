@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from peaks import HAS_VMHWM, command_peak_kib
 from scansets import Scan, grid, records, scan_set
 
 from portcanyon.angular import ScanSet
@@ -720,6 +721,23 @@ class TestBranches:
         assert rc == 3
         assert captured.err.startswith("error[ingest]: no baseline scan for vehicle scan")
 
+    def test_vehicle_pairs_both_positions_before_any_statistic(self, tmp_path, capsys):
+        # position1's histogram would need more than MAX_HISTOGRAM_BINS bins,
+        # and position2's scan has no baseline: every pairing comes first.
+        rng = np.random.default_rng(2)
+        moved = [scan._replace(gains=rng.lognormal(-14.0, 1.0, N_ANGLES),
+                               vehicle_state="position1") for scan in _line_scans((1.0, 5.0))]
+        data = _write_scans(tmp_path, _line_scans((1.0, 5.0)) + moved
+                            + _line_scans((9.0,), vehicle_state="position2"))
+        config = _write_ini(tmp_path, "[angular]\nhistogram_bin_db = 1e-4\n")
+        rc = main(["--config", config, "vehicle", "--input", data,
+                   "--out-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error[ingest]: no baseline scan for vehicle scan at "
+                                       "('TX1_63', 9.0, 3.5, ")
+        assert captured.out == "" and not (tmp_path / "out").exists()
+
     def test_vehicle_on_file_without_vehicle_scans(self, tmp_path, capsys):
         data = _write_scans(tmp_path, _line_scans((1.0, 5.0)))
         rc = main(["vehicle", "--input", data, "--out-dir", str(tmp_path / "out")])
@@ -1174,6 +1192,31 @@ class TestSidecar:
         assert capsys.readouterr().err.startswith("error[ingest]: line 3: unknown vehicle_state")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
 
+    @pytest.mark.parametrize("field, value, rc, message", [
+        (3, "16.0", 3, "error[grid]: scan ('TX1_63', 1.0, 3.5, "),
+        (4, "4000.0", 4, "error[domain]: scan ('TX1_63', 1.0, 3.5, "),
+    ])
+    def test_parse_whose_build_fails_leaves_no_sidecar(self, tmp_path, capsys, field, value, rc,
+                                                       message):
+        # The rows parse, and are saved before the build converts them; the
+        # build's error removes that sidecar, and the stale one it replaced.
+        from portcanyon import dataio
+
+        stale = tmp_path / "other.csv"
+        write_scans(stale, scan_set(_line_scans((1.0, 5.0))))
+        dataio.ingest(stale)
+        lines = stale.read_text().splitlines()
+        row = lines[3].split(",")  # the second angle of the first scan
+        row[field] = value
+        data = tmp_path / "bad.csv"
+        data.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+        assert dataio._ingest_columnar(data)  # parsed columnar, then refused by the build
+        shutil.move(str(stale) + ".scanset.npz", str(data) + ".scanset.npz")
+        stale.unlink()
+        assert main(["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]) == rc
+        assert capsys.readouterr().err.startswith(message)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_sidecar_mode_follows_the_umask(self, tmp_path, umask):
         from portcanyon.dataio import ingest
@@ -1224,3 +1267,25 @@ class TestSidecar:
         assert main(argv) == 0
         assert capsys.readouterr().err == ""
         assert not list(tmp_path.rglob("*.tmp"))
+
+
+@pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
+def test_vehicle_peak_is_its_matrices_and_tables(tmp_path):
+    # 400 baseline/position1/position2 triples of 360 angles.  The set goes
+    # before the statistics and the deltas are taken by index, so the peak is
+    # the set's matrices, or the delta CDF tables the command writes, not both
+    # beside copies of the set's subsets: about 22,900 KiB for this file with
+    # those copies and the set kept through the statistics, 16,200 without.
+    from portcanyon.dataio import ingest
+
+    rng = np.random.default_rng(5)
+    data = tmp_path / "dense.csv"
+    write_scans(data, scan_set(
+        Scan(tx="TX1_63", x=float(i), y=3.5, angles=grid(360),
+             gains=rng.lognormal(-14.0, 1.0, 360), vehicle_state=state)
+        for i in range(400) for state in ("absent", "position1", "position2")))
+    scans = ingest(data)  # cold: writes the sidecar
+    matrices_kib = sum(block.angles.nbytes + block.gains.nbytes for block in scans.blocks) // 1024
+    tables_kib = 2 * 3 * 400 * 360 * 8 // 1024  # delta, empirical and Gaussian CDF per position
+    peak = command_peak_kib("vehicle", "--input", data, "--out-dir", tmp_path / "out")
+    assert peak <= matrices_kib + tables_kib + 4096, (peak, matrices_kib, tables_kib)

@@ -6,8 +6,6 @@ import hashlib
 import io
 import os
 import stat
-import subprocess
-import sys
 import tempfile
 from unittest import mock
 
@@ -15,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from peaks import HAS_VMHWM, ingest_peak_kib
 from scansets import Scan, grid, records, scan_set
 
 from portcanyon import dataio
@@ -393,7 +392,7 @@ class TestColumnarIngest:
         path = tmp_path / "crlf.csv"
         lines = [provenance_line(), CANONICAL_HEADER] + _rows()
         path.write_bytes(("\r\n".join(lines) + "\r\n").encode("ascii"))
-        assert check_paths_agree(path) == "rows"
+        assert check_paths_agree(path) == "columnar"
         assert len(ingest(path)) == 1
 
     @pytest.mark.parametrize("head", [[provenance_line(), CANONICAL_HEADER], [CANONICAL_HEADER]])
@@ -616,11 +615,22 @@ def _canonical_bodies(draw):
     return body
 
 
+def _ended(lines, ends, last):
+    """The lines, each but the last ended by its own line end, the last by last."""
+    return "".join(map(str.__add__, lines[:-1], ends)) + lines[-1] + last
+
+
 class TestBlockBoundaries:
     @settings(max_examples=200, deadline=None)
-    @given(body=_canonical_bodies(), last_newline=st.booleans(), data=st.data())
-    def test_blocks_give_the_row_readers_rows(self, body, last_newline, data):
-        text = "\n".join([provenance_line(), CANONICAL_HEADER] + body) + "\n" * last_newline
+    @given(body=_canonical_bodies(), newline=st.sampled_from(["\n", "\r\n", "mixed"]),
+           last=st.sampled_from(["", "\n", "\r\n", "\r"]), data=st.data())
+    def test_blocks_give_the_row_readers_rows(self, body, newline, last, data):
+        # LF, CRLF or mixed line ends; the last line ends with any of them, a
+        # bare CR (csv ends a line there too) or nothing.
+        lines = [provenance_line(), CANONICAL_HEADER] + body
+        ends = [data.draw(st.sampled_from(["\n", "\r\n"])) if newline == "mixed" else newline
+                for _ in lines[1:]]
+        text = _ended(lines, ends, last)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "case.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -629,6 +639,31 @@ class TestBlockBoundaries:
             assert isinstance(want, tuple), want
             assert _rows_of(_ingest_columnar, path) == want
             assert _columnar_in_blocks(path, _block_size(text, data)) == want
+            # A block that ends with a CR whose LF starts the next block.
+            longest = max(map(len, text.split("\n"))) + 1
+            split = [at + 1 for at, char in enumerate(text[:-1])
+                     if char == "\r" and at + 1 >= longest]
+            if split:
+                assert _columnar_in_blocks(path, data.draw(st.sampled_from(split))) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(body=_canonical_bodies(), cr=st.sampled_from(["\r", "\r\r\n", "\r\r", "\n\r"]),
+           data=st.data())
+    def test_other_crs_go_to_the_row_reader(self, body, cr, data):
+        # A bare CR, CR CR LF or LF CR between two lines of a CRLF file: the
+        # row reader's csv ends lines there, the columnar reader declines,
+        # in one block or many.
+        lines = [provenance_line(), CANONICAL_HEADER] + body
+        ends = ["\r\n"] * (len(lines) - 1)
+        ends[data.draw(st.integers(min_value=0, max_value=len(ends) - 1))] = cr
+        text = _ended(lines, ends, "\r\n")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "case.csv")
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+            assert _rows_of(_ingest_columnar, path) is _NotCanonical
+            assert _columnar_in_blocks(path, _block_size(text, data)) is _NotCanonical
+            assert check_paths_agree(path) == "rows"
 
     @settings(max_examples=200, deadline=None)
     @given(edits=_EDITS, data=st.data())
@@ -676,15 +711,15 @@ class TestBlockBoundaries:
             _ingest_columnar(path)
         assert max(seen) <= dataio._MAX_LINE_BYTES + 100
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_cold_ingest_peak_is_a_warm_ingests(self, tmp_path):
         # A 12.5 MB file, 48 blocks; a whole-file table added about 7.5 MB.
         path = _campaign_of_600_scans(tmp_path)
-        cold, warm = _ingest_peak_kib(path), _ingest_peak_kib(path)
+        cold, warm = ingest_peak_kib(path), ingest_peak_kib(path)
         assert os.path.exists(str(path) + ".scanset.npz")
         assert cold <= warm + 4096, (cold, warm)
 
-    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_warm_ingest_peak_is_its_rows_and_matrices(self, tmp_path):
         # Whole-matrix grid check temporaries and a full-size dB temporary
         # added about 5.4 MB here.
@@ -694,8 +729,19 @@ class TestBlockBoundaries:
                                     os.path.getsize(path))
         matrices = sum(block.angles.nbytes + block.gains.nbytes for block in scans.blocks)
         data_kib = (sum(np.asarray(column).nbytes for column in rows[1:]) + matrices) // 1024
-        warm = _ingest_peak_kib(path)
+        warm = ingest_peak_kib(path)
         assert warm <= data_kib + 4096, (warm, data_kib)
+
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
+    def test_warm_ingest_peak_is_its_matrices(self, tmp_path):
+        # The loaded rows become the matrices in place; converting them into
+        # new arrays held both, about 9,600 KiB here.
+        path = _campaign_of_600_scans(tmp_path)
+        scans = ingest(path)  # cold: writes the sidecar
+        matrices_kib = sum(block.angles.nbytes + block.gains.nbytes
+                           for block in scans.blocks) // 1024
+        warm = ingest_peak_kib(path)
+        assert warm <= matrices_kib + 4096, (warm, matrices_kib)
 
 
 def _campaign_of_600_scans(tmp_path):
@@ -706,22 +752,6 @@ def _campaign_of_600_scans(tmp_path):
                                           gains=rng.lognormal(-14.0, 1.0, 360))
                                 for i in range(600)]))
     return path
-
-
-def _ingest_peak_kib(path) -> int:
-    """How much one ingest of path grows the peak RSS of a new process
-    (VmHWM: ru_maxrss keeps the forking parent's), in KiB."""
-    child = ("import sys\n"
-             "def peak_kib():\n"
-             "    with open('/proc/self/status') as fh:\n"
-             "        return int(next(v.split()[1] for v in fh if v.startswith('VmHWM:')))\n"
-             "from portcanyon.dataio import ingest\n"
-             "before = peak_kib()\n"
-             "ingest(sys.argv[1])\n"
-             "print(peak_kib() - before)\n")
-    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(dataio.__file__)))
-    return int(subprocess.run([sys.executable, "-c", child, str(path)], env=env,
-                              capture_output=True, text=True, check=True).stdout)
 
 
 # ------------------------------------------------ writers vs csv.writer oracles

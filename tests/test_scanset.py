@@ -210,13 +210,13 @@ class TestStatisticsOracle:
         oracle = _oracle_scans(campaign)
         moved_at = np.flatnonzero(scans.vehicle_state == "position2")  # TX2, x=5.0 then x=0.0
         base_at = [1, 3]  # TX2 at x=5.0, then x=-0.0
-        got = vehicle_delta(scans[base_at], scans[moved_at])
+        got = vehicle_delta(scans, base_at, moved_at)
         want = np.stack([to_db(oracle[b].gains) - to_db(oracle[v].gains)
                          for b, v in zip(base_at, moved_at)])
         assert got.tobytes() == want.tobytes()
-        assert vehicle_delta(scans[1:2], scans[moved_at[:1]]).tobytes() == want[:1].tobytes()
+        assert vehicle_delta(scans, slice(1, 2), moved_at[:1]).tobytes() == want[:1].tobytes()
         with pytest.raises(PairingError, match="different links"):
-            vehicle_delta(scans[[3, 1]], scans[moved_at])
+            vehicle_delta(scans, [3, 1], moved_at)
 
 
 class TestCliOutputsOracle:
@@ -299,6 +299,6 @@ class TestChecks:
         with pytest.raises(DomainError):
             gain_cdfs(empty, {})
         for call in (lambda: require_common_grid(empty), lambda: normalized_spectrum(empty),
-                     lambda: vehicle_delta(empty, empty)):
+                     lambda: vehicle_delta(empty, [], [])):
             with pytest.raises(DomainError, match="empty scan set"):
                 call()

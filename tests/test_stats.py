@@ -1,6 +1,7 @@
 """Shared statistics helpers: t quantiles, aligned histograms, KS gaps, quantiles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats as sps
 
-from portcanyon import vehicle
+from portcanyon import stats, vehicle
 from portcanyon.errors import DomainError
 from portcanyon.stats import (
     MAX_HISTOGRAM_BINS,
@@ -126,6 +127,24 @@ def test_sorted_ks_gap_equals_ks_gap_bit_for_bit(sigma):
     assert sorted_ks_gap(reference) == ks_gap(samples, 1.13, sigma)
     report = vehicle.delta_cdf_report(samples)
     assert report.sup_gap == ks_gap(samples, report.fit.mu_db, report.fit.sigma_db)
+
+
+def _one_pass_ks_gap(reference):
+    """The gap from one k/n array and two full-size differences."""
+    steps = np.arange(reference.size + 1.0) / reference.size
+    return float(max((steps[1:] - reference).max(), (reference - steps[:-1]).max()))
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(min_value=1, max_value=700), rows=st.integers(min_value=1, max_value=64),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), ties=st.booleans())
+def test_sorted_ks_gap_in_row_blocks_equals_one_pass(n, rows, seed, ties):
+    rng = np.random.default_rng(seed)
+    values = np.sort(rng.normal(0.0, 1.0, n))
+    reference = gaussian_cdf(np.round(values, 1) if ties else values, 0.1, 0.9)
+    with mock.patch.object(stats, "_KS_ROWS", rows):  # 1 block, or many with a short last one
+        assert sorted_ks_gap(reference) == _one_pass_ks_gap(reference)
+    assert sorted_ks_gap(reference) == _one_pass_ks_gap(reference)
 
 
 @pytest.mark.parametrize("p", [0.0, -0.5, 1.5, float("nan")])

@@ -18,58 +18,75 @@ GRID = grid(8)
 
 
 def scan(gains_db, state=VehicleState.ABSENT, tx="TX1_63", x=13.5, y=3.5):
-    """The ScanSet of one scan of the given dB gains."""
+    """One scan of the given dB gains."""
     gains = 10.0 ** (np.asarray(gains_db, dtype=float) / 10.0)
-    return scan_set([Scan(tx=tx, x=x, y=y, angles=GRID, gains=gains, vehicle_state=state)])
+    return Scan(tx=tx, x=x, y=y, angles=GRID, gains=gains, vehicle_state=state)
+
+
+def pair_delta(base, with_vehicle):
+    """vehicle_delta of two scans, scan 0 and scan 1 of one set."""
+    return vehicle_delta(scan_set([base, with_vehicle]), [0], [1])
 
 
 class TestVehicleDelta:
     def test_identical_scans_give_zero(self):
         db = np.full(8, -60.0)
-        delta = vehicle_delta(scan(db), scan(db, VehicleState.POSITION1))
+        delta = pair_delta(scan(db), scan(db, VehicleState.POSITION1))
         assert delta.shape == (1, 8)
         assert np.allclose(delta, 0.0, atol=1e-9)
 
     def test_uniform_shift(self):
         db = np.linspace(-70.0, -63.0, 8)
-        delta = vehicle_delta(scan(db), scan(db - 3.0, VehicleState.POSITION2))
+        delta = pair_delta(scan(db), scan(db - 3.0, VehicleState.POSITION2))
         assert np.allclose(delta, 3.0, atol=1e-9)
 
     def test_hand_differences(self):
         base_db = np.array([-60.0, -61.0, -59.0, -64.0, -58.0, -62.0, -60.5, -63.0])
         veh_db = np.array([-61.0, -60.0, -62.0, -63.0, -59.5, -61.0, -60.5, -66.0])
-        delta = vehicle_delta(scan(base_db), scan(veh_db, VehicleState.POSITION1))
+        delta = pair_delta(scan(base_db), scan(veh_db, VehicleState.POSITION1))
         assert np.allclose(delta, base_db - veh_db, atol=1e-9)
 
     def test_antisymmetric_in_arguments(self):
         rng = np.random.default_rng(0)
         base_db = -60.0 + rng.standard_normal(8)
         veh_db = -60.0 + rng.standard_normal(8)
-        forward = vehicle_delta(scan(base_db), scan(veh_db, VehicleState.POSITION1))
-        backward = vehicle_delta(scan(veh_db), scan(base_db, VehicleState.POSITION1))
+        forward = pair_delta(scan(base_db), scan(veh_db, VehicleState.POSITION1))
+        backward = pair_delta(scan(veh_db), scan(base_db, VehicleState.POSITION1))
         assert np.allclose(forward, -backward, atol=1e-9)
 
     def test_rejects_wrong_states(self):
         db = np.full(8, -60.0)
         with pytest.raises(PairingError):
-            vehicle_delta(scan(db, VehicleState.POSITION1), scan(db, VehicleState.POSITION2))
+            pair_delta(scan(db, VehicleState.POSITION1), scan(db, VehicleState.POSITION2))
         with pytest.raises(PairingError):
-            vehicle_delta(scan(db), scan(db))
+            pair_delta(scan(db), scan(db))
 
     def test_rejects_mismatched_link(self):
         db = np.full(8, -60.0)
         with pytest.raises(PairingError, match=r"different links: \('TX1_63', 13.5, 3.5, "
                            r"<VehicleState.ABSENT: 'absent'>.* vs \('TX1_63', 14.5"):
-            vehicle_delta(scan(db), scan(db, VehicleState.POSITION1, x=14.5))
+            pair_delta(scan(db), scan(db, VehicleState.POSITION1, x=14.5))
         with pytest.raises(PairingError):
-            vehicle_delta(scan(db), scan(db, VehicleState.POSITION1, tx="TX2"))
+            pair_delta(scan(db), scan(db, VehicleState.POSITION1, tx="TX2"))
 
     def test_rejects_mismatched_grid(self):
         base = scan(np.full(8, -60.0))
-        other = scan_set([Scan(tx="TX1_63", x=13.5, y=3.5, angles=grid(16),
-                               gains=np.full(16, 1e-6), vehicle_state=VehicleState.POSITION1)])
+        other = Scan(tx="TX1_63", x=13.5, y=3.5, angles=grid(16), gains=np.full(16, 1e-6),
+                     vehicle_state=VehicleState.POSITION1)
         with pytest.raises(GridError):
-            vehicle_delta(base, other)
+            pair_delta(base, other)
+
+
+    def test_baselines_on_two_grids_name_the_first_pair_off_the_vehicle_grid(self):
+        # The 16-angle baseline is checked against its own pair's grid.
+        coarse, fine = scan(np.full(8, -60.0), x=1.0), scan(np.full(8, -60.0), x=5.0)
+        fine = fine._replace(angles=grid(16), gains=np.full(16, 1e-6))
+        moved = [s._replace(angles=grid(16), gains=np.full(16, 2e-6),
+                            vehicle_state=VehicleState.POSITION1) for s in (coarse, fine)]
+        scans = scan_set([coarse, fine, *moved])
+        with pytest.raises(GridError, match=r"scan \('TX1_63', 1.0, 3.5, <VehicleState.POSITION1"):
+            vehicle_delta(scans, [0, 1], [2, 3])
+        assert np.allclose(vehicle_delta(scans, [1], [3]), -10.0 * np.log10(2.0))
 
 
 class TestFitGaussian:
