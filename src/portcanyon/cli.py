@@ -68,7 +68,8 @@ def _cmd_synth(args, cfg: ToolConfig) -> Report:
     scfg = cfg.synth_config()
     layout = synth.build_layout(args.layout, rx_height_m=cfg.rx_height_m)
     scans = synth.generate_campaign(layout, scfg, vehicle_mode=args.vehicle_mode)
-    dataio.write_scans(args.out, scans, seed=scfg.seed)
+    sha256 = dataio.write_scans(args.out, scans, seed=scfg.seed)
+    dataio.save_sidecar(args.out, scans, sha256)
     rows = sum(block.gains.size for block in scans.blocks)
     return Report([], [
         f"synth: wrote {len(scans)} scans ({rows} rows) to {args.out}",

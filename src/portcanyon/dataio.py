@@ -31,16 +31,21 @@ place, so an ingest holds one copy.
 input, `<input>.scanset.npz`, so the next read of the same content skips the
 parse.  It is saved atomically (umask mode) before the rows are converted
 and removed if the build fails, so a failing ingest leaves none; a
-directory that refuses the write just leaves no sidecar.  It is trusted
-only if its format version and input sha256 match, its members are exactly
-the expected ones, each with the expected dtype and shape, no larger than
-the input, each reads whole (zipfile checks each CRC-32), it holds at
-least one scan, its angle counts are positive, no key repeats and its keys
-pass the readers' key rules.  Its rows, which the load owns, then go
-through the same `_scan_set` and checks as a parse's.  Anything else, an
-I/O error or a format-1 sidecar included, is a miss: the file is parsed
-and the sidecar rewritten.  So a sidecar never changes a result, and
-deleting it is always safe.
+directory that refuses the write just leaves no sidecar.  `synth` saves
+one too (`save_sidecar`): `write_scans` returns the sha256 of the bytes it
+wrote, and `_csv_units` gives the rows from the set written, the values
+`write_scans` formats, so a file `synth` wrote is never parsed.  Each
+member is written from its array's buffer, the bytes `np.savez` writes
+but without its copy.  A
+sidecar is trusted only if its format version and input sha256 match, its
+members are exactly the expected ones, each with the expected dtype and
+shape, no larger than the input, each reads whole (zipfile checks each
+CRC-32), it holds at least one scan, its angle counts are positive, no key
+repeats and its keys pass the readers' key rules.  Its rows, which the
+load owns, then go through the same `_scan_set` and checks as a parse's.
+Anything else, an I/O error or a format-1 sidecar included, is a miss: the
+file is parsed and the sidecar rewritten.  So a sidecar never changes a
+result, and deleting it, `synth`'s too, is always safe.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ import math
 import os
 import tempfile
 import warnings
+import zipfile
 from collections import defaultdict
 
 import numpy as np
@@ -64,8 +70,8 @@ from .angular import ScanSet, Stacking, VehicleState
 from .errors import IngestError
 
 __all__ = [
-    "CANONICAL_HEADER", "SIDECAR_SUFFIX", "write_scans", "ingest", "write_table",
-    "provenance_line", "file_sha256",
+    "CANONICAL_HEADER", "SIDECAR_SUFFIX", "write_scans", "save_sidecar", "ingest",
+    "write_table", "provenance_line", "file_sha256",
 ]
 
 CANONICAL_FIELDS = ("tx_id", "x_m", "y_m", "phi_deg", "gain_db", "vehicle_state", "stacking")
@@ -111,28 +117,44 @@ def _atomic_write(path, write) -> None:
         raise
 
 
+def _csv_units(angles, gains):
+    """phi_deg and gain_db of angles (rad) and linear gains: the values the
+    CSV holds, so a sidecar saved from them holds what a parse reads back."""
+    return np.degrees(angles), 10.0 * np.log10(gains)
+
+
 def _scan_texts(scans: ScanSet, block):
     """(position, canonical CSV rows) of each scan of one of the set's blocks,
     in block order; each distinct grid row's phi_deg text is formatted once."""
     phi_cells = {}
     for i, angles, gains in zip(block.index.tolist(), block.angles, block.gains):
+        phi_deg, gain_db = _csv_units(angles, gains)
         grid = angles.tobytes()  # by bytes: -0.0 and 0.0 format differently
         if grid not in phi_cells:
-            phi_cells[grid] = [phi + "," for phi in map(repr, np.degrees(angles).tolist())]
+            phi_cells[grid] = [phi + "," for phi in map(repr, phi_deg.tolist())]
         prefix = f"{_cell(scans.tx[i])},{float(scans.x[i])!r},{float(scans.y[i])!r},"
         suffix = f",{scans.vehicle_state[i]},{scans.stacking[i]}\n"
-        gain_db = map(repr, (10.0 * np.log10(gains)).tolist())
+        gain_db = map(repr, gain_db.tolist())
         rows = (suffix + prefix).join(map(str.__add__, phi_cells[grid], gain_db))
         yield i, prefix + rows + suffix
 
 
-def write_scans(path, scans: ScanSet, seed=None) -> None:
+def write_scans(path, scans: ScanSet, seed=None) -> str:
     """Write a ScanSet to the canonical CSV, atomically and deterministically:
-    one scan per write, in set order."""
+    one scan per write, in set order.  Returns the sha256 of the bytes
+    written, hashed as they are written."""
     texts = heapq.merge(*(_scan_texts(scans, block) for block in scans.blocks))
     head = provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n"
     chunks = itertools.chain([head], (text for _, text in texts))
-    _atomic_write(path, lambda fh: fh.writelines(map(str.encode, chunks)))
+    digest = hashlib.sha256()
+
+    def write(fh):
+        for data in map(str.encode, chunks):
+            digest.update(data)
+            fh.write(data)
+
+    _atomic_write(path, write)
+    return digest.hexdigest()
 
 
 def _parse_float(token: str, column: str, line_no: int) -> float:
@@ -479,7 +501,32 @@ def _save_sidecar(path, rows, sha256) -> None:
         if members[key].tolist() != list(values):
             return
     with contextlib.suppress(OSError):
-        _atomic_write(path, lambda fh: np.savez(fh, allow_pickle=False, **members))
+        _atomic_write(path, lambda fh: _write_npz(fh, members))
+
+
+def _write_npz(fh, members) -> None:
+    """The uncompressed .npz `np.savez` writes, but each member's data goes
+    from the array's own buffer into the zip member, not through a copy."""
+    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
+        for name, array in members.items():
+            with npz.open(name + ".npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(
+                    member, np.lib.format.header_data_from_array_1_0(array))
+                # ascontiguousarray: a 0-d array as 1-d, a contiguous one not copied.
+                member.write(np.ascontiguousarray(array).view(np.uint8))
+
+
+def save_sidecar(path, scans: ScanSet, sha256) -> None:
+    """Save the sidecar of the CSV at path that `write_scans` wrote from
+    scans, keyed by sha256, the hash it returned, so the first `ingest` of
+    the file skips the parse.  scans is one block, as `synth` builds it, so
+    its rows are already in set order; they are saved in CSV units."""
+    (block,) = scans.blocks
+    keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
+    sizes = np.full(len(scans), block.angles.shape[1], dtype=np.int64)
+    phi_deg, gain_db = _csv_units(block.angles, block.gains)
+    _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX,
+                  (keys, sizes, phi_deg.ravel(), gain_db.ravel()), sha256)
 
 
 def ingest(path) -> ScanSet:

@@ -1138,6 +1138,36 @@ class TestSidecar:
         assert sorted(p.name for p in dataset.parent.iterdir()) == [
             "campaign.csv", "campaign.csv.scanset.npz"]
 
+    def test_synth_sidecar_spares_every_command_the_parse(self, tmp_path, dataset, capsys,
+                                                          monkeypatch):
+        from portcanyon import dataio
+
+        sidecar = Path(str(dataset) + ".scanset.npz")
+        capsys.readouterr()
+
+        def no_parse(*args):
+            raise AssertionError("a command parsed the CSV synth wrote")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(dataio, "_ingest_columnar", no_parse)
+            patched.setattr(dataio, "_ingest_rows", no_parse)
+            warm = self.run_all(dataset, tmp_path / "out", capsys)
+        shutil.rmtree(tmp_path / "out")
+        cold = self.run_all(dataset, tmp_path / "out", capsys,
+                            before=lambda: sidecar.unlink(missing_ok=True))
+        assert warm == cold
+        assert len(warm[1]) == 27
+
+    def test_synth_into_a_missing_directory_leaves_nothing(self, tmp_path, small_config,
+                                                           capsys):
+        out = tmp_path / "missing" / "campaign.csv"
+        rc = main(["--config", small_config, "synth", "--layout", "uniform", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error[io]: ") and str(out) in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [Path(small_config)]
+
     @staticmethod
     def format1_sidecar(scans):
         """The sidecar of scans in format 1: a ScanSet's per-block matrices."""
@@ -1173,7 +1203,7 @@ class TestSidecar:
     def test_own_hash_sidecar_with_bogus_stacking_is_a_miss(self, tmp_path, dataset, capsys):
         sidecar = Path(str(dataset) + ".scanset.npz")
         out = tmp_path / "out"
-        cold = self.run_all(dataset, out, capsys)
+        cold = self.run_all(dataset, out, capsys, before=lambda: sidecar.unlink(missing_ok=True))
         shutil.rmtree(out)
         with np.load(sidecar, allow_pickle=False) as npz:
             members = {name: npz[name] for name in npz.files}

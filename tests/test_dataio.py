@@ -74,10 +74,8 @@ class TestWriter:
     def test_deterministic_bytes(self, tmp_path):
         scans = scan_set([make_scan(), make_scan(seed=1, x=9.0)])
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_scans(a, scans, seed=3)
-        write_scans(b, scans, seed=3)
+        assert write_scans(a, scans, seed=3) == write_scans(b, scans, seed=3) == file_sha256(a)
         assert a.read_bytes() == b.read_bytes()
-        assert file_sha256(a) == file_sha256(b)
 
 
     def test_output_mode_follows_umask(self, tmp_path):
@@ -1197,3 +1195,80 @@ class TestSidecar:
         assert scans.tx.tolist() == ["TX2\x00"]
         assert not os.path.exists(str(path) + ".scanset.npz")
         assert _set_state(ingest(path)) == _set_state(scans)
+
+
+def _parsed_rows(path):
+    """The rows `ingest` parses path into, by the reader it takes."""
+    try:
+        return _ingest_columnar(path)
+    except _NotCanonical:
+        return _ingest_rows(path)
+
+
+def _sidecar_rows(path):
+    """The rows in path's sidecar, if it holds path's content (else None)."""
+    return dataio._load_sidecar(str(path) + dataio.SIDECAR_SUFFIX, file_sha256(path),
+                                os.path.getsize(path))
+
+
+class TestSavedSidecar:
+    """`synth` saves the sidecar of the CSV it writes, from the set it holds."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n_angles=st.integers(8, 40),
+           layout=st.sampled_from(["uniform", "nonuniform"]),
+           vehicle_mode=st.sampled_from(["none", "dense"]))
+    def test_synth_sidecar_holds_the_parsed_rows(self, seed, n_angles, layout, vehicle_mode):
+        from contextlib import redirect_stdout
+
+        from portcanyon.cli import main
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "campaign.csv")
+            with redirect_stdout(io.StringIO()):
+                assert main(["synth", "--layout", layout, "--vehicle-mode", vehicle_mode,
+                             "--seed", str(seed), "--n-angles", str(n_angles),
+                             "--out", path]) == 0
+            saved = _rows_of(_sidecar_rows, path)
+            warm = _set_state(ingest(path))
+            os.unlink(path + dataio.SIDECAR_SUFFIX)
+            assert saved == _rows_of(_parsed_rows, path)
+            assert warm == _set_state(ingest(path))
+
+    def test_sidecar_save_copies_no_member(self, tmp_path):
+        # np.savez copied each row member whole (tobytes) before writing it.
+        import tracemalloc
+
+        path = _campaign_of_600_scans(tmp_path)
+        rows = _ingest_columnar(path)
+        sidecar = str(tmp_path / "rows.npz")
+        tracemalloc.start()
+        try:
+            dataio._save_sidecar(sidecar, rows, "h")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < rows[2].nbytes, (peak, rows[2].nbytes)
+        loaded = dataio._load_sidecar(sidecar, "h", path.stat().st_size)
+        assert _rows_of(lambda p: loaded, path) == _rows_of(lambda p: rows, path)
+        # The very bytes np.savez writes for the same members, in the same order.
+        with np.load(sidecar, allow_pickle=False) as npz:
+            members = {name: npz[name] for name in npz.files}
+        savez = io.BytesIO()
+        np.savez(savez, allow_pickle=False, **members)
+        assert savez.getvalue() == open(sidecar, "rb").read()
+
+    def test_synth_replaces_another_csvs_sidecar(self, tmp_path, capsys):
+        from portcanyon.cli import main
+
+        other, path = tmp_path / "other.csv", tmp_path / "campaign.csv"
+        write_scans(other, scan_set([make_scan(), make_scan(seed=1, x=9.0)]))
+        ingest(other)
+        sidecar = tmp_path / ("campaign.csv" + dataio.SIDECAR_SUFFIX)
+        os.replace(str(other) + dataio.SIDECAR_SUFFIX, sidecar)
+        stale = sidecar.read_bytes()
+        assert main(["synth", "--layout", "uniform", "--n-angles", "8", "--out", str(path)]) == 0
+        assert sidecar.read_bytes() != stale
+        assert _rows_of(_sidecar_rows, path) == _rows_of(_parsed_rows, path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "campaign.csv", sidecar.name, "other.csv"]
