@@ -164,12 +164,6 @@ class ScanSet:
         return (self.tx[i], float(self.x[i]), float(self.y[i]),
                 VehicleState(self.vehicle_state[i]), Stacking(self.stacking[i]))
 
-    def differs(self, keys, which, other) -> np.ndarray:
-        """Per pair of the scans which and other pick (slices, masks or index
-        arrays, or one index for all): does a named key column differ?"""
-        return np.logical_or.reduce([getattr(self, key)[which] != getattr(self, key)[other]
-                                     for key in keys])
-
     def grid_differs(self, reference, which=slice(None)) -> np.ndarray:
         """Per scan which picks (a slice, mask or index array; default: all):
         does its grid differ, in size or by more than GRID_MATCH_TOL at any
@@ -226,9 +220,14 @@ def from_db(db):
     return float(out) if np.isscalar(db) or arr.ndim == 0 else out
 
 
-def _mean_db(gains):
-    """Linear mean over the last (angle) axis, in dB."""
-    return 10.0 * np.log10(np.mean(gains, axis=-1))
+def _mean_db(gains, axis=-1):
+    """Linear mean over an axis (default: the angle axis), in dB.  Gains whose
+    sum overflows, each one finite, are a DomainError."""
+    with np.errstate(over="ignore"):
+        mean = np.mean(gains, axis=axis)
+    if not np.all(mean < np.inf):
+        raise DomainError("the linear mean of the gains overflows")
+    return 10.0 * np.log10(mean)
 
 
 def _normalized(gains):
@@ -272,7 +271,7 @@ def require_common_grid(scans: ScanSet, which=slice(None)) -> np.ndarray:
     return grid
 
 
-def ensemble_stats(scans: ScanSet, db_bin_width: float = 1.0) -> AngularSpectrumStats:
+def ensemble_stats(scans: ScanSet, db_bin_width: float) -> AngularSpectrumStats:
     """Per-angle ensemble mean and dB-gain histogram over a set of scans.
 
     The mean is taken in the linear domain and reported in dB.  The
@@ -284,7 +283,7 @@ def ensemble_stats(scans: ScanSet, db_bin_width: float = 1.0) -> AngularSpectrum
         raise DomainError("ensemble_stats needs at least one scan")
     grid = require_common_grid(scans)
     gains = scans.blocks[0].gains                        # (n_scans, n_angles), one grid
-    mean_db = 10.0 * np.log10(np.mean(gains, axis=0))
+    mean_db = _mean_db(gains, axis=0)
     edges, counts = aligned_histograms(10.0 * np.log10(gains), db_bin_width)
     return AngularSpectrumStats(angles=grid, mean_db=mean_db, bin_edges_db=edges,
                                 counts=counts, n_scans=len(scans))

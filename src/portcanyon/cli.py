@@ -159,25 +159,15 @@ def _cmd_spatial(args, cfg: ToolConfig) -> Report:
 
 def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     scans = dataio.ingest(args.input)
-    keys = list(zip(*(getattr(scans, name).tolist() for name in ("tx", "x", "y", "stacking"))))
-    base_at = {keys[i]: i for i in np.flatnonzero(
-        scans.vehicle_state == angular.VehicleState.ABSENT.value).tolist()}
 
-    # Every pairing and grid check, and each position's delta matrix, from
+    # Each position's delta matrix, paired and checked by `vehicle_delta` from
     # index arrays into the one set; then the set goes before any statistic.
     deltas = []
-    for label in (angular.VehicleState.POSITION1.value, angular.VehicleState.POSITION2.value):
-        which = np.flatnonzero(scans.vehicle_state == label)
-        if not which.size:
-            continue
-        # The deltas are pooled per angle, so all of them need one grid.
-        angles_deg = np.degrees(angular.require_common_grid(scans, which))
-        base = [base_at.get(keys[i]) for i in which.tolist()]
-        if None in base:
-            tx_id, x, y, stacking = keys[which[base.index(None)]]
-            raise IngestError(f"no baseline scan for vehicle scan at "
-                              f"{(tx_id, x, y, angular.Stacking(stacking))}; cannot pair")
-        deltas.append((label, angles_deg, vehicle.vehicle_delta(scans, base, which)))
+    for state in (angular.VehicleState.POSITION1, angular.VehicleState.POSITION2):
+        first = np.flatnonzero(scans.vehicle_state == state.value)[:1]
+        if first.size:  # the deltas are pooled per angle, on the grid of the first scan
+            deltas.append((state.value, np.degrees(scans[first].blocks[0].angles[0]),
+                           vehicle.vehicle_delta(scans, state)))
     if not deltas:
         raise IngestError("dataset has no vehicle scans")
     input_hash = scans.sha256

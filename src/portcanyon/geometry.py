@@ -48,7 +48,7 @@ class CanyonGeometry:
             path (m), > 0.
         psi: maximum azimuthal angle at which entering energy still reaches
             the receiver (rad), in (0, pi/2).  A free model parameter; it
-            only shifts the fitted intercept, default 0.1 rad.
+            only shifts the fitted intercept.
     """
 
     h: float

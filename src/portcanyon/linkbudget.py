@@ -72,7 +72,8 @@ def coverage_range_m(n: float, r0_db: float, mapl_db: float) -> float:
     """Distance at which the gain model 10*n*log10(D) + R0 hits -mapl_db.
 
     Closed form inversion of the log-linear model: D = 10^((-mapl - R0) / (10n)).
-    Requires a finite, decaying model (negative slope) and a finite distance.
+    Requires a finite, decaying model (negative slope) and a finite, nonzero
+    distance.
     """
     for name, value in (("n", n), ("r0_db", r0_db)):
         if not math.isfinite(value):
@@ -85,6 +86,8 @@ def coverage_range_m(n: float, r0_db: float, mapl_db: float) -> float:
         range_m = math.inf
     if not math.isfinite(range_m):
         raise DomainError(f"coverage range overflows for n={n}, R0={r0_db} dB")
+    if range_m == 0.0:
+        raise DomainError(f"coverage range underflows to 0 m for n={n}, R0={r0_db} dB")
     return range_m
 
 

@@ -130,9 +130,12 @@ def fit_fixed_slope(samples, n_fixed: float) -> LogLinFit:
     if n_samples < 2:
         raise DegenerateFitError(f"need at least 2 samples, got {n_samples}")
 
-    intercept = float(np.mean(y - n_fixed * x))
-    resid = y - (n_fixed * x + intercept)
-    ssr = float(np.sum(resid**2))
+    # A slope too large for the data overflows here; LogLinFit rejects the
+    # non-finite result, so numpy's warnings would only repeat that error.
+    with np.errstate(over="ignore", invalid="ignore"):
+        intercept = float(np.mean(y - n_fixed * x))
+        resid = y - (n_fixed * x + intercept)
+        ssr = float(np.sum(resid**2))
     s2 = ssr / (n_samples - 1)
     t_q = t_quantile(0.975, n_samples - 1)
 

@@ -50,7 +50,8 @@ class DenseLine:
             i = int(misplaced.argmax())
             raise DomainError(f"scan at x={float(scans.x[i])} assigned to line position "
                               f"{positions[i]}")
-        apart = scans.differs(("tx", "y", "vehicle_state", "stacking"), slice(None), 0)
+        apart = np.logical_or.reduce([getattr(scans, key) != getattr(scans, key)[0]
+                                      for key in ("tx", "y", "vehicle_state", "stacking")])
         if apart.any():
             raise PairingError(f"scan {scans.key(int(apart.argmax()))} does not belong to the "
                                f"line of {scans.key(0)}")

@@ -122,8 +122,8 @@ class SynthConfig:
 
     seed: int = 0
     n_angles: int = 360
-    hpbw_deg: float = 10.0
-    psi: float = 0.1
+    hpbw_deg: float = HornPattern.hpbw_deg
+    psi: float = CanyonGeometry.psi
     fading: bool = True
     n_realizations: int = 10_000
     gain_offset_db: float = 0.0
@@ -246,7 +246,7 @@ def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> Campa
 
 
 def geometry_for(
-    layout: CampaignLayout, tx: TxSpec, rx_point, psi: float = 0.1
+    layout: CampaignLayout, tx: TxSpec, rx_point, psi: float = CanyonGeometry.psi
 ) -> CanyonGeometry:
     """Map layout coordinates onto the canyon-model geometry for one link.
 

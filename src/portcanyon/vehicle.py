@@ -1,9 +1,10 @@
 """Statistics of the channel-gain change caused by a vehicle in the canyon.
 
-Purely statistical: per-angle dB differences between a baseline scan and the
-matching scan with the vehicle present, a Gaussian fit of the pooled
-differences, and an empirical-vs-fitted CDF comparison.  No scattering model
-of the vehicle is attempted.
+Purely statistical: per-angle dB differences between each scan with the
+vehicle present and the baseline scan of the same link (tx, RX position and
+stacking), a Gaussian fit of the pooled differences, and an
+empirical-vs-fitted CDF comparison.  No scattering model of the vehicle is
+attempted.
 """
 
 from __future__ import annotations
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ScanSet, VehicleState, require_common_grid, to_db
-from .errors import DomainError, GridError, InsufficientDataError, PairingError
-from .stats import aligned_histograms, gaussian_cdf, sorted_ks_gap
+from .angular import ScanSet, Stacking, VehicleState, require_common_grid, to_db
+from .errors import DomainError, GridError, IngestError, InsufficientDataError
+from .stats import aligned_histograms, empirical_cdf, gaussian_cdf, sorted_ks_gap
 
 __all__ = [
     "GaussianFitResult", "DeltaCdfReport", "vehicle_delta", "fit_gaussian",
@@ -50,26 +51,26 @@ class DeltaCdfReport:
     fit: GaussianFitResult
 
 
-def vehicle_delta(scans: ScanSet, base, with_vehicle) -> np.ndarray:
+def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
     """Per-angle gain difference baseline minus vehicle, in dB, one row per
-    pair: the scans base picks against those with_vehicle picks (slices,
-    masks or index arrays), read from the set's matrices without copying
-    subsets.  Each pair must describe the same link (tx, RX position,
-    stacking) on the one grid all vehicle scans share; the baseline must
-    have no vehicle and the other scan must have one."""
-    base, with_vehicle = np.arange(len(scans))[base], np.arange(len(scans))[with_vehicle]
-    state = scans.vehicle_state
-    moved = state[base] != VehicleState.ABSENT.value
-    if moved.any():
-        raise PairingError(f"baseline scan has vehicle_state={state[base[moved.argmax()]]}")
-    if (state[with_vehicle] == VehicleState.ABSENT.value).any():
-        raise PairingError("second scan must have a vehicle present")
-    apart = scans.differs(("tx", "x", "y", "stacking"), base, with_vehicle)
-    if apart.any():
-        i = int(apart.argmax())
-        raise PairingError(f"scans describe different links: {scans.key(int(base[i]))} vs "
-                           f"{scans.key(int(with_vehicle[i]))}")
+    scan with the vehicle at state (position1 or position2), in set order.
+    Each is paired with the vehicle-absent scan of its link (same tx, x, y
+    and stacking), found by key, and read from the set's matrices by index
+    without copying subsets.  The vehicle scans must share one grid, and each
+    baseline must be on it."""
+    if state not in (VehicleState.POSITION1, VehicleState.POSITION2):
+        raise DomainError(f"vehicle_delta needs a vehicle position, got state={state!r}")
+    with_vehicle = np.flatnonzero(scans.vehicle_state == VehicleState(state).value)
     require_common_grid(scans, with_vehicle)
+    keys = list(zip(*(getattr(scans, name).tolist() for name in ("tx", "x", "y", "stacking"))))
+    base_at = {keys[i]: i for i in np.flatnonzero(
+        scans.vehicle_state == VehicleState.ABSENT.value).tolist()}
+    base = [base_at.get(keys[i]) for i in with_vehicle.tolist()]
+    if None in base:
+        tx_id, x, y, stacking = keys[with_vehicle[base.index(None)]]
+        raise IngestError(f"no baseline scan for vehicle scan at "
+                          f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
+    base = np.array(base)
     ((block, _, rows),) = scans.rows_of(with_vehicle)  # one grid: one block
     off_grid = scans.grid_differs(block.angles[rows], base)
     if off_grid.any():
@@ -93,7 +94,7 @@ def fit_gaussian(samples) -> GaussianFitResult:
     )
 
 
-def delta_angle_stats(delta_matrix, db_bin_width: float = 1.0):
+def delta_angle_stats(delta_matrix, db_bin_width: float):
     """Per-angle mean and histogram of a (n_pairs, n_angles) delta matrix.
 
     Deltas are already in dB, so the mean is a plain arithmetic mean per
@@ -116,14 +117,8 @@ def delta_cdf_report(deltas) -> DeltaCdfReport:
     gap; a small gap says the vehicle effect is well described as additive
     Gaussian dB noise.
     """
-    arr = np.sort(np.asarray(deltas, dtype=float).ravel())
-    fit = fit_gaussian(arr)
-    empirical = np.arange(1, arr.size + 1, dtype=float) / arr.size
-    gaussian = gaussian_cdf(arr, fit.mu_db, fit.sigma_db)
-    return DeltaCdfReport(
-        values_db=arr,
-        empirical=empirical,
-        gaussian=np.asarray(gaussian, dtype=float),
-        sup_gap=sorted_ks_gap(gaussian),
-        fit=fit,
-    )
+    cdf = empirical_cdf(deltas)
+    fit = fit_gaussian(cdf.values)
+    gaussian = gaussian_cdf(cdf.values, fit.mu_db, fit.sigma_db)
+    return DeltaCdfReport(values_db=cdf.values, empirical=cdf.probs, gaussian=gaussian,
+                          sup_gap=sorted_ks_gap(gaussian), fit=fit)

@@ -285,9 +285,7 @@ def test_criterion_09_vehicle_statistics():
         cfg = SynthConfig(seed=seed, n_angles=360,
                           vehicle_mu_db=1.13, vehicle_sigma_db=6.91)
         scans = generate_campaign(layout, cfg, vehicle_mode="dense")
-        deltas.append(vehicle_delta(
-            scans, scans.vehicle_state == VehicleState.ABSENT.value,
-            scans.vehicle_state == VehicleState.POSITION1.value).ravel())
+        deltas.append(vehicle_delta(scans, VehicleState.POSITION1).ravel())
     pool = np.concatenate(deltas)
     fit = fit_gaussian(pool)
     gap = ks_gap(pool, fit.mu_db, fit.sigma_db)

@@ -245,13 +245,13 @@ class TestEnsembleStats:
     def test_single_scan_mean_is_scan(self):
         rng = np.random.default_rng(6)
         gains = rng.lognormal(mean=-14.0, sigma=1.0, size=16)
-        stats = ensemble_stats(make_set(gains))
+        stats = ensemble_stats(make_set(gains), db_bin_width=1.0)
         assert np.allclose(stats.mean_db, to_db(gains), atol=1e-12)
         assert set(np.unique(stats.counts)) <= {0, 1}
 
     def test_two_scan_linear_mean(self):
         gains = np.full(16, 4.0e-7)
-        stats = ensemble_stats(make_set(gains, 3.0 * gains))
+        stats = ensemble_stats(make_set(gains, 3.0 * gains), db_bin_width=1.0)
         assert np.allclose(stats.mean_db, to_db(2.0 * gains), atol=1e-12)
 
     def test_histogram_mass_per_angle(self):
@@ -264,14 +264,14 @@ class TestEnsembleStats:
     def test_mean_bounded_by_scan_extremes(self):
         rng = np.random.default_rng(8)
         gains = [rng.lognormal(mean=-14.0, sigma=1.0, size=16) for _ in range(5)]
-        stats = ensemble_stats(make_set(*gains))
+        stats = ensemble_stats(make_set(*gains), db_bin_width=1.0)
         gains_db = to_db(np.stack(gains))
         assert np.all(stats.mean_db >= gains_db.min(axis=0) - 1e-12)
         assert np.all(stats.mean_db <= gains_db.max(axis=0) + 1e-12)
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(GridError):
-            ensemble_stats(make_set(np.ones(16), np.ones(18)))
+            ensemble_stats(make_set(np.ones(16), np.ones(18)), db_bin_width=1.0)
 
     def test_bin_edges_aligned_to_width(self):
         rng = np.random.default_rng(9)
@@ -359,8 +359,8 @@ def test_statistics_invariant_under_joint_rotation():
     scans = make_set(*gains)
     rolled = make_set(*(np.roll(g, 5) for g in gains))
 
-    base = ensemble_stats(scans)
-    moved = ensemble_stats(rolled)
+    base = ensemble_stats(scans, db_bin_width=1.0)
+    moved = ensemble_stats(rolled, db_bin_width=1.0)
     assert np.allclose(np.roll(base.mean_db, 5), moved.mean_db, atol=1e-12)
     assert np.array_equal(np.roll(base.counts, 5, axis=0), moved.counts)
     assert azimuth_gain(scans) == pytest.approx(azimuth_gain(rolled), rel=1e-12)

@@ -680,14 +680,50 @@ class TestRegressions:
             assert f"input_sha256={sha256}" in first
             assert rest == (tmp_path / plain.stem / name).read_text().split("\n", 1)[1]
 
+    # The last two ranges underflow to 0 m rather than overflow.
     @pytest.mark.parametrize("n,r0", [("-1e-300", "-23"), ("-4", "1e308"),
-                                      ("-1e-320", "-23")])
+                                      ("-1e-320", "-23"), ("-4.09", "-1e308"),
+                                      ("-1e-300", "-1000")])
     def test_coverage_range_overflow_is_domain_error(self, capsys, n, r0):
         rc = main(["coverage", f"--fit-n={n}", f"--fit-r0={r0}"])
         captured = capsys.readouterr()
         assert rc == 4
         assert captured.err.startswith("error[domain]: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("command", ["angular", "fit"])
+    def test_overflowing_linear_mean_is_domain_error(self, tmp_path, capsys, command):
+        # Each 3079 dB gain is a finite 7.9e307, but 16 of them sum past the
+        # largest float, so their linear mean would be inf.
+        data = tmp_path / "huge.csv"
+        rows = [f"TX2,{x},3.5,{22.5 * i},3079.0,absent,uniform"
+                for x in (1.0, 5.0, 9.0) for i in range(16)]
+        data.write_text("\n".join(["tx_id,x_m,y_m,phi_deg,gain_db,vehicle_state,stacking",
+                                   *rows]) + "\n", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        target = (["--out-dir", str(out_dir)] if command == "angular"
+                  else ["--out", str(out_dir / "fit.csv")])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning would be noise on stderr
+            rc = main([command, "--input", str(data), *target])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "error[domain]: the linear mean of the gains overflows\n"
+        assert captured.out == ""
+        assert not out_dir.exists()
+
+    def test_spatial_line_too_far_out_for_uniform_steps(self, tmp_path, capsys):
+        # At x = 1e12 the float steps of 0.1 m differ by about 1.2e-4 m, far
+        # beyond the dense line's 1e-9 m tolerance: the line is found, then rejected.
+        xs = [1e12 + 0.1 * k for k in range(15)]
+        data = _write_scans(tmp_path, _line_scans(xs))
+        out = tmp_path / "corr.csv"
+        rc = main(["spatial", "--input", data, "--out", str(out),
+                   "--x-start", "1e12", "--x-step", "0.1"])
+        captured = capsys.readouterr()
+        assert rc == 4
+        assert captured.err == "error[domain]: positions must be uniformly spaced\n"
+        assert captured.out == "" and not out.exists()
 
 
 class TestBranches:
@@ -970,6 +1006,22 @@ def test_tiny_beamwidth_synth_is_silent(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout.startswith("synth: wrote ")
+
+
+@pytest.mark.parametrize("slope", ["1e155", "1e300", "1e308", "-1e308"])
+def test_huge_fixed_slope_prints_only_its_error(tmp_path, slope):
+    # Distances of 64 to 288 m: the residuals of a 1e155 slope square past the largest float.
+    data = _write_scans(tmp_path, _line_scans((1.0, 60.0, 300.0)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "portcanyon.cli", "fit", "--input", data,
+         "--out", str(tmp_path / "fit.csv"), f"--fixed-slope={slope}"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4
+    assert done.stderr.startswith("error[domain]: ")
+    assert done.stderr.count("\n") == 1
+    assert done.stdout == "" and not (tmp_path / "fit.csv").exists()
 
 
 # ------------------------------------------------- partial output, config, flags

@@ -29,7 +29,7 @@ from portcanyon.angular import (
 )
 from portcanyon.cli import main
 from portcanyon.dataio import CANONICAL_HEADER, ingest, provenance_line
-from portcanyon.errors import DomainError, GridError, PairingError
+from portcanyon.errors import DomainError, GridError
 from portcanyon.pathloss import GainSample, fit_loglinear
 from portcanyon.stats import aligned_histograms, empirical_cdf
 from portcanyon.vehicle import delta_angle_stats, delta_cdf_report, vehicle_delta
@@ -209,14 +209,11 @@ class TestStatisticsOracle:
         scans = ingest(campaign)
         oracle = _oracle_scans(campaign)
         moved_at = np.flatnonzero(scans.vehicle_state == "position2")  # TX2, x=5.0 then x=0.0
-        base_at = [1, 3]  # TX2 at x=5.0, then x=-0.0
-        got = vehicle_delta(scans, base_at, moved_at)
+        base_at = [1, 3]  # TX2 at x=5.0, then x=-0.0: found by key, -0.0 == 0.0
+        got = vehicle_delta(scans, VehicleState.POSITION2)
         want = np.stack([to_db(oracle[b].gains) - to_db(oracle[v].gains)
                          for b, v in zip(base_at, moved_at)])
         assert got.tobytes() == want.tobytes()
-        assert vehicle_delta(scans, slice(1, 2), moved_at[:1]).tobytes() == want[:1].tobytes()
-        with pytest.raises(PairingError, match="different links"):
-            vehicle_delta(scans, [3, 1], moved_at)
 
 
 class TestCliOutputsOracle:
@@ -245,7 +242,7 @@ class TestCliOutputsOracle:
             matrix = np.stack([to_db(base[(s.tx, s.x, s.y, s.stacking)].gains) - to_db(s.gains)
                                for s in moved])
             report = delta_cdf_report(matrix.ravel())
-            mean_db, _, _ = delta_angle_stats(matrix)
+            mean_db, _, _ = delta_angle_stats(matrix, db_bin_width=1.0)
             out = tmp_path / f"vehicle_delta_cdf_{state.value}.csv"
             assert _column(out, 0) == _reprs(report.values_db)
             assert _column(out, 2) == _reprs(report.gaussian)
@@ -295,10 +292,10 @@ class TestChecks:
         empty = scan_set([])
         assert len(empty) == 0 and empty.blocks == ()
         with pytest.raises(DomainError):
-            ensemble_stats(empty)
+            ensemble_stats(empty, db_bin_width=1.0)
         with pytest.raises(DomainError):
             gain_cdfs(empty, {})
         for call in (lambda: require_common_grid(empty), lambda: normalized_spectrum(empty),
-                     lambda: vehicle_delta(empty, [], [])):
+                     lambda: vehicle_delta(empty, VehicleState.POSITION1)):
             with pytest.raises(DomainError, match="empty scan set"):
                 call()

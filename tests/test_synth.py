@@ -268,8 +268,7 @@ class TestVehicleScans:
         layout = replace(build_layout("uniform"), coarse_points=())
         cfg = SynthConfig(seed=11, n_angles=360, vehicle_mu_db=1.13, vehicle_sigma_db=6.91)
         scans = generate_campaign(layout, cfg, vehicle_mode="dense")
-        deltas = vehicle_delta(scans, scans.vehicle_state == VehicleState.ABSENT.value,
-                               scans.vehicle_state == VehicleState.POSITION1.value)
+        deltas = vehicle_delta(scans, VehicleState.POSITION1)
         fit = fit_gaussian(deltas.ravel())
         assert fit.mu_db == pytest.approx(1.13, abs=0.02)
         assert fit.sigma_db == pytest.approx(6.91, abs=0.02)

@@ -5,7 +5,7 @@ import pytest
 from scansets import Scan, grid, scan_set
 
 from portcanyon.angular import VehicleState
-from portcanyon.errors import DomainError, GridError, InsufficientDataError, PairingError
+from portcanyon.errors import DomainError, GridError, IngestError, InsufficientDataError
 from portcanyon.stats import gaussian_cdf
 from portcanyon.vehicle import (
     delta_angle_stats,
@@ -24,8 +24,8 @@ def scan(gains_db, state=VehicleState.ABSENT, tx="TX1_63", x=13.5, y=3.5):
 
 
 def pair_delta(base, with_vehicle):
-    """vehicle_delta of two scans, scan 0 and scan 1 of one set."""
-    return vehicle_delta(scan_set([base, with_vehicle]), [0], [1])
+    """vehicle_delta of two scans of one set: a baseline and a vehicle scan."""
+    return vehicle_delta(scan_set([base, with_vehicle]), with_vehicle.vehicle_state)
 
 
 class TestVehicleDelta:
@@ -54,20 +54,41 @@ class TestVehicleDelta:
         backward = pair_delta(scan(veh_db), scan(base_db, VehicleState.POSITION1))
         assert np.allclose(forward, -backward, atol=1e-9)
 
-    def test_rejects_wrong_states(self):
+    @pytest.mark.parametrize("state", ["absent", VehicleState.ABSENT, "parked"])
+    def test_state_must_be_a_vehicle_position(self, state):
         db = np.full(8, -60.0)
-        with pytest.raises(PairingError):
-            pair_delta(scan(db, VehicleState.POSITION1), scan(db, VehicleState.POSITION2))
-        with pytest.raises(PairingError):
-            pair_delta(scan(db), scan(db))
+        scans = scan_set([scan(db), scan(db, VehicleState.POSITION1)])
+        with pytest.raises(DomainError, match="vehicle position"):
+            vehicle_delta(scans, state)
 
-    def test_rejects_mismatched_link(self):
+    def test_unpaired_vehicle_scan_is_an_ingest_error(self):
         db = np.full(8, -60.0)
-        with pytest.raises(PairingError, match=r"different links: \('TX1_63', 13.5, 3.5, "
-                           r"<VehicleState.ABSENT: 'absent'>.* vs \('TX1_63', 14.5"):
-            pair_delta(scan(db), scan(db, VehicleState.POSITION1, x=14.5))
-        with pytest.raises(PairingError):
-            pair_delta(scan(db), scan(db, VehicleState.POSITION1, tx="TX2"))
+        scans = scan_set([scan(db), scan(db, VehicleState.POSITION1),
+                          scan(db, VehicleState.POSITION1, x=14.5)])
+        with pytest.raises(IngestError, match=r"^no baseline scan for vehicle scan at "
+                           r"\('TX1_63', 14.5, 3.5, <Stacking.UNIFORM: 'uniform'>\); "
+                           r"cannot pair$"):
+            vehicle_delta(scans, VehicleState.POSITION1)
+
+    def test_pairs_by_key_in_any_order(self):
+        # Vehicle scans first, then their baselines, the whole set shuffled:
+        # row k is the k-th position1 scan in set order, less its own baseline.
+        rng = np.random.default_rng(3)
+        links = [dict(tx=tx, x=x) for tx in ("TX1_63", "TX2") for x in (1.0, 5.0, 9.0)]
+        moved = [scan(-60.0 + rng.standard_normal(8), VehicleState.POSITION1, **link)
+                 for link in links]
+        other = [scan(-60.0 + rng.standard_normal(8), VehicleState.POSITION2, **link)
+                 for link in links]
+        base = [scan(-60.0 + rng.standard_normal(8), **link) for link in links]
+        order = rng.permutation(3 * len(links))
+        scans = scan_set([(moved + other + base)[i] for i in order])
+        base_of = {(s.tx, s.x): s for s in base}
+        want = np.stack([10.0 * np.log10(base_of[(s.tx, s.x)].gains) - 10.0 * np.log10(s.gains)
+                         for s in ((moved + other + base)[i] for i in order)
+                         if s.vehicle_state == VehicleState.POSITION1])
+        got = vehicle_delta(scans, VehicleState.POSITION1)
+        assert got.shape == (len(links), 8)
+        assert np.array_equal(got, want)
 
     def test_rejects_mismatched_grid(self):
         base = scan(np.full(8, -60.0))
@@ -76,17 +97,15 @@ class TestVehicleDelta:
         with pytest.raises(GridError):
             pair_delta(base, other)
 
-
     def test_baselines_on_two_grids_name_the_first_pair_off_the_vehicle_grid(self):
         # The 16-angle baseline is checked against its own pair's grid.
         coarse, fine = scan(np.full(8, -60.0), x=1.0), scan(np.full(8, -60.0), x=5.0)
         fine = fine._replace(angles=grid(16), gains=np.full(16, 1e-6))
         moved = [s._replace(angles=grid(16), gains=np.full(16, 2e-6),
                             vehicle_state=VehicleState.POSITION1) for s in (coarse, fine)]
-        scans = scan_set([coarse, fine, *moved])
         with pytest.raises(GridError, match=r"scan \('TX1_63', 1.0, 3.5, <VehicleState.POSITION1"):
-            vehicle_delta(scans, [0, 1], [2, 3])
-        assert np.allclose(vehicle_delta(scans, [1], [3]), -10.0 * np.log10(2.0))
+            vehicle_delta(scan_set([coarse, fine, *moved]), VehicleState.POSITION1)
+        assert np.allclose(pair_delta(fine, moved[1]), -10.0 * np.log10(2.0))
 
 
 class TestFitGaussian:
@@ -178,7 +197,7 @@ class TestDeltaAngleStats:
     def test_mean_is_angle_independent_for_gaussian_noise(self):
         rng = np.random.default_rng(6)
         matrix = rng.normal(1.13, 6.91, size=(4000, 8))
-        mean_db, _, counts = delta_angle_stats(matrix)
+        mean_db, _, counts = delta_angle_stats(matrix, db_bin_width=1.0)
         # Per-angle means fluctuate by sigma/sqrt(n) ~ 0.11 dB; 5 sigma bound.
         assert np.all(np.abs(mean_db - 1.13) < 0.55)
         assert np.all(counts.sum(axis=1) == 4000)
