@@ -95,8 +95,8 @@ class ScanSet:
     The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
     values) hold one entry per scan, `blocks` one ScanBlock per angle count,
     and `sha256` the hash of the file read, if any.  A slice, mask or index
-    array selects a ScanSet; `key(i)` names scan i.  `from_rows` checks the
-    scans it builds; the constructor and `from_keys` take them as checked.
+    array selects a ScanSet; `key(i)` names scan i.  `from_rows` builds and
+    checks every set; selection alone calls the constructor, which checks nothing.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
@@ -109,19 +109,12 @@ class ScanSet:
             self._block[block.index], self._row[block.index] = b, np.arange(block.index.size)
 
     @classmethod
-    def from_keys(cls, keys, blocks, sha256=None) -> "ScanSet":
-        """A ScanSet with one (tx, x, y, vehicle_state, stacking) key per scan."""
-        tx, x, y, vehicle_state, stacking = zip(*keys) if keys else ((),) * 5
-        return cls((np.array(tx, dtype=object), np.array(x, dtype=float),
-                    np.array(y, dtype=float), np.array(vehicle_state, dtype=object),
-                    np.array(stacking, dtype=object)), blocks, sha256)
-
-    @classmethod
     def from_rows(cls, keys, sizes, angles_rad, gains, sha256=None) -> "ScanSet":
         """A checked ScanSet from scans stored back to back: scan i is keys[i]
-        with the next sizes[i] entries of the angles (rad) and linear gains
-        arrays.  The earliest scan that `first_invalid` rejects, whatever its
-        angle count, raises that error prefixed with its key as given."""
+        with the next sizes[i] angles (rad) and linear gains.  If every scan
+        has n angles, the arrays may be (scans x n) matrices, broadcast or not,
+        that the one block views without a copy.  The earliest scan that
+        `first_invalid` rejects raises its error prefixed with its key as given."""
         sizes = np.asarray(sizes, dtype=int)
         starts = np.cumsum(sizes) - sizes
         blocks, invalid = [], []
@@ -136,7 +129,10 @@ class ScanSet:
         if invalid:
             scan, exc = min(invalid, key=lambda item: item[0])
             raise type(exc)(f"scan {keys[scan]}: {exc}") from exc
-        return cls.from_keys(keys, blocks, sha256)
+        tx, x, y, vehicle_state, stacking = zip(*keys) if keys else ((),) * 5
+        return cls((np.array(tx, dtype=object), np.array(x, dtype=float),
+                    np.array(y, dtype=float), np.array(vehicle_state, dtype=object),
+                    np.array(stacking, dtype=object)), blocks, sha256)
 
     def __len__(self) -> int:
         return len(self.tx)
@@ -279,8 +275,6 @@ def ensemble_stats(scans: ScanSet, db_bin_width: float) -> AngularSpectrumStats:
     bin width; edges are aligned to multiples of the width
     (`stats.aligned_histograms`, which bounds the bin count).
     """
-    if not len(scans):
-        raise DomainError("ensemble_stats needs at least one scan")
     grid = require_common_grid(scans)
     gains = scans.blocks[0].gains                        # (n_scans, n_angles), one grid
     mean_db = _mean_db(gains, axis=0)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
+from .angular import Stacking
 from .errors import ConfigError
 from .linkbudget import LinkBudgetConfig, noise_floor_dbm
 from .stats import check_bin_width
@@ -82,7 +83,8 @@ class ToolConfig:
         that a file gets one verdict whatever the command (a DomainError)."""
         self.synth_config()
         noise_floor_dbm(self.linkbudget_config())
-        build_layout("uniform", rx_height_m=self.rx_height_m)
+        for stacking in Stacking:
+            build_layout(stacking, rx_height_m=self.rx_height_m)
         check_bin_width(self.histogram_bin_db)
 
 

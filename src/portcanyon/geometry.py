@@ -69,8 +69,13 @@ class CanyonGeometry:
             )
         if self.d < 0.0:
             raise DomainError(f"canyon width d must be >= 0, got d={self.d}")
-        if not 0.0 < self.psi < math.pi / 2.0:
-            raise DomainError(f"psi must lie in (0, pi/2), got psi={self.psi}")
+        self.check_psi(self.psi)
+
+    @staticmethod
+    def check_psi(psi: float) -> None:
+        """Reject an acceptance angle psi outside (0, pi/2) rad, NaN included."""
+        if not 0.0 < psi < math.pi / 2.0:
+            raise DomainError(f"psi must lie in (0, pi/2), got psi={psi}")
 
 
 def elevation_angles(geom: CanyonGeometry) -> tuple[float, float, float]:

@@ -80,8 +80,10 @@ def coverage_range_m(n: float, r0_db: float, mapl_db: float) -> float:
             raise DomainError(f"{name} must be finite, got {name}={value}")
     if n >= 0.0:
         raise NoSolutionError(f"gain model must decay with distance (n < 0), got n={n}")
+    slope = 10.0 * n  # inf for |n| > 1.8e307, where the exponent divides by n first
     try:
-        range_m = 10.0 ** ((-mapl_db - r0_db) / (10.0 * n))
+        range_m = 10.0 ** ((-mapl_db - r0_db) / slope if math.isfinite(slope)
+                           else (-mapl_db - r0_db) / n / 10.0)
     except OverflowError:
         range_m = math.inf
     if not math.isfinite(range_m):

@@ -5,8 +5,8 @@ layouts (canyon dimensions, stacking profiles, TX mounts, coarse and dense
 RX grids) and produces angular scans whose mean power follows the canyon
 model with fully spread Rayleigh fading, smoothed by the rotating horn's
 pattern.  `generate_campaign` returns the whole campaign as one
-`angular.ScanSet`, its gains checked by `angular.first_invalid`, and
-`dataio.write_scans` writes it.  Everything is driven by one integer seed;
+`angular.ScanSet`, built and checked by `ScanSet.from_rows` as every set is,
+and `dataio.write_scans` writes it.  Everything is driven by one integer seed;
 every (tx, point, variant) gets its own child random stream, so scans can be
 generated in any order, or in parallel, with identical results.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ScanBlock, ScanSet, Stacking, VehicleState, first_invalid, from_db, to_db
+from .angular import ScanSet, Stacking, VehicleState, _normalized, from_db, to_db
 from .errors import DomainError, IngestError
 from .geometry import CanyonGeometry, received_power_approx
 from .stats import EmpiricalCdf, empirical_cdf
@@ -139,8 +139,13 @@ class SynthConfig:
             raise DomainError(f"at most {MAX_N_ANGLES} angles, got {self.n_angles}")
         if self.n_realizations < 1:
             raise DomainError("n_realizations must be >= 1")
+        for name in ("gain_offset_db", "vehicle_mu_db", "vehicle_sigma_db"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if self.vehicle_sigma_db < 0.0:
             raise DomainError("vehicle sigma must be >= 0")
+        HornPattern(self.hpbw_deg)  # the horn's and the canyon model's own range checks
+        CanyonGeometry.check_psi(self.psi)
 
     @property
     def horn(self) -> HornPattern:
@@ -170,8 +175,10 @@ class CampaignLayout:
         for row in (self.section_heights_row1_m, self.section_heights_row2_m):
             if len(row) != N_SECTIONS:
                 raise DomainError(f"stacking profile needs {N_SECTIONS} sections per row")
-        if not 0.0 < self.rx_height_m:
-            raise DomainError("RX antenna height must be > 0")
+        lowest = min(self.section_heights_row2_m)
+        if not 0.0 < self.rx_height_m < lowest:
+            raise DomainError(f"RX antenna height must be in (0, {lowest:g}) m, below the "
+                              f"TX-side canyon top, got {self.rx_height_m}")
 
     def section_index(self, x: float) -> int:
         if not 0.0 <= x <= self.length_m:
@@ -265,9 +272,7 @@ def geometry_for(
     h = tx.z - wall_h
     if h <= 0.0:
         raise DomainError(f"TX {tx.tx_id!r} does not clear the canyon top")
-    h_prime = wall_h - layout.rx_height_m
-    if h_prime <= 0.0:
-        raise DomainError("RX antenna is above the canyon top")
+    h_prime = wall_h - layout.rx_height_m  # > 0: the layout keeps the RX below every wall top
     return CanyonGeometry(h=h, d=layout.width_m, D=distance, h_prime=h_prime, psi=psi)
 
 
@@ -312,16 +317,7 @@ def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
     rng = _rng((cfg.seed, _STREAM_FULLSPREAD))
     raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
     smoothed = _smooth(raw, cfg.horn.kernel(cfg.n_angles))
-    normalized_db = to_db(smoothed) - 10.0 * np.log10(smoothed.mean(axis=1, keepdims=True))
-    return empirical_cdf(normalized_db.max(axis=1))
-
-
-def _require_valid(gains, grid) -> None:
-    """Raise the `angular.first_invalid` error of the first row of gains on
-    grid that is not a valid scan."""
-    found = first_invalid(np.broadcast_to(grid, gains.shape), gains)
-    if found:
-        raise found[1]
+    return empirical_cdf(_normalized(smoothed).max(axis=1))
 
 
 def generate_campaign(
@@ -345,9 +341,9 @@ def generate_campaign(
     run to run and independent of how generation is scheduled.
 
     Scans come out in a canonical order (tx, then grid point, baseline
-    before vehicle states), in one block on the grid `cfg.angles_rad`.  Every
-    linear gain must be finite and > 0, as in every ScanSet; an offset or
-    vehicle spread that breaks that raises its DomainError.
+    before vehicle states), in one block on a broadcast view of the grid
+    `cfg.angles_rad`.  `ScanSet.from_rows` checks it as every set: the first
+    scan an offset or vehicle spread drives out of range raises its DomainError.
     """
     if vehicle_mode not in ("none", "dense"):
         raise DomainError(f"unknown vehicle_mode {vehicle_mode!r}")
@@ -374,12 +370,10 @@ def generate_campaign(
                     deltas.append(rng.normal(cfg.vehicle_mu_db, cfg.vehicle_sigma_db, n))
         with np.errstate(over="ignore", invalid="ignore"):
             base[t] = _smooth(base[t], kernel)
-    base = base.reshape(-1, n)
-    _require_valid(base, cfg.angles_rad)  # before to_db takes the baselines' logs
-    gains, moved = base[source], np.array(moved, dtype=bool)
+    gains, moved = base.reshape(-1, n)[source], np.array(moved, dtype=bool)
     if deltas:
-        with np.errstate(over="ignore"):
-            gains[moved] = 10.0 ** ((to_db(gains[moved]) - np.array(deltas)) / 10.0)
-        _require_valid(gains[moved], cfg.angles_rad)
+        # to_db's bits without its check: from_rows names a bad baseline first.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gains[moved] = 10.0 ** ((10.0 * np.log10(gains[moved]) - np.array(deltas)) / 10.0)
     grid = np.broadcast_to(cfg.angles_rad, gains.shape)
-    return ScanSet.from_keys(keys, [ScanBlock(np.arange(len(keys)), grid, gains)])
+    return ScanSet.from_rows(keys, np.full(len(keys), n), grid, gains)

@@ -57,10 +57,12 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
     Each is paired with the vehicle-absent scan of its link (same tx, x, y
     and stacking), found by key, and read from the set's matrices by index
     without copying subsets.  The vehicle scans must share one grid, and each
-    baseline must be on it."""
+    baseline must be on it; no scan at state is a DomainError."""
     if state not in (VehicleState.POSITION1, VehicleState.POSITION2):
         raise DomainError(f"vehicle_delta needs a vehicle position, got state={state!r}")
     with_vehicle = np.flatnonzero(scans.vehicle_state == VehicleState(state).value)
+    if not with_vehicle.size:
+        raise DomainError(f"no scan has the vehicle at {VehicleState(state).value}")
     require_common_grid(scans, with_vehicle)
     keys = list(zip(*(getattr(scans, name).tolist() for name in ("tx", "x", "y", "stacking"))))
     base_at = {keys[i]: i for i in np.flatnonzero(

@@ -250,6 +250,15 @@ class TestErrors:
         assert not out.exists()
 
 
+# The first scans of a 16-angle uniform campaign with vehicle variants whose
+# gains a synth flag or key drives out of range, named as `ScanSet.from_rows` names them.
+_FIRST_SCAN_OUT_OF_RANGE = (
+    "scan ('TX1_63', 1.0, 3.5, 'absent', 'uniform'): all linear gains must be finite and > 0")
+_FIRST_VEHICLE_SCAN_OUT_OF_RANGE = (
+    "scan ('TX1_63', 12.5, 3.5, 'position1', 'uniform'): "
+    "all linear gains must be finite and > 0")
+
+
 class TestBoundaryValues:
     """Bad option values end in a categorized error, never a traceback or NaN."""
 
@@ -329,14 +338,17 @@ class TestBoundaryValues:
         assert captured.err.startswith("error[domain]: ")
         assert "finite" in captured.err
 
-    @pytest.mark.parametrize("flags, ini", [
-        (["--gain-offset-db", "-4000"], ""),
-        (["--gain-offset-db", "nan"], ""),
-        (["--gain-offset-db", "4000"], ""),   # the mean gain overflows to inf
-        (["--gain-offset-db", "1e308"], ""),
-        ([], "vehicle_sigma_db = inf\n"),
+    @pytest.mark.parametrize("flags, ini, message", [
+        (["--gain-offset-db", "-4000"], "", _FIRST_SCAN_OUT_OF_RANGE),
+        (["--gain-offset-db", "nan"], "", "gain_offset_db must be finite, got nan"),
+        (["--gain-offset-db", "4000"], "", _FIRST_SCAN_OUT_OF_RANGE),  # the mean overflows
+        (["--gain-offset-db", "1e308"], "", _FIRST_SCAN_OUT_OF_RANGE),
+        ([], "vehicle_sigma_db = inf\n", "vehicle_sigma_db must be finite, got inf"),
+        ([], "vehicle_mu_db = 1e308\n", _FIRST_VEHICLE_SCAN_OUT_OF_RANGE),   # gains of 0
+        ([], "vehicle_mu_db = -1e308\n", _FIRST_VEHICLE_SCAN_OUT_OF_RANGE),  # gains of inf
     ])
-    def test_synth_gains_out_of_range_are_domain_errors(self, tmp_path, capsys, flags, ini):
+    def test_synth_gains_out_of_range_are_domain_errors(self, tmp_path, capsys, flags, ini,
+                                                        message):
         config = tmp_path / "synth.ini"
         config.write_text(f"[synth]\nn_angles = 16\n{ini}", encoding="utf-8")
         out = tmp_path / "d.csv"
@@ -346,7 +358,7 @@ class TestBoundaryValues:
                        "--vehicle-mode", "dense", "--out", str(out), *flags])
         captured = capsys.readouterr()
         assert rc == 4
-        assert captured.err == "error[domain]: all linear gains must be finite and > 0\n"
+        assert captured.err == f"error[domain]: {message}\n"
         assert captured.out == ""
         assert list(tmp_path.iterdir()) == [config]
 
@@ -690,6 +702,11 @@ class TestRegressions:
         assert rc == 4
         assert captured.err.startswith("error[domain]: ")
         assert captured.out == ""
+
+    def test_coverage_range_of_a_slope_whose_tenfold_overflows(self, capsys):
+        # 10*n overflows to -inf; the model still gives 10^0.1 m, not 10^0 m.
+        assert main(["coverage", "--fit-n=-1e308", "--fit-r0=1e308"]) == 0
+        assert "coverage range:               1.3 m\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", ["angular", "fit"])
     def test_overflowing_linear_mean_is_domain_error(self, tmp_path, capsys, command):
@@ -1062,16 +1079,28 @@ def test_failed_table_write_removes_the_out_dirs_it_made(tmp_path, capsys, monke
     assert not (tmp_path / "a").exists()
 
 
-def test_one_config_file_gets_one_verdict(tmp_path, capsys):
-    ini = _write_ini(tmp_path, "[synth]\nseed = -3\n")
-    for argv in (["coverage"], ["synth", "--layout", "uniform", "--out", str(tmp_path / "d.csv")],
+# Each key's value out of range, with the error every command gives for it.
+@pytest.mark.parametrize("line, message", [
+    ("[synth]\nseed = -3", "seed must be >= 0, got -3"),
+    ("[synth]\nhpbw_deg = -5", "HPBW must be in (0, 360] deg, got -5.0"),
+    ("[model]\npsi_rad = 7", "psi must lie in (0, pi/2), got psi=7.0"),
+    ("[synth]\ngain_offset_db = nan", "gain_offset_db must be finite, got nan"),
+    ("[synth]\nvehicle_mu_db = nan", "vehicle_mu_db must be finite, got nan"),
+    ("[model]\nrx_height_m = 5",
+     "RX antenna height must be in (0, 5) m, below the TX-side canyon top, got 5.0"),
+])
+def test_one_config_file_gets_one_verdict(tmp_path, capsys, line, message):
+    ini = _write_ini(tmp_path, line + "\n")
+    for argv in (["coverage"], ["synth", "--layout", "uniform", "--vehicle-mode", "dense",
+                                "--out", str(tmp_path / "d.csv")],
                  ["geometry", "--height", "17.4", "--width", "8", "--distance", "63",
                   "--rx-depth", "5"]):
         rc = main(["--config", ini, *argv])
         captured = capsys.readouterr()
         assert rc == 4
-        assert captured.err == "error[domain]: seed must be >= 0, got -3\n"
+        assert captured.err == f"error[domain]: {message}\n"
         assert captured.out == ""
+    assert not (tmp_path / "d.csv").exists()
 
 
 @pytest.mark.parametrize("line", [

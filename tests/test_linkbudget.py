@@ -104,6 +104,13 @@ class TestCoverageRange:
         assert coverage_range_m(-4.09, -23.4, 111.8) > base
         assert coverage_range_m(-4.09, -22.4, 110.8) > base
 
+    @pytest.mark.parametrize("n, r0, exponent", [
+        (-1e308, 1e308, 0.1), (-1e308, -1e308, -0.1), (-1.5e308, 1e308, 1.0 / 15.0),
+    ])
+    def test_slope_whose_tenfold_overflows(self, n, r0, exponent):
+        # 10*n is -inf, but the model's exponent (-mapl - R0) / (10n) is a modest number.
+        assert coverage_range_m(n, r0, 110.8) == pytest.approx(10.0 ** exponent, rel=1e-12)
+
     def test_non_decaying_model_rejected(self):
         with pytest.raises(NoSolutionError):
             coverage_range_m(0.5, -20.0, 110.8)

@@ -5,14 +5,17 @@ statistics in Python loops over them.  Every statistic the CLI writes must
 equal them bit for bit.
 """
 
+import ast
 import csv
 import math
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scansets import Scan, records, scan_set
 
+import portcanyon
 from portcanyon import synth
 from portcanyon.angular import (
     ScanSet,
@@ -292,10 +295,30 @@ class TestChecks:
         empty = scan_set([])
         assert len(empty) == 0 and empty.blocks == ()
         with pytest.raises(DomainError):
-            ensemble_stats(empty, db_bin_width=1.0)
-        with pytest.raises(DomainError):
             gain_cdfs(empty, {})
         for call in (lambda: require_common_grid(empty), lambda: normalized_spectrum(empty),
-                     lambda: vehicle_delta(empty, VehicleState.POSITION1)):
+                     lambda: ensemble_stats(empty, db_bin_width=1.0)):
             with pytest.raises(DomainError, match="empty scan set"):
                 call()
+
+
+def _identifier(node):
+    """The name a node binds or reads, if it is one."""
+    for field in ("id", "attr", "name"):
+        if isinstance(getattr(node, field, None), str):
+            return getattr(node, field)
+    return None
+
+
+def test_every_scan_set_is_built_by_from_rows():
+    # Only angular.py calls the ScanSet constructor (a selection does), and no
+    # module names an unchecked way round `ScanSet.from_rows`.
+    constructs, names_from_keys = set(), set()
+    for path in sorted(Path(portcanyon.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and _identifier(node.func) == "ScanSet":
+                constructs.add(path.name)
+            if _identifier(node) == "from_keys":
+                names_from_keys.add(path.name)
+    assert constructs == {"angular.py"}
+    assert names_from_keys == set()

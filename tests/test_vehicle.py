@@ -61,6 +61,14 @@ class TestVehicleDelta:
         with pytest.raises(DomainError, match="vehicle position"):
             vehicle_delta(scans, state)
 
+    def test_no_scan_at_state_is_a_domain_error_naming_the_position(self):
+        with pytest.raises(DomainError, match="^no scan has the vehicle at position1$"):
+            vehicle_delta(scan_set([]), VehicleState.POSITION1)
+        db = np.full(8, -60.0)
+        scans = scan_set([scan(db), scan(db, VehicleState.POSITION1)])
+        with pytest.raises(DomainError, match="^no scan has the vehicle at position2$"):
+            vehicle_delta(scans, "position2")
+
     def test_unpaired_vehicle_scan_is_an_ingest_error(self):
         db = np.full(8, -60.0)
         scans = scan_set([scan(db), scan(db, VehicleState.POSITION1),
