@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .errors import DomainError, GridError
 from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf
 
 __all__ = [
-    "VehicleState", "Stacking", "ScanBlock", "ScanSet", "first_invalid",
+    "VehicleState", "Stacking", "ScanSet", "first_invalid",
     "AngularSpectrumStats", "to_db", "from_db", "circular_mean_gain", "normalized_spectrum",
     "require_common_grid", "ensemble_stats", "tx_bearing", "azimuth_gain", "gain_cdfs",
 ]
@@ -80,59 +79,51 @@ def first_invalid(angles, gains):
     return None
 
 
-class ScanBlock(NamedTuple):
-    """The scans of a ScanSet with one angle count: their positions in the set
-    (ascending) and their (scans x angles) angles (rad) and linear gains."""
-
-    index: np.ndarray
-    angles: np.ndarray
-    gains: np.ndarray
-
-
 class ScanSet:
     """Scans as columns, in order: what `dataio.ingest` returns.
 
     The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
-    values) hold one entry per scan, `blocks` one ScanBlock per angle count,
-    and `sha256` the hash of the file read, if any.  A slice, mask or index
-    array selects a ScanSet; `key(i)` names scan i.  `from_rows` builds and
-    checks every set; selection alone calls the constructor, which checks nothing.
+    values) hold one entry per scan; `angles` (rad) and `gains` (linear) are
+    (scans x angles) matrices, one angle count per set, as the sounder's
+    fixed azimuth steps give it; `sha256` is the hash of the file read, if
+    any.  A slice, mask or index array selects a ScanSet; `key(i)` names scan
+    i.  `from_rows` builds and checks every set; selection alone calls the
+    constructor, which checks nothing.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
 
-    def __init__(self, columns, blocks, sha256=None):
+    def __init__(self, columns, angles, gains, sha256=None):
         self.tx, self.x, self.y, self.vehicle_state, self.stacking = columns
-        self.blocks, self.sha256 = tuple(blocks), sha256
-        self._block, self._row = np.zeros((2, len(self.tx)), dtype=int)
-        for b, block in enumerate(self.blocks):
-            self._block[block.index], self._row[block.index] = b, np.arange(block.index.size)
+        self.angles, self.gains, self.sha256 = angles, gains, sha256
 
     @classmethod
     def from_rows(cls, keys, sizes, angles_rad, gains, sha256=None) -> "ScanSet":
         """A checked ScanSet from scans stored back to back: scan i is keys[i]
-        with the next sizes[i] angles (rad) and linear gains.  If every scan
-        has n angles, the arrays may be (scans x n) matrices, broadcast or not,
-        that the one block views without a copy.  The earliest scan that
-        `first_invalid` rejects raises its error prefixed with its key as given."""
+        with the next sizes[i] angles (rad) and linear gains.  The arrays, or
+        (scans x n) matrices of them, broadcast or not, become the set's
+        matrices as views, without a copy.  The earliest scan that
+        `first_invalid` rejects, or whose angle count differs from scan 0's,
+        raises a GridError (a DomainError for its gains) prefixed with its key
+        as given."""
         sizes = np.asarray(sizes, dtype=int)
-        starts = np.cumsum(sizes) - sizes
-        blocks, invalid = [], []
-        for n in dict.fromkeys(sizes.tolist()):
-            index = np.flatnonzero(sizes == n)
-            rows = slice(None) if index.size == sizes.size else starts[index, None] + np.arange(n)
-            blocks.append(ScanBlock(index, angles_rad[rows].reshape(-1, n),
-                                    gains[rows].reshape(-1, n)))
-            found = first_invalid(blocks[-1].angles, blocks[-1].gains)
-            if found:
-                invalid.append((int(index[found[0]]), found[1]))
-        if invalid:
-            scan, exc = min(invalid, key=lambda item: item[0])
+        n = int(sizes[0]) if sizes.size else 0
+        differ = np.flatnonzero(sizes != n)
+        same = int(differ[0]) if differ.size else sizes.size  # scans 0..same-1 have n angles
+        if differ.size:  # mixed counts come flat: the scans before the first that differs
+            angles_rad, gains = angles_rad[:same * n], gains[:same * n]
+        angles_rad, gains = np.reshape(angles_rad, (same, n)), np.reshape(gains, (same, n))
+        found = first_invalid(angles_rad, gains) if same else None
+        if found is None and differ.size:
+            found = same, GridError(f"{sizes[same]} angles where scan {keys[0]} has {n}; "
+                                    "the scans of a set share one angle count")
+        if found:
+            scan, exc = found
             raise type(exc)(f"scan {keys[scan]}: {exc}") from exc
         tx, x, y, vehicle_state, stacking = zip(*keys) if keys else ((),) * 5
         return cls((np.array(tx, dtype=object), np.array(x, dtype=float),
                     np.array(y, dtype=float), np.array(vehicle_state, dtype=object),
-                    np.array(stacking, dtype=object)), blocks, sha256)
+                    np.array(stacking, dtype=object)), angles_rad, gains, sha256)
 
     def __len__(self) -> int:
         return len(self.tx)
@@ -143,17 +134,8 @@ class ScanSet:
         if isinstance(which, (int, np.integer)):
             raise TypeError("a ScanSet takes a slice, mask or index array; key(i) names scan i")
         index = np.arange(len(self))[which]
-        blocks = [ScanBlock(picked, block.angles[rows], block.gains[rows])
-                  for block, picked, rows in self.rows_of(index)]
-        return ScanSet([getattr(self, key)[index] for key in self.KEYS], blocks, self.sha256)
-
-    def rows_of(self, index):
-        """(block, positions in index, rows of the block) for each block that
-        holds a scan of the index array, in block order."""
-        for b, block in enumerate(self.blocks):
-            picked = np.flatnonzero(self._block[index] == b)
-            if picked.size:
-                yield block, picked, self._row[index[picked]]
+        return ScanSet([getattr(self, key)[index] for key in self.KEYS],
+                       self.angles[index], self.gains[index], self.sha256)
 
     def key(self, i) -> tuple:
         """Scan i's (tx, x, y, VehicleState, Stacking) key, as errors name it."""
@@ -162,25 +144,13 @@ class ScanSet:
 
     def grid_differs(self, reference, which=slice(None)) -> np.ndarray:
         """Per scan which picks (a slice, mask or index array; default: all):
-        does its grid differ, in size or by more than GRID_MATCH_TOL at any
-        angle, from reference (one grid, or one grid per scan picked)?"""
+        does its grid differ by more than GRID_MATCH_TOL at any angle from
+        reference (one grid of the set's angle count, or one per scan picked)?"""
         index = np.arange(len(self))[which]
-        out = np.ones(len(index), dtype=bool)
-        for block, picked, rows in self.rows_of(index):
-            if block.angles.shape[1] == reference.shape[-1]:
-                # One scratch array: the picked rows' angles, less the reference, made absolute.
-                gap = block.angles[rows]
-                gap -= (reference if reference.ndim == 1 or picked.size == len(reference)
-                        else reference[picked])
-                out[picked] = np.abs(gap, out=gap).max(axis=1) > GRID_MATCH_TOL
-        return out
-
-    def per_scan(self, statistic) -> np.ndarray:
-        """statistic(gains matrix), one value per row, for every scan in order."""
-        out = np.empty(len(self))
-        for block in self.blocks:
-            out[block.index] = statistic(block.gains)
-        return out
+        # One scratch array: the picked rows' angles, less the reference, made absolute.
+        gap = self.angles[index]
+        gap -= reference
+        return np.abs(gap, out=gap).max(axis=1) > GRID_MATCH_TOL
 
 
 @dataclass(frozen=True, eq=False)
@@ -238,7 +208,7 @@ def circular_mean_gain(scans: ScanSet) -> np.ndarray:
     Arithmetic mean of the linear gains on the uniform grid (rectangle rule
     on the periodic domain), then converted to dB.
     """
-    return scans.per_scan(_mean_db)
+    return _mean_db(scans.gains) if len(scans) else np.empty(0)
 
 
 def normalized_spectrum(scans: ScanSet) -> np.ndarray:
@@ -249,17 +219,17 @@ def normalized_spectrum(scans: ScanSet) -> np.ndarray:
     with different absolute gains become comparable.
     """
     require_common_grid(scans)
-    return _normalized(scans.blocks[0].gains)
+    return _normalized(scans.gains)
 
 
 def require_common_grid(scans: ScanSet, which=slice(None)) -> np.ndarray:
-    """The angle grid the scans which picks (default: all) share, so they sit
-    in one block; a GridError names the first that differs in size or by
-    more than GRID_MATCH_TOL at any angle.  No scans: a DomainError."""
+    """The angle grid the scans which picks (default: all) share; a GridError
+    names the first that differs by more than GRID_MATCH_TOL at any angle.
+    No scans: a DomainError."""
     index = np.arange(len(scans))[which]
     if not index.size:
         raise DomainError("an empty scan set has no angle grid")
-    grid = scans.blocks[scans._block[index[0]]].angles[scans._row[index[0]]]
+    grid = scans.angles[index[0]]
     differs = scans.grid_differs(grid, index)
     if differs.any():
         raise GridError(f"scans must share one angle grid; scan "
@@ -276,7 +246,7 @@ def ensemble_stats(scans: ScanSet, db_bin_width: float) -> AngularSpectrumStats:
     (`stats.aligned_histograms`, which bounds the bin count).
     """
     grid = require_common_grid(scans)
-    gains = scans.blocks[0].gains                        # (n_scans, n_angles), one grid
+    gains = scans.gains                                  # (n_scans, n_angles), one grid
     mean_db = _mean_db(gains, axis=0)
     edges, counts = aligned_histograms(10.0 * np.log10(gains), db_bin_width)
     return AngularSpectrumStats(angles=grid, mean_db=mean_db, bin_edges_db=edges,
@@ -304,7 +274,7 @@ def azimuth_gain(scans: ScanSet) -> np.ndarray:
     Always >= 0 dB, with equality only for a perfectly flat spectrum; this is
     the benefit an ideal azimuth-pointed beam would get over an average one.
     """
-    return scans.per_scan(lambda gains: _normalized(gains).max(axis=1))
+    return _normalized(scans.gains).max(axis=1) if len(scans) else np.empty(0)
 
 
 def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]:
@@ -324,13 +294,9 @@ def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]
             raise DomainError(f"no position known for transmitter {tx!r}")
         bearings.append(tx_bearing(tx_positions[tx], (x, y)))
     bearings = np.array(bearings)
-    pooled = []
-    at_tx = np.empty(len(scans))
-    for block in scans.blocks:
-        spectra = _normalized(block.gains)
-        n = spectra.shape[1]
-        # The grid angle nearest each bearing; np.rint rounds half to even, as round does.
-        nearest = np.rint((bearings[block.index] - block.angles[:, 0]) / (TWO_PI / n))
-        at_tx[block.index] = spectra[np.arange(len(spectra)), nearest.astype(int) % n]
-        pooled.append(spectra.ravel())
-    return empirical_cdf(np.concatenate(pooled)), empirical_cdf(at_tx)
+    spectra = _normalized(scans.gains)
+    n = spectra.shape[1]
+    # The grid angle nearest each bearing; np.rint rounds half to even, as round does.
+    nearest = np.rint((bearings - scans.angles[:, 0]) / (TWO_PI / n))
+    at_tx = spectra[np.arange(len(spectra)), nearest.astype(int) % n]
+    return empirical_cdf(spectra.ravel()), empirical_cdf(at_tx)

@@ -70,7 +70,7 @@ def _cmd_synth(args, cfg: ToolConfig) -> Report:
     scans = synth.generate_campaign(layout, scfg, vehicle_mode=args.vehicle_mode)
     sha256 = dataio.write_scans(args.out, scans, seed=scfg.seed)
     dataio.save_sidecar(args.out, scans, sha256)
-    rows = sum(block.gains.size for block in scans.blocks)
+    rows = scans.gains.size
     return Report([], [
         f"synth: wrote {len(scans)} scans ({rows} rows) to {args.out}",
         f"synth: layout={args.layout} seed={scfg.seed} vehicle_mode={args.vehicle_mode}",
@@ -166,7 +166,7 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     for state in (angular.VehicleState.POSITION1, angular.VehicleState.POSITION2):
         first = np.flatnonzero(scans.vehicle_state == state.value)[:1]
         if first.size:  # the deltas are pooled per angle, on the grid of the first scan
-            deltas.append((state.value, np.degrees(scans[first].blocks[0].angles[0]),
+            deltas.append((state.value, np.degrees(scans.angles[first[0]]),
                            vehicle.vehicle_delta(scans, state)))
     if not deltas:
         raise IngestError("dataset has no vehicle scans")

@@ -10,13 +10,14 @@ Every emitted file starts with a '#' provenance comment (tool version, seed,
 input hash) followed by the header row; files are written atomically, with
 the mode the umask gives a newly created file.  `write_table` takes columns
 and streams its text `_CHUNK_ROWS` rows at a time.  `write_scans` takes a
-ScanSet's blocks, formats each distinct angle grid once per block and writes
-one scan at a time, in set order, so no output exists as one string.
+ScanSet, formats each distinct angle grid once and writes one scan at a
+time, in set order, so no output exists as one string.
 
 `ingest` returns an `angular.ScanSet`: key columns, one (scans x angles)
-matrix pair per angle count, and the file's sha256.  A canonical file, LF
-or CRLF, is parsed columnar, in one read of the file in blocks of whole
-lines (`_BLOCK_BYTES`): each block's bytes are checked, its lines go
+matrix pair, and the file's sha256; a file whose scans differ in angle
+count is a GridError that names the first scan that differs.  A canonical
+file, LF or CRLF, is parsed columnar, in one read of the file in blocks of
+whole lines (`_BLOCK_BYTES`): each block's bytes are checked, its lines go
 through `np.loadtxt`, and its phi_deg and gain_db go into the result before
 the next block is read, so the parse holds one block's table, not the file's.
 Anything unusual (a bad or non-finite value, an unknown token, a duplicate
@@ -54,7 +55,6 @@ import codecs
 import contextlib
 import csv
 import hashlib
-import heapq
 import itertools
 import math
 import os
@@ -123,29 +123,30 @@ def _csv_units(angles, gains):
     return np.degrees(angles), 10.0 * np.log10(gains)
 
 
-def _scan_texts(scans: ScanSet, block):
-    """(position, canonical CSV rows) of each scan of one of the set's blocks,
-    in block order; each distinct grid row's phi_deg text is formatted once."""
+def _scan_texts(scans: ScanSet):
+    """The canonical CSV rows of each scan, in set order; each distinct grid
+    row's phi_deg text is formatted once."""
     phi_cells = {}
-    for i, angles, gains in zip(block.index.tolist(), block.angles, block.gains):
+    columns = (getattr(scans, key).tolist() for key in ScanSet.KEYS)
+    for (tx, x, y, vehicle_state, stacking), angles, gains in zip(
+            zip(*columns), scans.angles, scans.gains):
         phi_deg, gain_db = _csv_units(angles, gains)
         grid = angles.tobytes()  # by bytes: -0.0 and 0.0 format differently
         if grid not in phi_cells:
             phi_cells[grid] = [phi + "," for phi in map(repr, phi_deg.tolist())]
-        prefix = f"{_cell(scans.tx[i])},{float(scans.x[i])!r},{float(scans.y[i])!r},"
-        suffix = f",{scans.vehicle_state[i]},{scans.stacking[i]}\n"
+        prefix = f"{_cell(tx)},{x!r},{y!r},"
+        suffix = f",{vehicle_state},{stacking}\n"
         gain_db = map(repr, gain_db.tolist())
         rows = (suffix + prefix).join(map(str.__add__, phi_cells[grid], gain_db))
-        yield i, prefix + rows + suffix
+        yield prefix + rows + suffix
 
 
 def write_scans(path, scans: ScanSet, seed=None) -> str:
     """Write a ScanSet to the canonical CSV, atomically and deterministically:
     one scan per write, in set order.  Returns the sha256 of the bytes
     written, hashed as they are written."""
-    texts = heapq.merge(*(_scan_texts(scans, block) for block in scans.blocks))
     head = provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n"
-    chunks = itertools.chain([head], (text for _, text in texts))
+    chunks = itertools.chain([head], _scan_texts(scans))
     digest = hashlib.sha256()
 
     def write(fh):
@@ -519,12 +520,10 @@ def _write_npz(fh, members) -> None:
 def save_sidecar(path, scans: ScanSet, sha256) -> None:
     """Save the sidecar of the CSV at path that `write_scans` wrote from
     scans, keyed by sha256, the hash it returned, so the first `ingest` of
-    the file skips the parse.  scans is one block, as `synth` builds it, so
-    its rows are already in set order; they are saved in CSV units."""
-    (block,) = scans.blocks
+    the file skips the parse.  The rows are saved in set order, in CSV units."""
     keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
-    sizes = np.full(len(scans), block.angles.shape[1], dtype=np.int64)
-    phi_deg, gain_db = _csv_units(block.angles, block.gains)
+    sizes = np.full(len(scans), scans.angles.shape[1], dtype=np.int64)
+    phi_deg, gain_db = _csv_units(scans.angles, scans.gains)
     _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX,
                   (keys, sizes, phi_deg.ravel(), gain_db.ravel()), sha256)
 

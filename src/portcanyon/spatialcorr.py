@@ -63,7 +63,7 @@ class DenseLine:
 
     @property
     def angles(self) -> np.ndarray:
-        return self.scans.blocks[0].angles[0]
+        return self.scans.angles[0]
 
 
 def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
@@ -85,28 +85,24 @@ def averaged_correlation(lines) -> tuple[np.ndarray, np.ndarray]:
     lines = list(lines)
     if not lines:
         raise DomainError("averaged_correlation needs at least one line")
-    n_pos = lines[0].positions.size
-    spacing = lines[0].spacing_m
+    n_pos, spacing, n_angles = lines[0].positions.size, lines[0].spacing_m, lines[0].angles.size
     for line in lines[1:]:
-        if line.positions.size != n_pos or abs(line.spacing_m - spacing) > POSITION_SPACING_TOL:
-            raise DomainError("all lines must share position count and spacing")
+        if (line.positions.size != n_pos or abs(line.spacing_m - spacing) > POSITION_SPACING_TOL
+                or line.angles.size != n_angles):
+            raise DomainError("all lines must share position count, spacing and angle count")
 
-    # Each angle count is one (lines, angles, positions) array.  A 1xm @ mx1
+    # The lines are one (lines, angles, positions) array.  A 1xm @ mx1
     # matmul sums like the tests' np.correlate reference once the line has 12
     # or more positions (the CLI's lines have 15), so there the curves match
     # it bit for bit; on shorter lines np.correlate sums in another order and
     # the curves differ by about an ulp.  einsum and sum(axis) differ in the
     # last bits.
-    per_line = np.empty((len(lines), n_pos))
-    for size in {line.angles.size for line in lines}:
-        group = [i for i, line in enumerate(lines) if line.angles.size == size]
-        # np.array lays this out in C order, so each mean runs along memory.
-        db = 10.0 * np.log10(np.array([lines[i].scans.blocks[0].gains.T for i in group]))
-        z = db - db.mean(axis=2, keepdims=True)
-        raw = np.empty_like(z)
-        for k in range(n_pos):
-            raw[..., k] = np.matmul(z[..., None, :n_pos - k], z[..., k:, None])[..., 0, 0]
-        lag0 = raw[..., :1]
-        curves = np.where(lag0 == 0.0, np.eye(1, n_pos), raw / np.where(lag0 == 0.0, 1.0, lag0))
-        per_line[group] = curves.mean(axis=1)
-    return spacing * np.arange(n_pos), per_line.mean(axis=0)
+    # np.array lays this out in C order, so each mean runs along memory.
+    db = 10.0 * np.log10(np.array([line.scans.gains.T for line in lines]))
+    z = db - db.mean(axis=2, keepdims=True)
+    raw = np.empty_like(z)
+    for k in range(n_pos):
+        raw[..., k] = np.matmul(z[..., None, :n_pos - k], z[..., k:, None])[..., 0, 0]
+    lag0 = raw[..., :1]
+    curves = np.where(lag0 == 0.0, np.eye(1, n_pos), raw / np.where(lag0 == 0.0, 1.0, lag0))
+    return spacing * np.arange(n_pos), curves.mean(axis=1).mean(axis=0)

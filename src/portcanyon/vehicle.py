@@ -73,14 +73,12 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
         raise IngestError(f"no baseline scan for vehicle scan at "
                           f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
     base = np.array(base)
-    ((block, _, rows),) = scans.rows_of(with_vehicle)  # one grid: one block
-    off_grid = scans.grid_differs(block.angles[rows], base)
+    off_grid = scans.grid_differs(scans.angles[with_vehicle], base)
     if off_grid.any():
         raise GridError(f"scans must share one angle grid; scan "
                         f"{scans.key(int(with_vehicle[off_grid.argmax()]))} differs")
-    ((_, _, base_rows),) = scans.rows_of(base)  # on the grid: in the same block
-    delta = to_db(block.gains[base_rows])
-    delta -= to_db(block.gains[rows])
+    delta = to_db(scans.gains[base])
+    delta -= to_db(scans.gains[with_vehicle])
     return delta
 
 

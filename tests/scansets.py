@@ -48,9 +48,6 @@ def scan_set(scans, sha256=None) -> ScanSet:
 
 def records(scans: ScanSet) -> list:
     """The set's scans, in order, as Scan records keyed as `ScanSet.key` keys them."""
-    out = [None] * len(scans)
-    for block in scans.blocks:
-        for row, i in enumerate(block.index.tolist()):
-            tx, x, y, state, stacking = scans.key(i)
-            out[i] = Scan(tx, x, y, block.angles[row], block.gains[row], state, stacking)
-    return out
+    return [Scan(tx, x, y, angles, gains, state, stacking)
+            for (tx, x, y, state, stacking), angles, gains in zip(
+                map(scans.key, range(len(scans))), scans.angles, scans.gains)]

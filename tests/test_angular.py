@@ -149,17 +149,20 @@ class TestChunkedGridCheck:
         assert want is not None
         assert _verdict(first_invalid(angles, gains)) == want
 
-    def test_earliest_scan_past_the_first_chunk_across_blocks(self):
-        # Two angle counts interleaved: each block's bad scan lies past its
-        # first chunk, and the one earlier in set order is named.
-        scans = [Scan("TX2", float(i), 3.5, grid(8 + 4 * (i % 2)), np.ones(8 + 4 * (i % 2)))
-                 for i in range(3 * _CHUNK)]
-        for i in (2 * _CHUNK + 1, 2 * _CHUNK + 4):
-            angles = scans[i].angles.copy()
-            angles[3] += 1e-6
-            scans[i] = scans[i]._replace(angles=angles)
-        with pytest.raises(GridError, match=rf"^scan \('TX2', {2 * _CHUNK + 1}.0, .*"
-                                            r"\(max deviation 1.000e-06 rad\)$"):
+    @pytest.mark.parametrize("bad, changed", [(2 * _CHUNK + 1, 2 * _CHUNK + 4),
+                                              (2 * _CHUNK + 4, 2 * _CHUNK + 1)],
+                             ids=["bad grid before count change", "count change before bad grid"])
+    def test_earliest_of_a_bad_grid_and_a_count_change_is_named(self, bad, changed):
+        # Both past the first chunk: an off-grid scan and a 12-angle scan
+        # among 8-angle ones; the one earlier in set order is named.
+        scans = [Scan("TX2", float(i), 3.5, grid(8), np.ones(8)) for i in range(3 * _CHUNK)]
+        angles = grid(8)
+        angles[3] += 1e-6
+        scans[bad] = scans[bad]._replace(angles=angles)
+        scans[changed] = scans[changed]._replace(angles=grid(12), gains=np.ones(12))
+        why = (r"\(max deviation 1.000e-06 rad\)$" if bad < changed
+               else r"12 angles where scan \('TX2', 0.0, .*\) has 8; ")
+        with pytest.raises(GridError, match=rf"^scan \('TX2', {min(bad, changed)}.0, .*" + why):
             scan_set(scans)
 
 
@@ -237,8 +240,11 @@ class TestNormalizedSpectrum:
         assert np.mean(from_db(out), axis=1) == pytest.approx(np.ones(50), rel=1e-12)
 
     def test_rejects_mixed_grids(self):
-        with pytest.raises(GridError, match="one angle grid"):
-            normalized_spectrum(make_set(np.ones(16), np.ones(18)))
+        shifted = make_scan(np.ones(16), x=6.0)._replace(angles=grid(16) + 1e-3)
+        with pytest.raises(GridError, match=r"one angle grid; scan \('TX1_63', 6.0"):
+            normalized_spectrum(scan_set([make_scan(np.ones(16)), shifted]))
+        with pytest.raises(GridError, match="one angle count"):
+            make_set(np.ones(16), np.ones(18))
 
 
 class TestEnsembleStats:

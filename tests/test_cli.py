@@ -73,7 +73,7 @@ class TestSynth:
                    "--out", str(out), "--no-fading", "--n-angles", "12"])
         assert rc == 0
         scans = ingest(out)
-        assert scans.blocks[0].angles.shape[1] == 12
+        assert scans.angles.shape[1] == 12
         for scan in records(scans[:5]):
             assert np.ptp(10.0 * np.log10(scan.gains)) < 1e-9
 
@@ -1251,13 +1251,13 @@ class TestSidecar:
 
     @staticmethod
     def format1_sidecar(scans):
-        """The sidecar of scans in format 1: a ScanSet's per-block matrices."""
+        """The sidecar of scans in format 1: one block of per-block matrices."""
         members = {"version": np.array(1, dtype=np.int64), "sha256": np.array(scans.sha256),
-                   "blocks": np.array([b.angles.shape for b in scans.blocks], dtype=np.int64)}
+                   "blocks": np.array([scans.angles.shape], dtype=np.int64),
+                   "index0": np.arange(len(scans)), "angles0": scans.angles,
+                   "gains0": scans.gains}
         members.update({key: getattr(scans, key).astype(float if key in ("x", "y") else str)
                         for key in ScanSet.KEYS})
-        for b, block in enumerate(scans.blocks):
-            members.update({f"{name}{b}": arr for name, arr in zip(block._fields, block)})
         return members
 
     def test_format1_sidecar_is_replaced(self, tmp_path, dataset, capsys, monkeypatch):
@@ -1293,6 +1293,47 @@ class TestSidecar:
                              before=lambda: np.savez(sidecar, allow_pickle=False, **members))
         assert bogus == cold
         assert b"bogus" not in cold[1]["fit.csv"]
+
+    def test_a_scan_short_of_one_angle_is_a_grid_error(self, tmp_path, dataset, capsys,
+                                                       monkeypatch):
+        # One vehicle scan is a uniform rotation of one angle fewer: the
+        # campaign has two angle counts, so every analysis command exits 3
+        # naming that scan, both cold and with the mixed-count sidecar the
+        # parse would save planted beside the file; that sidecar is a miss
+        # and is removed.
+        from portcanyon import dataio
+
+        lines = dataset.read_text(encoding="ascii").splitlines(keepends=True)
+        at = next(i for i in range(2, len(lines), N_ANGLES) if ",position2," in lines[i])
+        tx, x, y, _, _, state, stacking = lines[at].rstrip("\n").split(",")
+        lines[at:at + N_ANGLES] = [f"{tx},{x},{y},{k * 360.0 / (N_ANGLES - 1)!r},-70.0,"
+                                   f"{state},{stacking}\n" for k in range(N_ANGLES - 1)]
+        dataset.write_text("".join(lines), encoding="ascii")
+        want = (f"error[grid]: scan {(tx, float(x), float(y), state, stacking)}: "
+                f"{N_ANGLES - 1} angles where scan (")
+        sidecar = Path(str(dataset) + dataio.SIDECAR_SUFFIX)
+        sha256, real = dataio.file_sha256(dataset), dataio._ingest_columnar
+        dataio._save_sidecar(str(sidecar), real(dataset), sha256)
+        assert dataio._load_sidecar(str(sidecar), sha256, dataset.stat().st_size) is not None
+        planted = sidecar.read_bytes()
+        sidecar.unlink()
+        parses = []
+        monkeypatch.setattr(dataio, "_ingest_columnar",
+                            lambda path: parses.append(path) or real(path))
+        out = tmp_path / "out"
+        for argv in self.commands(str(dataset), str(out)):
+            for plant in (False, True):
+                if plant:
+                    sidecar.write_bytes(planted)
+                parses.clear()
+                assert main(argv) == 3, argv
+                captured = capsys.readouterr()
+                assert captured.err.startswith(want) and captured.err.count("\n") == 1
+                assert captured.out == ""
+                assert len(parses) == 1  # planted or not, the sidecar is a miss
+                assert sorted(p.name for p in dataset.parent.iterdir()) == ["campaign.csv"]
+                assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
+                assert not list(tmp_path.rglob("*.tmp"))
 
     def test_failing_ingest_writes_no_sidecar(self, tmp_path, capsys):
         data = tmp_path / "bad.csv"
@@ -1396,7 +1437,7 @@ def test_vehicle_peak_is_its_matrices_and_tables(tmp_path):
              gains=rng.lognormal(-14.0, 1.0, 360), vehicle_state=state)
         for i in range(400) for state in ("absent", "position1", "position2")))
     scans = ingest(data)  # cold: writes the sidecar
-    matrices_kib = sum(block.angles.nbytes + block.gains.nbytes for block in scans.blocks) // 1024
+    matrices_kib = (scans.angles.nbytes + scans.gains.nbytes) // 1024
     tables_kib = 2 * 3 * 400 * 360 * 8 // 1024  # delta, empirical and Gaussian CDF per position
     peak = command_peak_kib("vehicle", "--input", data, "--out-dir", tmp_path / "out")
     assert peak <= matrices_kib + tables_kib + 4096, (peak, matrices_kib, tables_kib)

@@ -69,7 +69,7 @@ class TestWriter:
         write_scans(path, scan_set([scan]))
         back = ingest(path)
         assert len(back) == 1
-        assert back.blocks[0].angles.shape == (1, 360)
+        assert back.angles.shape == (1, 360)
 
     def test_deterministic_bytes(self, tmp_path):
         scans = scan_set([make_scan(), make_scan(seed=1, x=9.0)])
@@ -371,7 +371,7 @@ class TestColumnarIngest:
         rows = _rows()
         body = rows[:4] + ["#TX2,1.0,3.5,45.0,-1.0,absent,uniform", "# note"] + rows[4:]
         assert self.ingest_lines(tmp_path, body) == "rows"
-        assert ingest(tmp_path / "case.csv").blocks[0].angles.shape == (1, 8)
+        assert ingest(tmp_path / "case.csv").angles.shape == (1, 8)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         rows = _rows()
@@ -396,7 +396,7 @@ class TestColumnarIngest:
     @pytest.mark.parametrize("head", [[provenance_line(), CANONICAL_HEADER], [CANONICAL_HEADER]])
     def test_one_leading_bom_reads_as_the_file_without_it(self, tmp_path, head):
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
-        write_csv(plain, head + _rows() + _rows(x="2.0", n=9))
+        write_csv(plain, head + _rows() + _rows(x="2.0"))
         marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
         want = _rows_of(_ingest_rows, plain)
         assert isinstance(want, tuple)
@@ -441,7 +441,7 @@ class TestColumnarIngest:
         assert self.ingest_lines(tmp_path, rows) == "rows"
 
     def test_grid_error_is_wrapped_like_the_row_loop(self, tmp_path):
-        rows = _rows(tx="TX1_63") + _rows(n=9)
+        rows = _rows(tx="TX1_63") + _rows()
         rows[3] = rows[3].replace(",135.0,", ",136.0,")
         assert self.ingest_lines(tmp_path, rows) == "columnar"
         with pytest.raises(GridError, match=r"^scan \('TX1_63', 1.0, 3.5"):
@@ -466,7 +466,7 @@ class TestColumnarIngest:
     )
     def test_mutated_files_agree(self, edits):
         text = "\n".join(
-            [provenance_line(), CANONICAL_HEADER] + _rows(tx="TX1_63") + _rows(n=9)
+            [provenance_line(), CANONICAL_HEADER] + _rows(tx="TX1_63") + _rows()
         ) + "\n"
         text = _mutated(text, edits)
         with tempfile.TemporaryDirectory() as tmp:
@@ -477,7 +477,7 @@ class TestColumnarIngest:
 
 
 def check_sets_agree(path) -> None:
-    """Both readers that return give the same ScanSet: key columns, blocks
+    """Both readers that return give the same ScanSet: key columns, matrices
     and the file's sha256; the public ingest always carries that hash."""
     want_sha = hashlib.sha256(open(path, "rb").read()).hexdigest()
     sets = [_outcome(read, path)
@@ -491,9 +491,9 @@ def check_sets_agree(path) -> None:
             assert getattr(got, name).tobytes() == getattr(sets[0], name).tobytes()
         for name in ("vehicle_state", "stacking"):
             assert getattr(got, name).tolist() == getattr(sets[0], name).tolist()
-        assert len(got.blocks) == len(sets[0].blocks)
-        for a, b in zip(got.blocks, sets[0].blocks):
-            assert [m.tobytes() for m in a] == [m.tobytes() for m in b]
+        for name in ("angles", "gains"):
+            assert getattr(got, name).shape == getattr(sets[0], name).shape
+            assert getattr(got, name).tobytes() == getattr(sets[0], name).tobytes()
 
 
 _EDITS = st.lists(
@@ -512,8 +512,8 @@ class TestScanSetIngest:
     @given(edits=_EDITS)
     def test_mutated_files_give_equal_sets_and_hashes(self, edits):
         # One scan split around another whose angles fall; x is -0.0, then 0.0.
-        text = "\n".join([provenance_line(), CANONICAL_HEADER] + _rows(x="-0.0", n=9)[:4]
-                         + _rows(tx="TX1_63")[::-1] + _rows(x="0.0", n=9)[4:]) + "\n"
+        text = "\n".join([provenance_line(), CANONICAL_HEADER] + _rows(x="-0.0")[:4]
+                         + _rows(tx="TX1_63")[::-1] + _rows(x="0.0")[4:]) + "\n"
         text = _mutated(text, edits)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "mutant.csv")
@@ -530,9 +530,9 @@ class TestScanSetIngest:
         check_sets_agree(path)
 
     def test_first_invalid_scan_in_file_order_raises(self, tmp_path):
-        rows = _rows(tx="TX1_63", n=9) + _rows(n=8) + _rows(tx="TX2", x="5.0", n=9)
-        rows[10] = rows[10].replace(",45.0,", ",46.0,")      # 8-angle scan: off grid
-        rows[-1] = rows[-1].replace(",-68.0,", ",4000.0,")   # later 9-angle scan: overflow
+        rows = _rows(tx="TX1_63") + _rows() + _rows(tx="TX2", x="5.0")
+        rows[9] = rows[9].replace(",45.0,", ",46.0,")        # second scan: off grid
+        rows[-1] = rows[-1].replace(",-67.0,", ",4000.0,")   # later scan: overflow
         path = tmp_path / "case.csv"
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + rows)
         assert check_paths_agree(path) == "columnar"
@@ -540,9 +540,9 @@ class TestScanSetIngest:
                                             "angle grid must be uniform"):
             ingest(path)
 
-    def test_earliest_invalid_scan_across_angle_counts_raises(self, tmp_path):
-        # The 12-angle block comes first and holds a bad scan, but the bad
-        # 16-angle scan comes earlier in the file.
+    def test_a_second_angle_count_is_named_before_a_later_bad_scan(self, tmp_path):
+        # The 16-angle scan's gains overflow too, and a later 12-angle scan is
+        # off grid; the change of angle count comes first in the file.
         bad_gain = _rows(x="2.0", n=16)
         bad_gain[5] = bad_gain[5].replace(",-65.0,", ",4000,")
         bad_grid = _rows(x="3.0", n=12)
@@ -550,9 +550,10 @@ class TestScanSetIngest:
         path = tmp_path / "case.csv"
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows(n=12) + bad_gain + bad_grid)
         assert check_paths_agree(path) == "columnar"
-        with pytest.raises(DomainError, match=r"^scan \('TX2', 2.0, 3.5, 'absent', 'uniform'\): "
-                                              "all linear gains must be finite and > 0$"):
+        with pytest.raises(GridError, match=r"^scan \('TX2', 2.0, 3.5, 'absent', 'uniform'\): "
+                                            r"16 angles where scan \('TX2', 1.0, .*\) has 12; "):
             ingest(path)
+        assert not os.path.exists(str(path) + ".scanset.npz")
 
     def test_only_unsorted_rows_are_sorted(self, tmp_path, monkeypatch):
         def no_sort(*args):
@@ -725,7 +726,7 @@ class TestBlockBoundaries:
         scans = ingest(path)  # cold: writes the sidecar
         rows = dataio._load_sidecar(str(path) + dataio.SIDECAR_SUFFIX, scans.sha256,
                                     os.path.getsize(path))
-        matrices = sum(block.angles.nbytes + block.gains.nbytes for block in scans.blocks)
+        matrices = scans.angles.nbytes + scans.gains.nbytes
         data_kib = (sum(np.asarray(column).nbytes for column in rows[1:]) + matrices) // 1024
         warm = ingest_peak_kib(path)
         assert warm <= data_kib + 4096, (warm, data_kib)
@@ -736,8 +737,7 @@ class TestBlockBoundaries:
         # new arrays held both, about 9,600 KiB here.
         path = _campaign_of_600_scans(tmp_path)
         scans = ingest(path)  # cold: writes the sidecar
-        matrices_kib = sum(block.angles.nbytes + block.gains.nbytes
-                           for block in scans.blocks) // 1024
+        matrices_kib = (scans.angles.nbytes + scans.gains.nbytes) // 1024
         warm = ingest_peak_kib(path)
         assert warm <= matrices_kib + 4096, (warm, matrices_kib)
 
@@ -888,17 +888,18 @@ class TestColumnWriter:
     @given(
         specs=st.lists(st.tuples(
             TEXT.filter(bool), FLOATS.filter(np.isfinite), FLOATS.filter(np.isfinite),
-            st.sampled_from([8, 12, 36]), st.sampled_from(list(VehicleState)),
-            st.sampled_from(list(Stacking)), st.integers(0, 2**32 - 1),
+            st.sampled_from(list(VehicleState)), st.sampled_from(list(Stacking)),
+            st.integers(0, 2**32 - 1),
         ), max_size=4),
+        n=st.sampled_from([8, 12, 36]),
         seed=st.one_of(st.none(), st.integers(0, 99)),
     )
-    def test_scan_bytes_match_csv_writer(self, specs, seed):
+    def test_scan_bytes_match_csv_writer(self, specs, n, seed):
         scans = [
             Scan(tx=tx, x=x, y=y, angles=grid(n),
                  gains=np.random.default_rng(g).lognormal(-14.0, 3.0, n),
                  vehicle_state=vehicle, stacking=stacking)
-            for tx, x, y, n, vehicle, stacking, g in specs
+            for tx, x, y, vehicle, stacking, g in specs
         ]
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "scans.csv")
@@ -927,7 +928,7 @@ def _set_state(scans):
         [(v, type(v)) for key in ("tx", "vehicle_state", "stacking")
          for v in getattr(scans, key).tolist()],
         [(getattr(scans, key).dtype.str, getattr(scans, key).tobytes()) for key in ("x", "y")],
-        [[(m.dtype.str, m.shape, m.tobytes()) for m in block] for block in scans.blocks],
+        [(m.dtype.str, m.shape, m.tobytes()) for m in (scans.angles, scans.gains)],
         scans.sha256,
     )
 
@@ -1056,7 +1057,7 @@ def _corrupt(kind, good, stale, sha256, pick):
 
 
 def _canonical_text(newline="\n"):
-    body = _rows(tx="TX1_63", x="5.0") + _rows(x="-0.0", n=9) + _rows(tx="TX1_63", x="9.0")
+    body = _rows(tx="TX1_63", x="5.0") + _rows(x="-0.0") + _rows(tx="TX1_63", x="9.0")
     return newline.join([provenance_line(), CANONICAL_HEADER] + body) + newline
 
 
@@ -1179,13 +1180,13 @@ class TestSidecar:
         from portcanyon.dataio import _load_sidecar
 
         path = tmp_path / "case.csv"
-        # 8-angle scans around a 9-angle one: two blocks, the first not contiguous.
+        # Three 8-angle scans, the middle one keyed at x = -0.0.
         path.write_text(_canonical_text(), encoding="utf-8")
         parsed = ingest(path)
         rows = _load_sidecar(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
         cached = _scan_set(*rows, parsed.sha256)
         assert _set_state(cached) == _set_state(parsed)
-        assert [b.index.tolist() for b in cached.blocks] == [[0, 2], [1]]
+        assert cached.tx.tolist() == ["TX1_63", "TX2", "TX1_63"]
         assert repr(float(cached.x[1])) == "-0.0"
 
     def test_trailing_nul_in_tx_is_not_cached(self, tmp_path):

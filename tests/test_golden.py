@@ -6,19 +6,27 @@ planner commands and `--print-default-config` run once.  The sha256 of each
 campaign CSV, each table and each command's stdout, provenance lines dropped
 by the bench's own rule (`perfbench/checks.py`), must equal the recorded
 digests in `golden_digests.json`.  A refactor that moves the last digit of
-any output fails here.
+any output fails here.  Equivalent spellings of each campaign CSV (a
+byte-order mark, CRLF, comment lines, shuffled rows; quoted tx_ids and a
+split scan for the row reader) must give the same digests, tables and
+stdout alike, parsed and from their own sidecars.
 
 Re-recording the digests changes the expected outputs, so it needs a reason:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import codecs
 import hashlib
 import importlib.util
+import itertools
 import json
 import os
+import random
 import sys
 from pathlib import Path
+
+import pytest
 
 from portcanyon import dataio
 from portcanyon.cli import main
@@ -55,10 +63,37 @@ def _commands():
     return calls
 
 
-def run_digests(workdir, read_stdout, parse=False) -> dict:
+CAMPAIGNS = {argv[-1] for argv in _commands() if argv[0] == "synth"}
+
+
+def respell(path, row_reader=False) -> None:
+    """Rewrite the campaign CSV at path in place in an equivalent spelling: a
+    byte-order mark, CRLF line ends, comment lines before the header and each
+    scan's rows shuffled, which the columnar reader reads.  With row_reader,
+    every 7th scan's tx_id is quoted too and scan 1 is split in two runs
+    around scan 2, which keeps the order of first appearance; the row reader
+    reads that."""
+    provenance, header, *rows = Path(path).read_text(encoding="ascii").splitlines()
+    scans = [list(scan) for _, scan in itertools.groupby(
+        rows, lambda row: row.split(",")[:3] + row.split(",")[5:])]
+    rng = random.Random(7)
+    for scan in scans:
+        rng.shuffle(scan)
+    if row_reader:
+        for scan in scans[::7]:
+            scan[:] = ['"' + row.replace(",", '",', 1) for row in scan]
+        half = len(scans[1]) // 2
+        scans[1:3] = [scans[1][:half], scans[2], scans[1][half:]]
+    lines = ["# respelled", provenance, "#", header] + list(itertools.chain(*scans))
+    Path(path).write_bytes(codecs.BOM_UTF8 + ("\r\n".join(lines) + "\r\n").encode("ascii"))
+
+
+def run_digests(workdir, read_stdout, parse=False, spell=None) -> dict:
     """Run every command in workdir (paths relative to it) and digest each
     output file, sidecars aside, and each command's stdout.  With parse, the
-    sidecar `synth` saves is deleted, so each CSV's first ingest parses it."""
+    sidecar `synth` saves is deleted, so each CSV's first ingest parses it
+    and the later ones read the sidecar that parse saved; spell(path), if
+    given, rewrites each CSV after `synth` and deletes its sidecar too."""
     digests = {}
     cwd = os.getcwd()
     os.chdir(workdir)
@@ -66,7 +101,9 @@ def run_digests(workdir, read_stdout, parse=False) -> dict:
         for i, argv in enumerate(_commands()):
             rc = main(argv)
             assert rc == 0, argv
-            if parse and argv[0] == "synth":
+            if (parse or spell) and argv[0] == "synth":
+                if spell:
+                    spell(argv[-1])
                 os.unlink(argv[-1] + SIDECAR_SUFFIX)
             digests[f"stdout/{i:02d}-{argv[0]}"] = _digest(read_stdout().encode("utf-8"))
     finally:
@@ -90,6 +127,25 @@ def test_outputs_match_golden_digests_in_small_blocks(tmp_path, capsys, monkeypa
     # or so: scans and lines straddle the block boundaries.
     monkeypatch.setattr(dataio, "_BLOCK_BYTES", 997)
     test_outputs_match_golden_digests(tmp_path, capsys, parse=True)
+
+
+@pytest.mark.parametrize("reader", ["columnar", "rows"])
+def test_equivalent_spellings_match_golden_digests(tmp_path, capsys, monkeypatch, reader):
+    # Parsed in blocks of 997 bytes, so some blocks end in the CR of a CRLF.
+    monkeypatch.setattr(dataio, "_BLOCK_BYTES", 997)
+    parses = []
+    for name in ("_ingest_columnar", "_ingest_rows"):
+        monkeypatch.setattr(dataio, name, lambda path, read=getattr(dataio, name), name=name:
+                            parses.append(name) or read(path))
+    got = run_digests(tmp_path, lambda: capsys.readouterr().out,
+                      spell=lambda path: respell(path, reader == "rows"))
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    assert sorted(got) == sorted(want)
+    assert [key for key in want if (got[key] == want[key]) == (key in CAMPAIGNS)] == []
+    # Each CSV is parsed once, cold, by its reader; the sidecar that parse
+    # saved serves the other four commands on it.
+    assert parses == (["_ingest_columnar"] * 2 if reader == "columnar"
+                      else ["_ingest_columnar", "_ingest_rows"] * 2)
 
 
 if __name__ == "__main__":

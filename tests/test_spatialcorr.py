@@ -28,7 +28,7 @@ def per_angle_curves(line):
     """Reference for the batched path: one np.correlate curve per grid angle,
     normalized by lag 0; a constant line's curve is [1, 0, ..., 0]."""
     curves = []
-    for gains in line.scans.blocks[0].gains.T:
+    for gains in line.scans.gains.T:
         db = 10 * np.log10(gains)
         z = db - np.mean(db)
         raw = np.correlate(z, z, "full")[z.size - 1:]
@@ -152,7 +152,7 @@ class TestAveragedCorrelation:
     def test_global_offset_invariance(self):
         rng = np.random.default_rng(7)
         line = self._random_line(rng)
-        shifted = make_line(line.scans.blocks[0].gains * 10.0 ** (23.0 / 10.0))
+        shifted = make_line(line.scans.gains * 10.0 ** (23.0 / 10.0))
         _, base = averaged_correlation([line])
         _, moved = averaged_correlation([shifted])
         assert np.allclose(base, moved, atol=1e-9)
@@ -163,7 +163,7 @@ class TestAveragedCorrelation:
         rng = np.random.default_rng(11)
         line = self._random_line(rng)
         offsets_db = np.linspace(-30.0, 30.0, N_ANGLES)
-        shifted = make_line(line.scans.blocks[0].gains * 10.0 ** (offsets_db / 10.0))
+        shifted = make_line(line.scans.gains * 10.0 ** (offsets_db / 10.0))
         _, base = averaged_correlation([line])
         _, moved = averaged_correlation([shifted])
         assert np.allclose(base, moved, atol=1e-9)
@@ -179,8 +179,6 @@ class TestAveragedCorrelation:
         gains = rng.exponential(1e-6, size=(15, N_ANGLES))
         gains[:, 3] = 2e-6  # one degenerate angle
         lines.append(make_line(gains, tx="TX2"))
-        # a second angle count
-        lines.append(make_line([rng.exponential(1e-6, 16) for _ in POSITIONS], tx="TX2", y=5.5))
         reference = np.mean([per_angle_curves(line).mean(axis=0) for line in lines], axis=0)
         _, avg = averaged_correlation(lines)
         assert avg.tobytes() == reference.tobytes()
@@ -198,6 +196,16 @@ class TestAveragedCorrelation:
             _, avg = averaged_correlation([line])
             np.testing.assert_allclose(avg, reference.mean(axis=0), rtol=0,
                                        atol=4 * np.finfo(float).eps)
+
+    def test_requires_one_angle_count(self):
+        # Lines from separate sets may differ in angle count; their curves
+        # are not averaged.
+        rng = np.random.default_rng(9)
+        line = self._random_line(rng)
+        other = make_line([rng.exponential(1e-6, 16) for _ in POSITIONS], tx="TX2", y=5.5)
+        for lines in ([line, other], [other, line]):
+            with pytest.raises(DomainError, match="angle count"):
+                averaged_correlation(lines)
 
     def test_requires_shared_lag_structure(self):
         rng = np.random.default_rng(8)

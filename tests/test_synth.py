@@ -226,12 +226,12 @@ class TestBaselineScans:
         self.point = self.layout.coarse_points[0]
 
     def first_tx_gains(self, point, cfg):
-        return generate_campaign(one_point(self.layout, point), cfg).blocks[0].gains[0]
+        return generate_campaign(one_point(self.layout, point), cfg).gains[0]
 
     def test_deterministic_and_order_independent(self):
         a1 = self.first_tx_gains(self.point, CFG)
         b = self.first_tx_gains(self.layout.coarse_points[1], CFG)
-        a2 = generate_campaign(self.layout, CFG).blocks[0].gains[0]  # TX1_63, first point
+        a2 = generate_campaign(self.layout, CFG).gains[0]  # TX1_63, first point
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
 
@@ -248,9 +248,8 @@ class TestBaselineScans:
         assert (scans.x[0], scans.y[0]) == self.point
         assert set(scans.stacking) == {Stacking.UNIFORM.value}
         assert set(scans.vehicle_state) == {VehicleState.ABSENT.value}
-        (block,) = scans.blocks
-        assert block.gains.shape == (len(self.layout.txs), 360)
-        assert np.array_equal(block.angles, np.broadcast_to(CFG.angles_rad, (7, 360)))
+        assert scans.gains.shape == (len(self.layout.txs), 360)
+        assert np.array_equal(scans.angles, np.broadcast_to(CFG.angles_rad, (7, 360)))
 
     def test_ensemble_mean_converges_to_model(self):
         # Law of large numbers over independent seeds, per angle.
@@ -279,7 +278,7 @@ class TestVehicleScans:
         scans = generate_campaign(one_point(layout, layout.dense_points[0], dense=True), cfg,
                                   vehicle_mode="dense")
         assert scans.vehicle_state[:3].tolist() == ["absent", "position1", "position2"]
-        v1, v2 = scans.blocks[0].gains[1:3]
+        v1, v2 = scans.gains[1:3]
         assert not np.array_equal(v1, v2)
 
 
@@ -302,8 +301,7 @@ def test_campaign_matches_per_scan_oracle(kind, vehicle_mode, stride, **knobs):
     scans = generate_campaign(layout, cfg, vehicle_mode=vehicle_mode)
     oracle = oracle_campaign(layout, cfg, vehicle_mode)
     assert [s.key for s in records(scans)] == [s.key for s in oracle]
-    (block,) = scans.blocks
-    assert block.gains.tobytes() == np.stack([s.gains for s in oracle]).tobytes()
+    assert scans.gains.tobytes() == np.stack([s.gains for s in oracle]).tobytes()
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "campaign.csv")
         write_scans(path, scans, seed=cfg.seed)

@@ -105,15 +105,15 @@ class TestVehicleDelta:
         with pytest.raises(GridError):
             pair_delta(base, other)
 
-    def test_baselines_on_two_grids_name_the_first_pair_off_the_vehicle_grid(self):
-        # The 16-angle baseline is checked against its own pair's grid.
-        coarse, fine = scan(np.full(8, -60.0), x=1.0), scan(np.full(8, -60.0), x=5.0)
-        fine = fine._replace(angles=grid(16), gains=np.full(16, 1e-6))
-        moved = [s._replace(angles=grid(16), gains=np.full(16, 2e-6),
-                            vehicle_state=VehicleState.POSITION1) for s in (coarse, fine)]
+    def test_baselines_off_the_vehicle_grid_name_the_first_pair(self):
+        # Both baselines are on a shifted grid; the vehicle scan first in set
+        # order is named, whatever the order of the baselines.
+        base = [scan(np.full(8, -60.0), x=x)._replace(angles=GRID + 1e-3) for x in (5.0, 1.0)]
+        moved = [scan(np.full(8, -63.0), VehicleState.POSITION1, x=x) for x in (1.0, 5.0)]
         with pytest.raises(GridError, match=r"scan \('TX1_63', 1.0, 3.5, <VehicleState.POSITION1"):
-            vehicle_delta(scan_set([coarse, fine, *moved]), VehicleState.POSITION1)
-        assert np.allclose(pair_delta(fine, moved[1]), -10.0 * np.log10(2.0))
+            vehicle_delta(scan_set([*base, *moved]), VehicleState.POSITION1)
+        on_grid = base[1]._replace(angles=GRID)
+        assert np.allclose(pair_delta(on_grid, moved[0]), 3.0)
 
 
 class TestFitGaussian:
