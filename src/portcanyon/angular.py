@@ -45,6 +45,22 @@ class Stacking(str, enum.Enum):
     NONUNIFORM = "nonuniform"
 
 
+def _held_grid(angles):
+    """The one row a (scans x n) matrix holds if it is a broadcast view of
+    that row (`ScanSet.one_grid`); else None."""
+    return angles[0] if angles.ndim == 2 and len(angles) and angles.strides[0] == 0 else None
+
+
+def _grid_checks(angles, spacing):
+    """Per row of an angle matrix: (not increasing, not uniform, bad start),
+    the max spacing deviation and the start, as `first_invalid` reports them."""
+    steps = angles[:, 1:] - angles[:, :-1]
+    deviation = np.abs(steps - spacing).max(axis=1)
+    start = angles[:, 0]
+    return (~(steps > 0.0).all(axis=1), deviation > GRID_SPACING_TOL,
+            ~((0.0 <= start) & (start < spacing + GRID_SPACING_TOL))), deviation, start
+
+
 def first_invalid(angles, gains):
     """(row, error) for the first row of (scans x angles) matrices that is not
     a valid scan (8 or more angles, uniform over one rotation from [0, spacing),
@@ -53,29 +69,29 @@ def first_invalid(angles, gains):
     The rows are checked `_CHECK_ROWS` at a time, so the check's temporaries
     are a few chunks of rows, not copies of the matrices; each row's verdict
     is its own, so the earliest invalid row and its error are those of one
-    check over the whole matrices."""
+    check over the whole matrices.  Angles held as one broadcast row have
+    that row's grid checked once."""
     n = angles.shape[1]
     if n < 8:
         return 0, GridError(f"need at least 8 azimuth samples, got {n}")
     spacing = TWO_PI / n
-    for top in range(0, len(angles), _CHECK_ROWS):
-        chunk, chunk_gains = angles[top:top + _CHECK_ROWS], gains[top:top + _CHECK_ROWS]
-        steps = chunk[:, 1:] - chunk[:, :-1]
-        deviation = np.abs(steps - spacing).max(axis=1)
-        start = chunk[:, 0]
-        bad = (~((chunk_gains > 0.0) & (chunk_gains < np.inf)).all(axis=1),
-               ~(steps > 0.0).all(axis=1), deviation > GRID_SPACING_TOL,
-               ~((0.0 <= start) & (start < spacing + GRID_SPACING_TOL)))
+    grid = _held_grid(angles)
+    held = None if grid is None else _grid_checks(grid[None], spacing)
+    for top in range(0, len(gains), _CHECK_ROWS):
+        chunk_gains = gains[top:top + _CHECK_ROWS]
+        bad, deviation, start = held or _grid_checks(angles[top:top + _CHECK_ROWS], spacing)
+        bad = (~((chunk_gains > 0.0) & (chunk_gains < np.inf)).all(axis=1), *bad)
         rows = np.flatnonzero(bad[0] | bad[1] | bad[2] | bad[3])
         if rows.size:
             row = int(rows[0])
+            at = 0 if held else row  # a held grid's checks have one row
             return top + row, (
                 DomainError("all linear gains must be finite and > 0"),
                 GridError("angles must be strictly increasing"),
                 GridError("angle grid must be uniform with spacing 2*pi/N "
-                          f"(max deviation {deviation[row]:.3e} rad)"),
-                GridError(f"grid must start within the first spacing interval, got {start[row]}"),
-            )[[check[row] for check in bad].index(True)]
+                          f"(max deviation {deviation[at]:.3e} rad)"),
+                GridError(f"grid must start within the first spacing interval, got {start[at]}"),
+            )[[bad[0][row], *(check[at] for check in bad[1:])].index(True)]
     return None
 
 
@@ -86,9 +102,13 @@ class ScanSet:
     values) hold one entry per scan; `angles` (rad) and `gains` (linear) are
     (scans x angles) matrices, one angle count per set, as the sounder's
     fixed azimuth steps give it; `sha256` is the hash of the file read, if
-    any.  A slice, mask or index array selects a ScanSet; `key(i)` names scan
-    i.  `from_rows` builds and checks every set; selection alone calls the
-    constructor, which checks nothing.
+    any.  When every scan's angles repeat scan 0's bit for bit, as a
+    fixed-step rotator measures them and `synth` writes them, `angles` is a
+    read-only `np.broadcast_to` view of that one row, and selections keep
+    the view; otherwise it holds one row per scan.  A slice, mask or index
+    array selects a ScanSet; `key(i)` names scan i.  `from_rows` builds and
+    checks every set; selection alone calls the constructor, which checks
+    nothing.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
@@ -97,15 +117,27 @@ class ScanSet:
         self.tx, self.x, self.y, self.vehicle_state, self.stacking = columns
         self.angles, self.gains, self.sha256 = angles, gains, sha256
 
+    @staticmethod
+    def one_grid(angles):
+        """The row that every row of a (scans x n) float matrix repeats bit for
+        bit, or None if any row differs or there are none.  Bytes compare, not
+        values: -0.0 and 0.0 differ, as their CSV texts do."""
+        grid = _held_grid(angles)
+        if grid is None and len(angles):
+            bits = np.ascontiguousarray(angles).view(np.uint64)
+            grid = angles[0] if (bits == bits[0]).all() else None
+        return grid
+
     @classmethod
     def from_rows(cls, keys, sizes, angles_rad, gains, sha256=None) -> "ScanSet":
         """A checked ScanSet from scans stored back to back: scan i is keys[i]
         with the next sizes[i] angles (rad) and linear gains.  The arrays, or
         (scans x n) matrices of them, broadcast or not, become the set's
-        matrices as views, without a copy.  The earliest scan that
-        `first_invalid` rejects, or whose angle count differs from scan 0's,
-        raises a GridError (a DomainError for its gains) prefixed with its key
-        as given."""
+        matrices as views, without a copy, but for angles that repeat one
+        row (`one_grid`): the set holds a copy of that row, broadcast.  The
+        earliest scan that `first_invalid` rejects, or whose angle count
+        differs from scan 0's, raises a GridError (a DomainError for its
+        gains) prefixed with its key as given."""
         sizes = np.asarray(sizes, dtype=int)
         n = int(sizes[0]) if sizes.size else 0
         differ = np.flatnonzero(sizes != n)
@@ -113,6 +145,9 @@ class ScanSet:
         if differ.size:  # mixed counts come flat: the scans before the first that differs
             angles_rad, gains = angles_rad[:same * n], gains[:same * n]
         angles_rad, gains = np.reshape(angles_rad, (same, n)), np.reshape(gains, (same, n))
+        grid = cls.one_grid(angles_rad)
+        if grid is not None:  # a copy, so the caller's matrix can go
+            angles_rad = np.broadcast_to(grid.copy(), angles_rad.shape)
         found = first_invalid(angles_rad, gains) if same else None
         if found is None and differ.size:
             found = same, GridError(f"{sizes[same]} angles where scan {keys[0]} has {n}; "
@@ -129,13 +164,17 @@ class ScanSet:
         return len(self.tx)
 
     def __getitem__(self, which) -> "ScanSet":
-        """The scans a slice, boolean mask or index array picks, in its order.
-        One int is a TypeError, so iterating a ScanSet fails too."""
+        """The scans a slice, boolean mask or index array picks, in its order;
+        a held grid stays one broadcast row.  One int is a TypeError, so
+        iterating a ScanSet fails too."""
         if isinstance(which, (int, np.integer)):
             raise TypeError("a ScanSet takes a slice, mask or index array; key(i) names scan i")
         index = np.arange(len(self))[which]
+        grid = _held_grid(self.angles)
+        angles = self.angles[index] if grid is None else np.broadcast_to(
+            grid, (index.size, grid.size))
         return ScanSet([getattr(self, key)[index] for key in self.KEYS],
-                       self.angles[index], self.gains[index], self.sha256)
+                       angles, self.gains[index], self.sha256)
 
     def key(self, i) -> tuple:
         """Scan i's (tx, x, y, VehicleState, Stacking) key, as errors name it."""
@@ -147,10 +186,15 @@ class ScanSet:
         does its grid differ by more than GRID_MATCH_TOL at any angle from
         reference (one grid of the set's angle count, or one per scan picked)?"""
         index = np.arange(len(self))[which]
-        # One scratch array: the picked rows' angles, less the reference, made absolute.
-        gap = self.angles[index]
-        gap -= reference
-        return np.abs(gap, out=gap).max(axis=1) > GRID_MATCH_TOL
+        grid, reference = _held_grid(self.angles), np.asarray(reference)
+        if grid is None:  # one scratch array: the picked rows' angles, less the reference
+            gap = self.angles[index]
+            gap -= reference
+        else:  # the one row stands for every scan picked, and a held reference's for its own
+            held = _held_grid(reference)
+            gap = grid[None] - (reference if held is None else held)
+        differs = np.abs(gap, out=gap).max(axis=1) > GRID_MATCH_TOL
+        return np.broadcast_to(differs, index.shape).copy()
 
 
 @dataclass(frozen=True, eq=False)

@@ -25,7 +25,7 @@ from . import __version__, angular, dataio, geometry, linkbudget, spatialcorr, s
 from .config import DEFAULT_INI, ToolConfig, load_config
 from .errors import ConfigError, DegenerateFitError, DomainError, IngestError, ToolkitError
 from .pathloss import GainSample, fit_fixed_slope, fit_loglinear
-from .stats import empirical_cdf
+from .stats import EmpiricalCdf, empirical_cdf, gaussian_cdf
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,7 +37,9 @@ _DATA_CATEGORIES = {"ingest", "grid", "pairing", "data"}
 
 class Report(NamedTuple):
     """What a command computed, for `main` to emit: the tables as (path, header,
-    columns), the stdout lines, and the input hash the tables' provenance names."""
+    columns), the stdout lines, and the input hash the tables' provenance names.
+    A table's columns may be a function that makes them as the table is
+    written; it must not fail."""
 
     tables: list
     lines: list
@@ -176,17 +178,22 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     tables, lines, fits = [], [], []
     while deltas:  # popped, so each matrix goes once its statistics are taken
         label, angles_deg, matrix = deltas.pop(0)
-        cdf = vehicle.delta_cdf_report(matrix.ravel())
         stats = vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)
+        cdf = vehicle.delta_cdf_report(matrix.ravel())
         del matrix
+        # Only the sorted deltas and the fit are kept: the CDF columns are
+        # formed again, by the same ufuncs, as the table is written.
         tables.append((os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
                        ("delta_db", "empirical_cdf", "gaussian_cdf"),
-                       (cdf.values_db, cdf.empirical, cdf.gaussian)))
+                       lambda values=cdf.values_db, fit=cdf.fit: (
+                           values, EmpiricalCdf.of_sorted(values).probs,
+                           gaussian_cdf(values, fit.mu_db, fit.sigma_db))))
         tables += _angle_stats_tables(args.out_dir, "vehicle_delta", label, "mean_delta_db",
                                       angles_deg, *stats)
         lines.append(f"vehicle[{label}]: mu={cdf.fit.mu_db:+.2f} dB sigma={cdf.fit.sigma_db:.2f}"
                      f" dB over {cdf.fit.sample_count} deltas (CDF sup-gap {cdf.sup_gap:.4f})")
         fits.append((label, cdf.fit.mu_db, cdf.fit.sigma_db, cdf.fit.sample_count, cdf.sup_gap))
+        del cdf
     tables.append((os.path.join(args.out_dir, "vehicle_fit_params.csv"),
                    ("vehicle_position", "mu_db", "sigma_db", "sample_count", "cdf_sup_gap"),
                    list(zip(*fits))))
@@ -413,6 +420,7 @@ def _write_tables(report: Report, out_dir) -> None:
         if out_dir:
             os.makedirs(out_dir, exist_ok=True)
         for path, header, columns in report.tables:
+            columns = columns() if callable(columns) else columns
             dataio.write_table(path, header, columns, input_hash=report.input_hash)
             written.append(path)
     except BaseException:

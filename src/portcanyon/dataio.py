@@ -26,7 +26,11 @@ bytes, a comment row among the data, a line over `_MAX_LINE_BYTES`) is
 re-read row by row, the only source of the line-numbered errors.  Both
 readers skip one leading UTF-8 byte-order mark.  Each reader returns rows:
 keys, angle counts, phi_deg and gain_db, which `_scan_set` converts in
-place, so an ingest holds one copy.
+place, so an ingest holds one copy.  When every scan repeats scan 0's angles
+bit for bit, as a fixed-step rotator measures them, phi_deg is cut to those
+n values (`_one_grid`) before anything else holds it, and the ScanSet holds
+them once, as a broadcast row; a grid that differs in any bit keeps a row
+per scan.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -35,14 +39,16 @@ and removed if the build fails, so a failing ingest leaves none; a
 directory that refuses the write just leaves no sidecar.  `synth` saves
 one too (`save_sidecar`): `write_scans` returns the sha256 of the bytes it
 wrote, and `_csv_units` gives the rows from the set written, the values
-`write_scans` formats, so a file `synth` wrote is never parsed.  Each
-member is written from its array's buffer, the bytes `np.savez` writes
-but without its copy.  A
-sidecar is trusted only if its format version and input sha256 match, its
-members are exactly the expected ones, each with the expected dtype and
-shape, no larger than the input, each reads whole (zipfile checks each
-CRC-32), it holds at least one scan, its angle counts are positive, no key
-repeats and its keys pass the readers' key rules.  Its rows, which the
+`write_scans` formats, so a file `synth` wrote is never parsed.  A grid
+every scan shares is saved once: phi_deg holds n values, not one per row.
+Each member is written from its array's buffer, the bytes `np.savez`
+writes but without its copy.  A sidecar is trusted only if its format
+version and input sha256 match, its members are exactly the expected ones,
+each with the expected dtype and shape (phi_deg: one value per row, or n
+values if every scan has n angles), no larger than the input, each reads
+whole (zipfile checks each CRC-32), it holds at least one scan, its angle
+counts are positive, no key repeats and its keys pass the readers' key
+rules.  Its rows, which the
 load owns, then go through the same `_scan_set` and checks as a parse's.
 Anything else, an I/O error or a format-1 sidecar included, is a miss: the
 file is parsed and the sidecar rewritten.  So a sidecar never changes a
@@ -136,9 +142,13 @@ def _scan_texts(scans: ScanSet):
             phi_cells[grid] = [phi + "," for phi in map(repr, phi_deg.tolist())]
         prefix = f"{_cell(tx)},{x!r},{y!r},"
         suffix = f",{vehicle_state},{stacking}\n"
-        gain_db = map(repr, gain_db.tolist())
-        rows = (suffix + prefix).join(map(str.__add__, phi_cells[grid], gain_db))
-        yield prefix + rows + suffix
+        # One flat join: the prefix, then each row's phi, gain and the
+        # separator to the next row, the last row's being the suffix.
+        cells = [suffix + prefix] * (3 * gains.size + 1)
+        cells[0], cells[-1] = prefix, suffix
+        cells[1::3] = phi_cells[grid]
+        cells[2::3] = map(repr, gain_db.tolist())
+        yield "".join(cells)
 
 
 def write_scans(path, scans: ScanSet, seed=None) -> str:
@@ -170,7 +180,9 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
 
 def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units,
-    converted in place: phi_deg and gain_db must be the caller's to give up."""
+    converted in place: phi_deg and gain_db must be the caller's to give up.
+    phi_deg holds every row's angle, or, when every scan has sizes[0] angles
+    on one grid (`_one_grid`), that grid once; then the set holds it once."""
     # The ufuncs of np.radians(phi_deg) and 10.0 ** (gain_db / 10.0), so their
     # bits.  A gain_db too large for a float overflows to inf, which the check
     # rejects; numpy's overflow warning would only repeat that.
@@ -178,7 +190,21 @@ def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     np.divide(gain_db, 10.0, out=gain_db)
     with np.errstate(over="ignore"):
         np.power(10.0, gain_db, out=gain_db)
+    if phi_deg.size != gain_db.size:
+        phi_deg = np.broadcast_to(phi_deg, (len(sizes), phi_deg.size))
     return ScanSet.from_rows(keys, sizes, phi_deg, gain_db, sha256)
+
+
+def _one_grid(sizes, phi_deg):
+    """phi_deg, or a copy of scan 0's sizes[0] angles when every scan has
+    that many and they repeat them bit for bit (`ScanSet.one_grid`): the
+    grid as a sidecar and a ScanSet hold it, once."""
+    n = int(sizes[0])
+    if phi_deg.size == n * len(sizes):
+        grid = ScanSet.one_grid(phi_deg.reshape(-1, n))
+        if grid is not None:
+            return grid.copy()
+    return phi_deg
 
 
 def _csv_rows(fh):
@@ -262,7 +288,7 @@ _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n\r"
 # _MAX_LINE_BYTES, far longer than a canonical row (under 150 bytes: a tx_id
 # under _TX_WIDTH bytes, four floats of at most 24 characters, two tokens),
 # sends the file to the row loop.
-_BLOCK_BYTES = 1 << 18
+_BLOCK_BYTES = 1 << 16
 _MAX_LINE_BYTES = 1 << 12
 # The key fields are parsed as fixed-width text, each field wider than the
 # values it takes, so one that fills its width may have been truncated and
@@ -462,12 +488,12 @@ def _load_sidecar(path, sha256, limit):
                 return None
             fh.seek(0)
             with np.load(fh, allow_pickle=False) as npz:
-                def member(name, dtype, shape=None):
+                def member(name, dtype, *shapes):
                     with npz.zip.open(name + ".npy") as raw:
                         header = _NPY_HEADERS[np.lib.format.read_magic(raw)](raw)
                     got_shape, fortran, got = header
                     if (fortran or not got.isnative or not got.str[1:].startswith(dtype)
-                            or shape not in (None, got_shape)
+                            or (shapes and got_shape not in shapes)
                             or math.prod(got_shape) * got.itemsize > limit):
                         raise ValueError(f"unexpected sidecar member {name}")
                     return npz[name]  # read whole, so zipfile checks its CRC-32
@@ -480,7 +506,10 @@ def _load_sidecar(path, sha256, limit):
                 n, total = len(sizes), sum(sizes.tolist())  # Python ints: no overflow
                 keys = list(zip(*(member(key, "f8" if key in ("x", "y") else "U", (n,)).tolist()
                                   for key in ScanSet.KEYS)))
-                phi_deg, gain_db = (member(name, "f8", (total,)) for name in ("phi_deg", "gain_db"))
+                grids = [(total,)]
+                if sizes.size and (sizes == sizes[0]).all():  # or one grid for every scan
+                    grids.append((int(sizes[0]),))
+                phi_deg, gain_db = member("phi_deg", "f8", *grids), member("gain_db", "f8", (total,))
         # Keys compare as the readers group them: -0.0 joins 0.0.
         if (sizes.size > 0 and (sizes > 0).all() and len(set(keys)) == len(keys)
                 and all(_valid_key(*key) for key in keys)):
@@ -520,10 +549,12 @@ def _write_npz(fh, members) -> None:
 def save_sidecar(path, scans: ScanSet, sha256) -> None:
     """Save the sidecar of the CSV at path that `write_scans` wrote from
     scans, keyed by sha256, the hash it returned, so the first `ingest` of
-    the file skips the parse.  The rows are saved in set order, in CSV units."""
+    the file skips the parse.  The rows are saved in set order, in CSV units,
+    a grid every scan shares once."""
     keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
     sizes = np.full(len(scans), scans.angles.shape[1], dtype=np.int64)
-    phi_deg, gain_db = _csv_units(scans.angles, scans.gains)
+    grid = ScanSet.one_grid(scans.angles)
+    phi_deg, gain_db = _csv_units(scans.angles if grid is None else grid, scans.gains)
     _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX,
                   (keys, sizes, phi_deg.ravel(), gain_db.ravel()), sha256)
 
@@ -549,9 +580,11 @@ def ingest(path) -> ScanSet:
         with contextlib.suppress(Exception):  # sidecar rows that do not build are a miss
             return _scan_set(*cached, sha256)
     try:
-        rows = _ingest_columnar(path)
+        keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
     except _NotCanonical:
-        rows = _ingest_rows(path)
+        keys, sizes, phi_deg, gain_db = _ingest_rows(path)
+    rows = keys, sizes, _one_grid(sizes, phi_deg), gain_db
+    del phi_deg
     after = os.stat(path)
     # A file changed while it was read may not match its hash.  The rows are
     # saved before the build converts them; a failing build removes them.
@@ -589,7 +622,7 @@ def _lines(columns) -> str:
     return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n"
 
 
-_CHUNK_ROWS = 1 << 14  # rows formatted per write: a few MB of text at most
+_CHUNK_ROWS = 1 << 11  # rows formatted per write: under a MB of floats and strings
 
 
 def write_table(path, header, columns, input_hash=None) -> None:

@@ -50,14 +50,17 @@ class EmpiricalCdf:
     def median(self) -> float:
         return self.quantile(0.5)
 
+    @classmethod
+    def of_sorted(cls, values) -> "EmpiricalCdf":
+        """The CDF of samples already sorted ascending, held as given."""
+        if values.size == 0:
+            raise InsufficientDataError("empirical CDF needs at least one sample")
+        return cls(values=values, probs=np.arange(1, values.size + 1, dtype=float) / values.size)
+
 
 def empirical_cdf(samples) -> EmpiricalCdf:
     """Build the empirical CDF of a 1-D sample."""
-    values = np.sort(np.asarray(samples, dtype=float).ravel())
-    if values.size == 0:
-        raise InsufficientDataError("empirical CDF needs at least one sample")
-    probs = np.arange(1, values.size + 1, dtype=float) / values.size
-    return EmpiricalCdf(values=values, probs=probs)
+    return EmpiricalCdf.of_sorted(np.sort(np.asarray(samples, dtype=float).ravel()))
 
 
 def gaussian_cdf(x, mu: float, sigma: float):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, VehicleState, require_common_grid, to_db
+from .angular import ScanSet, Stacking, VehicleState, require_common_grid
 from .errors import DomainError, GridError, IngestError, InsufficientDataError
 from .stats import aligned_histograms, empirical_cdf, gaussian_cdf, sorted_ks_gap
 
@@ -73,12 +73,17 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
         raise IngestError(f"no baseline scan for vehicle scan at "
                           f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
     base = np.array(base)
-    off_grid = scans.grid_differs(scans.angles[with_vehicle], base)
+    off_grid = scans.grid_differs(scans[with_vehicle].angles, base)
     if off_grid.any():
         raise GridError(f"scans must share one angle grid; scan "
                         f"{scans.key(int(with_vehicle[off_grid.argmax()]))} differs")
-    delta = to_db(scans.gains[base])
-    delta -= to_db(scans.gains[with_vehicle])
+    # Each side's gains are taken (a copy) and turned into dB in place: the
+    # bits of to_db, whose > 0 check a ScanSet's gains have passed.
+    delta, moved = scans.gains[base], scans.gains[with_vehicle]
+    for gains in (delta, moved):
+        np.log10(gains, out=gains)
+        gains *= 10.0
+    delta -= moved
     return delta
 
 

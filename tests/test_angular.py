@@ -149,6 +149,25 @@ class TestChunkedGridCheck:
         assert want is not None
         assert _verdict(first_invalid(angles, gains)) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_a_held_grid_gives_the_whole_matrix_verdict(self, data):
+        # One broadcast grid row: its grid is checked once, each scan's gains
+        # as before; the verdict is that of the matrix with the row repeated.
+        n_rows = data.draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1]),
+                                     st.integers(1, 700)), label="rows")
+        n = data.draw(st.integers(8, 12), label="angles")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        row = (grid(n) + rng.uniform(0.0, 0.5 * angular.TWO_PI / n))[None]
+        gains = rng.lognormal(-14.0, 1.0, (n_rows, n))
+        for _ in range(data.draw(st.integers(0, 2))):
+            kind = data.draw(st.sampled_from(("gain", "order", "spacing", "start")), label="kind")
+            _plant(data.draw, row, gains, data.draw(_bad_rows(n_rows)) if kind == "gain" else 0,
+                   kind)
+        held = np.broadcast_to(row[0], (n_rows, n))
+        want = _verdict(whole_first_invalid(np.array(held), gains))
+        assert _verdict(first_invalid(held, gains)) == want
+
     @pytest.mark.parametrize("bad, changed", [(2 * _CHUNK + 1, 2 * _CHUNK + 4),
                                               (2 * _CHUNK + 4, 2 * _CHUNK + 1)],
                              ids=["bad grid before count change", "count change before bad grid"])

@@ -1427,7 +1427,8 @@ def test_vehicle_peak_is_its_matrices_and_tables(tmp_path):
     # before the statistics and the deltas are taken by index, so the peak is
     # the set's matrices, or the delta CDF tables the command writes, not both
     # beside copies of the set's subsets: about 22,900 KiB for this file with
-    # those copies and the set kept through the statistics, 16,200 without.
+    # those copies and the set kept through the statistics, 16,200 with the
+    # grid held per scan and both positions' CDF tables held to the end.
     from portcanyon.dataio import ingest
 
     rng = np.random.default_rng(5)
@@ -1437,7 +1438,9 @@ def test_vehicle_peak_is_its_matrices_and_tables(tmp_path):
              gains=rng.lognormal(-14.0, 1.0, 360), vehicle_state=state)
         for i in range(400) for state in ("absent", "position1", "position2")))
     scans = ingest(data)  # cold: writes the sidecar
-    matrices_kib = (scans.angles.nbytes + scans.gains.nbytes) // 1024
-    tables_kib = 2 * 3 * 400 * 360 * 8 // 1024  # delta, empirical and Gaussian CDF per position
+    # The gains and the one grid row the set holds; the delta, empirical and
+    # Gaussian CDF columns of one position, formed as its table is written.
+    matrices_kib = (scans.gains.nbytes + scans.angles[0].nbytes) // 1024
+    tables_kib = 3 * 400 * 360 * 8 // 1024
     peak = command_peak_kib("vehicle", "--input", data, "--out-dir", tmp_path / "out")
     assert peak <= matrices_kib + tables_kib + 4096, (peak, matrices_kib, tables_kib)

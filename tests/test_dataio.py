@@ -712,7 +712,7 @@ class TestBlockBoundaries:
 
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_cold_ingest_peak_is_a_warm_ingests(self, tmp_path):
-        # A 12.5 MB file, 48 blocks; a whole-file table added about 7.5 MB.
+        # A 12.5 MB file, 191 blocks; a whole-file table added about 7.5 MB.
         path = _campaign_of_600_scans(tmp_path)
         cold, warm = ingest_peak_kib(path), ingest_peak_kib(path)
         assert os.path.exists(str(path) + ".scanset.npz")
@@ -721,25 +721,29 @@ class TestBlockBoundaries:
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_warm_ingest_peak_is_its_rows_and_matrices(self, tmp_path):
         # Whole-matrix grid check temporaries and a full-size dB temporary
-        # added about 5.4 MB here.
+        # added about 5.4 MB here; holding the grid once per scan, in the
+        # sidecar's rows and in the set, peaked at about 6,100 KiB.
         path = _campaign_of_600_scans(tmp_path)
         scans = ingest(path)  # cold: writes the sidecar
-        rows = dataio._load_sidecar(str(path) + dataio.SIDECAR_SUFFIX, scans.sha256,
-                                    os.path.getsize(path))
-        matrices = scans.angles.nbytes + scans.gains.nbytes
-        data_kib = (sum(np.asarray(column).nbytes for column in rows[1:]) + matrices) // 1024
+        # The rows a sidecar of one grid holds (angle counts, the grid,
+        # gain_db) and the set's matrices (the gains and one grid row).
+        grid_bytes = scans.angles[0].nbytes
+        data_kib = (8 * len(scans) + 2 * (grid_bytes + scans.gains.nbytes)) // 1024
         warm = ingest_peak_kib(path)
-        assert warm <= data_kib + 4096, (warm, data_kib)
+        assert warm <= data_kib + 2048, (warm, data_kib)
 
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_warm_ingest_peak_is_its_matrices(self, tmp_path):
         # The loaded rows become the matrices in place; converting them into
-        # new arrays held both, about 9,600 KiB here.
+        # new arrays held both, about 9,600 KiB here; holding the grid once
+        # per scan peaked at about 6,100 KiB.
         path = _campaign_of_600_scans(tmp_path)
         scans = ingest(path)  # cold: writes the sidecar
-        matrices_kib = (scans.angles.nbytes + scans.gains.nbytes) // 1024
+        # The gains and the one grid row: a broadcast view's nbytes counts
+        # the row once per scan.
+        matrices_kib = (scans.gains.nbytes + scans.angles[0].nbytes) // 1024
         warm = ingest_peak_kib(path)
-        assert warm <= matrices_kib + 4096, (warm, matrices_kib)
+        assert warm <= matrices_kib + 3072, (warm, matrices_kib)
 
 
 def _campaign_of_600_scans(tmp_path):
@@ -1212,6 +1216,13 @@ def _sidecar_rows(path):
                                 os.path.getsize(path))
 
 
+def _held_rows(path):
+    """The rows `ingest` parses path into, a grid every scan repeats held once,
+    as the sidecar saves them."""
+    keys, sizes, phi_deg, gain_db = _parsed_rows(path)
+    return keys, sizes, dataio._one_grid(sizes, phi_deg), gain_db
+
+
 class TestSavedSidecar:
     """`synth` saves the sidecar of the CSV it writes, from the set it holds."""
 
@@ -1233,7 +1244,8 @@ class TestSavedSidecar:
             saved = _rows_of(_sidecar_rows, path)
             warm = _set_state(ingest(path))
             os.unlink(path + dataio.SIDECAR_SUFFIX)
-            assert saved == _rows_of(_parsed_rows, path)
+            assert saved == _rows_of(_held_rows, path)
+            assert len(saved[2]) == 8 * n_angles  # one grid's phi_deg bytes
             assert warm == _set_state(ingest(path))
 
     def test_sidecar_save_copies_no_member(self, tmp_path):
@@ -1270,6 +1282,71 @@ class TestSavedSidecar:
         stale = sidecar.read_bytes()
         assert main(["synth", "--layout", "uniform", "--n-angles", "8", "--out", str(path)]) == 0
         assert sidecar.read_bytes() != stale
-        assert _rows_of(_sidecar_rows, path) == _rows_of(_parsed_rows, path)
+        assert _rows_of(_sidecar_rows, path) == _rows_of(_held_rows, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "campaign.csv", sidecar.name, "other.csv"]
+
+
+class TestHeldGrid:
+    """A campaign whose scans repeat one grid bit for bit holds it once."""
+
+    N_ANGLES = 12
+
+    def _synth(self, tmp_path):
+        from contextlib import redirect_stdout
+
+        from portcanyon.cli import main
+
+        path = tmp_path / "campaign.csv"
+        with redirect_stdout(io.StringIO()):
+            assert main(["synth", "--layout", "uniform", "--vehicle-mode", "dense",
+                         "--n-angles", str(self.N_ANGLES), "--out", str(path)]) == 0
+        return path
+
+    @pytest.mark.parametrize("reader", ["sidecar", "columnar", "rows"])
+    def test_every_reader_holds_one_grid(self, tmp_path, reader):
+        path = self._synth(tmp_path)
+        sidecar = str(path) + dataio.SIDECAR_SUFFIX
+        if reader != "sidecar":
+            os.unlink(sidecar)
+        if reader == "rows":  # a quoted tx_id sends the file to the row reader
+            provenance, header, first, *rest = path.read_text(encoding="ascii").splitlines()
+            path.write_text("\n".join([provenance, header, '"' + first.replace(",", '",', 1),
+                                       *rest]) + "\n", encoding="ascii")
+            with pytest.raises(_NotCanonical):
+                _ingest_columnar(path)
+        elif reader == "columnar":
+            _ingest_columnar(path)  # does not decline
+        scans = ingest(path)
+        grid_row = np.radians(_parsed_rows(path)[2][:self.N_ANGLES])
+        for picked in (scans, scans[scans.vehicle_state == "position1"], scans[[5, 0, 3]],
+                       scans[2:9], scans[[]]):
+            assert picked.angles.shape == (len(picked), self.N_ANGLES)
+            assert not picked.angles.flags.writeable
+            if len(picked):
+                assert picked.angles.strides[0] == 0
+                assert picked.angles[-1].tobytes() == grid_row.tobytes()
+        with np.load(sidecar, allow_pickle=False) as npz:
+            assert npz["phi_deg"].shape == (self.N_ANGLES,)
+            assert npz["gain_db"].shape == (len(scans) * self.N_ANGLES,)
+        assert _set_state(ingest(path)) == _set_state(scans)
+
+    @pytest.mark.parametrize("case", ["negative zero start", "offset grid"])
+    def test_grids_that_differ_in_one_bit_are_held_per_scan(self, tmp_path, case):
+        path = self._synth(tmp_path)
+        os.unlink(str(path) + dataio.SIDECAR_SUFFIX)
+        provenance, header, *rows = path.read_text(encoding="ascii").splitlines()
+        last = rows[-1].split(",")
+        at = len(rows) - self.N_ANGLES  # the last scan's first row
+        assert last[3] != "0.0" and rows[at].split(",")[3] == "0.0"
+        first = rows[at].split(",")
+        first[3] = "-0.0" if case == "negative zero start" else "1e-300"
+        rows[at] = ",".join(first)
+        path.write_text("\n".join([provenance, header, *rows]) + "\n", encoding="ascii")
+        scans = ingest(path)
+        assert scans.angles.strides[0] != 0
+        assert repr(float(np.degrees(scans.angles[-1, 0]))) == first[3]
+        assert repr(float(np.degrees(scans.angles[0, 0]))) == "0.0"
+        with np.load(str(path) + dataio.SIDECAR_SUFFIX, allow_pickle=False) as npz:
+            assert npz["phi_deg"].shape == (len(scans) * self.N_ANGLES,)
+        assert _set_state(ingest(path)) == _set_state(scans)

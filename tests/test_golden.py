@@ -21,6 +21,7 @@ import hashlib
 import importlib.util
 import itertools
 import json
+import math
 import os
 import random
 import sys
@@ -146,6 +147,66 @@ def test_equivalent_spellings_match_golden_digests(tmp_path, capsys, monkeypatch
     # saved serves the other four commands on it.
     assert parses == (["_ingest_columnar"] * 2 if reader == "columnar"
                       else ["_ingest_columnar", "_ingest_rows"] * 2)
+
+
+# Each command's exit code and one digest over its stdout and every table,
+# as the per-scan matrices give them, on `one_bit_grid_outcomes`'s files.
+ONE_BIT_GRIDS = {
+    "negative zero start": ({"angular": 0, "vehicle": 0, "fit": 0},
+                            "1ee112ee29217bc31e8f1878eee6f011d4eb79682ac298786460d1ca2fc2ebe0"),
+    "offset transmitter": ({"angular": 0, "vehicle": 3, "fit": 0},
+                           "02ef7d12125c044c434fde7bbd029d8346b451fc0038999899d4279cd77c6eed"),
+}
+
+
+def one_bit_grid_outcomes(workdir, read_stdout, case) -> tuple:
+    """Each command's exit code, and one digest over its stdout and every
+    file in workdir, for `angular`, `vehicle` and `fit` on the 16-angle
+    dense uniform campaign, with one scan's or one transmitter's grid
+    changed: case "negative zero start" spells the first position1 scan's
+    first angle -0.0, a grid that differs from 0.0 in one bit only, and
+    "offset transmitter" turns every scan of the last transmitter in the
+    file by 1e-3 rad."""
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        assert main(["synth", "--layout", "uniform", "--vehicle-mode", "dense", "--seed", "5",
+                     "--n-angles", "16", "--out", "campaign.csv"]) == 0
+        read_stdout()
+        os.unlink("campaign.csv" + SIDECAR_SUFFIX)
+        provenance, header, *rows = Path("campaign.csv").read_text(encoding="ascii").splitlines()
+        fields = [row.split(",") for row in rows]
+        if case == "negative zero start":
+            at = next(i for i, row in enumerate(fields) if row[5] == "position1")
+            assert fields[at][3] == "0.0"
+            fields[at][3] = "-0.0"
+        else:
+            for row in fields:
+                if row[0] == fields[-1][0]:
+                    row[3] = repr(float(row[3]) + math.degrees(1e-3))
+        Path("campaign.csv").write_text("\n".join([provenance, header, *map(",".join, fields)])
+                                        + "\n", encoding="ascii")
+        codes, digest = {}, hashlib.sha256()
+        for argv in (["angular", "--input", "campaign.csv", "--out-dir", "angular"],
+                     ["vehicle", "--input", "campaign.csv", "--out-dir", "vehicle"],
+                     ["fit", "--input", "campaign.csv", "--out", "fit.csv"]):
+            codes[argv[0]] = main(argv)
+            digest.update(_digest(read_stdout().encode("utf-8")).encode("ascii"))
+    finally:
+        os.chdir(cwd)
+    for path in sorted(Path(workdir).rglob("*")):
+        if path.is_file() and not path.name.endswith(SIDECAR_SUFFIX):
+            digest.update(f"{path.relative_to(workdir).as_posix()}:{_digest(path.read_bytes())}"
+                          .encode("ascii"))
+    return codes, digest.hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(ONE_BIT_GRIDS))
+def test_grids_that_differ_in_a_bit_give_the_per_scan_outcomes(tmp_path, capsys, case):
+    # Such a campaign's set holds a grid per scan, not one broadcast grid.
+    assert one_bit_grid_outcomes(tmp_path, lambda: capsys.readouterr().out,
+                                 case) == ONE_BIT_GRIDS[case]
+    assert dataio.ingest(tmp_path / "campaign.csv").angles.strides[0] != 0
 
 
 if __name__ == "__main__":
