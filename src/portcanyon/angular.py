@@ -51,6 +51,14 @@ def _held_grid(angles):
     return angles[0] if angles.ndim == 2 and len(angles) and angles.strides[0] == 0 else None
 
 
+def _picked(n, which):
+    """The indices which (a slice, boolean mask or index array) picks of n
+    scans.  An integer array is returned as given: no arange of all n."""
+    if isinstance(which, np.ndarray) and which.dtype.kind in "iu":
+        return which
+    return np.arange(n)[which]
+
+
 def _grid_checks(angles, spacing):
     """Per row of an angle matrix: (not increasing, not uniform, bad start),
     the max spacing deviation and the start, as `first_invalid` reports them."""
@@ -169,7 +177,7 @@ class ScanSet:
         iterating a ScanSet fails too."""
         if isinstance(which, (int, np.integer)):
             raise TypeError("a ScanSet takes a slice, mask or index array; key(i) names scan i")
-        index = np.arange(len(self))[which]
+        index = _picked(len(self), which)
         grid = _held_grid(self.angles)
         angles = self.angles[index] if grid is None else np.broadcast_to(
             grid, (index.size, grid.size))
@@ -185,7 +193,7 @@ class ScanSet:
         """Per scan which picks (a slice, mask or index array; default: all):
         does its grid differ by more than GRID_MATCH_TOL at any angle from
         reference (one grid of the set's angle count, or one per scan picked)?"""
-        index = np.arange(len(self))[which]
+        index = _picked(len(self), which)
         grid, reference = _held_grid(self.angles), np.asarray(reference)
         if grid is None:  # one scratch array: the picked rows' angles, less the reference
             gap = self.angles[index]
@@ -270,7 +278,7 @@ def require_common_grid(scans: ScanSet, which=slice(None)) -> np.ndarray:
     """The angle grid the scans which picks (default: all) share; a GridError
     names the first that differs by more than GRID_MATCH_TOL at any angle.
     No scans: a DomainError."""
-    index = np.arange(len(scans))[which]
+    index = _picked(len(scans), which)
     if not index.size:
         raise DomainError("an empty scan set has no angle grid")
     grid = scans.angles[index[0]]

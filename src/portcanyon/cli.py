@@ -25,14 +25,14 @@ from . import __version__, angular, dataio, geometry, linkbudget, spatialcorr, s
 from .config import DEFAULT_INI, ToolConfig, load_config
 from .errors import ConfigError, DegenerateFitError, DomainError, IngestError, ToolkitError
 from .pathloss import GainSample, fit_fixed_slope, fit_loglinear
-from .stats import EmpiricalCdf, empirical_cdf, gaussian_cdf
+from .stats import empirical_cdf
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_DOMAIN = 4
 
-_DATA_CATEGORIES = {"ingest", "grid", "pairing", "data"}
+_DATA_CATEGORIES = {"ingest", "grid", "data"}
 
 
 class Report(NamedTuple):
@@ -127,30 +127,11 @@ def _cmd_spatial(args, cfg: ToolConfig) -> Report:
     # A complete line takes x_count distinct scans, so with fewer there is none.
     if args.x_count > len(scans):
         raise no_line
-    wanted = [args.x_start + args.x_step * k for k in range(args.x_count)]
-
-    # Each scan takes the first line position within the tolerance, if any;
-    # a later scan at a taken position replaces the earlier one.
-    slot = np.full(len(scans), -1)
-    for k, x in enumerate(wanted):
-        slot[(slot < 0) & (np.abs(scans.x - x) <= spatialcorr.POSITION_SPACING_TOL)] = k
-    slot = slot.tolist()
-    by_line = defaultdict(dict)
-    for i, (tx_id, y, stacking) in enumerate(zip(
-            scans.tx.tolist(), scans.y.tolist(), map(angular.Stacking, scans.stacking))):
-        if slot[i] >= 0:
-            by_line[(tx_id, y, stacking)][slot[i]] = i
-
-    lines = []
-    for key in sorted(by_line, key=str):
-        slots = by_line[key]
-        if len(slots) == len(wanted):
-            lines.append(spatialcorr.DenseLine(
-                positions=np.array(wanted), scans=scans[[slots[k] for k in range(len(wanted))]]))
-    if not lines:
+    positions = np.array([args.x_start + args.x_step * k for k in range(args.x_count)])
+    lines = spatialcorr.dense_lines(scans, positions)
+    if not len(lines):
         raise no_line
-
-    lag_m, corr = spatialcorr.averaged_correlation(lines)
+    lag_m, corr = spatialcorr.averaged_correlation(scans, lines, positions)
     return Report([(args.out, ("lag_m", "correlation"), (np.round(lag_m, 9), corr))], [
         f"spatial: averaged {len(lines)} dense lines -> {args.out}",
         f"spatial: correlation at first lag ({lag_m[1]:.1f} m) = {corr[1]:+.3f}",
@@ -181,19 +162,15 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
         stats = vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)
         cdf = vehicle.delta_cdf_report(matrix.ravel())
         del matrix
-        # Only the sorted deltas and the fit are kept: the CDF columns are
-        # formed again, by the same ufuncs, as the table is written.
+        # The report holds the sorted deltas and the fit; its CDF columns
+        # are formed as the table is written.
         tables.append((os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
-                       ("delta_db", "empirical_cdf", "gaussian_cdf"),
-                       lambda values=cdf.values_db, fit=cdf.fit: (
-                           values, EmpiricalCdf.of_sorted(values).probs,
-                           gaussian_cdf(values, fit.mu_db, fit.sigma_db))))
+                       ("delta_db", "empirical_cdf", "gaussian_cdf"), cdf.columns))
         tables += _angle_stats_tables(args.out_dir, "vehicle_delta", label, "mean_delta_db",
                                       angles_deg, *stats)
         lines.append(f"vehicle[{label}]: mu={cdf.fit.mu_db:+.2f} dB sigma={cdf.fit.sigma_db:.2f}"
                      f" dB over {cdf.fit.sample_count} deltas (CDF sup-gap {cdf.sup_gap:.4f})")
         fits.append((label, cdf.fit.mu_db, cdf.fit.sigma_db, cdf.fit.sample_count, cdf.sup_gap))
-        del cdf
     tables.append((os.path.join(args.out_dir, "vehicle_fit_params.csv"),
                    ("vehicle_position", "mu_db", "sigma_db", "sample_count", "cdf_sup_gap"),
                    list(zip(*fits))))

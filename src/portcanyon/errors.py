@@ -23,12 +23,6 @@ class GridError(ToolkitError):
     category = "grid"
 
 
-class PairingError(ToolkitError):
-    """Two scans that must describe the same link do not match."""
-
-    category = "pairing"
-
-
 class InsufficientDataError(ToolkitError):
     """Not enough samples to compute the requested statistic."""
 

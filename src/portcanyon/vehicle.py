@@ -15,7 +15,7 @@ import numpy as np
 
 from .angular import ScanSet, Stacking, VehicleState, require_common_grid
 from .errors import DomainError, GridError, IngestError, InsufficientDataError
-from .stats import aligned_histograms, empirical_cdf, gaussian_cdf, sorted_ks_gap
+from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf, gaussian_cdf, sorted_ks_gap
 
 __all__ = [
     "GaussianFitResult", "DeltaCdfReport", "vehicle_delta", "fit_gaussian",
@@ -40,15 +40,19 @@ class GaussianFitResult:
 class DeltaCdfReport:
     """Empirical and fitted-Gaussian CDFs of pooled gain differences.
 
-    Both CDFs are tabulated on the sorted sample values; sup_gap is the
-    Kolmogorov distance between them (vertical, in probability).
+    Only the sorted sample values and the fit are held; `columns` forms both
+    CDFs on the values.  sup_gap is the Kolmogorov distance between them
+    (vertical, in probability).
     """
 
     values_db: np.ndarray
-    empirical: np.ndarray
-    gaussian: np.ndarray
     sup_gap: float
     fit: GaussianFitResult
+
+    def columns(self) -> tuple:
+        """(values_db, empirical CDF k/n, fitted Gaussian CDF), one row per value."""
+        return (self.values_db, EmpiricalCdf.of_sorted(self.values_db).probs,
+                gaussian_cdf(self.values_db, self.fit.mu_db, self.fit.sigma_db))
 
 
 def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
@@ -118,12 +122,11 @@ def delta_angle_stats(delta_matrix, db_bin_width: float):
 def delta_cdf_report(deltas) -> DeltaCdfReport:
     """Fit a Gaussian to pooled deltas and compare CDFs.
 
-    Returns both CDFs on the sorted sample grid plus the sup (Kolmogorov)
-    gap; a small gap says the vehicle effect is well described as additive
-    Gaussian dB noise.
+    Returns the sorted deltas, the fit and the sup (Kolmogorov) gap between
+    the two CDFs; a small gap says the vehicle effect is well described as
+    additive Gaussian dB noise.
     """
-    cdf = empirical_cdf(deltas)
-    fit = fit_gaussian(cdf.values)
-    gaussian = gaussian_cdf(cdf.values, fit.mu_db, fit.sigma_db)
-    return DeltaCdfReport(values_db=cdf.values, empirical=cdf.probs, gaussian=gaussian,
-                          sup_gap=sorted_ks_gap(gaussian), fit=fit)
+    values = empirical_cdf(deltas).values
+    fit = fit_gaussian(values)
+    return DeltaCdfReport(values_db=values, fit=fit, sup_gap=sorted_ks_gap(
+        gaussian_cdf(values, fit.mu_db, fit.sigma_db)))

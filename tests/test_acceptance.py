@@ -33,7 +33,7 @@ from portcanyon.linkbudget import (
     noise_floor_dbm,
 )
 from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
-from portcanyon.spatialcorr import DenseLine, averaged_correlation
+from portcanyon.spatialcorr import averaged_correlation
 from portcanyon.stats import ks_gap
 from portcanyon.synth import (
     HornPattern,
@@ -257,16 +257,14 @@ def test_criterion_07_angular_invariants():
 # --------------------------------------------------------------------------
 def test_criterion_08_spatial_decorrelation():
     rng = np.random.default_rng(80)
-    grid = uniform_grid(8)
     positions = 13.5 + 0.1 * np.arange(15)
-    lines = []
-    keys = [("TX1_63", float(x), 3.5, "absent", "uniform") for x in positions]
-    angles = np.tile(grid, len(positions))
-    for _ in range(10_000):
-        gains = rng.exponential(1e-6, size=(15, 8))
-        scans = ScanSet.from_rows(keys, [8] * len(positions), angles, gains.ravel())
-        lines.append(DenseLine(positions=positions, scans=scans))
-    _, corr = averaged_correlation(lines)
+    n_lines = 10_000
+    # One set of the lines' scans, line after line; row i of the index matrix is line i.
+    keys = [("TX1_63", float(x), 3.5, "absent", "uniform") for x in positions] * n_lines
+    gains = np.stack([rng.exponential(1e-6, size=(15, 8)) for _ in range(n_lines)])
+    scans = ScanSet.from_rows(keys, [8] * len(keys), np.tile(uniform_grid(8), len(keys)),
+                              gains.ravel())
+    _, corr = averaged_correlation(scans, np.arange(len(keys)).reshape(n_lines, 15), positions)
     worst = float(np.max(np.abs(corr[1:])))
     ok = worst < 0.1
     check(

@@ -742,6 +742,33 @@ class TestRegressions:
         assert captured.err == "error[domain]: positions must be uniformly spaced\n"
         assert captured.out == "" and not out.exists()
 
+    def test_spatial_far_line_with_no_scans_on_it_is_no_line(self, tmp_path, capsys):
+        # The positions from x = 1e12 are not uniform, but no scan lies on
+        # them: the spacing is checked only once a line is complete.
+        data = _write_scans(tmp_path, _line_scans([13.5 + 0.1 * k for k in range(15)]))
+        out = tmp_path / "corr.csv"
+        rc = main(["spatial", "--input", data, "--out", str(out), "--x-start", "1e12"])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err.startswith("error[ingest]: no complete dense line found")
+        assert captured.out == "" and not out.exists()
+
+    def test_spatial_names_the_off_grid_scan_of_the_first_line(self, tmp_path, capsys):
+        # Two complete lines, TX2's first in the file, each with one scan off
+        # the line's grid: TX1_63's line sorts first, so its scan is named.
+        xs = [13.5 + 0.1 * k for k in range(15)]
+        scans = [s._replace(angles=GRID + 0.01) if s.x == xs[off] else s
+                 for tx, off in (("TX2", 3), ("TX1_63", 9)) for s in _line_scans(xs, tx=tx)]
+        data = _write_scans(tmp_path, scans)
+        out = tmp_path / "corr.csv"
+        rc = main(["spatial", "--input", data, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == (
+            f"error[grid]: scans must share one angle grid; scan ('TX1_63', {xs[9]!r}, 3.5, "
+            "<VehicleState.ABSENT: 'absent'>, <Stacking.UNIFORM: 'uniform'>) differs\n")
+        assert captured.out == "" and not out.exists()
+
 
 class TestBranches:
     """Command branches that the pipeline tests above do not reach."""

@@ -248,7 +248,7 @@ class TestCliOutputsOracle:
             mean_db, _, _ = delta_angle_stats(matrix, db_bin_width=1.0)
             out = tmp_path / f"vehicle_delta_cdf_{state.value}.csv"
             assert _column(out, 0) == _reprs(report.values_db)
-            assert _column(out, 2) == _reprs(report.gaussian)
+            assert _column(out, 2) == _reprs(report.columns()[2])
             mean_out = tmp_path / f"vehicle_delta_mean_{state.value}.csv"
             assert _column(mean_out, 1) == _reprs(mean_db)
 

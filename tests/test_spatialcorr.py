@@ -1,11 +1,12 @@
-"""Spatial autocorrelation: brute-force oracle and averaging properties."""
+"""Spatial autocorrelation: dense-line finding, brute-force oracle and
+averaging properties."""
 
 import numpy as np
 import pytest
 from scansets import Scan, grid, scan_set
 
-from portcanyon.errors import DomainError, GridError, PairingError
-from portcanyon.spatialcorr import DenseLine, averaged_correlation
+from portcanyon.errors import DomainError, GridError
+from portcanyon.spatialcorr import averaged_correlation, dense_lines
 
 N_ANGLES = 8
 GRID = grid(N_ANGLES)
@@ -24,65 +25,129 @@ def brute_force_autocorr(db_values):
     return [r / raw[0] for r in raw]
 
 
-def per_angle_curves(line):
-    """Reference for the batched path: one np.correlate curve per grid angle,
-    normalized by lag 0; a constant line's curve is [1, 0, ..., 0]."""
+def per_angle_curves(gains):
+    """Reference for the batched path: one np.correlate curve per grid angle
+    of a line's (positions x angles) linear gains, normalized by lag 0; a
+    constant line's curve is [1, 0, ..., 0]."""
     curves = []
-    for gains in line.scans.gains.T:
-        db = 10 * np.log10(gains)
+    for column in np.asarray(gains).T:
+        db = 10 * np.log10(column)
         z = db - np.mean(db)
         raw = np.correlate(z, z, "full")[z.size - 1:]
         curves.append(np.eye(1, z.size)[0] if raw[0] == 0.0 else raw / raw[0])
     return np.stack(curves)
 
 
+def line_scans(gains, positions=POSITIONS, tx="TX1_63", y=3.5):
+    """One scan per row of linear gains, at the positions in order."""
+    return [Scan(tx=tx, x=float(x), y=y, angles=GRID, gains=np.asarray(row, dtype=float))
+            for x, row in zip(positions, gains)]
+
+
+def correlation(*lines, positions=POSITIONS):
+    """averaged_correlation of the lines, each a (positions x angles) matrix of
+    linear gains: one set of their scans, line after line, and the index
+    matrix that takes the lines in that order."""
+    scans = scan_set(s for gains in lines for s in line_scans(gains, positions))
+    return averaged_correlation(scans, np.arange(len(scans)).reshape(len(lines), -1), positions)
+
+
+def db_line(db_values):
+    """A line whose gain at EVERY angle equals the given dB value."""
+    return [np.full(N_ANGLES, 10.0 ** (db / 10.0)) for db in db_values]
+
+
 def line_correlation(db_values):
     """averaged_correlation of one line whose every angle carries db_values."""
-    return averaged_correlation([line_from_db(db_values)])[1]
+    return correlation(db_line(db_values))[1]
 
 
-def make_line(gains, positions=POSITIONS, tx="TX1_63", y=3.5):
-    """A dense line of one scan per row of linear gains, on the uniform grid."""
-    scans = scan_set(Scan(tx=tx, x=float(x), y=y, angles=grid(len(row)), gains=row)
-                     for x, row in zip(positions, gains))
-    return DenseLine(positions=np.asarray(positions[:len(gains)], dtype=float), scans=scans)
+def flat(n=len(POSITIONS)):
+    """n rows of one flat linear gain."""
+    return np.full((n, N_ANGLES), 1e-6)
 
 
-def line_from_db(db_values, positions=POSITIONS, tx="TX1_63", y=3.5):
-    """Build a dense line whose gain at EVERY angle equals the given dB value."""
-    gains = [np.full(N_ANGLES, 10.0 ** (db / 10.0)) for db in db_values]
-    return make_line(gains, positions, tx, y)
-
-
-class TestDenseLineValidation:
+class TestDenseLines:
     def test_nominal_15_point_line(self):
-        line = line_from_db([-60.0] * 15)
-        assert line.spacing_m == pytest.approx(0.1, abs=1e-12)
-        assert line.positions[-1] == pytest.approx(14.9, abs=1e-12)
+        scans = scan_set(line_scans(flat()))
+        lines = dense_lines(scans, POSITIONS)
+        assert lines.tolist() == [list(range(15))]
+        lag_m, _ = averaged_correlation(scans, lines, POSITIONS)
+        assert lag_m[1] == pytest.approx(0.1, abs=1e-12)
+        assert lag_m[-1] == pytest.approx(1.4, abs=1e-12)
+
+    def test_lines_are_ordered_by_their_key_text(self):
+        # "('TX1_63', 10.5, ..." sorts before "('TX1_63', 3.5, ...", and TX1_63 before TX2.
+        positions = POSITIONS[:3]
+        scans = scan_set(line_scans(flat(3), positions, tx="TX2")
+                         + line_scans(flat(3), positions, y=3.5)
+                         + line_scans(flat(3), positions, y=10.5))
+        assert dense_lines(scans, positions).tolist() == [[6, 7, 8], [3, 4, 5], [0, 1, 2]]
+
+    def test_scans_match_positions_within_the_tolerance(self):
+        positions = np.array([13.5, 13.6, 13.7])
+        near = scan_set(line_scans(flat(3), positions + [5e-10, -5e-10, 0.0]))
+        assert dense_lines(near, positions).tolist() == [[0, 1, 2]]
+        off = scan_set(line_scans(flat(3), positions + [5e-7, 0.0, 0.0]))
+        assert dense_lines(off, positions).shape == (0, 3)
+
+    def test_a_later_scan_replaces_an_earlier_one_in_a_slot(self):
+        positions = np.array([13.5, 13.6])
+        scans = scan_set(line_scans(flat(3), [13.5, 13.6, 13.5]))
+        assert dense_lines(scans, positions).tolist() == [[2, 1]]
+
+    def test_a_scan_takes_the_first_position_it_matches(self):
+        # The first scan is within the tolerance of both positions, the second of the last only.
+        positions = np.array([13.5, 13.5 + 8e-10])
+        scans = scan_set(line_scans(flat(2), positions + [4e-10, 8e-10]))
+        assert dense_lines(scans, positions).tolist() == [[0, 1]]
+        # Of two equal neighbours only the first slot fills: no line is complete.
+        scans = scan_set(line_scans(flat(3), [13.5, 13.5, 13.6]))
+        assert dense_lines(scans, np.array([13.5, 13.5, 13.6])).shape == (0, 3)
+
+    def test_scans_off_every_position_make_no_line(self):
+        scans = scan_set(line_scans(flat(4)))
+        assert dense_lines(scans, np.array([1.0, 1.1, 1.2, 1.3])).shape == (0, 4)
+
+    @pytest.mark.parametrize("field, value", [("tx", "TX2"), ("y", 5.5),
+                                              ("stacking", "nonuniform")])
+    def test_scans_of_other_links_make_no_line(self, field, value):
+        first, second = line_scans(flat(2), POSITIONS[:2])
+        scans = scan_set([first, second._replace(**{field: value})])
+        assert dense_lines(scans, POSITIONS[:2]).shape == (0, 2)
 
     def test_rejects_non_uniform_positions(self):
-        with pytest.raises(DomainError):
-            line_from_db([-60.0] * 4, positions=[13.5, 13.6, 13.8, 13.9])
+        positions = np.array([13.5, 13.6, 13.8, 13.9])
+        scans = scan_set(line_scans(flat(4), positions))
+        lines = dense_lines(scans, positions)
+        assert lines.tolist() == [[0, 1, 2, 3]]
+        with pytest.raises(DomainError, match="positions must be uniformly spaced"):
+            averaged_correlation(scans, lines, positions)
 
-    def test_rejects_scan_position_mismatch(self):
-        scans = line_from_db([-60.0] * 4).scans
-        with pytest.raises(DomainError):
-            DenseLine(positions=np.array([1.0, 1.1, 1.2, 1.3]), scans=scans)
-
-    def test_rejects_mixed_transmitters(self):
-        scans = scan_set([Scan("TX1_63", 13.5, 3.5, GRID, np.ones(N_ANGLES)),
-                          Scan("TX2", 13.6, 3.5, GRID, np.ones(N_ANGLES))])
-        with pytest.raises(PairingError, match=r"scan \('TX2', 13.6, 3.5, <VehicleState"):
-            DenseLine(positions=np.array([13.5, 13.6]), scans=scans)
-
-    def test_angles_are_the_scan_grid(self):
-        assert line_from_db([-60.0] * 4).angles.tobytes() == GRID.tobytes()
+    def test_no_line_is_checked_before_the_spacing(self):
+        positions = np.array([13.5, 13.6, 13.8, 13.9])
+        with pytest.raises(DomainError, match="at least one line"):
+            averaged_correlation(scan_set(line_scans(flat(4), positions)),
+                                 np.empty((0, 4), dtype=int), positions)
 
     def test_rejects_a_scan_off_the_line_grid(self):
         scans = scan_set([Scan("TX2", 13.5, 3.5, GRID, np.ones(N_ANGLES)),
                           Scan("TX2", 13.6, 3.5, GRID + 0.01, np.ones(N_ANGLES))])
+        lines = dense_lines(scans, POSITIONS[:2])
         with pytest.raises(GridError, match=r"scan \('TX2', 13.6, 3.5, <VehicleState"):
-            DenseLine(positions=np.array([13.5, 13.6]), scans=scans)
+            averaged_correlation(scans, lines, POSITIONS[:2])
+
+    def test_the_first_line_off_its_grid_is_named(self):
+        # Both lines have a scan off their grid; the first in line order is named.
+        positions = POSITIONS[:2]
+        moved = [s._replace(angles=GRID + 0.01) if s.x == positions[1] else s
+                 for s in line_scans(flat(2), positions, tx="TX2")
+                 + line_scans(flat(2), positions)]
+        scans = scan_set(moved)
+        lines = dense_lines(scans, positions)
+        assert lines.tolist() == [[2, 3], [0, 1]]
+        with pytest.raises(GridError, match=r"scan \('TX1_63', 13.6, 3.5, <VehicleState"):
+            averaged_correlation(scans, lines, positions)
 
 
 class TestAutocorrelation:
@@ -121,20 +186,20 @@ class TestAutocorrelation:
 
 
 class TestAveragedCorrelation:
-    def _random_line(self, rng, tx="TX1_63", y=3.5):
-        return make_line(rng.exponential(1e-6, size=(15, N_ANGLES)), tx=tx, y=y)
+    def _random_line(self, rng):
+        return rng.exponential(1e-6, size=(15, N_ANGLES))
 
     def test_single_line_passthrough(self):
         rng = np.random.default_rng(4)
         line = self._random_line(rng)
-        lag_m, avg = averaged_correlation([line])
+        lag_m, avg = correlation(line)
         assert np.allclose(avg, per_angle_curves(line).mean(axis=0), atol=1e-12)
         assert np.allclose(lag_m, 0.1 * np.arange(15), atol=1e-9)
 
     def test_averaging_order_is_irrelevant(self):
         rng = np.random.default_rng(5)
-        lines = [self._random_line(rng, y=y) for y in (3.5, 5.5, 7.5)]
-        _, avg = averaged_correlation(lines)
+        lines = [self._random_line(rng) for _ in range(3)]
+        _, avg = correlation(*lines)
         curves = np.stack([per_angle_curves(line) for line in lines])  # lines, angles, lags
         # angles first, then lines
         assert np.allclose(avg, curves.mean(axis=1).mean(axis=0), atol=1e-12)
@@ -145,16 +210,15 @@ class TestAveragedCorrelation:
         # Scaled-down Monte Carlo; the acceptance suite runs the full one.
         rng = np.random.default_rng(6)
         lines = [self._random_line(rng) for _ in range(500)]
-        _, avg = averaged_correlation(lines)
+        _, avg = correlation(*lines)
         assert avg[0] == pytest.approx(1.0, abs=1e-12)
         assert np.all(np.abs(avg[1:]) < 0.2)
 
     def test_global_offset_invariance(self):
         rng = np.random.default_rng(7)
         line = self._random_line(rng)
-        shifted = make_line(line.scans.gains * 10.0 ** (23.0 / 10.0))
-        _, base = averaged_correlation([line])
-        _, moved = averaged_correlation([shifted])
+        _, base = correlation(line)
+        _, moved = correlation(line * 10.0 ** (23.0 / 10.0))
         assert np.allclose(base, moved, atol=1e-9)
 
     def test_each_angle_loses_its_own_mean(self):
@@ -163,24 +227,34 @@ class TestAveragedCorrelation:
         rng = np.random.default_rng(11)
         line = self._random_line(rng)
         offsets_db = np.linspace(-30.0, 30.0, N_ANGLES)
-        shifted = make_line(line.scans.gains * 10.0 ** (offsets_db / 10.0))
-        _, base = averaged_correlation([line])
-        _, moved = averaged_correlation([shifted])
+        _, base = correlation(line)
+        _, moved = correlation(line * 10.0 ** (offsets_db / 10.0))
         assert np.allclose(base, moved, atol=1e-9)
 
     def test_rejects_no_lines(self):
+        scans = scan_set(line_scans(flat()))
         with pytest.raises(DomainError, match="at least one line"):
-            averaged_correlation([])
+            averaged_correlation(scans, np.empty((0, 15), dtype=int), POSITIONS)
+
+    def test_takes_the_lines_the_matrix_picks(self):
+        # Rows pick scans anywhere in the set, in any order: the curve is that
+        # of the lines the rows name, in row order.
+        rng = np.random.default_rng(12)
+        lines = [self._random_line(rng) for _ in range(3)]
+        scans = scan_set(s for line in lines for s in line_scans(line))
+        picked = np.arange(45).reshape(3, 15)[[2, 0]]
+        _, avg = averaged_correlation(scans, picked, POSITIONS)
+        assert avg.tobytes() == correlation(lines[2], lines[0])[1].tobytes()
 
     def test_equals_the_per_angle_loop_bit_for_bit(self):
         rng = np.random.default_rng(9)
-        lines = [self._random_line(rng, y=float(y)) for y in range(6)]
-        lines.append(line_from_db([-60.0] * 15))  # every angle degenerate
+        lines = [self._random_line(rng) for _ in range(6)]
+        lines.append(db_line([-60.0] * 15))  # every angle degenerate
         gains = rng.exponential(1e-6, size=(15, N_ANGLES))
         gains[:, 3] = 2e-6  # one degenerate angle
-        lines.append(make_line(gains, tx="TX2"))
+        lines.append(gains)
         reference = np.mean([per_angle_curves(line).mean(axis=0) for line in lines], axis=0)
-        _, avg = averaged_correlation(lines)
+        _, avg = correlation(*lines)
         assert avg.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("n_pos", [3, 4])
@@ -191,25 +265,7 @@ class TestAveragedCorrelation:
         positions = 13.5 + 0.1 * np.arange(n_pos)
         for _ in range(50):
             gains = rng.exponential(1e-6, size=(n_pos, N_ANGLES))
-            line = make_line(gains, positions, tx="TX2")
-            reference = per_angle_curves(line)
-            _, avg = averaged_correlation([line])
+            reference = per_angle_curves(gains)
+            _, avg = correlation(gains, positions=positions)
             np.testing.assert_allclose(avg, reference.mean(axis=0), rtol=0,
                                        atol=4 * np.finfo(float).eps)
-
-    def test_requires_one_angle_count(self):
-        # Lines from separate sets may differ in angle count; their curves
-        # are not averaged.
-        rng = np.random.default_rng(9)
-        line = self._random_line(rng)
-        other = make_line([rng.exponential(1e-6, 16) for _ in POSITIONS], tx="TX2", y=5.5)
-        for lines in ([line, other], [other, line]):
-            with pytest.raises(DomainError, match="angle count"):
-                averaged_correlation(lines)
-
-    def test_requires_shared_lag_structure(self):
-        rng = np.random.default_rng(8)
-        a = self._random_line(rng)
-        short = DenseLine(positions=a.positions[:10], scans=a.scans[:10])
-        with pytest.raises(DomainError):
-            averaged_correlation([a, short])

@@ -6,7 +6,7 @@ from scansets import Scan, grid, scan_set
 
 from portcanyon.angular import VehicleState
 from portcanyon.errors import DomainError, GridError, IngestError, InsufficientDataError
-from portcanyon.stats import gaussian_cdf
+from portcanyon.stats import gaussian_cdf, sorted_ks_gap
 from portcanyon.vehicle import (
     delta_angle_stats,
     delta_cdf_report,
@@ -197,8 +197,14 @@ class TestDeltaCdfReport:
     def test_cdf_grids_aligned(self):
         rng = np.random.default_rng(5)
         report = delta_cdf_report(rng.normal(0, 1, 64))
-        assert report.values_db.shape == report.empirical.shape == report.gaussian.shape
-        assert np.all(np.diff(report.values_db) >= 0.0)
+        values, empirical, gaussian = report.columns()
+        assert values is report.values_db
+        assert values.shape == empirical.shape == gaussian.shape == (64,)
+        assert np.all(np.diff(values) >= 0.0)
+        assert empirical.tobytes() == (np.arange(1, 65) / 64).tobytes()
+        assert gaussian.tobytes() == gaussian_cdf(
+            values, report.fit.mu_db, report.fit.sigma_db).tobytes()
+        assert report.sup_gap == sorted_ks_gap(gaussian)
 
 
 class TestDeltaAngleStats:
