@@ -21,7 +21,7 @@ from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf
 __all__ = [
     "VehicleState", "Stacking", "ScanSet", "first_invalid",
     "AngularSpectrumStats", "to_db", "from_db", "circular_mean_gain", "normalized_spectrum",
-    "require_common_grid", "ensemble_stats", "tx_bearing", "azimuth_gain", "gain_cdfs",
+    "ensemble_stats", "tx_bearing", "azimuth_gain", "gain_cdfs",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -29,9 +29,11 @@ TWO_PI = 2.0 * math.pi
 # Tolerances for grid validation / comparison (rad).
 GRID_SPACING_TOL = 1e-9
 GRID_MATCH_TOL = 1e-12
-# Rows `first_invalid` checks at a time: 256 rows of 360 angles make
-# temporaries of 0.7 MB each, where the whole paper-scale campaign's are 6 MB.
-_CHECK_ROWS = 256
+# Rows `first_invalid` checks at a time: 64 rows of 360 angles make
+# temporaries of 0.2 MB each, where the whole paper-scale campaign's are 6 MB.
+# A cold ingest checks each scan's angles while it holds the parse's columns,
+# at its peak, so the chunk's temporaries add to that peak.
+_CHECK_ROWS = 64
 
 
 class VehicleState(str, enum.Enum):
@@ -45,61 +47,50 @@ class Stacking(str, enum.Enum):
     NONUNIFORM = "nonuniform"
 
 
-def _held_grid(angles):
-    """The one row a (scans x n) matrix holds if it is a broadcast view of
-    that row (`ScanSet.one_grid`); else None."""
-    return angles[0] if angles.ndim == 2 and len(angles) and angles.strides[0] == 0 else None
+def _bad_gains(gains):
+    """Per row of a gains matrix: is any gain not finite and > 0?"""
+    return ~((gains > 0.0) & (gains < np.inf)).all(axis=1)
 
 
-def _picked(n, which):
-    """The indices which (a slice, boolean mask or index array) picks of n
-    scans.  An integer array is returned as given: no arange of all n."""
-    if isinstance(which, np.ndarray) and which.dtype.kind in "iu":
-        return which
-    return np.arange(n)[which]
+def first_invalid(grid, gains, angles=None, first=0):
+    """(row, error) for the first row of a (scans x n) gains matrix that is
+    not a valid scan and the error saying why; None if all are.  A valid
+    scan has every gain finite and > 0 and its angles on grid, the set's
+    one grid: 8 or more angles, uniform over one rotation from [0,
+    spacing).  angles, if given, holds each scan's angles, one row per scan,
+    each within GRID_MATCH_TOL of grid at every angle, or the error names
+    first as the scan grid came from.
 
-
-def _grid_checks(angles, spacing):
-    """Per row of an angle matrix: (not increasing, not uniform, bad start),
-    the max spacing deviation and the start, as `first_invalid` reports them."""
-    steps = angles[:, 1:] - angles[:, :-1]
-    deviation = np.abs(steps - spacing).max(axis=1)
-    start = angles[:, 0]
-    return (~(steps > 0.0).all(axis=1), deviation > GRID_SPACING_TOL,
-            ~((0.0 <= start) & (start < spacing + GRID_SPACING_TOL))), deviation, start
-
-
-def first_invalid(angles, gains):
-    """(row, error) for the first row of (scans x angles) matrices that is not
-    a valid scan (8 or more angles, uniform over one rotation from [0, spacing),
-    every gain finite and > 0) and the error saying why; None if all are.
-
-    The rows are checked `_CHECK_ROWS` at a time, so the check's temporaries
-    are a few chunks of rows, not copies of the matrices; each row's verdict
-    is its own, so the earliest invalid row and its error are those of one
-    check over the whole matrices.  Angles held as one broadcast row have
-    that row's grid checked once."""
-    n = angles.shape[1]
+    grid is checked once, as row 0's; the rows are checked `_CHECK_ROWS` at
+    a time, so the check's temporaries are a few chunks of rows, not copies
+    of the matrices.  A row's gains are named before its angles."""
+    n = grid.size
     if n < 8:
         return 0, GridError(f"need at least 8 azimuth samples, got {n}")
     spacing = TWO_PI / n
-    grid = _held_grid(angles)
-    held = None if grid is None else _grid_checks(grid[None], spacing)
+    steps = grid[1:] - grid[:-1]
+    deviation = np.abs(steps - spacing).max()
+    bad_gains = DomainError("all linear gains must be finite and > 0")
+    for bad, why in (
+            (not (steps > 0.0).all(), "angles must be strictly increasing"),
+            (deviation > GRID_SPACING_TOL, "angle grid must be uniform with spacing 2*pi/N "
+                                           f"(max deviation {deviation:.3e} rad)"),
+            (not 0.0 <= grid[0] < spacing + GRID_SPACING_TOL,
+             f"grid must start within the first spacing interval, got {grid[0]}")):
+        if bad:
+            return 0, bad_gains if _bad_gains(gains[:1]).any() else GridError(why)
     for top in range(0, len(gains), _CHECK_ROWS):
-        chunk_gains = gains[top:top + _CHECK_ROWS]
-        bad, deviation, start = held or _grid_checks(angles[top:top + _CHECK_ROWS], spacing)
-        bad = (~((chunk_gains > 0.0) & (chunk_gains < np.inf)).all(axis=1), *bad)
-        rows = np.flatnonzero(bad[0] | bad[1] | bad[2] | bad[3])
+        bad = _bad_gains(gains[top:top + _CHECK_ROWS])
+        gap = np.zeros(bad.size)
+        if angles is not None:  # one scratch chunk: the rows' angles, less the grid
+            gap = angles[top:top + _CHECK_ROWS] - grid
+            gap = np.abs(gap, out=gap).max(axis=1)
+        rows = np.flatnonzero(bad | ~(gap <= GRID_MATCH_TOL))
         if rows.size:
             row = int(rows[0])
-            at = 0 if held else row  # a held grid's checks have one row
-            return top + row, (
-                DomainError("all linear gains must be finite and > 0"),
-                GridError("angles must be strictly increasing"),
-                GridError("angle grid must be uniform with spacing 2*pi/N "
-                          f"(max deviation {deviation[at]:.3e} rad)"),
-                GridError(f"grid must start within the first spacing interval, got {start[at]}"),
-            )[[bad[0][row], *(check[at] for check in bad[1:])].index(True)]
+            return top + row, bad_gains if bad[row] else GridError(
+                f"angles differ by up to {gap[row]:.3e} rad from those of scan {first}; "
+                "the scans of a set share one angle grid")
     return None
 
 
@@ -107,56 +98,42 @@ class ScanSet:
     """Scans as columns, in order: what `dataio.ingest` returns.
 
     The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
-    values) hold one entry per scan; `angles` (rad) and `gains` (linear) are
-    (scans x angles) matrices, one angle count per set, as the sounder's
-    fixed azimuth steps give it; `sha256` is the hash of the file read, if
-    any.  When every scan's angles repeat scan 0's bit for bit, as a
-    fixed-step rotator measures them and `synth` writes them, `angles` is a
-    read-only `np.broadcast_to` view of that one row, and selections keep
-    the view; otherwise it holds one row per scan.  A slice, mask or index
-    array selects a ScanSet; `key(i)` names scan i.  `from_rows` builds and
-    checks every set; selection alone calls the constructor, which checks
-    nothing.
+    values) hold one entry per scan; `grid` is the set's one azimuth grid
+    (rad, n angles, read-only), as the sounder's fixed azimuth steps give
+    it, and `gains` the (scans x n) matrix of linear gains; `sha256` is the
+    hash of the file read, if any.  A slice, mask or index array selects a
+    ScanSet, which shares the grid; `key(i)` names scan i.  `from_rows`
+    builds and checks every set; selection alone calls the constructor,
+    which checks nothing.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
 
-    def __init__(self, columns, angles, gains, sha256=None):
+    def __init__(self, columns, grid, gains, sha256=None):
         self.tx, self.x, self.y, self.vehicle_state, self.stacking = columns
-        self.angles, self.gains, self.sha256 = angles, gains, sha256
-
-    @staticmethod
-    def one_grid(angles):
-        """The row that every row of a (scans x n) float matrix repeats bit for
-        bit, or None if any row differs or there are none.  Bytes compare, not
-        values: -0.0 and 0.0 differ, as their CSV texts do."""
-        grid = _held_grid(angles)
-        if grid is None and len(angles):
-            bits = np.ascontiguousarray(angles).view(np.uint64)
-            grid = angles[0] if (bits == bits[0]).all() else None
-        return grid
+        self.grid, self.gains, self.sha256 = grid, gains, sha256
 
     @classmethod
     def from_rows(cls, keys, sizes, angles_rad, gains, sha256=None) -> "ScanSet":
         """A checked ScanSet from scans stored back to back: scan i is keys[i]
-        with the next sizes[i] angles (rad) and linear gains.  The arrays, or
-        (scans x n) matrices of them, broadcast or not, become the set's
-        matrices as views, without a copy, but for angles that repeat one
-        row (`one_grid`): the set holds a copy of that row, broadcast.  The
-        earliest scan that `first_invalid` rejects, or whose angle count
-        differs from scan 0's, raises a GridError (a DomainError for its
-        gains) prefixed with its key as given."""
+        with the next sizes[i] linear gains.  angles_rad holds the grid's
+        sizes[0] values or each scan's angles, stored alike.  The set keeps a
+        copy of scan 0's angles as its grid; the gains, or a (scans x n)
+        matrix of them, become its matrix as a view.  The earliest scan that
+        `first_invalid` rejects (off scan 0's grid by more than
+        GRID_MATCH_TOL too), or whose angle count differs from scan 0's,
+        raises a GridError (a DomainError for its gains) prefixed with its
+        key as given."""
         sizes = np.asarray(sizes, dtype=int)
         n = int(sizes[0]) if sizes.size else 0
         differ = np.flatnonzero(sizes != n)
         same = int(differ[0]) if differ.size else sizes.size  # scans 0..same-1 have n angles
-        if differ.size:  # mixed counts come flat: the scans before the first that differs
-            angles_rad, gains = angles_rad[:same * n], gains[:same * n]
-        angles_rad, gains = np.reshape(angles_rad, (same, n)), np.reshape(gains, (same, n))
-        grid = cls.one_grid(angles_rad)
-        if grid is not None:  # a copy, so the caller's matrix can go
-            angles_rad = np.broadcast_to(grid.copy(), angles_rad.shape)
-        found = first_invalid(angles_rad, gains) if same else None
+        # Mixed counts come flat: the scans before the first that differs are formed.
+        gains = np.reshape(gains[:same * n], (same, n))
+        angles = np.reshape(angles_rad[:same * n], (same, n)) if np.size(angles_rad) != n else None
+        grid = np.array(np.ravel(angles_rad)[:n], dtype=float)
+        grid.flags.writeable = False  # selections share it
+        found = first_invalid(grid, gains, angles, keys[0]) if same else None
         if found is None and differ.size:
             found = same, GridError(f"{sizes[same]} angles where scan {keys[0]} has {n}; "
                                     "the scans of a set share one angle count")
@@ -166,43 +143,23 @@ class ScanSet:
         tx, x, y, vehicle_state, stacking = zip(*keys) if keys else ((),) * 5
         return cls((np.array(tx, dtype=object), np.array(x, dtype=float),
                     np.array(y, dtype=float), np.array(vehicle_state, dtype=object),
-                    np.array(stacking, dtype=object)), angles_rad, gains, sha256)
+                    np.array(stacking, dtype=object)), grid, gains, sha256)
 
     def __len__(self) -> int:
         return len(self.tx)
 
     def __getitem__(self, which) -> "ScanSet":
-        """The scans a slice, boolean mask or index array picks, in its order;
-        a held grid stays one broadcast row.  One int is a TypeError, so
-        iterating a ScanSet fails too."""
+        """The scans a slice, boolean mask or index array picks, in its order.
+        One int is a TypeError, so iterating a ScanSet fails too."""
         if isinstance(which, (int, np.integer)):
             raise TypeError("a ScanSet takes a slice, mask or index array; key(i) names scan i")
-        index = _picked(len(self), which)
-        grid = _held_grid(self.angles)
-        angles = self.angles[index] if grid is None else np.broadcast_to(
-            grid, (index.size, grid.size))
-        return ScanSet([getattr(self, key)[index] for key in self.KEYS],
-                       angles, self.gains[index], self.sha256)
+        return ScanSet([getattr(self, key)[which] for key in self.KEYS],
+                       self.grid, self.gains[which], self.sha256)
 
     def key(self, i) -> tuple:
         """Scan i's (tx, x, y, VehicleState, Stacking) key, as errors name it."""
         return (self.tx[i], float(self.x[i]), float(self.y[i]),
                 VehicleState(self.vehicle_state[i]), Stacking(self.stacking[i]))
-
-    def grid_differs(self, reference, which=slice(None)) -> np.ndarray:
-        """Per scan which picks (a slice, mask or index array; default: all):
-        does its grid differ by more than GRID_MATCH_TOL at any angle from
-        reference (one grid of the set's angle count, or one per scan picked)?"""
-        index = _picked(len(self), which)
-        grid, reference = _held_grid(self.angles), np.asarray(reference)
-        if grid is None:  # one scratch array: the picked rows' angles, less the reference
-            gap = self.angles[index]
-            gap -= reference
-        else:  # the one row stands for every scan picked, and a held reference's for its own
-            held = _held_grid(reference)
-            gap = grid[None] - (reference if held is None else held)
-        differs = np.abs(gap, out=gap).max(axis=1) > GRID_MATCH_TOL
-        return np.broadcast_to(differs, index.shape).copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -265,28 +222,14 @@ def circular_mean_gain(scans: ScanSet) -> np.ndarray:
 
 def normalized_spectrum(scans: ScanSet) -> np.ndarray:
     """Per-angle dB gain relative to each scan's circular mean, as a (scans x
-    angles) matrix; the scans must share one grid (`require_common_grid`).
+    angles) matrix; no scans is a DomainError.
 
     Each row's linear-domain circular mean is 1 (0 dB), so spectra from links
     with different absolute gains become comparable.
     """
-    require_common_grid(scans)
+    if not len(scans):
+        raise DomainError("normalized_spectrum needs at least one scan")
     return _normalized(scans.gains)
-
-
-def require_common_grid(scans: ScanSet, which=slice(None)) -> np.ndarray:
-    """The angle grid the scans which picks (default: all) share; a GridError
-    names the first that differs by more than GRID_MATCH_TOL at any angle.
-    No scans: a DomainError."""
-    index = _picked(len(scans), which)
-    if not index.size:
-        raise DomainError("an empty scan set has no angle grid")
-    grid = scans.angles[index[0]]
-    differs = scans.grid_differs(grid, index)
-    if differs.any():
-        raise GridError(f"scans must share one angle grid; scan "
-                        f"{scans.key(int(index[differs.argmax()]))} differs")
-    return grid
 
 
 def ensemble_stats(scans: ScanSet, db_bin_width: float) -> AngularSpectrumStats:
@@ -297,11 +240,12 @@ def ensemble_stats(scans: ScanSet, db_bin_width: float) -> AngularSpectrumStats:
     bin width; edges are aligned to multiples of the width
     (`stats.aligned_histograms`, which bounds the bin count).
     """
-    grid = require_common_grid(scans)
+    if not len(scans):
+        raise DomainError("ensemble_stats needs at least one scan")
     gains = scans.gains                                  # (n_scans, n_angles), one grid
     mean_db = _mean_db(gains, axis=0)
     edges, counts = aligned_histograms(10.0 * np.log10(gains), db_bin_width)
-    return AngularSpectrumStats(angles=grid, mean_db=mean_db, bin_edges_db=edges,
+    return AngularSpectrumStats(angles=scans.grid, mean_db=mean_db, bin_edges_db=edges,
                                 counts=counts, n_scans=len(scans))
 
 
@@ -349,6 +293,6 @@ def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]
     spectra = _normalized(scans.gains)
     n = spectra.shape[1]
     # The grid angle nearest each bearing; np.rint rounds half to even, as round does.
-    nearest = np.rint((bearings - scans.angles[:, 0]) / (TWO_PI / n))
+    nearest = np.rint((bearings - scans.grid[0]) / (TWO_PI / n))
     at_tx = spectra[np.arange(len(spectra)), nearest.astype(int) % n]
     return empirical_cdf(spectra.ravel()), empirical_cdf(at_tx)

@@ -143,22 +143,19 @@ def _cmd_spatial(args, cfg: ToolConfig) -> Report:
 def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     scans = dataio.ingest(args.input)
 
-    # Each position's delta matrix, paired and checked by `vehicle_delta` from
-    # index arrays into the one set; then the set goes before any statistic.
-    deltas = []
-    for state in (angular.VehicleState.POSITION1, angular.VehicleState.POSITION2):
-        first = np.flatnonzero(scans.vehicle_state == state.value)[:1]
-        if first.size:  # the deltas are pooled per angle, on the grid of the first scan
-            deltas.append((state.value, np.degrees(scans.angles[first[0]]),
-                           vehicle.vehicle_delta(scans, state)))
+    # Each position's delta matrix, paired by `vehicle_delta` from index
+    # arrays into the one set; then the set goes before any statistic.
+    deltas = [(state.value, vehicle.vehicle_delta(scans, state))
+              for state in (angular.VehicleState.POSITION1, angular.VehicleState.POSITION2)
+              if (scans.vehicle_state == state.value).any()]
     if not deltas:
         raise IngestError("dataset has no vehicle scans")
-    input_hash = scans.sha256
+    input_hash, angles_deg = scans.sha256, np.degrees(scans.grid)
     del scans
 
     tables, lines, fits = [], [], []
     while deltas:  # popped, so each matrix goes once its statistics are taken
-        label, angles_deg, matrix = deltas.pop(0)
+        label, matrix = deltas.pop(0)
         stats = vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)
         cdf = vehicle.delta_cdf_report(matrix.ravel())
         del matrix

@@ -10,12 +10,14 @@ Every emitted file starts with a '#' provenance comment (tool version, seed,
 input hash) followed by the header row; files are written atomically, with
 the mode the umask gives a newly created file.  `write_table` takes columns
 and streams its text `_CHUNK_ROWS` rows at a time.  `write_scans` takes a
-ScanSet, formats each distinct angle grid once and writes one scan at a
-time, in set order, so no output exists as one string.
+ScanSet, formats its angle grid once and writes one scan at a time, in set
+order, so no output exists as one string.
 
-`ingest` returns an `angular.ScanSet`: key columns, one (scans x angles)
-matrix pair, and the file's sha256; a file whose scans differ in angle
-count is a GridError that names the first scan that differs.  A canonical
+`ingest` returns an `angular.ScanSet`: key columns, the one angle grid,
+the (scans x angles) gains matrix and the file's sha256; a file whose
+scans differ in angle count, or in angle by more than
+`angular.GRID_MATCH_TOL` from scan 0's, is a GridError that names the
+first scan that differs.  A canonical
 file, LF or CRLF, is parsed columnar, in one read of the file in blocks of
 whole lines (`_BLOCK_BYTES`): each block's bytes are checked, its lines go
 through `np.loadtxt`, and its phi_deg and gain_db go into the result before
@@ -26,11 +28,8 @@ bytes, a comment row among the data, a line over `_MAX_LINE_BYTES`) is
 re-read row by row, the only source of the line-numbered errors.  Both
 readers skip one leading UTF-8 byte-order mark.  Each reader returns rows:
 keys, angle counts, phi_deg and gain_db, which `_scan_set` converts in
-place, so an ingest holds one copy.  When every scan repeats scan 0's angles
-bit for bit, as a fixed-step rotator measures them, phi_deg is cut to those
-n values (`_one_grid`) before anything else holds it, and the ScanSet holds
-them once, as a broadcast row; a grid that differs in any bit keeps a row
-per scan.
+place, so an ingest holds one copy; the set keeps a copy of scan 0's
+angles as its grid.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -38,18 +37,17 @@ parse.  It is saved atomically (umask mode) before the rows are converted
 and removed if the build fails, so a failing ingest leaves none; a
 directory that refuses the write just leaves no sidecar.  `synth` saves
 one too (`save_sidecar`): `write_scans` returns the sha256 of the bytes it
-wrote, and `_csv_units` gives the rows from the set written, the values
-`write_scans` formats, so a file `synth` wrote is never parsed.  A grid
-every scan shares is saved once: phi_deg holds n values, not one per row.
+wrote, and the rows are those of the set written, in the units and values
+`write_scans` formats, so a file `synth` wrote is never parsed.  The grid
+is saved once: phi_deg holds scan 0's n values, not one per row.
 Each member is written from its array's buffer, the bytes `np.savez`
 writes but without its copy.  A sidecar is trusted only if its format
 version and input sha256 match, its members are exactly the expected ones,
-each with the expected dtype and shape (phi_deg: one value per row, or n
-values if every scan has n angles), no larger than the input, each reads
-whole (zipfile checks each CRC-32), it holds at least one scan, its angle
-counts are positive, no key repeats and its keys pass the readers' key
-rules.  Its rows, which the
-load owns, then go through the same `_scan_set` and checks as a parse's.
+each with the expected dtype and shape, no larger than the input, each
+reads whole (zipfile checks each CRC-32), it holds at least one scan,
+every scan has the same positive angle count n, phi_deg holds n values,
+no key repeats and its keys pass the readers' key rules.  Its rows, which
+the load owns, then go through the same `_scan_set` and checks as a parse's.
 Anything else, an I/O error or a format-1 sidecar included, is a miss: the
 file is parsed and the sidecar rewritten.  So a sidecar never changes a
 result, and deleting it, `synth`'s too, is always safe.
@@ -123,30 +121,20 @@ def _atomic_write(path, write) -> None:
         raise
 
 
-def _csv_units(angles, gains):
-    """phi_deg and gain_db of angles (rad) and linear gains: the values the
-    CSV holds, so a sidecar saved from them holds what a parse reads back."""
-    return np.degrees(angles), 10.0 * np.log10(gains)
-
-
 def _scan_texts(scans: ScanSet):
-    """The canonical CSV rows of each scan, in set order; each distinct grid
-    row's phi_deg text is formatted once."""
-    phi_cells = {}
+    """The canonical CSV rows of each scan, in set order; the grid's phi_deg
+    text is formatted once."""
+    phi_cells = [phi + "," for phi in map(repr, np.degrees(scans.grid).tolist())]
     columns = (getattr(scans, key).tolist() for key in ScanSet.KEYS)
-    for (tx, x, y, vehicle_state, stacking), angles, gains in zip(
-            zip(*columns), scans.angles, scans.gains):
-        phi_deg, gain_db = _csv_units(angles, gains)
-        grid = angles.tobytes()  # by bytes: -0.0 and 0.0 format differently
-        if grid not in phi_cells:
-            phi_cells[grid] = [phi + "," for phi in map(repr, phi_deg.tolist())]
+    for (tx, x, y, vehicle_state, stacking), gains in zip(zip(*columns), scans.gains):
+        gain_db = 10.0 * np.log10(gains)
         prefix = f"{_cell(tx)},{x!r},{y!r},"
         suffix = f",{vehicle_state},{stacking}\n"
         # One flat join: the prefix, then each row's phi, gain and the
         # separator to the next row, the last row's being the suffix.
         cells = [suffix + prefix] * (3 * gains.size + 1)
         cells[0], cells[-1] = prefix, suffix
-        cells[1::3] = phi_cells[grid]
+        cells[1::3] = phi_cells
         cells[2::3] = map(repr, gain_db.tolist())
         yield "".join(cells)
 
@@ -181,8 +169,7 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
 def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units,
     converted in place: phi_deg and gain_db must be the caller's to give up.
-    phi_deg holds every row's angle, or, when every scan has sizes[0] angles
-    on one grid (`_one_grid`), that grid once; then the set holds it once."""
+    phi_deg holds every row's angle, or the grid's sizes[0] values once."""
     # The ufuncs of np.radians(phi_deg) and 10.0 ** (gain_db / 10.0), so their
     # bits.  A gain_db too large for a float overflows to inf, which the check
     # rejects; numpy's overflow warning would only repeat that.
@@ -190,21 +177,7 @@ def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     np.divide(gain_db, 10.0, out=gain_db)
     with np.errstate(over="ignore"):
         np.power(10.0, gain_db, out=gain_db)
-    if phi_deg.size != gain_db.size:
-        phi_deg = np.broadcast_to(phi_deg, (len(sizes), phi_deg.size))
     return ScanSet.from_rows(keys, sizes, phi_deg, gain_db, sha256)
-
-
-def _one_grid(sizes, phi_deg):
-    """phi_deg, or a copy of scan 0's sizes[0] angles when every scan has
-    that many and they repeat them bit for bit (`ScanSet.one_grid`): the
-    grid as a sidecar and a ScanSet hold it, once."""
-    n = int(sizes[0])
-    if phi_deg.size == n * len(sizes):
-        grid = ScanSet.one_grid(phi_deg.reshape(-1, n))
-        if grid is not None:
-            return grid.copy()
-    return phi_deg
 
 
 def _csv_rows(fh):
@@ -503,16 +476,16 @@ def _load_sidecar(path, sha256, limit):
                         or member("sha256", "U", ()) != sha256):
                     return None
                 sizes = member("sizes", "i8")
-                n, total = len(sizes), sum(sizes.tolist())  # Python ints: no overflow
-                keys = list(zip(*(member(key, "f8" if key in ("x", "y") else "U", (n,)).tolist()
-                                  for key in ScanSet.KEYS)))
-                grids = [(total,)]
-                if sizes.size and (sizes == sizes[0]).all():  # or one grid for every scan
-                    grids.append((int(sizes[0]),))
-                phi_deg, gain_db = member("phi_deg", "f8", *grids), member("gain_db", "f8", (total,))
+                # One angle count, so the grid's n values and n gains per scan.
+                if not sizes.size or sizes[0] <= 0 or (sizes != sizes[0]).any():
+                    return None
+                scans, n = len(sizes), int(sizes[0])
+                keys = list(zip(*(member(key, "f8" if key in ("x", "y") else "U", (scans,))
+                                  .tolist() for key in ScanSet.KEYS)))
+                phi_deg, gain_db = member("phi_deg", "f8", (n,)), member("gain_db", "f8",
+                                                                         (scans * n,))
         # Keys compare as the readers group them: -0.0 joins 0.0.
-        if (sizes.size > 0 and (sizes > 0).all() and len(set(keys)) == len(keys)
-                and all(_valid_key(*key) for key in keys)):
+        if len(set(keys)) == len(keys) and all(_valid_key(*key) for key in keys):
             return keys, sizes, phi_deg, gain_db
         return None
     except Exception:  # whatever the file holds, a sidecar that fails is a miss
@@ -550,13 +523,13 @@ def save_sidecar(path, scans: ScanSet, sha256) -> None:
     """Save the sidecar of the CSV at path that `write_scans` wrote from
     scans, keyed by sha256, the hash it returned, so the first `ingest` of
     the file skips the parse.  The rows are saved in set order, in CSV units,
-    a grid every scan shares once."""
+    the grid once."""
     keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
-    sizes = np.full(len(scans), scans.angles.shape[1], dtype=np.int64)
-    grid = ScanSet.one_grid(scans.angles)
-    phi_deg, gain_db = _csv_units(scans.angles if grid is None else grid, scans.gains)
-    _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX,
-                  (keys, sizes, phi_deg.ravel(), gain_db.ravel()), sha256)
+    sizes = np.full(len(scans), scans.grid.size, dtype=np.int64)
+    # The values `write_scans` formats, so the rows a parse reads back.
+    phi_deg, gain_db = np.degrees(scans.grid), 10.0 * np.log10(scans.gains)
+    _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX, (keys, sizes, phi_deg, gain_db.ravel()),
+                  sha256)
 
 
 def ingest(path) -> ScanSet:
@@ -583,16 +556,15 @@ def ingest(path) -> ScanSet:
         keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
     except _NotCanonical:
         keys, sizes, phi_deg, gain_db = _ingest_rows(path)
-    rows = keys, sizes, _one_grid(sizes, phi_deg), gain_db
-    del phi_deg
     after = os.stat(path)
     # A file changed while it was read may not match its hash.  The rows are
-    # saved before the build converts them; a failing build removes them.
+    # saved before the build converts them, scan 0's angles as the grid; a
+    # failing build, a scan off that grid included, removes them.
     if (before.st_ino, before.st_size, before.st_mtime_ns) == (
             after.st_ino, after.st_size, after.st_mtime_ns):
-        _save_sidecar(sidecar, rows, sha256)
+        _save_sidecar(sidecar, (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256)
     try:
-        return _scan_set(*rows, sha256)
+        return _scan_set(keys, sizes, phi_deg, gain_db, sha256)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(sidecar)

@@ -15,7 +15,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, require_common_grid
+from .angular import ScanSet, Stacking
 from .errors import DomainError
 
 __all__ = ["dense_lines", "averaged_correlation"]
@@ -51,8 +51,8 @@ def averaged_correlation(scans: ScanSet, lines, positions) -> tuple[np.ndarray, 
     """Autocorrelation averaged over all grid angles and all lines.
 
     lines is a (lines x positions) index matrix into scans, as `dense_lines`
-    gives it for these positions.  The positions must be uniformly spaced,
-    and the scans of each line must share one angle grid.
+    gives it for these positions, which must be uniformly spaced; every scan
+    is on the set's one angle grid.
 
     The curve of one line at one angle is r[k] = sum_j z[j] * z[j+k] / r[0]
     for lags k = 0..N-1, z being the line's zero-mean dB gains there, so
@@ -73,8 +73,6 @@ def averaged_correlation(scans: ScanSet, lines, positions) -> tuple[np.ndarray, 
     steps = np.diff(positions)
     if np.max(np.abs(steps - steps[0])) > POSITION_SPACING_TOL:
         raise DomainError("positions must be uniformly spaced")
-    for row in lines:
-        require_common_grid(scans, row)
 
     # The lines are one (lines, angles, positions) array.  A 1xm @ mx1
     # matmul sums like the tests' np.correlate reference once the line has 12

@@ -72,6 +72,11 @@ _STREAM_FULLSPREAD = 2
 # then stay under 300 kB, as `MAX_HISTOGRAM_BINS` bounds a histogram.
 MAX_N_ANGLES = 36_000
 
+# Bounds of `SynthConfig`'s dB knobs, derived in its docstring; every command
+# that loads a config checks them.
+MAX_OFFSET_DB = 1000.0
+MAX_SIGMA_DB = 100.0
+
 _VEHICLE_CODE = {VehicleState.POSITION1: 1, VehicleState.POSITION2: 2}
 
 
@@ -118,7 +123,19 @@ class HornPattern:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs; a fixed seed makes every output byte-identical."""
+    """Generator knobs; a fixed seed makes every output byte-identical.
+
+    |gain_offset_db| and |vehicle_mu_db| are at most MAX_OFFSET_DB (1000 dB)
+    and vehicle_sigma_db at most MAX_SIGMA_DB (100 dB), so that every gain
+    fits a float.  A model mean gain, 10*log10(psi*h*d/D**4) at the campaign
+    points (h 14.5-18 m, d 8 m, D 50-102.5 m), lies within 10*log10(psi) - 60
+    and -44 dB; with the offset and a vehicle delta within 9 sigma of mu
+    (+/-1900 dB), a scan's mean gain lies within 10*log10(psi) - 2960 and
+    2856 dB.  Normal floats > 0 span -3076 to 3082 dB: at the default psi =
+    0.1 that leaves over 100 dB for the deepest fades.  A smaller psi lowers
+    every gain by 10 dB a decade; `ScanSet.from_rows` names the first scan
+    it takes out of range.
+    """
 
     seed: int = 0
     n_angles: int = 360
@@ -139,9 +156,13 @@ class SynthConfig:
             raise DomainError(f"at most {MAX_N_ANGLES} angles, got {self.n_angles}")
         if self.n_realizations < 1:
             raise DomainError("n_realizations must be >= 1")
-        for name in ("gain_offset_db", "vehicle_mu_db", "vehicle_sigma_db"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, bound in (("gain_offset_db", MAX_OFFSET_DB), ("vehicle_mu_db", MAX_OFFSET_DB),
+                            ("vehicle_sigma_db", MAX_SIGMA_DB)):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            if abs(value) > bound:
+                raise DomainError(f"{name} must be within +/-{bound:g} dB, got {value}")
         if self.vehicle_sigma_db < 0.0:
             raise DomainError("vehicle sigma must be >= 0")
         HornPattern(self.hpbw_deg)  # the horn's and the canyon model's own range checks
@@ -341,9 +362,10 @@ def generate_campaign(
     run to run and independent of how generation is scheduled.
 
     Scans come out in a canonical order (tx, then grid point, baseline
-    before vehicle states), in one block on a broadcast view of the grid
-    `cfg.angles_rad`.  `ScanSet.from_rows` checks it as every set: the first
-    scan an offset or vehicle spread drives out of range raises its DomainError.
+    before vehicle states), on the one grid `cfg.angles_rad`.
+    `ScanSet.from_rows` checks the set as every set: the first scan whose
+    gains leave the float range, which `SynthConfig`'s bounds rule out at
+    the default psi, raises its DomainError.
     """
     if vehicle_mode not in ("none", "dense"):
         raise DomainError(f"unknown vehicle_mode {vehicle_mode!r}")
@@ -375,5 +397,4 @@ def generate_campaign(
         # to_db's bits without its check: from_rows names a bad baseline first.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             gains[moved] = 10.0 ** ((10.0 * np.log10(gains[moved]) - np.array(deltas)) / 10.0)
-    grid = np.broadcast_to(cfg.angles_rad, gains.shape)
-    return ScanSet.from_rows(keys, np.full(len(keys), n), grid, gains)
+    return ScanSet.from_rows(keys, np.full(len(keys), n), cfg.angles_rad, gains)

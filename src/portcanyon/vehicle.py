@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, VehicleState, require_common_grid
-from .errors import DomainError, GridError, IngestError, InsufficientDataError
+from .angular import ScanSet, Stacking, VehicleState
+from .errors import DomainError, IngestError, InsufficientDataError
 from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf, gaussian_cdf, sorted_ks_gap
 
 __all__ = [
@@ -59,15 +59,14 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
     """Per-angle gain difference baseline minus vehicle, in dB, one row per
     scan with the vehicle at state (position1 or position2), in set order.
     Each is paired with the vehicle-absent scan of its link (same tx, x, y
-    and stacking), found by key, and read from the set's matrices by index
-    without copying subsets.  The vehicle scans must share one grid, and each
-    baseline must be on it; no scan at state is a DomainError."""
+    and stacking), found by key, and read from the set's matrix by index
+    without copying subsets; every scan is on the set's one grid.  No scan
+    at state is a DomainError."""
     if state not in (VehicleState.POSITION1, VehicleState.POSITION2):
         raise DomainError(f"vehicle_delta needs a vehicle position, got state={state!r}")
     with_vehicle = np.flatnonzero(scans.vehicle_state == VehicleState(state).value)
     if not with_vehicle.size:
         raise DomainError(f"no scan has the vehicle at {VehicleState(state).value}")
-    require_common_grid(scans, with_vehicle)
     keys = list(zip(*(getattr(scans, name).tolist() for name in ("tx", "x", "y", "stacking"))))
     base_at = {keys[i]: i for i in np.flatnonzero(
         scans.vehicle_state == VehicleState.ABSENT.value).tolist()}
@@ -76,11 +75,6 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
         tx_id, x, y, stacking = keys[with_vehicle[base.index(None)]]
         raise IngestError(f"no baseline scan for vehicle scan at "
                           f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
-    base = np.array(base)
-    off_grid = scans.grid_differs(scans[with_vehicle].angles, base)
-    if off_grid.any():
-        raise GridError(f"scans must share one angle grid; scan "
-                        f"{scans.key(int(with_vehicle[off_grid.argmax()]))} differs")
     # Each side's gains are taken (a copy) and turned into dB in place: the
     # bits of to_db, whose > 0 check a ScanSet's gains have passed.
     delta, moved = scans.gains[base], scans.gains[with_vehicle]

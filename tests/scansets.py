@@ -47,7 +47,8 @@ def scan_set(scans, sha256=None) -> ScanSet:
 
 
 def records(scans: ScanSet) -> list:
-    """The set's scans, in order, as Scan records keyed as `ScanSet.key` keys them."""
-    return [Scan(tx, x, y, angles, gains, state, stacking)
-            for (tx, x, y, state, stacking), angles, gains in zip(
-                map(scans.key, range(len(scans))), scans.angles, scans.gains)]
+    """The set's scans, in order, as Scan records keyed as `ScanSet.key` keys
+    them, each with the set's one grid."""
+    return [Scan(tx, x, y, scans.grid, gains, state, stacking)
+            for (tx, x, y, state, stacking), gains in zip(
+                map(scans.key, range(len(scans))), scans.gains)]

@@ -75,30 +75,37 @@ class TestScanValidation:
         assert scans.key(0)[4] is Stacking.NONUNIFORM
 
 
-def whole_first_invalid(angles, gains):
-    """The check over the whole (scans x angles) matrices at once that
-    `first_invalid` replaced: the oracle of its chunked check."""
-    n = angles.shape[1]
+def whole_first_invalid(grid, gains, angles=None):
+    """The check over the whole (scans x angles) matrices at once: the oracle
+    of `first_invalid`'s chunked check."""
+    n = grid.size
     if n < 8:
         return 0, GridError(f"need at least 8 azimuth samples, got {n}")
     spacing = angular.TWO_PI / n
-    steps = angles[:, 1:] - angles[:, :-1]
-    deviation = np.abs(steps - spacing).max(axis=1)
-    start = angles[:, 0]
-    bad = (~((gains > 0.0) & (gains < np.inf)).all(axis=1), ~(steps > 0.0).all(axis=1),
-           deviation > angular.GRID_SPACING_TOL,
-           ~((0.0 <= start) & (start < spacing + angular.GRID_SPACING_TOL)))
-    rows = np.flatnonzero(bad[0] | bad[1] | bad[2] | bad[3])
+    steps = grid[1:] - grid[:-1]
+    deviation = np.abs(steps - spacing).max()
+    grid_errors = [
+        GridError(why) for bad, why in (
+            (not (steps > 0.0).all(), "angles must be strictly increasing"),
+            (deviation > angular.GRID_SPACING_TOL, "angle grid must be uniform with spacing "
+                                                   f"2*pi/N (max deviation {deviation:.3e} rad)"),
+            (not 0.0 <= grid[0] < spacing + angular.GRID_SPACING_TOL,
+             f"grid must start within the first spacing interval, got {grid[0]}"))
+        if bad]
+    bad_gains = ~((gains > 0.0) & (gains < np.inf)).all(axis=1)
+    gap = np.zeros(len(gains)) if angles is None else np.abs(angles - grid).max(axis=1)
+    off = ~(gap <= angular.GRID_MATCH_TOL)
+    off[0] |= bool(grid_errors)  # scan 0's angles are the grid
+    rows = np.flatnonzero(bad_gains | off)
     if not rows.size:
         return None
     row = int(rows[0])
-    return row, (
-        DomainError("all linear gains must be finite and > 0"),
-        GridError("angles must be strictly increasing"),
-        GridError("angle grid must be uniform with spacing 2*pi/N "
-                  f"(max deviation {deviation[row]:.3e} rad)"),
-        GridError(f"grid must start within the first spacing interval, got {start[row]}"),
-    )[[check[row] for check in bad].index(True)]
+    if bad_gains[row]:
+        return row, DomainError("all linear gains must be finite and > 0")
+    if row == 0 and grid_errors:
+        return 0, grid_errors[0]
+    return row, GridError(f"angles differ by up to {gap[row]:.3e} rad from those of scan 0; "
+                          "the scans of a set share one angle grid")
 
 
 def _verdict(found):
@@ -115,58 +122,55 @@ def _bad_rows(draw, n_rows):
     return draw(st.one_of(st.sampled_from(edges), st.integers(0, n_rows - 1)))
 
 
-def _plant(draw, angles, gains, row, kind):
-    """Make one row invalid in one of the four ways the check tells apart."""
-    n = angles.shape[1]
+def _plant(draw, grid, angles, gains, kind):
+    """Make one row invalid in one of the five ways the check tells apart: a
+    bad gain or an angle off the grid in any row, or a bad grid, which is
+    scan 0's angles."""
+    n = grid.size
     spacing = angular.TWO_PI / n
     at = draw(st.integers(1, n - 1))
     if kind == "gain":
-        gains[row, at] = draw(st.sampled_from([0.0, -1e-9, math.inf, math.nan]))
-    elif kind == "order":
-        angles[row, at] = angles[row, at - 1]
-    elif kind == "spacing":  # one step longer, the next (if any) shorter
-        angles[row, at] += draw(st.floats(1e-8, spacing / 3))
+        gains[draw(_bad_rows(len(gains))), at] = draw(
+            st.sampled_from([0.0, -1e-9, math.inf, math.nan]))
+    elif kind == "off grid":
+        if len(angles) > 1:
+            row = max(1, draw(_bad_rows(len(angles))))
+            angles[row, at] += draw(st.sampled_from([-1.0, 1.0])) * draw(
+                st.floats(2 * angular.GRID_MATCH_TOL, spacing / 3))
     else:
-        angles[row] += draw(st.sampled_from([-1e-3, spacing + 1e-6, 2.0])) - angles[row, 0]
+        if kind == "order":
+            grid[at] = grid[at - 1]
+        elif kind == "spacing":  # one step longer, the next (if any) shorter
+            grid[at] += draw(st.floats(1e-8, spacing / 3))
+        else:
+            grid += draw(st.sampled_from([-1e-3, spacing + 1e-6, 2.0])) - grid[0]
+        angles[0] = grid
 
 
 class TestChunkedGridCheck:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_chunks_give_the_whole_matrix_verdict(self, data):
+        # Each scan's angles within GRID_MATCH_TOL of the grid, scan 0's
+        # equal to it; then one or two defects.  The grid alone (angles not
+        # given) is checked as the matrix of that grid repeated.
         n_rows = data.draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1, 700]),
                                      st.integers(1, 700)), label="rows")
         n = data.draw(st.integers(8, 12), label="angles")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        angles = grid(n) + rng.uniform(0.0, 0.5 * angular.TWO_PI / n, (n_rows, 1))
+        grid_ = grid(n) + rng.uniform(0.0, 0.5 * angular.TWO_PI / n)
+        tol = angular.GRID_MATCH_TOL
+        angles = grid_ + rng.uniform(-tol / 2, tol / 2, (n_rows, n))
+        angles[0] = grid_
         gains = rng.lognormal(-14.0, 1.0, (n_rows, n))
-        assert first_invalid(angles, gains) is None
-        kinds = ("gain", "order", "spacing", "start")
+        assert first_invalid(grid_, gains, angles) is None
+        kinds = ("gain", "off grid", "order", "spacing", "start")
         for _ in range(data.draw(st.integers(1, 2))):
-            row = data.draw(_bad_rows(n_rows), label="bad row")
-            _plant(data.draw, angles, gains, row, data.draw(st.sampled_from(kinds), label="kind"))
-        want = _verdict(whole_first_invalid(angles, gains))
-        assert want is not None
-        assert _verdict(first_invalid(angles, gains)) == want
-
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_a_held_grid_gives_the_whole_matrix_verdict(self, data):
-        # One broadcast grid row: its grid is checked once, each scan's gains
-        # as before; the verdict is that of the matrix with the row repeated.
-        n_rows = data.draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1]),
-                                     st.integers(1, 700)), label="rows")
-        n = data.draw(st.integers(8, 12), label="angles")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        row = (grid(n) + rng.uniform(0.0, 0.5 * angular.TWO_PI / n))[None]
-        gains = rng.lognormal(-14.0, 1.0, (n_rows, n))
-        for _ in range(data.draw(st.integers(0, 2))):
-            kind = data.draw(st.sampled_from(("gain", "order", "spacing", "start")), label="kind")
-            _plant(data.draw, row, gains, data.draw(_bad_rows(n_rows)) if kind == "gain" else 0,
-                   kind)
-        held = np.broadcast_to(row[0], (n_rows, n))
-        want = _verdict(whole_first_invalid(np.array(held), gains))
-        assert _verdict(first_invalid(held, gains)) == want
+            _plant(data.draw, grid_, angles, gains,
+                   data.draw(st.sampled_from(kinds), label="kind"))
+        for held in (angles, None):
+            want = _verdict(whole_first_invalid(grid_, gains, held))
+            assert _verdict(first_invalid(grid_, gains, held)) == want
 
     @pytest.mark.parametrize("bad, changed", [(2 * _CHUNK + 1, 2 * _CHUNK + 4),
                                               (2 * _CHUNK + 4, 2 * _CHUNK + 1)],
@@ -179,8 +183,8 @@ class TestChunkedGridCheck:
         angles[3] += 1e-6
         scans[bad] = scans[bad]._replace(angles=angles)
         scans[changed] = scans[changed]._replace(angles=grid(12), gains=np.ones(12))
-        why = (r"\(max deviation 1.000e-06 rad\)$" if bad < changed
-               else r"12 angles where scan \('TX2', 0.0, .*\) has 8; ")
+        why = (r"angles differ by up to 1.000e-06 rad from those of scan \('TX2', 0.0, .*\); "
+               if bad < changed else r"12 angles where scan \('TX2', 0.0, .*\) has 8; ")
         with pytest.raises(GridError, match=rf"^scan \('TX2', {min(bad, changed)}.0, .*" + why):
             scan_set(scans)
 
@@ -260,8 +264,9 @@ class TestNormalizedSpectrum:
 
     def test_rejects_mixed_grids(self):
         shifted = make_scan(np.ones(16), x=6.0)._replace(angles=grid(16) + 1e-3)
-        with pytest.raises(GridError, match=r"one angle grid; scan \('TX1_63', 6.0"):
-            normalized_spectrum(scan_set([make_scan(np.ones(16)), shifted]))
+        with pytest.raises(GridError, match=r"^scan \('TX1_63', 6.0, .*\): angles differ by up "
+                                            r"to 1.000e-03 rad from those of scan \('TX1_63', 5.0"):
+            scan_set([make_scan(np.ones(16)), shifted])
         with pytest.raises(GridError, match="one angle count"):
             make_set(np.ones(16), np.ones(18))
 

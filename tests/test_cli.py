@@ -19,7 +19,7 @@ from scansets import Scan, grid, records, scan_set
 
 from portcanyon.angular import ScanSet
 from portcanyon.cli import main
-from portcanyon.dataio import write_scans
+from portcanyon.dataio import CANONICAL_HEADER, provenance_line, write_scans
 
 N_ANGLES = 24
 GRID = grid(N_ANGLES)
@@ -73,7 +73,7 @@ class TestSynth:
                    "--out", str(out), "--no-fading", "--n-angles", "12"])
         assert rc == 0
         scans = ingest(out)
-        assert scans.angles.shape[1] == 12
+        assert scans.grid.size == 12
         for scan in records(scans[:5]):
             assert np.ptp(10.0 * np.log10(scan.gains)) < 1e-9
 
@@ -250,13 +250,18 @@ class TestErrors:
         assert not out.exists()
 
 
-# The first scans of a 16-angle uniform campaign with vehicle variants whose
-# gains a synth flag or key drives out of range, named as `ScanSet.from_rows` names them.
-_FIRST_SCAN_OUT_OF_RANGE = (
-    "scan ('TX1_63', 1.0, 3.5, 'absent', 'uniform'): all linear gains must be finite and > 0")
+# The first vehicle scan of a 16-angle uniform campaign whose gains leave the
+# float range, named as `ScanSet.from_rows` names it.
 _FIRST_VEHICLE_SCAN_OUT_OF_RANGE = (
     "scan ('TX1_63', 12.5, 3.5, 'position1', 'uniform'): "
     "all linear gains must be finite and > 0")
+# Each command that checks the [synth] section, with its arguments.
+_SYNTH_CHECKERS = {
+    "synth": ["synth", "--layout", "uniform", "--vehicle-mode", "dense", "--out", "d.csv"],
+    "coverage": ["coverage", "--out", "coverage.csv"],
+    "geometry": ["geometry", "--height", "17.4", "--width", "8", "--distance", "63",
+                 "--rx-depth", "5"],
+}
 
 
 class TestBoundaryValues:
@@ -338,24 +343,34 @@ class TestBoundaryValues:
         assert captured.err.startswith("error[domain]: ")
         assert "finite" in captured.err
 
-    @pytest.mark.parametrize("flags, ini, message", [
-        (["--gain-offset-db", "-4000"], "", _FIRST_SCAN_OUT_OF_RANGE),
-        (["--gain-offset-db", "nan"], "", "gain_offset_db must be finite, got nan"),
-        (["--gain-offset-db", "4000"], "", _FIRST_SCAN_OUT_OF_RANGE),  # the mean overflows
-        (["--gain-offset-db", "1e308"], "", _FIRST_SCAN_OUT_OF_RANGE),
-        ([], "vehicle_sigma_db = inf\n", "vehicle_sigma_db must be finite, got inf"),
-        ([], "vehicle_mu_db = 1e308\n", _FIRST_VEHICLE_SCAN_OUT_OF_RANGE),   # gains of 0
-        ([], "vehicle_mu_db = -1e308\n", _FIRST_VEHICLE_SCAN_OUT_OF_RANGE),  # gains of inf
+    @pytest.mark.parametrize("command, flags, ini, message", [
+        ("synth", ["--gain-offset-db", "-4000"], "",
+         "gain_offset_db must be within +/-1000 dB, got -4000.0"),
+        ("synth", ["--gain-offset-db", "nan"], "", "gain_offset_db must be finite, got nan"),
+        ("synth", ["--gain-offset-db", "1e308"], "",
+         "gain_offset_db must be within +/-1000 dB, got 1e+308"),
+        ("synth", [], "vehicle_sigma_db = inf\n", "vehicle_sigma_db must be finite, got inf"),
+        ("synth", [], "vehicle_mu_db = -1e308\n",
+         "vehicle_mu_db must be within +/-1000 dB, got -1e+308"),
+        *((command, [], ini, message) for command in _SYNTH_CHECKERS for ini, message in (
+            ("gain_offset_db = 4000\n", "gain_offset_db must be within +/-1000 dB, got 4000.0"),
+            ("vehicle_mu_db = 1e308\n", "vehicle_mu_db must be within +/-1000 dB, got 1e+308"),
+            ("vehicle_sigma_db = 101\n", "vehicle_sigma_db must be within +/-100 dB, got 101.0"),
+        )),
+        # Within the bounds, a psi far below the model's drives the vehicle
+        # gains under the float range: the set's own check is the backstop.
+        ("synth", [], "vehicle_mu_db = 1000\n[model]\npsi_rad = 1e-300\n",
+         _FIRST_VEHICLE_SCAN_OUT_OF_RANGE),
     ])
-    def test_synth_gains_out_of_range_are_domain_errors(self, tmp_path, capsys, flags, ini,
-                                                        message):
+    def test_synth_gains_out_of_range_are_domain_errors(self, tmp_path, capsys, command, flags,
+                                                        ini, message):
         config = tmp_path / "synth.ini"
         config.write_text(f"[synth]\nn_angles = 16\n{ini}", encoding="utf-8")
-        out = tmp_path / "d.csv"
+        argv = [str(tmp_path / arg) if arg.endswith(".csv") else arg
+                for arg in _SYNTH_CHECKERS[command]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # a numpy warning would be noise on stderr
-            rc = main(["--config", str(config), "synth", "--layout", "uniform",
-                       "--vehicle-mode", "dense", "--out", str(out), *flags])
+            rc = main(["--config", str(config), *argv, *flags])
         captured = capsys.readouterr()
         assert rc == 4
         assert captured.err == f"error[domain]: {message}\n"
@@ -512,6 +527,18 @@ def _write_scans(tmp_path, scans):
     return str(data)
 
 
+def _write_rows(tmp_path, scans):
+    """The canonical CSV of Scan records, written row by row without a
+    ScanSet, so their grids may differ."""
+    data = tmp_path / "data.csv"
+    lines = [provenance_line(), CANONICAL_HEADER] + [
+        f"{s.tx},{s.x!r},{s.y!r},{phi!r},{gain!r},{s.vehicle_state},{s.stacking}"
+        for s in scans for phi, gain in zip(np.degrees(s.angles).tolist(),
+                                            (10.0 * np.log10(s.gains)).tolist())]
+    data.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return str(data)
+
+
 class TestOneCheckPerValue:
     """A value ends the same way from the config file and from its flag."""
 
@@ -606,10 +633,11 @@ def test_fit_distance_beyond_float_range_is_domain_error(tmp_path, capsys, tx_id
     assert not out.parent.exists()
 
 
-@pytest.mark.parametrize("command", ["angular", "vehicle"])
+@pytest.mark.parametrize("command", ["angular", "spatial", "vehicle", "fit"])
 def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
     # Two baseline + vehicle pairs of one TX; the second pair's 8-angle grid
     # is offset by half a step (22.5 deg), so no per-angle pooling exists.
+    # Every analysis command names the first scan off scan 0's grid.
     grids = [np.radians(45.0 * np.arange(8) + offset) for offset in (0.0, 22.5)]
     scans = [
         Scan(tx="TX2", x=x, y=3.5, angles=grid, gains=np.full(8, gain),
@@ -617,13 +645,17 @@ def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
         for x, grid in zip((1.0, 5.0), grids)
         for state, gain in (("absent", 1e-6), ("position1", 2e-6))
     ]
-    data = _write_scans(tmp_path, scans)
-    out_dir = tmp_path / "out"
-    rc = main([command, "--input", data, "--out-dir", str(out_dir)])
+    data = _write_rows(tmp_path, scans)
+    out = tmp_path / "out"
+    rc = main([command, "--input", data,
+               "--out" if command in ("spatial", "fit") else "--out-dir", str(out)])
     captured = capsys.readouterr()
     assert rc == 3
-    assert captured.err.startswith("error[grid]: ")
-    assert captured.out == ""
+    assert captured.err == (
+        "error[grid]: scan ('TX2', 5.0, 3.5, 'absent', 'uniform'): angles differ by up to "
+        "3.927e-01 rad from those of scan ('TX2', 1.0, 3.5, 'absent', 'uniform'); "
+        "the scans of a set share one angle grid\n")
+    assert captured.out == "" and not out.exists()
 
 
 def _line_scans(xs, tx="TX1_63", **kwargs):
@@ -753,20 +785,21 @@ class TestRegressions:
         assert captured.err.startswith("error[ingest]: no complete dense line found")
         assert captured.out == "" and not out.exists()
 
-    def test_spatial_names_the_off_grid_scan_of_the_first_line(self, tmp_path, capsys):
+    def test_spatial_names_the_first_off_grid_scan_in_the_file(self, tmp_path, capsys):
         # Two complete lines, TX2's first in the file, each with one scan off
-        # the line's grid: TX1_63's line sorts first, so its scan is named.
+        # scan 0's grid: TX1_63's line sorts first, but TX2's scan is named.
         xs = [13.5 + 0.1 * k for k in range(15)]
         scans = [s._replace(angles=GRID + 0.01) if s.x == xs[off] else s
                  for tx, off in (("TX2", 3), ("TX1_63", 9)) for s in _line_scans(xs, tx=tx)]
-        data = _write_scans(tmp_path, scans)
+        data = _write_rows(tmp_path, scans)
         out = tmp_path / "corr.csv"
         rc = main(["spatial", "--input", data, "--out", str(out)])
         captured = capsys.readouterr()
         assert rc == 3
         assert captured.err == (
-            f"error[grid]: scans must share one angle grid; scan ('TX1_63', {xs[9]!r}, 3.5, "
-            "<VehicleState.ABSENT: 'absent'>, <Stacking.UNIFORM: 'uniform'>) differs\n")
+            f"error[grid]: scan ('TX2', {xs[3]!r}, 3.5, 'absent', 'uniform'): angles differ by "
+            f"up to 1.000e-02 rad from those of scan ('TX2', {xs[0]!r}, 3.5, 'absent', "
+            "'uniform'); the scans of a set share one angle grid\n")
         assert captured.out == "" and not out.exists()
 
 
@@ -1280,8 +1313,9 @@ class TestSidecar:
     def format1_sidecar(scans):
         """The sidecar of scans in format 1: one block of per-block matrices."""
         members = {"version": np.array(1, dtype=np.int64), "sha256": np.array(scans.sha256),
-                   "blocks": np.array([scans.angles.shape], dtype=np.int64),
-                   "index0": np.arange(len(scans)), "angles0": scans.angles,
+                   "blocks": np.array([scans.gains.shape], dtype=np.int64),
+                   "index0": np.arange(len(scans)),
+                   "angles0": np.tile(scans.grid, (len(scans), 1)),
                    "gains0": scans.gains}
         members.update({key: getattr(scans, key).astype(float if key in ("x", "y") else str)
                         for key in ScanSet.KEYS})
@@ -1326,8 +1360,8 @@ class TestSidecar:
         # One vehicle scan is a uniform rotation of one angle fewer: the
         # campaign has two angle counts, so every analysis command exits 3
         # naming that scan, both cold and with the mixed-count sidecar the
-        # parse would save planted beside the file; that sidecar is a miss
-        # and is removed.
+        # parse saves planted beside the file; the loader takes no sidecar
+        # of mixed counts, and the failing build removes it.
         from portcanyon import dataio
 
         lines = dataset.read_text(encoding="ascii").splitlines(keepends=True)
@@ -1340,8 +1374,9 @@ class TestSidecar:
                 f"{N_ANGLES - 1} angles where scan (")
         sidecar = Path(str(dataset) + dataio.SIDECAR_SUFFIX)
         sha256, real = dataio.file_sha256(dataset), dataio._ingest_columnar
-        dataio._save_sidecar(str(sidecar), real(dataset), sha256)
-        assert dataio._load_sidecar(str(sidecar), sha256, dataset.stat().st_size) is not None
+        keys, sizes, phi_deg, gain_db = real(dataset)
+        dataio._save_sidecar(str(sidecar), (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256)
+        assert dataio._load_sidecar(str(sidecar), sha256, dataset.stat().st_size) is None
         planted = sidecar.read_bytes()
         sidecar.unlink()
         parses = []
@@ -1465,9 +1500,9 @@ def test_vehicle_peak_is_its_matrices_and_tables(tmp_path):
              gains=rng.lognormal(-14.0, 1.0, 360), vehicle_state=state)
         for i in range(400) for state in ("absent", "position1", "position2")))
     scans = ingest(data)  # cold: writes the sidecar
-    # The gains and the one grid row the set holds; the delta, empirical and
+    # The gains and the grid the set holds; the delta, empirical and
     # Gaussian CDF columns of one position, formed as its table is written.
-    matrices_kib = (scans.gains.nbytes + scans.angles[0].nbytes) // 1024
+    matrices_kib = (scans.gains.nbytes + scans.grid.nbytes) // 1024
     tables_kib = 3 * 400 * 360 * 8 // 1024
     peak = command_peak_kib("vehicle", "--input", data, "--out-dir", tmp_path / "out")
     assert peak <= matrices_kib + tables_kib + 4096, (peak, matrices_kib, tables_kib)

@@ -69,7 +69,7 @@ class TestWriter:
         write_scans(path, scan_set([scan]))
         back = ingest(path)
         assert len(back) == 1
-        assert back.angles.shape == (1, 360)
+        assert back.grid.shape == (360,) and back.gains.shape == (1, 360)
 
     def test_deterministic_bytes(self, tmp_path):
         scans = scan_set([make_scan(), make_scan(seed=1, x=9.0)])
@@ -371,7 +371,7 @@ class TestColumnarIngest:
         rows = _rows()
         body = rows[:4] + ["#TX2,1.0,3.5,45.0,-1.0,absent,uniform", "# note"] + rows[4:]
         assert self.ingest_lines(tmp_path, body) == "rows"
-        assert ingest(tmp_path / "case.csv").angles.shape == (1, 8)
+        assert ingest(tmp_path / "case.csv").gains.shape == (1, 8)
 
     def test_blank_lines_are_skipped(self, tmp_path):
         rows = _rows()
@@ -477,7 +477,7 @@ class TestColumnarIngest:
 
 
 def check_sets_agree(path) -> None:
-    """Both readers that return give the same ScanSet: key columns, matrices
+    """Both readers that return give the same ScanSet: key columns, grid, gains
     and the file's sha256; the public ingest always carries that hash."""
     want_sha = hashlib.sha256(open(path, "rb").read()).hexdigest()
     sets = [_outcome(read, path)
@@ -491,7 +491,7 @@ def check_sets_agree(path) -> None:
             assert getattr(got, name).tobytes() == getattr(sets[0], name).tobytes()
         for name in ("vehicle_state", "stacking"):
             assert getattr(got, name).tolist() == getattr(sets[0], name).tolist()
-        for name in ("angles", "gains"):
+        for name in ("grid", "gains"):
             assert getattr(got, name).shape == getattr(sets[0], name).shape
             assert getattr(got, name).tobytes() == getattr(sets[0], name).tobytes()
 
@@ -531,14 +531,17 @@ class TestScanSetIngest:
 
     def test_first_invalid_scan_in_file_order_raises(self, tmp_path):
         rows = _rows(tx="TX1_63") + _rows() + _rows(tx="TX2", x="5.0")
-        rows[9] = rows[9].replace(",45.0,", ",46.0,")        # second scan: off grid
+        rows[9] = rows[9].replace(",45.0,", ",46.0,")        # second scan: off scan 0's grid
         rows[-1] = rows[-1].replace(",-67.0,", ",4000.0,")   # later scan: overflow
         path = tmp_path / "case.csv"
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + rows)
         assert check_paths_agree(path) == "columnar"
         with pytest.raises(GridError, match=r"^scan \('TX2', 1.0, 3.5, 'absent', 'uniform'\): "
-                                            "angle grid must be uniform"):
+                                            r"angles differ by up to 1.745e-02 rad from those "
+                                            r"of scan \('TX1_63', 1.0, 3.5, 'absent', 'uniform'\); "
+                                            "the scans of a set share one angle grid$"):
             ingest(path)
+        assert not os.path.exists(str(path) + ".scanset.npz")
 
     def test_a_second_angle_count_is_named_before_a_later_bad_scan(self, tmp_path):
         # The 16-angle scan's gains overflow too, and a later 12-angle scan is
@@ -725,9 +728,9 @@ class TestBlockBoundaries:
         # sidecar's rows and in the set, peaked at about 6,100 KiB.
         path = _campaign_of_600_scans(tmp_path)
         scans = ingest(path)  # cold: writes the sidecar
-        # The rows a sidecar of one grid holds (angle counts, the grid,
-        # gain_db) and the set's matrices (the gains and one grid row).
-        grid_bytes = scans.angles[0].nbytes
+        # The rows a sidecar holds (angle counts, the grid, gain_db) and the
+        # set's gains and grid.
+        grid_bytes = scans.grid.nbytes
         data_kib = (8 * len(scans) + 2 * (grid_bytes + scans.gains.nbytes)) // 1024
         warm = ingest_peak_kib(path)
         assert warm <= data_kib + 2048, (warm, data_kib)
@@ -739,9 +742,7 @@ class TestBlockBoundaries:
         # per scan peaked at about 6,100 KiB.
         path = _campaign_of_600_scans(tmp_path)
         scans = ingest(path)  # cold: writes the sidecar
-        # The gains and the one grid row: a broadcast view's nbytes counts
-        # the row once per scan.
-        matrices_kib = (scans.gains.nbytes + scans.angles[0].nbytes) // 1024
+        matrices_kib = (scans.gains.nbytes + scans.grid.nbytes) // 1024
         warm = ingest_peak_kib(path)
         assert warm <= matrices_kib + 3072, (warm, matrices_kib)
 
@@ -932,7 +933,7 @@ def _set_state(scans):
         [(v, type(v)) for key in ("tx", "vehicle_state", "stacking")
          for v in getattr(scans, key).tolist()],
         [(getattr(scans, key).dtype.str, getattr(scans, key).tobytes()) for key in ("x", "y")],
-        [(m.dtype.str, m.shape, m.tobytes()) for m in (scans.angles, scans.gains)],
+        [(m.dtype.str, m.shape, m.tobytes()) for m in (scans.grid, scans.gains)],
         scans.sha256,
     )
 
@@ -1049,14 +1050,13 @@ def _corrupt(kind, good, stale, sha256, pick):
     if kind == "empty":  # no scans at all
         return _npz({name: arr[:0] if arr.ndim else arr for name, arr in members.items()})
     if kind == "duplicate":  # one scan twice, a -0.0 x as 0.0: the same key
-        sizes = members["sizes"]
+        sizes, gain_db = members["sizes"], members["gain_db"]
         scan = pick(sizes.size)
         start = int(sizes[:scan].sum())
-        rows = {name: np.append(members[name], members[name][start:start + sizes[scan]])
-                for name in ("phi_deg", "gain_db")}
         keys = {key: np.append(members[key], members[key][scan]) for key in ScanSet.KEYS}
         keys["x"][-1] += 0.0
-        return _npz(dict(members, sizes=np.append(sizes, sizes[scan]), **keys, **rows))
+        return _npz(dict(members, sizes=np.append(sizes, sizes[scan]), **keys,
+                         gain_db=np.append(gain_db, gain_db[start:start + sizes[scan]])))
     return _oversized(members)
 
 
@@ -1216,11 +1216,11 @@ def _sidecar_rows(path):
                                 os.path.getsize(path))
 
 
-def _held_rows(path):
-    """The rows `ingest` parses path into, a grid every scan repeats held once,
-    as the sidecar saves them."""
+def _saved_rows(path):
+    """The rows `ingest` parses path into, as it saves them in the sidecar:
+    scan 0's angles as the grid."""
     keys, sizes, phi_deg, gain_db = _parsed_rows(path)
-    return keys, sizes, dataio._one_grid(sizes, phi_deg), gain_db
+    return keys, sizes, phi_deg[:sizes[0]], gain_db
 
 
 class TestSavedSidecar:
@@ -1244,7 +1244,7 @@ class TestSavedSidecar:
             saved = _rows_of(_sidecar_rows, path)
             warm = _set_state(ingest(path))
             os.unlink(path + dataio.SIDECAR_SUFFIX)
-            assert saved == _rows_of(_held_rows, path)
+            assert saved == _rows_of(_saved_rows, path)
             assert len(saved[2]) == 8 * n_angles  # one grid's phi_deg bytes
             assert warm == _set_state(ingest(path))
 
@@ -1253,7 +1253,7 @@ class TestSavedSidecar:
         import tracemalloc
 
         path = _campaign_of_600_scans(tmp_path)
-        rows = _ingest_columnar(path)
+        rows = _saved_rows(path)
         sidecar = str(tmp_path / "rows.npz")
         tracemalloc.start()
         try:
@@ -1261,7 +1261,7 @@ class TestSavedSidecar:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < rows[2].nbytes, (peak, rows[2].nbytes)
+        assert peak < rows[3].nbytes, (peak, rows[3].nbytes)
         loaded = dataio._load_sidecar(sidecar, "h", path.stat().st_size)
         assert _rows_of(lambda p: loaded, path) == _rows_of(lambda p: rows, path)
         # The very bytes np.savez writes for the same members, in the same order.
@@ -1282,13 +1282,13 @@ class TestSavedSidecar:
         stale = sidecar.read_bytes()
         assert main(["synth", "--layout", "uniform", "--n-angles", "8", "--out", str(path)]) == 0
         assert sidecar.read_bytes() != stale
-        assert _rows_of(_sidecar_rows, path) == _rows_of(_held_rows, path)
+        assert _rows_of(_sidecar_rows, path) == _rows_of(_saved_rows, path)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "campaign.csv", sidecar.name, "other.csv"]
 
 
-class TestHeldGrid:
-    """A campaign whose scans repeat one grid bit for bit holds it once."""
+class TestOneGrid:
+    """A set holds one grid, scan 0's, which every selection shares."""
 
     N_ANGLES = 12
 
@@ -1319,34 +1319,55 @@ class TestHeldGrid:
             _ingest_columnar(path)  # does not decline
         scans = ingest(path)
         grid_row = np.radians(_parsed_rows(path)[2][:self.N_ANGLES])
+        assert scans.grid.tobytes() == grid_row.tobytes()
+        assert not scans.grid.flags.writeable
         for picked in (scans, scans[scans.vehicle_state == "position1"], scans[[5, 0, 3]],
                        scans[2:9], scans[[]]):
-            assert picked.angles.shape == (len(picked), self.N_ANGLES)
-            assert not picked.angles.flags.writeable
-            if len(picked):
-                assert picked.angles.strides[0] == 0
-                assert picked.angles[-1].tobytes() == grid_row.tobytes()
+            assert picked.grid is scans.grid
+            assert picked.gains.shape == (len(picked), self.N_ANGLES)
         with np.load(sidecar, allow_pickle=False) as npz:
             assert npz["phi_deg"].shape == (self.N_ANGLES,)
             assert npz["gain_db"].shape == (len(scans) * self.N_ANGLES,)
         assert _set_state(ingest(path)) == _set_state(scans)
 
-    @pytest.mark.parametrize("case", ["negative zero start", "offset grid"])
-    def test_grids_that_differ_in_one_bit_are_held_per_scan(self, tmp_path, case):
+    @pytest.mark.parametrize("case", ["negative zero start", "tiny start"])
+    def test_a_grid_within_the_tolerance_reads_as_scan_0s(self, tmp_path, case):
+        # The last scan's first angle moves by no more than GRID_MATCH_TOL:
+        # the set is the unmodified file's, but for its hash.
         path = self._synth(tmp_path)
         os.unlink(str(path) + dataio.SIDECAR_SUFFIX)
+        want = ingest(path)
         provenance, header, *rows = path.read_text(encoding="ascii").splitlines()
-        last = rows[-1].split(",")
         at = len(rows) - self.N_ANGLES  # the last scan's first row
-        assert last[3] != "0.0" and rows[at].split(",")[3] == "0.0"
         first = rows[at].split(",")
+        assert first[3] == "0.0"
         first[3] = "-0.0" if case == "negative zero start" else "1e-300"
         rows[at] = ",".join(first)
         path.write_text("\n".join([provenance, header, *rows]) + "\n", encoding="ascii")
         scans = ingest(path)
-        assert scans.angles.strides[0] != 0
-        assert repr(float(np.degrees(scans.angles[-1, 0]))) == first[3]
-        assert repr(float(np.degrees(scans.angles[0, 0]))) == "0.0"
+        assert _set_state(scans)[:3] == _set_state(want)[:3]
         with np.load(str(path) + dataio.SIDECAR_SUFFIX, allow_pickle=False) as npz:
-            assert npz["phi_deg"].shape == (len(scans) * self.N_ANGLES,)
+            assert npz["phi_deg"].shape == (self.N_ANGLES,)
         assert _set_state(ingest(path)) == _set_state(scans)
+
+    def test_a_sidecar_of_one_angle_row_per_scan_is_a_miss(self, tmp_path, monkeypatch):
+        # A format-2 sidecar may hold phi_deg as one value per row; ingest
+        # parses the file, gives the parse's set and saves the grid once.
+        path = self._synth(tmp_path)
+        sidecar = str(path) + dataio.SIDECAR_SUFFIX
+        members = _members(open(sidecar, "rb").read())
+        assert members["phi_deg"].shape == (self.N_ANGLES,)
+        rows = members["sizes"].size
+        per_row = _npz(dict(members, phi_deg=np.tile(members["phi_deg"], rows)))
+        with open(sidecar, "wb") as fh:
+            fh.write(per_row)
+        assert _sidecar_rows(path) is None
+        parses = []
+        monkeypatch.setattr(dataio, "_ingest_columnar",
+                            lambda p, read=dataio._ingest_columnar: parses.append(p) or read(p))
+        scans = ingest(path)
+        assert parses == [path]
+        assert _members(open(sidecar, "rb").read())["phi_deg"].shape == (self.N_ANGLES,)
+        assert _rows_of(_sidecar_rows, path) == _rows_of(_saved_rows, path)
+        os.unlink(sidecar)
+        assert _set_state(scans) == _set_state(ingest(path))

@@ -149,64 +149,94 @@ def test_equivalent_spellings_match_golden_digests(tmp_path, capsys, monkeypatch
                       else ["_ingest_columnar", "_ingest_rows"] * 2)
 
 
-# Each command's exit code and one digest over its stdout and every table,
-# as the per-scan matrices give them, on `one_bit_grid_outcomes`'s files.
-ONE_BIT_GRIDS = {
-    "negative zero start": ({"angular": 0, "vehicle": 0, "fit": 0},
-                            "1ee112ee29217bc31e8f1878eee6f011d4eb79682ac298786460d1ca2fc2ebe0"),
-    "offset transmitter": ({"angular": 0, "vehicle": 3, "fit": 0},
-                           "02ef7d12125c044c434fde7bbd029d8346b451fc0038999899d4279cd77c6eed"),
-}
+ANALYSES = (["angular", "--input", "campaign.csv", "--out-dir", "angular"],
+            ["spatial", "--input", "campaign.csv", "--out", "correlation.csv"],
+            ["vehicle", "--input", "campaign.csv", "--out-dir", "vehicle"],
+            ["fit", "--input", "campaign.csv", "--out", "fit.csv"])
 
 
-def one_bit_grid_outcomes(workdir, read_stdout, case) -> tuple:
-    """Each command's exit code, and one digest over its stdout and every
-    file in workdir, for `angular`, `vehicle` and `fit` on the 16-angle
-    dense uniform campaign, with one scan's or one transmitter's grid
-    changed: case "negative zero start" spells the first position1 scan's
-    first angle -0.0, a grid that differs from 0.0 in one bit only, and
-    "offset transmitter" turns every scan of the last transmitter in the
-    file by 1e-3 rad."""
+def grid_case_passes(workdir, read, case=None) -> list:
+    """Synth the 16-angle dense uniform campaign in workdir, change one
+    scan's or one transmitter's grid as case says (None: none), then run
+    each analysis command cold, its sidecar deleted first, and then each
+    again warm.  Case "negative zero start" spells the first position1
+    scan's first angle -0.0, and "offset transmitter" turns every scan of
+    the last transmitter in the file by 1e-3 rad.  Returns, per pass, each
+    command's exit code, stdout and stderr, every path it left but the
+    campaign and its sidecar (a file's bytes, a directory's None), and
+    whether the sidecar exists; stdout and the files without their
+    provenance lines."""
+    sidecar = Path(workdir) / ("campaign.csv" + SIDECAR_SUFFIX)
     cwd = os.getcwd()
+    os.makedirs(workdir, exist_ok=True)
     os.chdir(workdir)
     try:
         assert main(["synth", "--layout", "uniform", "--vehicle-mode", "dense", "--seed", "5",
                      "--n-angles", "16", "--out", "campaign.csv"]) == 0
-        read_stdout()
-        os.unlink("campaign.csv" + SIDECAR_SUFFIX)
+        read()
         provenance, header, *rows = Path("campaign.csv").read_text(encoding="ascii").splitlines()
         fields = [row.split(",") for row in rows]
         if case == "negative zero start":
             at = next(i for i, row in enumerate(fields) if row[5] == "position1")
             assert fields[at][3] == "0.0"
             fields[at][3] = "-0.0"
-        else:
+        elif case == "offset transmitter":
             for row in fields:
                 if row[0] == fields[-1][0]:
                     row[3] = repr(float(row[3]) + math.degrees(1e-3))
         Path("campaign.csv").write_text("\n".join([provenance, header, *map(",".join, fields)])
                                         + "\n", encoding="ascii")
-        codes, digest = {}, hashlib.sha256()
-        for argv in (["angular", "--input", "campaign.csv", "--out-dir", "angular"],
-                     ["vehicle", "--input", "campaign.csv", "--out-dir", "vehicle"],
-                     ["fit", "--input", "campaign.csv", "--out", "fit.csv"]):
-            codes[argv[0]] = main(argv)
-            digest.update(_digest(read_stdout().encode("utf-8")).encode("ascii"))
+        passes = []
+        for cold in (True, False):
+            runs = []
+            for argv in ANALYSES:
+                if cold:
+                    sidecar.unlink(missing_ok=True)
+                rc = main(argv)
+                captured = read()
+                runs.append((rc, checks.normalized(captured.out.encode("utf-8")), captured.err))
+            left = {}
+            for path in sorted(Path(".").rglob("*"), reverse=True):  # files before their dirs
+                if path.name not in ("campaign.csv", sidecar.name):
+                    left[path.as_posix()] = (checks.normalized(path.read_bytes())
+                                             if path.is_file() else None)
+                    if path.is_file():
+                        path.unlink()
+                    else:
+                        path.rmdir()
+            passes.append((runs, left, sidecar.exists()))
     finally:
         os.chdir(cwd)
-    for path in sorted(Path(workdir).rglob("*")):
-        if path.is_file() and not path.name.endswith(SIDECAR_SUFFIX):
-            digest.update(f"{path.relative_to(workdir).as_posix()}:{_digest(path.read_bytes())}"
-                          .encode("ascii"))
-    return codes, digest.hexdigest()
+    return passes
 
 
-@pytest.mark.parametrize("case", sorted(ONE_BIT_GRIDS))
-def test_grids_that_differ_in_a_bit_give_the_per_scan_outcomes(tmp_path, capsys, case):
-    # Such a campaign's set holds a grid per scan, not one broadcast grid.
-    assert one_bit_grid_outcomes(tmp_path, lambda: capsys.readouterr().out,
-                                 case) == ONE_BIT_GRIDS[case]
-    assert dataio.ingest(tmp_path / "campaign.csv").angles.strides[0] != 0
+def test_a_grid_within_the_tolerance_gives_the_campaigns_outputs(tmp_path, capsys):
+    # A -0.0 start differs from scan 0's 0.0 in one bit only: the set holds
+    # scan 0's grid, so stdout and every table are the unmodified
+    # campaign's, cold and from the sidecar the parse saved.
+    want = grid_case_passes(tmp_path / "plain", capsys.readouterr)
+    got = grid_case_passes(tmp_path / "case", capsys.readouterr, "negative zero start")
+    assert got == want
+    for runs, left, sidecar in got:
+        assert [rc for rc, _, _ in runs] == [0] * len(ANALYSES)
+        assert len(left) > len(ANALYSES) and sidecar
+
+
+def test_an_offset_transmitter_is_one_grid_error(tmp_path, capsys):
+    # Every command exits 3 in ingest, cold and again, with one line that
+    # names the offset transmitter's first scan, and leaves nothing behind:
+    # the failing build removes the sidecar its parse saved.
+    passes = grid_case_passes(tmp_path, capsys.readouterr, "offset transmitter")
+    rows = [row.split(",") for row in
+            (tmp_path / "campaign.csv").read_text(encoding="ascii").splitlines()[2:]]
+    first = next(row for row in rows if row[0] == rows[-1][0])
+
+    def key(row):
+        return (row[0], float(row[1]), float(row[2]), row[5], row[6])
+
+    want = (f"error[grid]: scan {key(first)}: angles differ by up to 1.000e-03 rad from "
+            f"those of scan {key(rows[0])}; the scans of a set share one angle grid\n")
+    assert passes == [([(3, b"", want)] * len(ANALYSES), {}, False)] * 2
 
 
 if __name__ == "__main__":

@@ -27,7 +27,6 @@ from portcanyon.angular import (
     ensemble_stats,
     gain_cdfs,
     normalized_spectrum,
-    require_common_grid,
     to_db,
     tx_bearing,
 )
@@ -284,9 +283,11 @@ class TestChecks:
         grid12 = np.radians(30.0 * np.arange(12))
         scans = [Scan("TX2", float(x), 3.5, grid12, np.ones(12)) for x in range(3)]
         scans.append(Scan("TX2", 7.0, 3.5, grid12 + 0.01, np.ones(12)))
-        assert require_common_grid(scan_set(scans[:3])).tobytes() == grid12.tobytes()
-        with pytest.raises(GridError, match=r"scan \('TX2', 7.0"):
-            require_common_grid(scan_set(scans))
+        assert scan_set(scans[:3]).grid.tobytes() == grid12.tobytes()
+        with pytest.raises(GridError, match=r"^scan \('TX2', 7.0, 3.5, 'absent', 'uniform'\): "
+                                            r"angles differ by up to 1.000e-02 rad from those "
+                                            r"of scan \('TX2', 0.0, .*\); "):
+            scan_set(scans)
         # A 16-angle scan after the 12-angle ones: the set is never built.
         keys = [("TX2", float(x), 3.5, "absent", "uniform") for x in (0.0, 1.0, 9.0)]
         angles = np.concatenate([grid12, grid12, np.radians(22.5 * np.arange(16))])
@@ -296,15 +297,13 @@ class TestChecks:
 
     def test_empty_set_statistics_are_domain_errors(self):
         empty = scan_set([])
-        assert len(empty) == 0 and empty.gains.size == 0
+        assert len(empty) == 0 and empty.gains.size == empty.grid.size == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert circular_mean_gain(empty).size == azimuth_gain(empty).size == 0
-        with pytest.raises(DomainError):
-            gain_cdfs(empty, {})
-        for call in (lambda: require_common_grid(empty), lambda: normalized_spectrum(empty),
+        for call in (lambda: gain_cdfs(empty, {}), lambda: normalized_spectrum(empty),
                      lambda: ensemble_stats(empty, db_bin_width=1.0)):
-            with pytest.raises(DomainError, match="empty scan set"):
+            with pytest.raises(DomainError, match="needs at least one scan"):
                 call()
 
 
@@ -317,14 +316,18 @@ def _identifier(node):
 
 
 def test_every_scan_set_is_built_by_from_rows():
-    # Only angular.py calls the ScanSet constructor (a selection does), and no
-    # module names an unchecked way round `ScanSet.from_rows`.
-    constructs, names_from_keys = set(), set()
+    # Only angular.py calls the ScanSet constructor (a selection does), no
+    # module names an unchecked way round `ScanSet.from_rows`, and none calls
+    # broadcast_to: a set holds one grid, not a view of it per scan.
+    constructs, names_from_keys, broadcasts = set(), set(), set()
     for path in sorted(Path(portcanyon.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and _identifier(node.func) == "ScanSet":
                 constructs.add(path.name)
+            if isinstance(node, ast.Call) and _identifier(node.func) == "broadcast_to":
+                broadcasts.add(path.name)
             if _identifier(node) == "from_keys":
                 names_from_keys.add(path.name)
     assert constructs == {"angular.py"}
     assert names_from_keys == set()
+    assert broadcasts == set()

@@ -131,23 +131,22 @@ class TestDenseLines:
                                  np.empty((0, 4), dtype=int), positions)
 
     def test_rejects_a_scan_off_the_line_grid(self):
-        scans = scan_set([Scan("TX2", 13.5, 3.5, GRID, np.ones(N_ANGLES)),
-                          Scan("TX2", 13.6, 3.5, GRID + 0.01, np.ones(N_ANGLES))])
-        lines = dense_lines(scans, POSITIONS[:2])
-        with pytest.raises(GridError, match=r"scan \('TX2', 13.6, 3.5, <VehicleState"):
-            averaged_correlation(scans, lines, POSITIONS[:2])
+        # The set is never built: its scans share scan 0's grid.
+        with pytest.raises(GridError, match=r"^scan \('TX2', 13.6, 3.5, 'absent', 'uniform'\): "
+                                            r"angles differ by up to 1.000e-02 rad from those "
+                                            r"of scan \('TX2', 13.5, "):
+            scan_set([Scan("TX2", 13.5, 3.5, GRID, np.ones(N_ANGLES)),
+                      Scan("TX2", 13.6, 3.5, GRID + 0.01, np.ones(N_ANGLES))])
 
-    def test_the_first_line_off_its_grid_is_named(self):
-        # Both lines have a scan off their grid; the first in line order is named.
+    def test_the_first_scan_off_the_grid_is_named_in_set_order(self):
+        # Both lines have a scan off scan 0's grid; the one first in the set
+        # is named, not the one of the first line.
         positions = POSITIONS[:2]
         moved = [s._replace(angles=GRID + 0.01) if s.x == positions[1] else s
                  for s in line_scans(flat(2), positions, tx="TX2")
                  + line_scans(flat(2), positions)]
-        scans = scan_set(moved)
-        lines = dense_lines(scans, positions)
-        assert lines.tolist() == [[2, 3], [0, 1]]
-        with pytest.raises(GridError, match=r"scan \('TX1_63', 13.6, 3.5, <VehicleState"):
-            averaged_correlation(scans, lines, positions)
+        with pytest.raises(GridError, match=r"^scan \('TX2', 13.6, 3.5, 'absent', "):
+            scan_set(moved)
 
 
 class TestAutocorrelation:

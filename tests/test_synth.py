@@ -249,7 +249,7 @@ class TestBaselineScans:
         assert set(scans.stacking) == {Stacking.UNIFORM.value}
         assert set(scans.vehicle_state) == {VehicleState.ABSENT.value}
         assert scans.gains.shape == (len(self.layout.txs), 360)
-        assert np.array_equal(scans.angles, np.broadcast_to(CFG.angles_rad, (7, 360)))
+        assert scans.grid.tobytes() == CFG.angles_rad.tobytes()
 
     def test_ensemble_mean_converges_to_model(self):
         # Law of large numbers over independent seeds, per angle.

@@ -105,13 +105,15 @@ class TestVehicleDelta:
         with pytest.raises(GridError):
             pair_delta(base, other)
 
-    def test_baselines_off_the_vehicle_grid_name_the_first_pair(self):
-        # Both baselines are on a shifted grid; the vehicle scan first in set
-        # order is named, whatever the order of the baselines.
+    def test_baselines_off_the_vehicle_grid_name_the_first_scan(self):
+        # Both baselines are on a shifted grid, the vehicle scans on scan 0's:
+        # the set is never built, and its first vehicle scan is named.
         base = [scan(np.full(8, -60.0), x=x)._replace(angles=GRID + 1e-3) for x in (5.0, 1.0)]
         moved = [scan(np.full(8, -63.0), VehicleState.POSITION1, x=x) for x in (1.0, 5.0)]
-        with pytest.raises(GridError, match=r"scan \('TX1_63', 1.0, 3.5, <VehicleState.POSITION1"):
-            vehicle_delta(scan_set([*base, *moved]), VehicleState.POSITION1)
+        with pytest.raises(GridError, match=r"^scan \('TX1_63', 1.0, 3.5, 'position1', "
+                                            r"'uniform'\): angles differ by up to 1.000e-03 rad "
+                                            r"from those of scan \('TX1_63', 5.0, "):
+            scan_set([*base, *moved])
         on_grid = base[1]._replace(angles=GRID)
         assert np.allclose(pair_delta(on_grid, moved[0]), 3.0)
 
