@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridError
-from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf
+from .stats import CHUNK_ROWS, EmpiricalCdf, aligned_histograms, empirical_cdf
 
 __all__ = [
     "VehicleState", "Stacking", "ScanSet", "first_invalid",
     "AngularSpectrumStats", "to_db", "from_db", "circular_mean_gain", "normalized_spectrum",
-    "ensemble_stats", "tx_bearing", "azimuth_gain", "gain_cdfs",
+    "ensemble_stats", "tx_bearing", "gain_cdfs",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -29,11 +29,6 @@ TWO_PI = 2.0 * math.pi
 # Tolerances for grid validation / comparison (rad).
 GRID_SPACING_TOL = 1e-9
 GRID_MATCH_TOL = 1e-12
-# Rows `first_invalid` checks at a time: 64 rows of 360 angles make
-# temporaries of 0.2 MB each, where the whole paper-scale campaign's are 6 MB.
-# A cold ingest checks each scan's angles while it holds the parse's columns,
-# at its peak, so the chunk's temporaries add to that peak.
-_CHECK_ROWS = 64
 
 
 class VehicleState(str, enum.Enum):
@@ -61,9 +56,11 @@ def first_invalid(grid, gains, angles=None, first=0):
     each within GRID_MATCH_TOL of grid at every angle, or the error names
     first as the scan grid came from.
 
-    grid is checked once, as row 0's; the rows are checked `_CHECK_ROWS` at
+    grid is checked once, as row 0's; the rows are checked `CHUNK_ROWS` at
     a time, so the check's temporaries are a few chunks of rows, not copies
-    of the matrices.  A row's gains are named before its angles."""
+    of the matrices: a cold ingest checks the scans while it holds the
+    parse's columns, at its peak.  A row's gains are named before its
+    angles."""
     n = grid.size
     if n < 8:
         return 0, GridError(f"need at least 8 azimuth samples, got {n}")
@@ -79,11 +76,11 @@ def first_invalid(grid, gains, angles=None, first=0):
              f"grid must start within the first spacing interval, got {grid[0]}")):
         if bad:
             return 0, bad_gains if _bad_gains(gains[:1]).any() else GridError(why)
-    for top in range(0, len(gains), _CHECK_ROWS):
-        bad = _bad_gains(gains[top:top + _CHECK_ROWS])
+    for top in range(0, len(gains), CHUNK_ROWS):
+        bad = _bad_gains(gains[top:top + CHUNK_ROWS])
         gap = np.zeros(bad.size)
         if angles is not None:  # one scratch chunk: the rows' angles, less the grid
-            gap = angles[top:top + _CHECK_ROWS] - grid
+            gap = angles[top:top + CHUNK_ROWS] - grid
             gap = np.abs(gap, out=gap).max(axis=1)
         rows = np.flatnonzero(bad | ~(gap <= GRID_MATCH_TOL))
         if rows.size:
@@ -263,24 +260,22 @@ def tx_bearing(tx_pos, rx_pos) -> float:
     return math.atan2(y_rx - y_tx, x_tx - x_rx) % TWO_PI
 
 
-def azimuth_gain(scans: ScanSet) -> np.ndarray:
-    """Best-direction gain over the mean (dB), one per scan: the max of its
-    normalized spectrum.
-
-    Always >= 0 dB, with equality only for a perfectly flat spectrum; this is
-    the benefit an ideal azimuth-pointed beam would get over an average one.
-    """
-    return _normalized(scans.gains).max(axis=1) if len(scans) else np.empty(0)
-
-
-def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]:
-    """Normalized-gain CDFs over all directions vs the TX direction.
+def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf, EmpiricalCdf]:
+    """Normalized-gain CDFs over all directions and in the TX direction, and
+    the azimuth-gain CDF.
 
     The first CDF pools the normalized spectrum over every angle of every
     scan; the second takes, per scan, the normalized gain at the grid angle
     nearest the transmitter bearing.  If the two are close, pointing a beam
-    at the TX buys nothing over pointing it anywhere.  tx_positions maps tx
-    id -> (x, y); returns (cdf_all_directions, cdf_tx_direction).
+    at the TX buys nothing over pointing it anywhere.  The third takes each
+    scan's azimuth gain, the max of its normalized spectrum: always >= 0 dB,
+    0 only for a flat spectrum, it is what an ideal azimuth-pointed beam
+    gains over an average one.  tx_positions maps tx id -> (x, y); returns
+    (cdf_all_directions, cdf_tx_direction, cdf_azimuth_gain).
+
+    The set is normalized once; the TX-direction gains and each scan's max
+    are taken first, and then the normalized matrix is sorted in place to
+    become the first CDF's values.
     """
     if not len(scans):
         raise DomainError("gain_cdfs needs at least one scan")
@@ -295,4 +290,7 @@ def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf]
     # The grid angle nearest each bearing; np.rint rounds half to even, as round does.
     nearest = np.rint((bearings - scans.grid[0]) / (TWO_PI / n))
     at_tx = spectra[np.arange(len(spectra)), nearest.astype(int) % n]
-    return empirical_cdf(spectra.ravel()), empirical_cdf(at_tx)
+    peaks = spectra.max(axis=1)
+    pooled = spectra.ravel()  # spectra is new and C-ordered: a view
+    pooled.sort()
+    return EmpiricalCdf.of_sorted(pooled), empirical_cdf(at_tx), empirical_cdf(peaks)

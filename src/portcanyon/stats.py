@@ -25,20 +25,36 @@ __all__ = [
 # Upper bound on the bins of one histogram: a tiny bin width over a wide dB
 # range would otherwise ask for an (angles x bins) array of any size.
 MAX_HISTOGRAM_BINS = 10_000
+# Rows of a (scans x angles) matrix that a chunked pass takes at a time: 64
+# rows of 360 angles make temporaries of 0.2 MB each, where the whole
+# paper-scale campaign's are 6 MB.
+CHUNK_ROWS = 64
 # Samples `sorted_ks_gap` takes at a time: temporaries of 0.5 MB each.
 _KS_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
 class EmpiricalCdf:
-    """Right-continuous empirical CDF: P(X <= values[i]) = probs[i]."""
+    """Right-continuous empirical CDF: P(X <= values[i]) = probs[i].
+
+    Only the sorted values are held; `probs`, the k/n column, is formed
+    each time it is read, so a CDF table's second column exists only while
+    the table is written (`columns`)."""
 
     values: np.ndarray  # sorted ascending
-    probs: np.ndarray   # k/n for k = 1..n
 
     @property
     def n(self) -> int:
         return len(self.values)
+
+    @property
+    def probs(self) -> np.ndarray:
+        """k/n for k = 1..n."""
+        return np.arange(1, self.n + 1, dtype=float) / self.n
+
+    def columns(self) -> tuple:
+        """(values, probs), one row per sample: the CDF's table."""
+        return self.values, self.probs
 
     def quantile(self, p: float) -> float:
         """Smallest sample value whose CDF reaches p (0 < p <= 1)."""
@@ -55,7 +71,7 @@ class EmpiricalCdf:
         """The CDF of samples already sorted ascending, held as given."""
         if values.size == 0:
             raise InsufficientDataError("empirical CDF needs at least one sample")
-        return cls(values=values, probs=np.arange(1, values.size + 1, dtype=float) / values.size)
+        return cls(values=values)
 
 
 def empirical_cdf(samples) -> EmpiricalCdf:
@@ -123,22 +139,27 @@ def aligned_histograms(samples, bin_width: float):
     n_bins = int(round(span))
     edges = lo + bin_width * np.arange(n_bins + 1)
     # np.histogram's bins: [edges[k], edges[k + 1]), the last one closed, and
-    # nothing outside the edges; one bincount over every column at once.  The
-    # quotient gives each value's bin; searchsorted places the few values
-    # that rounding, or the clip, put in a bin that does not hold them.
-    # Each step works in place where it can: the scratch is one or two arrays
-    # of the sample's size.
-    bins = samples - lo
-    bins /= bin_width
-    bins = np.clip(np.floor(bins, out=bins), 0, n_bins - 1, out=bins).astype(np.intp)
-    misplaced = samples < edges[bins]
-    misplaced |= samples >= edges[1:][bins]
-    bins[misplaced] = np.searchsorted(edges, samples[misplaced], side="right") - 1
-    bins[samples == edges[-1]] = n_bins - 1
-    inside = (bins >= 0) & (bins < n_bins)
-    bins += np.arange(samples.shape[1]) * n_bins
-    counts = np.bincount(bins[inside], minlength=samples.shape[1] * n_bins)
-    return edges, counts.reshape(samples.shape[1], n_bins)
+    # nothing outside the edges; every column is counted at once, in one
+    # flat count.  The quotient gives each value's bin; searchsorted places
+    # the few values that rounding, or the clip, put in a bin that does not
+    # hold them.  The rows go CHUNK_ROWS at a time, each step in place where
+    # it can, so the scratch is a few chunk-sized arrays.
+    n_columns = samples.shape[1]
+    offsets = np.arange(n_columns) * n_bins
+    counts = np.zeros(n_columns * n_bins, dtype=np.intp)
+    for top in range(0, len(samples), CHUNK_ROWS):
+        chunk = samples[top:top + CHUNK_ROWS]
+        bins = chunk - lo
+        bins /= bin_width
+        bins = np.clip(np.floor(bins, out=bins), 0, n_bins - 1, out=bins).astype(np.intp)
+        misplaced = chunk < edges[bins]
+        misplaced |= chunk >= edges[1:][bins]
+        bins[misplaced] = np.searchsorted(edges, chunk[misplaced], side="right") - 1
+        bins[chunk == edges[-1]] = n_bins - 1
+        inside = (bins >= 0) & (bins < n_bins)
+        bins += offsets
+        np.add.at(counts, bins[inside], 1)
+    return edges, counts.reshape(n_columns, n_bins)
 
 
 def ks_gap(samples, mu: float, sigma: float) -> float:

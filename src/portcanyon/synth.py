@@ -72,10 +72,11 @@ _STREAM_FULLSPREAD = 2
 # then stay under 300 kB, as `MAX_HISTOGRAM_BINS` bounds a histogram.
 MAX_N_ANGLES = 36_000
 
-# Bounds of `SynthConfig`'s dB knobs, derived in its docstring; every command
-# that loads a config checks them.
+# Bounds of `SynthConfig`'s dB knobs and of its psi, derived in its
+# docstring; every command that loads a config checks them.
 MAX_OFFSET_DB = 1000.0
 MAX_SIGMA_DB = 100.0
+MIN_PSI = 0.025
 
 _VEHICLE_CODE = {VehicleState.POSITION1: 1, VehicleState.POSITION2: 2}
 
@@ -125,16 +126,20 @@ class HornPattern:
 class SynthConfig:
     """Generator knobs; a fixed seed makes every output byte-identical.
 
-    |gain_offset_db| and |vehicle_mu_db| are at most MAX_OFFSET_DB (1000 dB)
-    and vehicle_sigma_db at most MAX_SIGMA_DB (100 dB), so that every gain
-    fits a float.  A model mean gain, 10*log10(psi*h*d/D**4) at the campaign
-    points (h 14.5-18 m, d 8 m, D 50-102.5 m), lies within 10*log10(psi) - 60
-    and -44 dB; with the offset and a vehicle delta within 9 sigma of mu
-    (+/-1900 dB), a scan's mean gain lies within 10*log10(psi) - 2960 and
-    2856 dB.  Normal floats > 0 span -3076 to 3082 dB: at the default psi =
-    0.1 that leaves over 100 dB for the deepest fades.  A smaller psi lowers
-    every gain by 10 dB a decade; `ScanSet.from_rows` names the first scan
-    it takes out of range.
+    |gain_offset_db| and |vehicle_mu_db| are at most MAX_OFFSET_DB (1000 dB),
+    vehicle_sigma_db at most MAX_SIGMA_DB (100 dB) and psi at least MIN_PSI
+    (0.025 rad), so that every gain fits a float.  A model mean gain,
+    10*log10(psi*h*d/D**4) at the campaign points (h 14.5-18 m, d 8 m, D
+    50-102.5 m), lies within 10*log10(psi) - 60 and -44 dB; with the offset
+    and a vehicle delta within 9 sigma of mu (+/-1900 dB), a scan's mean
+    gain lies within 10*log10(psi) - 2960 and 2856 dB.  Normal floats > 0
+    span -3076 to 3082 dB: at the default psi = 0.1 that leaves over 100 dB
+    below every scan mean for the deepest fades.  A smaller psi lowers every
+    gain by 10 dB a decade, so the smallest psi that still leaves 100 dB
+    has 10*log10(psi) - 2960 = -3076 + 100, that is 10*log10(psi) = -16 dB:
+    psi = 10**-1.6, about 0.025 rad (at 0.025 the unrounded bounds, -59.5
+    and -3076.5 dB, leave 101 dB).  `ScanSet.from_rows` stays the backstop:
+    it names the first scan it takes out of range.
     """
 
     seed: int = 0
@@ -167,6 +172,9 @@ class SynthConfig:
             raise DomainError("vehicle sigma must be >= 0")
         HornPattern(self.hpbw_deg)  # the horn's and the canyon model's own range checks
         CanyonGeometry.check_psi(self.psi)
+        if self.psi < MIN_PSI:
+            raise DomainError(f"psi must be >= {MIN_PSI:g} rad for the synthetic gains to "
+                              f"fit a float, got psi={self.psi}")
 
     @property
     def horn(self) -> HornPattern:
@@ -332,8 +340,8 @@ def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
     exponential bins smoothed by the horn) and returns the empirical CDF of
     their azimuth gain.  This is the reference any measured azimuth-gain
     distribution is compared against.  The azimuth gain of each row is taken
-    as `angular.azimuth_gain` takes it: the row's max dB gain over its
-    circular mean.
+    as `angular.gain_cdfs` takes it for its third CDF: the row's max dB gain
+    over its circular mean.
     """
     rng = _rng((cfg.seed, _STREAM_FULLSPREAD))
     raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))

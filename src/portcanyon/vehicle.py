@@ -15,7 +15,7 @@ import numpy as np
 
 from .angular import ScanSet, Stacking, VehicleState
 from .errors import DomainError, IngestError, InsufficientDataError
-from .stats import EmpiricalCdf, aligned_histograms, empirical_cdf, gaussian_cdf, sorted_ks_gap
+from .stats import CHUNK_ROWS, EmpiricalCdf, aligned_histograms, gaussian_cdf, sorted_ks_gap
 
 __all__ = [
     "GaussianFitResult", "DeltaCdfReport", "vehicle_delta", "fit_gaussian",
@@ -59,9 +59,9 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
     """Per-angle gain difference baseline minus vehicle, in dB, one row per
     scan with the vehicle at state (position1 or position2), in set order.
     Each is paired with the vehicle-absent scan of its link (same tx, x, y
-    and stacking), found by key, and read from the set's matrix by index
-    without copying subsets; every scan is on the set's one grid.  No scan
-    at state is a DomainError."""
+    and stacking), found by key, and read from the set's matrix by index,
+    a chunk of rows at a time, without copying subsets; every scan is on the
+    set's one grid.  No scan at state is a DomainError."""
     if state not in (VehicleState.POSITION1, VehicleState.POSITION2):
         raise DomainError(f"vehicle_delta needs a vehicle position, got state={state!r}")
     with_vehicle = np.flatnonzero(scans.vehicle_state == VehicleState(state).value)
@@ -75,13 +75,19 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
         tx_id, x, y, stacking = keys[with_vehicle[base.index(None)]]
         raise IngestError(f"no baseline scan for vehicle scan at "
                           f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
-    # Each side's gains are taken (a copy) and turned into dB in place: the
-    # bits of to_db, whose > 0 check a ScanSet's gains have passed.
-    delta, moved = scans.gains[base], scans.gains[with_vehicle]
-    for gains in (delta, moved):
-        np.log10(gains, out=gains)
-        gains *= 10.0
-    delta -= moved
+    # Each side's gains are taken CHUNK_ROWS rows at a time, the baseline's
+    # straight into the result, and turned into dB in place: the bits of
+    # to_db, whose > 0 check a ScanSet's gains have passed.
+    base = np.array(base, dtype=np.intp)
+    delta = np.empty((with_vehicle.size, scans.grid.size))
+    for top in range(0, len(delta), CHUNK_ROWS):
+        rows = delta[top:top + CHUNK_ROWS]
+        np.take(scans.gains, base[top:top + CHUNK_ROWS], axis=0, out=rows)
+        moved = scans.gains[with_vehicle[top:top + CHUNK_ROWS]]
+        for gains in (rows, moved):
+            np.log10(gains, out=gains)
+            gains *= 10.0
+        rows -= moved
     return delta
 
 
@@ -118,9 +124,13 @@ def delta_cdf_report(deltas) -> DeltaCdfReport:
 
     Returns the sorted deltas, the fit and the sup (Kolmogorov) gap between
     the two CDFs; a small gap says the vehicle effect is well described as
-    additive Gaussian dB noise.
+    additive Gaussian dB noise.  A C-ordered float array of deltas, such as
+    `vehicle_delta` returns, is sorted in place (anything else is copied
+    first) and becomes the report's values: a caller that still needs the
+    deltas in order passes a copy.
     """
-    values = empirical_cdf(deltas).values
+    values = np.asarray(deltas, dtype=float).ravel()
+    values.sort()
     fit = fit_gaussian(values)
     return DeltaCdfReport(values_db=values, fit=fit, sup_gap=sorted_ks_gap(
         gaussian_cdf(values, fit.mu_db, fit.sigma_db)))

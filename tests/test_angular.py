@@ -12,7 +12,6 @@ from portcanyon import angular
 from portcanyon.angular import (
     Stacking,
     VehicleState,
-    azimuth_gain,
     circular_mean_gain,
     ensemble_stats,
     first_invalid,
@@ -23,6 +22,7 @@ from portcanyon.angular import (
     tx_bearing,
 )
 from portcanyon.errors import DomainError, GridError
+from portcanyon.stats import CHUNK_ROWS
 
 
 def make_scan(gains, tx="TX1_63", x=5.0, y=3.5, **kwargs):
@@ -112,7 +112,7 @@ def _verdict(found):
     return None if found is None else (found[0], type(found[1]), str(found[1]))
 
 
-_CHUNK = angular._CHECK_ROWS
+_CHUNK = CHUNK_ROWS
 
 
 @st.composite
@@ -343,43 +343,61 @@ class TestTxBearing:
             tx_bearing((1.0, 2.0), (1.0, 2.0))
 
 
+POSITIONS = {"TX1_63": (18.8, 63.0), "TX2": (18.85, 60.5)}
+
+
+def azimuth_gains(scans):
+    """Each scan's azimuth gain, sorted: the values of gain_cdfs' third CDF."""
+    return gain_cdfs(scans, POSITIONS)[2].values
+
+
 class TestAzimuthGain:
     def test_constant_scan_zero(self):
-        assert azimuth_gain(make_set(np.full(12, 3.3e-7)))[0] == pytest.approx(0.0, abs=1e-12)
+        assert azimuth_gains(make_set(np.full(12, 3.3e-7)))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_level_value(self):
-        assert azimuth_gain(make_set(np.tile([1.0, 3.0], 8)))[0] == pytest.approx(
+        assert azimuth_gains(make_set(np.tile([1.0, 3.0], 8)))[0] == pytest.approx(
             1.7609125905568124, rel=1e-12
         )
 
     def test_never_negative(self):
         rng = np.random.default_rng(11)
         gains = [rng.lognormal(mean=-14.0, sigma=1.5, size=24) for _ in range(200)]
-        assert (azimuth_gain(make_set(*gains)) >= 0.0).all()
+        assert (azimuth_gains(make_set(*gains)) >= 0.0).all()
 
 
 class TestGainCdfs:
-    POSITIONS = {"TX1_63": (18.8, 63.0), "TX2": (18.85, 60.5)}
-
     def test_constant_scans_step_at_zero(self):
         scans = scan_set(make_scan(np.full(16, 1e-6), x=float(x)) for x in range(1, 6))
-        cdf_all, cdf_tx = gain_cdfs(scans, self.POSITIONS)
+        cdf_all, cdf_tx, cdf_az = gain_cdfs(scans, POSITIONS)
         assert np.allclose(cdf_all.values, 0.0, atol=1e-12)
         assert np.allclose(cdf_tx.values, 0.0, atol=1e-12)
-        assert cdf_tx.n == len(scans)
+        assert np.allclose(cdf_az.values, 0.0, atol=1e-12)
+        assert cdf_tx.n == cdf_az.n == len(scans)
         assert cdf_all.n == 16 * len(scans)
 
     def test_missing_tx_position_is_domain_error(self):
         with pytest.raises(DomainError, match="'TX9'"):
-            gain_cdfs(make_set(np.ones(8), tx="TX9"), self.POSITIONS)
+            gain_cdfs(make_set(np.ones(8), tx="TX9"), POSITIONS)
 
     def test_probabilities_reach_one(self):
         rng = np.random.default_rng(12)
         scans = scan_set(make_scan(rng.lognormal(-14, 1.0, 16), x=float(x)) for x in range(4))
-        cdf_all, cdf_tx = gain_cdfs(scans, self.POSITIONS)
-        assert cdf_all.probs[-1] == 1.0
-        assert cdf_tx.probs[-1] == 1.0
-        assert np.all(np.diff(cdf_all.values) >= 0.0)
+        for cdf in gain_cdfs(scans, POSITIONS):
+            assert cdf.probs[-1] == 1.0
+            assert np.all(np.diff(cdf.values) >= 0.0)
+
+    def test_pooled_and_azimuth_cdfs_equal_the_unsorted_spectra(self):
+        # More scans than a chunk of rows: the one normalized matrix gives the
+        # per-scan maxima before it is sorted in place.
+        rng = np.random.default_rng(14)
+        gains = rng.lognormal(-14.0, 1.0, (2 * CHUNK_ROWS + 1, 16))
+        scans = scan_set(make_scan(row, x=float(x)) for x, row in enumerate(gains))
+        spectra = normalized_spectrum(scans)
+        cdf_all, _, cdf_az = gain_cdfs(scans, POSITIONS)
+        assert cdf_az.values.tobytes() == np.sort(spectra.max(axis=1)).tobytes()
+        assert cdf_all.values.tobytes() == np.sort(spectra.ravel()).tobytes()
+        assert cdf_az.probs.tobytes() == (np.arange(1, len(gains) + 1) / len(gains)).tobytes()
 
 
 def test_statistics_invariant_under_joint_rotation():
@@ -393,4 +411,4 @@ def test_statistics_invariant_under_joint_rotation():
     moved = ensemble_stats(rolled, db_bin_width=1.0)
     assert np.allclose(np.roll(base.mean_db, 5), moved.mean_db, atol=1e-12)
     assert np.array_equal(np.roll(base.counts, 5, axis=0), moved.counts)
-    assert azimuth_gain(scans) == pytest.approx(azimuth_gain(rolled), rel=1e-12)
+    assert azimuth_gains(scans) == pytest.approx(azimuth_gains(rolled), rel=1e-12)

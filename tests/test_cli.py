@@ -250,11 +250,6 @@ class TestErrors:
         assert not out.exists()
 
 
-# The first vehicle scan of a 16-angle uniform campaign whose gains leave the
-# float range, named as `ScanSet.from_rows` names it.
-_FIRST_VEHICLE_SCAN_OUT_OF_RANGE = (
-    "scan ('TX1_63', 12.5, 3.5, 'position1', 'uniform'): "
-    "all linear gains must be finite and > 0")
 # Each command that checks the [synth] section, with its arguments.
 _SYNTH_CHECKERS = {
     "synth": ["synth", "--layout", "uniform", "--vehicle-mode", "dense", "--out", "d.csv"],
@@ -357,10 +352,11 @@ class TestBoundaryValues:
             ("vehicle_mu_db = 1e308\n", "vehicle_mu_db must be within +/-1000 dB, got 1e+308"),
             ("vehicle_sigma_db = 101\n", "vehicle_sigma_db must be within +/-100 dB, got 101.0"),
         )),
-        # Within the bounds, a psi far below the model's drives the vehicle
-        # gains under the float range: the set's own check is the backstop.
-        ("synth", [], "vehicle_mu_db = 1000\n[model]\npsi_rad = 1e-300\n",
-         _FIRST_VEHICLE_SCAN_OUT_OF_RANGE),
+        # A psi far below the model's would drive the vehicle gains under the
+        # float range: psi is bounded too, so every command gives one verdict.
+        *((command, [], "vehicle_mu_db = 1000\n[model]\npsi_rad = 1e-300\n",
+           "psi must be >= 0.025 rad for the synthetic gains to fit a float, got psi=1e-300")
+          for command in _SYNTH_CHECKERS),
     ])
     def test_synth_gains_out_of_range_are_domain_errors(self, tmp_path, capsys, command, flags,
                                                         ini, message):

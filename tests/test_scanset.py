@@ -22,7 +22,6 @@ from portcanyon.angular import (
     ScanSet,
     Stacking,
     VehicleState,
-    azimuth_gain,
     circular_mean_gain,
     ensemble_stats,
     gain_cdfs,
@@ -117,7 +116,8 @@ def _oracle_gain_cdfs(scans, positions):
         spacing = 2.0 * math.pi / scan.angles.size
         index = int(round((bearing - scan.angles[0]) / spacing)) % scan.angles.size
         at_tx.append(spectrum[index])
-    return empirical_cdf(np.concatenate(pooled)), empirical_cdf(np.array(at_tx))
+    return (empirical_cdf(np.concatenate(pooled)), empirical_cdf(np.array(at_tx)),
+            empirical_cdf([float(np.max(spectrum)) for spectrum in pooled]))
 
 
 def _baseline(scans):
@@ -184,8 +184,9 @@ class TestStatisticsOracle:
     def test_per_scan_statistics(self, campaign):
         scans, oracle = ingest(campaign), _oracle_scans(campaign)
         assert circular_mean_gain(scans).tolist() == [_oracle_mean_db(s) for s in oracle]
-        assert azimuth_gain(scans).tolist() == [
-            float(np.max(_oracle_normalized(s))) for s in oracle]
+        positions = {tx: synth.tx_position(tx)[:2] for tx in ("TX1_63", "TX2")}
+        assert gain_cdfs(scans, positions)[2].values.tolist() == sorted(
+            float(np.max(_oracle_normalized(s))) for s in oracle)
 
     def test_gain_cdfs(self, campaign):
         scans = ingest(campaign)
@@ -193,6 +194,7 @@ class TestStatisticsOracle:
         positions = {tx: synth.tx_position(tx)[:2] for tx in ("TX1_63", "TX2")}
         got = gain_cdfs(base, positions)
         want = _oracle_gain_cdfs(_baseline(_oracle_scans(campaign)), positions)
+        assert len(got) == len(want) == 3
         for g, w in zip(got, want):
             assert g.values.tobytes() == w.values.tobytes()
             assert g.probs.tobytes() == w.probs.tobytes()
@@ -229,8 +231,7 @@ class TestCliOutputsOracle:
             mean_db, _, counts = _oracle_ensemble([s for s in base if s.tx == tx], 1.0)
             assert _column(tmp_path / f"angular_mean_{tx}.csv", 1) == _reprs(mean_db)
             assert _column(tmp_path / f"angular_hist_{tx}.csv", 3) == _reprs(counts.ravel())
-        cdf_all, cdf_tx = _oracle_gain_cdfs(base, positions)
-        az = empirical_cdf([float(np.max(_oracle_normalized(s))) for s in base])
+        cdf_all, cdf_tx, az = _oracle_gain_cdfs(base, positions)
         for name, cdf in (("gain_cdf_all_directions", cdf_all),
                           ("gain_cdf_tx_direction", cdf_tx), ("azimuth_gain_cdf", az)):
             assert _column(tmp_path / f"{name}.csv", 0) == _reprs(cdf.values)
@@ -243,8 +244,8 @@ class TestCliOutputsOracle:
             moved = [s for s in oracle if s.vehicle_state == state.value]
             matrix = np.stack([to_db(base[(s.tx, s.x, s.y, s.stacking)].gains) - to_db(s.gains)
                                for s in moved])
-            report = delta_cdf_report(matrix.ravel())
             mean_db, _, _ = delta_angle_stats(matrix, db_bin_width=1.0)
+            report = delta_cdf_report(matrix)  # sorts the matrix in place
             out = tmp_path / f"vehicle_delta_cdf_{state.value}.csv"
             assert _column(out, 0) == _reprs(report.values_db)
             assert _column(out, 2) == _reprs(report.columns()[2])
@@ -300,7 +301,7 @@ class TestChecks:
         assert len(empty) == 0 and empty.gains.size == empty.grid.size == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert circular_mean_gain(empty).size == azimuth_gain(empty).size == 0
+            assert circular_mean_gain(empty).size == 0
         for call in (lambda: gain_cdfs(empty, {}), lambda: normalized_spectrum(empty),
                      lambda: ensemble_stats(empty, db_bin_width=1.0)):
             with pytest.raises(DomainError, match="needs at least one scan"):

@@ -82,6 +82,16 @@ class TestAlignedHistograms:
         edges, counts = aligned_histograms(samples, width)
         assert counts.tolist() == _reference_counts(samples, edges).tolist()
 
+    @pytest.mark.parametrize("rows", [stats.CHUNK_ROWS - 1, stats.CHUNK_ROWS,
+                                      stats.CHUNK_ROWS + 1, 3 * stats.CHUNK_ROWS + 5])
+    def test_counts_over_row_chunks_equal_the_histogram_loop(self, rows):
+        # One value per row sits far below the rest, so a row that a chunk
+        # skips or takes twice changes a count at that row's column.
+        samples = np.round(np.random.default_rng(rows).normal(-70.0, 10.0, (rows, 7)), 1)
+        samples[np.arange(rows), np.arange(rows) % 7] = -200.0 - np.arange(rows)
+        edges, counts = aligned_histograms(samples, 0.5)
+        assert counts.tolist() == _reference_counts(samples, edges).tolist()
+
     @pytest.mark.parametrize("width", [1.0, 0.5, 2.0, 0.1])
     def test_edges_byte_identical_to_reference_rule(self, width):
         rng = np.random.default_rng(3)

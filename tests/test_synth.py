@@ -16,8 +16,8 @@ from portcanyon import synth
 from portcanyon.angular import (
     Stacking,
     VehicleState,
-    azimuth_gain,
     circular_mean_gain,
+    gain_cdfs,
     to_db,
 )
 from portcanyon.config import load_config
@@ -318,7 +318,8 @@ class TestFullspread:
         raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
         smoothed = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
         expected = sorted(
-            azimuth_gain(scan_set([Scan("fullspread", 0.0, 0.0, cfg.angles_rad, row)]))[0]
+            gain_cdfs(scan_set([Scan("fullspread", 0.0, 0.0, cfg.angles_rad, row)]),
+                      {"fullspread": (1.0, 0.0)})[2].values[0]
             for row in smoothed
         )
         cdf = fullspread_gain_distribution(cfg)
@@ -401,6 +402,17 @@ def test_n_angles_is_bounded(tmp_path, n_angles):
     cfg.n_angles = n_angles  # as the --n-angles flag sets it
     with pytest.raises(DomainError, match=f"at most {synth.MAX_N_ANGLES} angles"):
         cfg.synth_config()
+
+
+def test_psi_bound_keeps_every_extreme_gain_in_range():
+    # The docstring's worst case: the lowest psi, offset and vehicle mean.
+    extreme = dict(gain_offset_db=-synth.MAX_OFFSET_DB, vehicle_mu_db=synth.MAX_OFFSET_DB,
+                   vehicle_sigma_db=synth.MAX_SIGMA_DB, n_angles=16)
+    scans = generate_campaign(build_layout("uniform"), SynthConfig(psi=synth.MIN_PSI, **extreme),
+                              vehicle_mode="dense")
+    assert scans.gains.min() > np.finfo(float).tiny
+    with pytest.raises(DomainError, match=r"^psi must be >= 0.025 rad .* got psi=0.0249$"):
+        SynthConfig(psi=0.0249, **extreme)
 
 
 def test_n_angles_bound_admits_hundredth_degree_steps(tmp_path):

@@ -6,7 +6,7 @@ from scansets import Scan, grid, scan_set
 
 from portcanyon.angular import VehicleState
 from portcanyon.errors import DomainError, GridError, IngestError, InsufficientDataError
-from portcanyon.stats import gaussian_cdf, sorted_ks_gap
+from portcanyon.stats import CHUNK_ROWS, gaussian_cdf, sorted_ks_gap
 from portcanyon.vehicle import (
     delta_angle_stats,
     delta_cdf_report,
@@ -97,6 +97,23 @@ class TestVehicleDelta:
         got = vehicle_delta(scans, VehicleState.POSITION1)
         assert got.shape == (len(links), 8)
         assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("n_links", [CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 3])
+    def test_chunked_pairing_equals_the_whole_matrix_formula(self, n_links):
+        # Baselines in reverse order after the vehicle scans, so no chunk of
+        # vehicle rows pairs with a chunk of baseline rows at the same offset.
+        rng = np.random.default_rng(n_links)
+        links = [dict(x=float(k)) for k in range(n_links)]
+        moved = [scan(-60.0 + 5 * rng.standard_normal(8), VehicleState.POSITION2, **link)
+                 for link in links]
+        base = [scan(-60.0 + 5 * rng.standard_normal(8), **link) for link in links[::-1]]
+        scans = scan_set(moved + base)
+        gains = scans.gains
+        want = 10.0 * np.log10(gains[np.arange(2 * n_links - 1, n_links - 1, -1)])
+        want -= 10.0 * np.log10(gains[:n_links])
+        got = vehicle_delta(scans, VehicleState.POSITION2)
+        assert got.shape == (n_links, 8)
+        assert got.tobytes() == want.tobytes()
 
     def test_rejects_mismatched_grid(self):
         base = scan(np.full(8, -60.0))
