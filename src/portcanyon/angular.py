@@ -175,20 +175,22 @@ class AngularSpectrumStats:
     n_scans: int
 
 
-def to_db(gain):
-    """Linear power ratio -> dB.  Rejects non-positive input."""
+def to_db(gain, out=None):
+    """Linear power ratio -> dB, into out if given; a gain <= 0 is a DomainError."""
     arr = np.asarray(gain, dtype=float)
     if not np.all(arr > 0.0):
         raise DomainError("gain must be > 0 to convert to dB")
-    out = np.log10(arr)
-    out *= 10.0  # in out's array: the bits of 10.0 * np.log10(arr)
+    out = np.log10(arr, out=out)
+    out *= 10.0
     return float(out) if np.isscalar(gain) or arr.ndim == 0 else out
 
 
-def from_db(db):
-    """dB -> linear power ratio."""
+def from_db(db, out=None):
+    """dB -> linear power ratio, into out if given; beyond the float range, inf."""
     arr = np.asarray(db, dtype=float)
-    out = 10.0 ** (arr / 10.0)
+    with np.errstate(over="ignore"):
+        out = np.divide(arr, 10.0, out=out)
+        out = np.power(10.0, out, out=out) if out.ndim else 10.0 ** out  # a scalar: C pow()
     return float(out) if np.isscalar(db) or arr.ndim == 0 else out
 
 
@@ -199,7 +201,7 @@ def _mean_db(gains, axis=-1):
         mean = np.mean(gains, axis=axis)
     if not np.all(mean < np.inf):
         raise DomainError("the linear mean of the gains overflows")
-    return 10.0 * np.log10(mean)
+    return to_db(mean)
 
 
 def _normalized(gains):
@@ -241,7 +243,7 @@ def ensemble_stats(scans: ScanSet, db_bin_width: float) -> AngularSpectrumStats:
         raise DomainError("ensemble_stats needs at least one scan")
     gains = scans.gains                                  # (n_scans, n_angles), one grid
     mean_db = _mean_db(gains, axis=0)
-    edges, counts = aligned_histograms(10.0 * np.log10(gains), db_bin_width)
+    edges, counts = aligned_histograms(to_db(gains), db_bin_width)
     return AngularSpectrumStats(angles=scans.grid, mean_db=mean_db, bin_edges_db=edges,
                                 counts=counts, n_scans=len(scans))
 

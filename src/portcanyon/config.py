@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, fields
 
 from .angular import Stacking
 from .errors import ConfigError
-from .linkbudget import LinkBudgetConfig, noise_floor_dbm
+from .linkbudget import LinkBudgetConfig, max_allowable_pathloss_db
 from .stats import check_bin_width
 from .synth import CampaignLayout, SynthConfig, build_layout
 
@@ -82,7 +82,7 @@ class ToolConfig:
         """Range-check every key with the check of the code that uses it, so
         that a file gets one verdict whatever the command (a DomainError)."""
         self.synth_config()
-        noise_floor_dbm(self.linkbudget_config())
+        max_allowable_pathloss_db(self.linkbudget_config())
         for stacking in Stacking:
             build_layout(stacking, rx_height_m=self.rx_height_m)
         check_bin_width(self.histogram_bin_db)
@@ -114,9 +114,13 @@ def load_config(path=None) -> ToolConfig:
     cfg = ToolConfig()
     if path is None:
         return cfg
-    parser = configparser.ConfigParser()
-    if not parser.read(path):
-        raise ConfigError(f"cannot read config file {path!r}")
+    parser = configparser.ConfigParser(interpolation=None)  # a '%' is a bad value
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path!r}")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        why = " ".join(str(exc).split())  # on one line
+        raise ConfigError(f"cannot parse config file {path!r}: {why}") from exc
     keys = {(f.metadata["section"], f.name): f for f in fields(ToolConfig)}
     for section in parser.sections():
         if section not in {s for s, _ in keys}:

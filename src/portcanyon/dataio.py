@@ -28,8 +28,9 @@ bytes, a comment row among the data, a line over `_MAX_LINE_BYTES`) is
 re-read row by row, the only source of the line-numbered errors.  Both
 readers skip one leading UTF-8 byte-order mark.  Each reader returns rows:
 keys, angle counts, phi_deg and gain_db, which `_scan_set` converts in
-place, so an ingest holds one copy; the set keeps a copy of scan 0's
-angles as its grid.
+place (`np.radians`; `angular.from_db` with out=), so an ingest holds one
+copy; the set keeps a copy of scan 0's angles as its grid.  The gains
+are written and saved as `angular.to_db` gives them.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -70,7 +71,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .angular import ScanSet, Stacking, VehicleState
+from .angular import ScanSet, Stacking, VehicleState, from_db, to_db
 from .errors import IngestError
 
 __all__ = [
@@ -127,7 +128,7 @@ def _scan_texts(scans: ScanSet):
     phi_cells = [phi + "," for phi in map(repr, np.degrees(scans.grid).tolist())]
     columns = (getattr(scans, key).tolist() for key in ScanSet.KEYS)
     for (tx, x, y, vehicle_state, stacking), gains in zip(zip(*columns), scans.gains):
-        gain_db = 10.0 * np.log10(gains)
+        gain_db = to_db(gains)
         prefix = f"{_cell(tx)},{x!r},{y!r},"
         suffix = f",{vehicle_state},{stacking}\n"
         # One flat join: the prefix, then each row's phi, gain and the
@@ -170,14 +171,8 @@ def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units,
     converted in place: phi_deg and gain_db must be the caller's to give up.
     phi_deg holds every row's angle, or the grid's sizes[0] values once."""
-    # The ufuncs of np.radians(phi_deg) and 10.0 ** (gain_db / 10.0), so their
-    # bits.  A gain_db too large for a float overflows to inf, which the check
-    # rejects; numpy's overflow warning would only repeat that.
     np.radians(phi_deg, out=phi_deg)
-    np.divide(gain_db, 10.0, out=gain_db)
-    with np.errstate(over="ignore"):
-        np.power(10.0, gain_db, out=gain_db)
-    return ScanSet.from_rows(keys, sizes, phi_deg, gain_db, sha256)
+    return ScanSet.from_rows(keys, sizes, phi_deg, from_db(gain_db, out=gain_db), sha256)
 
 
 def _csv_rows(fh):
@@ -527,7 +522,7 @@ def save_sidecar(path, scans: ScanSet, sha256) -> None:
     keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
     sizes = np.full(len(scans), scans.grid.size, dtype=np.int64)
     # The values `write_scans` formats, so the rows a parse reads back.
-    phi_deg, gain_db = np.degrees(scans.grid), 10.0 * np.log10(scans.gains)
+    phi_deg, gain_db = np.degrees(scans.grid), to_db(scans.gains)
     _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX, (keys, sizes, phi_deg, gain_db.ravel()),
                   sha256)
 

@@ -24,7 +24,7 @@ BOLTZMANN_J_PER_K = 1.380649e-23
 class LinkBudgetConfig:
     """Base-station and receiver assumptions for the coverage estimate.
 
-    Every value must be finite, and the bandwidth and temperature > 0.
+    Every value and the throughput must be finite, the bandwidth and temperature > 0.
 
     spectral_efficiency_bps_hz is informational only (throughput note); it
     never enters the path-loss arithmetic.
@@ -47,6 +47,8 @@ class LinkBudgetConfig:
             raise DomainError(f"bandwidth must be > 0, got {self.bandwidth_hz}")
         if self.temperature_k <= 0.0:
             raise DomainError(f"temperature must be > 0, got {self.temperature_k}")
+        if not math.isfinite(dual_pol_throughput_bps(self)):
+            raise DomainError("spectral efficiency x bandwidth overflows a float")
 
 
 def eirp_dbm(cfg: LinkBudgetConfig) -> float:
@@ -65,7 +67,10 @@ def noise_floor_dbm(cfg: LinkBudgetConfig) -> float:
 
 def max_allowable_pathloss_db(cfg: LinkBudgetConfig) -> float:
     """Largest path loss still meeting the SNR target after the shadow margin."""
-    return eirp_dbm(cfg) - noise_floor_dbm(cfg) - cfg.required_snr_db - cfg.shadow_margin_db
+    mapl = eirp_dbm(cfg) - noise_floor_dbm(cfg) - cfg.required_snr_db - cfg.shadow_margin_db
+    if not math.isfinite(mapl):
+        raise DomainError("the link budget's dB terms sum beyond the float range")
+    return mapl
 
 
 def coverage_range_m(n: float, r0_db: float, mapl_db: float) -> float:

@@ -15,7 +15,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .angular import ScanSet, Stacking
+from .angular import ScanSet, Stacking, to_db
 from .errors import DomainError
 
 __all__ = ["dense_lines", "averaged_correlation"]
@@ -82,7 +82,8 @@ def averaged_correlation(scans: ScanSet, lines, positions) -> tuple[np.ndarray, 
     # last bits.
     # The copy is laid out in C order, so each mean runs along memory.
     n_pos = positions.size
-    db = 10.0 * np.log10(np.ascontiguousarray(scans.gains[lines].transpose(0, 2, 1)))
+    db = np.ascontiguousarray(scans.gains[lines].transpose(0, 2, 1))
+    to_db(db, out=db)
     z = db - db.mean(axis=2, keepdims=True)
     raw = np.empty_like(z)
     for k in range(n_pos):

@@ -382,9 +382,7 @@ def generate_campaign(
     keys, source, moved, deltas = [], [], [], []
     for t, tx in enumerate(layout.txs):
         for p, point in enumerate(points):
-            # A huge offset overflows the mean to inf, which the check rejects.
-            with np.errstate(over="ignore"):
-                mean_lin = from_db(mean_gain_at(layout, tx, point, cfg))
+            mean_lin = from_db(mean_gain_at(layout, tx, point, cfg))
             base[t, p] = (_rng(_point_entropy(cfg, _STREAM_SCAN, t, point)).exponential(mean_lin, n)
                           if cfg.fading else mean_lin)
             states = (VehicleState.ABSENT,)
@@ -402,7 +400,6 @@ def generate_campaign(
             base[t] = _smooth(base[t], kernel)
     gains, moved = base.reshape(-1, n)[source], np.array(moved, dtype=bool)
     if deltas:
-        # to_db's bits without its check: from_rows names a bad baseline first.
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gains[moved] = 10.0 ** ((10.0 * np.log10(gains[moved]) - np.array(deltas)) / 10.0)
+        vehicle_db = to_db(gains[moved]) - np.array(deltas)
+        gains[moved] = from_db(vehicle_db, out=vehicle_db)
     return ScanSet.from_rows(keys, np.full(len(keys), n), cfg.angles_rad, gains)

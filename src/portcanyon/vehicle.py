@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, VehicleState
+from .angular import ScanSet, Stacking, VehicleState, to_db
 from .errors import DomainError, IngestError, InsufficientDataError
 from .stats import CHUNK_ROWS, EmpiricalCdf, aligned_histograms, gaussian_cdf, sorted_ks_gap
 
@@ -75,19 +75,15 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
         tx_id, x, y, stacking = keys[with_vehicle[base.index(None)]]
         raise IngestError(f"no baseline scan for vehicle scan at "
                           f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
-    # Each side's gains are taken CHUNK_ROWS rows at a time, the baseline's
-    # straight into the result, and turned into dB in place: the bits of
-    # to_db, whose > 0 check a ScanSet's gains have passed.
+    # CHUNK_ROWS rows at a time: the baseline's straight into the result, then dB in place.
     base = np.array(base, dtype=np.intp)
     delta = np.empty((with_vehicle.size, scans.grid.size))
     for top in range(0, len(delta), CHUNK_ROWS):
         rows = delta[top:top + CHUNK_ROWS]
         np.take(scans.gains, base[top:top + CHUNK_ROWS], axis=0, out=rows)
         moved = scans.gains[with_vehicle[top:top + CHUNK_ROWS]]
-        for gains in (rows, moved):
-            np.log10(gains, out=gains)
-            gains *= 10.0
-        rows -= moved
+        to_db(rows, out=rows)
+        rows -= to_db(moved, out=moved)
     return delta
 
 

@@ -1,6 +1,9 @@
 """Angular-spectrum statistics: hand-checked values and invariances."""
 
+import ast
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -218,6 +221,82 @@ class TestDbConversion:
     def test_from_db_inverts(self):
         values = np.array([-80.0, -3.0, 0.0, 12.5])
         assert np.allclose(to_db(from_db(values)), values, atol=1e-12)
+
+    def test_out_is_returned_with_the_bits_of_the_expression(self):
+        rng = np.random.default_rng(11)
+        gains = rng.lognormal(-14.0, 3.0, (130, 24))
+        db = rng.uniform(-300.0, 300.0, (130, 24))
+        want_db, want_lin = 10.0 * np.log10(gains), 10.0 ** (db / 10.0)
+        for rows in (slice(None), slice(64, 128)):  # the whole matrix; a chunk's view
+            out = gains.copy()[rows]
+            assert to_db(out, out=out) is out
+            assert out.tobytes() == want_db[rows].tobytes()
+            out = db.copy()[rows]
+            assert from_db(out, out=out) is out
+            assert out.tobytes() == want_lin[rows].tobytes()
+            into = np.empty_like(out)
+            assert to_db(gains[rows], out=into) is into
+            assert into.tobytes() == want_db[rows].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(db=st.lists(st.floats(min_value=-3300.0, max_value=3300.0), min_size=1, max_size=50))
+    def test_from_db_bits_of_ten_to_the_tenth(self, db):
+        arr = np.array(db)
+        with np.errstate(over="ignore"):  # over 3082 dB the reference is inf too
+            want, want_0 = 10.0 ** (arr / 10.0), 10.0 ** (np.float64(db[0]) / 10.0)
+        assert from_db(arr).tobytes() == want.tobytes()
+        # A scalar goes through Python's **, as the expression on a float does.
+        assert from_db(db[0]) == float(want_0)
+
+    def test_from_db_overflow_is_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert from_db(4000.0) == math.inf
+            assert from_db(np.array([0.0, 4000.0])).tolist() == [1.0, math.inf]
+            out = np.array([4000.0, -10.0])
+            assert from_db(out, out=out).tolist() == [math.inf, 0.1]
+
+    def test_out_keeps_the_positive_check(self):
+        out = np.array([1.0, 0.0, 2.0])
+        with pytest.raises(DomainError, match="gain must be > 0"):
+            to_db(out, out=out)
+        assert out.tolist() == [1.0, 0.0, 2.0]  # rejected before any write
+
+
+def _conversion_sites():
+    """(module, function, spelling) of each dB<->linear conversion in the
+    package: a call of np.log10 or np.power, or 10.0 ** <expr>."""
+    sites = []
+    for path in sorted(Path(angular.__file__).parent.glob("*.py")):
+        def walk(node, where):
+            for child in ast.iter_child_nodes(node):
+                inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
+                         else where)
+                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                        and isinstance(child.func.value, ast.Name)
+                        and child.func.value.id == "np"
+                        and child.func.attr in ("log10", "power")):
+                    sites.append((path.stem, where, f"np.{child.func.attr}"))
+                if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
+                        and isinstance(child.left, ast.Constant) and child.left.value == 10.0):
+                    sites.append((path.stem, where, "10.0 **"))
+                walk(child, inner)
+        walk(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sites
+
+
+def test_every_db_conversion_is_the_pair():
+    allowed = {
+        ("angular", "to_db", "np.log10"),
+        ("angular", "from_db", "np.power"),
+        ("angular", "from_db", "10.0 **"),
+        # A scalar of the planner, in Python floats: C pow() on purpose, as
+        # pathloss and linkbudget keep their per-value math (see pathloss._xy).
+        ("linkbudget", "coverage_range_m", "10.0 **"),
+    }
+    sites = _conversion_sites()
+    assert [site for site in sites if site not in allowed] == []
+    assert set(sites) == allowed
 
 
 class TestCircularMean:
