@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +19,7 @@ from .stats import CHUNK_ROWS, EmpiricalCdf, aligned_histograms, empirical_cdf
 
 __all__ = [
     "VehicleState", "Stacking", "ScanSet", "first_invalid",
-    "AngularSpectrumStats", "to_db", "from_db", "circular_mean_gain", "normalized_spectrum",
+    "to_db", "from_db", "circular_mean_gain", "normalized_spectrum",
     "ensemble_stats", "tx_bearing", "gain_cdfs",
 ]
 
@@ -99,9 +98,8 @@ class ScanSet:
     (rad, n angles, read-only), as the sounder's fixed azimuth steps give
     it, and `gains` the (scans x n) matrix of linear gains; `sha256` is the
     hash of the file read, if any.  A slice, mask or index array selects a
-    ScanSet, which shares the grid; `key(i)` names scan i.  `from_rows`
-    builds and checks every set; selection alone calls the constructor,
-    which checks nothing.
+    ScanSet, which shares the grid.  `from_rows` builds and checks every
+    set; selection alone calls the constructor, which checks nothing.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
@@ -149,30 +147,9 @@ class ScanSet:
         """The scans a slice, boolean mask or index array picks, in its order.
         One int is a TypeError, so iterating a ScanSet fails too."""
         if isinstance(which, (int, np.integer)):
-            raise TypeError("a ScanSet takes a slice, mask or index array; key(i) names scan i")
+            raise TypeError("a ScanSet takes a slice, mask or index array, not one index")
         return ScanSet([getattr(self, key)[which] for key in self.KEYS],
                        self.grid, self.gains[which], self.sha256)
-
-    def key(self, i) -> tuple:
-        """Scan i's (tx, x, y, VehicleState, Stacking) key, as errors name it."""
-        return (self.tx[i], float(self.x[i]), float(self.y[i]),
-                VehicleState(self.vehicle_state[i]), Stacking(self.stacking[i]))
-
-
-@dataclass(frozen=True, eq=False)
-class AngularSpectrumStats:
-    """Per-angle ensemble statistics over a set of scans.
-
-    mean_db[i] is the linear-domain ensemble mean at angles[i], in dB.
-    counts[i, j] is the number of scans whose dB gain at angles[i] fell in
-    histogram bin j; each row sums to the number of contributing scans.
-    """
-
-    angles: np.ndarray
-    mean_db: np.ndarray
-    bin_edges_db: np.ndarray
-    counts: np.ndarray
-    n_scans: int
 
 
 def to_db(gain, out=None):
@@ -231,21 +208,24 @@ def normalized_spectrum(scans: ScanSet) -> np.ndarray:
     return _normalized(scans.gains)
 
 
-def ensemble_stats(scans: ScanSet, db_bin_width: float) -> AngularSpectrumStats:
-    """Per-angle ensemble mean and dB-gain histogram over a set of scans.
+def ensemble_stats(scans: ScanSet, db_bin_width: float):
+    """Per-angle ensemble mean and dB-gain histogram over a set of scans, at
+    the angles of its grid.
 
     The mean is taken in the linear domain and reported in dB.  The
     histogram bins the raw per-scan dB gains at each angle with the given
     bin width; edges are aligned to multiples of the width
     (`stats.aligned_histograms`, which bounds the bin count).
+
+    Returns:
+        (mean_db, bin_edges_db, counts) with counts shaped (n_angles, n_bins),
+        as `vehicle.delta_angle_stats` returns them.
     """
     if not len(scans):
         raise DomainError("ensemble_stats needs at least one scan")
-    gains = scans.gains                                  # (n_scans, n_angles), one grid
-    mean_db = _mean_db(gains, axis=0)
-    edges, counts = aligned_histograms(to_db(gains), db_bin_width)
-    return AngularSpectrumStats(angles=scans.grid, mean_db=mean_db, bin_edges_db=edges,
-                                counts=counts, n_scans=len(scans))
+    mean_db = _mean_db(scans.gains, axis=0)
+    edges, counts = aligned_histograms(to_db(scans.gains), db_bin_width)
+    return mean_db, edges, counts
 
 
 def tx_bearing(tx_pos, rx_pos) -> float:

@@ -46,7 +46,11 @@ class Report(NamedTuple):
 
 
 def _baseline(scans):
-    return scans[scans.vehicle_state == angular.VehicleState.ABSENT.value]
+    """The set's vehicle-absent scans, which `angular` and `fit` analyse."""
+    scans = scans[scans.vehicle_state == angular.VehicleState.ABSENT.value]
+    if not len(scans):
+        raise IngestError("dataset has no baseline (vehicle absent) scans")
+    return scans
 
 
 def _angle_stats_tables(out_dir, prefix, key, mean_name, angles_deg, mean, edges, counts):
@@ -82,19 +86,11 @@ def _cmd_synth(args, cfg: ToolConfig) -> Report:
 
 def _cmd_angular(args, cfg: ToolConfig) -> Report:
     scans = _baseline(dataio.ingest(args.input))
-    if not len(scans):
-        raise IngestError("dataset has no baseline (vehicle absent) scans")
-
-    by_tx = defaultdict(list)
-    for i, tx_id in enumerate(scans.tx.tolist()):
-        by_tx[tx_id].append(i)
-    positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in by_tx}
-    tables = []
-    for tx_id, index in by_tx.items():
-        stats = angular.ensemble_stats(scans[index], db_bin_width=cfg.histogram_bin_db)
-        tables += _angle_stats_tables(args.out_dir, "angular", tx_id, "mean_db",
-                                      np.degrees(stats.angles), stats.mean_db,
-                                      stats.bin_edges_db, stats.counts)
+    positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in dict.fromkeys(scans.tx.tolist())}
+    angles_deg, tables = np.degrees(scans.grid), []
+    for tx_id in positions:  # in first-seen order
+        stats = angular.ensemble_stats(scans[scans.tx == tx_id], db_bin_width=cfg.histogram_bin_db)
+        tables += _angle_stats_tables(args.out_dir, "angular", tx_id, "mean_db", angles_deg, *stats)
     cdf_all, cdf_tx, az_cdf = angular.gain_cdfs(scans, positions)
     for name, value_name, cdf in (
         ("gain_cdf_all_directions", "normalized_gain_db", cdf_all),
@@ -105,7 +101,7 @@ def _cmd_angular(args, cfg: ToolConfig) -> Report:
         tables.append((os.path.join(args.out_dir, f"{name}.csv"), (value_name, "probability"),
                        cdf.columns))
     return Report(tables, [
-        f"angular: {len(scans)} scans, {len(by_tx)} transmitters -> {args.out_dir}",
+        f"angular: {len(scans)} scans, {len(positions)} transmitters -> {args.out_dir}",
         f"angular: median azimuth gain {az_cdf.median():.2f} dB over {az_cdf.n} scans",
     ], scans.sha256)
 
@@ -119,12 +115,12 @@ def _cmd_spatial(args, cfg: ToolConfig) -> Report:
         raise ConfigError(f"--x-start must be finite, got {args.x_start}")
     if not (math.isfinite(args.x_step) and args.x_step > 0.0):
         raise ConfigError(f"--x-step must be finite and > 0, got {args.x_step}")
-    scans = _baseline(dataio.ingest(args.input))
+    scans = dataio.ingest(args.input)
     first, last = (args.x_start + args.x_step * k for k in (0, args.x_count - 1))
     no_line = IngestError(f"no complete dense line found (need x = {first:g}..{last:g} "
                           f"step {args.x_step:g})")
-    # A complete line takes x_count distinct scans, so with fewer there is none.
-    if args.x_count > len(scans):
+    # A complete line takes x_count distinct baseline scans, so with fewer there is none.
+    if args.x_count > np.count_nonzero(scans.vehicle_state == angular.VehicleState.ABSENT.value):
         raise no_line
     positions = np.array([args.x_start + args.x_step * k for k in range(args.x_count)])
     lines = spatialcorr.dense_lines(scans, positions)
@@ -177,9 +173,6 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
 
 def _cmd_fit(args, cfg: ToolConfig) -> Report:
     scans = _baseline(dataio.ingest(args.input))
-    if not len(scans):
-        raise IngestError("dataset has no baseline (vehicle absent) scans")
-
     by_stacking = defaultdict(list)
     for tx_id, x, y, stacking, gain_db in zip(
         scans.tx.tolist(), scans.x.tolist(), scans.y.tolist(), scans.stacking.tolist(),

@@ -487,14 +487,18 @@ def _load_sidecar(path, sha256, limit):
         return None
 
 
-def _save_sidecar(path, rows, sha256) -> None:
+def _save_sidecar(path, rows, sha256, limit) -> None:
     """Write the rows' sidecar atomically, unless a text key would not survive
-    numpy's fixed-width strings (a trailing NUL); a directory that refuses
-    the write leaves no sidecar and no error."""
+    numpy's fixed-width strings (a trailing NUL) or a text member would take
+    more than limit (the input's size in) bytes, which `_load_sidecar`
+    refuses: every scan's key takes the longest one's width.  A directory
+    that refuses the write leaves no sidecar and no error."""
     keys, sizes, phi_deg, gain_db = rows
     members = {"version": np.array(_SIDECAR_VERSION, dtype=np.int64), "sha256": np.array(sha256),
                "sizes": np.asarray(sizes, dtype=np.int64), "phi_deg": phi_deg, "gain_db": gain_db}
     for key, values in zip(ScanSet.KEYS, zip(*keys)):
+        if key not in ("x", "y") and 4 * len(values) * max(map(len, values)) > limit:
+            return  # 4 bytes a character
         members[key] = np.array(values)
         if members[key].tolist() != list(values):
             return
@@ -524,7 +528,7 @@ def save_sidecar(path, scans: ScanSet, sha256) -> None:
     # The values `write_scans` formats, so the rows a parse reads back.
     phi_deg, gain_db = np.degrees(scans.grid), to_db(scans.gains)
     _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX, (keys, sizes, phi_deg, gain_db.ravel()),
-                  sha256)
+                  sha256, os.path.getsize(path))
 
 
 def ingest(path) -> ScanSet:
@@ -557,7 +561,7 @@ def ingest(path) -> ScanSet:
     # failing build, a scan off that grid included, removes them.
     if (before.st_ino, before.st_size, before.st_mtime_ns) == (
             after.st_ino, after.st_size, after.st_mtime_ns):
-        _save_sidecar(sidecar, (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256)
+        _save_sidecar(sidecar, (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256, after.st_size)
     try:
         return _scan_set(keys, sizes, phi_deg, gain_db, sha256)
     except BaseException:

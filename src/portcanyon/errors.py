@@ -18,7 +18,7 @@ class DomainError(ToolkitError):
 
 
 class GridError(ToolkitError):
-    """An angle grid is malformed, mismatched, or a lookup angle is off-grid."""
+    """An angle grid is malformed, or a scan's angles differ from its set's grid."""
 
     category = "grid"
 

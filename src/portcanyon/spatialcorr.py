@@ -1,12 +1,13 @@
 """Spatial autocorrelation of fixed-beam channel gain along dense RX lines.
 
 Gains are correlated in the dB domain, since that is the scale link
-adaptation and beam refinement react to.  A dense line is one scan of a
-ScanSet at each of uniformly spaced positions along the canyon (nominally 15
-points, 0.1 m apart); `dense_lines` finds the complete lines of a set as one
-(lines x positions) index matrix into it, and `averaged_correlation` takes
-the normalized lagged autocovariance of each line's zero-mean dB gains at
-each grid angle and averages it over angles and lines.
+adaptation and beam refinement react to.  A dense line is one baseline
+(vehicle-absent) scan of a ScanSet at each of uniformly spaced positions
+along the canyon (nominally 15 points, 0.1 m apart), as the paper measures
+the empty canyon; `dense_lines` finds the complete lines of a whole set as
+one (lines x positions) index matrix into it, and `averaged_correlation`
+takes the normalized lagged autocovariance of each line's zero-mean dB gains
+at each grid angle and averages it over angles and lines.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, to_db
+from .angular import ScanSet, Stacking, VehicleState, to_db
 from .errors import DomainError
 
 __all__ = ["dense_lines", "averaged_correlation"]
@@ -28,16 +29,17 @@ def dense_lines(scans: ScanSet, positions) -> np.ndarray:
     (lines x positions) int matrix: row i holds the set index of line i's
     scan at each position.
 
-    A line is the scans of one (tx, y, stacking); the caller passes scans of
-    one vehicle state.  Each scan takes the first position within
-    POSITION_SPACING_TOL, if any, and a later scan at a taken position
-    replaces the earlier one.  Lines that miss a position are left out; the
-    rest are ordered by the str of their (tx, y, Stacking) key.
+    A line is the baseline (vehicle-absent) scans of one (tx, y, stacking);
+    scans with a vehicle take no position.  Each baseline scan takes the
+    first position within POSITION_SPACING_TOL, if any, and a later one at a
+    taken position replaces the earlier one.  Lines that miss a position are
+    left out; the rest are ordered by the str of their (tx, y, Stacking) key.
     """
     positions = np.asarray(positions, dtype=float)
+    base = scans.vehicle_state == VehicleState.ABSENT.value
     slot = np.full(len(scans), -1)
     for k, x in enumerate(positions.tolist()):
-        slot[(slot < 0) & (np.abs(scans.x - x) <= POSITION_SPACING_TOL)] = k
+        slot[base & (slot < 0) & (np.abs(scans.x - x) <= POSITION_SPACING_TOL)] = k
     by_line = defaultdict(dict)
     for i in np.flatnonzero(slot >= 0).tolist():
         by_line[scans.tx[i], float(scans.y[i]), Stacking(scans.stacking[i])][int(slot[i])] = i
@@ -80,14 +82,20 @@ def averaged_correlation(scans: ScanSet, lines, positions) -> tuple[np.ndarray, 
     # it bit for bit; on shorter lines np.correlate sums in another order and
     # the curves differ by about an ulp.  einsum and sum(axis) differ in the
     # last bits.
-    # The copy is laid out in C order, so each mean runs along memory.
+    # The array is laid out in C order, so each mean runs along memory.  It
+    # is gathered a position at a time and centred in place, and the curves
+    # are normalized in place, so it and raw are the only temporaries the
+    # size of the lines: the caller's whole set is still held.
     n_pos = positions.size
-    db = np.ascontiguousarray(scans.gains[lines].transpose(0, 2, 1))
-    to_db(db, out=db)
-    z = db - db.mean(axis=2, keepdims=True)
+    z = np.empty((len(lines), scans.grid.size, n_pos))
+    for k in range(n_pos):
+        z[..., k] = scans.gains[lines[:, k]]
+    to_db(z, out=z)
+    z -= z.mean(axis=2, keepdims=True)
     raw = np.empty_like(z)
     for k in range(n_pos):
         raw[..., k] = np.matmul(z[..., None, :n_pos - k], z[..., k:, None])[..., 0, 0]
-    lag0 = raw[..., :1]
-    curves = np.where(lag0 == 0.0, np.eye(1, n_pos), raw / np.where(lag0 == 0.0, 1.0, lag0))
-    return float(steps[0]) * np.arange(n_pos), curves.mean(axis=1).mean(axis=0)
+    flat = raw[..., 0] == 0.0
+    raw /= np.where(flat, 1.0, raw[..., 0])[..., None]
+    raw[flat] = np.eye(1, n_pos)
+    return float(steps[0]) * np.arange(n_pos), raw.mean(axis=1).mean(axis=0)

@@ -30,7 +30,7 @@ class Scan(NamedTuple):
 
     @property
     def key(self) -> tuple:
-        """The key as `ScanSet.key` gives it."""
+        """The (tx, x, y, VehicleState, Stacking) key that names the scan."""
         return (self.tx, self.x, self.y, VehicleState(self.vehicle_state), Stacking(self.stacking))
 
 
@@ -47,8 +47,9 @@ def scan_set(scans, sha256=None) -> ScanSet:
 
 
 def records(scans: ScanSet) -> list:
-    """The set's scans, in order, as Scan records keyed as `ScanSet.key` keys
-    them, each with the set's one grid."""
-    return [Scan(tx, x, y, scans.grid, gains, state, stacking)
-            for (tx, x, y, state, stacking), gains in zip(
-                map(scans.key, range(len(scans))), scans.gains)]
+    """The set's scans, in order, as Scan records with the set's one grid:
+    x and y as floats and the states as enums, as a key names them."""
+    return [Scan(tx, x, y, scans.grid, gains, VehicleState(state), Stacking(stacking))
+            for tx, x, y, state, stacking, gains in zip(
+                scans.tx.tolist(), scans.x.tolist(), scans.y.tolist(),
+                scans.vehicle_state.tolist(), scans.stacking.tolist(), scans.gains)]

@@ -74,8 +74,8 @@ class TestScanValidation:
 
     def test_enum_coercion_from_tokens(self):
         scans = make_set(np.ones(8), vehicle_state="position1", stacking="nonuniform")
-        assert scans.key(0)[3] is VehicleState.POSITION1
-        assert scans.key(0)[4] is Stacking.NONUNIFORM
+        assert VehicleState(scans.vehicle_state[0]) is VehicleState.POSITION1
+        assert Stacking(scans.stacking[0]) is Stacking.NONUNIFORM
 
 
 def whole_first_invalid(grid, gains, angles=None):
@@ -354,29 +354,29 @@ class TestEnsembleStats:
     def test_single_scan_mean_is_scan(self):
         rng = np.random.default_rng(6)
         gains = rng.lognormal(mean=-14.0, sigma=1.0, size=16)
-        stats = ensemble_stats(make_set(gains), db_bin_width=1.0)
-        assert np.allclose(stats.mean_db, to_db(gains), atol=1e-12)
-        assert set(np.unique(stats.counts)) <= {0, 1}
+        mean_db, _, counts = ensemble_stats(make_set(gains), db_bin_width=1.0)
+        assert np.allclose(mean_db, to_db(gains), atol=1e-12)
+        assert set(np.unique(counts)) <= {0, 1}
 
     def test_two_scan_linear_mean(self):
         gains = np.full(16, 4.0e-7)
-        stats = ensemble_stats(make_set(gains, 3.0 * gains), db_bin_width=1.0)
-        assert np.allclose(stats.mean_db, to_db(2.0 * gains), atol=1e-12)
+        mean_db, _, _ = ensemble_stats(make_set(gains, 3.0 * gains), db_bin_width=1.0)
+        assert np.allclose(mean_db, to_db(2.0 * gains), atol=1e-12)
 
     def test_histogram_mass_per_angle(self):
         rng = np.random.default_rng(7)
         scans = make_set(*(rng.lognormal(mean=-14.0, sigma=1.0, size=16) for _ in range(9)))
-        stats = ensemble_stats(scans, db_bin_width=2.0)
-        assert np.all(stats.counts.sum(axis=1) == 9)
-        assert stats.n_scans == 9
+        mean_db, _, counts = ensemble_stats(scans, db_bin_width=2.0)
+        assert counts.shape[0] == mean_db.size == 16
+        assert np.all(counts.sum(axis=1) == 9)
 
     def test_mean_bounded_by_scan_extremes(self):
         rng = np.random.default_rng(8)
         gains = [rng.lognormal(mean=-14.0, sigma=1.0, size=16) for _ in range(5)]
-        stats = ensemble_stats(make_set(*gains), db_bin_width=1.0)
+        mean_db, _, _ = ensemble_stats(make_set(*gains), db_bin_width=1.0)
         gains_db = to_db(np.stack(gains))
-        assert np.all(stats.mean_db >= gains_db.min(axis=0) - 1e-12)
-        assert np.all(stats.mean_db <= gains_db.max(axis=0) + 1e-12)
+        assert np.all(mean_db >= gains_db.min(axis=0) - 1e-12)
+        assert np.all(mean_db <= gains_db.max(axis=0) + 1e-12)
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(GridError):
@@ -385,8 +385,8 @@ class TestEnsembleStats:
     def test_bin_edges_aligned_to_width(self):
         rng = np.random.default_rng(9)
         scans = make_set(*(rng.lognormal(-14.0, 1.0, 16) for _ in range(4)))
-        stats = ensemble_stats(scans, db_bin_width=1.0)
-        assert np.allclose(stats.bin_edges_db, np.round(stats.bin_edges_db), atol=1e-9)
+        _, edges, _ = ensemble_stats(scans, db_bin_width=1.0)
+        assert np.allclose(edges, np.round(edges), atol=1e-9)
 
 
     def test_bin_count_is_bounded(self):
@@ -486,8 +486,8 @@ def test_statistics_invariant_under_joint_rotation():
     scans = make_set(*gains)
     rolled = make_set(*(np.roll(g, 5) for g in gains))
 
-    base = ensemble_stats(scans, db_bin_width=1.0)
-    moved = ensemble_stats(rolled, db_bin_width=1.0)
-    assert np.allclose(np.roll(base.mean_db, 5), moved.mean_db, atol=1e-12)
-    assert np.array_equal(np.roll(base.counts, 5, axis=0), moved.counts)
+    base_mean, _, base_counts = ensemble_stats(scans, db_bin_width=1.0)
+    moved_mean, _, moved_counts = ensemble_stats(rolled, db_bin_width=1.0)
+    assert np.allclose(np.roll(base_mean, 5), moved_mean, atol=1e-12)
+    assert np.array_equal(np.roll(base_counts, 5, axis=0), moved_counts)
     assert azimuth_gains(scans) == pytest.approx(azimuth_gains(rolled), rel=1e-12)

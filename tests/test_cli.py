@@ -1371,7 +1371,8 @@ class TestSidecar:
         sidecar = Path(str(dataset) + dataio.SIDECAR_SUFFIX)
         sha256, real = dataio.file_sha256(dataset), dataio._ingest_columnar
         keys, sizes, phi_deg, gain_db = real(dataset)
-        dataio._save_sidecar(str(sidecar), (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256)
+        dataio._save_sidecar(str(sidecar), (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256,
+                             dataset.stat().st_size)
         assert dataio._load_sidecar(str(sidecar), sha256, dataset.stat().st_size) is None
         planted = sidecar.read_bytes()
         sidecar.unlink()

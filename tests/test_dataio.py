@@ -329,7 +329,7 @@ class TestColumnarIngest:
         first, rest = _rows(x="-0.0")[:2], _rows(x="0.0")[2:]
         assert self.ingest_lines(tmp_path, first + rest) == "columnar"
         scans = ingest(tmp_path / "case.csv")
-        assert len(scans) == 1 and repr(scans.key(0)[1]) == "-0.0"
+        assert len(scans) == 1 and repr(scans.x.tolist()[0]) == "-0.0"
 
     def test_signed_zero_angle_is_a_duplicate(self, tmp_path):
         body = _rows() + ["TX2,1.0,3.5,-0.0,-60.0,absent,uniform"]
@@ -1201,6 +1201,27 @@ class TestSidecar:
         assert not os.path.exists(str(path) + ".scanset.npz")
         assert _set_state(ingest(path)) == _set_state(scans)
 
+    def test_a_long_tx_id_saves_no_sidecar_larger_than_the_input(self, tmp_path):
+        # numpy stores a text column at its longest value's width, so one
+        # 20,000-character tx_id made a tx member of 41 x 80 kB (3.3 MB) for
+        # a 0.2 MB input, which the load then refused as larger than it.
+        import tracemalloc
+
+        path = tmp_path / "case.csv"
+        body = sum((_rows(x=f"{k}.0") for k in range(40)), _rows(tx="TX2" + "x" * 20000))
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + body)
+        member = 4 * 41 * 20003
+        assert member > path.stat().st_size
+        tracemalloc.start()
+        try:
+            scans = ingest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(scans) == 41 and len(scans.tx[0]) == 20003
+        assert not os.path.exists(str(path) + dataio.SIDECAR_SUFFIX)
+        assert peak < member, peak
+
 
 def _parsed_rows(path):
     """The rows `ingest` parses path into, by the reader it takes."""
@@ -1257,7 +1278,7 @@ class TestSavedSidecar:
         sidecar = str(tmp_path / "rows.npz")
         tracemalloc.start()
         try:
-            dataio._save_sidecar(sidecar, rows, "h")
+            dataio._save_sidecar(sidecar, rows, "h", path.stat().st_size)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -116,6 +116,35 @@ class TestDenseLines:
         scans = scan_set([first, second._replace(**{field: value})])
         assert dense_lines(scans, POSITIONS[:2]).shape == (0, 2)
 
+    def test_lines_take_the_baseline_scans_of_a_whole_set(self):
+        # Vehicle scans at every line position, each after its baseline scan
+        # as `synth` orders them: the lines are the baseline scans alone, as
+        # indices into the whole set, and their curve is that of the
+        # baseline subset's lines, bit for bit.
+        rng = np.random.default_rng(13)
+        scans = []
+        for tx in ("TX1_63", "TX2"):
+            for x in POSITIONS:
+                scans += [Scan(tx, float(x), 3.5, GRID, rng.exponential(1e-6, N_ANGLES), state)
+                          for state in ("absent", "position1", "position2")]
+        whole = scan_set(scans)
+        base_at = np.flatnonzero(whole.vehicle_state == "absent")
+        base = whole[base_at]
+        lines, base_lines = dense_lines(whole, POSITIONS), dense_lines(base, POSITIONS)
+        assert lines.shape == (2, 15)
+        assert (whole.vehicle_state[lines] == "absent").all()
+        assert lines.tolist() == base_at[base_lines].tolist()
+        lag_m, curve = averaged_correlation(whole, lines, POSITIONS)
+        base_lag_m, base_curve = averaged_correlation(base, base_lines, POSITIONS)
+        assert (lag_m.tobytes(), curve.tobytes()) == (base_lag_m.tobytes(), base_curve.tobytes())
+        reference = np.mean([per_angle_curves(base.gains[row]).mean(axis=0) for row in base_lines],
+                            axis=0)
+        assert curve.tobytes() == reference.tobytes()
+
+    def test_vehicle_scans_make_no_line(self):
+        scans = scan_set(s._replace(vehicle_state="position1") for s in line_scans(flat()))
+        assert dense_lines(scans, POSITIONS).shape == (0, 15)
+
     def test_rejects_non_uniform_positions(self):
         positions = np.array([13.5, 13.6, 13.8, 13.9])
         scans = scan_set(line_scans(flat(4), positions))
