@@ -97,9 +97,8 @@ class ScanSet:
     values) hold one entry per scan; `grid` is the set's one azimuth grid
     (rad, n angles, read-only), as the sounder's fixed azimuth steps give
     it, and `gains` the (scans x n) matrix of linear gains; `sha256` is the
-    hash of the file read, if any.  A slice, mask or index array selects a
-    ScanSet, which shares the grid.  `from_rows` builds and checks every
-    set; selection alone calls the constructor, which checks nothing.
+    hash of the file read, if any.  `from_rows` builds and checks every
+    set; a statistic picks scans by an index array into it, not by a copy.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
@@ -127,7 +126,7 @@ class ScanSet:
         gains = np.reshape(gains[:same * n], (same, n))
         angles = np.reshape(angles_rad[:same * n], (same, n)) if np.size(angles_rad) != n else None
         grid = np.array(np.ravel(angles_rad)[:n], dtype=float)
-        grid.flags.writeable = False  # selections share it
+        grid.flags.writeable = False
         found = first_invalid(grid, gains, angles, keys[0]) if same else None
         if found is None and differ.size:
             found = same, GridError(f"{sizes[same]} angles where scan {keys[0]} has {n}; "
@@ -142,14 +141,6 @@ class ScanSet:
 
     def __len__(self) -> int:
         return len(self.tx)
-
-    def __getitem__(self, which) -> "ScanSet":
-        """The scans a slice, boolean mask or index array picks, in its order.
-        One int is a TypeError, so iterating a ScanSet fails too."""
-        if isinstance(which, (int, np.integer)):
-            raise TypeError("a ScanSet takes a slice, mask or index array, not one index")
-        return ScanSet([getattr(self, key)[which] for key in self.KEYS],
-                       self.grid, self.gains[which], self.sha256)
 
 
 def to_db(gain, out=None):
@@ -181,50 +172,58 @@ def _mean_db(gains, axis=-1):
     return to_db(mean)
 
 
-def _normalized(gains):
-    out = to_db(gains)
-    out -= _mean_db(gains)[..., None]
+def _normalized(gains, out=None):
+    """Each row of a gains matrix in dB less its circular mean, into out if given."""
+    mean_db = _mean_db(gains)[..., None]
+    out = to_db(gains, out=out)
+    out -= mean_db
     return out
 
 
-def circular_mean_gain(scans: ScanSet) -> np.ndarray:
-    """Channel gain averaged over angle, in dB, one per scan.
-
-    Arithmetic mean of the linear gains on the uniform grid (rectangle rule
-    on the periodic domain), then converted to dB.
-    """
-    return _mean_db(scans.gains) if len(scans) else np.empty(0)
-
-
-def normalized_spectrum(scans: ScanSet) -> np.ndarray:
-    """Per-angle dB gain relative to each scan's circular mean, as a (scans x
-    angles) matrix; no scans is a DomainError.
-
-    Each row's linear-domain circular mean is 1 (0 dB), so spectra from links
-    with different absolute gains become comparable.
-    """
-    if not len(scans):
-        raise DomainError("normalized_spectrum needs at least one scan")
-    return _normalized(scans.gains)
+def _index(index, statistic=None):
+    """index as a 1-D integer array, else a TypeError (a slice picks a view that
+    in-place dB would overwrite); empty, a DomainError naming statistic, if given."""
+    index = np.asarray(index)
+    if index.ndim != 1 or index.dtype.kind not in "iu":
+        raise TypeError(f"index must be a 1-D integer array, not {index.dtype} of {index.ndim}-D")
+    if statistic and not index.size:
+        raise DomainError(f"{statistic} needs at least one scan")
+    return index
 
 
-def ensemble_stats(scans: ScanSet, db_bin_width: float):
-    """Per-angle ensemble mean and dB-gain histogram over a set of scans, at
-    the angles of its grid.
+def circular_mean_gain(scans: ScanSet, index) -> np.ndarray:
+    """Channel gain averaged over angle, in dB, for each scan index picks: the
+    arithmetic mean of its linear gains on the uniform grid (rectangle rule
+    on the periodic domain), converted to dB."""
+    index = _index(index)
+    mean_db = np.empty(index.size)
+    for top in range(0, index.size, CHUNK_ROWS):
+        mean_db[top:top + CHUNK_ROWS] = _mean_db(scans.gains[index[top:top + CHUNK_ROWS]])
+    return mean_db
 
-    The mean is taken in the linear domain and reported in dB.  The
-    histogram bins the raw per-scan dB gains at each angle with the given
-    bin width; edges are aligned to multiples of the width
-    (`stats.aligned_histograms`, which bounds the bin count).
 
-    Returns:
-        (mean_db, bin_edges_db, counts) with counts shaped (n_angles, n_bins),
-        as `vehicle.delta_angle_stats` returns them.
-    """
-    if not len(scans):
-        raise DomainError("ensemble_stats needs at least one scan")
-    mean_db = _mean_db(scans.gains, axis=0)
-    edges, counts = aligned_histograms(to_db(scans.gains), db_bin_width)
+def normalized_spectrum(scans: ScanSet, index) -> np.ndarray:
+    """Per-angle dB gain relative to its circular mean for each scan index
+    picks, as a (scans x angles) matrix.  Each row's linear-domain circular
+    mean is 1 (0 dB), so spectra of links of any gain are comparable."""
+    index = _index(index, "normalized_spectrum")
+    out = np.empty((index.size, scans.grid.size))
+    for top in range(0, index.size, CHUNK_ROWS):
+        _normalized(scans.gains[index[top:top + CHUNK_ROWS]], out=out[top:top + CHUNK_ROWS])
+    return out
+
+
+def ensemble_stats(scans: ScanSet, index, db_bin_width: float):
+    """Per-angle ensemble mean and dB-gain histogram over the scans index
+    picks, at the angles of the set's grid: the mean is taken in the linear
+    domain and reported in dB; the histogram bins the raw per-scan dB gains
+    at each angle on edges aligned to multiples of db_bin_width
+    (`stats.aligned_histograms`, which bounds the bin count).  Returns
+    (mean_db, bin_edges_db, counts), counts shaped (n_angles, n_bins), as
+    `vehicle.delta_angle_stats` does."""
+    gains = scans.gains[_index(index, "ensemble_stats")]  # a copy, converted in place
+    mean_db = _mean_db(gains, axis=0)
+    edges, counts = aligned_histograms(to_db(gains, out=gains), db_bin_width)
     return mean_db, edges, counts
 
 
@@ -242,9 +241,9 @@ def tx_bearing(tx_pos, rx_pos) -> float:
     return math.atan2(y_rx - y_tx, x_tx - x_rx) % TWO_PI
 
 
-def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf, EmpiricalCdf]:
+def gain_cdfs(scans: ScanSet, index, tx_positions) -> tuple[EmpiricalCdf, ...]:
     """Normalized-gain CDFs over all directions and in the TX direction, and
-    the azimuth-gain CDF.
+    the azimuth-gain CDF, of the scans index picks.
 
     The first CDF pools the normalized spectrum over every angle of every
     scan; the second takes, per scan, the normalized gain at the grid angle
@@ -255,19 +254,18 @@ def gain_cdfs(scans: ScanSet, tx_positions) -> tuple[EmpiricalCdf, EmpiricalCdf,
     gains over an average one.  tx_positions maps tx id -> (x, y); returns
     (cdf_all_directions, cdf_tx_direction, cdf_azimuth_gain).
 
-    The set is normalized once; the TX-direction gains and each scan's max
-    are taken first, and then the normalized matrix is sorted in place to
-    become the first CDF's values.
+    The scans are normalized once; the TX-direction gains and each scan's
+    max are taken first, and then the normalized matrix is sorted in place
+    to become the first CDF's values.
     """
-    if not len(scans):
-        raise DomainError("gain_cdfs needs at least one scan")
+    index = _index(index, "gain_cdfs")
     bearings = []
-    for tx, x, y in zip(scans.tx.tolist(), scans.x.tolist(), scans.y.tolist()):
+    for tx, x, y in zip(*(getattr(scans, key)[index].tolist() for key in ("tx", "x", "y"))):
         if tx not in tx_positions:
             raise DomainError(f"no position known for transmitter {tx!r}")
         bearings.append(tx_bearing(tx_positions[tx], (x, y)))
     bearings = np.array(bearings)
-    spectra = _normalized(scans.gains)
+    spectra = normalized_spectrum(scans, index)
     n = spectra.shape[1]
     # The grid angle nearest each bearing; np.rint rounds half to even, as round does.
     nearest = np.rint((bearings - scans.grid[0]) / (TWO_PI / n))

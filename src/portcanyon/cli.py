@@ -46,24 +46,24 @@ class Report(NamedTuple):
 
 
 def _baseline(scans):
-    """The set's vehicle-absent scans, which `angular` and `fit` analyse."""
-    scans = scans[scans.vehicle_state == angular.VehicleState.ABSENT.value]
-    if not len(scans):
+    """Index of the set's vehicle-absent scans, which `angular` and `fit` analyse."""
+    index = np.flatnonzero(scans.vehicle_state == angular.VehicleState.ABSENT.value)
+    if not index.size:
         raise IngestError("dataset has no baseline (vehicle absent) scans")
-    return scans
+    return index
 
 
 def _angle_stats_tables(out_dir, prefix, key, mean_name, angles_deg, mean, edges, counts):
     """The per-angle mean table, and the histogram table with one row per
-    (angle, bin): the angle, the bin's edges and its count."""
+    (angle, bin), formed as it is written: the angle, the bin's edges, its count."""
     n_angles, n_bins = counts.shape
     return [
         (os.path.join(out_dir, f"{prefix}_mean_{key}.csv"), ("angle_deg", mean_name),
          (angles_deg, mean)),
         (os.path.join(out_dir, f"{prefix}_hist_{key}.csv"),
          ("angle_deg", "bin_lo_db", "bin_hi_db", "count"),
-         (np.repeat(angles_deg, n_bins), np.tile(edges[:-1], n_angles),
-          np.tile(edges[1:], n_angles), counts.ravel())),
+         lambda: (np.repeat(angles_deg, n_bins), np.tile(edges[:-1], n_angles),
+                  np.tile(edges[1:], n_angles), counts.ravel())),
     ]
 
 
@@ -85,13 +85,15 @@ def _cmd_synth(args, cfg: ToolConfig) -> Report:
 # --------------------------------------------------------------- angular ---
 
 def _cmd_angular(args, cfg: ToolConfig) -> Report:
-    scans = _baseline(dataio.ingest(args.input))
-    positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in dict.fromkeys(scans.tx.tolist())}
+    scans = dataio.ingest(args.input)
+    base = _baseline(scans)
+    tx = scans.tx[base]
+    positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in dict.fromkeys(tx.tolist())}
     angles_deg, tables = np.degrees(scans.grid), []
     for tx_id in positions:  # in first-seen order
-        stats = angular.ensemble_stats(scans[scans.tx == tx_id], db_bin_width=cfg.histogram_bin_db)
+        stats = angular.ensemble_stats(scans, base[tx == tx_id], db_bin_width=cfg.histogram_bin_db)
         tables += _angle_stats_tables(args.out_dir, "angular", tx_id, "mean_db", angles_deg, *stats)
-    cdf_all, cdf_tx, az_cdf = angular.gain_cdfs(scans, positions)
+    cdf_all, cdf_tx, az_cdf = angular.gain_cdfs(scans, base, positions)
     for name, value_name, cdf in (
         ("gain_cdf_all_directions", "normalized_gain_db", cdf_all),
         ("gain_cdf_tx_direction", "normalized_gain_db", cdf_tx),
@@ -101,7 +103,7 @@ def _cmd_angular(args, cfg: ToolConfig) -> Report:
         tables.append((os.path.join(args.out_dir, f"{name}.csv"), (value_name, "probability"),
                        cdf.columns))
     return Report(tables, [
-        f"angular: {len(scans)} scans, {len(positions)} transmitters -> {args.out_dir}",
+        f"angular: {base.size} scans, {len(positions)} transmitters -> {args.out_dir}",
         f"angular: median azimuth gain {az_cdf.median():.2f} dB over {az_cdf.n} scans",
     ], scans.sha256)
 
@@ -172,11 +174,12 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
 # ------------------------------------------------------------------- fit ---
 
 def _cmd_fit(args, cfg: ToolConfig) -> Report:
-    scans = _baseline(dataio.ingest(args.input))
+    scans = dataio.ingest(args.input)
+    base = _baseline(scans)
     by_stacking = defaultdict(list)
     for tx_id, x, y, stacking, gain_db in zip(
-        scans.tx.tolist(), scans.x.tolist(), scans.y.tolist(), scans.stacking.tolist(),
-        angular.circular_mean_gain(scans).tolist(),
+        *(getattr(scans, key)[base].tolist() for key in ("tx", "x", "y", "stacking")),
+        angular.circular_mean_gain(scans, base).tolist(),
     ):
         tx_x, tx_y, tx_z = synth.tx_position(tx_id)
         # Per-sample math, not arrays: Python's v ** 2 calls C pow(), which

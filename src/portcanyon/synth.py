@@ -23,6 +23,7 @@ Layout coordinate conventions (lengths in metres):
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,7 @@ TX1_X_M, TX1_Z_M = 18.8, 23.0
 TX2_X_M, TX2_Y_M, TX2_Z_M = 18.85, 60.5, 22.0
 TX1_Y_UNIFORM_M = (63.0, 73.0, 83.0, 93.0, 103.0, 113.0)
 TX1_Y_NONUNIFORM_M = (63.0, 83.0, 103.0)
+_CRANE_ID = re.compile(r"TX1_(?=.{1,32}\Z)[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 RX_Y_LINES_M = (3.5, 5.5, 7.5, 9.5)
 COARSE_X_START_M = 1.0
@@ -224,18 +226,15 @@ class CampaignLayout:
 
 def tx_position(tx_id: str) -> tuple[float, float, float]:
     """Campaign TX position (x, y, z) from its id: 'TX2', or 'TX1_<y>' for the
-    crane at y metres, as `build_layout` names it.  Any other id is an
-    IngestError."""
+    crane at y metres, as `build_layout` names it.  An id names `angular`'s
+    table files, so <y> must be a plain number of at most 32 characters, as
+    dataio reads x and y; any other id, or an infinite y, is an IngestError."""
     if tx_id == "TX2":
         return (TX2_X_M, TX2_Y_M, TX2_Z_M)
-    try:
-        y = float(tx_id[4:]) if tx_id.startswith("TX1_") else math.nan
-    except ValueError:
-        y = math.nan
+    y = float(tx_id[4:]) if _CRANE_ID.fullmatch(tx_id) else math.nan
     if not math.isfinite(y):
-        raise IngestError(
-            f"no position for transmitter id {tx_id!r}; expected 'TX1_<y>' (finite y) or 'TX2'"
-        )
+        raise IngestError(f"no position for transmitter id {tx_id!r}; expected 'TX1_<y>' "
+                          "(<y> a finite plain number of at most 32 characters) or 'TX2'")
     return (TX1_X_M, y, TX1_Z_M)
 
 

@@ -46,6 +46,12 @@ def scan_set(scans, sha256=None) -> ScanSet:
     return ScanSet.from_rows(keys, [np.size(s.gains) for s in scans], angles, gains, sha256)
 
 
+def whole(scans: ScanSet) -> np.ndarray:
+    """The index array of every scan of the set, in order: what a statistic
+    takes to work on the whole set."""
+    return np.arange(len(scans))
+
+
 def records(scans: ScanSet) -> list:
     """The set's scans, in order, as Scan records with the set's one grid:
     x and y as floats and the states as enums, as a key names them."""

@@ -9,7 +9,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scansets import Scan, records, scan_set
+from scansets import Scan, records, scan_set, whole
 
 from portcanyon.angular import (
     ScanSet,
@@ -241,9 +241,9 @@ def test_criterion_07_angular_invariants():
              gains=rng.lognormal(mean=-14.0, sigma=rng.uniform(0.2, 2.0), size=360))
         for _ in range(1000)
     )
-    spectra = normalized_spectrum(scans)
+    spectra = normalized_spectrum(scans, whole(scans))
     worst_mean_err = float(np.max(np.abs(np.mean(from_db(spectra), axis=1) - 1.0)))
-    min_gain = float(gain_cdfs(scans, {"TX2": (18.85, 60.5)})[2].values[0])
+    min_gain = float(gain_cdfs(scans, whole(scans), {"TX2": (18.85, 60.5)})[2].values[0])
     ok = worst_mean_err < 1e-12 and min_gain >= 0.0
     check(
         7,
@@ -323,7 +323,7 @@ def test_criterion_10_fullspread_azimuth_gain():
     scans = ScanSet.from_rows(
         [("TX1_63", float(xs[i]), float(ys[i]), "absent", "uniform") for i in range(n_scans)],
         [n_angles] * n_scans, np.tile(grid, n_scans), smoothed.ravel())
-    cdf_all, cdf_tx, _ = gain_cdfs(scans, {"TX1_63": (18.8, 63.0)})
+    cdf_all, cdf_tx, _ = gain_cdfs(scans, whole(scans), {"TX1_63": (18.8, 63.0)})
     ps = np.arange(0.02, 0.981, 0.02)
     gap = max(abs(cdf_all.quantile(p) - cdf_tx.quantile(p)) for p in ps)
     # Threshold frozen from the first oracle run (observed 0.021 dB); kept an

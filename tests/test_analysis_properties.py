@@ -2,7 +2,9 @@
 `fit`, run in process through `cli.main` on small mutated campaign CSVs:
 CRs, byte-order marks, quotes, long lines, split scans and drawn values, with
 no sidecar or one of each kind `test_dataio` plants (intact, stale, corrupt,
-or holding this file's hash over rows that must not be trusted).  Every run
+or holding this file's hash over rows that must not be trusted); and on the
+plain campaign with drawn flag values and [angular], [model] and [synth]
+config files.  Every run
 ends in a finite report or a categorized error (exit 2, 3 or 4), never a
 traceback, within a bounded heap; a failing run prints and leaves nothing:
 no out-dir, no table, no temporary file."""
@@ -22,6 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_dataio import SIDECAR_KINDS, _corrupt
+from test_planner_properties import _VALUES, _ini
 
 from portcanyon.cli import main
 from portcanyon.dataio import (
@@ -230,7 +233,7 @@ def _write(path, lines):
         fh.write("".join(text + end for text, end in lines))
 
 
-def run_commands(workdir, lines, plant=None):
+def run_commands(workdir, lines, plant=None, commands=COMMANDS):
     """Write the CSV of lines in workdir, plant(path) its sidecar if given, and
     run each analysis command on it, checking each run.  Returns each
     command's exit code."""
@@ -242,7 +245,7 @@ def run_commands(workdir, lines, plant=None):
     os.chdir(workdir)
     try:
         codes = []
-        for argv, output in COMMANDS:
+        for argv, output in commands:
             rc, stdout, stderr, peak = _run(argv)
             _check(workdir, os.path.join(workdir, output), rc, stdout, stderr, peak)
             codes.append(rc)
@@ -269,3 +272,34 @@ def test_analyses_end_in_a_finite_report_or_an_error(warmed, mutations, sidecar,
     with tempfile.TemporaryDirectory() as workdir:
         run_commands(workdir, lines, lambda path: _plant_sidecar(
             path, sidecar, lambda n: data.draw(st.integers(0, n - 1))))
+
+
+# The flags of each command that override a value, each with the strategy of
+# its drawn values; a command's own arguments come first, so a drawn value
+# replaces the one COMMANDS gives.  --x-count takes ints: a count above the
+# baseline scans ends before any position array is made.
+_FLAGS = {
+    "angular": [("--bin-db", _VALUES)],
+    "spatial": [("--x-start", _VALUES), ("--x-step", _VALUES),
+                ("--x-count", st.sampled_from(["-1", "0", "1", "2", "3", "4", "15", "1000000",
+                                               str(2**63)]))],
+    "vehicle": [],
+    "fit": [("--fixed-slope", _VALUES)],
+}
+
+
+@settings(max_examples=40, deadline=5000)
+@given(ini=st.one_of(st.none(), _ini(("angular", "model", "synth"))), data=st.data())
+def test_drawn_flags_and_config_end_in_a_finite_report_or_an_error(warmed, ini, data):
+    commands = []
+    for argv, output in COMMANDS:
+        flags = [(name, data.draw(values)) for name, values in _FLAGS[argv[0]]]
+        drawn = [arg for name, value in flags if data.draw(st.booleans())
+                 for arg in (name, value)]
+        config = ["--config", "analysis.ini"] if ini is not None else []
+        commands.append((config + argv + drawn, output))
+    with tempfile.TemporaryDirectory() as workdir:
+        if ini is not None:
+            with open(os.path.join(workdir, "analysis.ini"), "w", encoding="utf-8") as fh:
+                fh.write(ini)
+        run_commands(workdir, list(PLAIN_LINES), commands=commands)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scansets import Scan, grid, scan_set
+from scansets import Scan, grid, scan_set, whole
 
 from portcanyon import angular
 from portcanyon.angular import (
@@ -25,7 +25,7 @@ from portcanyon.angular import (
     tx_bearing,
 )
 from portcanyon.errors import DomainError, GridError
-from portcanyon.stats import CHUNK_ROWS
+from portcanyon.stats import CHUNK_ROWS, aligned_histograms
 
 
 def make_scan(gains, tx="TX1_63", x=5.0, y=3.5, **kwargs):
@@ -301,29 +301,34 @@ def test_every_db_conversion_is_the_pair():
 
 class TestCircularMean:
     def test_constant_spectrum(self):
-        assert circular_mean_gain(make_set(np.full(12, 2.5e-7)))[0] == pytest.approx(
+        scans = make_set(np.full(12, 2.5e-7))
+        assert circular_mean_gain(scans, whole(scans))[0] == pytest.approx(
             to_db(2.5e-7), rel=1e-12
         )
 
     def test_two_level_alternation(self):
         # Alternating 1.0 / 3.0 has linear mean 2.0 regardless of grid size.
         scans = make_set(np.tile([1.0, 3.0], 8))
-        assert circular_mean_gain(scans)[0] == pytest.approx(3.0102999566398120, rel=1e-12)
+        assert circular_mean_gain(scans, whole(scans))[0] == pytest.approx(
+            3.0102999566398120, rel=1e-12)
 
     def test_cyclic_rotation_invariance(self):
         rng = np.random.default_rng(3)
         gains = rng.lognormal(mean=-14.0, sigma=1.0, size=24)
-        rotated, scan = circular_mean_gain(make_set(np.roll(gains, 7), gains))
+        scans = make_set(np.roll(gains, 7), gains)
+        rotated, scan = circular_mean_gain(scans, whole(scans))
         assert rotated == pytest.approx(scan, rel=1e-12)
 
 
 class TestNormalizedSpectrum:
     def test_constant_maps_to_zeros(self):
-        out = normalized_spectrum(make_set(np.full(10, 7.7e-6)))
+        scans = make_set(np.full(10, 7.7e-6))
+        out = normalized_spectrum(scans, whole(scans))
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_two_level_hand_values(self):
-        out = normalized_spectrum(make_set(np.tile([1.0, 3.0], 8)))
+        scans = make_set(np.tile([1.0, 3.0], 8))
+        out = normalized_spectrum(scans, whole(scans))
         assert out.shape == (1, 16)
         assert np.allclose(out[0, 0::2], -3.0102999566398120, atol=1e-12)
         assert np.allclose(out[0, 1::2], 1.7609125905568124, atol=1e-12)
@@ -331,13 +336,14 @@ class TestNormalizedSpectrum:
     def test_offset_invariance(self):
         rng = np.random.default_rng(4)
         gains = rng.lognormal(mean=-14.0, sigma=1.5, size=32)
-        base, shifted = normalized_spectrum(make_set(gains, gains * from_db(17.0)))
+        scans = make_set(gains, gains * from_db(17.0))
+        base, shifted = normalized_spectrum(scans, whole(scans))
         assert np.allclose(shifted, base, atol=1e-9)
 
     def test_unit_linear_mean(self):
         rng = np.random.default_rng(5)
-        out = normalized_spectrum(
-            make_set(*(rng.lognormal(mean=-14.0, sigma=2.0, size=36) for _ in range(50))))
+        scans = make_set(*(rng.lognormal(mean=-14.0, sigma=2.0, size=36) for _ in range(50)))
+        out = normalized_spectrum(scans, whole(scans))
         assert out.shape == (50, 36)
         assert np.mean(from_db(out), axis=1) == pytest.approx(np.ones(50), rel=1e-12)
 
@@ -354,45 +360,48 @@ class TestEnsembleStats:
     def test_single_scan_mean_is_scan(self):
         rng = np.random.default_rng(6)
         gains = rng.lognormal(mean=-14.0, sigma=1.0, size=16)
-        mean_db, _, counts = ensemble_stats(make_set(gains), db_bin_width=1.0)
+        scans = make_set(gains)
+        mean_db, _, counts = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
         assert np.allclose(mean_db, to_db(gains), atol=1e-12)
         assert set(np.unique(counts)) <= {0, 1}
 
     def test_two_scan_linear_mean(self):
         gains = np.full(16, 4.0e-7)
-        mean_db, _, _ = ensemble_stats(make_set(gains, 3.0 * gains), db_bin_width=1.0)
+        scans = make_set(gains, 3.0 * gains)
+        mean_db, _, _ = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
         assert np.allclose(mean_db, to_db(2.0 * gains), atol=1e-12)
 
     def test_histogram_mass_per_angle(self):
         rng = np.random.default_rng(7)
         scans = make_set(*(rng.lognormal(mean=-14.0, sigma=1.0, size=16) for _ in range(9)))
-        mean_db, _, counts = ensemble_stats(scans, db_bin_width=2.0)
+        mean_db, _, counts = ensemble_stats(scans, whole(scans), db_bin_width=2.0)
         assert counts.shape[0] == mean_db.size == 16
         assert np.all(counts.sum(axis=1) == 9)
 
     def test_mean_bounded_by_scan_extremes(self):
         rng = np.random.default_rng(8)
         gains = [rng.lognormal(mean=-14.0, sigma=1.0, size=16) for _ in range(5)]
-        mean_db, _, _ = ensemble_stats(make_set(*gains), db_bin_width=1.0)
+        scans = make_set(*gains)
+        mean_db, _, _ = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
         gains_db = to_db(np.stack(gains))
         assert np.all(mean_db >= gains_db.min(axis=0) - 1e-12)
         assert np.all(mean_db <= gains_db.max(axis=0) + 1e-12)
 
     def test_rejects_mismatched_grids(self):
         with pytest.raises(GridError):
-            ensemble_stats(make_set(np.ones(16), np.ones(18)), db_bin_width=1.0)
+            make_set(np.ones(16), np.ones(18))
 
     def test_bin_edges_aligned_to_width(self):
         rng = np.random.default_rng(9)
         scans = make_set(*(rng.lognormal(-14.0, 1.0, 16) for _ in range(4)))
-        _, edges, _ = ensemble_stats(scans, db_bin_width=1.0)
+        _, edges, _ = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
         assert np.allclose(edges, np.round(edges), atol=1e-9)
 
 
     def test_bin_count_is_bounded(self):
         scans = make_set(np.ones(16), np.full(16, 1e-3))
         with pytest.raises(DomainError, match="bins"):
-            ensemble_stats(scans, db_bin_width=1e-9)
+            ensemble_stats(scans, whole(scans), db_bin_width=1e-9)
 
 
 class TestTxBearing:
@@ -427,7 +436,7 @@ POSITIONS = {"TX1_63": (18.8, 63.0), "TX2": (18.85, 60.5)}
 
 def azimuth_gains(scans):
     """Each scan's azimuth gain, sorted: the values of gain_cdfs' third CDF."""
-    return gain_cdfs(scans, POSITIONS)[2].values
+    return gain_cdfs(scans, whole(scans), POSITIONS)[2].values
 
 
 class TestAzimuthGain:
@@ -448,7 +457,7 @@ class TestAzimuthGain:
 class TestGainCdfs:
     def test_constant_scans_step_at_zero(self):
         scans = scan_set(make_scan(np.full(16, 1e-6), x=float(x)) for x in range(1, 6))
-        cdf_all, cdf_tx, cdf_az = gain_cdfs(scans, POSITIONS)
+        cdf_all, cdf_tx, cdf_az = gain_cdfs(scans, whole(scans), POSITIONS)
         assert np.allclose(cdf_all.values, 0.0, atol=1e-12)
         assert np.allclose(cdf_tx.values, 0.0, atol=1e-12)
         assert np.allclose(cdf_az.values, 0.0, atol=1e-12)
@@ -457,12 +466,13 @@ class TestGainCdfs:
 
     def test_missing_tx_position_is_domain_error(self):
         with pytest.raises(DomainError, match="'TX9'"):
-            gain_cdfs(make_set(np.ones(8), tx="TX9"), POSITIONS)
+            scans = make_set(np.ones(8), tx="TX9")
+            gain_cdfs(scans, whole(scans), POSITIONS)
 
     def test_probabilities_reach_one(self):
         rng = np.random.default_rng(12)
         scans = scan_set(make_scan(rng.lognormal(-14, 1.0, 16), x=float(x)) for x in range(4))
-        for cdf in gain_cdfs(scans, POSITIONS):
+        for cdf in gain_cdfs(scans, whole(scans), POSITIONS):
             assert cdf.probs[-1] == 1.0
             assert np.all(np.diff(cdf.values) >= 0.0)
 
@@ -472,8 +482,8 @@ class TestGainCdfs:
         rng = np.random.default_rng(14)
         gains = rng.lognormal(-14.0, 1.0, (2 * CHUNK_ROWS + 1, 16))
         scans = scan_set(make_scan(row, x=float(x)) for x, row in enumerate(gains))
-        spectra = normalized_spectrum(scans)
-        cdf_all, _, cdf_az = gain_cdfs(scans, POSITIONS)
+        spectra = normalized_spectrum(scans, whole(scans))
+        cdf_all, _, cdf_az = gain_cdfs(scans, whole(scans), POSITIONS)
         assert cdf_az.values.tobytes() == np.sort(spectra.max(axis=1)).tobytes()
         assert cdf_all.values.tobytes() == np.sort(spectra.ravel()).tobytes()
         assert cdf_az.probs.tobytes() == (np.arange(1, len(gains) + 1) / len(gains)).tobytes()
@@ -486,8 +496,63 @@ def test_statistics_invariant_under_joint_rotation():
     scans = make_set(*gains)
     rolled = make_set(*(np.roll(g, 5) for g in gains))
 
-    base_mean, _, base_counts = ensemble_stats(scans, db_bin_width=1.0)
-    moved_mean, _, moved_counts = ensemble_stats(rolled, db_bin_width=1.0)
+    base_mean, _, base_counts = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
+    moved_mean, _, moved_counts = ensemble_stats(rolled, whole(rolled), db_bin_width=1.0)
     assert np.allclose(np.roll(base_mean, 5), moved_mean, atol=1e-12)
     assert np.array_equal(np.roll(base_counts, 5, axis=0), moved_counts)
     assert azimuth_gains(scans) == pytest.approx(azimuth_gains(rolled), rel=1e-12)
+
+
+def _chunked_set():
+    """A set of more scans than two chunks of rows, and an index into it that
+    repeats scans and runs backwards across the chunk boundaries."""
+    rng = np.random.default_rng(15)
+    scans = scan_set(make_scan(rng.lognormal(-14.0, 2.0, 16), tx=tx, x=float(x))
+                     for x in range(2 * CHUNK_ROWS + 7) for tx in ("TX1_63", "TX2"))
+    index = np.concatenate([np.arange(len(scans))[::-3], [0, 0, len(scans) - 1]])
+    return scans, index
+
+
+STATISTICS = {
+    "circular_mean_gain": lambda scans, index: circular_mean_gain(scans, index),
+    "normalized_spectrum": lambda scans, index: normalized_spectrum(scans, index),
+    "ensemble_stats": lambda scans, index: ensemble_stats(scans, index, db_bin_width=0.5),
+    "gain_cdfs": lambda scans, index: gain_cdfs(scans, index, POSITIONS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATISTICS))
+def test_statistics_leave_the_set_unchanged(name):
+    # Each converts to dB in place, but only in rows it gathered for itself.
+    scans, index = _chunked_set()
+    gains, grid_bytes = scans.gains.copy(), scans.grid.tobytes()
+    STATISTICS[name](scans, index)
+    assert scans.gains.tobytes() == gains.tobytes()
+    assert scans.grid.tobytes() == grid_bytes
+
+
+def test_chunked_statistics_equal_the_whole_matrix_forms():
+    # Gathered CHUNK_ROWS rows at a time, the statistics equal the same
+    # arithmetic on the picked rows as one matrix, bit for bit.
+    scans, index = _chunked_set()
+    picked = scans.gains[index]
+    mean_db = to_db(np.mean(picked, axis=1))
+    assert circular_mean_gain(scans, index).tobytes() == mean_db.tobytes()
+    spectra = to_db(picked) - mean_db[:, None]
+    assert normalized_spectrum(scans, index).tobytes() == spectra.tobytes()
+    got = ensemble_stats(scans, index, db_bin_width=0.5)
+    want = (to_db(np.mean(picked, axis=0)), *aligned_histograms(to_db(picked), 0.5))
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize("index", [
+    slice(0, 2), np.ones(3, dtype=bool), np.array([0.0, 1.0]), np.array([[0, 1]]), [],
+], ids=["slice", "mask", "floats", "2-d", "empty list"])
+@pytest.mark.parametrize("name", sorted(STATISTICS))
+def test_an_index_that_is_not_an_integer_array_is_a_type_error(name, index):
+    # A slice would pick a view of the set, which a conversion in place
+    # would overwrite; a mask has no order of its own.
+    scans = make_set(np.ones(8), np.full(8, 2.0), np.full(8, 3.0))
+    with pytest.raises(TypeError, match="1-D integer array"):
+        STATISTICS[name](scans, index)

@@ -74,7 +74,7 @@ class TestSynth:
         assert rc == 0
         scans = ingest(out)
         assert scans.grid.size == 12
-        for scan in records(scans[:5]):
+        for scan in records(scans)[:5]:
             assert np.ptp(10.0 * np.log10(scan.gains)) < 1e-9
 
 
@@ -608,6 +608,32 @@ def test_tx_without_a_position_is_ingest_error(tmp_path, capsys, tx_id, command)
     assert captured.err.startswith("error[ingest]: ")
     assert tx_id in captured.err
     assert list(out_dir.glob("*")) == []
+
+
+@pytest.mark.parametrize("tx_id", [
+    "TX1_ 7\n",          # float() forgives the space and the newline
+    "TX1_7 ",
+    "TX1_1_000",         # and the underscore
+    "TX1_7." + "0" * 300,  # a y of 305 characters: no file name that long
+], ids=["space and newline", "trailing space", "underscore", "305 characters"])
+@pytest.mark.parametrize("command", ["angular", "fit"])
+def test_tx_id_that_is_not_a_plain_number_is_ingest_error(tmp_path, capsys, tx_id, command):
+    # The id names angular's table files, so only a plain number spelling of
+    # at most 32 characters, as dataio reads x and y, is a crane position.
+    data = Path(_write_rows(tmp_path, [Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
+                                            gains=np.full(N_ANGLES, 1e-6 / x))
+                                       for x in (1.0, 5.0, 9.0)]))
+    quoted = '"' + tx_id.replace('"', '""') + '",'
+    data.write_text(data.read_text(encoding="ascii").replace("TX1_63,", quoted),
+                    encoding="ascii")
+    out_dir = tmp_path / "out"
+    target = ["--out-dir", str(out_dir)] if command == "angular" else [
+        "--out", str(out_dir / "fit.csv")]
+    rc = main([command, "--input", str(data), *target])
+    captured = capsys.readouterr()
+    assert (rc, captured.out) == (3, "")
+    assert captured.err.startswith(f"error[ingest]: no position for transmitter id {tx_id!r}; ")
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("tx_id,xs", [

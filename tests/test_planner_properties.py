@@ -29,10 +29,6 @@ _VALUES = st.one_of(st.sampled_from(_EXTREMES),
                     st.floats(-1e4, 1e4).map(repr))
 _NONFINITE = re.compile(r"(?i)\b(nan|inf)\b")
 
-# The [model] and [linkbudget] keys these commands read.
-_INI_KEYS = [(f.metadata["section"], f.name) for f in fields(ToolConfig)
-             if f.metadata["section"] in ("model", "linkbudget")]
-
 # Each command with the arguments it needs.
 _PLANNERS = {
     "coverage": ["coverage"],
@@ -46,11 +42,14 @@ _HEAP_BOUND = 1 << 20
 
 
 @st.composite
-def _ini(draw):
-    """An INI text of drawn [model]/[linkbudget] keys (repeats allowed), each
-    with a drawn value, or a line that is not a float."""
+def _ini(draw, sections=("model", "linkbudget")):
+    """An INI text of drawn keys of the sections (repeats allowed), each with
+    a drawn value, or a line that is not a float.  The default sections are
+    the ones the planner commands read."""
+    keys = [(f.metadata["section"], f.name) for f in fields(ToolConfig)
+            if f.metadata["section"] in sections]
     lines, section = [], None
-    for sect, key in draw(st.lists(st.sampled_from(_INI_KEYS), max_size=4)):
+    for sect, key in draw(st.lists(st.sampled_from(keys), max_size=4)):
         if sect != section:
             lines.append(f"[{sect}]")
             section = sect

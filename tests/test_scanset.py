@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scansets import Scan, records, scan_set
+from scansets import Scan, records, scan_set, whole
 
 import portcanyon
 from portcanyon import synth
@@ -155,44 +155,36 @@ class TestIngestedSet:
         assert type(key[1]) is float and type(key[2]) is float
         assert key[3] is VehicleState.POSITION1 and key[4] is Stacking.UNIFORM
 
-    @pytest.mark.parametrize("which", [0, np.int64(0), -1])
-    def test_one_index_is_a_type_error(self, campaign, which):
-        with pytest.raises(TypeError, match="not one index"):
+    @pytest.mark.parametrize("which", [0, np.int64(0), -1, slice(2, 4), [5, 0, 3]])
+    def test_a_set_is_not_subscriptable(self, campaign, which):
+        # A statistic picks scans by an index array into the one set; a set
+        # never copies a subset of itself.
+        with pytest.raises(TypeError, match="not subscriptable"):
             ingest(campaign)[which]
 
     def test_iterating_is_a_type_error_even_when_empty(self, campaign):
-        scans = ingest(campaign)
-        for picked in (scans, scans[:0]):
+        for scans in (ingest(campaign), scan_set([])):
             with pytest.raises(TypeError):
-                list(picked)
+                list(scans)
             with pytest.raises(TypeError):
-                for _ in picked:
+                for _ in scans:
                     pass
-
-    def test_select_keeps_the_order_it_is_given(self, campaign):
-        scans = ingest(campaign)
-        picked, keys = scans[[5, 0, 3]], _keys(scans)
-        assert _keys(picked) == [keys[i] for i in (5, 0, 3)]
-        assert picked.sha256 == scans.sha256
-        assert _keys(scans[2:4]) == keys[2:4]
-        mask = scans.vehicle_state == "absent"
-        assert len(scans[mask]) == int(mask.sum()) == 17
-        assert len(scans[np.zeros(len(scans), dtype=bool)]) == 0
 
 
 class TestStatisticsOracle:
     def test_per_scan_statistics(self, campaign):
         scans, oracle = ingest(campaign), _oracle_scans(campaign)
-        assert circular_mean_gain(scans).tolist() == [_oracle_mean_db(s) for s in oracle]
+        assert circular_mean_gain(scans, whole(scans)).tolist() == [
+            _oracle_mean_db(s) for s in oracle]
         positions = {tx: synth.tx_position(tx)[:2] for tx in ("TX1_63", "TX2")}
-        assert gain_cdfs(scans, positions)[2].values.tolist() == sorted(
+        assert gain_cdfs(scans, whole(scans), positions)[2].values.tolist() == sorted(
             float(np.max(_oracle_normalized(s))) for s in oracle)
 
     def test_gain_cdfs(self, campaign):
         scans = ingest(campaign)
-        base = scans[scans.vehicle_state == "absent"]
+        base = np.flatnonzero(scans.vehicle_state == "absent")
         positions = {tx: synth.tx_position(tx)[:2] for tx in ("TX1_63", "TX2")}
-        got = gain_cdfs(base, positions)
+        got = gain_cdfs(scans, base, positions)
         want = _oracle_gain_cdfs(_baseline(_oracle_scans(campaign)), positions)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
@@ -202,12 +194,25 @@ class TestStatisticsOracle:
     def test_ensemble_stats(self, campaign):
         scans = ingest(campaign)
         oracle = [s for s in _baseline(_oracle_scans(campaign)) if s.tx == "TX1_63"]
-        got = ensemble_stats(scans[(scans.tx == "TX1_63") & (scans.vehicle_state == "absent")],
-                             db_bin_width=0.5)
+        got = ensemble_stats(
+            scans, np.flatnonzero((scans.tx == "TX1_63") & (scans.vehicle_state == "absent")),
+            db_bin_width=0.5)
         want = _oracle_ensemble(oracle, 0.5)
         assert len(got) == len(want) == 3
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_statistics_follow_the_index_order(self, campaign):
+        scans, oracle = ingest(campaign), _oracle_scans(campaign)
+        picked = [5, 0, 3, 5]
+        index = np.array(picked)
+        assert circular_mean_gain(scans, index).tolist() == [
+            _oracle_mean_db(oracle[i]) for i in picked]
+        assert normalized_spectrum(scans, index).tobytes() == np.stack(
+            [_oracle_normalized(oracle[i]) for i in picked]).tobytes()
+        got = ensemble_stats(scans, index, db_bin_width=0.5)
+        for g, w in zip(got, _oracle_ensemble([oracle[i] for i in picked], 0.5)):
+            assert g.tobytes() == w.tobytes()
 
     def test_vehicle_delta_pairs_row_by_row(self, campaign):
         scans = ingest(campaign)
@@ -299,11 +304,13 @@ class TestChecks:
     def test_empty_set_statistics_are_domain_errors(self):
         empty = scan_set([])
         assert len(empty) == 0 and empty.gains.size == empty.grid.size == 0
+        none = whole(empty)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert circular_mean_gain(empty).size == 0
-        for call in (lambda: gain_cdfs(empty, {}), lambda: normalized_spectrum(empty),
-                     lambda: ensemble_stats(empty, db_bin_width=1.0)):
+            assert circular_mean_gain(empty, none).size == 0
+        for call in (lambda: gain_cdfs(empty, none, {}),
+                     lambda: normalized_spectrum(empty, none),
+                     lambda: ensemble_stats(empty, none, db_bin_width=1.0)):
             with pytest.raises(DomainError, match="needs at least one scan"):
                 call()
 
@@ -316,19 +323,64 @@ def _identifier(node):
     return None
 
 
+def _constructions(tree):
+    """(function, class) around each call that builds a ScanSet: ScanSet(...)
+    anywhere, and cls(...), self.__class__(...) or type(self)(...) inside the
+    ScanSet class."""
+    found = []
+
+    def builds(call, cls):
+        name = _identifier(call.func)
+        if name == "ScanSet":
+            return True
+        if cls != "ScanSet":
+            return False
+        return name in ("cls", "__class__") or (
+            isinstance(call.func, ast.Call) and _identifier(call.func.func) == "type"
+            and [_identifier(arg) for arg in call.func.args] == ["self"])
+
+    def visit(node, function=None, cls=None):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Call) and builds(node, cls):
+            found.append((function, cls))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, cls)
+
+    visit(tree)
+    return found
+
+
 def test_every_scan_set_is_built_by_from_rows():
-    # Only angular.py calls the ScanSet constructor (a selection does), no
-    # module names an unchecked way round `ScanSet.from_rows`, and none calls
-    # broadcast_to: a set holds one grid, not a view of it per scan.
-    constructs, names_from_keys, broadcasts = set(), set(), set()
+    # Only `ScanSet.from_rows`, the checked constructor, builds a set, so
+    # every set in the program has passed its checks; no module names an
+    # unchecked way round it, and none calls broadcast_to: a set holds one
+    # grid, not a view of it per scan.
+    constructs, names_from_keys, broadcasts = {}, set(), set()
     for path in sorted(Path(portcanyon.__file__).parent.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and _identifier(node.func) == "ScanSet":
-                constructs.add(path.name)
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if sites := _constructions(tree):
+            constructs[path.name] = sites
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call) and _identifier(node.func) == "broadcast_to":
                 broadcasts.add(path.name)
             if _identifier(node) == "from_keys":
                 names_from_keys.add(path.name)
-    assert constructs == {"angular.py"}
+    assert constructs == {"angular.py": [("from_rows", "ScanSet")]}
     assert names_from_keys == set()
     assert broadcasts == set()
+
+
+def test_the_construction_walk_sees_each_spelling():
+    tree = ast.parse(
+        "class ScanSet:\n"
+        "    def pick(self, i):\n"
+        "        return cls(i), type(self)(i), self.__class__(i), type(i)(i)\n"
+        "def select(scans):\n"
+        "    return ScanSet(scans)\n"
+        "class Other:\n"
+        "    def of(cls):\n"
+        "        return cls()\n")
+    assert _constructions(tree) == [("pick", "ScanSet")] * 3 + [("select", None)]

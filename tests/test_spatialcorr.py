@@ -129,7 +129,7 @@ class TestDenseLines:
                           for state in ("absent", "position1", "position2")]
         whole = scan_set(scans)
         base_at = np.flatnonzero(whole.vehicle_state == "absent")
-        base = whole[base_at]
+        base = scan_set(s for s in scans if s.vehicle_state == "absent")
         lines, base_lines = dense_lines(whole, POSITIONS), dense_lines(base, POSITIONS)
         assert lines.shape == (2, 15)
         assert (whole.vehicle_state[lines] == "absent").all()

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scansets import Scan, records, scan_set
+from scansets import Scan, records, scan_set, whole
 from test_dataio import oracle_scans_bytes
 
 from portcanyon import synth
@@ -22,7 +22,7 @@ from portcanyon.angular import (
 )
 from portcanyon.config import load_config
 from portcanyon.dataio import write_scans
-from portcanyon.errors import DomainError
+from portcanyon.errors import DomainError, IngestError
 from portcanyon.geometry import CanyonGeometry, received_power_approx
 from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
 from portcanyon.synth import (
@@ -92,6 +92,11 @@ def oracle_campaign(layout, cfg, vehicle_mode) -> list:
     return scans
 
 
+def _y_id(y_text):
+    """A test id for a crane id's <y> text: its repr, or its length if long."""
+    return repr(y_text) if len(y_text) < 12 else f"{len(y_text)} characters"
+
+
 class TestLayout:
     def test_uniform_coarse_grid(self):
         layout = build_layout("uniform")
@@ -123,6 +128,23 @@ class TestLayout:
         non = build_layout("nonuniform")
         assert [t.tx_id for t in non.txs] == ["TX1_63", "TX1_83", "TX1_103", "TX2"]
         assert tx_position("TX2")[:2] == (18.85, 60.5)
+
+    @pytest.mark.parametrize("y_text", [
+        "63", "-7", "+7", "7.", ".5", "6.3E+1", "1e200", "1e-400", "1" * 32,
+    ], ids=_y_id)
+    def test_a_crane_id_takes_a_plain_number(self, y_text):
+        assert tx_position(f"TX1_{y_text}") == (18.8, float(y_text), 23.0)
+
+    @pytest.mark.parametrize("y_text", [
+        "", " 7", "7 ", "7\n", "\t7", "1_000", "inf", "nan", "Infinity", "1e400",
+        "\u0663", "0x10", "7e", "e7", ".", "--7", "7.0.0", "1" * 33, "7." + "0" * 300,
+    ], ids=_y_id)
+    def test_a_crane_id_that_is_not_a_plain_number_has_no_position(self, y_text):
+        # float() reads most of these: with spaces or an underscore, inf,
+        # nan, 1e400 (infinite), an Arabic-Indic digit, 33 or 305 characters.
+        # The id names angular's table files.
+        with pytest.raises(IngestError, match="no position for transmitter id"):
+            tx_position(f"TX1_{y_text}")
 
     def test_uniform_wall_heights(self):
         layout = build_layout("uniform")
@@ -319,7 +341,7 @@ class TestFullspread:
         smoothed = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
         expected = sorted(
             gain_cdfs(scan_set([Scan("fullspread", 0.0, 0.0, cfg.angles_rad, row)]),
-                      {"fullspread": (1.0, 0.0)})[2].values[0]
+                      np.arange(1), {"fullspread": (1.0, 0.0)})[2].values[0]
             for row in smoothed
         )
         cdf = fullspread_gain_distribution(cfg)
@@ -369,7 +391,8 @@ class TestCampaign:
         scans = generate_campaign(layout, cfg)
         distance = {tx.tx_id: tx.y - layout.near_edge_y_m for tx in layout.txs}
         return [GainSample(distance[tx], gain)
-                for tx, gain in zip(scans.tx.tolist(), circular_mean_gain(scans).tolist())
+                for tx, gain in zip(scans.tx.tolist(),
+                                    circular_mean_gain(scans, whole(scans)).tolist())
                 if tx.startswith("TX1_")]
 
     def test_free_slope_regression_recovers_fourth_power(self):
