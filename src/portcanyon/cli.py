@@ -151,11 +151,9 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     del scans
 
     tables, lines, fits = [], [], []
-    while deltas:  # popped, so each matrix goes once its statistics are taken
-        label, matrix = deltas.pop(0)
+    for label, matrix in deltas:
         stats = vehicle.delta_angle_stats(matrix, db_bin_width=cfg.histogram_bin_db)
         cdf = vehicle.delta_cdf_report(matrix)  # sorts the matrix in place, its last use
-        del matrix
         # The report holds the sorted deltas and the fit; its CDF columns
         # are formed as the table is written.
         tables.append((os.path.join(args.out_dir, f"vehicle_delta_cdf_{label}.csv"),
@@ -334,9 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spatial", help="spatial autocorrelation along dense lines")
     p.add_argument("--input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--x-start", type=float, default=13.5)
-    p.add_argument("--x-step", type=float, default=0.1)
-    p.add_argument("--x-count", type=int, default=15)
+    line = synth.DENSE_LINE_TENTHS  # the refined line of the dense grid, by default
+    p.add_argument("--x-start", type=float, default=line.start / 10.0)
+    p.add_argument("--x-step", type=float, default=line.step / 10.0)
+    p.add_argument("--x-count", type=int, default=len(line))
     p.set_defaults(func=_cmd_spatial)
 
     p = sub.add_parser("vehicle", help="vehicle-impact delta statistics")

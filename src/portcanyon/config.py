@@ -116,7 +116,7 @@ def load_config(path=None) -> ToolConfig:
         return cfg
     parser = configparser.ConfigParser(interpolation=None)  # a '%' is a bad value
     try:
-        if not parser.read(path, encoding="utf-8"):
+        if not parser.read(path, encoding="utf-8-sig"):
             raise ConfigError(f"cannot read config file {path!r}")
     except (configparser.Error, UnicodeDecodeError) as exc:
         why = " ".join(str(exc).split())  # on one line

@@ -29,8 +29,6 @@ MAX_HISTOGRAM_BINS = 10_000
 # rows of 360 angles make temporaries of 0.2 MB each, where the whole
 # paper-scale campaign's are 6 MB.
 CHUNK_ROWS = 64
-# Samples `sorted_ks_gap` takes at a time: temporaries of 0.5 MB each.
-_KS_ROWS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,13 +82,7 @@ def gaussian_cdf(x, mu: float, sigma: float):
     x = np.asarray(x, dtype=float)
     if sigma == 0.0:
         return (x >= mu).astype(float)
-    # 0.5 * (1 + erf(z)), finished in z's array: no further full-size temporary.
-    z = np.asarray(x - mu)
-    z /= sigma * math.sqrt(2.0)
-    special.erf(z, out=z)
-    z += 1.0
-    z *= 0.5
-    return z
+    return 0.5 * (1.0 + special.erf((x - mu) / (sigma * math.sqrt(2.0))))
 
 
 def t_quantile(p: float, df) -> float:
@@ -176,11 +168,6 @@ def ks_gap(samples, mu: float, sigma: float) -> float:
 
 def sorted_ks_gap(reference) -> float:
     """Kolmogorov sup-gap between the empirical CDF of n sorted samples and
-    `reference`, a continuous CDF evaluated at them (so it need not re-sort).
-    Taken `_KS_ROWS` samples at a time: the same k/n, and a max of maxima."""
-    n, gaps = reference.size, []
-    for top in range(0, n, _KS_ROWS):
-        chunk = reference[top:top + _KS_ROWS]
-        steps = np.arange(top, top + chunk.size + 1.0) / n  # the empirical CDF's k/n
-        gaps += [(steps[1:] - chunk).max(), (chunk - steps[:-1]).max()]
-    return float(np.max(gaps))
+    `reference`, a continuous CDF evaluated at them (so it need not re-sort)."""
+    steps = np.arange(reference.size + 1.0) / reference.size  # the empirical CDF's k/n
+    return float(np.max([(steps[1:] - reference).max(), (reference - steps[:-1]).max()]))

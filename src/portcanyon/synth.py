@@ -36,7 +36,7 @@ from .stats import EmpiricalCdf, empirical_cdf
 __all__ = [
     "TxSpec", "CampaignLayout", "HornPattern", "SynthConfig", "build_layout",
     "geometry_for", "mean_gain_at", "fullspread_gain_distribution", "generate_campaign",
-    "tx_position", "MAX_N_ANGLES",
+    "tx_position", "MAX_N_ANGLES", "DENSE_LINE_TENTHS",
 ]
 
 CANYON_LENGTH_M = 36.0
@@ -63,6 +63,8 @@ RX_Y_LINES_M = (3.5, 5.5, 7.5, 9.5)
 COARSE_X_START_M = 1.0
 COARSE_X_STEP_UNIFORM_M = 4.0
 COARSE_X_STEP_NONUNIFORM_M = 2.0
+# The dense grid's refined line in tenths of a metre (13.5-14.9 m), `spatial`'s default.
+DENSE_LINE_TENTHS = range(135, 150, 1)
 
 # Random-stream tags keeping scan fading, vehicle perturbations and the
 # full-spread reference ensemble on disjoint child streams of one seed.
@@ -107,6 +109,8 @@ class HornPattern:
     def __post_init__(self) -> None:
         if not 0.0 < self.hpbw_deg <= 360.0:
             raise DomainError(f"HPBW must be in (0, 360] deg, got {self.hpbw_deg}")
+        if math.radians(self.hpbw_deg) == 0.0:  # below about 1.4e-322 deg: a 0/0 lobe
+            raise DomainError(f"HPBW of {self.hpbw_deg} deg is 0 rad in floating point")
 
     def power(self, offset_rad):
         """Normalized pattern at an offset from boresight (rad, wrapped)."""
@@ -261,10 +265,8 @@ def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> Campa
     n_coarse = int((CANYON_LENGTH_M - COARSE_X_START_M) // coarse_step) + 1
     coarse_xs = [COARSE_X_START_M + coarse_step * i for i in range(n_coarse)]
 
-    # Work in integer tenths of a metre so the two dense step sizes merge
-    # without float fuzz.
-    tenths = sorted(set(range(125, 154, 2)) | set(range(135, 150, 1)))
-    dense_xs = [t / 10.0 for t in tenths]
+    # In integer tenths of a metre, so the two step sizes merge without float fuzz.
+    dense_xs = [t / 10.0 for t in sorted(set(range(125, 154, 2)) | set(DENSE_LINE_TENTHS))]
 
     coarse = tuple((x, y) for y in RX_Y_LINES_M for x in coarse_xs)
     dense = tuple((x, y) for y in RX_Y_LINES_M for x in dense_xs)

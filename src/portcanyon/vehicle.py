@@ -31,10 +31,6 @@ class GaussianFitResult:
     sigma_db: float
     sample_count: int
 
-    def __post_init__(self) -> None:
-        if self.sigma_db < 0.0:
-            raise DomainError(f"sigma must be >= 0, got {self.sigma_db}")
-
 
 @dataclass(frozen=True, eq=False)
 class DeltaCdfReport:

@@ -1,5 +1,6 @@
 """CLI surface: subcommands, outputs, exit codes, determinism."""
 
+import codecs
 import csv
 import hashlib
 import importlib.util
@@ -591,6 +592,19 @@ class TestOneCheckPerValue:
         assert main([*argv, "--psi", "0.2"]) == 0
         assert capsys.readouterr().out == from_file != default
 
+    def test_config_with_a_byte_order_mark_reads_as_without(self, tmp_path, capsys):
+        # Windows Notepad starts a UTF-8 file with a BOM; the CSV reader skips one too.
+        text = "[linkbudget]\nbandwidth_hz = 2e8\n\n[model]\npsi_rad = 0.2\n"
+        plain = _write_ini(tmp_path, text)
+        marked = tmp_path / "bom.ini"
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        for argv in (["coverage"], ["geometry", "--height", "17.4", "--width", "8",
+                                    "--distance", "63", "--rx-depth", "5"]):
+            assert main(["--config", plain, *argv]) == 0
+            expected = capsys.readouterr().out
+            assert main(["--config", str(marked), *argv]) == 0
+            assert capsys.readouterr().out == expected
+
 
 @pytest.mark.parametrize("tx_id", ["TX3", "TX1_abc", "TX1_nan"])
 @pytest.mark.parametrize("command", ["angular", "fit"])
@@ -1105,6 +1119,20 @@ def test_tiny_beamwidth_synth_is_silent(tmp_path):
     assert done.returncode == 0, done.stderr
     assert done.stderr == ""
     assert done.stdout.startswith("synth: wrote ")
+
+
+def test_beamwidth_that_is_zero_radians_is_one_domain_error(tmp_path):
+    # 5e-324 deg is 0.0 rad: the lobe's offset/HPBW was 0/0, and the run
+    # printed two RuntimeWarnings before an error about the scans' gains.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "portcanyon.cli", "synth", "--layout", "nonuniform",
+         "--out", str(tmp_path / "d.csv"), "--hpbw-deg", "5e-324", "--n-angles", "8"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 4
+    assert done.stderr == "error[domain]: HPBW of 5e-324 deg is 0 rad in floating point\n"
+    assert done.stdout == "" and not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("slope", ["1e155", "1e300", "1e308", "-1e308"])

@@ -7,6 +7,7 @@ import io
 import os
 import stat
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -479,7 +480,7 @@ class TestColumnarIngest:
 def check_sets_agree(path) -> None:
     """Both readers that return give the same ScanSet: key columns, grid, gains
     and the file's sha256; the public ingest always carries that hash."""
-    want_sha = hashlib.sha256(open(path, "rb").read()).hexdigest()
+    want_sha = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     sets = [_outcome(read, path)
             for read in (_built(_ingest_rows), _built(_ingest_columnar), ingest)]
     sets = [got for got in sets if not isinstance(got, tuple)]
@@ -954,7 +955,7 @@ def _run_outcome(path, out):
         stdout, stderr = io.StringIO(), io.StringIO()
         with redirect_stdout(stdout), redirect_stderr(stderr):
             rc = _outcome(main, argv)
-        table = open(out, "rb").read() if os.path.exists(out) else None
+        table = Path(out).read_bytes() if os.path.exists(out) else None
         if table is not None:
             os.unlink(out)
         runs.append((rc, stdout.getvalue(), stderr.getvalue(), table))
@@ -1083,7 +1084,7 @@ class TestSidecar:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             want = _run_outcome(path, out)
-            good = open(sidecar, "rb").read() if os.path.exists(sidecar) else None
+            good = Path(sidecar).read_bytes() if os.path.exists(sidecar) else None
             assert (good is None) == isinstance(want[0][0], type)
             if os.path.exists(sidecar):
                 os.unlink(sidecar)
@@ -1290,7 +1291,7 @@ class TestSavedSidecar:
             members = {name: npz[name] for name in npz.files}
         savez = io.BytesIO()
         np.savez(savez, allow_pickle=False, **members)
-        assert savez.getvalue() == open(sidecar, "rb").read()
+        assert savez.getvalue() == Path(sidecar).read_bytes()
 
     def test_synth_replaces_another_csvs_sidecar(self, tmp_path, capsys):
         from portcanyon.cli import main
@@ -1373,7 +1374,7 @@ class TestOneGrid:
         # parses the file, gives the parse's set and saves the grid once.
         path = self._synth(tmp_path)
         sidecar = str(path) + dataio.SIDECAR_SUFFIX
-        members = _members(open(sidecar, "rb").read())
+        members = _members(Path(sidecar).read_bytes())
         assert members["phi_deg"].shape == (self.N_ANGLES,)
         rows = members["sizes"].size
         per_row = _npz(dict(members, phi_deg=np.tile(members["phi_deg"], rows)))
@@ -1385,7 +1386,7 @@ class TestOneGrid:
                             lambda p, read=dataio._ingest_columnar: parses.append(p) or read(p))
         scans = ingest(path)
         assert parses == [path]
-        assert _members(open(sidecar, "rb").read())["phi_deg"].shape == (self.N_ANGLES,)
+        assert _members(Path(sidecar).read_bytes())["phi_deg"].shape == (self.N_ANGLES,)
         assert _rows_of(_sidecar_rows, path) == _rows_of(_saved_rows, path)
         os.unlink(sidecar)
         assert _set_state(scans) == _set_state(ingest(path))

@@ -1,7 +1,6 @@
 """Shared statistics helpers: t quantiles, aligned histograms, KS gaps, quantiles."""
 
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -146,14 +145,12 @@ def _one_pass_ks_gap(reference):
 
 
 @settings(max_examples=200, deadline=None)
-@given(n=st.integers(min_value=1, max_value=700), rows=st.integers(min_value=1, max_value=64),
+@given(n=st.integers(min_value=1, max_value=700),
        seed=st.integers(min_value=0, max_value=2**32 - 1), ties=st.booleans())
-def test_sorted_ks_gap_in_row_blocks_equals_one_pass(n, rows, seed, ties):
+def test_sorted_ks_gap_equals_one_pass(n, seed, ties):
     rng = np.random.default_rng(seed)
     values = np.sort(rng.normal(0.0, 1.0, n))
     reference = gaussian_cdf(np.round(values, 1) if ties else values, 0.1, 0.9)
-    with mock.patch.object(stats, "_KS_ROWS", rows):  # 1 block, or many with a short last one
-        assert sorted_ks_gap(reference) == _one_pass_ks_gap(reference)
     assert sorted_ks_gap(reference) == _one_pass_ks_gap(reference)
 
 

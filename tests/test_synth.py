@@ -224,6 +224,15 @@ class TestHornPattern:
         assert horn.power(math.radians(5.0)) == pytest.approx(0.5, rel=1e-12)
         assert horn.power(-math.radians(5.0)) == pytest.approx(0.5, rel=1e-12)
 
+    @pytest.mark.parametrize("hpbw_deg", [5e-324, 1.4e-322])
+    def test_beamwidth_of_zero_radians_is_domain_error(self, hpbw_deg):
+        with pytest.raises(DomainError, match="deg is 0 rad in floating point"):
+            HornPattern(hpbw_deg)
+
+    def test_smallest_beamwidth_of_nonzero_radians_is_a_one_bin_kernel(self):
+        kernel = HornPattern(1.43e-322).kernel(8)
+        assert kernel.tolist() == [1.0] + [0.0] * 7
+
     def test_kernel_unit_sum_and_symmetry(self):
         kernel = HornPattern(10.0).kernel(360)
         assert kernel.sum() == pytest.approx(1.0, rel=1e-12)
