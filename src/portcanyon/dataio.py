@@ -19,18 +19,19 @@ scans differ in angle count, or in angle by more than
 `angular.GRID_MATCH_TOL` from scan 0's, is a GridError that names the
 first scan that differs.  A canonical
 file, LF or CRLF, is parsed columnar, in one read of the file in blocks of
-whole lines (`_BLOCK_BYTES`): each block's bytes are checked, its lines go
-through `np.loadtxt`, and its phi_deg and gain_db go into the result before
-the next block is read, so the parse holds one block's table, not the file's.
-Anything unusual (a bad or non-finite value, an unknown token, a duplicate
-angle, quotes, a CR outside a CRLF but for one ending the file, non-ASCII
-bytes, a comment row among the data, a line over `_MAX_LINE_BYTES`) is
-re-read row by row, the only source of the line-numbered errors.  Both
-readers skip one leading UTF-8 byte-order mark.  Each reader returns rows:
-keys, angle counts, phi_deg and gain_db, which `_scan_set` converts in
-place (`np.radians`; `angular.from_db` with out=), so an ingest holds one
-copy; the set keeps a copy of scan 0's angles as its grid.  The gains
-are written and saved as `angular.to_db` gives them.
+whole lines (`_BLOCK_BYTES`): each block's bytes are checked, one
+`np.loadtxt` parses every field of its lines, numbers of any length, and
+its phi_deg and gain_db go into the result before the next block is read,
+so the parse holds one block's table, not the file's.  Anything unusual (a
+bad or non-finite value, an unknown token, a duplicate angle, quotes, a CR
+outside a CRLF but for one ending the file, non-ASCII bytes, a comment row
+among the data, a partial line over `_MAX_LINE_BYTES` carried into the
+next block) is re-read row by row, the only source of the line-numbered
+errors.  Both readers skip one leading UTF-8 byte-order mark.  Each
+reader returns rows: keys, angle counts, phi_deg and gain_db, which
+`_scan_set` converts in place (`np.radians`; `angular.from_db` with out=),
+so an ingest holds one copy; the set keeps a copy of scan 0's angles as
+its grid.  The gains are written and saved as `angular.to_db` gives them.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -252,27 +253,25 @@ class _NotCanonical(Exception):
 # semantics the columnar parse does not reproduce.
 _PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n\r"
 # The columnar parse reads the file in blocks of _BLOCK_BYTES, small enough
-# that one block's lines and table stay in the CPU caches.  A line over
-# _MAX_LINE_BYTES, far longer than a canonical row (under 150 bytes: a tx_id
-# under _TX_WIDTH bytes, four floats of at most 24 characters, two tokens),
-# sends the file to the row loop.
+# that one block's lines and table stay in the CPU caches.  A partial line
+# over _MAX_LINE_BYTES carried into the next block, far longer than a
+# canonical row (under 150 bytes: a tx_id under _TX_WIDTH bytes, four floats
+# of at most 24 characters, two tokens), sends the file to the row loop.
+# So a line the parse takes is shorter than both together, under the field
+# size limit csv enforces in the row loop (131,072).
 _BLOCK_BYTES = 1 << 16
 _MAX_LINE_BYTES = 1 << 12
-# The key fields are parsed as fixed-width text, each field wider than the
-# values it takes, so one that fills its width may have been truncated and
-# the file is re-read.  Every width is a multiple of 8, so rows compare keys
-# as the 8-byte words outside phi_deg and gain_db, much faster than numpy
-# compares strings; x and y are parsed once per run of equal key text.
+# The text key fields are parsed as fixed-width text, each field wider than
+# the values it takes, so one that fills its width may have been truncated
+# and the file is re-read; x and y are parsed as numbers.  Every width is a
+# multiple of 8, so rows compare keys as the 8-byte words outside phi_deg and
+# gain_db, much faster than numpy compares strings.
 _KEY_FIELDS = ("tx_id", "x_m", "y_m", "vehicle_state", "stacking")
 _TX_WIDTH = 16
-_NUMBER_WIDTH = 32
 _TOKEN_WIDTH = 16
 _COLUMNS = np.dtype([
-    ("tx_id", f"S{_TX_WIDTH}"),
-    ("x_m", f"S{_NUMBER_WIDTH}"), ("y_m", f"S{_NUMBER_WIDTH}"),
-    ("phi_deg", "f8"), ("gain_db", "f8"),
-    ("vehicle_state", f"S{_TOKEN_WIDTH}"),
-    ("stacking", f"S{_TOKEN_WIDTH}"),
+    ("tx_id", f"S{_TX_WIDTH}"), ("x_m", "f8"), ("y_m", "f8"), ("phi_deg", "f8"),
+    ("gain_db", "f8"), ("vehicle_state", f"S{_TOKEN_WIDTH}"), ("stacking", f"S{_TOKEN_WIDTH}"),
 ])
 _KEY_WORDS = [word for word in range(_COLUMNS.itemsize // 8)
               if word * 8 not in (_COLUMNS.fields["phi_deg"][1], _COLUMNS.fields["gain_db"][1])]
@@ -288,17 +287,6 @@ def _valid_key(tx, x, y, vehicle_state, stacking) -> bool:
             and vehicle_state in _VEHICLE_TOKENS and stacking in _STACKING_TOKENS)
 
 
-def _lines_fit(text) -> bool:
-    """Is every line of text, the part after its last LF too, at most
-    `_MAX_LINE_BYTES` long?  Goes from line start to the last LF in reach."""
-    start = 0
-    while len(text) - start > _MAX_LINE_BYTES:
-        start = text.rfind("\n", start, start + _MAX_LINE_BYTES + 1) + 1
-        if not start:
-            return False
-    return True
-
-
 def _body_lines(path):
     """The lines after the header (str, no line ends), in one list per block.
 
@@ -306,10 +294,10 @@ def _body_lines(path):
     one, in blocks of `_BLOCK_BYTES`: each block is checked
     against `_PLAIN_BYTES`, its CRLFs become LFs, and it is cut after its
     last LF; the partial line after that, with a CR that ends the block, is
-    carried into the next block.  A disallowed byte, any other CR, a line
-    longer than `_MAX_LINE_BYTES` (so the carried part stays short), a line
-    before the header that is neither blank nor a comment, or no header
-    raises `_NotCanonical`.
+    carried into the next block.  A disallowed byte, any other CR, a
+    carried part longer than `_MAX_LINE_BYTES`, a line before the header
+    that is neither blank nor a comment, or no header raises `_NotCanonical`;
+    a longer line within one block's text is yielded like any other.
     """
     tail, header_seen = "", False
     with open(path, "rb") as fh:
@@ -319,12 +307,16 @@ def _body_lines(path):
         for block in itertools.chain(iter(lambda: fh.read(_BLOCK_BYTES), b""), [b"\n"]):
             if block.translate(None, _PLAIN_BYTES):
                 raise _NotCanonical
-            text = (tail + block.decode("ascii")).replace("\r\n", "\n")
+            text = tail + block.decode("ascii")
+            if "\r" in text:  # `in` scans a block far faster than str.replace
+                text = text.replace("\r\n", "\n")
             # csv ends a line at a bare CR too; the row loop reads those.
-            if text.find("\r", 0, len(text) - 1) >= 0 or not _lines_fit(text):
+            if text.find("\r", 0, len(text) - 1) >= 0:
                 raise _NotCanonical
             lines = text.split("\n")
             tail = lines.pop()
+            if len(tail) > _MAX_LINE_BYTES:
+                raise _NotCanonical
             if not header_seen:
                 for at, line in enumerate(lines):
                     if line == CANONICAL_HEADER:
@@ -338,43 +330,22 @@ def _body_lines(path):
         raise _NotCanonical
 
 
-def _run_keys(texts):
-    """The checked keys of runs from their key texts (tuples of bytes).
-
-    x and y are parsed by the same `np.loadtxt` rules as phi_deg and gain_db.
-    A field that may have been truncated, a bad number or a key that fails
-    `_valid_key` raises `_NotCanonical`.
-    """
-    try:
-        xy = np.loadtxt([(x + b"," + y).decode("ascii") for _, x, y, _, _ in texts],
-                        delimiter=",", comments=None, ndmin=2).tolist()
-    except ValueError:
-        raise _NotCanonical from None
-    keys = []
-    for (tx, x_text, y_text, vehicle, stacking), (x, y) in zip(texts, xy, strict=True):
-        key = (tx.decode("ascii"), x, y, vehicle.decode("ascii"), stacking.decode("ascii"))
-        if (len(tx) == _TX_WIDTH or _NUMBER_WIDTH in (len(x_text), len(y_text))
-                or not _valid_key(*key)):
-            raise _NotCanonical
-        keys.append(key)
-    return keys
-
-
 def _read_runs(path):
     """One pass over a plain canonical file in blocks, checked column-wise.
 
-    Each block's lines go through `np.loadtxt`; its phi_deg and gain_db go
-    straight into the result columns and its wide table is dropped before
+    Each block's lines go through one `np.loadtxt`; its phi_deg and gain_db
+    go straight into the result columns and its wide table is dropped before
     the next block is read.  Rows of one scan are contiguous in a canonical
-    file, so a run of rows with the same key text, across block boundaries
-    too, has its key parsed and checked once.  Returns the run keys, the
-    first row of each run and the phi_deg and gain_db columns.
+    file, so a run of rows with the same key bytes, across block boundaries
+    too, has its key checked once: a tx_id that fills `_TX_WIDTH` or a key
+    that fails `_valid_key` raises `_NotCanonical`.  Returns the run keys,
+    the first row of each run and the phi_deg and gain_db columns.
     """
     # Room for every row a file of this size can hold; pages no row reaches
     # are never touched.  A file with more rows has a row too short to pass.
     capacity = os.path.getsize(path) // _MIN_ROW_BYTES + 1
     phi, gain = np.empty(capacity), np.empty(capacity)
-    texts, starts = [], []
+    keys, starts = [], []
     rows, last_words = 0, None
     with warnings.catch_warnings():
         # "input contained no data": a block of blank lines.
@@ -399,24 +370,29 @@ def _read_runs(path):
             np.any(words[1:] != words[:-1], axis=1, out=changed[1:])
             last_words = words[-1].copy()
             block_starts = np.flatnonzero(changed)
-            texts += zip(*(table[name][block_starts].tolist() for name in _KEY_FIELDS))
+            for tx, x, y, vehicle, stacking in zip(
+                    *(table[name][block_starts].tolist() for name in _KEY_FIELDS)):
+                key = (tx.decode("ascii"), x, y, vehicle.decode("ascii"), stacking.decode("ascii"))
+                if len(tx) == _TX_WIDTH or not _valid_key(*key):
+                    raise _NotCanonical
+                keys.append(key)
             starts.append(block_starts + rows)
             rows += table.size
             del table, words
     phi, gain = phi[:rows], gain[:rows]
     if rows == 0 or not (np.isfinite(phi).all() and np.isfinite(gain).all()):
         raise _NotCanonical
-    return _run_keys(texts), np.concatenate(starts), phi, gain
+    return keys, np.concatenate(starts), phi, gain
 
 
 def _ingest_columnar(path):
     """Columnar reader: the rows `_ingest_rows` would return, or `_NotCanonical`.
 
-    Runs are grouped by first-seen key, as in the row loop, so -0.0 joins
-    0.0 and a scan split across the file is rejoined; a duplicate angle, a
-    bad token, a non-finite value or anything but a plain canonical table
-    raises `_NotCanonical`.  Rows that already come one run per scan with
-    rising angles, as written, are not sorted.
+    Runs are grouped by first-seen key, as in the row loop, so a run at x
+    -0.0 joins one at 0.0 and a scan split across the file is rejoined; a
+    duplicate angle, a bad token, a non-finite value or anything but a plain
+    canonical table raises `_NotCanonical`.  Rows that already come one run
+    per scan with rising angles, as written, are not sorted.
     """
     keys, starts, phi, gain = _read_runs(path)
     group_ids: dict[tuple, int] = {}

@@ -231,8 +231,8 @@ class CampaignLayout:
 def tx_position(tx_id: str) -> tuple[float, float, float]:
     """Campaign TX position (x, y, z) from its id: 'TX2', or 'TX1_<y>' for the
     crane at y metres, as `build_layout` names it.  An id names `angular`'s
-    table files, so <y> must be a plain number of at most 32 characters, as
-    dataio reads x and y; any other id, or an infinite y, is an IngestError."""
+    table files, so <y> must be a plain number of at most 32 characters; any
+    other id, or an infinite y, is an IngestError."""
     if tx_id == "TX2":
         return (TX2_X_M, TX2_Y_M, TX2_Z_M)
     y = float(tx_id[4:]) if _CRANE_ID.fullmatch(tx_id) else math.nan

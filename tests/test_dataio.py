@@ -7,6 +7,7 @@ import io
 import os
 import stat
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -349,11 +350,12 @@ class TestColumnarIngest:
         assert self.ingest_lines(tmp_path, _rows(tx=tx)) == "rows"
         assert ingest(tmp_path / "case.csv").tx.tolist() == [tx]
 
-    @pytest.mark.parametrize("width, path_taken", [(31, "columnar"), (32, "rows"), (40, "rows")])
-    def test_number_text_at_or_over_the_field_width(self, tmp_path, width, path_taken):
-        y = "3." + "5" + "0" * (width - 3)
-        assert self.ingest_lines(tmp_path, _rows(y=y)) == path_taken
-        assert ingest(tmp_path / "case.csv").y.tolist() == [3.5]
+    @pytest.mark.parametrize("x_width, y_width", [(3, 31), (3, 32), (3, 40), (33, 3), (200, 3)])
+    def test_numbers_of_any_length_parse_columnar(self, tmp_path, x_width, y_width):
+        body = _rows(x="1.0".rjust(x_width, "0"), y="3.5".ljust(y_width, "0"))
+        assert self.ingest_lines(tmp_path, body) == "columnar"
+        scans = ingest(tmp_path / "case.csv")
+        assert (scans.x.tolist(), scans.y.tolist()) == ([1.0], [3.5])
 
     def test_tx_id_just_under_the_field_width(self, tmp_path):
         tx = "TX1_" + "9" * 11
@@ -596,11 +598,54 @@ def _block_size(text, data):
     return data.draw(st.integers(min_value=longest, max_value=max(longest, len(text))))
 
 
+def _in_blocks(path, size, whole):
+    """What the columnar reader gives in blocks of size, given what it gives
+    for the file in one block: whole, unless a cut, at each multiple of size
+    and at the end of the file (which has no byte-order mark), carries more
+    than `_MAX_LINE_BYTES` of a line into the next block."""
+    data = Path(path).read_bytes()
+    cuts = [*range(size, len(data), size), len(data)]
+    carried = max(cut - data.rfind(b"\n", 0, cut) - 1 for cut in cuts)
+    return _NotCanonical if carried > dataio._MAX_LINE_BYTES else whole
+
+
+def _spelled(number, width, fill):
+    """number in width characters: zero-filled after its sign, or centered
+    in spaces."""
+    number = number.strip()
+    if fill == " ":
+        return number.center(width)
+    sign = number[:number.startswith("-")]
+    return sign + number[len(sign):].rjust(width - len(sign), "0")
+
+
+@st.composite
+def _long_spellings(draw, lines):
+    """lines with up to three numbers spelled in 20-80 characters and maybe
+    one line's gain_db centered in spaces to a line of 4-8 KiB."""
+    lines = list(lines)
+
+    def respell(at, column, width, fill):
+        fields = lines[at].split(",")
+        fields[column] = _spelled(fields[column], width, fill)
+        lines[at] = ",".join(fields)
+
+    rows = st.integers(min_value=0, max_value=len(lines) - 1)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        respell(draw(rows), draw(st.integers(min_value=1, max_value=4)),
+                draw(st.integers(min_value=20, max_value=80)), draw(st.sampled_from("0 ")))
+    if draw(st.booleans()):
+        at, size = draw(rows), draw(st.integers(min_value=4 << 10, max_value=8 << 10))
+        respell(at, 4, size - len(lines[at]) + len(lines[at].split(",")[4]), " ")
+    return lines
+
+
 @st.composite
 def _canonical_bodies(draw):
     """Data lines of 2-5 scans, one of them split in two runs around
-    another, one keyed x = -0.0 and then 0.0, some angles shuffled and blank
-    lines anywhere."""
+    another, one keyed x = -0.0 and then 0.0, some angles shuffled, long
+    number spellings and lines (`_long_spellings`) and blank lines
+    anywhere."""
     scans = [_rows(tx=draw(st.sampled_from(["TX2", "TX1_63", "TX1_103"])), x=f"{i}.5",
                    n=draw(st.integers(min_value=8, max_value=12)),
                    state=draw(st.sampled_from(sorted(dataio._VEHICLE_TOKENS))))
@@ -613,6 +658,7 @@ def _canonical_bodies(draw):
         scans[-1] = draw(st.permutations(scans[-1]))
     split = draw(st.integers(min_value=1, max_value=len(scans[0]) - 1))
     body = scans[0][:split] + scans[1] + scans[0][split:] + [r for s in scans[2:] for r in s]
+    body = draw(_long_spellings(body))
     for at in draw(st.lists(st.integers(min_value=0, max_value=len(body)), max_size=4)):
         body.insert(at, "")
     return body
@@ -640,14 +686,16 @@ class TestBlockBoundaries:
                 fh.write(text)
             want = _rows_of(_ingest_rows, path)
             assert isinstance(want, tuple), want
-            assert _rows_of(_ingest_columnar, path) == want
-            assert _columnar_in_blocks(path, _block_size(text, data)) == want
+            assert _rows_of(_ingest_columnar, path) == _in_blocks(path, dataio._BLOCK_BYTES, want)
+            size = _block_size(text, data)
+            assert _columnar_in_blocks(path, size) == _in_blocks(path, size, want)
             # A block that ends with a CR whose LF starts the next block.
             longest = max(map(len, text.split("\n"))) + 1
             split = [at + 1 for at, char in enumerate(text[:-1])
                      if char == "\r" and at + 1 >= longest]
             if split:
-                assert _columnar_in_blocks(path, data.draw(st.sampled_from(split))) == want
+                size = data.draw(st.sampled_from(split))
+                assert _columnar_in_blocks(path, size) == _in_blocks(path, size, want)
 
     @settings(max_examples=100, deadline=None)
     @given(body=_canonical_bodies(), cr=st.sampled_from(["\r", "\r\r\n", "\r\r", "\n\r"]),
@@ -671,48 +719,77 @@ class TestBlockBoundaries:
     @settings(max_examples=200, deadline=None)
     @given(edits=_EDITS, data=st.data())
     def test_blocks_decline_the_same_files(self, edits, data):
-        text = _mutated("\n".join([provenance_line(), CANONICAL_HEADER]
-                                  + _rows(x="-0.0", n=9)[:4] + _rows(tx="TX1_63")
-                                  + _rows(x="0.0", n=9)[4:]) + "\n", edits)
+        # Blocks decline what the whole file declines, and a file whose long
+        # line a cut splits after more than _MAX_LINE_BYTES of it.
+        body = data.draw(_long_spellings(_rows(x="-0.0", n=9)[:4] + _rows(tx="TX1_63")
+                                         + _rows(x="0.0", n=9)[4:]))
+        text = _mutated("\n".join([provenance_line(), CANONICAL_HEADER] + body) + "\n", edits)
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "mutant.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
             whole = _rows_of(_ingest_columnar, path)
-            assert _columnar_in_blocks(path, _block_size(text, data)) == whole
+            size = _block_size(text, data)
+            assert _columnar_in_blocks(path, size) == _in_blocks(path, size, whole)
             if whole is not _NotCanonical:
                 assert whole == _rows_of(_ingest_rows, path)
 
-    @settings(max_examples=300, deadline=None)
-    @given(text=st.text(alphabet="ab\n", max_size=40), limit=st.integers(min_value=0, max_value=8))
-    def test_lines_fit_checks_every_line(self, text, limit):
-        with mock.patch.object(dataio, "_MAX_LINE_BYTES", limit):
-            assert dataio._lines_fit(text) == (max(map(len, text.split("\n"))) <= limit)
+    @settings(max_examples=150, deadline=None)
+    @given(head=st.lists(st.sampled_from(["", provenance_line(), "#" + "c" * 90]), max_size=3),
+           body=st.lists(st.sampled_from(_rows()), min_size=1, max_size=6, unique=True),
+           limit=st.integers(min_value=0, max_value=100), data=st.data())
+    def test_only_a_carried_part_over_the_limit_declines(self, head, body, limit, data):
+        # Comment lines before the header and data lines after it, any of
+        # them longer than the limit; blocks of any size, some shorter than
+        # a line.
+        text = "\n".join(head + [CANONICAL_HEADER] + body) + "\n"
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "case.csv")
+            with open(path, "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+            want = _rows_of(_ingest_rows, path)
+            size = data.draw(st.integers(min_value=8, max_value=len(text)))
+            with mock.patch.object(dataio, "_MAX_LINE_BYTES", limit):
+                assert _rows_of(_ingest_columnar, path) == _in_blocks(
+                    path, dataio._BLOCK_BYTES, want)
+                assert _columnar_in_blocks(path, size) == _in_blocks(path, size, want)
 
     @pytest.mark.parametrize("where", ["comment", "number"])
-    def test_a_line_over_the_limit_goes_to_the_row_reader(self, tmp_path, where):
-        long = dataio._MAX_LINE_BYTES
-        head = [provenance_line(), CANONICAL_HEADER]
-        body = _rows()
-        if where == "comment":
-            head.insert(0, "#" + "c" * long)
-        else:
-            body[3] = body[3].replace(",-63.0,", ", " + " " * long + "-63.0,")
+    def test_a_long_line_inside_a_block_parses_columnar(self, tmp_path, where):
         path = tmp_path / "case.csv"
-        write_csv(path, head + body)
-        assert check_paths_agree(path) == "rows"
+        _write_a_long_line(path, where)
+        assert check_paths_agree(path) == "columnar"
         assert len(ingest(path)) == 1
 
+    @pytest.mark.parametrize("where", ["comment", "number"])
+    @pytest.mark.parametrize("carried, path_taken", [
+        (dataio._MAX_LINE_BYTES, "columnar"), (dataio._MAX_LINE_BYTES + 1, "rows")])
+    def test_a_long_line_across_a_block_boundary(self, tmp_path, monkeypatch, where, carried,
+                                                 path_taken):
+        # The first block ends carried bytes into the long line.
+        path = tmp_path / "case.csv"
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", _write_a_long_line(path, where) + carried)
+        assert check_paths_agree(path) == path_taken
+        assert len(ingest(path)) == 1
+
+    def test_a_line_the_blocks_take_is_under_csvs_field_limit(self):
+        assert dataio._MAX_LINE_BYTES + dataio._BLOCK_BYTES < csv.field_size_limit()
+
     def test_carried_line_stays_short(self, tmp_path, monkeypatch):
+        # A 40 KiB line without an LF, in 100-byte blocks: the parse holds
+        # the carried part and a block (a 13.4 KiB peak), not the line.
         path = tmp_path / "case.csv"
         path.write_text("#" + "c" * 10 * dataio._MAX_LINE_BYTES, encoding="ascii")
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 100)
-        seen, lines_fit = [], dataio._lines_fit
-        monkeypatch.setattr(dataio, "_lines_fit", lambda text: seen.append(len(text))
-                            or lines_fit(text))
-        with pytest.raises(_NotCanonical):
-            _ingest_columnar(path)
-        assert max(seen) <= dataio._MAX_LINE_BYTES + 100
+        tracemalloc.start()
+        try:
+            with pytest.raises(_NotCanonical):
+                list(dataio._body_lines(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * dataio._MAX_LINE_BYTES, peak
+        assert check_paths_agree(path) == "rows"
 
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_cold_ingest_peak_is_a_warm_ingests(self, tmp_path):
@@ -746,6 +823,20 @@ class TestBlockBoundaries:
         matrices_kib = (scans.gains.nbytes + scans.grid.nbytes) // 1024
         warm = ingest_peak_kib(path)
         assert warm <= matrices_kib + 3072, (warm, matrices_kib)
+
+
+def _write_a_long_line(path, where) -> int:
+    """Write a canonical file with one 5 KiB line, a comment before the
+    header or a data line with a space-padded gain_db; return its offset."""
+    head, body = [provenance_line(), CANONICAL_HEADER], _rows()
+    if where == "comment":
+        long = "#" + "c" * (5 << 10)
+        head.insert(0, long)
+    else:
+        long = body[3].replace(",-63.0,", "," + "-63.0".center(5 << 10) + ",")
+        body[3] = long
+    write_csv(path, head + body)
+    return path.read_text(encoding="ascii").index(long)
 
 
 def _campaign_of_600_scans(tmp_path):
