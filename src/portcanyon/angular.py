@@ -1,10 +1,10 @@
 """Azimuthal spectrum statistics of rotating-horn channel-gain scans.
 
 A scan is one full antenna rotation at a fixed RX point: a uniform azimuth
-grid and one linear power gain per grid angle (antenna gains included, i.e.
-coupling gain).  Averages over angle are taken in the linear domain on the
-uniform grid, which is the spectrally exact quadrature for a periodic
-integrand; results are reported in dB.
+grid and one gain in dB per grid angle, as the sounder records it (antenna
+gains included, i.e. coupling gain).  Averages over angle are taken in the
+linear domain (`_mean_db`) on the uniform grid, which is the spectrally exact
+quadrature for a periodic integrand; results are reported in dB.
 """
 
 from __future__ import annotations
@@ -41,19 +41,22 @@ class Stacking(str, enum.Enum):
     NONUNIFORM = "nonuniform"
 
 
-def _bad_gains(gains):
-    """Per row of a gains matrix: is any gain not finite and > 0?"""
+def _bad_gains(gains_db):
+    """Per row of a dB gains matrix: is any gain's linear value not finite and
+    > 0 (NaN, beyond about -3236 or 3082 dB)?  The values are tested, not dB
+    bounds, whose exact place would depend on the host's `np.power`."""
+    gains = from_db(gains_db)
     return ~((gains > 0.0) & (gains < np.inf)).all(axis=1)
 
 
 def first_invalid(grid, gains, angles=None, first=0):
     """(row, error) for the first row of a (scans x n) gains matrix that is
     not a valid scan and the error saying why; None if all are.  A valid
-    scan has every gain finite and > 0 and its angles on grid, the set's
-    one grid: 8 or more angles, uniform over one rotation from [0,
-    spacing).  angles, if given, holds each scan's angles, one row per scan,
-    each within GRID_MATCH_TOL of grid at every angle, or the error names
-    first as the scan grid came from.
+    scan has no `_bad_gains` and its angles on grid, the set's one grid: 8
+    or more angles, uniform over one rotation from [0, spacing).  angles, if
+    given, holds each scan's angles, one row per scan, each within
+    GRID_MATCH_TOL of grid at every angle, or the error names first as the
+    scan grid came from.
 
     grid is checked once, as row 0's; the rows are checked `CHUNK_ROWS` at
     a time, so the check's temporaries are a few chunks of rows, not copies
@@ -96,8 +99,8 @@ class ScanSet:
     The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
     values) hold one entry per scan; `grid` is the set's one azimuth grid
     (rad, n angles, read-only), as the sounder's fixed azimuth steps give
-    it, and `gains` the (scans x n) matrix of linear gains; `sha256` is the
-    hash of the file read, if any.  `from_rows` builds and checks every
+    it, and `gains` the (scans x n) matrix of the file's dB gains; `sha256` is
+    the hash of the file read, if any.  `from_rows` builds and checks every
     set; a statistic picks scans by an index array into it, not by a copy.
     """
 
@@ -110,7 +113,7 @@ class ScanSet:
     @classmethod
     def from_rows(cls, keys, sizes, angles_rad, gains, sha256=None) -> "ScanSet":
         """A checked ScanSet from scans stored back to back: scan i is keys[i]
-        with the next sizes[i] linear gains.  angles_rad holds the grid's
+        with the next sizes[i] gains in dB.  angles_rad holds the grid's
         sizes[0] values or each scan's angles, stored alike.  The set keeps a
         copy of scan 0's angles as its grid; the gains, or a (scans x n)
         matrix of them, become its matrix as a view.  The earliest scan that
@@ -162,27 +165,20 @@ def from_db(db, out=None):
     return float(out) if np.isscalar(db) or arr.ndim == 0 else out
 
 
-def _mean_db(gains, axis=-1):
-    """Linear mean over an axis (default: the angle axis), in dB.  Gains whose
-    sum overflows, each one finite, are a DomainError."""
+def _mean_db(gains_db, axis=-1):
+    """Linear mean of dB gains over an axis (default: the angle axis), in dB,
+    converting the gains in place: they must be the caller's to give up.
+    Gains whose sum overflows, each one finite, are a DomainError."""
     with np.errstate(over="ignore"):
-        mean = np.mean(gains, axis=axis)
+        mean = np.mean(from_db(gains_db, out=gains_db), axis=axis)
     if not np.all(mean < np.inf):
         raise DomainError("the linear mean of the gains overflows")
     return to_db(mean)
 
 
-def _normalized(gains, out=None):
-    """Each row of a gains matrix in dB less its circular mean, into out if given."""
-    mean_db = _mean_db(gains)[..., None]
-    out = to_db(gains, out=out)
-    out -= mean_db
-    return out
-
-
 def _index(index, statistic=None):
     """index as a 1-D integer array, else a TypeError (a slice picks a view that
-    in-place dB would overwrite); empty, a DomainError naming statistic, if given."""
+    an in-place mean would overwrite); empty, a DomainError naming statistic, if given."""
     index = np.asarray(index)
     if index.ndim != 1 or index.dtype.kind not in "iu":
         raise TypeError(f"index must be a 1-D integer array, not {index.dtype} of {index.ndim}-D")
@@ -193,8 +189,8 @@ def _index(index, statistic=None):
 
 def circular_mean_gain(scans: ScanSet, index) -> np.ndarray:
     """Channel gain averaged over angle, in dB, for each scan index picks: the
-    arithmetic mean of its linear gains on the uniform grid (rectangle rule
-    on the periodic domain), converted to dB."""
+    arithmetic mean of its gains in linear power on the uniform grid
+    (rectangle rule on the periodic domain), converted to dB."""
     index = _index(index)
     mean_db = np.empty(index.size)
     for top in range(0, index.size, CHUNK_ROWS):
@@ -209,7 +205,8 @@ def normalized_spectrum(scans: ScanSet, index) -> np.ndarray:
     index = _index(index, "normalized_spectrum")
     out = np.empty((index.size, scans.grid.size))
     for top in range(0, index.size, CHUNK_ROWS):
-        _normalized(scans.gains[index[top:top + CHUNK_ROWS]], out=out[top:top + CHUNK_ROWS])
+        rows = index[top:top + CHUNK_ROWS]
+        out[top:top + CHUNK_ROWS] = scans.gains[rows] - _mean_db(scans.gains[rows])[:, None]
     return out
 
 
@@ -221,10 +218,9 @@ def ensemble_stats(scans: ScanSet, index, db_bin_width: float):
     (`stats.aligned_histograms`, which bounds the bin count).  Returns
     (mean_db, bin_edges_db, counts), counts shaped (n_angles, n_bins), as
     `vehicle.delta_angle_stats` does."""
-    gains = scans.gains[_index(index, "ensemble_stats")]  # a copy, converted in place
-    mean_db = _mean_db(gains, axis=0)
-    edges, counts = aligned_histograms(to_db(gains, out=gains), db_bin_width)
-    return mean_db, edges, counts
+    gains = scans.gains[_index(index, "ensemble_stats")]  # a copy: binned, then made linear
+    edges, counts = aligned_histograms(gains, db_bin_width)
+    return _mean_db(gains, axis=0), edges, counts
 
 
 def tx_bearing(tx_pos, rx_pos) -> float:

@@ -3,8 +3,8 @@
 One row per (tx, point, angle, vehicle state); synthetic and real data use
 the same file format so every downstream statistic runs on either.  Angles
 are serialized in degrees and gains in dB at full double precision
-(shortest round-tripping decimal), so a write/ingest cycle reproduces the
-dataset to within one or two floating-point ulps.
+(shortest round-tripping decimal), so a write/ingest cycle gives back the
+dB gains exactly and the angles to within one or two floating-point ulps.
 
 Every emitted file starts with a '#' provenance comment (tool version, seed,
 input hash) followed by the header row; files are written atomically, with
@@ -28,10 +28,9 @@ outside a CRLF but for one ending the file, non-ASCII bytes, a comment row
 among the data, a partial line over `_MAX_LINE_BYTES` carried into the
 next block) is re-read row by row, the only source of the line-numbered
 errors.  Both readers skip one leading UTF-8 byte-order mark.  Each
-reader returns rows: keys, angle counts, phi_deg and gain_db, which
-`_scan_set` converts in place (`np.radians`; `angular.from_db` with out=),
-so an ingest holds one copy; the set keeps a copy of scan 0's angles as
-its grid.  The gains are written and saved as `angular.to_db` gives them.
+reader returns rows: keys, angle counts, phi_deg and gain_db.  `_scan_set`
+converts phi_deg to radians in place and keeps gain_db as the set's dB
+gains, so an ingest holds one copy; the grid is a copy of scan 0's angles.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -72,7 +71,7 @@ from collections import defaultdict
 import numpy as np
 
 from . import __version__
-from .angular import ScanSet, Stacking, VehicleState, from_db, to_db
+from .angular import ScanSet, Stacking, VehicleState
 from .errors import IngestError
 
 __all__ = [
@@ -128,13 +127,12 @@ def _scan_texts(scans: ScanSet):
     text is formatted once."""
     phi_cells = [phi + "," for phi in map(repr, np.degrees(scans.grid).tolist())]
     columns = (getattr(scans, key).tolist() for key in ScanSet.KEYS)
-    for (tx, x, y, vehicle_state, stacking), gains in zip(zip(*columns), scans.gains):
-        gain_db = to_db(gains)
+    for (tx, x, y, vehicle_state, stacking), gain_db in zip(zip(*columns), scans.gains):
         prefix = f"{_cell(tx)},{x!r},{y!r},"
         suffix = f",{vehicle_state},{stacking}\n"
         # One flat join: the prefix, then each row's phi, gain and the
         # separator to the next row, the last row's being the suffix.
-        cells = [suffix + prefix] * (3 * gains.size + 1)
+        cells = [suffix + prefix] * (3 * gain_db.size + 1)
         cells[0], cells[-1] = prefix, suffix
         cells[1::3] = phi_cells
         cells[2::3] = map(repr, gain_db.tolist())
@@ -169,11 +167,11 @@ def _parse_float(token: str, column: str, line_no: int) -> float:
 
 
 def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
-    """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units,
-    converted in place: phi_deg and gain_db must be the caller's to give up.
-    phi_deg holds every row's angle, or the grid's sizes[0] values once."""
+    """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units;
+    phi_deg, every row's angle or the grid's sizes[0] values once, is
+    converted to radians in place, and the set holds gain_db as it is."""
     np.radians(phi_deg, out=phi_deg)
-    return ScanSet.from_rows(keys, sizes, phi_deg, from_db(gain_db, out=gain_db), sha256)
+    return ScanSet.from_rows(keys, sizes, phi_deg, gain_db, sha256)
 
 
 def _csv_rows(fh):
@@ -502,9 +500,8 @@ def save_sidecar(path, scans: ScanSet, sha256) -> None:
     keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
     sizes = np.full(len(scans), scans.grid.size, dtype=np.int64)
     # The values `write_scans` formats, so the rows a parse reads back.
-    phi_deg, gain_db = np.degrees(scans.grid), to_db(scans.gains)
-    _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX, (keys, sizes, phi_deg, gain_db.ravel()),
-                  sha256, os.path.getsize(path))
+    rows = (keys, sizes, np.degrees(scans.grid), scans.gains.ravel())
+    _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX, rows, sha256, os.path.getsize(path))
 
 
 def ingest(path) -> ScanSet:

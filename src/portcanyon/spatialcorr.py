@@ -16,7 +16,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, VehicleState, to_db
+from .angular import ScanSet, Stacking, VehicleState
 from .errors import DomainError
 
 __all__ = ["dense_lines", "averaged_correlation"]
@@ -90,7 +90,6 @@ def averaged_correlation(scans: ScanSet, lines, positions) -> tuple[np.ndarray, 
     z = np.empty((len(lines), scans.grid.size, n_pos))
     for k in range(n_pos):
         z[..., k] = scans.gains[lines[:, k]]
-    to_db(z, out=z)
     z -= z.mean(axis=2, keepdims=True)
     raw = np.empty_like(z)
     for k in range(n_pos):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, VehicleState, _normalized, from_db, to_db
+from .angular import ScanSet, Stacking, VehicleState, from_db, to_db
 from .errors import DomainError, IngestError
 from .geometry import CanyonGeometry, received_power_approx
 from .stats import EmpiricalCdf, empirical_cdf
@@ -144,8 +144,8 @@ class SynthConfig:
     gain by 10 dB a decade, so the smallest psi that still leaves 100 dB
     has 10*log10(psi) - 2960 = -3076 + 100, that is 10*log10(psi) = -16 dB:
     psi = 10**-1.6, about 0.025 rad (at 0.025 the unrounded bounds, -59.5
-    and -3076.5 dB, leave 101 dB).  `ScanSet.from_rows` stays the backstop:
-    it names the first scan it takes out of range.
+    and -3076.5 dB, leave 101 dB).  `to_db` (a gain of 0) and
+    `ScanSet.from_rows` (naming the first scan out of range) stay the backstop.
     """
 
     seed: int = 0
@@ -347,7 +347,10 @@ def fullspread_gain_distribution(cfg: SynthConfig) -> EmpiricalCdf:
     rng = _rng((cfg.seed, _STREAM_FULLSPREAD))
     raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
     smoothed = _smooth(raw, cfg.horn.kernel(cfg.n_angles))
-    return empirical_cdf(_normalized(smoothed).max(axis=1))
+    mean_db = to_db(np.mean(smoothed, axis=-1))
+    spectra = to_db(smoothed, out=smoothed)
+    spectra -= mean_db[:, None]
+    return empirical_cdf(spectra.max(axis=1))
 
 
 def generate_campaign(
@@ -371,10 +374,11 @@ def generate_campaign(
     run to run and independent of how generation is scheduled.
 
     Scans come out in a canonical order (tx, then grid point, baseline
-    before vehicle states), on the one grid `cfg.angles_rad`.
-    `ScanSet.from_rows` checks the set as every set: the first scan whose
-    gains leave the float range, which `SynthConfig`'s bounds rule out at
-    the default psi, raises its DomainError.
+    before vehicle states), on the one grid `cfg.angles_rad`, the draws
+    converted to dB in place.  `ScanSet.from_rows` checks the set as every
+    set: the first scan whose gains leave the float range, which
+    `SynthConfig`'s bounds rule out at the default psi, raises its
+    DomainError.
     """
     if vehicle_mode not in ("none", "dense"):
         raise DomainError(f"unknown vehicle_mode {vehicle_mode!r}")
@@ -400,7 +404,12 @@ def generate_campaign(
         with np.errstate(over="ignore", invalid="ignore"):
             base[t] = _smooth(base[t], kernel)
     gains, moved = base.reshape(-1, n)[source], np.array(moved, dtype=bool)
+    to_db(gains, out=gains)
     if deltas:
-        vehicle_db = to_db(gains[moved]) - np.array(deltas)
-        gains[moved] = from_db(vehicle_db, out=vehicle_db)
+        # Through linear power and back on purpose: the files keep the bytes
+        # tests/golden_digests.json records (37,090 of the 443,520 paper-scale
+        # vehicle values differ without it), and each value, as a baseline one,
+        # is then a fixed point of to_db(from_db(.)) 10 dB or more from 0 dB.
+        vehicle_db = gains[moved] - np.array(deltas)
+        gains[moved] = to_db(from_db(vehicle_db, out=vehicle_db), out=vehicle_db)
     return ScanSet.from_rows(keys, np.full(len(keys), n), cfg.angles_rad, gains)

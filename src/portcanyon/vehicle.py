@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import ScanSet, Stacking, VehicleState, to_db
+from .angular import ScanSet, Stacking, VehicleState
 from .errors import DomainError, IngestError, InsufficientDataError
 from .stats import CHUNK_ROWS, EmpiricalCdf, aligned_histograms, gaussian_cdf, sorted_ks_gap
 
@@ -52,8 +52,8 @@ class DeltaCdfReport:
 
 
 def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
-    """Per-angle gain difference baseline minus vehicle, in dB, one row per
-    scan with the vehicle at state (position1 or position2), in set order.
+    """Per-angle difference of the set's dB gains, baseline minus vehicle, one
+    row per scan with the vehicle at state (position1 or position2), in set order.
     Each is paired with the vehicle-absent scan of its link (same tx, x, y
     and stacking), found by key, and read from the set's matrix by index,
     a chunk of rows at a time, without copying subsets; every scan is on the
@@ -71,15 +71,13 @@ def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
         tx_id, x, y, stacking = keys[with_vehicle[base.index(None)]]
         raise IngestError(f"no baseline scan for vehicle scan at "
                           f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
-    # CHUNK_ROWS rows at a time: the baseline's straight into the result, then dB in place.
+    # CHUNK_ROWS rows at a time: the baseline's straight into the result.
     base = np.array(base, dtype=np.intp)
     delta = np.empty((with_vehicle.size, scans.grid.size))
     for top in range(0, len(delta), CHUNK_ROWS):
         rows = delta[top:top + CHUNK_ROWS]
         np.take(scans.gains, base[top:top + CHUNK_ROWS], axis=0, out=rows)
-        moved = scans.gains[with_vehicle[top:top + CHUNK_ROWS]]
-        to_db(rows, out=rows)
-        rows -= to_db(moved, out=moved)
+        rows -= scans.gains[with_vehicle[top:top + CHUNK_ROWS]]
     return delta
 
 

@@ -18,7 +18,7 @@ def grid(n):
 
 
 class Scan(NamedTuple):
-    """One scan: its key fields and its angles (rad) and linear gains."""
+    """One scan: its key fields and its angles (rad) and gains in dB."""
 
     tx: str
     x: float

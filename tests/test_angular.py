@@ -28,13 +28,13 @@ from portcanyon.errors import DomainError, GridError
 from portcanyon.stats import CHUNK_ROWS, aligned_histograms
 
 
-def make_scan(gains, tx="TX1_63", x=5.0, y=3.5, **kwargs):
-    gains = np.asarray(gains, dtype=float)
-    return Scan(tx=tx, x=x, y=y, angles=grid(gains.size), gains=gains, **kwargs)
+def make_scan(gains_db, tx="TX1_63", x=5.0, y=3.5, **kwargs):
+    gains_db = np.asarray(gains_db, dtype=float)
+    return Scan(tx=tx, x=x, y=y, angles=grid(gains_db.size), gains=gains_db, **kwargs)
 
 
 def make_set(*gains, **kwargs):
-    """The ScanSet of one scan per gains array, all with the same key."""
+    """The ScanSet of one scan per dB gains array, all with the same key."""
     return scan_set(make_scan(g, **kwargs) for g in gains)
 
 
@@ -43,15 +43,16 @@ class TestScanValidation:
         with pytest.raises(GridError):
             make_set(np.ones(7))
 
-    def test_rejects_non_positive_gain(self):
-        gains = np.ones(16)
-        gains[3] = 0.0
-        with pytest.raises(DomainError):
+    @pytest.mark.parametrize("bad", [-4000.0, -math.inf])
+    def test_rejects_gain_whose_linear_value_is_zero(self, bad):
+        gains = np.zeros(16)
+        gains[3] = bad
+        with pytest.raises(DomainError, match="> 0"):
             make_set(gains)
 
-    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("bad", [4000.0, math.inf, math.nan])
     def test_rejects_non_finite_gain(self, bad):
-        gains = np.ones(16)
+        gains = np.zeros(16)
         gains[3] = bad
         with pytest.raises(DomainError, match="finite"):
             make_set(gains)
@@ -95,7 +96,9 @@ def whole_first_invalid(grid, gains, angles=None):
             (not 0.0 <= grid[0] < spacing + angular.GRID_SPACING_TOL,
              f"grid must start within the first spacing interval, got {grid[0]}"))
         if bad]
-    bad_gains = ~((gains > 0.0) & (gains < np.inf)).all(axis=1)
+    with np.errstate(over="ignore"):
+        linear = 10.0 ** (gains / 10.0)
+    bad_gains = ~((linear > 0.0) & (linear < np.inf)).all(axis=1)
     gap = np.zeros(len(gains)) if angles is None else np.abs(angles - grid).max(axis=1)
     off = ~(gap <= angular.GRID_MATCH_TOL)
     off[0] |= bool(grid_errors)  # scan 0's angles are the grid
@@ -134,7 +137,7 @@ def _plant(draw, grid, angles, gains, kind):
     at = draw(st.integers(1, n - 1))
     if kind == "gain":
         gains[draw(_bad_rows(len(gains))), at] = draw(
-            st.sampled_from([0.0, -1e-9, math.inf, math.nan]))
+            st.sampled_from([-4000.0, 3100.0, math.inf, -math.inf, math.nan]))
     elif kind == "off grid":
         if len(angles) > 1:
             row = max(1, draw(_bad_rows(len(angles))))
@@ -165,7 +168,7 @@ class TestChunkedGridCheck:
         tol = angular.GRID_MATCH_TOL
         angles = grid_ + rng.uniform(-tol / 2, tol / 2, (n_rows, n))
         angles[0] = grid_
-        gains = rng.lognormal(-14.0, 1.0, (n_rows, n))
+        gains = rng.normal(-60.0, 4.3, (n_rows, n))
         assert first_invalid(grid_, gains, angles) is None
         kinds = ("gain", "off grid", "order", "spacing", "start")
         for _ in range(data.draw(st.integers(1, 2))):
@@ -214,9 +217,11 @@ class TestDbConversion:
         assert to_db(gains[0]) == float(10.0 * np.log10(gains[0]))
 
     def test_normalized_bits_of_the_difference(self):
-        gains = np.random.default_rng(4).lognormal(-14.0, 2.0, (30, 24))
-        want = 10.0 * np.log10(gains) - 10.0 * np.log10(np.mean(gains, axis=-1))[:, None]
-        assert angular._normalized(gains).tobytes() == want.tobytes()
+        gains = np.random.default_rng(4).normal(-60.0, 8.7, (30, 24))
+        mean = np.mean(10.0 ** (gains / 10.0), axis=-1)
+        want = gains - 10.0 * np.log10(mean)[:, None]
+        scans = make_set(*gains)
+        assert normalized_spectrum(scans, whole(scans)).tobytes() == want.tobytes()
 
     def test_from_db_inverts(self):
         values = np.array([-80.0, -3.0, 0.0, 12.5])
@@ -299,16 +304,30 @@ def test_every_db_conversion_is_the_pair():
     assert set(sites) == allowed
 
 
+@pytest.mark.parametrize("module", ["dataio", "vehicle", "spatialcorr"])
+def test_modules_that_read_the_sets_db_gains_do_not_convert(module):
+    # The set holds dB: reading, writing, vehicle deltas and correlations
+    # take its values as they are, so none of these names the dB pair.
+    path = Path(angular.__file__).parent / f"{module}.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+    assert names & {"to_db", "from_db"} == set()
+
+
 class TestCircularMean:
     def test_constant_spectrum(self):
-        scans = make_set(np.full(12, 2.5e-7))
-        assert circular_mean_gain(scans, whole(scans))[0] == pytest.approx(
-            to_db(2.5e-7), rel=1e-12
-        )
+        scans = make_set(np.full(12, -66.0))
+        assert circular_mean_gain(scans, whole(scans))[0] == pytest.approx(-66.0, rel=1e-12)
 
     def test_two_level_alternation(self):
         # Alternating 1.0 / 3.0 has linear mean 2.0 regardless of grid size.
-        scans = make_set(np.tile([1.0, 3.0], 8))
+        scans = make_set(to_db(np.tile([1.0, 3.0], 8)))
         assert circular_mean_gain(scans, whole(scans))[0] == pytest.approx(
             3.0102999566398120, rel=1e-12)
 
@@ -327,7 +346,7 @@ class TestNormalizedSpectrum:
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_two_level_hand_values(self):
-        scans = make_set(np.tile([1.0, 3.0], 8))
+        scans = make_set(to_db(np.tile([1.0, 3.0], 8)))
         out = normalized_spectrum(scans, whole(scans))
         assert out.shape == (1, 16)
         assert np.allclose(out[0, 0::2], -3.0102999566398120, atol=1e-12)
@@ -335,8 +354,8 @@ class TestNormalizedSpectrum:
 
     def test_offset_invariance(self):
         rng = np.random.default_rng(4)
-        gains = rng.lognormal(mean=-14.0, sigma=1.5, size=32)
-        scans = make_set(gains, gains * from_db(17.0))
+        gains = rng.normal(-60.0, 6.5, size=32)
+        scans = make_set(gains, gains + 17.0)
         base, shifted = normalized_spectrum(scans, whole(scans))
         assert np.allclose(shifted, base, atol=1e-9)
 
@@ -359,15 +378,15 @@ class TestNormalizedSpectrum:
 class TestEnsembleStats:
     def test_single_scan_mean_is_scan(self):
         rng = np.random.default_rng(6)
-        gains = rng.lognormal(mean=-14.0, sigma=1.0, size=16)
+        gains = rng.normal(-60.0, 4.3, size=16)
         scans = make_set(gains)
         mean_db, _, counts = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
-        assert np.allclose(mean_db, to_db(gains), atol=1e-12)
+        assert np.allclose(mean_db, gains, atol=1e-12)
         assert set(np.unique(counts)) <= {0, 1}
 
     def test_two_scan_linear_mean(self):
         gains = np.full(16, 4.0e-7)
-        scans = make_set(gains, 3.0 * gains)
+        scans = make_set(to_db(gains), to_db(3.0 * gains))
         mean_db, _, _ = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
         assert np.allclose(mean_db, to_db(2.0 * gains), atol=1e-12)
 
@@ -380,10 +399,10 @@ class TestEnsembleStats:
 
     def test_mean_bounded_by_scan_extremes(self):
         rng = np.random.default_rng(8)
-        gains = [rng.lognormal(mean=-14.0, sigma=1.0, size=16) for _ in range(5)]
+        gains = [rng.normal(-60.0, 4.3, size=16) for _ in range(5)]
         scans = make_set(*gains)
         mean_db, _, _ = ensemble_stats(scans, whole(scans), db_bin_width=1.0)
-        gains_db = to_db(np.stack(gains))
+        gains_db = np.stack(gains)
         assert np.all(mean_db >= gains_db.min(axis=0) - 1e-12)
         assert np.all(mean_db <= gains_db.max(axis=0) + 1e-12)
 
@@ -444,7 +463,7 @@ class TestAzimuthGain:
         assert azimuth_gains(make_set(np.full(12, 3.3e-7)))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_two_level_value(self):
-        assert azimuth_gains(make_set(np.tile([1.0, 3.0], 8)))[0] == pytest.approx(
+        assert azimuth_gains(make_set(to_db(np.tile([1.0, 3.0], 8))))[0] == pytest.approx(
             1.7609125905568124, rel=1e-12
         )
 
@@ -523,7 +542,7 @@ STATISTICS = {
 
 @pytest.mark.parametrize("name", sorted(STATISTICS))
 def test_statistics_leave_the_set_unchanged(name):
-    # Each converts to dB in place, but only in rows it gathered for itself.
+    # Each converts to linear in place, but only in rows it gathered for itself.
     scans, index = _chunked_set()
     gains, grid_bytes = scans.gains.copy(), scans.grid.tobytes()
     STATISTICS[name](scans, index)
@@ -536,12 +555,12 @@ def test_chunked_statistics_equal_the_whole_matrix_forms():
     # arithmetic on the picked rows as one matrix, bit for bit.
     scans, index = _chunked_set()
     picked = scans.gains[index]
-    mean_db = to_db(np.mean(picked, axis=1))
+    mean_db = to_db(np.mean(from_db(picked), axis=1))
     assert circular_mean_gain(scans, index).tobytes() == mean_db.tobytes()
-    spectra = to_db(picked) - mean_db[:, None]
+    spectra = picked - mean_db[:, None]
     assert normalized_spectrum(scans, index).tobytes() == spectra.tobytes()
     got = ensemble_stats(scans, index, db_bin_width=0.5)
-    want = (to_db(np.mean(picked, axis=0)), *aligned_histograms(to_db(picked), 0.5))
+    want = (to_db(np.mean(from_db(picked), axis=0)), *aligned_histograms(picked, 0.5))
     for g, w in zip(got, want):
         assert g.tobytes() == w.tobytes()
 

@@ -18,7 +18,7 @@ import pytest
 from peaks import HAS_VMHWM, command_peak_kib
 from scansets import Scan, grid, records, scan_set
 
-from portcanyon.angular import ScanSet
+from portcanyon.angular import ScanSet, to_db
 from portcanyon.cli import main
 from portcanyon.dataio import CANONICAL_HEADER, provenance_line, write_scans
 
@@ -76,7 +76,7 @@ class TestSynth:
         scans = ingest(out)
         assert scans.grid.size == 12
         for scan in records(scans)[:5]:
-            assert np.ptp(10.0 * np.log10(scan.gains)) < 1e-9
+            assert np.ptp(scan.gains) < 1e-9
 
 
 class TestPipeline:
@@ -159,7 +159,7 @@ class TestFitExactLine:
             scans.append(
                 Scan(
                     tx="TX1_63", x=x, y=3.5, angles=GRID,
-                    gains=np.full(N_ANGLES, 10.0 ** (gain_db / 10.0)),
+                    gains=np.full(N_ANGLES, gain_db),
                 )
             )
         data = tmp_path / "line.csv"
@@ -229,7 +229,7 @@ class TestErrors:
     def test_spatial_without_dense_line(self, tmp_path, small_config, capsys):
         scans = [
             Scan(tx="TX2", x=1.0, y=3.5, angles=GRID,
-                 gains=np.full(N_ANGLES, 1e-6))
+                 gains=np.full(N_ANGLES, -60.0))
         ]
         data = tmp_path / "sparse.csv"
         write_scans(data, scan_set(scans))
@@ -267,7 +267,7 @@ class TestBoundaryValues:
     def line_data(self, tmp_path):
         scans = [
             Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
-                 gains=np.full(N_ANGLES, 1e-6 / x))
+                 gains=np.full(N_ANGLES, to_db(1e-6 / x)))
             for x in (1.0, 5.0, 9.0)
         ]
         data = tmp_path / "line.csv"
@@ -433,7 +433,7 @@ from portcanyon.dataio import write_scans
 xs = (1.0, 5.0, 9.0)
 scans = ScanSet.from_rows([("TX1_63", x, 3.5, "absent", "uniform") for x in xs], [8] * 3,
                           np.tile(np.radians(45.0 * np.arange(8)), 3),
-                          np.repeat([1e-6 / x for x in xs], 8))
+                          np.repeat([-60.0 - x for x in xs], 8))
 write_scans(sys.argv[1], scans)
 assert main(["fit", "--input", sys.argv[1], "--out", sys.argv[2]]) == 0
 assert "scipy.stats" not in sys.modules, "scipy.stats was imported"
@@ -531,7 +531,7 @@ def _write_rows(tmp_path, scans):
     lines = [provenance_line(), CANONICAL_HEADER] + [
         f"{s.tx},{s.x!r},{s.y!r},{phi!r},{gain!r},{s.vehicle_state},{s.stacking}"
         for s in scans for phi, gain in zip(np.degrees(s.angles).tolist(),
-                                            (10.0 * np.log10(s.gains)).tolist())]
+                                            s.gains.tolist())]
     data.write_text("\n".join(lines) + "\n", encoding="ascii")
     return str(data)
 
@@ -610,7 +610,7 @@ class TestOneCheckPerValue:
 @pytest.mark.parametrize("command", ["angular", "fit"])
 def test_tx_without_a_position_is_ingest_error(tmp_path, capsys, tx_id, command):
     data = _write_scans(tmp_path, [
-        Scan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, 1e-6 / x))
+        Scan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, to_db(1e-6 / x)))
         for x in (1.0, 5.0, 9.0)
     ])
     out_dir = tmp_path / "out"
@@ -635,7 +635,7 @@ def test_tx_id_that_is_not_a_plain_number_is_ingest_error(tmp_path, capsys, tx_i
     # The id names angular's table files, so only a plain number spelling of
     # at most 32 characters, as dataio reads x and y, is a crane position.
     data = Path(_write_rows(tmp_path, [Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
-                                            gains=np.full(N_ANGLES, 1e-6 / x))
+                                            gains=np.full(N_ANGLES, to_db(1e-6 / x)))
                                        for x in (1.0, 5.0, 9.0)]))
     quoted = '"' + tx_id.replace('"', '""') + '",'
     data.write_text(data.read_text(encoding="ascii").replace("TX1_63,", quoted),
@@ -656,7 +656,7 @@ def test_tx_id_that_is_not_a_plain_number_is_ingest_error(tmp_path, capsys, tx_i
 ])
 def test_fit_distance_beyond_float_range_is_domain_error(tmp_path, capsys, tx_id, xs):
     data = _write_scans(tmp_path, [
-        Scan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, 1e-6))
+        Scan(tx=tx_id, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, -60.0))
         for x in xs
     ])
     out = tmp_path / "out" / "fit.csv"
@@ -679,7 +679,7 @@ def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
         Scan(tx="TX2", x=x, y=3.5, angles=grid, gains=np.full(8, gain),
              vehicle_state=state)
         for x, grid in zip((1.0, 5.0), grids)
-        for state, gain in (("absent", 1e-6), ("position1", 2e-6))
+        for state, gain in (("absent", -60.0), ("position1", -57.0))
     ]
     data = _write_rows(tmp_path, scans)
     out = tmp_path / "out"
@@ -698,7 +698,7 @@ def _line_scans(xs, tx="TX1_63", **kwargs):
     rng = np.random.default_rng(11)
     return [
         Scan(tx=tx, x=x, y=3.5, angles=GRID,
-             gains=rng.lognormal(-14.0, 1.0, N_ANGLES), **kwargs)
+             gains=to_db(rng.lognormal(-14.0, 1.0, N_ANGLES)), **kwargs)
         for x in xs
     ]
 
@@ -726,9 +726,9 @@ class TestRegressions:
 
     def test_angular_error_in_a_later_tx_leaves_no_table(self, tmp_path, capsys):
         flat = [Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
-                     gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
+                     gains=np.full(N_ANGLES, -60.0)) for x in (1.0, 5.0)]
         spread = [Scan(tx="TX2", x=x, y=3.5, angles=GRID,
-                       gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
+                       gains=np.linspace(-60.0, -88.0, N_ANGLES))
                   for x in (1.0, 5.0)]
         data = _write_scans(tmp_path, flat + spread)
         out_dir = tmp_path / "out"
@@ -742,7 +742,7 @@ class TestRegressions:
     @pytest.mark.parametrize("provenance", [True, False])
     def test_csv_with_a_leading_bom_reads_as_without_it(self, tmp_path, capsys, provenance):
         plain = Path(_write_scans(tmp_path, [
-            Scan(tx="TX2", x=x, y=3.5, angles=GRID, gains=np.geomspace(1e-6, 1e-7, N_ANGLES))
+            Scan(tx="TX2", x=x, y=3.5, angles=GRID, gains=np.linspace(-60.0, -70.0, N_ANGLES))
             for x in (1.0, 5.0)]))
         if not provenance:
             plain.write_bytes(plain.read_bytes().split(b"\n", 1)[1])
@@ -874,7 +874,7 @@ class TestBranches:
         # position1's histogram would need more than MAX_HISTOGRAM_BINS bins,
         # and position2's scan has no baseline: every pairing comes first.
         rng = np.random.default_rng(2)
-        moved = [scan._replace(gains=rng.lognormal(-14.0, 1.0, N_ANGLES),
+        moved = [scan._replace(gains=to_db(rng.lognormal(-14.0, 1.0, N_ANGLES)),
                                vehicle_state="position1") for scan in _line_scans((1.0, 5.0))]
         data = _write_scans(tmp_path, _line_scans((1.0, 5.0)) + moved
                             + _line_scans((9.0,), vehicle_state="position2"))
@@ -897,7 +897,7 @@ class TestBranches:
     def test_vehicle_position1_only_writes_one_row(self, tmp_path, capsys):
         xs = (1.0, 5.0, 9.0)
         base = _line_scans(xs)
-        moved = [Scan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * 2.0,
+        moved = [Scan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains + to_db(2.0),
                       vehicle_state="position1") for s in base]
         data = _write_scans(tmp_path, base + moved)
         out_dir = tmp_path / "out"
@@ -1007,7 +1007,7 @@ def test_every_export_exists():
 
 
 def _moved(scans, state, factor=2.0):
-    return [Scan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains * factor,
+    return [Scan(tx=s.tx, x=s.x, y=s.y, angles=s.angles, gains=s.gains + to_db(factor),
                  vehicle_state=state) for s in scans]
 
 
@@ -1057,9 +1057,9 @@ def _failing_case(tmp_path, command):
     if command == "angular":
         # TX1_63 is computed first; TX2's 28 dB span needs too many 0.001 dB bins.
         flat = [Scan(tx="TX1_63", x=x, y=3.5, angles=GRID,
-                     gains=np.full(N_ANGLES, 1e-6)) for x in (1.0, 5.0)]
+                     gains=np.full(N_ANGLES, -60.0)) for x in (1.0, 5.0)]
         spread = [Scan(tx="TX2", x=x, y=3.5, angles=GRID,
-                       gains=np.geomspace(1e-6, 10 ** -8.8, N_ANGLES))
+                       gains=np.linspace(-60.0, -88.0, N_ANGLES))
                   for x in (1.0, 5.0)]
         return ["angular", "--input", _write_scans(tmp_path, flat + spread),
                 "--out-dir", str(out), "--bin-db", "0.001"], 4
@@ -1460,10 +1460,12 @@ class TestSidecar:
     @pytest.mark.parametrize("field, value, rc, message", [
         (3, "16.0", 3, "error[grid]: scan ('TX1_63', 1.0, 3.5, "),
         (4, "4000.0", 4, "error[domain]: scan ('TX1_63', 1.0, 3.5, "),
+        (4, "3083.0", 4, "error[domain]: scan ('TX1_63', 1.0, 3.5, "),
+        (4, "-3237.0", 4, "error[domain]: scan ('TX1_63', 1.0, 3.5, "),
     ])
     def test_parse_whose_build_fails_leaves_no_sidecar(self, tmp_path, capsys, field, value, rc,
                                                        message):
-        # The rows parse, and are saved before the build converts them; the
+        # The rows parse, and are saved before the build checks them; the
         # build's error removes that sidecar, and the stale one it replaced.
         from portcanyon import dataio
 
@@ -1548,7 +1550,7 @@ def test_vehicle_peak_is_its_matrices_and_tables(tmp_path):
     data = tmp_path / "dense.csv"
     write_scans(data, scan_set(
         Scan(tx="TX1_63", x=float(i), y=3.5, angles=grid(360),
-             gains=rng.lognormal(-14.0, 1.0, 360), vehicle_state=state)
+             gains=to_db(rng.lognormal(-14.0, 1.0, 360)), vehicle_state=state)
         for i in range(400) for state in ("absent", "position1", "position2")))
     scans = ingest(data)  # cold: writes the sidecar
     # The gains and the grid the set holds; the delta, empirical and

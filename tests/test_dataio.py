@@ -1,6 +1,7 @@
 """Canonical CSV: round-trips, validation errors with line numbers."""
 
 import codecs
+import contextlib
 import csv
 import hashlib
 import io
@@ -19,7 +20,7 @@ from peaks import HAS_VMHWM, ingest_peak_kib
 from scansets import Scan, grid, records, scan_set
 
 from portcanyon import dataio
-from portcanyon.angular import ScanSet, Stacking, VehicleState
+from portcanyon.angular import ScanSet, Stacking, VehicleState, to_db
 from portcanyon.dataio import (
     _CHUNK_ROWS,
     CANONICAL_HEADER,
@@ -43,7 +44,7 @@ def make_scan(seed=0, **kwargs):
     rng = np.random.default_rng(seed)
     defaults = dict(
         tx="TX1_63", x=5.0, y=3.5, angles=GRID,
-        gains=rng.lognormal(-14.0, 1.0, GRID.size),
+        gains=rng.normal(-60.0, 4.3, GRID.size),
     )
     defaults.update(kwargs)
     return Scan(**defaults)
@@ -66,7 +67,7 @@ class TestWriter:
     def test_single_360_row_scan(self, tmp_path):
         angles = np.radians(np.arange(360.0))
         rng = np.random.default_rng(1)
-        scan = Scan(tx="TX2", x=1.0, y=3.5, angles=angles, gains=rng.lognormal(-14, 1, 360))
+        scan = Scan(tx="TX2", x=1.0, y=3.5, angles=angles, gains=rng.normal(-60.0, 4.3, 360))
         path = tmp_path / "one.csv"
         write_scans(path, scan_set([scan]))
         back = ingest(path)
@@ -102,7 +103,7 @@ class TestRoundTrip:
         for orig, rec in zip(scans, records(back)):
             assert rec.key == orig.key
             assert np.allclose(rec.angles, orig.angles, atol=1e-12)
-            assert np.allclose(rec.gains, orig.gains, rtol=1e-12)
+            assert rec.gains.tobytes() == orig.gains.tobytes()
 
     def test_campaign_round_trip(self, tmp_path):
         layout = build_layout("nonuniform")
@@ -112,8 +113,7 @@ class TestRoundTrip:
         write_scans(path, scans, seed=cfg.seed)
         back = ingest(path)
         assert [s.key for s in records(back)] == [s.key for s in records(scans)]
-        for orig, rec in zip(records(scans), records(back)):
-            assert np.allclose(rec.gains, orig.gains, rtol=1e-12)
+        assert back.gains.tobytes() == scans.gains.tobytes()
 
 
 class TestIngestValidation:
@@ -190,7 +190,7 @@ class TestIngestValidation:
         with pytest.raises(GridError, match="TX2"):
             ingest(path)
 
-    @pytest.mark.parametrize("gain_db", ["4000.0", "1e300"])
+    @pytest.mark.parametrize("gain_db", ["4000.0", "1e300", "3083.0", "-3237.0", "-1e300"])
     def test_gain_overflowing_to_inf_rejected(self, tmp_path, gain_db):
         rows = self.rows_for()
         rows[2] = f"TX2,1.0,3.5,60.0,{gain_db},absent,uniform"
@@ -454,6 +454,44 @@ class TestColumnarIngest:
         rows = _rows()
         rows[5] = rows[5].replace(",-65.0,", ",4000.0,")
         assert self.ingest_lines(tmp_path, rows) == "columnar"
+
+    # The set holds dB; a gain is valid while its linear value is finite and
+    # > 0: up to about 3082 dB, and down to about -3236 dB (the smallest
+    # subnormal, 5e-324).
+    @pytest.mark.parametrize("gain_db, rc", [("3082.0", 0), ("3083.0", 4),
+                                             ("-3236.0", 0), ("-3237.0", 4)])
+    def test_gains_at_the_float_range_edges_end_alike_on_every_path(
+            self, tmp_path, capsys, monkeypatch, gain_db, rc):
+        from portcanyon.cli import main
+
+        body = _rows(x="1.0") + _rows(x="5.0") + _rows(x="9.0")
+        body[10] = body[10].replace(",-62.0,", f",{gain_db},")
+        quoted = [row.replace("TX2,", '"TX2",', 1) for row in body]
+        outcomes, loaded, parses = [], [], []
+        for reader, rows in (("columnar", body), ("rows", quoted), ("sidecar", body)):
+            path = tmp_path / reader / "case.csv"
+            path.parent.mkdir()
+            assert self.ingest_lines(path.parent, rows) == ("rows" if rows is quoted
+                                                            else "columnar")
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(str(path) + dataio.SIDECAR_SUFFIX)
+            if reader == "sidecar":  # this file's rows, planted
+                keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
+                dataio._save_sidecar(str(path) + dataio.SIDECAR_SUFFIX,
+                                     (keys, sizes, phi_deg[:sizes[0]], gain_db),
+                                     file_sha256(path), os.path.getsize(path))
+                for name, calls in (("_load_sidecar", loaded), ("_ingest_columnar", parses),
+                                    ("_ingest_rows", parses)):
+                    monkeypatch.setattr(dataio, name, lambda *a, read=getattr(dataio, name),
+                                        calls=calls: calls.append(read(*a)) or calls[-1])
+            code = main(["fit", "--input", str(path), "--out", str(path.parent / "fit.csv")])
+            outcomes.append((code, capsys.readouterr().err))
+        assert outcomes[0][0] == rc
+        assert outcomes == [outcomes[0]] * 3
+        # The sidecar's rows load; a gain out of range fails their build, which
+        # makes the sidecar a miss, so the file is parsed for the error.
+        assert len(loaded) == 1 and loaded[0] is not None
+        assert len(parses) == (0 if rc == 0 else 1)
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -844,7 +882,7 @@ def _campaign_of_600_scans(tmp_path):
     rng = np.random.default_rng(0)
     path = tmp_path / "campaign.csv"
     write_scans(path, scan_set([make_scan(x=float(i), angles=grid(360),
-                                          gains=rng.lognormal(-14.0, 1.0, 360))
+                                          gains=to_db(rng.lognormal(-14.0, 1.0, 360)))
                                 for i in range(600)]))
     return path
 
@@ -878,7 +916,7 @@ def oracle_scans_bytes(scans, seed=None) -> bytes:
     buf.write(CANONICAL_HEADER + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     for scan in scans:
-        for phi, gain in zip(np.degrees(scan.angles), 10.0 * np.log10(scan.gains)):
+        for phi, gain in zip(np.degrees(scan.angles), scan.gains):
             writer.writerow((
                 scan.tx, repr(float(scan.x)), repr(float(scan.y)), repr(float(phi)),
                 repr(float(gain)), VehicleState(scan.vehicle_state).value,
@@ -994,7 +1032,7 @@ class TestColumnWriter:
     def test_scan_bytes_match_csv_writer(self, specs, n, seed):
         scans = [
             Scan(tx=tx, x=x, y=y, angles=grid(n),
-                 gains=np.random.default_rng(g).lognormal(-14.0, 3.0, n),
+                 gains=np.random.default_rng(g).normal(-60.0, 13.0, n),
                  vehicle_state=vehicle, stacking=stacking)
             for tx, x, y, vehicle, stacking, g in specs
         ]
@@ -1013,7 +1051,7 @@ class TestColumnWriter:
         back = records(ingest(path))
         assert [s.key for s in back] == [s.key for s in scans]
         for orig, rec in zip(scans, back):
-            assert np.allclose(rec.gains, orig.gains, rtol=1e-12)
+            assert rec.gains.tobytes() == orig.gains.tobytes()
 
 
 # ------------------------------------------------------------ ScanSet sidecar

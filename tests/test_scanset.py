@@ -7,7 +7,11 @@ equal them bit for bit.
 
 import ast
 import csv
+import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from collections import defaultdict
 from pathlib import Path
@@ -26,7 +30,6 @@ from portcanyon.angular import (
     ensemble_stats,
     gain_cdfs,
     normalized_spectrum,
-    to_db,
     tx_bearing,
 )
 from portcanyon.cli import main
@@ -75,8 +78,8 @@ def campaign(tmp_path_factory):
 
 
 def _oracle_scans(path):
-    """The scans a per-scan reader builds: grouped, angle-sorted, converted
-    one scan at a time."""
+    """The scans a per-scan reader builds: grouped and angle-sorted, one scan
+    at a time, the file's dB gains as they are."""
     groups = defaultdict(dict)
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if not r[0].startswith("#")][1:]
@@ -87,24 +90,23 @@ def _oracle_scans(path):
     for (tx, x, y, state, stacking), by_angle in groups.items():
         phis = np.array(sorted(by_angle))
         gains_db = np.array([by_angle[p] for p in phis])
-        scans.append(Scan(tx=tx, x=x, y=y, angles=np.radians(phis),
-                          gains=10.0 ** (gains_db / 10.0),
+        scans.append(Scan(tx=tx, x=x, y=y, angles=np.radians(phis), gains=gains_db,
                           vehicle_state=state, stacking=stacking))
     return scans
 
 
 def _oracle_mean_db(scan):
-    return float(10.0 * np.log10(np.mean(scan.gains)))
+    return float(10.0 * np.log10(np.mean(10.0 ** (scan.gains / 10.0))))
 
 
 def _oracle_normalized(scan):
-    return to_db(scan.gains) - _oracle_mean_db(scan)
+    return scan.gains - _oracle_mean_db(scan)
 
 
 def _oracle_ensemble(scans, width):
     gains = np.stack([s.gains for s in scans])
-    edges, counts = aligned_histograms(10.0 * np.log10(gains), width)
-    return 10.0 * np.log10(np.mean(gains, axis=0)), edges, counts
+    edges, counts = aligned_histograms(gains, width)
+    return 10.0 * np.log10(np.mean(10.0 ** (gains / 10.0), axis=0)), edges, counts
 
 
 def _oracle_gain_cdfs(scans, positions):
@@ -220,7 +222,7 @@ class TestStatisticsOracle:
         moved_at = np.flatnonzero(scans.vehicle_state == "position2")  # TX2, x=5.0 then x=0.0
         base_at = [1, 3]  # TX2 at x=5.0, then x=-0.0: found by key, -0.0 == 0.0
         got = vehicle_delta(scans, VehicleState.POSITION2)
-        want = np.stack([to_db(oracle[b].gains) - to_db(oracle[v].gains)
+        want = np.stack([oracle[b].gains - oracle[v].gains
                          for b, v in zip(base_at, moved_at)])
         assert got.tobytes() == want.tobytes()
 
@@ -247,7 +249,7 @@ class TestCliOutputsOracle:
         base = {(s.tx, s.x, s.y, s.stacking): s for s in _baseline(oracle)}
         for state in (VehicleState.POSITION1, VehicleState.POSITION2):
             moved = [s for s in oracle if s.vehicle_state == state.value]
-            matrix = np.stack([to_db(base[(s.tx, s.x, s.y, s.stacking)].gains) - to_db(s.gains)
+            matrix = np.stack([base[(s.tx, s.x, s.y, s.stacking)].gains - s.gains
                                for s in moved])
             mean_db, _, _ = delta_angle_stats(matrix, db_bin_width=1.0)
             report = delta_cdf_report(matrix)  # sorts the matrix in place
@@ -263,7 +265,7 @@ class TestCliOutputsOracle:
         line = [s for s in _baseline(_oracle_scans(campaign)) if s.tx == "TX1_63"]
         curves = []
         for i in range(12):
-            db = np.array([to_db(s.gains[i]) for s in line])
+            db = np.array([s.gains[i] for s in line])
             z = db - np.mean(db)
             raw = np.correlate(z, z, mode="full")[z.size - 1:]
             curves.append(raw / raw[0])
@@ -282,6 +284,89 @@ class TestCliOutputsOracle:
         row = [_column(out, k)[0] for k in range(1, 7)]
         assert row == _reprs([fit.n, fit.ci_n, fit.r0_db, fit.ci_r0, fit.rmse_db])[:5] + [
             str(fit.sample_count)]
+
+
+def _three_decimal_rows():
+    """(x, y, state, gains) of two dense lines of 16-angle scans, baseline and
+    both vehicle positions at each x, each gain_db written with 3 decimals as
+    a sounder export writes it."""
+    rng = np.random.default_rng(31)
+    return [(x, y, state, [f"{g:.3f}" for g in rng.uniform(-95.0, -45.0, 16)])
+            for y in ("3.5", "5.5") for x in LINE_XS
+            for state in ("absent", "position1", "position2")]
+
+
+def _write_three_decimal_csv(path):
+    lines = [provenance_line(), CANONICAL_HEADER] + [
+        f"TX1_63,{x},{y},{22.5 * i!r},{gain},{state},uniform"
+        for x, y, state, gains in _three_decimal_rows() for i, gain in enumerate(gains)]
+    path.write_text("\n".join(lines) + "\n", encoding="ascii")
+
+
+# Runs each CLI argv given as JSON in the working directory.
+_RUN_COMMANDS = """
+import json, sys
+from portcanyon.cli import main
+sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))
+"""
+
+
+class TestTheFilesValues:
+    """The dB statistics read the gains a file holds, not their round trip
+    through linear power, which moves 3-decimal values in the last bit."""
+
+    def test_vehicle_deltas_are_the_differences_of_the_files_numbers(self, tmp_path):
+        data = tmp_path / "export.csv"
+        _write_three_decimal_csv(data)
+        assert main(["vehicle", "--input", str(data), "--out-dir", str(tmp_path)]) == 0
+        rows = _three_decimal_rows()
+        base = {(x, y): gains for x, y, state, gains in rows if state == "absent"}
+        for position in ("position1", "position2"):
+            deltas = sorted(float(b) - float(v) for x, y, state, gains in rows
+                            if state == position for b, v in zip(base[x, y], gains))
+            out = tmp_path / f"vehicle_delta_cdf_{position}.csv"
+            assert _column(out, 0) == _reprs(deltas)
+
+    def test_spatial_correlates_the_files_numbers(self, tmp_path):
+        data, out = tmp_path / "export.csv", tmp_path / "correlation.csv"
+        _write_three_decimal_csv(data)
+        assert main(["spatial", "--input", str(data), "--out", str(out)]) == 0
+        lines = []
+        for line_y in ("3.5", "5.5"):
+            db = np.array([[float(g) for g in gains] for x, y, state, gains
+                           in _three_decimal_rows() if y == line_y and state == "absent"])
+            curves = []
+            for column in db.T:
+                z = column - np.mean(column)
+                raw = np.correlate(z, z, mode="full")[z.size - 1:]
+                curves.append(raw / raw[0])
+            lines.append(np.stack(curves).mean(axis=0))
+        assert _column(out, 1) == _reprs(np.mean(lines, axis=0))
+
+    def test_vehicle_and_spatial_tables_do_not_depend_on_numpys_simd_loops(self, tmp_path):
+        # With numpy's AVX-512 loops off, as an AVX2-only CPU runs them, the
+        # tables of one file are byte-identical: neither command converts the
+        # file's dB gains, whose log10/power loops differ in the last bit.
+        src = str(Path(portcanyon.__file__).resolve().parent.parent)
+        tables = {}
+        for name, extra in (("default", {}), ("avx2", {
+                "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"})):
+            run = tmp_path / name
+            run.mkdir()
+            _write_three_decimal_csv(run / "export.csv")
+            argv = [["vehicle", "--input", "export.csv", "--out-dir", "vehicle"],
+                    ["spatial", "--input", "export.csv", "--out", "correlation.csv"]]
+            env = {key: value for key, value in os.environ.items()
+                   if key != "NPY_DISABLE_CPU_FEATURES"}
+            env.update(extra, PYTHONPATH=os.pathsep.join(
+                filter(None, [src, os.environ.get("PYTHONPATH")])))
+            child = subprocess.run([sys.executable, "-c", _RUN_COMMANDS, json.dumps(argv)],
+                                   cwd=run, env=env, capture_output=True, text=True, timeout=120)
+            assert child.returncode == 0, child.stderr
+            tables[name] = {str(p.relative_to(run)): p.read_bytes()
+                            for p in sorted(run.rglob("*.csv")) if p.name != "export.csv"}
+        assert len(tables["default"]) == 8
+        assert tables["avx2"] == tables["default"]
 
 
 class TestChecks:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scansets import Scan, grid, scan_set
 
+from portcanyon.angular import to_db
 from portcanyon.errors import DomainError, GridError
 from portcanyon.spatialcorr import averaged_correlation, dense_lines
 
@@ -27,11 +28,10 @@ def brute_force_autocorr(db_values):
 
 def per_angle_curves(gains):
     """Reference for the batched path: one np.correlate curve per grid angle
-    of a line's (positions x angles) linear gains, normalized by lag 0; a
+    of a line's (positions x angles) dB gains, normalized by lag 0; a
     constant line's curve is [1, 0, ..., 0]."""
     curves = []
-    for column in np.asarray(gains).T:
-        db = 10 * np.log10(column)
+    for db in np.asarray(gains).T:
         z = db - np.mean(db)
         raw = np.correlate(z, z, "full")[z.size - 1:]
         curves.append(np.eye(1, z.size)[0] if raw[0] == 0.0 else raw / raw[0])
@@ -39,14 +39,14 @@ def per_angle_curves(gains):
 
 
 def line_scans(gains, positions=POSITIONS, tx="TX1_63", y=3.5):
-    """One scan per row of linear gains, at the positions in order."""
+    """One scan per row of dB gains, at the positions in order."""
     return [Scan(tx=tx, x=float(x), y=y, angles=GRID, gains=np.asarray(row, dtype=float))
             for x, row in zip(positions, gains)]
 
 
 def correlation(*lines, positions=POSITIONS):
     """averaged_correlation of the lines, each a (positions x angles) matrix of
-    linear gains: one set of their scans, line after line, and the index
+    dB gains: one set of their scans, line after line, and the index
     matrix that takes the lines in that order."""
     scans = scan_set(s for gains in lines for s in line_scans(gains, positions))
     return averaged_correlation(scans, np.arange(len(scans)).reshape(len(lines), -1), positions)
@@ -54,7 +54,7 @@ def correlation(*lines, positions=POSITIONS):
 
 def db_line(db_values):
     """A line whose gain at EVERY angle equals the given dB value."""
-    return [np.full(N_ANGLES, 10.0 ** (db / 10.0)) for db in db_values]
+    return [np.full(N_ANGLES, db) for db in db_values]
 
 
 def line_correlation(db_values):
@@ -63,8 +63,8 @@ def line_correlation(db_values):
 
 
 def flat(n=len(POSITIONS)):
-    """n rows of one flat linear gain."""
-    return np.full((n, N_ANGLES), 1e-6)
+    """n rows of one flat dB gain."""
+    return np.full((n, N_ANGLES), -60.0)
 
 
 class TestDenseLines:
@@ -125,7 +125,8 @@ class TestDenseLines:
         scans = []
         for tx in ("TX1_63", "TX2"):
             for x in POSITIONS:
-                scans += [Scan(tx, float(x), 3.5, GRID, rng.exponential(1e-6, N_ANGLES), state)
+                scans += [Scan(tx, float(x), 3.5, GRID, to_db(rng.exponential(1e-6, N_ANGLES)),
+                               state)
                           for state in ("absent", "position1", "position2")]
         whole = scan_set(scans)
         base_at = np.flatnonzero(whole.vehicle_state == "absent")
@@ -164,8 +165,8 @@ class TestDenseLines:
         with pytest.raises(GridError, match=r"^scan \('TX2', 13.6, 3.5, 'absent', 'uniform'\): "
                                             r"angles differ by up to 1.000e-02 rad from those "
                                             r"of scan \('TX2', 13.5, "):
-            scan_set([Scan("TX2", 13.5, 3.5, GRID, np.ones(N_ANGLES)),
-                      Scan("TX2", 13.6, 3.5, GRID + 0.01, np.ones(N_ANGLES))])
+            scan_set([Scan("TX2", 13.5, 3.5, GRID, np.zeros(N_ANGLES)),
+                      Scan("TX2", 13.6, 3.5, GRID + 0.01, np.zeros(N_ANGLES))])
 
     def test_the_first_scan_off_the_grid_is_named_in_set_order(self):
         # Both lines have a scan off scan 0's grid; the one first in the set
@@ -215,7 +216,7 @@ class TestAutocorrelation:
 
 class TestAveragedCorrelation:
     def _random_line(self, rng):
-        return rng.exponential(1e-6, size=(15, N_ANGLES))
+        return to_db(rng.exponential(1e-6, size=(15, N_ANGLES)))
 
     def test_single_line_passthrough(self):
         rng = np.random.default_rng(4)
@@ -246,7 +247,7 @@ class TestAveragedCorrelation:
         rng = np.random.default_rng(7)
         line = self._random_line(rng)
         _, base = correlation(line)
-        _, moved = correlation(line * 10.0 ** (23.0 / 10.0))
+        _, moved = correlation(line + 23.0)
         assert np.allclose(base, moved, atol=1e-9)
 
     def test_each_angle_loses_its_own_mean(self):
@@ -256,7 +257,7 @@ class TestAveragedCorrelation:
         line = self._random_line(rng)
         offsets_db = np.linspace(-30.0, 30.0, N_ANGLES)
         _, base = correlation(line)
-        _, moved = correlation(line * 10.0 ** (offsets_db / 10.0))
+        _, moved = correlation(line + offsets_db)
         assert np.allclose(base, moved, atol=1e-9)
 
     def test_rejects_no_lines(self):
@@ -278,8 +279,8 @@ class TestAveragedCorrelation:
         rng = np.random.default_rng(9)
         lines = [self._random_line(rng) for _ in range(6)]
         lines.append(db_line([-60.0] * 15))  # every angle degenerate
-        gains = rng.exponential(1e-6, size=(15, N_ANGLES))
-        gains[:, 3] = 2e-6  # one degenerate angle
+        gains = to_db(rng.exponential(1e-6, size=(15, N_ANGLES)))
+        gains[:, 3] = -57.0  # one degenerate angle
         lines.append(gains)
         reference = np.mean([per_angle_curves(line).mean(axis=0) for line in lines], axis=0)
         _, avg = correlation(*lines)
@@ -292,7 +293,7 @@ class TestAveragedCorrelation:
         rng = np.random.default_rng(10)
         positions = 13.5 + 0.1 * np.arange(n_pos)
         for _ in range(50):
-            gains = rng.exponential(1e-6, size=(n_pos, N_ANGLES))
+            gains = to_db(rng.exponential(1e-6, size=(n_pos, N_ANGLES)))
             reference = per_angle_curves(gains)
             _, avg = correlation(gains, positions=positions)
             np.testing.assert_allclose(avg, reference.mean(axis=0), rtol=0,

@@ -13,13 +13,7 @@ from scansets import Scan, records, scan_set, whole
 from test_dataio import oracle_scans_bytes
 
 from portcanyon import synth
-from portcanyon.angular import (
-    Stacking,
-    VehicleState,
-    circular_mean_gain,
-    gain_cdfs,
-    to_db,
-)
+from portcanyon.angular import Stacking, VehicleState, circular_mean_gain
 from portcanyon.config import load_config
 from portcanyon.dataio import write_scans
 from portcanyon.errors import DomainError, IngestError
@@ -61,19 +55,20 @@ def oracle_scan(layout, tx, rx_point, cfg) -> Scan:
         raw = rng.exponential(scale=mean_lin, size=cfg.n_angles)
     else:
         raw = np.full(cfg.n_angles, mean_lin)
-    gains = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
+    gains = 10.0 * np.log10(synth._smooth(raw, cfg.horn.kernel(cfg.n_angles)))
     x, y = rx_point
     return Scan(tx=tx.tx_id, x=x, y=y, angles=cfg.angles_rad, gains=gains,
                 vehicle_state=VehicleState.ABSENT, stacking=layout.stacking)
 
 
 def oracle_vehicle_scan(layout, tx, base, state, cfg) -> Scan:
-    """The with-vehicle scan derived from a baseline scan, on its own."""
+    """The with-vehicle scan derived from a baseline scan, on its own: its dB
+    gains through linear power and back, as the generator sends them."""
     rng = synth._rng(synth._point_entropy(
         cfg, synth._STREAM_VEHICLE, layout.txs.index(tx), (base.x, base.y),
         extra=(synth._VEHICLE_CODE[state],)))
     delta_db = rng.normal(cfg.vehicle_mu_db, cfg.vehicle_sigma_db, base.gains.size)
-    gains = 10.0 ** ((to_db(base.gains) - delta_db) / 10.0)
+    gains = 10.0 * np.log10(10.0 ** ((base.gains - delta_db) / 10.0))
     return Scan(tx=base.tx, x=base.x, y=base.y, angles=base.angles, gains=gains,
                 vehicle_state=state, stacking=base.stacking)
 
@@ -269,9 +264,7 @@ class TestBaselineScans:
     def test_fading_disabled_gives_flat_spectrum(self):
         cfg = SynthConfig(seed=3, n_angles=360, fading=False)
         mean = mean_gain_at(self.layout, self.layout.txs[0], self.point, cfg)
-        assert np.allclose(
-            10.0 * np.log10(self.first_tx_gains(self.point, cfg)), mean, atol=1e-9
-        )
+        assert np.allclose(self.first_tx_gains(self.point, cfg), mean, atol=1e-9)
 
     def test_scan_metadata(self):
         scans = generate_campaign(one_point(self.layout, self.point), CFG)
@@ -288,7 +281,8 @@ class TestBaselineScans:
         acc = np.zeros(72)
         n = 3000
         for seed in range(n):
-            acc += self.first_tx_gains(self.point, SynthConfig(seed=seed, n_angles=72))
+            acc += 10.0 ** (self.first_tx_gains(self.point, SynthConfig(seed=seed, n_angles=72))
+                            / 10.0)
         ensemble_db = 10.0 * np.log10(acc / n)
         assert np.all(np.abs(ensemble_db - mean_db) < 0.25)
 
@@ -344,15 +338,14 @@ class TestFullspread:
     @pytest.mark.parametrize("seed,hpbw", [(0, 10.0), (5, 5.0), (7, 20.0)])
     def test_matches_per_scan_azimuth_gain(self, seed, hpbw):
         cfg = SynthConfig(seed=seed, hpbw_deg=hpbw, n_realizations=300, n_angles=72)
-        # The generator's draws, taken one validated scan per row.
+        # The generator's draws, one row at a time: the max of the row's dB
+        # gains less the dB of its linear mean, as `gain_cdfs` takes each
+        # scan's azimuth gain.
         rng = synth._rng((cfg.seed, synth._STREAM_FULLSPREAD))
         raw = rng.exponential(scale=1.0, size=(cfg.n_realizations, cfg.n_angles))
         smoothed = synth._smooth(raw, cfg.horn.kernel(cfg.n_angles))
-        expected = sorted(
-            gain_cdfs(scan_set([Scan("fullspread", 0.0, 0.0, cfg.angles_rad, row)]),
-                      np.arange(1), {"fullspread": (1.0, 0.0)})[2].values[0]
-            for row in smoothed
-        )
+        expected = sorted(float(np.max(10.0 * np.log10(row) - 10.0 * np.log10(np.mean(row))))
+                          for row in smoothed)
         cdf = fullspread_gain_distribution(cfg)
         assert cdf.values.tolist() == expected
 
@@ -442,7 +435,7 @@ def test_psi_bound_keeps_every_extreme_gain_in_range():
                    vehicle_sigma_db=synth.MAX_SIGMA_DB, n_angles=16)
     scans = generate_campaign(build_layout("uniform"), SynthConfig(psi=synth.MIN_PSI, **extreme),
                               vehicle_mode="dense")
-    assert scans.gains.min() > np.finfo(float).tiny
+    assert 10.0 ** (scans.gains.min() / 10.0) > np.finfo(float).tiny
     with pytest.raises(DomainError, match=r"^psi must be >= 0.025 rad .* got psi=0.0249$"):
         SynthConfig(psi=0.0249, **extreme)
 

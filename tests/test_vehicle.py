@@ -19,8 +19,8 @@ GRID = grid(8)
 
 def scan(gains_db, state=VehicleState.ABSENT, tx="TX1_63", x=13.5, y=3.5):
     """One scan of the given dB gains."""
-    gains = 10.0 ** (np.asarray(gains_db, dtype=float) / 10.0)
-    return Scan(tx=tx, x=x, y=y, angles=GRID, gains=gains, vehicle_state=state)
+    return Scan(tx=tx, x=x, y=y, angles=GRID, gains=np.asarray(gains_db, dtype=float),
+                vehicle_state=state)
 
 
 def pair_delta(base, with_vehicle):
@@ -91,7 +91,7 @@ class TestVehicleDelta:
         order = rng.permutation(3 * len(links))
         scans = scan_set([(moved + other + base)[i] for i in order])
         base_of = {(s.tx, s.x): s for s in base}
-        want = np.stack([10.0 * np.log10(base_of[(s.tx, s.x)].gains) - 10.0 * np.log10(s.gains)
+        want = np.stack([base_of[(s.tx, s.x)].gains - s.gains
                          for s in ((moved + other + base)[i] for i in order)
                          if s.vehicle_state == VehicleState.POSITION1])
         got = vehicle_delta(scans, VehicleState.POSITION1)
@@ -109,15 +109,14 @@ class TestVehicleDelta:
         base = [scan(-60.0 + 5 * rng.standard_normal(8), **link) for link in links[::-1]]
         scans = scan_set(moved + base)
         gains = scans.gains
-        want = 10.0 * np.log10(gains[np.arange(2 * n_links - 1, n_links - 1, -1)])
-        want -= 10.0 * np.log10(gains[:n_links])
+        want = gains[np.arange(2 * n_links - 1, n_links - 1, -1)] - gains[:n_links]
         got = vehicle_delta(scans, VehicleState.POSITION2)
         assert got.shape == (n_links, 8)
         assert got.tobytes() == want.tobytes()
 
     def test_rejects_mismatched_grid(self):
         base = scan(np.full(8, -60.0))
-        other = Scan(tx="TX1_63", x=13.5, y=3.5, angles=grid(16), gains=np.full(16, 1e-6),
+        other = Scan(tx="TX1_63", x=13.5, y=3.5, angles=grid(16), gains=np.full(16, -60.0),
                      vehicle_state=VehicleState.POSITION1)
         with pytest.raises(GridError):
             pair_delta(base, other)
