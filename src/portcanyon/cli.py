@@ -15,7 +15,6 @@ import contextlib
 import math
 import os
 import sys
-from collections import defaultdict
 from dataclasses import fields
 from typing import NamedTuple
 
@@ -24,7 +23,7 @@ import numpy as np
 from . import __version__, angular, dataio, geometry, linkbudget, spatialcorr, synth, vehicle
 from .config import DEFAULT_INI, ToolConfig, load_config
 from .errors import ConfigError, DegenerateFitError, DomainError, IngestError, ToolkitError
-from .pathloss import GainSample, fit_fixed_slope, fit_loglinear
+from .pathloss import fit_fixed_slope, fit_loglinear
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -174,11 +173,9 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
 def _cmd_fit(args, cfg: ToolConfig) -> Report:
     scans = dataio.ingest(args.input)
     base = _baseline(scans)
-    by_stacking = defaultdict(list)
-    for tx_id, x, y, stacking, gain_db in zip(
-        *(getattr(scans, key)[base].tolist() for key in ("tx", "x", "y", "stacking")),
-        angular.circular_mean_gain(scans, base).tolist(),
-    ):
+    gain_db = angular.circular_mean_gain(scans, base)
+    distance_m = []
+    for tx_id, x, y in zip(*(getattr(scans, key)[base].tolist() for key in ("tx", "x", "y"))):
         tx_x, tx_y, tx_z = synth.tx_position(tx_id)
         # Per-sample math, not arrays: Python's v ** 2 calls C pow(), which
         # differs from numpy's v * v square in the last bit for about 0.09 %
@@ -192,17 +189,20 @@ def _cmd_fit(args, cfg: ToolConfig) -> Report:
         if distance == math.inf:
             raise DomainError(f"transmitter {tx_id!r} is too far from the RX at x={x}, y={y} "
                               "for a finite distance")
-        by_stacking[stacking].append(GainSample(distance_m=distance, gain_db=gain_db))
+        distance_m.append(distance)
+    samples = np.rec.fromarrays((distance_m, gain_db), names="distance_m,gain_db")
 
-    groups = [(label, by_stacking[label]) for label in sorted(by_stacking)]
+    stacking = scans.stacking[base]
+    groups = [(label, np.flatnonzero(stacking == label))
+              for label in sorted(set(stacking.tolist()))]
     if len(groups) > 1:
-        groups.append(("aggregated", [s for _, ss in groups for s in ss]))
+        groups.append(("aggregated", np.concatenate([index for _, index in groups])))
 
     rows, lines = [], []
-    for label, samples in groups:
+    for label, index in groups:
         try:
-            fit = (fit_loglinear(samples) if args.fixed_slope is None
-                   else fit_fixed_slope(samples, args.fixed_slope))
+            fit = (fit_loglinear(samples[index]) if args.fixed_slope is None
+                   else fit_fixed_slope(samples[index], args.fixed_slope))
         except DegenerateFitError as exc:
             raise DegenerateFitError(f"group {label!r}: {exc}") from exc
         rows.append((label, fit.n, fit.ci_n, fit.r0_db, fit.ci_r0, fit.rmse_db, fit.sample_count))

@@ -1,4 +1,4 @@
-"""ScanSets from per-scan arrays, for tests.
+"""ScanSets from per-scan arrays, and the fits' sample arrays, for tests.
 
 Every set goes through `ScanSet.from_rows`, the checked constructor an
 ingested set goes through, so a test scan is checked as a scan read from a
@@ -59,3 +59,9 @@ def records(scans: ScanSet) -> list:
             for tx, x, y, state, stacking, gains in zip(
                 scans.tx.tolist(), scans.x.tolist(), scans.y.tolist(),
                 scans.vehicle_state.tolist(), scans.stacking.tolist(), scans.gains)]
+
+
+def gain_samples(distance_m, gain_db):
+    """The structured array `pathloss`'s fits take: one (distance_m, gain_db)
+    element per pair of the two sequences."""
+    return np.rec.fromarrays((distance_m, gain_db), names="distance_m,gain_db")

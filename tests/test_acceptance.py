@@ -9,7 +9,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scansets import Scan, records, scan_set, whole
+from scansets import Scan, gain_samples, records, scan_set, whole
 
 from portcanyon.angular import (
     ScanSet,
@@ -32,7 +32,7 @@ from portcanyon.linkbudget import (
     max_allowable_pathloss_db,
     noise_floor_dbm,
 )
-from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
+from portcanyon.pathloss import fit_fixed_slope, fit_loglinear
 from portcanyon.spatialcorr import averaged_correlation
 from portcanyon.stats import ks_gap
 from portcanyon.synth import (
@@ -135,11 +135,8 @@ def test_criterion_03_model_slope():
         for y in layout.near_edge_y_m + distances
     )
     sweep = replace(layout, txs=txs)
-    samples = [
-        GainSample(float(d), mean_gain_at(sweep, tx, (5.0, 3.5), cfg))
-        for d, tx in zip(distances, txs)
-    ]
-    fit = fit_loglinear(samples)
+    fit = fit_loglinear(gain_samples(
+        distances, [mean_gain_at(sweep, tx, (5.0, 3.5), cfg) for tx in txs]))
     fit_ok = abs(fit.n - (-4.0)) <= 0.05
 
     check(
@@ -182,9 +179,7 @@ def test_criterion_04_exact_vs_approx_ratio():
 def test_criterion_05_regression_recovery():
     distances = np.linspace(55.0, 135.0, 30)
     x = 10.0 * np.log10(distances)
-    exact = fit_loglinear(
-        [GainSample(float(d), -2.18 * xi - 57.4) for d, xi in zip(distances, x)]
-    )
+    exact = fit_loglinear(gain_samples(distances, -2.18 * x - 57.4))
     exact_ok = (
         abs(exact.n - (-2.18)) < 1e-9
         and abs(exact.r0_db - (-57.4)) < 1e-7
@@ -196,9 +191,7 @@ def test_criterion_05_regression_recovery():
     hits_n = hits_r0 = 0
     for _ in range(trials):
         gains = -2.18 * x - 57.4 + rng.normal(0.0, 2.7, x.size)
-        fit = fit_loglinear(
-            [GainSample(float(d), float(g)) for d, g in zip(distances, gains)]
-        )
+        fit = fit_loglinear(gain_samples(distances, gains))
         hits_n += abs(fit.n - (-2.18)) <= fit.ci_n
         hits_r0 += abs(fit.r0_db - (-57.4)) <= fit.ci_r0
     cov_n = hits_n / trials
@@ -220,7 +213,7 @@ def test_criterion_06_fixed_slope_parity():
     gains = [
         -40.0 * math.log10(d) - 25.0 + rng.normal(0.0, 2.3) for d in distances
     ]
-    samples = [GainSample(float(d), g) for d, g in zip(distances, gains)]
+    samples = gain_samples(distances, gains)
     free = fit_loglinear(samples)
     pinned = fit_fixed_slope(samples, -4.0)
     diff = abs(free.rmse_db - pinned.rmse_db)

@@ -4,6 +4,7 @@ import codecs
 import csv
 import hashlib
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -16,11 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from peaks import HAS_VMHWM, command_peak_kib
-from scansets import Scan, grid, records, scan_set
+from scansets import Scan, gain_samples, grid, records, scan_set, whole
 
-from portcanyon.angular import ScanSet, to_db
+from portcanyon.angular import ScanSet, circular_mean_gain, to_db
 from portcanyon.cli import main
-from portcanyon.dataio import CANONICAL_HEADER, provenance_line, write_scans
+from portcanyon.dataio import CANONICAL_HEADER, ingest, provenance_line, write_scans
+from portcanyon.pathloss import fit_fixed_slope, fit_loglinear
+from portcanyon.synth import tx_position
 
 N_ANGLES = 24
 GRID = grid(N_ANGLES)
@@ -842,15 +845,74 @@ class TestRegressions:
 class TestBranches:
     """Command branches that the pipeline tests above do not reach."""
 
-    def test_fit_both_stackings_writes_aggregated_row(self, tmp_path, capsys):
-        xs = (1.0, 5.0, 9.0, 13.0)
-        data = _write_scans(tmp_path, _line_scans(xs, stacking="uniform")
-                            + _line_scans(xs, stacking="nonuniform"))
+    @pytest.mark.parametrize("flags,fit", [
+        ((), fit_loglinear),
+        (("--fixed-slope", "-4"), lambda samples: fit_fixed_slope(samples, -4.0)),
+    ], ids=["free", "fixed-slope"])
+    def test_fit_both_stackings_writes_aggregated_row(self, tmp_path, capsys, flags, fit):
+        # The stackings interleave in the file; each group keeps set order, and
+        # the aggregated row fits the nonuniform scans, then the uniform ones.
+        # Over these 11 samples numpy's sums depend on the order, so a fit in
+        # set order, or with the uniform scans first, differs in the last bit.
+        uniform = _line_scans((1.0, 5.0, 9.0, 13.0), stacking="uniform")
+        nonuniform = _line_scans((3.0, 7.0, 11.0, 15.0, 19.0, 23.0, 27.0), tx="TX2",
+                                 stacking="nonuniform")
+        data = _write_scans(tmp_path, [s for pair in itertools.zip_longest(nonuniform, uniform)
+                                       for s in pair if s is not None])
         out = tmp_path / "fit.csv"
-        assert main(["fit", "--input", data, "--out", str(out)]) == 0
-        _, rows = read_table(out)
-        assert [r[0] for r in rows] == ["nonuniform", "uniform", "aggregated"]
-        assert [int(r[-1]) for r in rows] == [4, 4, 8]
+        assert main(["fit", "--input", data, "--out", str(out), *flags]) == 0
+        scans = ingest(data)
+        distance_m = np.array([
+            math.sqrt((tx_x - x) ** 2 + (tx_y - y) ** 2 + (tx_z - 1.5) ** 2)
+            for (tx_x, tx_y, tx_z), x, y in zip(map(tx_position, scans.tx.tolist()),
+                                                scans.x.tolist(), scans.y.tolist())])
+        gain_db = circular_mean_gain(scans, whole(scans))
+        groups = {label: np.flatnonzero(scans.stacking == label)
+                  for label in ("nonuniform", "uniform")}
+        groups["aggregated"] = np.concatenate([groups["nonuniform"], groups["uniform"]])
+        assert [g.size for g in groups.values()] == [7, 4, 11]
+        expected = []
+        for label, index in groups.items():
+            f = fit(gain_samples(distance_m[index], gain_db[index]))
+            expected.append([label, *map(repr, (f.n, f.ci_n, f.r0_db, f.ci_r0, f.rmse_db)),
+                             str(f.sample_count)])
+        assert read_table(out)[1] == expected
+
+    @pytest.mark.parametrize("first", ["huge", "unknown"])
+    def test_fit_linear_mean_comes_before_any_tx_position(self, tmp_path, capsys, first):
+        # One scan's 16 gains of 3079 dB sum past the largest float; another's
+        # tx_id names no transmitter. The means are taken over the whole set
+        # first, so the overflow is the error wherever that scan lies.
+        scans = {"huge": [f"TX2,1.0,3.5,{22.5 * i},3079.0,absent,uniform" for i in range(16)],
+                 "unknown": [f"TX9,5.0,3.5,{22.5 * i},-60.0,absent,uniform"
+                             for i in range(16)]}
+        rows = scans.pop(first) + [row for rest in scans.values() for row in rest]
+        data = tmp_path / "data.csv"
+        data.write_text("\n".join([CANONICAL_HEADER, *rows]) + "\n", encoding="ascii")
+        out = tmp_path / "out" / "fit.csv"
+        rc = main(["fit", "--input", str(data), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert (rc, captured.out) == (4, "")
+        assert captured.err == "error[domain]: the linear mean of the gains overflows\n"
+        assert not out.parent.exists()
+
+    @pytest.mark.parametrize("first,rc,err", [
+        ("TX1_1e200", 4, "error[domain]: transmitter 'TX1_1e200' is too far from the RX at "
+                         "x=1.0, y=3.5 for a finite distance\n"),
+        ("TX9", 3, "error[ingest]: no position for transmitter id 'TX9'; "),
+    ], ids=["too-far-first", "unknown-first"])
+    def test_fit_takes_tx_positions_in_set_order(self, tmp_path, capsys, first, rc, err):
+        # A scan too far for a finite distance and one with an unknown tx_id:
+        # whichever comes first in the file ends the run.
+        txs = [first] + [tx for tx in ("TX1_1e200", "TX9") if tx != first]
+        data = _write_scans(tmp_path, [
+            Scan(tx=tx, x=x, y=3.5, angles=GRID, gains=np.full(N_ANGLES, -60.0))
+            for tx, x in zip(txs + ["TX2"], (1.0, 5.0, 9.0))])
+        out = tmp_path / "out" / "fit.csv"
+        assert main(["fit", "--input", data, "--out", str(out)]) == rc
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(err)
+        assert not out.parent.exists()
 
     def test_fit_too_small_group_names_it(self, tmp_path, capsys):
         data = _write_scans(tmp_path, _line_scans((1.0, 5.0, 9.0), stacking="uniform")

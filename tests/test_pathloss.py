@@ -1,58 +1,36 @@
-"""Log-distance regression: exact recovery, CI coverage, FSPL values."""
+"""Log-distance regression: exact recovery, CI coverage, the distance bound."""
 
 import math
 
 import numpy as np
 import pytest
+from scansets import gain_samples
 
 from portcanyon.errors import DegenerateFitError, DomainError
-from portcanyon.pathloss import (
-    SPEED_OF_LIGHT_M_S,
-    GainSample,
-    fit_fixed_slope,
-    fit_loglinear,
-    fspl_db,
-    predict,
-)
+from portcanyon.pathloss import fit_fixed_slope, fit_loglinear
 
 
 def line_samples(n, r0, distances):
-    return [
-        GainSample(distance_m=d, gain_db=10.0 * n * math.log10(d) + r0)
-        for d in distances
-    ]
+    return gain_samples(distances, [10.0 * n * math.log10(d) + r0 for d in distances])
 
 
 DISTANCES = np.linspace(55.0, 135.0, 30)
 
 
-class TestGainSample:
-    def test_rejects_sub_metre_distance(self):
-        with pytest.raises(DomainError):
-            GainSample(distance_m=0.5, gain_db=-60.0)
-
-    def test_boundary_distance_accepted(self):
-        GainSample(distance_m=1.0, gain_db=-60.0)
+FITS = [fit_loglinear, lambda samples: fit_fixed_slope(samples, -4.0)]
 
 
-class TestFsplDb:
-    def test_zero_at_unit_argument(self):
-        f = 28e9
-        d0 = SPEED_OF_LIGHT_M_S / (4.0 * math.pi * f)
-        assert fspl_db(d0, f) == pytest.approx(0.0, abs=1e-9)
+class TestDistanceBound:
+    @pytest.mark.parametrize("fit", FITS, ids=["free", "fixed"])
+    @pytest.mark.parametrize("short", [0.5, 0.0, -3.0, math.nan])
+    def test_rejects_sub_metre_distance(self, fit, short):
+        distances = [50.0, short, 60.0, 0.25, 70.0]
+        with pytest.raises(DomainError, match=rf"^distance must be >= 1.0 m, got {short}$"):
+            fit(gain_samples(distances, [-60.0] * 5))
 
-    def test_frozen_28ghz_value(self):
-        assert fspl_db(100.0, 28e9) == pytest.approx(101.39094384872776, rel=1e-12)
-
-    def test_doubling_distance(self):
-        delta = fspl_db(200.0, 28e9) - fspl_db(100.0, 28e9)
-        assert delta == pytest.approx(20.0 * math.log10(2.0), rel=1e-12)
-
-    def test_rejects_non_positive(self):
-        with pytest.raises(DomainError):
-            fspl_db(0.0, 28e9)
-        with pytest.raises(DomainError):
-            fspl_db(10.0, -1.0)
+    @pytest.mark.parametrize("fit", FITS, ids=["free", "fixed"])
+    def test_boundary_distance_accepted(self, fit):
+        assert fit(line_samples(-2.0, -60.0, [1.0, 10.0, 100.0])).sample_count == 3
 
 
 class TestFreeSlopeFit:
@@ -71,19 +49,19 @@ class TestFreeSlopeFit:
 
     def test_residuals_sum_to_zero(self):
         rng = np.random.default_rng(0)
-        samples = [
-            GainSample(d, -2.0 * 10.0 * math.log10(d) - 60.0 + rng.normal(0, 3))
-            for d in DISTANCES
-        ]
+        samples = gain_samples(DISTANCES, [
+            -2.0 * 10.0 * math.log10(d) - 60.0 + rng.normal(0, 3) for d in DISTANCES
+        ])
         fit = fit_loglinear(samples)
-        resid = [s.gain_db - predict(fit, s.distance_m) for s in samples]
+        resid = [g - (10.0 * fit.n * math.log10(d) + fit.r0_db)
+                 for d, g in zip(DISTANCES, samples.gain_db)]
         assert abs(sum(resid)) < 1e-9
 
     def test_prediction_reproduces_noiseless_line(self):
         fit = fit_loglinear(line_samples(-3.1, -42.0, DISTANCES))
         for d in (1.0, 17.3, 444.4):
             expected = 10.0 * -3.1 * math.log10(d) - 42.0
-            assert predict(fit, d) == pytest.approx(expected, abs=1e-9)
+            assert 10.0 * fit.n * math.log10(d) + fit.r0_db == pytest.approx(expected, abs=1e-9)
 
     def test_ci_coverage_monte_carlo(self):
         # Scaled-down coverage check; the acceptance suite runs 10^4 trials.
@@ -94,9 +72,7 @@ class TestFreeSlopeFit:
         trials = 2000
         for _ in range(trials):
             gains = true_n * x + true_r0 + rng.normal(0.0, sigma, x.size)
-            fit = fit_loglinear(
-                [GainSample(d, g) for d, g in zip(DISTANCES, gains)]
-            )
+            fit = fit_loglinear(gain_samples(DISTANCES, gains))
             hits_n += abs(fit.n - true_n) <= fit.ci_n
             hits_r0 += abs(fit.r0_db - true_r0) <= fit.ci_r0
         assert hits_n / trials == pytest.approx(0.95, abs=0.02)
@@ -123,16 +99,14 @@ class TestFixedSlopeFit:
             -4.0 * 10.0 * math.log10(d) - 25.0 + rng.normal(0.0, 2.3)
             for d in DISTANCES
         ]
-        samples = [GainSample(d, g) for d, g in zip(DISTANCES, gains)]
+        samples = gain_samples(DISTANCES, gains)
         free = fit_loglinear(samples)
         pinned = fit_fixed_slope(samples, -4.0)
         assert abs(free.rmse_db - pinned.rmse_db) < 0.3
 
     def test_intercept_shift_linearity(self):
         samples = line_samples(-4.0, -25.0, DISTANCES)
-        shifted = [
-            GainSample(s.distance_m, s.gain_db + 7.5) for s in samples
-        ]
+        shifted = gain_samples(samples.distance_m, samples.gain_db + 7.5)
         base = fit_fixed_slope(samples, -4.0)
         moved = fit_fixed_slope(shifted, -4.0)
         assert moved.r0_db == pytest.approx(base.r0_db + 7.5, abs=1e-10)
@@ -142,28 +116,3 @@ class TestFixedSlopeFit:
         assert fit.sample_count == 2
         with pytest.raises(DegenerateFitError):
             fit_fixed_slope(line_samples(-4.0, -20.0, [50.0]), -4.0)
-
-
-class TestPredict:
-    def test_reference_coverage_point(self):
-        from portcanyon.pathloss import LogLinFit
-
-        fit = LogLinFit(n=-4.09, r0_db=-23.4, ci_n=0.0, ci_r0=0.0, rmse_db=0.0,
-                        sample_count=0)
-        assert predict(fit, 137.0) == pytest.approx(-110.8, abs=0.05)
-
-    def test_intercept_at_unit_distance(self):
-        from portcanyon.pathloss import LogLinFit
-
-        fit = LogLinFit(n=-2.0, r0_db=-33.0, ci_n=0.0, ci_r0=0.0, rmse_db=0.0,
-                        sample_count=0)
-        assert predict(fit, 1.0) == -33.0
-        assert predict(fit, 10.0) == pytest.approx(-53.0, rel=1e-12)
-
-    def test_rejects_non_positive_distance(self):
-        from portcanyon.pathloss import LogLinFit
-
-        fit = LogLinFit(n=-2.0, r0_db=0.0, ci_n=0.0, ci_r0=0.0, rmse_db=0.0,
-                        sample_count=0)
-        with pytest.raises(DomainError):
-            predict(fit, 0.0)

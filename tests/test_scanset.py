@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scansets import Scan, records, scan_set, whole
+from scansets import Scan, gain_samples, records, scan_set, whole
 
 import portcanyon
 from portcanyon import synth
@@ -35,7 +35,7 @@ from portcanyon.angular import (
 from portcanyon.cli import main
 from portcanyon.dataio import CANONICAL_HEADER, ingest, provenance_line
 from portcanyon.errors import DomainError, GridError
-from portcanyon.pathloss import GainSample, fit_loglinear
+from portcanyon.pathloss import fit_loglinear
 from portcanyon.stats import aligned_histograms, empirical_cdf
 from portcanyon.vehicle import delta_angle_stats, delta_cdf_report, vehicle_delta
 
@@ -275,12 +275,13 @@ class TestCliOutputsOracle:
     def test_fit(self, campaign, tmp_path):
         out = tmp_path / "fit.csv"
         assert main(["fit", "--input", str(campaign), "--out", str(out)]) == 0
-        samples = []
+        distances, gains = [], []
         for s in _baseline(_oracle_scans(campaign)):
             tx_x, tx_y, tx_z = synth.tx_position(s.tx)
-            distance = math.sqrt((tx_x - s.x) ** 2 + (tx_y - s.y) ** 2 + (tx_z - 1.5) ** 2)
-            samples.append(GainSample(distance_m=distance, gain_db=_oracle_mean_db(s)))
-        fit = fit_loglinear(samples)
+            distances.append(
+                math.sqrt((tx_x - s.x) ** 2 + (tx_y - s.y) ** 2 + (tx_z - 1.5) ** 2))
+            gains.append(_oracle_mean_db(s))
+        fit = fit_loglinear(gain_samples(distances, gains))
         row = [_column(out, k)[0] for k in range(1, 7)]
         assert row == _reprs([fit.n, fit.ci_n, fit.r0_db, fit.ci_r0, fit.rmse_db])[:5] + [
             str(fit.sample_count)]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scansets import Scan, records, scan_set, whole
+from scansets import Scan, gain_samples, records, scan_set
 from test_dataio import oracle_scans_bytes
 
 from portcanyon import synth
@@ -18,7 +18,7 @@ from portcanyon.config import load_config
 from portcanyon.dataio import write_scans
 from portcanyon.errors import DomainError, IngestError
 from portcanyon.geometry import CanyonGeometry, received_power_approx
-from portcanyon.pathloss import GainSample, fit_fixed_slope, fit_loglinear
+from portcanyon.pathloss import fit_fixed_slope, fit_loglinear
 from portcanyon.synth import (
     HornPattern,
     SynthConfig,
@@ -392,10 +392,9 @@ class TestCampaign:
         layout = replace(build_layout("uniform"), dense_points=())
         scans = generate_campaign(layout, cfg)
         distance = {tx.tx_id: tx.y - layout.near_edge_y_m for tx in layout.txs}
-        return [GainSample(distance[tx], gain)
-                for tx, gain in zip(scans.tx.tolist(),
-                                    circular_mean_gain(scans, whole(scans)).tolist())
-                if tx.startswith("TX1_")]
+        crane = np.flatnonzero([tx.startswith("TX1_") for tx in scans.tx.tolist()])
+        return gain_samples([distance[tx] for tx in scans.tx[crane].tolist()],
+                            circular_mean_gain(scans, crane))
 
     def test_free_slope_regression_recovers_fourth_power(self):
         samples = self._crane_sweep_samples(SynthConfig(seed=2, n_angles=360))
