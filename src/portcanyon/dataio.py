@@ -17,20 +17,18 @@ order, so no output exists as one string.
 the (scans x angles) gains matrix and the file's sha256; a file whose
 scans differ in angle count, or in angle by more than
 `angular.GRID_MATCH_TOL` from scan 0's, is a GridError that names the
-first scan that differs.  A canonical
-file, LF or CRLF, is parsed columnar, in one read of the file in blocks of
-whole lines (`_BLOCK_BYTES`): each block's bytes are checked, one
-`np.loadtxt` parses every field of its lines, numbers of any length, and
-its phi_deg and gain_db go into the result before the next block is read,
-so the parse holds one block's table, not the file's.  Anything unusual (a
-bad or non-finite value, an unknown token, a duplicate angle, quotes, a CR
-outside a CRLF but for one ending the file, non-ASCII bytes, a comment row
-among the data, a partial line over `_MAX_LINE_BYTES` carried into the
-next block) is re-read row by row, the only source of the line-numbered
-errors.  Both readers skip one leading UTF-8 byte-order mark.  Each
-reader returns rows: keys, angle counts, phi_deg and gain_db.  `_scan_set`
+first scan that differs.  The file is read once, in blocks of whole lines
+(`_BLOCK_BYTES`), after one leading UTF-8 byte-order mark.  The lines to
+the header go through the row loop, csv record by record.  Each block
+after it, LF or CRLF, quoted fields or not, is parsed by one `np.loadtxt`
+and checked column-wise, and its phi_deg and gain_db go into the result
+before the next block is read, so the parse holds one block's table.  A
+block the columnar checks cannot vouch for (a bad value or token, a quoted
+field over two lines, a bare CR, non-ASCII bytes, a comment row) goes
+through the row loop alone, which names the line of an error.  The rows
+(keys, angle counts, phi_deg and gain_db) go to `_scan_set`, which
 converts phi_deg to radians in place and keeps gain_db as the set's dB
-gains, so an ingest holds one copy; the grid is a copy of scan 0's angles.
+gains; the grid is a copy of scan 0's angles.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
@@ -47,7 +45,7 @@ version and input sha256 match, its members are exactly the expected ones,
 each with the expected dtype and shape, no larger than the input, each
 reads whole (zipfile checks each CRC-32), it holds at least one scan,
 every scan has the same positive angle count n, phi_deg holds n values,
-no key repeats and its keys pass the readers' key rules.  Its rows, which
+no key repeats and its keys pass the row loop's key rules.  Its rows, which
 the load owns, then go through the same `_scan_set` and checks as a parse's.
 Anything else, an I/O error or a format-1 sidecar included, is a miss: the
 file is parsed and the sidecar rewritten.  So a sidecar never changes a
@@ -63,10 +61,9 @@ import hashlib
 import itertools
 import math
 import os
+import re
 import tempfile
-import warnings
 import zipfile
-from collections import defaultdict
 
 import numpy as np
 
@@ -174,96 +171,25 @@ def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     return ScanSet.from_rows(keys, sizes, phi_deg, gain_db, sha256)
 
 
-def _csv_rows(fh):
-    """csv.reader over a text file, with a decoding failure or a csv error (a
-    field over csv's size limit) as an IngestError."""
-    reader = csv.reader(fh)
-    try:
-        yield from reader
-    except UnicodeDecodeError as exc:
-        raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
-    except csv.Error as exc:
-        raise IngestError(f"line {reader.line_num}: {exc}") from None
-
-
-def _ingest_rows(path):
-    """Row-by-row reader: the reference semantics and every ingest error.
-    Returns the rows `_scan_set` takes, scans in first-seen order."""
-    groups: dict[tuple, dict[float, float]] = defaultdict(dict)
-    order: list[tuple] = []
-
-    # utf-8-sig drops one leading byte-order mark, as Windows tools write it.
-    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
-        line_no = 0
-        header_seen = False
-        for row in _csv_rows(fh):
-            line_no += 1
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                continue
-            if not header_seen:
-                if row != list(CANONICAL_FIELDS):
-                    raise IngestError(
-                        f"line {line_no}: header must be exactly {CANONICAL_HEADER!r}"
-                    )
-                header_seen = True
-                continue
-            if len(row) != len(CANONICAL_FIELDS):
-                raise IngestError(
-                    f"line {line_no}: expected {len(CANONICAL_FIELDS)} columns, got {len(row)}"
-                )
-            tx_id, x_s, y_s, phi_s, gain_s, vehicle_s, stacking_s = row
-            if not tx_id:
-                raise IngestError(f"line {line_no}: empty tx_id")
-            x = _parse_float(x_s, "x_m", line_no)
-            y = _parse_float(y_s, "y_m", line_no)
-            phi = _parse_float(phi_s, "phi_deg", line_no)
-            gain = _parse_float(gain_s, "gain_db", line_no)
-            if vehicle_s not in _VEHICLE_TOKENS:
-                raise IngestError(f"line {line_no}: unknown vehicle_state {vehicle_s!r}")
-            if stacking_s not in _STACKING_TOKENS:
-                raise IngestError(f"line {line_no}: unknown stacking {stacking_s!r}")
-            key = (tx_id, x, y, vehicle_s, stacking_s)
-            if key not in groups:
-                order.append(key)
-            if phi in groups[key]:
-                raise IngestError(f"line {line_no}: duplicate angle {phi} deg for scan {key}")
-            groups[key][phi] = gain
-
-    if not header_seen:
-        raise IngestError("file has no header row")
-    if not order:
-        raise IngestError("file contains no measurement rows")
-
-    phis = [sorted(groups[key]) for key in order]
-    gains = [groups[key][p] for key, key_phis in zip(order, phis) for p in key_phis]
-    return order, list(map(len, phis)), np.array(list(itertools.chain(*phis))), np.array(gains)
-
-
-class _NotCanonical(Exception):
-    """The columnar reader cannot vouch for a file; it is re-read row by row."""
-
-
-# Bytes of a canonical file: printable ASCII except the quote, LF and CR (as
-# part of a CRLF line end only, `_body_lines` checks).  Any other byte (NUL,
-# tab, non-ASCII, '"') sends the file to the row loop, whose csv/str
-# semantics the columnar parse does not reproduce.
-_PLAIN_BYTES = bytes(range(0x20, 0x7F)).replace(b'"', b"") + b"\n\r"
-# The columnar parse reads the file in blocks of _BLOCK_BYTES, small enough
-# that one block's lines and table stay in the CPU caches.  A partial line
-# over _MAX_LINE_BYTES carried into the next block, far longer than a
-# canonical row (under 150 bytes: a tx_id under _TX_WIDTH bytes, four floats
-# of at most 24 characters, two tokens), sends the file to the row loop.
-# So a line the parse takes is shorter than both together, under the field
-# size limit csv enforces in the row loop (131,072).
+# Bytes `np.loadtxt` splits into fields as csv does: printable ASCII, the
+# quote included (a quoted field over two lines aside, `_plain_block` checks),
+# LF, and CR as part of a CRLF line end only.  A block with any other byte
+# (NUL, tab, non-ASCII) goes through the row loop.
+_PLAIN_BYTES = bytes(range(0x20, 0x7F)) + b"\n\r"
+# The file is read in blocks of _BLOCK_BYTES, small enough that one block's
+# lines and table stay in the CPU caches; the partial line at a block's end
+# is carried into the next.  A block that, with what it carries, is longer
+# than _BLOCK_BYTES + _MAX_LINE_BYTES (a carried part over _MAX_LINE_BYTES,
+# far longer than a canonical row of under 150 bytes) goes through the row
+# loop.  So a line `np.loadtxt` takes is under the field size limit csv
+# enforces in the row loop (131,072).
 _BLOCK_BYTES = 1 << 16
 _MAX_LINE_BYTES = 1 << 12
 # The text key fields are parsed as fixed-width text, each field wider than
-# the values it takes, so one that fills its width may have been truncated
-# and the file is re-read; x and y are parsed as numbers.  Every width is a
-# multiple of 8, so rows compare keys as the 8-byte words outside phi_deg and
-# gain_db, much faster than numpy compares strings.
+# the values it takes, so a block where one fills its width, and may have
+# been truncated, goes through the row loop; x and y are parsed as numbers.
+# Every width is a multiple of 8, so rows compare keys as the 8-byte words
+# outside phi_deg and gain_db, much faster than numpy compares strings.
 _KEY_FIELDS = ("tx_id", "x_m", "y_m", "vehicle_state", "stacking")
 _TX_WIDTH = 16
 _TOKEN_WIDTH = 16
@@ -277,122 +203,195 @@ _KEY_WORDS = [word for word in range(_COLUMNS.itemsize // 8)
 # numbers, the shortest tokens.
 _MIN_ROW_BYTES = len(",".join(["T", "0", "0", "0", "0", min(_VEHICLE_TOKENS, key=len),
                                min(_STACKING_TOKENS, key=len)])) + 1
+# A line and its end, as csv reads a file opened with newline="": an LF, a
+# CRLF or a bare CR ends a line.
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
 def _valid_key(tx, x, y, vehicle_state, stacking) -> bool:
-    """Does a scan key pass the rules both readers enforce?"""
+    """Does a scan key pass the row loop's rules?"""
     return (bool(tx) and not tx.startswith("#") and math.isfinite(x) and math.isfinite(y)
             and vehicle_state in _VEHICLE_TOKENS and stacking in _STACKING_TOKENS)
 
 
-def _body_lines(path):
-    """The lines after the header (str, no line ends), in one list per block.
-
-    One read of the file after one leading UTF-8 byte-order mark, if it has
-    one, in blocks of `_BLOCK_BYTES`: each block is checked
-    against `_PLAIN_BYTES`, its CRLFs become LFs, and it is cut after its
-    last LF; the partial line after that, with a CR that ends the block, is
-    carried into the next block.  A disallowed byte, any other CR, a
-    carried part longer than `_MAX_LINE_BYTES`, a line before the header
-    that is neither blank nor a comment, or no header raises `_NotCanonical`;
-    a longer line within one block's text is yielded like any other.
+def _texts(path):
+    """The file's text after one leading UTF-8 byte-order mark, in blocks of
+    whole lines: each block of `_BLOCK_BYTES` is decoded and cut after its
+    last line end, and the rest, with a CR that ends it (maybe a CRLF's), is
+    carried into the next.  Yields (text, final); the final text is the
+    rest of the file, maybe "".  Bytes that are not UTF-8 are an IngestError.
     """
-    tail, header_seen = "", False
-    with open(path, "rb") as fh:
-        if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
-            fh.seek(0)
-        # A last LF ends a last line that has none.
-        for block in itertools.chain(iter(lambda: fh.read(_BLOCK_BYTES), b""), [b"\n"]):
-            if block.translate(None, _PLAIN_BYTES):
-                raise _NotCanonical
-            text = tail + block.decode("ascii")
-            if "\r" in text:  # `in` scans a block far faster than str.replace
-                text = text.replace("\r\n", "\n")
-            # csv ends a line at a bare CR too; the row loop reads those.
-            if text.find("\r", 0, len(text) - 1) >= 0:
-                raise _NotCanonical
-            lines = text.split("\n")
-            tail = lines.pop()
-            if len(tail) > _MAX_LINE_BYTES:
-                raise _NotCanonical
-            if not header_seen:
-                for at, line in enumerate(lines):
-                    if line == CANONICAL_HEADER:
-                        lines, header_seen = lines[at + 1:], True
-                        break
-                    if line and not line.startswith("#"):
-                        raise _NotCanonical
-            if header_seen:
-                yield lines
-    if not header_seen:
-        raise _NotCanonical
+    decode = codecs.getincrementaldecoder("utf-8")().decode
+    parts = []
+    try:
+        with open(path, "rb") as fh:
+            if fh.read(len(codecs.BOM_UTF8)) != codecs.BOM_UTF8:
+                fh.seek(0)
+            for block in iter(lambda: fh.read(_BLOCK_BYTES), b""):
+                parts.append(decode(block))
+                if "\n" in parts[-1] or "\r" in parts[-1]:
+                    text = "".join(parts)
+                    cut = max(text.rfind("\n"), text.rfind("\r", 0, len(text) - 1)) + 1
+                    parts = [text[cut:]]
+                    if cut:
+                        yield text[:cut], False
+            parts.append(decode(b"", final=True))
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
+    yield "".join(parts), True
 
 
-def _read_runs(path):
-    """One pass over a plain canonical file in blocks, checked column-wise.
+def _plain_block(body):
+    """(rows, lines) of data lines that one `np.loadtxt` parses as csv would,
+    every value and key passing, checked column-wise; None for anything
+    else.  Rows are as `_blocks` yields them, a run for each key."""
+    if (len(body) > _BLOCK_BYTES + _MAX_LINE_BYTES or not body.isascii()
+            or body.encode("ascii").translate(None, _PLAIN_BYTES)):
+        return None
+    if "\r" in body:  # `in` scans a block far faster than str.replace
+        body = body.replace("\r\n", "\n")
+        if "\r" in body:
+            return None
+    lines = body.split("\n")
+    count, data = len(lines) - (lines[-1] == ""), len(lines) - lines.count("")
+    if not data:
+        return (), count
+    try:
+        table = np.loadtxt(lines, dtype=_COLUMNS, delimiter=",", comments=None, quotechar='"',
+                           encoding="ascii", ndmin=1)
+    except ValueError:
+        return None
+    # loadtxt joins a line that ends inside a quoted field to the next, as csv
+    # does but without the LF, so it leaves a row short; csv reads the last.
+    last = next(line for line in reversed(lines) if line) + "\n"
+    if table.size != data or ('"' in last and sum(1 for _ in csv.reader([last, "\n"])) < 2):
+        return None
+    # Text compares as bytes: the padding is NUL, which a plain block lacks.
+    words = table.view(np.uint64).reshape(table.size, -1)[:, _KEY_WORDS]
+    starts = np.flatnonzero(np.r_[True, np.any(words[1:] != words[:-1], axis=1)])
+    keys = [(tx.decode("ascii"), x, y, vehicle.decode("ascii"), stacking.decode("ascii"))
+            for tx, x, y, vehicle, stacking in zip(*(table[name][starts].tolist()
+                                                     for name in _KEY_FIELDS))]
+    phi, gain = table["phi_deg"], table["gain_db"]
+    if (not (np.isfinite(phi).all() and np.isfinite(gain).all())
+            or any(len(key[0]) == _TX_WIDTH or not _valid_key(*key) for key in keys)):
+        return None
+    return (keys, starts, phi, gain, None), count
 
-    Each block's lines go through one `np.loadtxt`; its phi_deg and gain_db
-    go straight into the result columns and its wide table is dropped before
-    the next block is read.  Rows of one scan are contiguous in a canonical
-    file, so a run of rows with the same key bytes, across block boundaries
-    too, has its key checked once: a tx_id that fills `_TX_WIDTH` or a key
-    that fails `_valid_key` raises `_NotCanonical`.  Returns the run keys,
-    the first row of each run and the phi_deg and gain_db columns.
-    """
-    # Room for every row a file of this size can hold; pages no row reaches
-    # are never touched.  A file with more rows has a row too short to pass.
-    capacity = os.path.getsize(path) // _MIN_ROW_BYTES + 1
-    phi, gain = np.empty(capacity), np.empty(capacity)
-    keys, starts = [], []
-    rows, last_words = 0, None
-    with warnings.catch_warnings():
-        # "input contained no data": a block of blank lines.
-        warnings.simplefilter("ignore", UserWarning)
-        for lines in _body_lines(path):
-            try:
-                table = np.loadtxt(lines, dtype=_COLUMNS, delimiter=",", comments=None,
-                                   encoding="ascii", ndmin=1)
-            except ValueError:
-                raise _NotCanonical from None
-            del lines
-            if table.size == 0:
+
+def _csv_block(body, header, line_no, final):
+    """The row loop: body's csv records, its lines after line line_no, each
+    checked, the header first unless header.  Returns (header, lines taken,
+    the text after them, rows as `_blocks` yields them, one run a row, and
+    the IngestError that stopped the loop): the loop stops after the header
+    and leaves a record open at body's end, unless final."""
+    lines = _LINE.findall(body)
+    # A record that ends on the sentinel line, or with it, was open.
+    reader = csv.reader(lines if final else lines + ["\n"])
+    rows, done, error = [], 0, None
+    try:
+        for row in reader:
+            if reader.line_num > len(lines):
+                break
+            done = reader.line_num
+            at = line_no + done
+            if not row or row[0].startswith("#"):
                 continue
-            if rows + table.size > capacity:
-                raise _NotCanonical
-            phi[rows:rows + table.size] = table["phi_deg"]
-            gain[rows:rows + table.size] = table["gain_db"]
-            # Text compares as bytes: the padding is NUL, which a plain file lacks.
-            words = table.view(np.uint64).reshape(table.size, -1)[:, _KEY_WORDS]
-            changed = np.empty(table.size, dtype=bool)
-            changed[0] = last_words is None or (words[0] != last_words).any()
-            np.any(words[1:] != words[:-1], axis=1, out=changed[1:])
-            last_words = words[-1].copy()
-            block_starts = np.flatnonzero(changed)
-            for tx, x, y, vehicle, stacking in zip(
-                    *(table[name][block_starts].tolist() for name in _KEY_FIELDS)):
-                key = (tx.decode("ascii"), x, y, vehicle.decode("ascii"), stacking.decode("ascii"))
-                if len(tx) == _TX_WIDTH or not _valid_key(*key):
-                    raise _NotCanonical
-                keys.append(key)
-            starts.append(block_starts + rows)
-            rows += table.size
-            del table, words
-    phi, gain = phi[:rows], gain[:rows]
-    if rows == 0 or not (np.isfinite(phi).all() and np.isfinite(gain).all()):
-        raise _NotCanonical
-    return keys, np.concatenate(starts), phi, gain
+            if not header:
+                if row != list(CANONICAL_FIELDS):
+                    raise IngestError(f"line {at}: header must be exactly {CANONICAL_HEADER!r}")
+                header = True
+                break
+            if len(row) != len(CANONICAL_FIELDS):
+                raise IngestError(
+                    f"line {at}: expected {len(CANONICAL_FIELDS)} columns, got {len(row)}")
+            tx_id, *numbers, vehicle_s, stacking_s = row
+            if not tx_id:
+                raise IngestError(f"line {at}: empty tx_id")
+            x, y, phi, gain = map(_parse_float, numbers, CANONICAL_FIELDS[1:5], [at] * 4)
+            if vehicle_s not in _VEHICLE_TOKENS:
+                raise IngestError(f"line {at}: unknown vehicle_state {vehicle_s!r}")
+            if stacking_s not in _STACKING_TOKENS:
+                raise IngestError(f"line {at}: unknown stacking {stacking_s!r}")
+            rows.append(((tx_id, x, y, vehicle_s, stacking_s), phi, gain, at))
+    except csv.Error as exc:
+        error = IngestError(f"line {line_no + reader.line_num}: {exc}")
+    except IngestError as exc:
+        error = exc
+    if rows:
+        keys, phi, gain, at = zip(*rows)
+        rows = keys, range(len(keys)), phi, gain, at
+    return header, done, "".join(lines[done:]), rows, error
+
+
+def _blocks(path, columnar=True):
+    """The file's data rows, from one read of its text (`_texts`), as (run
+    keys, run starts, phi_deg, gain_db, the rows' lines or None) a block:
+    the lines to the header through the row loop, then each block through
+    `_plain_block` if columnar and it vouches for the block, else the row
+    loop, which yields the rows before an error, then raises it."""
+    header, line_no, carried = False, 0, ""
+    for text, final in _texts(path):
+        body = carried + text
+        if not header:
+            header, lines, body, _, error = _csv_block(body, header, line_no, final)
+            line_no += lines
+            if error:
+                raise error
+        plain = columnar and header and _plain_block(body)
+        if plain:
+            (rows, lines), carried, error = plain, "", None
+        else:
+            header, lines, carried, rows, error = _csv_block(body, header, line_no, final)
+        line_no += lines
+        if rows:
+            yield rows
+        if error:
+            raise error
+    if not header:
+        raise IngestError("file has no header row")
+
+
+def _duplicate_angle(path, row) -> IngestError:
+    """The error of data row `row` (in file order), whose angle an earlier
+    row of its scan has: a second pass, through the row loop, for its line."""
+    for keys, _, phi, _, lines in _blocks(path, columnar=False):
+        if row < len(keys):
+            return IngestError(f"line {lines[row]}: duplicate angle {phi[row]} deg "
+                               f"for scan {keys[row]}")
+        row -= len(keys)
+    return IngestError("file changed while it was read")
 
 
 def _ingest_columnar(path):
-    """Columnar reader: the rows `_ingest_rows` would return, or `_NotCanonical`.
+    """The rows `_scan_set` takes, from one read of the file (`_blocks`).
 
-    Runs are grouped by first-seen key, as in the row loop, so a run at x
-    -0.0 joins one at 0.0 and a scan split across the file is rejoined; a
-    duplicate angle, a bad token, a non-finite value or anything but a plain
-    canonical table raises `_NotCanonical`.  Rows that already come one run
-    per scan with rising angles, as written, are not sorted.
+    Rows go into the result columns block by block.  Runs of rows with one
+    key are grouped by first-seen key, so a run at x -0.0 joins one at 0.0
+    and a scan split across the file is rejoined, and each scan's rows are
+    sorted by angle; rows that come one run a scan with rising angles, as
+    written, are not.  The first error in file order is raised: an angle a
+    scan repeats before the read's error, if any, first.
     """
-    keys, starts, phi, gain = _read_runs(path)
+    # Room for every row a file of this size can hold; pages no row reaches
+    # are never touched.  Every row that passes takes _MIN_ROW_BYTES or more.
+    capacity = os.path.getsize(path) // _MIN_ROW_BYTES + 1
+    phi, gain = np.empty(capacity), np.empty(capacity)
+    keys, starts, rows, error = [], [], 0, None
+    try:
+        for run_keys, run_starts, block_phi, block_gain, _ in _blocks(path):
+            phi[rows:rows + len(block_phi)] = block_phi
+            gain[rows:rows + len(block_phi)] = block_gain
+            for key, start in zip(run_keys, run_starts):
+                if not keys or key != keys[-1]:
+                    keys.append(key)
+                    starts.append(rows + start)
+            rows += len(block_phi)
+    except IngestError as exc:
+        error = exc
+    if not keys:
+        raise error or IngestError("file contains no measurement rows")
+    phi, gain, starts = phi[:rows], gain[:rows], np.array(starts)
     group_ids: dict[tuple, int] = {}
     run_group = [group_ids.setdefault(key, len(group_ids)) for key in keys]
     sizes = np.diff(starts, append=phi.size)
@@ -407,7 +406,9 @@ def _ingest_columnar(path):
         repeated = phi[1:] == phi[:-1]
         repeated[np.cumsum(sizes)[:-1] - 1] = False
         if repeated.any():
-            raise _NotCanonical
+            raise _duplicate_angle(path, by_group[1:][repeated].min())
+    if error:
+        raise error
     return list(group_ids), sizes, phi, gain
 
 
@@ -510,9 +511,8 @@ def ingest(path) -> ScanSet:
     Rows are grouped by (tx, x, y, vehicle state, stacking) and sorted by
     angle; duplicate angles within a group and malformed rows are rejected
     with their line number, and each group's grid must be uniform over one
-    full rotation.  A plain canonical file is parsed columnar; anything the
-    columnar checks cannot vouch for is re-read row by row, which is where
-    every line-numbered error comes from.  The set's `sha256` is the file's.
+    full rotation.  The file's text is read once (see the module
+    docstring).  The set's `sha256` is the file's.
 
     The parsed rows are kept in the sidecar `<path>.scanset.npz` and taken
     from there while it holds the file's sha256 (see the module docstring).
@@ -524,10 +524,7 @@ def ingest(path) -> ScanSet:
     if cached is not None:
         with contextlib.suppress(Exception):  # sidecar rows that do not build are a miss
             return _scan_set(*cached, sha256)
-    try:
-        keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
-    except _NotCanonical:
-        keys, sizes, phi_deg, gain_db = _ingest_rows(path)
+    keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
     after = os.stat(path)
     # A file changed while it was read may not match its hash.  The rows are
     # saved before the build converts them, scan 0's angles as the grid; a

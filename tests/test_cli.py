@@ -386,6 +386,22 @@ class TestBoundaryValues:
         assert captured.err.startswith("error[ingest]: ")
         assert "UTF-8" in captured.err
 
+    def test_ingest_error_names_the_physical_line(self, tmp_path, capsys):
+        # Eight rows whose quoted tx_id "TX\n2" spans two lines each (lines
+        # 3-18), two plain rows, then a bad gain_db on line 21, which is the
+        # file's 13th csv record.
+        rows = [f'"TX\n2",1.0,3.5,{k * 45.0},-60.0,absent,uniform' for k in range(8)]
+        rows += [f"TX2,1.0,3.5,{k * 45.0},-60.0,absent,uniform" for k in range(2)]
+        rows.append("TX2,1.0,3.5,90.0,abc,absent,uniform")
+        data = tmp_path / "multiline.csv"
+        data.write_text("\n".join([provenance_line(), CANONICAL_HEADER, *rows]) + "\n",
+                        encoding="ascii")
+        rc = main(["spatial", "--input", str(data), "--out", str(tmp_path / "corr.csv")])
+        captured = capsys.readouterr()
+        assert rc == 3
+        assert captured.err == "error[ingest]: line 21: gain_db is not a number: 'abc'\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["multiline.csv"]
+
     def test_field_over_the_csv_limit_is_ingest_error(self, tmp_path, line_data, capsys):
         lines = line_data.read_text(encoding="utf-8").splitlines(keepends=True)
         first = next(i for i, line in enumerate(lines) if line.startswith("TX"))
@@ -1384,7 +1400,6 @@ class TestSidecar:
             raise AssertionError("a warm run parsed the CSV")
 
         monkeypatch.setattr(dataio, "_ingest_columnar", no_parse)
-        monkeypatch.setattr(dataio, "_ingest_rows", no_parse)
         warm = self.run_all(dataset, out, capsys)
         assert warm == cold
         assert len(cold[1]) == 27  # 17 angular, 7 vehicle, 3 single tables
@@ -1403,7 +1418,6 @@ class TestSidecar:
 
         with monkeypatch.context() as patched:
             patched.setattr(dataio, "_ingest_columnar", no_parse)
-            patched.setattr(dataio, "_ingest_rows", no_parse)
             warm = self.run_all(dataset, tmp_path / "out", capsys)
         shutil.rmtree(tmp_path / "out")
         cold = self.run_all(dataset, tmp_path / "out", capsys,

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import os
 import stat
 import tempfile
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from peaks import HAS_VMHWM, ingest_peak_kib
+from reference_reader import ingest_rows
 from scansets import Scan, grid, records, scan_set
 
 from portcanyon import dataio
@@ -25,8 +27,6 @@ from portcanyon.dataio import (
     _CHUNK_ROWS,
     CANONICAL_HEADER,
     _ingest_columnar,
-    _ingest_rows,
-    _NotCanonical,
     _scan_set,
     file_sha256,
     ingest,
@@ -238,7 +238,7 @@ def test_write_table_format(tmp_path):
     assert lines[2] == "1.5,x,3"
 
 
-# ------------------------------------------------ columnar vs row-loop ingest
+# ------------------------------------------------ ingest vs the reference reader
 
 def _outcome(read, path):
     """Scans a reader returns, or the (type, message) of what it raises."""
@@ -263,25 +263,23 @@ def _same_scans(got, want):
 
 
 def check_paths_agree(path) -> str:
-    """Assert both ingest paths agree on path; return the one that answered.
-
-    The columnar reader must either return exactly the row loop's scans,
-    raise exactly the row loop's error, or decline; the public ingest must
-    always match the row loop.
+    """Assert the parse and the public ingest give exactly the reference
+    reader's scans, or raise exactly its error, on path; return how the
+    parse took the lines after the header: "columnar" if every block went
+    through one np.loadtxt, "rows" if some block went through the row loop.
     """
-    want = _outcome(_built(_ingest_rows), path)
-    columnar = _outcome(_built(_ingest_columnar), path)
-    public = _outcome(ingest, path)
-    for got in (public, columnar):
-        if isinstance(got, tuple) and got[0] is _NotCanonical:
-            continue
+    want = _outcome(_built(ingest_rows), path)
+    headers, real = [], dataio._csv_block
+    with mock.patch.object(dataio, "_csv_block", lambda body, header, *a, **k: (
+            headers.append(header) or real(body, header, *a, **k))):
+        parsed = _outcome(_built(_ingest_columnar), path)
+    for got in (parsed, _outcome(ingest, path)):
         if isinstance(want, tuple):
             assert got == want
         else:
             assert not isinstance(got, tuple), got
             _same_scans(got, want)
-    declined = isinstance(columnar, tuple) and columnar[0] is _NotCanonical
-    return "rows" if declined else "columnar"
+    return "rows" if True in headers else "columnar"
 
 
 def _mutated(text, edits):
@@ -339,6 +337,24 @@ class TestColumnarIngest:
         with pytest.raises(IngestError, match="duplicate angle"):
             ingest(tmp_path / "case.csv")
 
+    @pytest.mark.parametrize("block", [60, 1 << 16])
+    @pytest.mark.parametrize("bad_at, message", [
+        (8, r"^line 10: duplicate angle 0.0 deg for scan "
+            r"\('TX2', 1.0, 3.5, 'absent', 'uniform'\)$"),
+        (4, r"^line 7: phi_deg is not a number: 'zero'$"),
+    ], ids=["duplicate-first", "bad-number-first"])
+    def test_the_first_error_in_file_order_is_raised(self, tmp_path, monkeypatch, block, bad_at,
+                                                     message):
+        # A duplicate angle, found after the read, and a bad number, which
+        # stops it, in either order; in blocks of a line or so, or one.
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
+        rows = _rows(n=12)
+        rows[7] = rows[7].replace(",210.0,", ",0.0,")
+        rows[bad_at] = rows[bad_at].replace(f",{bad_at * 30.0},", ",zero,")
+        assert self.ingest_lines(tmp_path, rows) == "rows"
+        with pytest.raises(IngestError, match=message):
+            ingest(tmp_path / "case.csv")
+
     def test_equal_numbers_spelled_differently_share_a_key(self, tmp_path):
         body = _rows(x="1.0")[:4] + _rows(x="1.00", y="3.50e0")[4:]
         assert self.ingest_lines(tmp_path, body) == "columnar"
@@ -366,9 +382,61 @@ class TestColumnarIngest:
         'TX2,"1.0",3.5,0.0,-60.0,absent,uniform',
         'TX2,1.0,3.5,0.0,-60.0,"absent",uniform',
         '"TX,2",1.0,3.5,0.0,-60.0,absent,uniform',
+        '"TX""2",1.0,3.5,0.0,-60.0,absent,uniform',
+        'TX"2,1.0,3.5,0.0,-60.0,absent,uniform',
+        '"TX2"x,1.0,3.5,0.0,-60.0,absent,uniform',
+        '"TX2","1.0","3.5","0.0","-60.0","absent","uniform"',
     ])
     def test_quoted_field(self, tmp_path, row):
-        assert self.ingest_lines(tmp_path, [row] + _rows()[1:]) == "rows"
+        # Quotes split fields in np.loadtxt as in csv; the tx_id of the
+        # first row alone differs from the rest's, so those need a key of
+        # their own.
+        assert self.ingest_lines(tmp_path, [row] + _rows()[1:]) == "columnar"
+
+    @pytest.mark.parametrize("block", [50, 997, 1 << 16])
+    def test_quoted_field_over_two_lines(self, tmp_path, monkeypatch, block):
+        # One np.loadtxt would join the lines without their LF; the row
+        # loop keeps it, so the second scan's tx_id is "TX\n2".
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
+        body = _rows() + [row.replace("TX2", '"TX\n2"') for row in _rows(x="2.0")]
+        assert self.ingest_lines(tmp_path, body) == "rows"
+        assert ingest(tmp_path / "case.csv").tx.tolist() == ["TX2", "TX\n2"]
+
+    @pytest.mark.parametrize("case, message", [
+        ("split", r"^line 9: unknown stacking 'uniform\\n'$"),
+        ("last line", r"^line 10: unknown stacking 'uniform\\n'$"),
+        ("last line, no LF", None),
+    ], ids=["split", "last-line", "last-line-no-LF"])
+    def test_a_block_that_ends_inside_quotes(self, tmp_path, monkeypatch, case, message):
+        # A row opens a quoted stacking: the next line closes it, after the
+        # end of the first block, or the file ends.  csv reads "uniform\n",
+        # or "uniform" without a last LF; one np.loadtxt of the block alone
+        # would read "uniform".
+        rows = _rows()
+        at = 5 if case == "split" else 7
+        rows[at] = rows[at].replace(",uniform", ',"uniform')
+        text = "\n".join([provenance_line(), CANONICAL_HEADER, *rows[:at + 1]]) + "\n"
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", len(text))
+        if case == "split":
+            text += "\n".join(['"', *rows[at + 1:]]) + "\n"
+        path = tmp_path / "case.csv"
+        path.write_text(text[:-1] if case.endswith("no LF") else text, encoding="ascii")
+        check_paths_agree(path)
+        if message:
+            with pytest.raises(IngestError, match=message):
+                ingest(path)
+        else:
+            assert ingest(path).stacking.tolist() == ["uniform"]
+
+    @pytest.mark.parametrize("block", [40, 60, 997])
+    def test_open_record_is_carried_into_the_next_block(self, tmp_path, monkeypatch, block):
+        # Every row's stacking is quoted over two lines: the blocks end
+        # inside the quotes, between them and after them.
+        rows = [row.replace(",uniform", ',"uni\nform"') for row in _rows()]
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
+        assert self.ingest_lines(tmp_path, rows) == "rows"
+        with pytest.raises(IngestError, match=r"^line 4: unknown stacking 'uni\\nform'$"):
+            ingest(tmp_path / "case.csv")
 
     def test_comment_row_mid_file(self, tmp_path):
         rows = _rows()
@@ -401,16 +469,16 @@ class TestColumnarIngest:
         plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
         write_csv(plain, head + _rows() + _rows(x="2.0"))
         marked.write_bytes(codecs.BOM_UTF8 + plain.read_bytes())
-        want = _rows_of(_ingest_rows, plain)
+        want = _rows_of(ingest_rows, plain)
         assert isinstance(want, tuple)
-        assert _rows_of(_ingest_rows, marked) == want
+        assert _rows_of(ingest_rows, marked) == want
         assert _rows_of(_ingest_columnar, marked) == _rows_of(_ingest_columnar, plain) == want
         assert check_paths_agree(marked) == "columnar"
 
     def test_a_second_bom_is_a_header_error(self, tmp_path):
         path = tmp_path / "twice.csv"
         path.write_bytes(codecs.BOM_UTF8 * 2 + "\n".join([CANONICAL_HEADER] + _rows()).encode())
-        assert check_paths_agree(path) == "rows"
+        check_paths_agree(path)
         with pytest.raises(IngestError, match="line 1: header must be exactly"):
             ingest(path)
 
@@ -468,11 +536,10 @@ class TestColumnarIngest:
         body[10] = body[10].replace(",-62.0,", f",{gain_db},")
         quoted = [row.replace("TX2,", '"TX2",', 1) for row in body]
         outcomes, loaded, parses = [], [], []
-        for reader, rows in (("columnar", body), ("rows", quoted), ("sidecar", body)):
+        for reader, rows in (("plain", body), ("quoted", quoted), ("sidecar", body)):
             path = tmp_path / reader / "case.csv"
             path.parent.mkdir()
-            assert self.ingest_lines(path.parent, rows) == ("rows" if rows is quoted
-                                                            else "columnar")
+            assert self.ingest_lines(path.parent, rows) == "columnar"
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(str(path) + dataio.SIDECAR_SUFFIX)
             if reader == "sidecar":  # this file's rows, planted
@@ -480,8 +547,7 @@ class TestColumnarIngest:
                 dataio._save_sidecar(str(path) + dataio.SIDECAR_SUFFIX,
                                      (keys, sizes, phi_deg[:sizes[0]], gain_db),
                                      file_sha256(path), os.path.getsize(path))
-                for name, calls in (("_load_sidecar", loaded), ("_ingest_columnar", parses),
-                                    ("_ingest_rows", parses)):
+                for name, calls in (("_load_sidecar", loaded), ("_ingest_columnar", parses)):
                     monkeypatch.setattr(dataio, name, lambda *a, read=getattr(dataio, name),
                                         calls=calls: calls.append(read(*a)) or calls[-1])
             code = main(["fit", "--input", str(path), "--out", str(path.parent / "fit.csv")])
@@ -518,11 +584,11 @@ class TestColumnarIngest:
 
 
 def check_sets_agree(path) -> None:
-    """Both readers that return give the same ScanSet: key columns, grid, gains
-    and the file's sha256; the public ingest always carries that hash."""
+    """The reference reader, the parse and ingest, those that return, give
+    the same ScanSet: key columns, grid, gains and the file's sha256."""
     want_sha = hashlib.sha256(Path(path).read_bytes()).hexdigest()
     sets = [_outcome(read, path)
-            for read in (_built(_ingest_rows), _built(_ingest_columnar), ingest)]
+            for read in (_built(ingest_rows), _built(_ingest_columnar), ingest)]
     sets = [got for got in sets if not isinstance(got, tuple)]
     for got in sets:
         assert got.sha256 == want_sha
@@ -612,39 +678,28 @@ class TestScanSetIngest:
             _ingest_columnar(path)
 
 
-# ------------------------------------------------ the columnar parse's blocks
+# ------------------------------------------------ the parse's blocks
 
 def _rows_of(read, path):
     """The rows a reader returns, comparable bit for bit (keys by repr, so
-    -0.0 and 0.0 differ), or the type of what it raises."""
+    -0.0 and 0.0 differ), or the type and message of what it raises."""
     try:
         keys, sizes, phi, gain = read(path)
     except Exception as exc:  # the comparison covers non-toolkit errors too
-        return type(exc)
+        return f"{type(exc).__name__}: {exc}"
     return ([tuple(map(repr, key)) for key in keys], [int(n) for n in sizes],
             phi.tobytes(), gain.tobytes())
 
 
-def _columnar_in_blocks(path, size):
+def _parsed_in_blocks(path, size):
     with mock.patch.object(dataio, "_BLOCK_BYTES", size):
         return _rows_of(_ingest_columnar, path)
 
 
 def _block_size(text, data):
-    """A block size from the longest line (LF included) to the whole file."""
-    longest = max(map(len, text.split("\n"))) + 1
-    return data.draw(st.integers(min_value=longest, max_value=max(longest, len(text))))
-
-
-def _in_blocks(path, size, whole):
-    """What the columnar reader gives in blocks of size, given what it gives
-    for the file in one block: whole, unless a cut, at each multiple of size
-    and at the end of the file (which has no byte-order mark), carries more
-    than `_MAX_LINE_BYTES` of a line into the next block."""
-    data = Path(path).read_bytes()
-    cuts = [*range(size, len(data), size), len(data)]
-    carried = max(cut - data.rfind(b"\n", 0, cut) - 1 for cut in cuts)
-    return _NotCanonical if carried > dataio._MAX_LINE_BYTES else whole
+    """A block size from 8 bytes to the whole file: some blocks end inside a
+    line, some lines are longer than a block."""
+    return data.draw(st.integers(min_value=8, max_value=max(8, len(text))))
 
 
 def _spelled(number, width, fill):
@@ -711,7 +766,7 @@ class TestBlockBoundaries:
     @settings(max_examples=200, deadline=None)
     @given(body=_canonical_bodies(), newline=st.sampled_from(["\n", "\r\n", "mixed"]),
            last=st.sampled_from(["", "\n", "\r\n", "\r"]), data=st.data())
-    def test_blocks_give_the_row_readers_rows(self, body, newline, last, data):
+    def test_blocks_give_the_reference_rows(self, body, newline, last, data):
         # LF, CRLF or mixed line ends; the last line ends with any of them, a
         # bare CR (csv ends a line there too) or nothing.
         lines = [provenance_line(), CANONICAL_HEADER] + body
@@ -722,43 +777,40 @@ class TestBlockBoundaries:
             path = os.path.join(tmp, "case.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            want = _rows_of(_ingest_rows, path)
+            want = _rows_of(ingest_rows, path)
             assert isinstance(want, tuple), want
-            assert _rows_of(_ingest_columnar, path) == _in_blocks(path, dataio._BLOCK_BYTES, want)
-            size = _block_size(text, data)
-            assert _columnar_in_blocks(path, size) == _in_blocks(path, size, want)
+            assert _rows_of(_ingest_columnar, path) == want
+            assert _parsed_in_blocks(path, _block_size(text, data)) == want
             # A block that ends with a CR whose LF starts the next block.
-            longest = max(map(len, text.split("\n"))) + 1
-            split = [at + 1 for at, char in enumerate(text[:-1])
-                     if char == "\r" and at + 1 >= longest]
+            split = [at + 1 for at, char in enumerate(text[:-1]) if char == "\r"]
             if split:
-                size = data.draw(st.sampled_from(split))
-                assert _columnar_in_blocks(path, size) == _in_blocks(path, size, want)
+                assert _parsed_in_blocks(path, data.draw(st.sampled_from(split))) == want
 
     @settings(max_examples=100, deadline=None)
     @given(body=_canonical_bodies(), cr=st.sampled_from(["\r", "\r\r\n", "\r\r", "\n\r"]),
            data=st.data())
-    def test_other_crs_go_to_the_row_reader(self, body, cr, data):
-        # A bare CR, CR CR LF or LF CR between two lines of a CRLF file: the
-        # row reader's csv ends lines there, the columnar reader declines,
-        # in one block or many.
+    def test_other_crs_take_the_row_loop(self, body, cr, data):
+        # A bare CR, CR CR LF or LF CR between two data lines of a CRLF
+        # file: csv ends lines there, so the block takes the row loop, in
+        # one block or many.
         lines = [provenance_line(), CANONICAL_HEADER] + body
         ends = ["\r\n"] * (len(lines) - 1)
-        ends[data.draw(st.integers(min_value=0, max_value=len(ends) - 1))] = cr
+        ends[data.draw(st.integers(min_value=2, max_value=len(ends) - 1))] = cr
         text = _ended(lines, ends, "\r\n")
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "case.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            assert _rows_of(_ingest_columnar, path) is _NotCanonical
-            assert _columnar_in_blocks(path, _block_size(text, data)) is _NotCanonical
+            want = _rows_of(ingest_rows, path)
+            assert _rows_of(_ingest_columnar, path) == want
+            assert _parsed_in_blocks(path, _block_size(text, data)) == want
             assert check_paths_agree(path) == "rows"
 
     @settings(max_examples=200, deadline=None)
     @given(edits=_EDITS, data=st.data())
-    def test_blocks_decline_the_same_files(self, edits, data):
-        # Blocks decline what the whole file declines, and a file whose long
-        # line a cut splits after more than _MAX_LINE_BYTES of it.
+    def test_blocks_give_the_reference_outcome(self, edits, data):
+        # Rows or the error, message and line included, in one block or in
+        # blocks of any size.
         body = data.draw(_long_spellings(_rows(x="-0.0", n=9)[:4] + _rows(tx="TX1_63")
                                          + _rows(x="0.0", n=9)[4:]))
         text = _mutated("\n".join([provenance_line(), CANONICAL_HEADER] + body) + "\n", edits)
@@ -766,31 +818,28 @@ class TestBlockBoundaries:
             path = os.path.join(tmp, "mutant.csv")
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-            whole = _rows_of(_ingest_columnar, path)
-            size = _block_size(text, data)
-            assert _columnar_in_blocks(path, size) == _in_blocks(path, size, whole)
-            if whole is not _NotCanonical:
-                assert whole == _rows_of(_ingest_rows, path)
+            want = _rows_of(ingest_rows, path)
+            assert _rows_of(_ingest_columnar, path) == want
+            assert _parsed_in_blocks(path, _block_size(text, data)) == want
 
     @settings(max_examples=150, deadline=None)
     @given(head=st.lists(st.sampled_from(["", provenance_line(), "#" + "c" * 90]), max_size=3),
            body=st.lists(st.sampled_from(_rows()), min_size=1, max_size=6, unique=True),
            limit=st.integers(min_value=0, max_value=100), data=st.data())
-    def test_only_a_carried_part_over_the_limit_declines(self, head, body, limit, data):
+    def test_any_line_limit_gives_the_reference_rows(self, head, body, limit, data):
         # Comment lines before the header and data lines after it, any of
         # them longer than the limit; blocks of any size, some shorter than
-        # a line.
+        # a line, so some go through the row loop.
         text = "\n".join(head + [CANONICAL_HEADER] + body) + "\n"
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "case.csv")
             with open(path, "w", encoding="ascii", newline="") as fh:
                 fh.write(text)
-            want = _rows_of(_ingest_rows, path)
+            want = _rows_of(ingest_rows, path)
             size = data.draw(st.integers(min_value=8, max_value=len(text)))
             with mock.patch.object(dataio, "_MAX_LINE_BYTES", limit):
-                assert _rows_of(_ingest_columnar, path) == _in_blocks(
-                    path, dataio._BLOCK_BYTES, want)
-                assert _columnar_in_blocks(path, size) == _in_blocks(path, size, want)
+                assert _rows_of(_ingest_columnar, path) == want
+                assert _parsed_in_blocks(path, size) == want
 
     @pytest.mark.parametrize("where", ["comment", "number"])
     def test_a_long_line_inside_a_block_parses_columnar(self, tmp_path, where):
@@ -799,35 +848,47 @@ class TestBlockBoundaries:
         assert check_paths_agree(path) == "columnar"
         assert len(ingest(path)) == 1
 
-    @pytest.mark.parametrize("where", ["comment", "number"])
-    @pytest.mark.parametrize("carried, path_taken", [
-        (dataio._MAX_LINE_BYTES, "columnar"), (dataio._MAX_LINE_BYTES + 1, "rows")])
-    def test_a_long_line_across_a_block_boundary(self, tmp_path, monkeypatch, where, carried,
-                                                 path_taken):
-        # The first block ends carried bytes into the long line.
+    @pytest.mark.parametrize("excess, path_taken", [(0, "columnar"), (1, "rows")])
+    def test_a_block_over_the_line_limit_takes_the_row_loop(self, tmp_path, excess,
+                                                           path_taken):
+        # The first block ends inside a line padded to make the second block,
+        # with the part it carries, _BLOCK_BYTES + _MAX_LINE_BYTES + excess
+        # bytes long: over that, a field may be over csv's limit.
+        rows = _rows()
+        size = dataio._BLOCK_BYTES + dataio._MAX_LINE_BYTES + excess
+        pad = size - len("\n".join(rows[3:]) + "\n")
+        rows[3] = rows[3].replace(",-63.0,", "," + "-63.0".center(5 + pad) + ",")
         path = tmp_path / "case.csv"
-        monkeypatch.setattr(dataio, "_BLOCK_BYTES", _write_a_long_line(path, where) + carried)
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + rows)
+        assert path.read_bytes().index(b"-63.0") < dataio._BLOCK_BYTES
         assert check_paths_agree(path) == path_taken
         assert len(ingest(path)) == 1
 
     def test_a_line_the_blocks_take_is_under_csvs_field_limit(self):
         assert dataio._MAX_LINE_BYTES + dataio._BLOCK_BYTES < csv.field_size_limit()
 
-    def test_carried_line_stays_short(self, tmp_path, monkeypatch):
-        # A 40 KiB line without an LF, in 100-byte blocks: the parse holds
-        # the carried part and a block (a 13.4 KiB peak), not the line.
+    @pytest.mark.parametrize("rest", ["", "\n" + "\n".join([CANONICAL_HEADER] + _rows())],
+                             ids=["alone", "before-the-header"])
+    def test_a_line_longer_than_the_blocks_is_read_whole(self, tmp_path, monkeypatch, rest):
+        # A 40 KiB comment line in 100-byte blocks, alone (the file has no
+        # header) or before a canonical file.  The parse keeps the line's
+        # parts and joins them once, when its LF or the end of the file
+        # comes: its peak is near the reference reader's, which reads the
+        # line whole (csv holds a field at 4 bytes a character).
         path = tmp_path / "case.csv"
-        path.write_text("#" + "c" * 10 * dataio._MAX_LINE_BYTES, encoding="ascii")
+        path.write_text("#" + "c" * 10 * dataio._MAX_LINE_BYTES + rest, encoding="ascii")
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", 100)
-        tracemalloc.start()
-        try:
-            with pytest.raises(_NotCanonical):
-                list(dataio._body_lines(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 5 * dataio._MAX_LINE_BYTES, peak
-        assert check_paths_agree(path) == "rows"
+        got, peaks = [], []
+        for read in (_ingest_columnar, ingest_rows):
+            tracemalloc.start()
+            try:
+                got.append(_rows_of(read, path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert got[0] == got[1]
+        assert peaks[0] <= 1.5 * peaks[1], peaks
+        assert check_paths_agree(path) == "columnar"
 
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_cold_ingest_peak_is_a_warm_ingests(self, tmp_path):
@@ -836,6 +897,21 @@ class TestBlockBoundaries:
         cold, warm = ingest_peak_kib(path), ingest_peak_kib(path)
         assert os.path.exists(str(path) + ".scanset.npz")
         assert cold <= warm + 4096, (cold, warm)
+
+    @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
+    def test_quoted_cold_ingest_peak_is_a_plain_ones(self, tmp_path):
+        # Every field of every 7th scan quoted: the row-by-row re-read such a
+        # file took peaked at about 32,900 KiB here, against 5,200 KiB.
+        plain = _campaign_of_600_scans(tmp_path)
+        provenance, header, *rows = plain.read_text(encoding="ascii").splitlines()
+        quoted = tmp_path / "quoted.csv"
+        scans = [rows[at:at + 360] for at in range(0, len(rows), 360)]
+        for scan in scans[::7]:
+            scan[:] = [",".join(f'"{field}"' for field in row.split(",")) for row in scan]
+        quoted.write_text("\n".join([provenance, header, *itertools.chain(*scans)]) + "\n",
+                          encoding="ascii")
+        plain_kib, quoted_kib = ingest_peak_kib(plain), ingest_peak_kib(quoted)
+        assert quoted_kib <= plain_kib + 1024, (quoted_kib, plain_kib)
 
     @pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
     def test_warm_ingest_peak_is_its_rows_and_matrices(self, tmp_path):
@@ -1297,17 +1373,17 @@ class TestSidecar:
         sidecar.write_bytes(_npz(dict(members, **{key: np.array(column)})))
         assert _load_sidecar(str(sidecar), sha256, size) is None
 
-    def test_a_hit_skips_the_byte_check(self, tmp_path, monkeypatch):
+    def test_a_hit_skips_the_text(self, tmp_path, monkeypatch):
         from portcanyon import dataio
 
         path = tmp_path / "case.csv"
         path.write_text(_canonical_text(), encoding="utf-8")
         cold = _set_state(ingest(path))
 
-        def no_byte_check(path):
-            raise AssertionError("a sidecar hit checked the bytes")
+        def no_text(path):
+            raise AssertionError("a sidecar hit read the text")
 
-        monkeypatch.setattr(dataio, "_body_lines", no_byte_check)
+        monkeypatch.setattr(dataio, "_texts", no_text)
         assert _set_state(ingest(path)) == cold
 
     def test_sidecar_keeps_signed_zero_order_and_str_columns(self, tmp_path):
@@ -1353,14 +1429,6 @@ class TestSidecar:
         assert peak < member, peak
 
 
-def _parsed_rows(path):
-    """The rows `ingest` parses path into, by the reader it takes."""
-    try:
-        return _ingest_columnar(path)
-    except _NotCanonical:
-        return _ingest_rows(path)
-
-
 def _sidecar_rows(path):
     """The rows in path's sidecar, if it holds path's content (else None)."""
     return dataio._load_sidecar(str(path) + dataio.SIDECAR_SUFFIX, file_sha256(path),
@@ -1370,7 +1438,7 @@ def _sidecar_rows(path):
 def _saved_rows(path):
     """The rows `ingest` parses path into, as it saves them in the sidecar:
     scan 0's angles as the grid."""
-    keys, sizes, phi_deg, gain_db = _parsed_rows(path)
+    keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
     return keys, sizes, phi_deg[:sizes[0]], gain_db
 
 
@@ -1454,22 +1522,18 @@ class TestOneGrid:
                          "--n-angles", str(self.N_ANGLES), "--out", str(path)]) == 0
         return path
 
-    @pytest.mark.parametrize("reader", ["sidecar", "columnar", "rows"])
-    def test_every_reader_holds_one_grid(self, tmp_path, reader):
+    @pytest.mark.parametrize("spelling", ["sidecar", "plain", "quoted"])
+    def test_every_spelling_holds_one_grid(self, tmp_path, spelling):
         path = self._synth(tmp_path)
         sidecar = str(path) + dataio.SIDECAR_SUFFIX
-        if reader != "sidecar":
+        if spelling != "sidecar":
             os.unlink(sidecar)
-        if reader == "rows":  # a quoted tx_id sends the file to the row reader
+        if spelling == "quoted":
             provenance, header, first, *rest = path.read_text(encoding="ascii").splitlines()
             path.write_text("\n".join([provenance, header, '"' + first.replace(",", '",', 1),
                                        *rest]) + "\n", encoding="ascii")
-            with pytest.raises(_NotCanonical):
-                _ingest_columnar(path)
-        elif reader == "columnar":
-            _ingest_columnar(path)  # does not decline
         scans = ingest(path)
-        grid_row = np.radians(_parsed_rows(path)[2][:self.N_ANGLES])
+        grid_row = np.radians(_ingest_columnar(path)[2][:self.N_ANGLES])
         assert scans.grid.tobytes() == grid_row.tobytes()
         assert not scans.grid.flags.writeable
         assert scans.gains.shape == (len(scans), self.N_ANGLES)

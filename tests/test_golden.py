@@ -7,9 +7,10 @@ campaign CSV, each table and each command's stdout, provenance lines dropped
 by the bench's own rule (`perfbench/checks.py`), must equal the recorded
 digests in `golden_digests.json`.  A refactor that moves the last digit of
 any output fails here.  Equivalent spellings of each campaign CSV (a
-byte-order mark, CRLF, comment lines, shuffled rows; quoted tx_ids and a
-split scan for the row reader) must give the same digests, tables and
-stdout alike, parsed and from their own sidecars.
+byte-order mark, CRLF, comment lines, shuffled rows; every field of some
+scans quoted and a split scan) must give the same digests, tables and
+stdout alike, parsed, each in one read of its text, and from their own
+sidecars.
 
 The same commands run in a child interpreter with numpy's AVX-512 loops off
 or OpenBLAS's AVX2 kernel picked, as an AVX2-only CPU would run them; their
@@ -75,22 +76,21 @@ def _commands():
 CAMPAIGNS = {argv[-1] for argv in _commands() if argv[0] == "synth"}
 
 
-def respell(path, row_reader=False) -> None:
+def respell(path, quoted=False) -> None:
     """Rewrite the campaign CSV at path in place in an equivalent spelling: a
     byte-order mark, CRLF line ends, comment lines before the header and each
-    scan's rows shuffled, which the columnar reader reads.  With row_reader,
-    every 7th scan's tx_id is quoted too and scan 1 is split in two runs
-    around scan 2, which keeps the order of first appearance; the row reader
-    reads that."""
+    scan's rows shuffled.  With quoted, every field of every 7th scan is
+    quoted too, numbers and tokens included, and scan 1 is split in two
+    runs around scan 2, which keeps the order of first appearance."""
     provenance, header, *rows = Path(path).read_text(encoding="ascii").splitlines()
     scans = [list(scan) for _, scan in itertools.groupby(
         rows, lambda row: row.split(",")[:3] + row.split(",")[5:])]
     rng = random.Random(7)
     for scan in scans:
         rng.shuffle(scan)
-    if row_reader:
+    if quoted:
         for scan in scans[::7]:
-            scan[:] = ['"' + row.replace(",", '",', 1) for row in scan]
+            scan[:] = [",".join(f'"{field}"' for field in row.split(",")) for row in scan]
         half = len(scans[1]) // 2
         scans[1:3] = [scans[1][:half], scans[2], scans[1][half:]]
     lines = ["# respelled", provenance, "#", header] + list(itertools.chain(*scans))
@@ -152,23 +152,20 @@ def test_outputs_match_golden_digests_in_small_blocks(tmp_path, capsys, monkeypa
     test_outputs_match_golden_digests(tmp_path, capsys, parse=True)
 
 
-@pytest.mark.parametrize("reader", ["columnar", "rows"])
-def test_equivalent_spellings_match_golden_digests(tmp_path, capsys, monkeypatch, reader):
+@pytest.mark.parametrize("spelling", ["plain", "quoted"])
+def test_equivalent_spellings_match_golden_digests(tmp_path, capsys, monkeypatch, spelling):
     # Parsed in blocks of 997 bytes, so some blocks end in the CR of a CRLF.
     monkeypatch.setattr(dataio, "_BLOCK_BYTES", 997)
-    parses = []
-    for name in ("_ingest_columnar", "_ingest_rows"):
-        monkeypatch.setattr(dataio, name, lambda path, read=getattr(dataio, name), name=name:
-                            parses.append(name) or read(path))
+    reads, read = [], dataio._texts
+    monkeypatch.setattr(dataio, "_texts", lambda path: reads.append(path) or read(path))
     got = run_digests(tmp_path, lambda: capsys.readouterr().out,
-                      spell=lambda path: respell(path, reader == "rows"))
+                      spell=lambda path: respell(path, spelling == "quoted"))
     want = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(got) == sorted(want)
     assert [key for key in want if (got[key] == want[key]) == (key in CAMPAIGNS)] == []
-    # Each CSV is parsed once, cold, by its reader; the sidecar that parse
-    # saved serves the other four commands on it.
-    assert parses == (["_ingest_columnar"] * 2 if reader == "columnar"
-                      else ["_ingest_columnar", "_ingest_rows"] * 2)
+    # Each CSV's text is read once, cold, with no whole-file re-read; the
+    # sidecar that parse saved serves the other four commands on it.
+    assert reads == ["uniform.csv", "nonuniform.csv"]
 
 
 # Loads this file as a module, not as __main__, so the child never re-records.
