@@ -22,34 +22,27 @@ first scan that differs.  The file is read once, in blocks of whole lines
 the header go through the row loop, csv record by record.  Each block
 after it, LF or CRLF, quoted fields or not, is parsed by one `np.loadtxt`
 and checked column-wise, and its phi_deg and gain_db go into the result
-before the next block is read, so the parse holds one block's table.  A
-block the columnar checks cannot vouch for (a bad value or token, a quoted
-field over two lines, a bare CR, non-ASCII bytes, a comment row) goes
-through the row loop alone, which names the line of an error.  The rows
-(keys, angle counts, phi_deg and gain_db) go to `_scan_set`, which
-converts phi_deg to radians in place and keeps gain_db as the set's dB
-gains; the grid is a copy of scan 0's angles.
+before the next is read, so the parse holds one block's table.  A block
+those checks cannot vouch for (a bad value or token, a quoted field over
+two lines, a bare CR, non-ASCII bytes, a comment row) goes through the row
+loop alone, which names the line of an error.  `_scan_set` converts the
+rows' phi_deg to radians in place and keeps gain_db as the set's dB gains.
 
 `ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
 parse.  It is saved atomically (umask mode) before the rows are converted
 and removed if the build fails, so a failing ingest leaves none; a
 directory that refuses the write just leaves no sidecar.  `synth` saves
-one too (`save_sidecar`): `write_scans` returns the sha256 of the bytes it
-wrote, and the rows are those of the set written, in the units and values
-`write_scans` formats, so a file `synth` wrote is never parsed.  The grid
-is saved once: phi_deg holds scan 0's n values, not one per row.
-Each member is written from its array's buffer, the bytes `np.savez`
-writes but without its copy.  A sidecar is trusted only if its format
-version and input sha256 match, its members are exactly the expected ones,
-each with the expected dtype and shape, no larger than the input, each
-reads whole (zipfile checks each CRC-32), it holds at least one scan,
-every scan has the same positive angle count n, phi_deg holds n values,
-no key repeats and its keys pass the row loop's key rules.  Its rows, which
-the load owns, then go through the same `_scan_set` and checks as a parse's.
-Anything else, an I/O error or a format-1 sidecar included, is a miss: the
-file is parsed and the sidecar rewritten.  So a sidecar never changes a
-result, and deleting it, `synth`'s too, is always safe.
+one too (`save_sidecar`) from the set `write_scans` wrote and the sha256 it
+returned, so a file `synth` wrote is never parsed.  The grid is saved once:
+phi_deg holds scan 0's n values, not one per row.  A sidecar is trusted
+only if it passes every check of `_load_sidecar` (format version, input
+sha256, members, dtypes, shapes and sizes, CRC-32s, one positive angle
+count, unique keys that pass the row loop's rules); its rows then go
+through the same `_scan_set` and checks as a parse's.  Anything else, an
+I/O error or a format-1 sidecar included, is a miss: the file is parsed and
+the sidecar rewritten.  So a sidecar never changes a result, and deleting
+it, `synth`'s too, is always safe.
 """
 
 from __future__ import annotations
@@ -153,16 +146,6 @@ def write_scans(path, scans: ScanSet, seed=None) -> str:
     return digest.hexdigest()
 
 
-def _parse_float(token: str, column: str, line_no: int) -> float:
-    try:
-        value = float(token)
-    except ValueError:
-        raise IngestError(f"line {line_no}: {column} is not a number: {token!r}")
-    if not math.isfinite(value):
-        raise IngestError(f"line {line_no}: {column} must be finite, got {token!r}")
-    return value
-
-
 def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
     """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units;
     phi_deg, every row's angle or the grid's sizes[0] values once, is
@@ -208,19 +191,47 @@ _MIN_ROW_BYTES = len(",".join(["T", "0", "0", "0", "0", min(_VEHICLE_TOKENS, key
 _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 
 
-def _valid_key(tx, x, y, vehicle_state, stacking) -> bool:
-    """Does a scan key pass the row loop's rules?"""
-    return (bool(tx) and not tx.startswith("#") and math.isfinite(x) and math.isfinite(y)
-            and vehicle_state in _VEHICLE_TOKENS and stacking in _STACKING_TOKENS)
+def _skipped(row) -> bool:
+    """Is a csv record blank or a comment, which ingest skips?"""
+    return not row or row[0].startswith("#")
+
+
+def _record(row, at):
+    """The key, phi_deg and gain_db of the data record on line at, checked field by field."""
+    if len(row) != len(CANONICAL_FIELDS):
+        raise IngestError(f"line {at}: expected {len(CANONICAL_FIELDS)} columns, got {len(row)}")
+    tx_id, *numbers, vehicle_s, stacking_s = row
+    if not tx_id:
+        raise IngestError(f"line {at}: empty tx_id")
+    for i, (token, column) in enumerate(zip(row[1:5], CANONICAL_FIELDS[1:5])):
+        try:
+            numbers[i] = float(token)
+        except ValueError:
+            raise IngestError(f"line {at}: {column} is not a number: {token!r}") from None
+        if not math.isfinite(numbers[i]):
+            raise IngestError(f"line {at}: {column} must be finite, got {token!r}")
+    if vehicle_s not in _VEHICLE_TOKENS:
+        raise IngestError(f"line {at}: unknown vehicle_state {vehicle_s!r}")
+    if stacking_s not in _STACKING_TOKENS:
+        raise IngestError(f"line {at}: unknown stacking {stacking_s!r}")
+    x, y, phi, gain = numbers
+    return (tx_id, x, y, vehicle_s, stacking_s), phi, gain
+
+
+def _valid_key(*key) -> bool:
+    """Would the row loop read a record with this scan key as data?"""
+    with contextlib.suppress(IngestError):
+        return not _skipped(key) and bool(_record([*key[:3], 0.0, 0.0, *key[3:]], 0))
+    return False
 
 
 def _texts(path):
-    """The file's text after one leading UTF-8 byte-order mark, in blocks of
-    whole lines: each block of `_BLOCK_BYTES` is decoded and cut after its
-    last line end, and the rest, with a CR that ends it (maybe a CRLF's), is
-    carried into the next.  Yields (text, final); the final text is the
-    rest of the file, maybe "".  Bytes that are not UTF-8 are an IngestError.
-    """
+    """(text, final) blocks of whole lines of the file after one leading UTF-8
+    byte-order mark: each `_BLOCK_BYTES` read is decoded and cut after its
+    last line end, the rest (with a CR that ends it, maybe a CRLF's) carried
+    into the next; the final text is the rest of the file, maybe "".  Bad
+    UTF-8 is an IngestError, raised after the whole lines before it, so that
+    an error in those comes first."""
     decode = codecs.getincrementaldecoder("utf-8")().decode
     parts = []
     try:
@@ -237,6 +248,8 @@ def _texts(path):
                         yield text[:cut], False
             parts.append(decode(b"", final=True))
     except UnicodeDecodeError as exc:
+        text = "".join(parts) + exc.object[:exc.start].decode("utf-8")
+        yield text[:max(text.rfind("\n"), text.rfind("\r")) + 1], False
         raise IngestError(f"file is not valid UTF-8 text: {exc.reason}") from None
     yield "".join(parts), True
 
@@ -295,25 +308,14 @@ def _csv_block(body, header, line_no, final):
                 break
             done = reader.line_num
             at = line_no + done
-            if not row or row[0].startswith("#"):
+            if _skipped(row):
                 continue
             if not header:
                 if row != list(CANONICAL_FIELDS):
                     raise IngestError(f"line {at}: header must be exactly {CANONICAL_HEADER!r}")
                 header = True
                 break
-            if len(row) != len(CANONICAL_FIELDS):
-                raise IngestError(
-                    f"line {at}: expected {len(CANONICAL_FIELDS)} columns, got {len(row)}")
-            tx_id, *numbers, vehicle_s, stacking_s = row
-            if not tx_id:
-                raise IngestError(f"line {at}: empty tx_id")
-            x, y, phi, gain = map(_parse_float, numbers, CANONICAL_FIELDS[1:5], [at] * 4)
-            if vehicle_s not in _VEHICLE_TOKENS:
-                raise IngestError(f"line {at}: unknown vehicle_state {vehicle_s!r}")
-            if stacking_s not in _STACKING_TOKENS:
-                raise IngestError(f"line {at}: unknown stacking {stacking_s!r}")
-            rows.append(((tx_id, x, y, vehicle_s, stacking_s), phi, gain, at))
+            rows.append((*_record(row, at), at))
     except csv.Error as exc:
         error = IngestError(f"line {line_no + reader.line_num}: {exc}")
     except IngestError as exc:
@@ -380,6 +382,8 @@ def _ingest_columnar(path):
     keys, starts, rows, error = [], [], 0, None
     try:
         for run_keys, run_starts, block_phi, block_gain, _ in _blocks(path):
+            if rows + len(block_phi) > capacity:  # the file grew while it was read
+                raise IngestError("file changed while it was read")
             phi[rows:rows + len(block_phi)] = block_phi
             gain[rows:rows + len(block_phi)] = block_gain
             for key, start in zip(run_keys, run_starts):
@@ -400,8 +404,7 @@ def _ingest_columnar(path):
     if len(group_ids) < len(keys) or not rising.all():
         row_group = np.repeat(run_group, sizes)
         by_group = np.lexsort((phi, row_group))
-        phi = phi[by_group]
-        gain = gain[by_group]
+        phi, gain = phi[by_group], gain[by_group]
         sizes = np.bincount(row_group)
         repeated = phi[1:] == phi[:-1]
         repeated[np.cumsum(sizes)[:-1] - 1] = False

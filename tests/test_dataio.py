@@ -355,6 +355,45 @@ class TestColumnarIngest:
         with pytest.raises(IngestError, match=message):
             ingest(tmp_path / "case.csv")
 
+    @pytest.mark.parametrize("block", [997, 1 << 16])
+    def test_a_line_error_before_bad_utf8_is_raised_first(self, tmp_path, monkeypatch, block):
+        # A bad gain_db on line 3 and a byte that is not UTF-8 some 20 KB on,
+        # in the same block or a later one.  The reference reader decodes
+        # 8 KiB at a time, so it reaches line 3 before the bad byte.
+        rows = _rows(n=720)
+        rows[0] = rows[0].replace(",-60.0,", ",abc,")
+        path = tmp_path / "case.csv"
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + rows)
+        data = path.read_bytes()
+        at = data.index(b"\nTX2", 20_000) + 1
+        path.write_bytes(data[:at] + b"\xff" + data[at + 1:])
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
+        check_paths_agree(path)
+        with pytest.raises(IngestError, match=r"^line 3: gain_db is not a number: 'abc'$"):
+            ingest(path)
+        # Without the bad number, the bad byte is the error.
+        path.write_bytes(path.read_bytes().replace(b",abc,", b",-60.0,"))
+        check_paths_agree(path)
+        with pytest.raises(IngestError, match="^file is not valid UTF-8 text: "):
+            ingest(path)
+
+    def test_a_file_that_grows_while_it_is_read_is_an_ingest_error(self, tmp_path, monkeypatch):
+        # The columns are sized from the file's size before the read; rows
+        # appended after it are more than they hold.
+        path = tmp_path / "case.csv"
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows())
+        real = dataio._texts
+
+        def growing(p):
+            with open(p, "a", encoding="utf-8") as fh:
+                fh.write("\n".join(_rows(x="2.0", n=360)) + "\n")
+            yield from real(p)
+
+        monkeypatch.setattr(dataio, "_texts", growing)
+        with pytest.raises(IngestError, match="^file changed while it was read$"):
+            ingest(path)
+        assert not os.path.exists(str(path) + ".scanset.npz")
+
     def test_equal_numbers_spelled_differently_share_a_key(self, tmp_path):
         body = _rows(x="1.0")[:4] + _rows(x="1.00", y="3.50e0")[4:]
         assert self.ingest_lines(tmp_path, body) == "columnar"
@@ -790,12 +829,14 @@ class TestBlockBoundaries:
     @given(body=_canonical_bodies(), cr=st.sampled_from(["\r", "\r\r\n", "\r\r", "\n\r"]),
            data=st.data())
     def test_other_crs_take_the_row_loop(self, body, cr, data):
-        # A bare CR, CR CR LF or LF CR between two data lines of a CRLF
-        # file: csv ends lines there, so the block takes the row loop, in
-        # one block or many.
+        # A bare CR, CR CR LF or LF CR after any line but the last of a CRLF
+        # file: csv ends lines there.  The parse gives the reference's
+        # outcome, in one block or many, and a block with such a CR between
+        # data lines takes the row loop.
         lines = [provenance_line(), CANONICAL_HEADER] + body
         ends = ["\r\n"] * (len(lines) - 1)
-        ends[data.draw(st.integers(min_value=2, max_value=len(ends) - 1))] = cr
+        at = data.draw(st.integers(min_value=0, max_value=len(ends) - 1))
+        ends[at] = cr
         text = _ended(lines, ends, "\r\n")
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "case.csv")
@@ -804,7 +845,9 @@ class TestBlockBoundaries:
             want = _rows_of(ingest_rows, path)
             assert _rows_of(_ingest_columnar, path) == want
             assert _parsed_in_blocks(path, _block_size(text, data)) == want
-            assert check_paths_agree(path) == "rows"
+            path_taken = check_paths_agree(path)
+            if at >= 2:  # after the header's line end
+                assert path_taken == "rows"
 
     @settings(max_examples=200, deadline=None)
     @given(edits=_EDITS, data=st.data())
