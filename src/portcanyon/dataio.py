@@ -9,9 +9,11 @@ dB gains exactly and the angles to within one or two floating-point ulps.
 Every emitted file starts with a '#' provenance comment (tool version, seed,
 input hash) followed by the header row; files are written atomically, with
 the mode the umask gives a newly created file.  `write_table` takes columns
-and streams its text `_CHUNK_ROWS` rows at a time.  `write_scans` takes a
-ScanSet, formats its angle grid once and writes one scan at a time, in set
-order, so no output exists as one string.
+and writes them `_CHUNK_ROWS` rows at a time; `write_scans` takes a ScanSet
+and writes `_SCAN_BATCH` scans at a time, in set order, so no output exists
+as one string.  `csvtext` formats each chunk into one bytes array (float
+arrays in integer arithmetic, by `floatrepr`); it is imported on the first
+write, so a command that writes nothing does not compile it.
 
 `ingest` returns an `angular.ScanSet`: key columns, the one angle grid,
 the (scans x angles) gains matrix and the file's sha256; a file whose
@@ -112,33 +114,17 @@ def _atomic_write(path, write) -> None:
         raise
 
 
-def _scan_texts(scans: ScanSet):
-    """The canonical CSV rows of each scan, in set order; the grid's phi_deg
-    text is formatted once."""
-    phi_cells = [phi + "," for phi in map(repr, np.degrees(scans.grid).tolist())]
-    columns = (getattr(scans, key).tolist() for key in ScanSet.KEYS)
-    for (tx, x, y, vehicle_state, stacking), gain_db in zip(zip(*columns), scans.gains):
-        prefix = f"{_cell(tx)},{x!r},{y!r},"
-        suffix = f",{vehicle_state},{stacking}\n"
-        # One flat join: the prefix, then each row's phi, gain and the
-        # separator to the next row, the last row's being the suffix.
-        cells = [suffix + prefix] * (3 * gain_db.size + 1)
-        cells[0], cells[-1] = prefix, suffix
-        cells[1::3] = phi_cells
-        cells[2::3] = map(repr, gain_db.tolist())
-        yield "".join(cells)
-
-
 def write_scans(path, scans: ScanSet, seed=None) -> str:
-    """Write a ScanSet to the canonical CSV, atomically and deterministically:
-    one scan per write, in set order.  Returns the sha256 of the bytes
-    written, hashed as they are written."""
-    head = provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n"
-    chunks = itertools.chain([head], _scan_texts(scans))
+    """Write a ScanSet to the canonical CSV, atomically and deterministically,
+    `_SCAN_BATCH` scans per write, in set order.  Returns the sha256 of the
+    bytes written, hashed as they are written."""
+    from .csvtext import scan_rows
+
+    head = (provenance_line(seed=seed) + "\n" + CANONICAL_HEADER + "\n").encode("utf-8")
     digest = hashlib.sha256()
 
     def write(fh):
-        for data in map(str.encode, chunks):
+        for data in itertools.chain([head], scan_rows(scans, _SCAN_BATCH)):
             digest.update(data)
             fh.write(data)
 
@@ -543,30 +529,8 @@ def ingest(path) -> ScanSet:
         raise
 
 
-def _cell(value) -> str:
-    """One CSV field: text quoted as csv's QUOTE_MINIMAL does (CR too)."""
-    if isinstance(value, str):
-        if "," in value or '"' in value or "\n" in value or "\r" in value:
-            return '"' + value.replace('"', '""') + '"'
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
-def _lines(columns) -> str:
-    """CSV lines of columns: float arrays by `repr`, int arrays by `str`, else `_cell`."""
-    fields = [
-        map(repr if col.dtype.kind == "f" else str, col.tolist())
-        if isinstance(col, np.ndarray) and col.dtype.kind in "fiu" else map(_cell, col)
-        for col in columns
-    ]
-    if len(fields) == 1:  # csv writes a lone empty field as "", not a blank line
-        fields = [['""' if f == "" else f for f in fields[0]]]
-    return "\n".join(map(",".join, zip(*fields, strict=True))) + "\n"
-
-
-_CHUNK_ROWS = 1 << 11  # rows formatted per write: under a MB of floats and strings
+_CHUNK_ROWS = 1 << 10  # table rows formatted per write
+_SCAN_BATCH = 8  # scans formatted per write
 
 
 def write_table(path, header, columns, input_hash=None) -> None:
@@ -574,13 +538,18 @@ def write_table(path, header, columns, input_hash=None) -> None:
 
     `columns` holds one sequence per header field, all of one length.
     """
+    from .csvtext import table_rows
+
     if len(columns) != len(header):
         raise ValueError(f"{len(header)} header fields but {len(columns)} columns")
+    rows = len(columns[0])
+    if any(len(col) != rows for col in columns):
+        raise ValueError(f"columns of {sorted({len(col) for col in columns})} rows")
 
     def chunks():
-        yield provenance_line(input_hash=input_hash) + "\n"
-        yield _lines([[name] for name in header])
-        for start in range(0, len(columns[0]), _CHUNK_ROWS):
-            yield _lines([col[start:start + _CHUNK_ROWS] for col in columns])
+        yield (provenance_line(input_hash=input_hash) + "\n").encode("utf-8")
+        yield table_rows([[name] for name in header])
+        for start in range(0, rows, _CHUNK_ROWS):
+            yield table_rows([col[start:start + _CHUNK_ROWS] for col in columns])
 
-    _atomic_write(path, lambda fh: fh.writelines(map(str.encode, chunks())))
+    _atomic_write(path, lambda fh: fh.writelines(chunks()))

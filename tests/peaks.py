@@ -45,3 +45,18 @@ def command_peak_kib(*argv) -> int:
     return peak_growth_kib("import contextlib\nfrom portcanyon import cli",
                            "with contextlib.redirect_stdout(sys.stderr):\n"
                            "    assert cli.main(sys.argv[1:]) == 0", *argv)
+
+
+def table_peak_kib(path, rows) -> int:
+    """How much one `dataio.write_table` of a (rows x 3) float table, shaped
+    as `vehicle`'s CDF tables, grows the peak RSS, in KiB; a 10-row write of
+    the same columns runs first, so the formatter's one-time import does not
+    count."""
+    setup = ("import numpy as np\n"
+             "from portcanyon.dataio import write_table\n"
+             "n = int(sys.argv[2])\n"
+             "rng = np.random.default_rng(0)\n"
+             "columns = (np.sort(rng.normal(0.0, 3.0, n)), np.arange(1, n + 1) / n,\n"
+             "           np.sort(rng.random(n)))\n"
+             "write_table(sys.argv[1], ('x', 'p', 'q'), [col[:10] for col in columns])")
+    return peak_growth_kib(setup, "write_table(sys.argv[1], ('x', 'p', 'q'), columns)", path, rows)

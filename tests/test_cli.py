@@ -1038,6 +1038,31 @@ assert not missing, ("import portcanyon.cli", missing)
     assert done.returncode == 0, done.stderr
 
 
+def test_planner_commands_do_not_load_the_table_formatters(tmp_path):
+    # Every child compiles what it imports: a command that writes no table
+    # loads neither formatter, and `coverage --out`, whose table holds no
+    # float array, only the one for its text.
+    script = """
+import contextlib
+import sys
+from portcanyon import cli
+for argv, loaded in (
+        (["geometry", "--height", "17.4", "--width", "8", "--distance", "63",
+          "--rx-depth", "5"], set()),
+        (["--print-default-config"], set()),
+        (["coverage", "--out", sys.argv[1]], {"portcanyon.csvtext"})):
+    with contextlib.redirect_stdout(sys.stderr):
+        assert cli.main(argv) == 0, argv
+    formatters = {"portcanyon.csvtext", "portcanyon.floatrepr"} & set(sys.modules)
+    assert formatters == loaded, (argv, formatters)
+"""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-c", script, str(tmp_path / "coverage.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert (tmp_path / "coverage.csv").exists()
+
+
 def test_traced_child_runs_every_command(tmp_path):
     # The traced bench run binds parameters by name (spans.WORK); a renamed
     # one crashes the traced child, and only there.

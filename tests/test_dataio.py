@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from peaks import HAS_VMHWM, ingest_peak_kib
+import reference_writer
+from peaks import HAS_VMHWM, ingest_peak_kib, table_peak_kib
 from reference_reader import ingest_rows
 from scansets import Scan, grid, records, scan_set
 
@@ -34,7 +35,9 @@ from portcanyon.dataio import (
     write_scans,
     write_table,
 )
+from portcanyon.csvtext import table_rows
 from portcanyon.errors import DomainError, GridError, IngestError
+from portcanyon.floatrepr import WORDS, format_floats
 from portcanyon.synth import SynthConfig, build_layout, generate_campaign
 
 GRID = grid(12)
@@ -1053,38 +1056,57 @@ def table_bytes(header, columns, **kwargs) -> bytes:
 
 
 EDGE_FLOATS = [-0.0, 0.0, 5e-324, 1e16, 0.1 + 0.2, 1e-7, -1.5e300, float("inf"), float("nan")]
-EDGE_TEXT = [",", '"', "\n", " leading space", "", 'a,"b"\nc', "trailing ", "plain"]
+EDGE_TEXT = [",", '"', "\n", " leading space", "", 'a,"b"\nc', "trailing ", "plain", "\0",
+             "a\0", "é"]
 # Python 3.11's csv.writer leaves a CR unquoted (a bare CR does not read back);
-# the column writer quotes it, so CR is left out of the byte-equality text.
+# the column writer quotes it, so CR is left out of the byte-equality text and
+# tables with a CR are compared with the per-value writer (`CR_TEXT`).
 TEXT = st.one_of(
     st.sampled_from(EDGE_TEXT),
     st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\r")),
+)
+CR_TEXT = st.one_of(
+    st.sampled_from(EDGE_TEXT + ["\r", "a\rb", "\r\n", 'x\r\n"y"']),
+    st.text(st.characters(blacklist_categories=("Cs",))),
 )
 FLOATS = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 INTS = st.integers(min_value=-(2**63), max_value=2**63 - 1)
 
 
 @st.composite
-def tables(draw):
-    """(header, columns): float and int arrays, and lists of any cell type."""
+def tables(draw, text=TEXT):
+    """(header, columns): float, int and bool arrays, tuples of floats, and
+    lists of any cell type; text cells drawn from text."""
     n = draw(st.integers(min_value=0, max_value=12))
     kinds = draw(st.lists(st.sampled_from(
-        ["float_array", "int_array", "int", "np_int", "text", "mixed"]), min_size=1, max_size=4))
+        ["float_array", "float32_array", "int_array", "uint_array", "bool_array", "float_tuple",
+         "int", "np_int", "text", "mixed"]), min_size=1, max_size=4))
     columns = []
     for kind in kinds:
         if kind == "float_array":
             columns.append(np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float))
+        elif kind == "float32_array":
+            columns.append(np.array(draw(st.lists(st.floats(width=32), min_size=n, max_size=n)),
+                                    dtype=np.float32))
         elif kind == "int_array":
             columns.append(np.array(draw(st.lists(INTS, min_size=n, max_size=n)), dtype=np.int64))
+        elif kind == "uint_array":
+            columns.append(np.array(draw(st.lists(st.integers(0, 2**64 - 1), min_size=n,
+                                                  max_size=n)), dtype=np.uint64))
+        elif kind == "bool_array":
+            columns.append(np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+                                    dtype=bool))
+        elif kind == "float_tuple":
+            columns.append(tuple(draw(st.lists(FLOATS, min_size=n, max_size=n))))
         elif kind == "int":
             columns.append(draw(st.lists(INTS, min_size=n, max_size=n)))
         elif kind == "np_int":
             columns.append([np.int64(v) for v in draw(st.lists(INTS, min_size=n, max_size=n))])
         elif kind == "text":
-            columns.append(draw(st.lists(TEXT, min_size=n, max_size=n)))
+            columns.append(draw(st.lists(text, min_size=n, max_size=n)))
         else:
-            columns.append(draw(st.lists(st.one_of(FLOATS, INTS, TEXT), min_size=n, max_size=n)))
-    header = draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns)))
+            columns.append(draw(st.lists(st.one_of(FLOATS, INTS, text), min_size=n, max_size=n)))
+    header = draw(st.lists(text, min_size=len(columns), max_size=len(columns)))
     return header, columns
 
 
@@ -1096,6 +1118,12 @@ class TestColumnWriter:
         rows = list(zip(*columns))
         assert table_bytes(header, columns, input_hash=input_hash) == \
             oracle_table_bytes(header, rows, input_hash=input_hash)
+
+    @settings(max_examples=150, deadline=None)
+    @given(table=tables(text=CR_TEXT))
+    def test_tables_with_carriage_returns_match_the_per_value_writer(self, table):
+        header, columns = table
+        assert table_bytes(header, columns) == reference_writer.table_bytes(header, columns)
 
     @pytest.mark.parametrize("cells", [[""], ["", ""], ["", "x", ""], []])
     def test_one_column_of_empty_strings(self, cells):
@@ -1109,6 +1137,15 @@ class TestColumnWriter:
         columns = (rng.normal(size=n), rng.integers(-5, 5, size=n),
                    [f"r{i}" if i % 3 else "a,b" for i in range(n)])
         header = ("x", "count", "label")
+        assert table_bytes(header, columns) == oracle_table_bytes(header, zip(*columns))
+
+    @pytest.mark.parametrize("n", [_CHUNK_ROWS - 1, _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS])
+    def test_a_cdf_table_over_several_chunks(self, n):
+        # Several float columns, float32 among them, are formatted in one call a chunk.
+        rng = np.random.default_rng(n)
+        columns = (np.sort(rng.normal(0.0, 3.0, n)), np.arange(1, n + 1) / n,
+                   np.sort(rng.random(n)).astype(np.float32))
+        header = ("delta_db", "empirical_cdf", "gaussian_cdf")
         assert table_bytes(header, columns) == oracle_table_bytes(header, zip(*columns))
 
     def test_carriage_return_is_quoted_and_reads_back(self):
@@ -1161,6 +1198,17 @@ class TestColumnWriter:
             with open(path, "rb") as fh:
                 assert fh.read() == oracle_scans_bytes(scans, seed=seed)
 
+    @pytest.mark.parametrize("vehicle_mode", ["none", "dense"])
+    def test_campaign_bytes_match_csv_writer(self, tmp_path, vehicle_mode):
+        # Campaigns of many more scans than one write holds.
+        cfg = SynthConfig(n_angles=36, seed=4)
+        scans = generate_campaign(build_layout("nonuniform"), cfg, vehicle_mode=vehicle_mode)
+        assert len(scans) > 2 * dataio._SCAN_BATCH
+        path = tmp_path / "scans.csv"
+        digest = write_scans(path, scans, seed=4)
+        assert path.read_bytes() == oracle_scans_bytes(records(scans), seed=4)
+        assert digest == file_sha256(path)
+
     @pytest.mark.parametrize("tx", ["TX,1", 'TX"1', 'a,"b'])
     def test_tx_id_with_csv_specials_round_trips(self, tmp_path, tx):
         scans = [make_scan(tx=tx), make_scan(seed=1, tx=tx, x=9.0)]
@@ -1171,6 +1219,111 @@ class TestColumnWriter:
         assert [s.key for s in back] == [s.key for s in scans]
         for orig, rec in zip(scans, back):
             assert rec.gains.tobytes() == orig.gains.tobytes()
+
+
+# ---------------------------------------------------- the float formatter vs repr
+
+def kernel_texts(values) -> list:
+    """The formatter's text of each value."""
+    values = np.asarray(values, dtype=np.float64)
+    words = np.empty((values.size, WORDS), "<u8")
+    format_floats(values, words)
+    return [row.tobytes().replace(b"\0", b"").decode("ascii") for row in words]
+
+
+def assert_reprs(values):
+    """The one-column table of values is each value's repr, a line each."""
+    values = np.asarray(values, dtype=np.float64).ravel()
+    for start in range(0, values.size, 1 << 18):
+        part = values[start:start + (1 << 18)]
+        got = table_rows([part]).tobytes().decode("ascii").split("\n")[:-1]
+        want = list(map(repr, part.tolist()))
+        if got != want:
+            bad = next(i for i, (g, w) in enumerate(zip(got, want)) if g != w)
+            raise AssertionError(f"{part[bad]!r} ({part[bad:bad + 1].view(np.uint64)[0]:#x}): "
+                                 f"{got[bad]!r}")
+
+
+def _ulps(values):
+    """Each value and its neighbours one ulp down and up."""
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+class TestFloatFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(), min_size=1, max_size=40))
+    def test_any_float_is_its_repr(self, values):
+        assert kernel_texts(values) == list(map(repr, values))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=40))
+    def test_any_bit_pattern_is_its_repr(self, patterns):
+        values = np.array(patterns, dtype=np.uint64).view(np.float64)
+        assert kernel_texts(values) == list(map(repr, values.tolist()))
+
+    def test_random_bit_patterns(self):
+        assert_reprs(np.random.default_rng(34).integers(0, 2 ** 64, 2_000_000, dtype=np.uint64,
+                                                       endpoint=False).view(np.float64))
+
+    def test_powers_of_two_and_ten_and_their_neighbours(self):
+        assert_reprs(_ulps(np.ldexp(1.0, np.arange(-1074, 1024))))
+        assert_reprs(_ulps(np.array([float(f"1e{e}") for e in range(-323, 309)])))
+
+    @pytest.mark.parametrize("n", [221_760, 312_480])
+    def test_cdf_probabilities(self, n):
+        assert_reprs(np.arange(n + 1) / n)
+
+    def test_short_decimals_at_every_scale(self):
+        # 1 to 3 significant digits, in fixed and in exponent notation.
+        assert_reprs(_ulps(np.array([float(f"{m}e{e}") for m in (*range(1, 100), 105, 999)
+                                     for e in range(-325, 309)])))
+
+    def test_decimals_of_every_length(self):
+        rng = np.random.default_rng(17)
+        for digits in range(1, 18):
+            mantissas = rng.integers(10 ** (digits - 1), 10 ** digits, 5000, dtype=np.int64)
+            values = [float(f"{m}e{e}") for m, e in zip(mantissas.tolist(),
+                                                      rng.integers(-330, 310, 5000).tolist())]
+            assert_reprs(_ulps(np.array(values)))
+
+    def test_integers_and_edges(self):
+        rng = np.random.default_rng(5)
+        assert_reprs(np.arange(-100_000, 100_001, dtype=np.float64))
+        assert_reprs(_ulps(rng.integers(-(2 ** 53), 2 ** 53, 100_000).astype(np.float64)))
+        assert_reprs(_ulps(np.array([2.0 ** 53, 1e16, 1e17, 1e22, 1e23, 9007199254740993.0])))
+        assert_reprs(np.round(rng.normal(0.0, 100.0, 100_000), 3))
+        info = np.finfo(np.float64)
+        assert kernel_texts([0.0, -0.0, 5e-324, -5e-324, info.tiny, info.max, -info.max,
+                             np.inf, -np.inf, np.nan, 1e-5, 1e16, 0.0001]) == [
+            "0.0", "-0.0", "5e-324", "-5e-324", "2.2250738585072014e-308",
+            "1.7976931348623157e+308", "-1.7976931348623157e+308", "inf", "-inf", "nan",
+            "1e-05", "1e+16", "0.0001"]
+
+    def test_the_interval_scale_fits_the_product(self):
+        # h, the shift that scales 4c by g, stays in 2..5 over every normal
+        # exponent, both interval shapes: the products' words are read so.
+        biased = np.arange(1, 2047)
+        for closer in (0, 274743187321):
+            k = ((biased - 1075) * 661971961083 - closer) >> 41
+            h = biased - 1075 + ((-k * 913124641741) >> 38) + 2
+            assert h.min() >= 2 and h.max() <= 5
+
+    def test_the_powers_of_ten_are_126_bits(self):
+        from portcanyon import floatrepr
+
+        g = [int(high) << 64 | int(low) for high, low in zip(floatrepr._GH, floatrepr._GL)]
+        assert len(g) == 617
+        assert all(1 << 125 < value <= 1 << 126 for value in g)
+
+
+@pytest.mark.skipif(not HAS_VMHWM, reason="needs VmHWM")
+def test_table_write_peak_is_flat(tmp_path):
+    # A 221,760 x 3 float table, as `vehicle`'s CDF tables; the 10-row write
+    # before it imports the formatter and runs each of its steps once.  The
+    # per-value writer this replaced (`reference_writer.lines` a chunk of
+    # 2,048 rows) grew the peak by 428 KiB here; this writer, 68 KiB.
+    growth = table_peak_kib(tmp_path / "table.csv", 221_760)
+    assert growth <= 428, growth
 
 
 # ------------------------------------------------------------ ScanSet sidecar
