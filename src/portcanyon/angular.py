@@ -52,17 +52,19 @@ def _bad_gains(gains_db):
 def first_invalid(grid, gains, angles=None, first=0):
     """(row, error) for the first row of a (scans x n) gains matrix that is
     not a valid scan and the error saying why; None if all are.  A valid
-    scan has no `_bad_gains` and its angles on grid, the set's one grid: 8
-    or more angles, uniform over one rotation from [0, spacing).  angles, if
-    given, holds each scan's angles, one row per scan, each within
-    GRID_MATCH_TOL of grid at every angle, or the error names first as the
-    scan grid came from.
+    scan has no `_bad_gains` and its angles on grid, the set's one grid in
+    degrees: 8 or more angles, uniform over one rotation from [0, spacing).
+    angles, if given, holds each scan's angles in degrees, one row per scan,
+    each within GRID_MATCH_TOL of grid at every angle, or the error names
+    first as the scan grid came from.
 
-    grid is checked once, as row 0's; the rows are checked `CHUNK_ROWS` at
-    a time, so the check's temporaries are a few chunks of rows, not copies
-    of the matrices: a cold ingest checks the scans while it holds the
-    parse's columns, at its peak.  A row's gains are named before its
-    angles."""
+    The tolerances are in rad, so the grid and each chunk of angles are
+    converted to radians here, and only here.  grid is checked once, as row
+    0's; the rows are checked `CHUNK_ROWS` at a time, so the check's
+    temporaries are a few chunks of rows, not copies of the matrices: a cold
+    ingest checks the scans while it holds the parse's columns, at its peak.
+    A row's gains are named before its angles."""
+    grid = np.radians(grid)
     n = grid.size
     if n < 8:
         return 0, GridError(f"need at least 8 azimuth samples, got {n}")
@@ -81,8 +83,9 @@ def first_invalid(grid, gains, angles=None, first=0):
     for top in range(0, len(gains), CHUNK_ROWS):
         bad = _bad_gains(gains[top:top + CHUNK_ROWS])
         gap = np.zeros(bad.size)
-        if angles is not None:  # one scratch chunk: the rows' angles, less the grid
-            gap = angles[top:top + CHUNK_ROWS] - grid
+        if angles is not None:  # one scratch chunk: the rows' angles in rad, less the grid
+            gap = np.radians(angles[top:top + CHUNK_ROWS])
+            gap -= grid
             gap = np.abs(gap, out=gap).max(axis=1)
         rows = np.flatnonzero(bad | ~(gap <= GRID_MATCH_TOL))
         if rows.size:
@@ -97,11 +100,12 @@ class ScanSet:
     """Scans as columns, in order: what `dataio.ingest` returns.
 
     The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
-    values) hold one entry per scan; `grid` is the set's one azimuth grid
-    (rad, n angles, read-only), as the sounder's fixed azimuth steps give
-    it, and `gains` the (scans x n) matrix of the file's dB gains; `sha256` is
-    the hash of the file read, if any.  `from_rows` builds and checks every
-    set; a statistic picks scans by an index array into it, not by a copy.
+    values) hold one entry per scan; `grid` is the set's one azimuth grid,
+    the file's own n angles in degrees (read-only), as the sounder's fixed
+    azimuth steps give it, and `gains` the (scans x n) matrix of the file's
+    dB gains; `sha256` is the hash of the file read, if any.  `from_rows`
+    builds and checks every set; a statistic picks scans by an index array
+    into it, not by a copy.
     """
 
     KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
@@ -111,24 +115,24 @@ class ScanSet:
         self.grid, self.gains, self.sha256 = grid, gains, sha256
 
     @classmethod
-    def from_rows(cls, keys, sizes, angles_rad, gains, sha256=None) -> "ScanSet":
+    def from_rows(cls, keys, sizes, angles_deg, gains, sha256=None) -> "ScanSet":
         """A checked ScanSet from scans stored back to back: scan i is keys[i]
-        with the next sizes[i] gains in dB.  angles_rad holds the grid's
-        sizes[0] values or each scan's angles, stored alike.  The set keeps a
-        copy of scan 0's angles as its grid; the gains, or a (scans x n)
-        matrix of them, become its matrix as a view.  The earliest scan that
-        `first_invalid` rejects (off scan 0's grid by more than
-        GRID_MATCH_TOL too), or whose angle count differs from scan 0's,
-        raises a GridError (a DomainError for its gains) prefixed with its
-        key as given."""
+        with the next sizes[i] gains in dB.  angles_deg holds the grid's
+        sizes[0] values or each scan's angles, in degrees, stored alike.  The
+        set keeps a copy of scan 0's angles as its grid; the gains, or a
+        (scans x n) matrix of them, become its matrix as a view; no input is
+        modified.  The earliest scan that `first_invalid` rejects (off scan
+        0's grid by more than GRID_MATCH_TOL too), or whose angle count
+        differs from scan 0's, raises a GridError (a DomainError for its
+        gains) prefixed with its key as given."""
         sizes = np.asarray(sizes, dtype=int)
         n = int(sizes[0]) if sizes.size else 0
         differ = np.flatnonzero(sizes != n)
         same = int(differ[0]) if differ.size else sizes.size  # scans 0..same-1 have n angles
         # Mixed counts come flat: the scans before the first that differs are formed.
         gains = np.reshape(gains[:same * n], (same, n))
-        angles = np.reshape(angles_rad[:same * n], (same, n)) if np.size(angles_rad) != n else None
-        grid = np.array(np.ravel(angles_rad)[:n], dtype=float)
+        angles = np.reshape(angles_deg[:same * n], (same, n)) if np.size(angles_deg) != n else None
+        grid = np.array(np.ravel(angles_deg)[:n], dtype=float)
         grid.flags.writeable = False
         found = first_invalid(grid, gains, angles, keys[0]) if same else None
         if found is None and differ.size:
@@ -264,7 +268,7 @@ def gain_cdfs(scans: ScanSet, index, tx_positions) -> tuple[EmpiricalCdf, ...]:
     spectra = normalized_spectrum(scans, index)
     n = spectra.shape[1]
     # The grid angle nearest each bearing; np.rint rounds half to even, as round does.
-    nearest = np.rint((bearings - scans.grid[0]) / (TWO_PI / n))
+    nearest = np.rint((bearings - np.radians(scans.grid[0])) / (TWO_PI / n))
     at_tx = spectra[np.arange(len(spectra)), nearest.astype(int) % n]
     peaks = spectra.max(axis=1)
     pooled = spectra.ravel()  # spectra is new and C-ordered: a view

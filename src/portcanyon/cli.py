@@ -88,7 +88,7 @@ def _cmd_angular(args, cfg: ToolConfig) -> Report:
     base = _baseline(scans)
     tx = scans.tx[base]
     positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in dict.fromkeys(tx.tolist())}
-    angles_deg, tables = np.degrees(scans.grid), []
+    angles_deg, tables = scans.grid, []
     for tx_id in positions:  # in first-seen order
         stats = angular.ensemble_stats(scans, base[tx == tx_id], db_bin_width=cfg.histogram_bin_db)
         tables += _angle_stats_tables(args.out_dir, "angular", tx_id, "mean_db", angles_deg, *stats)
@@ -146,7 +146,7 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
               if (scans.vehicle_state == state.value).any()]
     if not deltas:
         raise IngestError("dataset has no vehicle scans")
-    input_hash, angles_deg = scans.sha256, np.degrees(scans.grid)
+    input_hash, angles_deg = scans.sha256, scans.grid
     del scans
 
     tables, lines, fits = [], [], []
@@ -174,9 +174,11 @@ def _cmd_fit(args, cfg: ToolConfig) -> Report:
     scans = dataio.ingest(args.input)
     base = _baseline(scans)
     gain_db = angular.circular_mean_gain(scans, base)
-    distance_m = []
+    distance_m, positions = [], {}  # each transmitter's position, taken once
     for tx_id, x, y in zip(*(getattr(scans, key)[base].tolist() for key in ("tx", "x", "y"))):
-        tx_x, tx_y, tx_z = synth.tx_position(tx_id)
+        if tx_id not in positions:  # first seen: an unknown id fails in set order
+            positions[tx_id] = synth.tx_position(tx_id)
+        tx_x, tx_y, tx_z = positions[tx_id]
         # Per-sample math, not arrays: Python's v ** 2 calls C pow(), which
         # differs from numpy's v * v square in the last bit for about 0.09 %
         # of doubles (1,704 of 2,000,000 uniform draws in [-150, 150] on an

@@ -104,7 +104,7 @@ def scan_rows(scans: ScanSet, batch):
     from .floatrepr import WORDS, format_floats
 
     n = scans.grid.size
-    phi = bytes(table_rows([np.degrees(scans.grid)])).split(b"\n")[:-1]
+    phi = bytes(table_rows([scans.grid])).split(b"\n")[:-1]
     phi = np.array([cell + b"," for cell in phi])
     phi = phi.view(np.uint8).reshape(n, phi.itemsize)
     keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))

@@ -3,8 +3,8 @@
 One row per (tx, point, angle, vehicle state); synthetic and real data use
 the same file format so every downstream statistic runs on either.  Angles
 are serialized in degrees and gains in dB at full double precision
-(shortest round-tripping decimal), so a write/ingest cycle gives back the
-dB gains exactly and the angles to within one or two floating-point ulps.
+(shortest round-tripping decimal), and a ScanSet holds them in those units,
+so a write/ingest cycle gives back the angles and the gains exactly.
 
 Every emitted file starts with a '#' provenance comment (tool version, seed,
 input hash) followed by the header row; files are written atomically, with
@@ -15,9 +15,9 @@ as one string.  `csvtext` formats each chunk into one bytes array (float
 arrays in integer arithmetic, by `floatrepr`); it is imported on the first
 write, so a command that writes nothing does not compile it.
 
-`ingest` returns an `angular.ScanSet`: key columns, the one angle grid,
-the (scans x angles) gains matrix and the file's sha256; a file whose
-scans differ in angle count, or in angle by more than
+`ingest` returns an `angular.ScanSet`: key columns, the one angle grid
+(the file's degrees), the (scans x angles) gains matrix and the file's
+sha256; a file whose scans differ in angle count, or in angle by more than
 `angular.GRID_MATCH_TOL` from scan 0's, is a GridError that names the
 first scan that differs.  The file is read once, in blocks of whole lines
 (`_BLOCK_BYTES`), after one leading UTF-8 byte-order mark.  The lines to
@@ -27,21 +27,21 @@ and checked column-wise, and its phi_deg and gain_db go into the result
 before the next is read, so the parse holds one block's table.  A block
 those checks cannot vouch for (a bad value or token, a quoted field over
 two lines, a bare CR, non-ASCII bytes, a comment row) goes through the row
-loop alone, which names the line of an error.  `_scan_set` converts the
-rows' phi_deg to radians in place and keeps gain_db as the set's dB gains.
+loop alone, which names the line of an error.  `ScanSet.from_rows` builds
+the set of the rows as they are read, converting none of them.
 
-`ingest` keeps the parse's rows, in the CSV's units, in a sidecar beside the
+`ingest` keeps the set it built, in the CSV's units, in a sidecar beside the
 input, `<input>.scanset.npz`, so the next read of the same content skips the
-parse.  It is saved atomically (umask mode) before the rows are converted
-and removed if the build fails, so a failing ingest leaves none; a
-directory that refuses the write just leaves no sidecar.  `synth` saves
-one too (`save_sidecar`) from the set `write_scans` wrote and the sha256 it
-returned, so a file `synth` wrote is never parsed.  The grid is saved once:
-phi_deg holds scan 0's n values, not one per row.  A sidecar is trusted
-only if it passes every check of `_load_sidecar` (format version, input
-sha256, members, dtypes, shapes and sizes, CRC-32s, one positive angle
-count, unique keys that pass the row loop's rules); its rows then go
-through the same `_scan_set` and checks as a parse's.  Anything else, an
+parse.  `save_sidecar` writes it atomically (umask mode) for `ingest`, and
+for `synth` from the set `write_scans` wrote and the sha256 it returned, so
+a file `synth` wrote is never parsed.  A failing build removes the input's
+sidecar, a stale one too, so a failing ingest leaves none; a directory that
+refuses the write just leaves no sidecar.  The grid is saved once: phi_deg
+holds its n values, not one per row.  A sidecar is trusted only if it
+passes every check of `_load_sidecar` (format version, input sha256,
+members, dtypes, shapes and sizes, CRC-32s, one positive angle count,
+unique keys that pass the row loop's rules); its rows then go through the
+same `ScanSet.from_rows` and checks as a parse's.  Anything else, an
 I/O error or a format-1 sidecar included, is a miss: the file is parsed and
 the sidecar rewritten.  So a sidecar never changes a result, and deleting
 it, `synth`'s too, is always safe.
@@ -130,14 +130,6 @@ def write_scans(path, scans: ScanSet, seed=None) -> str:
 
     _atomic_write(path, write)
     return digest.hexdigest()
-
-
-def _scan_set(keys, sizes, phi_deg, gain_db, sha256) -> ScanSet:
-    """The checked ScanSet (`ScanSet.from_rows`) of rows in the CSV's units;
-    phi_deg, every row's angle or the grid's sizes[0] values once, is
-    converted to radians in place, and the set holds gain_db as it is."""
-    np.radians(phi_deg, out=phi_deg)
-    return ScanSet.from_rows(keys, sizes, phi_deg, gain_db, sha256)
 
 
 # Bytes `np.loadtxt` splits into fields as csv does: printable ASCII, the
@@ -352,7 +344,7 @@ def _duplicate_angle(path, row) -> IngestError:
 
 
 def _ingest_columnar(path):
-    """The rows `_scan_set` takes, from one read of the file (`_blocks`).
+    """The rows `ScanSet.from_rows` takes, from one read of the file (`_blocks`).
 
     Rows go into the result columns block by block.  Runs of rows with one
     key are grouped by first-seen key, so a run at x -0.0 joins one at 0.0
@@ -451,23 +443,28 @@ def _load_sidecar(path, sha256, limit):
         return None
 
 
-def _save_sidecar(path, rows, sha256, limit) -> None:
-    """Write the rows' sidecar atomically, unless a text key would not survive
-    numpy's fixed-width strings (a trailing NUL) or a text member would take
-    more than limit (the input's size in) bytes, which `_load_sidecar`
-    refuses: every scan's key takes the longest one's width.  A directory
-    that refuses the write leaves no sidecar and no error."""
-    keys, sizes, phi_deg, gain_db = rows
+def save_sidecar(path, scans: ScanSet, sha256) -> None:
+    """Save the sidecar of the CSV at path, whose set is scans and whose
+    sha256 is sha256, so the next `ingest` of the file skips the parse: the
+    scans in set order, in CSV units, the grid once.  It is written
+    atomically, unless a text key would not survive numpy's fixed-width
+    strings (a trailing NUL) or a text member would take more than the
+    CSV's size in bytes, which `_load_sidecar` refuses: every scan's key
+    takes the longest one's width.  A directory that refuses the write
+    leaves no sidecar and no error."""
+    limit = os.path.getsize(path)
     members = {"version": np.array(_SIDECAR_VERSION, dtype=np.int64), "sha256": np.array(sha256),
-               "sizes": np.asarray(sizes, dtype=np.int64), "phi_deg": phi_deg, "gain_db": gain_db}
-    for key, values in zip(ScanSet.KEYS, zip(*keys)):
+               "sizes": np.full(len(scans), scans.grid.size, dtype=np.int64),
+               "phi_deg": scans.grid, "gain_db": scans.gains.ravel()}
+    for key in ScanSet.KEYS:
+        values = getattr(scans, key).tolist()
         if key not in ("x", "y") and 4 * len(values) * max(map(len, values)) > limit:
             return  # 4 bytes a character
         members[key] = np.array(values)
-        if members[key].tolist() != list(values):
+        if members[key].tolist() != values:
             return
     with contextlib.suppress(OSError):
-        _atomic_write(path, lambda fh: _write_npz(fh, members))
+        _atomic_write(os.fspath(path) + SIDECAR_SUFFIX, lambda fh: _write_npz(fh, members))
 
 
 def _write_npz(fh, members) -> None:
@@ -482,18 +479,6 @@ def _write_npz(fh, members) -> None:
                 member.write(np.ascontiguousarray(array).view(np.uint8))
 
 
-def save_sidecar(path, scans: ScanSet, sha256) -> None:
-    """Save the sidecar of the CSV at path that `write_scans` wrote from
-    scans, keyed by sha256, the hash it returned, so the first `ingest` of
-    the file skips the parse.  The rows are saved in set order, in CSV units,
-    the grid once."""
-    keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
-    sizes = np.full(len(scans), scans.grid.size, dtype=np.int64)
-    # The values `write_scans` formats, so the rows a parse reads back.
-    rows = (keys, sizes, np.degrees(scans.grid), scans.gains.ravel())
-    _save_sidecar(os.fspath(path) + SIDECAR_SUFFIX, rows, sha256, os.path.getsize(path))
-
-
 def ingest(path) -> ScanSet:
     """Read and validate a canonical measurement CSV into a ScanSet.
 
@@ -503,8 +488,8 @@ def ingest(path) -> ScanSet:
     full rotation.  The file's text is read once (see the module
     docstring).  The set's `sha256` is the file's.
 
-    The parsed rows are kept in the sidecar `<path>.scanset.npz` and taken
-    from there while it holds the file's sha256 (see the module docstring).
+    The set is kept in the sidecar `<path>.scanset.npz` and taken from
+    there while it holds the file's sha256 (see the module docstring).
     """
     before = os.stat(path)
     sha256 = file_sha256(path)
@@ -512,21 +497,20 @@ def ingest(path) -> ScanSet:
     cached = _load_sidecar(sidecar, sha256, before.st_size)
     if cached is not None:
         with contextlib.suppress(Exception):  # sidecar rows that do not build are a miss
-            return _scan_set(*cached, sha256)
-    keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
-    after = os.stat(path)
-    # A file changed while it was read may not match its hash.  The rows are
-    # saved before the build converts them, scan 0's angles as the grid; a
-    # failing build, a scan off that grid included, removes them.
-    if (before.st_ino, before.st_size, before.st_mtime_ns) == (
-            after.st_ino, after.st_size, after.st_mtime_ns):
-        _save_sidecar(sidecar, (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256, after.st_size)
+            return ScanSet.from_rows(*cached, sha256)
+    rows = _ingest_columnar(path)
     try:
-        return _scan_set(keys, sizes, phi_deg, gain_db, sha256)
+        scans = ScanSet.from_rows(*rows, sha256)
     except BaseException:
         with contextlib.suppress(OSError):
             os.unlink(sidecar)
         raise
+    after = os.stat(path)
+    # A file changed while it was read may not match its hash.
+    if (before.st_ino, before.st_size, before.st_mtime_ns) == (
+            after.st_ino, after.st_size, after.st_mtime_ns):
+        save_sidecar(path, scans, sha256)
+    return scans
 
 
 _CHUNK_ROWS = 1 << 10  # table rows formatted per write

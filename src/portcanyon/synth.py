@@ -34,7 +34,7 @@ from .geometry import CanyonGeometry, received_power_approx
 from .stats import EmpiricalCdf, empirical_cdf
 
 __all__ = [
-    "TxSpec", "CampaignLayout", "HornPattern", "SynthConfig", "build_layout",
+    "CampaignLayout", "HornPattern", "SynthConfig", "build_layout",
     "geometry_for", "mean_gain_at", "fullspread_gain_distribution", "generate_campaign",
     "tx_position", "MAX_N_ANGLES", "DENSE_LINE_TENTHS",
 ]
@@ -83,16 +83,6 @@ MAX_SIGMA_DB = 100.0
 MIN_PSI = 0.025
 
 _VEHICLE_CODE = {VehicleState.POSITION1: 1, VehicleState.POSITION2: 2}
-
-
-@dataclass(frozen=True)
-class TxSpec:
-    """One transmitter mount: identifier and position (m)."""
-
-    tx_id: str
-    x: float
-    y: float
-    z: float
 
 
 @dataclass(frozen=True)
@@ -193,12 +183,13 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class CampaignLayout:
-    """Full campaign geometry: canyon, stacking, TX mounts, RX grids."""
+    """Full campaign geometry: canyon, stacking, TX mounts (their ids, each
+    placed by `tx_position`), RX grids."""
 
     stacking: Stacking
     section_heights_row1_m: tuple[float, ...]
     section_heights_row2_m: tuple[float, ...]
-    txs: tuple[TxSpec, ...]
+    txs: tuple[str, ...]
     coarse_points: tuple[tuple[float, float], ...]
     dense_points: tuple[tuple[float, float], ...]
     rx_height_m: float = 1.5
@@ -259,9 +250,6 @@ def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> Campa
         tx1_ys = TX1_Y_NONUNIFORM_M
         coarse_step = COARSE_X_STEP_NONUNIFORM_M
 
-    tx_ids = [f"TX1_{y:g}" for y in tx1_ys] + ["TX2"]
-    txs = tuple(TxSpec(tx_id, *tx_position(tx_id)) for tx_id in tx_ids)
-
     n_coarse = int((CANYON_LENGTH_M - COARSE_X_START_M) // coarse_step) + 1
     coarse_xs = [COARSE_X_START_M + coarse_step * i for i in range(n_coarse)]
 
@@ -275,7 +263,7 @@ def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> Campa
         stacking=kind,
         section_heights_row1_m=row1,
         section_heights_row2_m=row2,
-        txs=txs,
+        txs=tuple(f"TX1_{y:g}" for y in tx1_ys) + ("TX2",),
         coarse_points=coarse,
         dense_points=dense,
         rx_height_m=rx_height_m,
@@ -283,38 +271,36 @@ def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> Campa
 
 
 def geometry_for(
-    layout: CampaignLayout, tx: TxSpec, rx_point, psi: float = CanyonGeometry.psi
+    layout: CampaignLayout, tx_id: str, rx_point, psi: float = CanyonGeometry.psi
 ) -> CanyonGeometry:
     """Map layout coordinates onto the canyon-model geometry for one link.
 
-    D is the horizontal TX distance to the near (TX-side) canyon edge, h the
-    TX height above the local wall top, and h_prime the RX antenna depth
-    below it.  Uses the wall section at the RX's x position.
+    D is the horizontal distance of the TX (at `tx_position`) to the near
+    (TX-side) canyon edge, h the TX height above the local wall top, and
+    h_prime the RX antenna depth below it.  Uses the wall section at the RX's
+    x position.
     """
     x, _y = rx_point
+    _, tx_y, tx_z = tx_position(tx_id)
     wall_h = layout.tx_side_height_at(x)
-    distance = tx.y - layout.near_edge_y_m
+    distance = tx_y - layout.near_edge_y_m
     if distance <= 0.0:
         raise DomainError(
-            f"TX {tx.tx_id!r} is above or inside the canyon (y={tx.y}); "
+            f"TX {tx_id!r} is above or inside the canyon (y={tx_y}); "
             "the canyon model needs the TX beyond the near edge"
         )
-    h = tx.z - wall_h
-    if h <= 0.0:
-        raise DomainError(f"TX {tx.tx_id!r} does not clear the canyon top")
     h_prime = wall_h - layout.rx_height_m  # > 0: the layout keeps the RX below every wall top
-    return CanyonGeometry(h=h, d=layout.width_m, D=distance, h_prime=h_prime, psi=psi)
+    return CanyonGeometry(h=tx_z - wall_h, d=layout.width_m, D=distance, h_prime=h_prime,
+                          psi=psi)
 
 
-def mean_gain_at(
-    layout: CampaignLayout, tx: TxSpec, rx_point, cfg: SynthConfig
-) -> float:
+def mean_gain_at(layout: CampaignLayout, tx_id: str, rx_point, cfg: SynthConfig) -> float:
     """Deterministic mean channel gain (dB) of the canyon model at one point.
 
     Proportional gain plus the configured calibration offset; the offset is
     the knob that pins synthetic gains to a desired absolute level.
     """
-    geom = geometry_for(layout, tx, rx_point, cfg.psi)
+    geom = geometry_for(layout, tx_id, rx_point, cfg.psi)
     return to_db(received_power_approx(geom)) + cfg.gain_offset_db
 
 
@@ -374,8 +360,8 @@ def generate_campaign(
     run to run and independent of how generation is scheduled.
 
     Scans come out in a canonical order (tx, then grid point, baseline
-    before vehicle states), on the one grid `cfg.angles_rad`, the draws
-    converted to dB in place.  `ScanSet.from_rows` checks the set as every
+    before vehicle states), on the one grid `cfg.angles_rad` in degrees, the
+    draws converted to dB in place.  `ScanSet.from_rows` checks the set as every
     set: the first scan whose gains leave the float range, which
     `SynthConfig`'s bounds rule out at the default psi, raises its
     DomainError.
@@ -394,7 +380,7 @@ def generate_campaign(
             if vehicle_mode == "dense" and point in layout.dense_points:
                 states += (VehicleState.POSITION1, VehicleState.POSITION2)
             for state in states:
-                keys.append((tx.tx_id, *point, state.value, layout.stacking.value))
+                keys.append((tx, *point, state.value, layout.stacking.value))
                 source.append(t * len(points) + p)
                 moved.append(state in _VEHICLE_CODE)
                 if moved[-1]:
@@ -412,4 +398,7 @@ def generate_campaign(
         # is then a fixed point of to_db(from_db(.)) 10 dB or more from 0 dB.
         vehicle_db = gains[moved] - np.array(deltas)
         gains[moved] = to_db(from_db(vehicle_db, out=vehicle_db), out=vehicle_db)
-    return ScanSet.from_rows(keys, np.full(len(keys), n), cfg.angles_rad, gains)
+    # The grid goes through radians on purpose, to keep the CSV bytes
+    # (tests/golden_digests.json): np.degrees(cfg.angles_rad) are the angles
+    # the files hold, and 360*k/n itself differs from 38 of them at n = 360.
+    return ScanSet.from_rows(keys, np.full(len(keys), n), np.degrees(cfg.angles_rad), gains)

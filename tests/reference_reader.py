@@ -4,9 +4,10 @@
 time, and holds every scan's angles and gains in a dict of Python floats:
 the plainest statement of the reader's rules (header, byte-order mark,
 comments, keys, grouping, sort, duplicates) and of every line-numbered
-error.  It returns the rows `dataio._scan_set` takes, scans in first-seen
-order.  An error names the physical line the record ends on (csv's
-`line_num`), so a quoted field that spans lines counts each of its lines.
+error.  It returns the rows `ScanSet.from_rows` takes, in the file's units
+(angles in degrees, gains in dB), scans in first-seen order.  An error
+names the physical line the record ends on (csv's `line_num`), so a quoted
+field that spans lines counts each of its lines.
 """
 
 import csv
@@ -48,7 +49,7 @@ def _csv_rows(reader):
 
 def ingest_rows(path):
     """Row-by-row reader: the reference semantics and every ingest error.
-    Returns the rows `_scan_set` takes, scans in first-seen order."""
+    Returns the rows `ScanSet.from_rows` takes, scans in first-seen order."""
     groups: dict[tuple, dict[float, float]] = defaultdict(dict)
     order: list[tuple] = []
 

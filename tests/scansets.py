@@ -1,24 +1,28 @@
-"""ScanSets from per-scan arrays, and the fits' sample arrays, for tests.
+"""ScanSets from per-scan arrays, the fits' sample arrays and planted
+sidecars, for tests.
 
 Every set goes through `ScanSet.from_rows`, the checked constructor an
 ingested set goes through, so a test scan is checked as a scan read from a
 file is.
 """
 
+import os
 from typing import NamedTuple
 
 import numpy as np
 
+from portcanyon import dataio
 from portcanyon.angular import ScanSet, Stacking, VehicleState
 
 
 def grid(n):
-    """The n-angle uniform azimuth grid from 0, in rad."""
-    return np.radians(360.0 * np.arange(n) / n)
+    """The n-angle uniform azimuth grid from 0, in degrees: the angles `synth`
+    writes (`SynthConfig.angles_rad` in degrees)."""
+    return np.degrees(np.radians(360.0 * np.arange(n) / n))
 
 
 class Scan(NamedTuple):
-    """One scan: its key fields and its angles (rad) and gains in dB."""
+    """One scan: its key fields and its angles in degrees and gains in dB."""
 
     tx: str
     x: float
@@ -65,3 +69,16 @@ def gain_samples(distance_m, gain_db):
     """The structured array `pathloss`'s fits take: one (distance_m, gain_db)
     element per pair of the two sequences."""
     return np.rec.fromarrays((distance_m, gain_db), names="distance_m,gain_db")
+
+
+def plant_sidecar(path, rows, sha256):
+    """Write rows, as `dataio._ingest_columnar` returns them, into the sidecar
+    of the CSV at path, keyed by sha256, as the members `dataio.save_sidecar`
+    writes (scan 0's angles as the grid), whether or not the rows build a
+    set: a sidecar `ingest` never saves itself."""
+    keys, sizes, phi_deg, gain_db = rows
+    members = {"version": np.array(dataio._SIDECAR_VERSION, dtype=np.int64),
+               "sha256": np.array(sha256), "sizes": np.asarray(sizes, dtype=np.int64),
+               "phi_deg": phi_deg[:sizes[0]], "gain_db": gain_db}
+    members.update(zip(ScanSet.KEYS, map(np.array, zip(*keys))))
+    np.savez(os.fspath(path) + dataio.SIDECAR_SUFFIX, allow_pickle=False, **members)

@@ -9,7 +9,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scansets import Scan, gain_samples, records, scan_set, whole
+from scansets import Scan, gain_samples, grid, records, scan_set, whole
 
 from portcanyon.angular import (
     ScanSet,
@@ -38,7 +38,6 @@ from portcanyon.stats import ks_gap
 from portcanyon.synth import (
     HornPattern,
     SynthConfig,
-    TxSpec,
     _smooth,
     build_layout,
     fullspread_gain_distribution,
@@ -51,10 +50,6 @@ from portcanyon.vehicle import fit_gaussian, vehicle_delta
 def check(num: int, description: str, ok: bool) -> None:
     print(f"ACCEPTANCE {num:02d} {'PASS' if ok else 'FAIL'}: {description}")
     assert ok, f"criterion {num} failed: {description}"
-
-
-def uniform_grid(n):
-    return np.radians(360.0 * np.arange(n) / n)
 
 
 # --------------------------------------------------------------------------
@@ -130,10 +125,7 @@ def test_criterion_03_model_slope():
     layout = build_layout("uniform")
     cfg = SynthConfig(seed=0, n_angles=36)
     distances = np.linspace(60.0, 300.0, 25)
-    txs = tuple(
-        TxSpec(f"TX1_{y:g}", 18.8, y, 23.0)
-        for y in layout.near_edge_y_m + distances
-    )
+    txs = tuple(f"TX1_{y:g}" for y in layout.near_edge_y_m + distances)
     sweep = replace(layout, txs=txs)
     fit = fit_loglinear(gain_samples(
         distances, [mean_gain_at(sweep, tx, (5.0, 3.5), cfg) for tx in txs]))
@@ -229,9 +221,8 @@ def test_criterion_06_fixed_slope_parity():
 # --------------------------------------------------------------------------
 def test_criterion_07_angular_invariants():
     rng = np.random.default_rng(70)
-    grid = uniform_grid(360)
     scans = scan_set(
-        Scan(tx="TX2", x=1.0, y=3.5, angles=grid,
+        Scan(tx="TX2", x=1.0, y=3.5, angles=grid(360),
              gains=to_db(rng.lognormal(mean=-14.0, sigma=rng.uniform(0.2, 2.0), size=360)))
         for _ in range(1000)
     )
@@ -255,7 +246,7 @@ def test_criterion_08_spatial_decorrelation():
     # One set of the lines' scans, line after line; row i of the index matrix is line i.
     keys = [("TX1_63", float(x), 3.5, "absent", "uniform") for x in positions] * n_lines
     gains = np.stack([to_db(rng.exponential(1e-6, size=(15, 8))) for _ in range(n_lines)])
-    scans = ScanSet.from_rows(keys, [8] * len(keys), np.tile(uniform_grid(8), len(keys)),
+    scans = ScanSet.from_rows(keys, [8] * len(keys), np.tile(grid(8), len(keys)),
                               gains.ravel())
     _, corr = averaged_correlation(scans, np.arange(len(keys)).reshape(n_lines, 15), positions)
     worst = float(np.max(np.abs(corr[1:])))
@@ -311,12 +302,11 @@ def test_criterion_10_fullspread_azimuth_gain():
     smoothed = _smooth(
         rng.exponential(1.0, (n_scans, n_angles)), HornPattern(10.0).kernel(n_angles)
     )
-    grid = uniform_grid(n_angles)
     xs = 1.0 + (np.arange(n_scans) % 33)
     ys = np.array([3.5, 5.5, 7.5, 9.5])[np.arange(n_scans) % 4]
     scans = ScanSet.from_rows(
         [("TX1_63", float(xs[i]), float(ys[i]), "absent", "uniform") for i in range(n_scans)],
-        [n_angles] * n_scans, np.tile(grid, n_scans), to_db(smoothed).ravel())
+        [n_angles] * n_scans, np.tile(grid(n_angles), n_scans), to_db(smoothed).ravel())
     cdf_all, cdf_tx, _ = gain_cdfs(scans, whole(scans), {"TX1_63": (18.8, 63.0)})
     ps = np.arange(0.02, 0.981, 0.02)
     gap = max(abs(cdf_all.quantile(p) - cdf_tx.quantile(p)) for p in ps)

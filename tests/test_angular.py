@@ -59,18 +59,18 @@ class TestScanValidation:
 
     def test_rejects_non_uniform_grid(self):
         angles = grid(16)
-        angles[5] += 1e-6
+        angles[5] += math.degrees(1e-6)
         with pytest.raises(GridError):
             scan_set([Scan(tx="TX2", x=1.0, y=3.5, angles=angles, gains=np.ones(16))])
 
     def test_rejects_partial_rotation(self):
-        angles = np.linspace(0.0, math.pi, 16, endpoint=False)
+        angles = np.linspace(0.0, 180.0, 16, endpoint=False)
         with pytest.raises(GridError):
             scan_set([Scan(tx="TX2", x=1.0, y=3.5, angles=angles, gains=np.ones(16))])
 
     def test_accepts_offset_grid(self):
         n = 36
-        make_scan_angles = grid(n) + math.pi / n
+        make_scan_angles = grid(n) + 180.0 / n
         scan_set([Scan(tx="TX2", x=1.0, y=3.5, angles=make_scan_angles, gains=np.ones(n))])
 
     def test_enum_coercion_from_tokens(self):
@@ -80,8 +80,10 @@ class TestScanValidation:
 
 
 def whole_first_invalid(grid, gains, angles=None):
-    """The check over the whole (scans x angles) matrices at once: the oracle
-    of `first_invalid`'s chunked check."""
+    """The check over the whole (scans x angles) matrices at once, the angles
+    in degrees: the oracle of `first_invalid`'s chunked check."""
+    grid = np.radians(grid)
+    angles = None if angles is None else np.radians(angles)
     n = grid.size
     if n < 8:
         return 0, GridError(f"need at least 8 azimuth samples, got {n}")
@@ -131,9 +133,9 @@ def _bad_rows(draw, n_rows):
 def _plant(draw, grid, angles, gains, kind):
     """Make one row invalid in one of the five ways the check tells apart: a
     bad gain or an angle off the grid in any row, or a bad grid, which is
-    scan 0's angles."""
+    scan 0's angles.  The angles are in degrees, the distances drawn in rad."""
     n = grid.size
-    spacing = angular.TWO_PI / n
+    spacing = 360.0 / n
     at = draw(st.integers(1, n - 1))
     if kind == "gain":
         gains[draw(_bad_rows(len(gains))), at] = draw(
@@ -142,14 +144,15 @@ def _plant(draw, grid, angles, gains, kind):
         if len(angles) > 1:
             row = max(1, draw(_bad_rows(len(angles))))
             angles[row, at] += draw(st.sampled_from([-1.0, 1.0])) * draw(
-                st.floats(2 * angular.GRID_MATCH_TOL, spacing / 3))
+                st.floats(math.degrees(2 * angular.GRID_MATCH_TOL), spacing / 3))
     else:
         if kind == "order":
             grid[at] = grid[at - 1]
         elif kind == "spacing":  # one step longer, the next (if any) shorter
-            grid[at] += draw(st.floats(1e-8, spacing / 3))
+            grid[at] += draw(st.floats(math.degrees(1e-8), spacing / 3))
         else:
-            grid += draw(st.sampled_from([-1e-3, spacing + 1e-6, 2.0])) - grid[0]
+            grid += math.degrees(draw(st.sampled_from([-1e-3, math.radians(spacing) + 1e-6,
+                                                       2.0]))) - grid[0]
         angles[0] = grid
 
 
@@ -157,15 +160,15 @@ class TestChunkedGridCheck:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
     def test_chunks_give_the_whole_matrix_verdict(self, data):
-        # Each scan's angles within GRID_MATCH_TOL of the grid, scan 0's
-        # equal to it; then one or two defects.  The grid alone (angles not
-        # given) is checked as the matrix of that grid repeated.
+        # Each scan's angles (deg) within GRID_MATCH_TOL (rad) of the grid,
+        # scan 0's equal to it; then one or two defects.  The grid alone
+        # (angles not given) is checked as the matrix of that grid repeated.
         n_rows = data.draw(st.one_of(st.sampled_from([1, _CHUNK, _CHUNK + 1, 700]),
                                      st.integers(1, 700)), label="rows")
         n = data.draw(st.integers(8, 12), label="angles")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        grid_ = grid(n) + rng.uniform(0.0, 0.5 * angular.TWO_PI / n)
-        tol = angular.GRID_MATCH_TOL
+        grid_ = grid(n) + rng.uniform(0.0, 0.5 * 360.0 / n)
+        tol = math.degrees(angular.GRID_MATCH_TOL)
         angles = grid_ + rng.uniform(-tol / 2, tol / 2, (n_rows, n))
         angles[0] = grid_
         gains = rng.normal(-60.0, 4.3, (n_rows, n))
@@ -186,7 +189,7 @@ class TestChunkedGridCheck:
         # among 8-angle ones; the one earlier in set order is named.
         scans = [Scan("TX2", float(i), 3.5, grid(8), np.ones(8)) for i in range(3 * _CHUNK)]
         angles = grid(8)
-        angles[3] += 1e-6
+        angles[3] += math.degrees(1e-6)
         scans[bad] = scans[bad]._replace(angles=angles)
         scans[changed] = scans[changed]._replace(angles=grid(12), gains=np.ones(12))
         why = (r"angles differ by up to 1.000e-06 rad from those of scan \('TX2', 0.0, .*\); "
@@ -268,26 +271,40 @@ class TestDbConversion:
         assert out.tolist() == [1.0, 0.0, 2.0]  # rejected before any write
 
 
-def _conversion_sites():
-    """(module, function, spelling) of each dB<->linear conversion in the
-    package: a call of np.log10 or np.power, or 10.0 ** <expr>."""
+def _module_calls(node, modules, names):
+    """"<module>.<name>" if node calls one of names of one of modules, else None."""
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name) and node.func.value.id in modules
+            and node.func.attr in names):
+        return f"{node.func.value.id}.{node.func.attr}"
+    return None
+
+
+def _sites(spelling):
+    """(module, function, spelling) of each node of the package that spelling
+    names (not None), function the innermost def or class around it."""
     sites = []
     for path in sorted(Path(angular.__file__).parent.glob("*.py")):
         def walk(node, where):
             for child in ast.iter_child_nodes(node):
                 inner = (child.name if isinstance(child, (ast.FunctionDef, ast.ClassDef))
                          else where)
-                if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                        and isinstance(child.func.value, ast.Name)
-                        and child.func.value.id == "np"
-                        and child.func.attr in ("log10", "power")):
-                    sites.append((path.stem, where, f"np.{child.func.attr}"))
-                if (isinstance(child, ast.BinOp) and isinstance(child.op, ast.Pow)
-                        and isinstance(child.left, ast.Constant) and child.left.value == 10.0):
-                    sites.append((path.stem, where, "10.0 **"))
+                if (name := spelling(child)) is not None:
+                    sites.append((path.stem, where, name))
                 walk(child, inner)
         walk(ast.parse(path.read_text(encoding="utf-8")), None)
     return sites
+
+
+def _conversion_sites():
+    """The `_sites` of each dB<->linear conversion in the package: a call of
+    np.log10 or np.power, or 10.0 ** <expr>."""
+    def spelling(node):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                and isinstance(node.left, ast.Constant) and node.left.value == 10.0):
+            return "10.0 **"
+        return _module_calls(node, ("np",), ("log10", "power"))
+    return _sites(spelling)
 
 
 def test_every_db_conversion_is_the_pair():
@@ -302,6 +319,51 @@ def test_every_db_conversion_is_the_pair():
     sites = _conversion_sites()
     assert [site for site in sites if site not in allowed] == []
     assert set(sites) == allowed
+
+
+_ANGLE_UNITS = ("radians", "degrees", "deg2rad", "rad2deg")
+
+
+def test_every_scan_angle_conversion_is_at_the_unit_boundary():
+    # The set holds the file's degrees.  Radians are taken only where the
+    # math needs them: the grid check (its tolerances are in rad), the
+    # nearest-bearing index and synth's grid, which goes through radians to
+    # keep the CSV bytes.  The horn's beamwidth and `geometry`'s elevation
+    # angles are not scan angles.
+    allowed = {
+        ("angular", "first_invalid", "np.radians"),
+        ("angular", "gain_cdfs", "np.radians"),
+        ("synth", "angles_rad", "np.radians"),
+        ("synth", "generate_campaign", "np.degrees"),
+        ("synth", "__post_init__", "math.radians"),
+        ("synth", "power", "math.radians"),
+        ("cli", "_cmd_geometry", "math.degrees"),
+    }
+    sites = _sites(lambda node: _module_calls(node, ("np", "math"), _ANGLE_UNITS))
+    assert [site for site in sites if site not in allowed] == []
+    assert set(sites) == allowed
+
+
+def _reads_grid(node):
+    """Does node read a `.grid` as its value, not only as a call's argument?"""
+    if isinstance(node, ast.Attribute) and node.attr == "grid":
+        return True
+    return not isinstance(node, ast.Call) and any(map(_reads_grid, ast.iter_child_nodes(node)))
+
+
+@pytest.mark.parametrize("module", ["dataio", "csvtext", "cli"])
+def test_modules_that_read_or_write_the_sets_angles_do_not_convert_the_grid(module):
+    # The readers, the writers and the tables take the grid as it is: no
+    # arithmetic takes it as an operand and no conversion as its argument.
+    path = Path(angular.__file__).parent / f"{module}.py"
+    touched = [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.BinOp) and (_reads_grid(node.left)
+                                                   or _reads_grid(node.right))
+               or isinstance(node, ast.UnaryOp) and _reads_grid(node.operand)
+               or isinstance(node, ast.AugAssign) and _reads_grid(node.value)
+               or _module_calls(node, ("np", "math"), _ANGLE_UNITS)
+               and any(map(_reads_grid, node.args))]
+    assert touched == []
 
 
 @pytest.mark.parametrize("module", ["dataio", "vehicle", "spatialcorr"])
@@ -367,7 +429,7 @@ class TestNormalizedSpectrum:
         assert np.mean(from_db(out), axis=1) == pytest.approx(np.ones(50), rel=1e-12)
 
     def test_rejects_mixed_grids(self):
-        shifted = make_scan(np.ones(16), x=6.0)._replace(angles=grid(16) + 1e-3)
+        shifted = make_scan(np.ones(16), x=6.0)._replace(angles=grid(16) + math.degrees(1e-3))
         with pytest.raises(GridError, match=r"^scan \('TX1_63', 6.0, .*\): angles differ by up "
                                             r"to 1.000e-03 rad from those of scan \('TX1_63', 5.0"):
             scan_set([make_scan(np.ones(16)), shifted])

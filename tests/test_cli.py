@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from peaks import HAS_VMHWM, command_peak_kib
-from scansets import Scan, gain_samples, grid, records, scan_set, whole
+from scansets import Scan, gain_samples, grid, plant_sidecar, records, scan_set, whole
 
 from portcanyon.angular import ScanSet, circular_mean_gain, to_db
 from portcanyon.cli import main
@@ -451,7 +451,7 @@ from portcanyon.dataio import write_scans
 
 xs = (1.0, 5.0, 9.0)
 scans = ScanSet.from_rows([("TX1_63", x, 3.5, "absent", "uniform") for x in xs], [8] * 3,
-                          np.tile(np.radians(45.0 * np.arange(8)), 3),
+                          np.tile(45.0 * np.arange(8), 3),
                           np.repeat([-60.0 - x for x in xs], 8))
 write_scans(sys.argv[1], scans)
 assert main(["fit", "--input", sys.argv[1], "--out", sys.argv[2]]) == 0
@@ -549,8 +549,7 @@ def _write_rows(tmp_path, scans):
     data = tmp_path / "data.csv"
     lines = [provenance_line(), CANONICAL_HEADER] + [
         f"{s.tx},{s.x!r},{s.y!r},{phi!r},{gain!r},{s.vehicle_state},{s.stacking}"
-        for s in scans for phi, gain in zip(np.degrees(s.angles).tolist(),
-                                            s.gains.tolist())]
+        for s in scans for phi, gain in zip(s.angles.tolist(), s.gains.tolist())]
     data.write_text("\n".join(lines) + "\n", encoding="ascii")
     return str(data)
 
@@ -688,12 +687,40 @@ def test_fit_distance_beyond_float_range_is_domain_error(tmp_path, capsys, tx_id
     assert not out.parent.exists()
 
 
+def test_tables_print_the_angles_the_file_holds(tmp_path, capsys):
+    # A sounder export in 1-degree steps with 3-decimal gains, baseline and
+    # vehicle scans.  `angular` parses it and `vehicle` takes the sidecar;
+    # every angle_deg cell of their mean and histogram tables is the file's
+    # angle, by repr.  Through radians and back, 38 of the 360 were not
+    # (3.0000000000000004, 6.000000000000001, 14.999999999999998, ...).
+    rng = np.random.default_rng(35)
+    angles = [repr(float(k)) for k in range(360)]
+    rows = [f"TX2,{x},3.5,{phi},{gain:.3f},{state},uniform"
+            for x in ("1.0", "5.0") for state in ("absent", "position1")
+            for phi, gain in zip(angles, rng.normal(-70.0, 6.0, 360))]
+    data = tmp_path / "export.csv"
+    data.write_text("\n".join([CANONICAL_HEADER, *rows]) + "\n", encoding="ascii")
+    out = tmp_path / "out"
+    for command in ("angular", "vehicle"):
+        assert main([command, "--input", str(data), "--out-dir", str(out)]) == 0
+    capsys.readouterr()
+    tables = sorted(out.glob("*_mean_*.csv")) + sorted(out.glob("*_hist_*.csv"))
+    assert [p.name for p in tables] == [
+        "angular_mean_TX2.csv", "vehicle_delta_mean_position1.csv",
+        "angular_hist_TX2.csv", "vehicle_delta_hist_position1.csv"]
+    for table in tables:
+        with open(table, newline="", encoding="ascii") as fh:
+            cells = [row[0] for row in csv.reader(fh)][2:]
+        rows_per_angle = len(cells) // len(angles)
+        assert cells == [phi for phi in angles for _ in range(rows_per_angle)], table.name
+
+
 @pytest.mark.parametrize("command", ["angular", "spatial", "vehicle", "fit"])
 def test_offset_grids_are_grid_errors(tmp_path, capsys, command):
     # Two baseline + vehicle pairs of one TX; the second pair's 8-angle grid
     # is offset by half a step (22.5 deg), so no per-angle pooling exists.
     # Every analysis command names the first scan off scan 0's grid.
-    grids = [np.radians(45.0 * np.arange(8) + offset) for offset in (0.0, 22.5)]
+    grids = [45.0 * np.arange(8) + offset for offset in (0.0, 22.5)]
     scans = [
         Scan(tx="TX2", x=x, y=3.5, angles=grid, gains=np.full(8, gain),
              vehicle_state=state)
@@ -844,7 +871,7 @@ class TestRegressions:
         # Two complete lines, TX2's first in the file, each with one scan off
         # scan 0's grid: TX1_63's line sorts first, but TX2's scan is named.
         xs = [13.5 + 0.1 * k for k in range(15)]
-        scans = [s._replace(angles=GRID + 0.01) if s.x == xs[off] else s
+        scans = [s._replace(angles=GRID + math.degrees(0.01)) if s.x == xs[off] else s
                  for tx, off in (("TX2", 3), ("TX1_63", 9)) for s in _line_scans(xs, tx=tx)]
         data = _write_rows(tmp_path, scans)
         out = tmp_path / "corr.csv"
@@ -1510,9 +1537,10 @@ class TestSidecar:
                                                        monkeypatch):
         # One vehicle scan is a uniform rotation of one angle fewer: the
         # campaign has two angle counts, so every analysis command exits 3
-        # naming that scan, both cold and with the mixed-count sidecar the
-        # parse saves planted beside the file; the loader takes no sidecar
-        # of mixed counts, and the failing build removes it.
+        # naming that scan, both cold and with a sidecar of the parse's
+        # mixed-count rows planted beside the file (ingest saves none, its
+        # build fails first); the loader takes no sidecar of mixed counts,
+        # and the failing build removes it.
         from portcanyon import dataio
 
         lines = dataset.read_text(encoding="ascii").splitlines(keepends=True)
@@ -1525,9 +1553,7 @@ class TestSidecar:
                 f"{N_ANGLES - 1} angles where scan (")
         sidecar = Path(str(dataset) + dataio.SIDECAR_SUFFIX)
         sha256, real = dataio.file_sha256(dataset), dataio._ingest_columnar
-        keys, sizes, phi_deg, gain_db = real(dataset)
-        dataio._save_sidecar(str(sidecar), (keys, sizes, phi_deg[:sizes[0]], gain_db), sha256,
-                             dataset.stat().st_size)
+        plant_sidecar(dataset, real(dataset), sha256)
         assert dataio._load_sidecar(str(sidecar), sha256, dataset.stat().st_size) is None
         planted = sidecar.read_bytes()
         sidecar.unlink()

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import reference_writer
 from peaks import HAS_VMHWM, ingest_peak_kib, table_peak_kib
 from reference_reader import ingest_rows
-from scansets import Scan, grid, records, scan_set
+from scansets import Scan, grid, plant_sidecar, records, scan_set
 
 from portcanyon import dataio
 from portcanyon.angular import ScanSet, Stacking, VehicleState, to_db
@@ -28,7 +28,6 @@ from portcanyon.dataio import (
     _CHUNK_ROWS,
     CANONICAL_HEADER,
     _ingest_columnar,
-    _scan_set,
     file_sha256,
     ingest,
     provenance_line,
@@ -68,7 +67,7 @@ class TestWriter:
         assert len(lines) == 2 + GRID.size
 
     def test_single_360_row_scan(self, tmp_path):
-        angles = np.radians(np.arange(360.0))
+        angles = np.arange(360.0)
         rng = np.random.default_rng(1)
         scan = Scan(tx="TX2", x=1.0, y=3.5, angles=angles, gains=rng.normal(-60.0, 4.3, 360))
         path = tmp_path / "one.csv"
@@ -252,8 +251,8 @@ def _outcome(read, path):
 
 
 def _built(read):
-    """read, then the ScanSet `_scan_set` builds of the rows it returns."""
-    return lambda path: _scan_set(*read(path), file_sha256(path))
+    """read, then the ScanSet `ScanSet.from_rows` builds of the rows it returns."""
+    return lambda path: ScanSet.from_rows(*read(path), file_sha256(path))
 
 
 def _same_scans(got, want):
@@ -585,10 +584,7 @@ class TestColumnarIngest:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(str(path) + dataio.SIDECAR_SUFFIX)
             if reader == "sidecar":  # this file's rows, planted
-                keys, sizes, phi_deg, gain_db = _ingest_columnar(path)
-                dataio._save_sidecar(str(path) + dataio.SIDECAR_SUFFIX,
-                                     (keys, sizes, phi_deg[:sizes[0]], gain_db),
-                                     file_sha256(path), os.path.getsize(path))
+                plant_sidecar(path, _ingest_columnar(path), file_sha256(path))
                 for name, calls in (("_load_sidecar", loaded), ("_ingest_columnar", parses)):
                     monkeypatch.setattr(dataio, name, lambda *a, read=getattr(dataio, name),
                                         calls=calls: calls.append(read(*a)) or calls[-1])
@@ -1038,7 +1034,7 @@ def oracle_scans_bytes(scans, seed=None) -> bytes:
     buf.write(CANONICAL_HEADER + "\n")
     writer = csv.writer(buf, lineterminator="\n")
     for scan in scans:
-        for phi, gain in zip(np.degrees(scan.angles), scan.gains):
+        for phi, gain in zip(scan.angles, scan.gains):
             writer.writerow((
                 scan.tx, repr(float(scan.x)), repr(float(scan.y)), repr(float(phi)),
                 repr(float(gain)), VehicleState(scan.vehicle_state).value,
@@ -1543,10 +1539,10 @@ class TestSidecar:
         assert (got is not None) == (kind in ("intact", "invalid"))
         if kind == "invalid":
             with pytest.raises(DomainError, match="finite"):
-                _scan_set(*got, "h")
+                ScanSet.from_rows(*got, "h")
         if kind == "intact":
-            assert _set_state(_scan_set(*got, "h")) == _set_state(
-                _scan_set(*_ingest_columnar(path), "h"))
+            assert _set_state(ScanSet.from_rows(*got, "h")) == _set_state(
+                ScanSet.from_rows(*_ingest_columnar(path), "h"))
         if kind == "oversized":
             assert read == ["version", "sha256", "sizes", *ScanSet.KEYS]
         assert "fromfile" not in read
@@ -1590,7 +1586,7 @@ class TestSidecar:
         path.write_text(_canonical_text(), encoding="utf-8")
         parsed = ingest(path)
         rows = _load_sidecar(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
-        cached = _scan_set(*rows, parsed.sha256)
+        cached = ScanSet.from_rows(*rows, parsed.sha256)
         assert _set_state(cached) == _set_state(parsed)
         assert cached.tx.tolist() == ["TX1_63", "TX2", "TX1_63"]
         assert repr(float(cached.x[1])) == "-0.0"
@@ -1668,17 +1664,18 @@ class TestSavedSidecar:
         import tracemalloc
 
         path = _campaign_of_600_scans(tmp_path)
-        rows = _saved_rows(path)
-        sidecar = str(tmp_path / "rows.npz")
+        scans = ingest(path)
+        sidecar = str(path) + dataio.SIDECAR_SUFFIX
+        os.unlink(sidecar)
         tracemalloc.start()
         try:
-            dataio._save_sidecar(sidecar, rows, "h", path.stat().st_size)
+            dataio.save_sidecar(path, scans, "h")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < rows[3].nbytes, (peak, rows[3].nbytes)
+        assert peak < scans.gains.nbytes, (peak, scans.gains.nbytes)
         loaded = dataio._load_sidecar(sidecar, "h", path.stat().st_size)
-        assert _rows_of(lambda p: loaded, path) == _rows_of(lambda p: rows, path)
+        assert _rows_of(lambda p: loaded, path) == _rows_of(_saved_rows, path)
         # The very bytes np.savez writes for the same members, in the same order.
         with np.load(sidecar, allow_pickle=False) as npz:
             members = {name: npz[name] for name in npz.files}
@@ -1729,7 +1726,7 @@ class TestOneGrid:
             path.write_text("\n".join([provenance, header, '"' + first.replace(",", '",', 1),
                                        *rest]) + "\n", encoding="ascii")
         scans = ingest(path)
-        grid_row = np.radians(_ingest_columnar(path)[2][:self.N_ANGLES])
+        grid_row = _ingest_columnar(path)[2][:self.N_ANGLES]
         assert scans.grid.tobytes() == grid_row.tobytes()
         assert not scans.grid.flags.writeable
         assert scans.gains.shape == (len(scans), self.N_ANGLES)

@@ -90,7 +90,7 @@ def _oracle_scans(path):
     for (tx, x, y, state, stacking), by_angle in groups.items():
         phis = np.array(sorted(by_angle))
         gains_db = np.array([by_angle[p] for p in phis])
-        scans.append(Scan(tx=tx, x=x, y=y, angles=np.radians(phis), gains=gains_db,
+        scans.append(Scan(tx=tx, x=x, y=y, angles=phis, gains=gains_db,
                           vehicle_state=state, stacking=stacking))
     return scans
 
@@ -116,7 +116,7 @@ def _oracle_gain_cdfs(scans, positions):
         pooled.append(spectrum)
         bearing = tx_bearing(positions[scan.tx], (scan.x, scan.y))
         spacing = 2.0 * math.pi / scan.angles.size
-        index = int(round((bearing - scan.angles[0]) / spacing)) % scan.angles.size
+        index = int(round((bearing - math.radians(scan.angles[0])) / spacing)) % scan.angles.size
         at_tx.append(spectrum[index])
     return (empirical_cdf(np.concatenate(pooled)), empirical_cdf(np.array(at_tx)),
             empirical_cdf([float(np.max(spectrum)) for spectrum in pooled]))
@@ -372,9 +372,9 @@ class TestTheFilesValues:
 
 class TestChecks:
     def test_grid_check_names_the_first_scan_that_differs(self):
-        grid12 = np.radians(30.0 * np.arange(12))
+        grid12 = 30.0 * np.arange(12)
         scans = [Scan("TX2", float(x), 3.5, grid12, np.ones(12)) for x in range(3)]
-        scans.append(Scan("TX2", 7.0, 3.5, grid12 + 0.01, np.ones(12)))
+        scans.append(Scan("TX2", 7.0, 3.5, grid12 + math.degrees(0.01), np.ones(12)))
         assert scan_set(scans[:3]).grid.tobytes() == grid12.tobytes()
         with pytest.raises(GridError, match=r"^scan \('TX2', 7.0, 3.5, 'absent', 'uniform'\): "
                                             r"angles differ by up to 1.000e-02 rad from those "
@@ -382,10 +382,28 @@ class TestChecks:
             scan_set(scans)
         # A 16-angle scan after the 12-angle ones: the set is never built.
         keys = [("TX2", float(x), 3.5, "absent", "uniform") for x in (0.0, 1.0, 9.0)]
-        angles = np.concatenate([grid12, grid12, np.radians(22.5 * np.arange(16))])
+        angles = np.concatenate([grid12, grid12, 22.5 * np.arange(16)])
         with pytest.raises(GridError, match=r"^scan \('TX2', 9.0, 3.5, 'absent', 'uniform'\): "
                                             r"16 angles where scan \('TX2', 0.0, .*\) has 12; "):
             ScanSet.from_rows(keys, [12, 12, 16], angles, np.ones(angles.size))
+
+    def test_from_rows_modifies_none_of_its_inputs(self):
+        # The set keeps a copy of the grid in degrees and a view of the
+        # gains; the check converts its own scratch, so rows come out as they
+        # went in, whether the set builds or not.
+        keys = [("TX2", float(x), 3.5, "absent", "uniform") for x in range(3)]
+        for off in (0.0, 1.0):
+            angles = np.tile(30.0 * np.arange(12), 3)
+            angles[-1] += off
+            gains = np.linspace(-80.0, -60.0, angles.size)
+            before = angles.tobytes(), gains.tobytes()
+            if off:
+                with pytest.raises(GridError, match=r"^scan \('TX2', 2.0, "):
+                    ScanSet.from_rows(keys, [12] * 3, angles, gains)
+            else:
+                scans = ScanSet.from_rows(keys, [12] * 3, angles, gains)
+                assert scans.grid.tobytes() == angles[:12].tobytes()
+            assert (angles.tobytes(), gains.tobytes()) == before
 
     def test_empty_set_statistics_are_domain_errors(self):
         empty = scan_set([])

@@ -1,6 +1,8 @@
 """Spatial autocorrelation: dense-line finding, brute-force oracle and
 averaging properties."""
 
+import math
+
 import numpy as np
 import pytest
 from scansets import Scan, grid, scan_set
@@ -166,13 +168,13 @@ class TestDenseLines:
                                             r"angles differ by up to 1.000e-02 rad from those "
                                             r"of scan \('TX2', 13.5, "):
             scan_set([Scan("TX2", 13.5, 3.5, GRID, np.zeros(N_ANGLES)),
-                      Scan("TX2", 13.6, 3.5, GRID + 0.01, np.zeros(N_ANGLES))])
+                      Scan("TX2", 13.6, 3.5, GRID + math.degrees(0.01), np.zeros(N_ANGLES))])
 
     def test_the_first_scan_off_the_grid_is_named_in_set_order(self):
         # Both lines have a scan off scan 0's grid; the one first in the set
         # is named, not the one of the first line.
         positions = POSITIONS[:2]
-        moved = [s._replace(angles=GRID + 0.01) if s.x == positions[1] else s
+        moved = [s._replace(angles=GRID + math.degrees(0.01)) if s.x == positions[1] else s
                  for s in line_scans(flat(2), positions, tx="TX2")
                  + line_scans(flat(2), positions)]
         with pytest.raises(GridError, match=r"^scan \('TX2', 13.6, 3.5, 'absent', "):

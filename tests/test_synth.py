@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scansets import Scan, gain_samples, records, scan_set
+from scansets import Scan, gain_samples, grid, records, scan_set
 from test_dataio import oracle_scans_bytes
 
 from portcanyon import synth
@@ -22,7 +22,6 @@ from portcanyon.pathloss import fit_fixed_slope, fit_loglinear
 from portcanyon.synth import (
     HornPattern,
     SynthConfig,
-    TxSpec,
     build_layout,
     fullspread_gain_distribution,
     generate_campaign,
@@ -57,7 +56,7 @@ def oracle_scan(layout, tx, rx_point, cfg) -> Scan:
         raw = np.full(cfg.n_angles, mean_lin)
     gains = 10.0 * np.log10(synth._smooth(raw, cfg.horn.kernel(cfg.n_angles)))
     x, y = rx_point
-    return Scan(tx=tx.tx_id, x=x, y=y, angles=cfg.angles_rad, gains=gains,
+    return Scan(tx=tx, x=x, y=y, angles=grid(cfg.n_angles), gains=gains,
                 vehicle_state=VehicleState.ABSENT, stacking=layout.stacking)
 
 
@@ -117,11 +116,11 @@ class TestLayout:
 
     def test_transmitter_sets(self):
         uni = build_layout("uniform")
-        assert [t.tx_id for t in uni.txs] == [
+        assert list(uni.txs) == [
             "TX1_63", "TX1_73", "TX1_83", "TX1_93", "TX1_103", "TX1_113", "TX2",
         ]
         non = build_layout("nonuniform")
-        assert [t.tx_id for t in non.txs] == ["TX1_63", "TX1_83", "TX1_103", "TX2"]
+        assert list(non.txs) == ["TX1_63", "TX1_83", "TX1_103", "TX2"]
         assert tx_position("TX2")[:2] == (18.85, 60.5)
 
     @pytest.mark.parametrize("y_text", [
@@ -174,23 +173,16 @@ class TestGeometryMapping:
 
     def test_tx_over_the_edge_rejected(self):
         layout = build_layout("uniform")
-        low = TxSpec("TX1_10", 18.8, layout.near_edge_y_m, 23.0)
-        with pytest.raises(DomainError):
-            geometry_for(layout, low, (5.0, 3.5))
-
-    def test_tx_below_canyon_top_rejected(self):
-        layout = build_layout("uniform")
-        buried = TxSpec("TX1_63", 18.8, 63.0, 5.0)
-        with pytest.raises(DomainError):
-            geometry_for(layout, buried, (5.0, 3.5))
+        assert tx_position("TX1_10.5")[1] == layout.near_edge_y_m
+        with pytest.raises(DomainError, match="above or inside the canyon"):
+            geometry_for(layout, "TX1_10.5", (5.0, 3.5))
 
 
 class TestMeanGain:
     def test_doubling_edge_distance(self):
         layout = build_layout("uniform")
         edge = layout.near_edge_y_m
-        near = TxSpec("TX1_63", 18.8, edge + 50.0, 23.0)
-        far = TxSpec("TX1_63", 18.8, edge + 100.0, 23.0)
+        near, far = f"TX1_{edge + 50.0:g}", f"TX1_{edge + 100.0:g}"
         layout2 = layout.__class__(**{**layout.__dict__, "txs": (near, far)})
         drop = mean_gain_at(layout2, near, (5.0, 3.5), CFG) - mean_gain_at(
             layout2, far, (5.0, 3.5), CFG
@@ -268,12 +260,12 @@ class TestBaselineScans:
 
     def test_scan_metadata(self):
         scans = generate_campaign(one_point(self.layout, self.point), CFG)
-        assert scans.tx.tolist() == [tx.tx_id for tx in self.layout.txs]
+        assert scans.tx.tolist() == list(self.layout.txs)
         assert (scans.x[0], scans.y[0]) == self.point
         assert set(scans.stacking) == {Stacking.UNIFORM.value}
         assert set(scans.vehicle_state) == {VehicleState.ABSENT.value}
         assert scans.gains.shape == (len(self.layout.txs), 360)
-        assert scans.grid.tobytes() == CFG.angles_rad.tobytes()
+        assert scans.grid.tobytes() == grid(360).tobytes()
 
     def test_ensemble_mean_converges_to_model(self):
         # Law of large numbers over independent seeds, per angle.
@@ -391,7 +383,7 @@ class TestCampaign:
         height, model distance varying), against the model distance."""
         layout = replace(build_layout("uniform"), dense_points=())
         scans = generate_campaign(layout, cfg)
-        distance = {tx.tx_id: tx.y - layout.near_edge_y_m for tx in layout.txs}
+        distance = {tx: tx_position(tx)[1] - layout.near_edge_y_m for tx in layout.txs}
         crane = np.flatnonzero([tx.startswith("TX1_") for tx in scans.tx.tolist()])
         return gain_samples([distance[tx] for tx in scans.tx[crane].tolist()],
                             circular_mean_gain(scans, crane))

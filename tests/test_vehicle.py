@@ -1,5 +1,7 @@
 """Vehicle-impact statistics: deltas, Gaussian fit, CDF comparison."""
 
+import math
+
 import numpy as np
 import pytest
 from scansets import Scan, grid, scan_set
@@ -124,7 +126,8 @@ class TestVehicleDelta:
     def test_baselines_off_the_vehicle_grid_name_the_first_scan(self):
         # Both baselines are on a shifted grid, the vehicle scans on scan 0's:
         # the set is never built, and its first vehicle scan is named.
-        base = [scan(np.full(8, -60.0), x=x)._replace(angles=GRID + 1e-3) for x in (5.0, 1.0)]
+        base = [scan(np.full(8, -60.0), x=x)._replace(angles=GRID + math.degrees(1e-3))
+                for x in (5.0, 1.0)]
         moved = [scan(np.full(8, -63.0), VehicleState.POSITION1, x=x) for x in (1.0, 5.0)]
         with pytest.raises(GridError, match=r"^scan \('TX1_63', 1.0, 3.5, 'position1', "
                                             r"'uniform'\): angles differ by up to 1.000e-03 rad "
