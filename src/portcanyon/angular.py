@@ -30,13 +30,19 @@ GRID_SPACING_TOL = 1e-9
 GRID_MATCH_TOL = 1e-12
 
 
-class VehicleState(str, enum.Enum):
+class _Label(str, enum.Enum):
+    @property
+    def code(self) -> int:  # the member's place in declaration order: its ScanSet code
+        return tuple(type(self)).index(self)
+
+
+class VehicleState(_Label):
     ABSENT = "absent"
     POSITION1 = "position1"
     POSITION2 = "position2"
 
 
-class Stacking(str, enum.Enum):
+class Stacking(_Label):
     UNIFORM = "uniform"
     NONUNIFORM = "nonuniform"
 
@@ -99,32 +105,36 @@ def first_invalid(grid, gains, angles=None, first=0):
 class ScanSet:
     """Scans as columns, in order: what `dataio.ingest` returns.
 
-    The key columns `tx`, `x`, `y`, `vehicle_state` and `stacking` (enum
-    values) hold one entry per scan; `grid` is the set's one azimuth grid,
-    the file's own n angles in degrees (read-only), as the sounder's fixed
-    azimuth steps give it, and `gains` the (scans x n) matrix of the file's
-    dB gains; `sha256` is the hash of the file read, if any.  `from_rows`
-    builds and checks every set; a statistic picks scans by an index array
-    into it, not by a copy.
+    Scan i's key is entry i of each column of `KEYS`: `tx_code` indexes
+    `tx_ids`, the ids in first-seen order, `state_code` and `stacking_code`
+    are `VehicleState` and `Stacking` codes, and `x` and `y` floats;
+    `key(i)` gives it as errors name it, and `key_columns` makes the columns
+    of such keys.  `grid` is the set's one azimuth grid, the file's own n
+    angles in degrees (read-only), as the sounder's fixed azimuth steps give
+    it, and `gains` the (scans x n) matrix of the file's dB gains; `sha256`
+    is the hash of the file read, if any.  `from_rows` builds and checks
+    every set; a statistic picks scans by an index array into it, not by a
+    copy.
     """
 
-    KEYS = ("tx", "x", "y", "vehicle_state", "stacking")
+    KEYS = ("tx_code", "x", "y", "state_code", "stacking_code")
 
-    def __init__(self, columns, grid, gains, sha256=None):
-        self.tx, self.x, self.y, self.vehicle_state, self.stacking = columns
-        self.grid, self.gains, self.sha256 = grid, gains, sha256
+    def __init__(self, tx_ids, columns, grid, gains, sha256=None):
+        self.tx_ids, self.grid, self.gains, self.sha256 = tx_ids, grid, gains, sha256
+        self.tx_code, self.x, self.y, self.state_code, self.stacking_code = columns
 
     @classmethod
     def from_rows(cls, keys, sizes, angles_deg, gains, sha256=None) -> "ScanSet":
-        """A checked ScanSet from scans stored back to back: scan i is keys[i]
-        with the next sizes[i] gains in dB.  angles_deg holds the grid's
-        sizes[0] values or each scan's angles, in degrees, stored alike.  The
-        set keeps a copy of scan 0's angles as its grid; the gains, or a
-        (scans x n) matrix of them, become its matrix as a view; no input is
-        modified.  The earliest scan that `first_invalid` rejects (off scan
-        0's grid by more than GRID_MATCH_TOL too), or whose angle count
-        differs from scan 0's, raises a GridError (a DomainError for its
-        gains) prefixed with its key as given."""
+        """A checked ScanSet from scans stored back to back: scan i has the
+        next sizes[i] gains in dB, and keys holds the tx ids and then the
+        `KEYS` columns.  angles_deg holds the grid's sizes[0] values or each
+        scan's angles, in degrees, stored alike.  The set keeps a copy of
+        scan 0's angles as its grid; the gains, or a (scans x n) matrix of
+        them, become its matrix as a view; no input is modified.  The
+        earliest scan that `first_invalid` rejects (off scan 0's grid by
+        more than GRID_MATCH_TOL too), or whose angle count differs from
+        scan 0's, raises a GridError (a DomainError for its gains) prefixed
+        with its `key`."""
         sizes = np.asarray(sizes, dtype=int)
         n = int(sizes[0]) if sizes.size else 0
         differ = np.flatnonzero(sizes != n)
@@ -134,20 +144,46 @@ class ScanSet:
         angles = np.reshape(angles_deg[:same * n], (same, n)) if np.size(angles_deg) != n else None
         grid = np.array(np.ravel(angles_deg)[:n], dtype=float)
         grid.flags.writeable = False
-        found = first_invalid(grid, gains, angles, keys[0]) if same else None
+        tx_ids, *columns = keys
+        scans = cls(tuple(tx_ids), [np.asarray(column, kind) for column, kind in zip(
+            columns, (np.intp, float, float, np.intp, np.intp))], grid, gains, sha256)
+        found = first_invalid(grid, gains, angles, scans.key(0)) if same else None
         if found is None and differ.size:
-            found = same, GridError(f"{sizes[same]} angles where scan {keys[0]} has {n}; "
+            found = same, GridError(f"{sizes[same]} angles where scan {scans.key(0)} has {n}; "
                                     "the scans of a set share one angle count")
         if found:
             scan, exc = found
-            raise type(exc)(f"scan {keys[scan]}: {exc}") from exc
-        tx, x, y, vehicle_state, stacking = zip(*keys) if keys else ((),) * 5
-        return cls((np.array(tx, dtype=object), np.array(x, dtype=float),
-                    np.array(y, dtype=float), np.array(vehicle_state, dtype=object),
-                    np.array(stacking, dtype=object)), grid, gains, sha256)
+            raise type(exc)(f"scan {scans.key(scan)}: {exc}") from exc
+        return scans
+
+    @staticmethod
+    def key_columns(keys) -> tuple:
+        """The keys `from_rows` takes, of (tx id, x, y, vehicle state token,
+        stacking token) tuples: the ids in first-seen order, then the `KEYS`
+        columns, as `key` reads them back."""
+        tx, x, y, state, stacking = zip(*keys) if keys else ((),) * 5
+        tx_ids = {tx_id: code for code, tx_id in enumerate(dict.fromkeys(tx))}
+        states, stackings = ({m.value: m.code for m in kind} for kind in (VehicleState, Stacking))
+        return (tuple(tx_ids), [tx_ids[t] for t in tx], x, y, [states[v] for v in state],
+                [stackings[s] for s in stacking])
 
     def __len__(self) -> int:
-        return len(self.tx)
+        return len(self.tx_code)
+
+    def key(self, i) -> tuple:
+        """Scan i's (tx id, x, y, vehicle state, stacking), in str and float."""
+        return (self.tx_ids[self.tx_code[i]], float(self.x[i]), float(self.y[i]),
+                tuple(VehicleState)[self.state_code[i]].value,
+                tuple(Stacking)[self.stacking_code[i]].value)
+
+    @staticmethod
+    def groups(*columns):
+        """(codes, firsts) of key columns, by one `np.unique`: a code per
+        entry, equal where every column is (-0.0 joining 0.0, as the readers
+        group keys), and each code's first entry."""
+        rows = np.column_stack([np.asarray(column) + 0.0 for column in columns])
+        _, firsts, codes = np.unique(rows, axis=0, return_index=True, return_inverse=True)
+        return codes.reshape(-1), firsts
 
 
 def to_db(gain, out=None):
@@ -260,7 +296,8 @@ def gain_cdfs(scans: ScanSet, index, tx_positions) -> tuple[EmpiricalCdf, ...]:
     """
     index = _index(index, "gain_cdfs")
     bearings = []
-    for tx, x, y in zip(*(getattr(scans, key)[index].tolist() for key in ("tx", "x", "y"))):
+    for code, x, y in zip(*(getattr(scans, key)[index].tolist() for key in ("tx_code", "x", "y"))):
+        tx = scans.tx_ids[code]
         if tx not in tx_positions:
             raise DomainError(f"no position known for transmitter {tx!r}")
         bearings.append(tx_bearing(tx_positions[tx], (x, y)))

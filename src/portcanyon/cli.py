@@ -46,7 +46,7 @@ class Report(NamedTuple):
 
 def _baseline(scans):
     """Index of the set's vehicle-absent scans, which `angular` and `fit` analyse."""
-    index = np.flatnonzero(scans.vehicle_state == angular.VehicleState.ABSENT.value)
+    index = np.flatnonzero(scans.state_code == angular.VehicleState.ABSENT.code)
     if not index.size:
         raise IngestError("dataset has no baseline (vehicle absent) scans")
     return index
@@ -69,11 +69,13 @@ def _angle_stats_tables(out_dir, prefix, key, mean_name, angles_deg, mean, edges
 # ----------------------------------------------------------------- synth ---
 
 def _cmd_synth(args, cfg: ToolConfig) -> Report:
+    from . import sidecar
+
     scfg = cfg.synth_config()
     layout = synth.build_layout(args.layout, rx_height_m=cfg.rx_height_m)
     scans = synth.generate_campaign(layout, scfg, vehicle_mode=args.vehicle_mode)
     sha256 = dataio.write_scans(args.out, scans, seed=scfg.seed)
-    dataio.save_sidecar(args.out, scans, sha256)
+    sidecar.save(args.out, scans, sha256)
     rows = scans.gains.size
     return Report([], [
         f"synth: wrote {len(scans)} scans ({rows} rows) to {args.out}",
@@ -86,11 +88,12 @@ def _cmd_synth(args, cfg: ToolConfig) -> Report:
 def _cmd_angular(args, cfg: ToolConfig) -> Report:
     scans = dataio.ingest(args.input)
     base = _baseline(scans)
-    tx = scans.tx[base]
-    positions = {tx_id: synth.tx_position(tx_id)[:2] for tx_id in dict.fromkeys(tx.tolist())}
+    tx = scans.tx_code[base]
+    codes = tx[np.sort(np.unique(tx, return_index=True)[1])]  # first seen among the baselines
+    positions = {scans.tx_ids[code]: synth.tx_position(scans.tx_ids[code])[:2] for code in codes}
     angles_deg, tables = scans.grid, []
-    for tx_id in positions:  # in first-seen order
-        stats = angular.ensemble_stats(scans, base[tx == tx_id], db_bin_width=cfg.histogram_bin_db)
+    for code, tx_id in zip(codes, positions):
+        stats = angular.ensemble_stats(scans, base[tx == code], db_bin_width=cfg.histogram_bin_db)
         tables += _angle_stats_tables(args.out_dir, "angular", tx_id, "mean_db", angles_deg, *stats)
     cdf_all, cdf_tx, az_cdf = angular.gain_cdfs(scans, base, positions)
     for name, value_name, cdf in (
@@ -121,7 +124,7 @@ def _cmd_spatial(args, cfg: ToolConfig) -> Report:
     no_line = IngestError(f"no complete dense line found (need x = {first:g}..{last:g} "
                           f"step {args.x_step:g})")
     # A complete line takes x_count distinct baseline scans, so with fewer there is none.
-    if args.x_count > np.count_nonzero(scans.vehicle_state == angular.VehicleState.ABSENT.value):
+    if args.x_count > np.count_nonzero(scans.state_code == angular.VehicleState.ABSENT.code):
         raise no_line
     positions = np.array([args.x_start + args.x_step * k for k in range(args.x_count)])
     lines = spatialcorr.dense_lines(scans, positions)
@@ -143,7 +146,7 @@ def _cmd_vehicle(args, cfg: ToolConfig) -> Report:
     # arrays into the one set; then the set goes before any statistic.
     deltas = [(state.value, vehicle.vehicle_delta(scans, state))
               for state in (angular.VehicleState.POSITION1, angular.VehicleState.POSITION2)
-              if (scans.vehicle_state == state.value).any()]
+              if (scans.state_code == state.code).any()]
     if not deltas:
         raise IngestError("dataset has no vehicle scans")
     input_hash, angles_deg = scans.sha256, scans.grid
@@ -175,10 +178,10 @@ def _cmd_fit(args, cfg: ToolConfig) -> Report:
     base = _baseline(scans)
     gain_db = angular.circular_mean_gain(scans, base)
     distance_m, positions = [], {}  # each transmitter's position, taken once
-    for tx_id, x, y in zip(*(getattr(scans, key)[base].tolist() for key in ("tx", "x", "y"))):
-        if tx_id not in positions:  # first seen: an unknown id fails in set order
-            positions[tx_id] = synth.tx_position(tx_id)
-        tx_x, tx_y, tx_z = positions[tx_id]
+    for code, x, y in zip(*(getattr(scans, key)[base].tolist() for key in ("tx_code", "x", "y"))):
+        if code not in positions:  # first seen: an unknown id fails in set order
+            positions[code] = synth.tx_position(scans.tx_ids[code])
+        tx_x, tx_y, tx_z = positions[code]
         # Per-sample math, not arrays: Python's v ** 2 calls C pow(), which
         # differs from numpy's v * v square in the last bit for about 0.09 %
         # of doubles (1,704 of 2,000,000 uniform draws in [-150, 150] on an
@@ -189,14 +192,14 @@ def _cmd_fit(args, cfg: ToolConfig) -> Report:
         except OverflowError:
             distance = math.inf
         if distance == math.inf:
-            raise DomainError(f"transmitter {tx_id!r} is too far from the RX at x={x}, y={y} "
-                              "for a finite distance")
+            raise DomainError(f"transmitter {scans.tx_ids[code]!r} is too far from the RX at "
+                              f"x={x}, y={y} for a finite distance")
         distance_m.append(distance)
     samples = np.rec.fromarrays((distance_m, gain_db), names="distance_m,gain_db")
 
-    stacking = scans.stacking[base]
-    groups = [(label, np.flatnonzero(stacking == label))
-              for label in sorted(set(stacking.tolist()))]
+    stacking = scans.stacking_code[base]
+    groups = sorted(((tuple(angular.Stacking)[code].value, np.flatnonzero(stacking == code))
+                     for code in np.unique(stacking)), key=lambda group: group[0])
     if len(groups) > 1:
         groups.append(("aggregated", np.concatenate([index for _, index in groups])))
 

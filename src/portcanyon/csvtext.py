@@ -18,7 +18,7 @@ too.
 
 import numpy as np
 
-from .angular import ScanSet
+from .angular import ScanSet, Stacking, VehicleState
 
 __all__ = ["table_rows", "scan_rows"]
 
@@ -99,22 +99,26 @@ def table_rows(columns):
 
 def scan_rows(scans: ScanSet, batch):
     """The canonical CSV rows of the set's scans, batch scans a bytes array,
-    in set order: the grid's phi_deg is formatted once, each scan's key text
-    once."""
+    in set order: the grid's phi_deg is formatted once, each id's cell and
+    each (state, stacking) pair's text once, each scan's key text once."""
     from .floatrepr import WORDS, format_floats
 
     n = scans.grid.size
     phi = bytes(table_rows([scans.grid])).split(b"\n")[:-1]
     phi = np.array([cell + b"," for cell in phi])
     phi = phi.view(np.uint8).reshape(n, phi.itemsize)
-    keys = list(zip(*(getattr(scans, key).tolist() for key in ScanSet.KEYS)))
-    for start in range(0, len(keys), batch):
-        part = keys[start:start + batch]
-        gains = np.empty((len(part), n, WORDS), "<u8")
-        format_floats(scans.gains[start:start + len(part)].ravel(), gains.reshape(-1, WORDS))
+    tx = np.array([_cell(tx) for tx in scans.tx_ids], dtype=object)
+    pair, pair_lengths = _text_field([f",{v.value},{s.value}\n" for v in VehicleState
+                                      for s in Stacking])
+    for start in range(0, len(scans), batch):
+        part = slice(start, start + batch)
+        gains = np.empty(scans.gains[part].shape + (WORDS,), "<u8")
+        format_floats(scans.gains[part].ravel(), gains.reshape(-1, WORDS))
         # Each scan's key text, before and after its rows' phi and gain.
-        prefix, suffix = ((data[:, None], lengths[:, None]) for data, lengths in (
-            _text_field([f"{_cell(tx)},{x!r},{y!r}," for tx, x, y, _, _ in part]),
-            _text_field([f",{vehicle},{stacking}\n" for *_, vehicle, stacking in part])))
-        yield _joined((len(part), n), [prefix, (phi, None),
-                                       (gains.view(np.uint8), None), suffix])
+        prefix, lengths = _text_field([f"{cell},{x!r},{y!r}," for cell, x, y in zip(
+            tx[scans.tx_code[part]], scans.x[part].tolist(), scans.y[part].tolist())])
+        pairs = scans.state_code[part] * len(Stacking) + scans.stacking_code[part]
+        suffix = pair[pairs, None, :pair_lengths[pairs].max()]  # as wide as the batch needs
+        yield _joined((len(gains), n), [(prefix[:, None], lengths[:, None]), (phi, None),
+                                        (gains.view(np.uint8), None),
+                                        (suffix, pair_lengths[pairs, None])])

@@ -15,36 +15,27 @@ as one string.  `csvtext` formats each chunk into one bytes array (float
 arrays in integer arithmetic, by `floatrepr`); it is imported on the first
 write, so a command that writes nothing does not compile it.
 
-`ingest` returns an `angular.ScanSet`: key columns, the one angle grid
-(the file's degrees), the (scans x angles) gains matrix and the file's
-sha256; a file whose scans differ in angle count, or in angle by more than
-`angular.GRID_MATCH_TOL` from scan 0's, is a GridError that names the
-first scan that differs.  The file is read once, in blocks of whole lines
-(`_BLOCK_BYTES`), after one leading UTF-8 byte-order mark.  The lines to
-the header go through the row loop, csv record by record.  Each block
-after it, LF or CRLF, quoted fields or not, is parsed by one `np.loadtxt`
-and checked column-wise, and its phi_deg and gain_db go into the result
-before the next is read, so the parse holds one block's table.  A block
-those checks cannot vouch for (a bad value or token, a quoted field over
-two lines, a bare CR, non-ASCII bytes, a comment row) goes through the row
-loop alone, which names the line of an error.  `ScanSet.from_rows` builds
-the set of the rows as they are read, converting none of them.
+`ingest` returns an `angular.ScanSet`: the tx ids, the key columns (codes
+and floats), the one angle grid (the file's degrees), the (scans x angles)
+gains matrix and the file's sha256; a file whose scans differ in angle
+count, or in angle by more than `angular.GRID_MATCH_TOL` from scan 0's, is a
+GridError that names the first scan that differs.  The file is read once, in
+blocks of whole lines (`_BLOCK_BYTES`), after one leading UTF-8 byte-order
+mark.  The lines to the header go through the row loop, csv record by
+record.  Each block after it, LF or CRLF, quoted fields or not, is parsed by
+one `np.loadtxt` and checked column-wise, and its phi_deg and gain_db go
+into the result before the next is read, so the parse holds one block's
+table.  A block those checks cannot vouch for (a bad value or token, a
+quoted field over two lines, a bare CR, non-ASCII bytes, a comment row) goes
+through the row loop alone, which names the line of an error.
+`ScanSet.from_rows` builds the set of the rows as they are read, the keys as
+ids and codes.
 
-`ingest` keeps the set it built, in the CSV's units, in a sidecar beside the
-input, `<input>.scanset.npz`, so the next read of the same content skips the
-parse.  `save_sidecar` writes it atomically (umask mode) for `ingest`, and
-for `synth` from the set `write_scans` wrote and the sha256 it returned, so
-a file `synth` wrote is never parsed.  A failing build removes the input's
-sidecar, a stale one too, so a failing ingest leaves none; a directory that
-refuses the write just leaves no sidecar.  The grid is saved once: phi_deg
-holds its n values, not one per row.  A sidecar is trusted only if it
-passes every check of `_load_sidecar` (format version, input sha256,
-members, dtypes, shapes and sizes, CRC-32s, one positive angle count,
-unique keys that pass the row loop's rules); its rows then go through the
-same `ScanSet.from_rows` and checks as a parse's.  Anything else, an
-I/O error or a format-1 sidecar included, is a miss: the file is parsed and
-the sidecar rewritten.  So a sidecar never changes a result, and deleting
-it, `synth`'s too, is always safe.
+`ingest` keeps the set it built in a sidecar beside the input,
+`<input>.scanset.npz`, and takes it from there while it holds the file's
+sha256 (see `sidecar`, imported on first use, so a command that reads no
+CSV does not compile it).  A failing build removes the input's sidecar, a
+stale one too, so a failing ingest leaves none.
 """
 
 from __future__ import annotations
@@ -58,7 +49,6 @@ import math
 import os
 import re
 import tempfile
-import zipfile
 
 import numpy as np
 
@@ -67,7 +57,7 @@ from .angular import ScanSet, Stacking, VehicleState
 from .errors import IngestError
 
 __all__ = [
-    "CANONICAL_HEADER", "SIDECAR_SUFFIX", "write_scans", "save_sidecar", "ingest",
+    "CANONICAL_HEADER", "SIDECAR_SUFFIX", "write_scans", "ingest",
     "write_table", "provenance_line", "file_sha256",
 ]
 
@@ -344,7 +334,8 @@ def _duplicate_angle(path, row) -> IngestError:
 
 
 def _ingest_columnar(path):
-    """The rows `ScanSet.from_rows` takes, from one read of the file (`_blocks`).
+    """The rows `ScanSet.from_rows` takes, from one read of the file (`_blocks`):
+    the keys as tx ids, first seen first, and code columns.
 
     Rows go into the result columns block by block.  Runs of rows with one
     key are grouped by first-seen key, so a run at x -0.0 joins one at 0.0
@@ -390,93 +381,10 @@ def _ingest_columnar(path):
             raise _duplicate_angle(path, by_group[1:][repeated].min())
     if error:
         raise error
-    return list(group_ids), sizes, phi, gain
+    return ScanSet.key_columns(group_ids), sizes, phi, gain
 
 
 SIDECAR_SUFFIX = ".scanset.npz"
-_SIDECAR_VERSION = 2
-_SIDECAR_MEMBERS = {"version", "sha256", "sizes", *ScanSet.KEYS, "phi_deg", "gain_db"}
-_NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                (2, 0): np.lib.format.read_array_header_2_0}
-
-
-def _load_sidecar(path, sha256, limit):
-    """The rows in the sidecar at path, if it holds the input of hash sha256;
-    None if it is missing or anything about it is off.  No member is read
-    unless its header has the expected dtype and shape and at most limit
-    (the input's size in) bytes."""
-    try:
-        with open(path, "rb") as fh:
-            # np.load would read a bare .npy whole, whatever shape it claims.
-            if fh.read(4) != b"PK\x03\x04":
-                return None
-            fh.seek(0)
-            with np.load(fh, allow_pickle=False) as npz:
-                def member(name, dtype, *shapes):
-                    with npz.zip.open(name + ".npy") as raw:
-                        header = _NPY_HEADERS[np.lib.format.read_magic(raw)](raw)
-                    got_shape, fortran, got = header
-                    if (fortran or not got.isnative or not got.str[1:].startswith(dtype)
-                            or (shapes and got_shape not in shapes)
-                            or math.prod(got_shape) * got.itemsize > limit):
-                        raise ValueError(f"unexpected sidecar member {name}")
-                    return npz[name]  # read whole, so zipfile checks its CRC-32
-
-                if (set(npz.files) != _SIDECAR_MEMBERS
-                        or member("version", "i8", ()) != _SIDECAR_VERSION
-                        or member("sha256", "U", ()) != sha256):
-                    return None
-                sizes = member("sizes", "i8")
-                # One angle count, so the grid's n values and n gains per scan.
-                if not sizes.size or sizes[0] <= 0 or (sizes != sizes[0]).any():
-                    return None
-                scans, n = len(sizes), int(sizes[0])
-                keys = list(zip(*(member(key, "f8" if key in ("x", "y") else "U", (scans,))
-                                  .tolist() for key in ScanSet.KEYS)))
-                phi_deg, gain_db = member("phi_deg", "f8", (n,)), member("gain_db", "f8",
-                                                                         (scans * n,))
-        # Keys compare as the readers group them: -0.0 joins 0.0.
-        if len(set(keys)) == len(keys) and all(_valid_key(*key) for key in keys):
-            return keys, sizes, phi_deg, gain_db
-        return None
-    except Exception:  # whatever the file holds, a sidecar that fails is a miss
-        return None
-
-
-def save_sidecar(path, scans: ScanSet, sha256) -> None:
-    """Save the sidecar of the CSV at path, whose set is scans and whose
-    sha256 is sha256, so the next `ingest` of the file skips the parse: the
-    scans in set order, in CSV units, the grid once.  It is written
-    atomically, unless a text key would not survive numpy's fixed-width
-    strings (a trailing NUL) or a text member would take more than the
-    CSV's size in bytes, which `_load_sidecar` refuses: every scan's key
-    takes the longest one's width.  A directory that refuses the write
-    leaves no sidecar and no error."""
-    limit = os.path.getsize(path)
-    members = {"version": np.array(_SIDECAR_VERSION, dtype=np.int64), "sha256": np.array(sha256),
-               "sizes": np.full(len(scans), scans.grid.size, dtype=np.int64),
-               "phi_deg": scans.grid, "gain_db": scans.gains.ravel()}
-    for key in ScanSet.KEYS:
-        values = getattr(scans, key).tolist()
-        if key not in ("x", "y") and 4 * len(values) * max(map(len, values)) > limit:
-            return  # 4 bytes a character
-        members[key] = np.array(values)
-        if members[key].tolist() != values:
-            return
-    with contextlib.suppress(OSError):
-        _atomic_write(os.fspath(path) + SIDECAR_SUFFIX, lambda fh: _write_npz(fh, members))
-
-
-def _write_npz(fh, members) -> None:
-    """The uncompressed .npz `np.savez` writes, but each member's data goes
-    from the array's own buffer into the zip member, not through a copy."""
-    with zipfile.ZipFile(fh, "w", zipfile.ZIP_STORED, allowZip64=True) as npz:
-        for name, array in members.items():
-            with npz.open(name + ".npy", "w", force_zip64=True) as member:
-                np.lib.format.write_array_header_1_0(
-                    member, np.lib.format.header_data_from_array_1_0(array))
-                # ascontiguousarray: a 0-d array as 1-d, a contiguous one not copied.
-                member.write(np.ascontiguousarray(array).view(np.uint8))
 
 
 def ingest(path) -> ScanSet:
@@ -489,12 +397,14 @@ def ingest(path) -> ScanSet:
     docstring).  The set's `sha256` is the file's.
 
     The set is kept in the sidecar `<path>.scanset.npz` and taken from
-    there while it holds the file's sha256 (see the module docstring).
+    there while it holds the file's sha256 (see `sidecar`).
     """
+    from . import sidecar
+
     before = os.stat(path)
     sha256 = file_sha256(path)
-    sidecar = os.fspath(path) + SIDECAR_SUFFIX
-    cached = _load_sidecar(sidecar, sha256, before.st_size)
+    sidecar_path = os.fspath(path) + SIDECAR_SUFFIX
+    cached = sidecar.load(sidecar_path, sha256, before.st_size)
     if cached is not None:
         with contextlib.suppress(Exception):  # sidecar rows that do not build are a miss
             return ScanSet.from_rows(*cached, sha256)
@@ -503,13 +413,13 @@ def ingest(path) -> ScanSet:
         scans = ScanSet.from_rows(*rows, sha256)
     except BaseException:
         with contextlib.suppress(OSError):
-            os.unlink(sidecar)
+            os.unlink(sidecar_path)
         raise
     after = os.stat(path)
     # A file changed while it was read may not match its hash.
     if (before.st_ino, before.st_size, before.st_mtime_ns) == (
             after.st_ino, after.st_size, after.st_mtime_ns):
-        save_sidecar(path, scans, sha256)
+        sidecar.save(path, scans, sha256)
     return scans
 
 

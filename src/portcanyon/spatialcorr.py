@@ -12,8 +12,6 @@ at each grid angle and averages it over angles and lines.
 
 from __future__ import annotations
 
-from collections import defaultdict
-
 import numpy as np
 
 from .angular import ScanSet, Stacking, VehicleState
@@ -29,24 +27,27 @@ def dense_lines(scans: ScanSet, positions) -> np.ndarray:
     (lines x positions) int matrix: row i holds the set index of line i's
     scan at each position.
 
-    A line is the baseline (vehicle-absent) scans of one (tx, y, stacking);
-    scans with a vehicle take no position.  Each baseline scan takes the
-    first position within POSITION_SPACING_TOL, if any, and a later one at a
-    taken position replaces the earlier one.  Lines that miss a position are
-    left out; the rest are ordered by the str of their (tx, y, Stacking) key.
+    A line is the baseline (vehicle-absent) scans of one (tx, y, stacking),
+    grouped by code (`ScanSet.groups`); scans with a vehicle take no
+    position.  Each baseline scan takes the first position within
+    POSITION_SPACING_TOL, if any, and a later one at a taken position
+    replaces the earlier one (`np.maximum.at`: a fancy-index assignment
+    does not say which wins).  Lines that miss a position are left out; the
+    rest are ordered by the str of their first-seen (tx, y, Stacking) key.
     """
     positions = np.asarray(positions, dtype=float)
-    base = scans.vehicle_state == VehicleState.ABSENT.value
+    base = scans.state_code == VehicleState.ABSENT.code
     slot = np.full(len(scans), -1)
     for k, x in enumerate(positions.tolist()):
         slot[base & (slot < 0) & (np.abs(scans.x - x) <= POSITION_SPACING_TOL)] = k
-    by_line = defaultdict(dict)
-    for i in np.flatnonzero(slot >= 0).tolist():
-        by_line[scans.tx[i], float(scans.y[i]), Stacking(scans.stacking[i])][int(slot[i])] = i
-    complete = [by_line[key] for key in sorted(by_line, key=str)
-                if len(by_line[key]) == positions.size]
-    rows = [[slots[k] for k in range(positions.size)] for slots in complete]
-    return np.array(rows, dtype=np.intp).reshape(len(rows), positions.size)
+    taken = np.flatnonzero(slot >= 0)
+    line, firsts = scans.groups(scans.tx_code[taken], scans.y[taken], scans.stacking_code[taken])
+    matrix = np.full((firsts.size, positions.size), -1)
+    np.maximum.at(matrix, (line, slot[taken]), taken)  # the last scan in a slot
+    text = [str((tx, y, Stacking(stacking)))  # of each line's first-seen key
+            for tx, _, y, _, stacking in map(scans.key, taken[firsts])]
+    return matrix[[i for i in sorted(range(len(text)), key=text.__getitem__)
+                   if (matrix[i] >= 0).all()]]
 
 
 def averaged_correlation(scans: ScanSet, lines, positions) -> tuple[np.ndarray, np.ndarray]:

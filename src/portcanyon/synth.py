@@ -401,4 +401,5 @@ def generate_campaign(
     # The grid goes through radians on purpose, to keep the CSV bytes
     # (tests/golden_digests.json): np.degrees(cfg.angles_rad) are the angles
     # the files hold, and 360*k/n itself differs from 38 of them at n = 360.
-    return ScanSet.from_rows(keys, np.full(len(keys), n), np.degrees(cfg.angles_rad), gains)
+    return ScanSet.from_rows(ScanSet.key_columns(keys), np.full(len(keys), n),
+                             np.degrees(cfg.angles_rad), gains)

@@ -54,25 +54,25 @@ class DeltaCdfReport:
 def vehicle_delta(scans: ScanSet, state) -> np.ndarray:
     """Per-angle difference of the set's dB gains, baseline minus vehicle, one
     row per scan with the vehicle at state (position1 or position2), in set order.
-    Each is paired with the vehicle-absent scan of its link (same tx, x, y
-    and stacking), found by key, and read from the set's matrix by index,
-    a chunk of rows at a time, without copying subsets; every scan is on the
-    set's one grid.  No scan at state is a DomainError."""
+    Each is paired with the (last) vehicle-absent scan of its link (same tx,
+    x, y and stacking) by link code, and read from the set's matrix by
+    index, a chunk of rows at a time, without copying subsets; every scan is
+    on the set's one grid.  No scan at state is a DomainError."""
     if state not in (VehicleState.POSITION1, VehicleState.POSITION2):
         raise DomainError(f"vehicle_delta needs a vehicle position, got state={state!r}")
-    with_vehicle = np.flatnonzero(scans.vehicle_state == VehicleState(state).value)
+    with_vehicle = np.flatnonzero(scans.state_code == VehicleState(state).code)
     if not with_vehicle.size:
         raise DomainError(f"no scan has the vehicle at {VehicleState(state).value}")
-    keys = list(zip(*(getattr(scans, name).tolist() for name in ("tx", "x", "y", "stacking"))))
-    base_at = {keys[i]: i for i in np.flatnonzero(
-        scans.vehicle_state == VehicleState.ABSENT.value).tolist()}
-    base = [base_at.get(keys[i]) for i in with_vehicle.tolist()]
-    if None in base:
-        tx_id, x, y, stacking = keys[with_vehicle[base.index(None)]]
+    link, _ = scans.groups(scans.tx_code, scans.x, scans.y, scans.stacking_code)
+    baseline = np.flatnonzero(scans.state_code == VehicleState.ABSENT.code)
+    base_of = np.full(link.max() + 1, -1)
+    np.maximum.at(base_of, link[baseline], baseline)
+    base = base_of[link[with_vehicle]]
+    if (base < 0).any():
+        tx_id, x, y, _, stacking = scans.key(with_vehicle[np.argmax(base < 0)])
         raise IngestError(f"no baseline scan for vehicle scan at "
                           f"{(tx_id, x, y, Stacking(stacking))}; cannot pair")
     # CHUNK_ROWS rows at a time: the baseline's straight into the result.
-    base = np.array(base, dtype=np.intp)
     delta = np.empty((with_vehicle.size, scans.grid.size))
     for top in range(0, len(delta), CHUNK_ROWS):
         rows = delta[top:top + CHUNK_ROWS]

@@ -4,7 +4,8 @@
 time, and holds every scan's angles and gains in a dict of Python floats:
 the plainest statement of the reader's rules (header, byte-order mark,
 comments, keys, grouping, sort, duplicates) and of every line-numbered
-error.  It returns the rows `ScanSet.from_rows` takes, in the file's units
+error.  It returns the rows `ScanSet.from_rows` takes (the keys by
+`scansets.key_columns`), in the file's units
 (angles in degrees, gains in dB), scans in first-seen order.  An error
 names the physical line the record ends on (csv's `line_num`), so a quoted
 field that spans lines counts each of its lines.
@@ -16,6 +17,7 @@ import math
 from collections import defaultdict
 
 import numpy as np
+from scansets import key_columns
 
 from portcanyon.angular import Stacking, VehicleState
 from portcanyon.dataio import CANONICAL_HEADER
@@ -99,4 +101,5 @@ def ingest_rows(path):
 
     phis = [sorted(groups[key]) for key in order]
     gains = [groups[key][p] for key, key_phis in zip(order, phis) for p in key_phis]
-    return order, list(map(len, phis)), np.array(list(itertools.chain(*phis))), np.array(gains)
+    return (key_columns(order), list(map(len, phis)), np.array(list(itertools.chain(*phis))),
+            np.array(gains))

@@ -1,5 +1,6 @@
-"""ScanSets from per-scan arrays, the fits' sample arrays and planted
-sidecars, for tests.
+"""ScanSets from per-scan arrays, the key columns `ScanSet.from_rows` takes
+from key tuples and back, the fits' sample arrays and planted sidecars, for
+tests.
 
 Every set goes through `ScanSet.from_rows`, the checked constructor an
 ingested set goes through, so a test scan is checked as a scan read from a
@@ -11,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from portcanyon import dataio
+from portcanyon import dataio, sidecar
 from portcanyon.angular import ScanSet, Stacking, VehicleState
 
 
@@ -43,11 +44,38 @@ def scan_set(scans, sha256=None) -> ScanSet:
     scans = list(scans)
     for s in scans:
         assert np.shape(s.angles) == np.shape(s.gains), "one gain per angle"
-    keys = [(s.tx, float(s.x), float(s.y), VehicleState(s.vehicle_state).value,
-             Stacking(s.stacking).value) for s in scans]
+    keys = key_columns((s.tx, s.x, s.y, s.vehicle_state, s.stacking) for s in scans)
     angles, gains = (np.concatenate([np.ravel(getattr(s, name)) for s in scans] or [[]])
                      for name in ("angles", "gains"))
     return ScanSet.from_rows(keys, [np.size(s.gains) for s in scans], angles, gains, sha256)
+
+
+def key_columns(keys) -> tuple:
+    """The keys `ScanSet.from_rows` takes, of (tx, x, y, vehicle state,
+    stacking) tuples, tokens or enums: the tx ids in first-seen order, then
+    the `ScanSet.KEYS` columns."""
+    keys = list(keys)
+    tx_ids = tuple(dict.fromkeys(key[0] for key in keys))
+    return (tx_ids, np.array([tx_ids.index(key[0]) for key in keys], dtype=np.intp),
+            np.array([float(key[1]) for key in keys]), np.array([float(key[2]) for key in keys]),
+            np.array([VehicleState(key[3]).code for key in keys], dtype=np.intp),
+            np.array([Stacking(key[4]).code for key in keys], dtype=np.intp))
+
+
+def key_tuples(keys) -> list:
+    """The (tx, x, y, vehicle state, stacking) tuple of each scan of keys in
+    the form `ScanSet.from_rows` takes, as the set's `key` gives it."""
+    tx_ids, tx_code, x, y, state_code, stacking_code = keys
+    return [(tx_ids[t], float(a), float(b), tuple(VehicleState)[v].value,
+             tuple(Stacking)[s].value)
+            for t, a, b, v, s in zip(tx_code, x, y, state_code, stacking_code)]
+
+
+def column(scans: ScanSet, name) -> list:
+    """The key field name ("tx", "x", "y", "vehicle_state" or "stacking") of
+    each scan of the set, in order, as `ScanSet.key` gives it."""
+    at = ("tx", "x", "y", "vehicle_state", "stacking").index(name)
+    return [scans.key(i)[at] for i in range(len(scans))]
 
 
 def whole(scans: ScanSet) -> np.ndarray:
@@ -60,9 +88,8 @@ def records(scans: ScanSet) -> list:
     """The set's scans, in order, as Scan records with the set's one grid:
     x and y as floats and the states as enums, as a key names them."""
     return [Scan(tx, x, y, scans.grid, gains, VehicleState(state), Stacking(stacking))
-            for tx, x, y, state, stacking, gains in zip(
-                scans.tx.tolist(), scans.x.tolist(), scans.y.tolist(),
-                scans.vehicle_state.tolist(), scans.stacking.tolist(), scans.gains)]
+            for (tx, x, y, state, stacking), gains in zip(map(scans.key, range(len(scans))),
+                                                          scans.gains)]
 
 
 def gain_samples(distance_m, gain_db):
@@ -73,12 +100,12 @@ def gain_samples(distance_m, gain_db):
 
 def plant_sidecar(path, rows, sha256):
     """Write rows, as `dataio._ingest_columnar` returns them, into the sidecar
-    of the CSV at path, keyed by sha256, as the members `dataio.save_sidecar`
+    of the CSV at path, keyed by sha256, as the members `sidecar.save`
     writes (scan 0's angles as the grid), whether or not the rows build a
     set: a sidecar `ingest` never saves itself."""
-    keys, sizes, phi_deg, gain_db = rows
-    members = {"version": np.array(dataio._SIDECAR_VERSION, dtype=np.int64),
+    (tx_ids, *columns), sizes, phi_deg, gain_db = rows
+    members = {"version": np.array(sidecar._VERSION, dtype=np.int64),
                "sha256": np.array(sha256), "sizes": np.asarray(sizes, dtype=np.int64),
-               "phi_deg": phi_deg[:sizes[0]], "gain_db": gain_db}
-    members.update(zip(ScanSet.KEYS, map(np.array, zip(*keys))))
+               "tx_ids": np.array(tx_ids), "phi_deg": phi_deg[:sizes[0]], "gain_db": gain_db}
+    members.update(zip(ScanSet.KEYS, columns))
     np.savez(os.fspath(path) + dataio.SIDECAR_SUFFIX, allow_pickle=False, **members)

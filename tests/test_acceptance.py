@@ -9,7 +9,7 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scansets import Scan, gain_samples, grid, records, scan_set, whole
+from scansets import Scan, gain_samples, grid, key_columns, records, scan_set, whole
 
 from portcanyon.angular import (
     ScanSet,
@@ -246,7 +246,7 @@ def test_criterion_08_spatial_decorrelation():
     # One set of the lines' scans, line after line; row i of the index matrix is line i.
     keys = [("TX1_63", float(x), 3.5, "absent", "uniform") for x in positions] * n_lines
     gains = np.stack([to_db(rng.exponential(1e-6, size=(15, 8))) for _ in range(n_lines)])
-    scans = ScanSet.from_rows(keys, [8] * len(keys), np.tile(grid(8), len(keys)),
+    scans = ScanSet.from_rows(key_columns(keys), [8] * len(keys), np.tile(grid(8), len(keys)),
                               gains.ravel())
     _, corr = averaged_correlation(scans, np.arange(len(keys)).reshape(n_lines, 15), positions)
     worst = float(np.max(np.abs(corr[1:])))
@@ -305,7 +305,7 @@ def test_criterion_10_fullspread_azimuth_gain():
     xs = 1.0 + (np.arange(n_scans) % 33)
     ys = np.array([3.5, 5.5, 7.5, 9.5])[np.arange(n_scans) % 4]
     scans = ScanSet.from_rows(
-        [("TX1_63", float(xs[i]), float(ys[i]), "absent", "uniform") for i in range(n_scans)],
+        key_columns(("TX1_63", xs[i], ys[i], "absent", "uniform") for i in range(n_scans)),
         [n_angles] * n_scans, np.tile(grid(n_angles), n_scans), to_db(smoothed).ravel())
     cdf_all, cdf_tx, _ = gain_cdfs(scans, whole(scans), {"TX1_63": (18.8, 63.0)})
     ps = np.arange(0.02, 0.981, 0.02)

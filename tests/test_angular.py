@@ -75,8 +75,8 @@ class TestScanValidation:
 
     def test_enum_coercion_from_tokens(self):
         scans = make_set(np.ones(8), vehicle_state="position1", stacking="nonuniform")
-        assert VehicleState(scans.vehicle_state[0]) is VehicleState.POSITION1
-        assert Stacking(scans.stacking[0]) is Stacking.NONUNIFORM
+        assert tuple(VehicleState)[scans.state_code[0]] is VehicleState.POSITION1
+        assert tuple(Stacking)[scans.stacking_code[0]] is Stacking.NONUNIFORM
 
 
 def whole_first_invalid(grid, gains, angles=None):
@@ -351,7 +351,7 @@ def _reads_grid(node):
     return not isinstance(node, ast.Call) and any(map(_reads_grid, ast.iter_child_nodes(node)))
 
 
-@pytest.mark.parametrize("module", ["dataio", "csvtext", "cli"])
+@pytest.mark.parametrize("module", ["dataio", "sidecar", "csvtext", "cli"])
 def test_modules_that_read_or_write_the_sets_angles_do_not_convert_the_grid(module):
     # The readers, the writers and the tables take the grid as it is: no
     # arithmetic takes it as an operand and no conversion as its argument.
@@ -366,7 +366,7 @@ def test_modules_that_read_or_write_the_sets_angles_do_not_convert_the_grid(modu
     assert touched == []
 
 
-@pytest.mark.parametrize("module", ["dataio", "vehicle", "spatialcorr"])
+@pytest.mark.parametrize("module", ["dataio", "sidecar", "vehicle", "spatialcorr"])
 def test_modules_that_read_the_sets_db_gains_do_not_convert(module):
     # The set holds dB: reading, writing, vehicle deltas and correlations
     # take its values as they are, so none of these names the dB pair.
@@ -549,6 +549,14 @@ class TestGainCdfs:
         with pytest.raises(DomainError, match="'TX9'"):
             scans = make_set(np.ones(8), tx="TX9")
             gain_cdfs(scans, whole(scans), POSITIONS)
+        # In index order, the first scan of an unknown transmitter or one at
+        # its TX's position ends the call, whichever comes first.
+        scans = scan_set([make_scan(np.ones(8), tx="TX2"),
+                          make_scan(np.ones(8), tx="TX2", x=18.85, y=60.5),
+                          make_scan(np.ones(8), tx="TX8")])
+        for picked, match in (([0, 2, 1], "'TX8'"), ([1, 2, 0], "coincide")):
+            with pytest.raises(DomainError, match=match):
+                gain_cdfs(scans, np.array(picked), POSITIONS)
 
     def test_probabilities_reach_one(self):
         rng = np.random.default_rng(12)

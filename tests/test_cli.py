@@ -17,12 +17,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from peaks import HAS_VMHWM, command_peak_kib
-from scansets import Scan, gain_samples, grid, plant_sidecar, records, scan_set, whole
+from scansets import Scan, column, gain_samples, grid, plant_sidecar, records, scan_set, whole
 
-from portcanyon.angular import ScanSet, circular_mean_gain, to_db
+from portcanyon.angular import ScanSet, Stacking, circular_mean_gain, to_db
 from portcanyon.cli import main
 from portcanyon.dataio import CANONICAL_HEADER, ingest, provenance_line, write_scans
 from portcanyon.pathloss import fit_fixed_slope, fit_loglinear
+from portcanyon import sidecar as sidecars
 from portcanyon.synth import tx_position
 
 N_ANGLES = 24
@@ -450,8 +451,8 @@ from portcanyon.cli import main
 from portcanyon.dataio import write_scans
 
 xs = (1.0, 5.0, 9.0)
-scans = ScanSet.from_rows([("TX1_63", x, 3.5, "absent", "uniform") for x in xs], [8] * 3,
-                          np.tile(45.0 * np.arange(8), 3),
+keys = ("TX1_63",), [0] * 3, xs, [3.5] * 3, [0] * 3, [0] * 3  # TX1_63, absent, uniform
+scans = ScanSet.from_rows(keys, [8] * 3, np.tile(45.0 * np.arange(8), 3),
                           np.repeat([-60.0 - x for x in xs], 8))
 write_scans(sys.argv[1], scans)
 assert main(["fit", "--input", sys.argv[1], "--out", sys.argv[2]]) == 0
@@ -785,6 +786,40 @@ class TestRegressions:
         assert captured.err.startswith("error[domain]: ")
         assert list(out_dir.glob("angular_*_TX1_63.csv")) == []
 
+    def test_angular_takes_transmitters_in_baseline_order(self, tmp_path, capsys, monkeypatch):
+        # The file starts with a TX2 vehicle scan, but TX1_63 comes first
+        # among the baseline scans, which `angular` analyses: its tables
+        # come first.
+        from portcanyon import dataio
+
+        data = _write_scans(tmp_path, _line_scans((1.0,), tx="TX2", vehicle_state="position1")
+                            + _line_scans((1.0, 5.0)) + _line_scans((1.0, 5.0), tx="TX2"))
+        assert ingest(data).tx_ids == ("TX2", "TX1_63")
+        written, real = [], dataio.write_table
+        monkeypatch.setattr(dataio, "write_table", lambda path, *args, **kwargs: (
+            written.append(os.path.basename(path)) or real(path, *args, **kwargs)))
+        out_dir = tmp_path / "out"
+        assert main(["angular", "--input", data, "--out-dir", str(out_dir)]) == 0
+        assert written == [f"angular_{table}_{tx}.csv" for tx in ("TX1_63", "TX2")
+                           for table in ("mean", "hist")] + [
+            "gain_cdf_all_directions.csv", "gain_cdf_tx_direction.csv", "azimuth_gain_cdf.csv"]
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == f"angular: 4 scans, 2 transmitters -> {out_dir}"
+        assert out[1].startswith("angular: median azimuth gain ") and len(out) == 2
+
+    @pytest.mark.parametrize("command", ["angular", "fit"])
+    def test_unknown_transmitter_is_named_in_baseline_order(self, tmp_path, capsys, command):
+        # TX8 comes first in the file, in a vehicle scan; TX9 first among the
+        # baseline scans, which both commands analyse.
+        data = _write_scans(tmp_path, _line_scans((1.0,), tx="TX8", vehicle_state="position1")
+                            + _line_scans((1.0,), tx="TX9") + _line_scans((1.0,), tx="TX8"))
+        out = (["--out-dir", str(tmp_path / "out")] if command == "angular"
+               else ["--out", str(tmp_path / "fit.csv")])
+        assert main([command, "--input", data, *out]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error[ingest]: no position for transmitter id 'TX9'; ")
+
     @pytest.mark.parametrize("provenance", [True, False])
     def test_csv_with_a_leading_bom_reads_as_without_it(self, tmp_path, capsys, provenance):
         plain = Path(_write_scans(tmp_path, [
@@ -907,10 +942,10 @@ class TestBranches:
         scans = ingest(data)
         distance_m = np.array([
             math.sqrt((tx_x - x) ** 2 + (tx_y - y) ** 2 + (tx_z - 1.5) ** 2)
-            for (tx_x, tx_y, tx_z), x, y in zip(map(tx_position, scans.tx.tolist()),
+            for (tx_x, tx_y, tx_z), x, y in zip(map(tx_position, column(scans, "tx")),
                                                 scans.x.tolist(), scans.y.tolist())])
         gain_db = circular_mean_gain(scans, whole(scans))
-        groups = {label: np.flatnonzero(scans.stacking == label)
+        groups = {label: np.flatnonzero(np.array(column(scans, "stacking")) == label)
                   for label in ("nonuniform", "uniform")}
         groups["aggregated"] = np.concatenate([groups["nonuniform"], groups["uniform"]])
         assert [g.size for g in groups.values()] == [7, 4, 11]
@@ -1488,37 +1523,43 @@ class TestSidecar:
         assert list(tmp_path.iterdir()) == [Path(small_config)]
 
     @staticmethod
-    def format1_sidecar(scans):
-        """The sidecar of scans in format 1: one block of per-block matrices."""
-        members = {"version": np.array(1, dtype=np.int64), "sha256": np.array(scans.sha256),
-                   "blocks": np.array([scans.gains.shape], dtype=np.int64),
-                   "index0": np.arange(len(scans)),
-                   "angles0": np.tile(scans.grid, (len(scans), 1)),
-                   "gains0": scans.gains}
-        members.update({key: getattr(scans, key).astype(float if key in ("x", "y") else str)
-                        for key in ScanSet.KEYS})
-        return members
+    def old_sidecar(scans, version):
+        """The sidecar of scans in format 1 (one block of per-block matrices)
+        or 2 (rows back to back, the grid once), each key field a column."""
+        keys = dict(zip(("tx", "x", "y", "vehicle_state", "stacking"),
+                        map(np.array, zip(*map(scans.key, range(len(scans)))))))
+        if version == 1:
+            return {"version": np.array(1, dtype=np.int64), "sha256": np.array(scans.sha256),
+                    "blocks": np.array([scans.gains.shape], dtype=np.int64),
+                    "index0": np.arange(len(scans)),
+                    "angles0": np.tile(scans.grid, (len(scans), 1)),
+                    "gains0": scans.gains, **keys}
+        return {"version": np.array(2, dtype=np.int64), "sha256": np.array(scans.sha256),
+                "sizes": np.full(len(scans), scans.grid.size, dtype=np.int64), **keys,
+                "phi_deg": scans.grid, "gain_db": scans.gains.ravel()}
 
-    def test_format1_sidecar_is_replaced(self, tmp_path, dataset, capsys, monkeypatch):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_format_sidecar_is_replaced(self, tmp_path, dataset, capsys, monkeypatch,
+                                            version):
         from portcanyon import dataio
 
         sidecar = Path(str(dataset) + ".scanset.npz")
         out = tmp_path / "out"
         cold = self.run_all(dataset, out, capsys, before=lambda: sidecar.unlink(missing_ok=True))
         shutil.rmtree(out)
-        format1 = self.format1_sidecar(dataio.ingest(dataset))
+        old = self.old_sidecar(dataio.ingest(dataset), version)
         parses, real = [], dataio._ingest_columnar
         monkeypatch.setattr(dataio, "_ingest_columnar",
                             lambda path: parses.append(path) or real(path))
         upgraded = self.run_all(dataset, out, capsys,
-                                before=lambda: np.savez(sidecar, allow_pickle=False, **format1))
+                                before=lambda: np.savez(sidecar, allow_pickle=False, **old))
         assert upgraded == cold
         assert len(parses) == 5
         with np.load(sidecar, allow_pickle=False) as npz:
-            assert int(npz["version"]) == 2
+            assert int(npz["version"]) == 3
             assert sorted(npz.files) == sorted([
-                "version", "sha256", "sizes", "tx", "x", "y", "vehicle_state", "stacking",
-                "phi_deg", "gain_db"])
+                "version", "sha256", "sizes", "tx_ids", "tx_code", "x", "y", "state_code",
+                "stacking_code", "phi_deg", "gain_db"])
 
     def test_own_hash_sidecar_with_bogus_stacking_is_a_miss(self, tmp_path, dataset, capsys):
         sidecar = Path(str(dataset) + ".scanset.npz")
@@ -1527,11 +1568,10 @@ class TestSidecar:
         shutil.rmtree(out)
         with np.load(sidecar, allow_pickle=False) as npz:
             members = {name: npz[name] for name in npz.files}
-        members["stacking"] = np.full(members["stacking"].size, "bogus")
+        members["stacking_code"] = np.full(members["stacking_code"].size, len(Stacking))
         bogus = self.run_all(dataset, out, capsys,
                              before=lambda: np.savez(sidecar, allow_pickle=False, **members))
         assert bogus == cold
-        assert b"bogus" not in cold[1]["fit.csv"]
 
     def test_a_scan_short_of_one_angle_is_a_grid_error(self, tmp_path, dataset, capsys,
                                                        monkeypatch):
@@ -1554,7 +1594,7 @@ class TestSidecar:
         sidecar = Path(str(dataset) + dataio.SIDECAR_SUFFIX)
         sha256, real = dataio.file_sha256(dataset), dataio._ingest_columnar
         plant_sidecar(dataset, real(dataset), sha256)
-        assert dataio._load_sidecar(str(sidecar), sha256, dataset.stat().st_size) is None
+        assert sidecars.load(str(sidecar), sha256, dataset.stat().st_size) is None
         planted = sidecar.read_bytes()
         sidecar.unlink()
         parses = []

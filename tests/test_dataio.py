@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 import reference_writer
 from peaks import HAS_VMHWM, ingest_peak_kib, table_peak_kib
 from reference_reader import ingest_rows
-from scansets import Scan, grid, plant_sidecar, records, scan_set
+from scansets import Scan, column, grid, key_tuples, plant_sidecar, records, scan_set
 
 from portcanyon import dataio
+from portcanyon import sidecar as sidecars
 from portcanyon.angular import ScanSet, Stacking, VehicleState, to_db
 from portcanyon.dataio import (
     _CHUNK_ROWS,
@@ -132,7 +133,7 @@ class TestIngestValidation:
         write_csv(path, self.header() + self.rows_for())
         scans = ingest(path)
         assert len(scans) == 1
-        assert scans.tx.tolist() == ["TX2"]
+        assert column(scans, "tx") == ["TX2"]
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "nohdr.csv"
@@ -315,8 +316,8 @@ class TestColumnarIngest:
         scans = generate_campaign(
             layout, SynthConfig(seed=3, n_angles=24), vehicle_mode="dense"
         )
-        assert set(scans.vehicle_state.tolist()) == {"absent", "position1", "position2"}
-        assert len(set(scans.tx.tolist())) > 1
+        assert set(column(scans, "vehicle_state")) == {"absent", "position1", "position2"}
+        assert len(set(column(scans, "tx"))) > 1
         path = tmp_path / "campaign.csv"
         write_scans(path, scans, seed=3)
         assert check_paths_agree(path) == "columnar"
@@ -325,7 +326,7 @@ class TestColumnarIngest:
         a, b = _rows(tx="TX1_63"), _rows(tx="TX2", x="5.0")
         body = a[:3] + b[5:] + a[3:] + b[:5]
         assert self.ingest_lines(tmp_path, body) == "columnar"
-        assert ingest(tmp_path / "case.csv").tx.tolist() == ["TX1_63", "TX2"]
+        assert column(ingest(tmp_path / "case.csv"), "tx") == ["TX1_63", "TX2"]
 
     def test_signed_zero_key_joins_first_seen(self, tmp_path):
         first, rest = _rows(x="-0.0")[:2], _rows(x="0.0")[2:]
@@ -405,7 +406,7 @@ class TestColumnarIngest:
     def test_tx_id_at_or_over_the_field_width(self, tmp_path, width):
         tx = "TX1_" + "9" * (width - 4)
         assert self.ingest_lines(tmp_path, _rows(tx=tx)) == "rows"
-        assert ingest(tmp_path / "case.csv").tx.tolist() == [tx]
+        assert column(ingest(tmp_path / "case.csv"), "tx") == [tx]
 
     @pytest.mark.parametrize("x_width, y_width", [(3, 31), (3, 32), (3, 40), (33, 3), (200, 3)])
     def test_numbers_of_any_length_parse_columnar(self, tmp_path, x_width, y_width):
@@ -441,7 +442,7 @@ class TestColumnarIngest:
         monkeypatch.setattr(dataio, "_BLOCK_BYTES", block)
         body = _rows() + [row.replace("TX2", '"TX\n2"') for row in _rows(x="2.0")]
         assert self.ingest_lines(tmp_path, body) == "rows"
-        assert ingest(tmp_path / "case.csv").tx.tolist() == ["TX2", "TX\n2"]
+        assert column(ingest(tmp_path / "case.csv"), "tx") == ["TX2", "TX\n2"]
 
     @pytest.mark.parametrize("case, message", [
         ("split", r"^line 9: unknown stacking 'uniform\\n'$"),
@@ -467,7 +468,7 @@ class TestColumnarIngest:
             with pytest.raises(IngestError, match=message):
                 ingest(path)
         else:
-            assert ingest(path).stacking.tolist() == ["uniform"]
+            assert column(ingest(path), "stacking") == ["uniform"]
 
     @pytest.mark.parametrize("block", [40, 60, 997])
     def test_open_record_is_carried_into_the_next_block(self, tmp_path, monkeypatch, block):
@@ -544,7 +545,7 @@ class TestColumnarIngest:
 
     def test_non_ascii_tx_id(self, tmp_path):
         assert self.ingest_lines(tmp_path, _rows(tx="TXé")) == "rows"
-        assert ingest(tmp_path / "case.csv").tx.tolist() == ["TXé"]
+        assert column(ingest(tmp_path / "case.csv"), "tx") == ["TXé"]
 
     @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "1e999", "", "x"])
     def test_bad_numbers(self, tmp_path, bad):
@@ -585,8 +586,9 @@ class TestColumnarIngest:
                 os.unlink(str(path) + dataio.SIDECAR_SUFFIX)
             if reader == "sidecar":  # this file's rows, planted
                 plant_sidecar(path, _ingest_columnar(path), file_sha256(path))
-                for name, calls in (("_load_sidecar", loaded), ("_ingest_columnar", parses)):
-                    monkeypatch.setattr(dataio, name, lambda *a, read=getattr(dataio, name),
+                for module, name, calls in ((sidecars, "load", loaded),
+                                            (dataio, "_ingest_columnar", parses)):
+                    monkeypatch.setattr(module, name, lambda *a, read=getattr(module, name),
                                         calls=calls: calls.append(read(*a)) or calls[-1])
             code = main(["fit", "--input", str(path), "--out", str(path.parent / "fit.csv")])
             outcomes.append((code, capsys.readouterr().err))
@@ -631,11 +633,9 @@ def check_sets_agree(path) -> None:
     for got in sets:
         assert got.sha256 == want_sha
     for got in sets[1:]:
-        assert got.tx.tolist() == sets[0].tx.tolist()
-        for name in ("x", "y"):
+        assert got.tx_ids == sets[0].tx_ids
+        for name in ScanSet.KEYS:
             assert getattr(got, name).tobytes() == getattr(sets[0], name).tobytes()
-        for name in ("vehicle_state", "stacking"):
-            assert getattr(got, name).tolist() == getattr(sets[0], name).tolist()
         for name in ("grid", "gains"):
             assert getattr(got, name).shape == getattr(sets[0], name).shape
             assert getattr(got, name).tobytes() == getattr(sets[0], name).tobytes()
@@ -710,7 +710,7 @@ class TestScanSetIngest:
         monkeypatch.setattr(np, "lexsort", no_sort)
         path = tmp_path / "case.csv"
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows() + _rows(x="2.0"))
-        assert [key[1] for key in _ingest_columnar(path)[0]] == [1.0, 2.0]
+        assert list(_ingest_columnar(path)[0][2]) == [1.0, 2.0]
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows()[::-1])
         with pytest.raises(AssertionError, match="lexsort called"):
             _ingest_columnar(path)
@@ -725,7 +725,7 @@ def _rows_of(read, path):
         keys, sizes, phi, gain = read(path)
     except Exception as exc:  # the comparison covers non-toolkit errors too
         return f"{type(exc).__name__}: {exc}"
-    return ([tuple(map(repr, key)) for key in keys], [int(n) for n in sizes],
+    return (keys[0], [tuple(map(repr, key)) for key in key_tuples(keys)], [int(n) for n in sizes],
             phi.tobytes(), gain.tobytes())
 
 
@@ -1328,9 +1328,8 @@ def _set_state(scans):
     """Everything a ScanSet holds, as comparable values: column values with
     their Python types, the float columns' and matrices' bytes, the hash."""
     return (
-        [(v, type(v)) for key in ("tx", "vehicle_state", "stacking")
-         for v in getattr(scans, key).tolist()],
-        [(getattr(scans, key).dtype.str, getattr(scans, key).tobytes()) for key in ("x", "y")],
+        [(v, type(v)) for v in scans.tx_ids],
+        [(getattr(scans, key).dtype.str, getattr(scans, key).tobytes()) for key in ScanSet.KEYS],
         [(m.dtype.str, m.shape, m.tobytes()) for m in (scans.grid, scans.gains)],
         scans.sha256,
     )
@@ -1399,6 +1398,20 @@ SIDECAR_KINDS = ("missing", "intact", "stale", "truncated", "bitflip", "npy", "v
                  "nonpositive", "stacking", "empty", "duplicate", "oversized")
 
 
+def _stored_bytes(npz, name) -> range:
+    """Where member name's stored bytes lie in the npz bytes.  zipfile reads
+    a member's sizes and CRC-32 from the central directory and skips its
+    local header's, so only a bit flipped here is sure to be read."""
+    import struct
+    import zipfile
+
+    with zipfile.ZipFile(io.BytesIO(npz)) as zf:
+        info = zf.getinfo(name)
+    # The name and extra field lengths end the local header's 30 bytes.
+    start = info.header_offset + 30 + sum(struct.unpack_from("<HH", npz, info.header_offset + 26))
+    return range(start, start + info.compress_size)
+
+
 def _corrupt(kind, good, stale, sha256, pick):
     """Sidecar bytes of a kind (None: no file).  good is this file's own
     sidecar, or None if it has none; stale is another file's; pick(n) picks
@@ -1426,7 +1439,7 @@ def _corrupt(kind, good, stale, sha256, pick):
     if kind == "extra":
         return _npz(dict(members, blocks=np.array([[1, 8]], dtype=np.int64)))
     if kind == "pickled":
-        return _npz(dict(members, tx=members["tx"].astype(object)))
+        return _npz(dict(members, tx_ids=members["tx_ids"].astype(object)))
     if kind == "retyped":
         return _npz(dict(members, x=members["x"].astype("<f4")))
     if kind == "swapped":
@@ -1443,8 +1456,9 @@ def _corrupt(kind, good, stale, sha256, pick):
         return _npz(dict(members, sizes=np.append(members["sizes"], 0),
                          **{key: np.append(members[key], members[key][-1:])
                             for key in ScanSet.KEYS}))
-    if kind == "stacking":
-        return _npz(dict(members, stacking=np.full(members["stacking"].size, "bogus")))
+    if kind == "stacking":  # a code past the labels
+        return _npz(dict(members, stacking_code=np.full(members["stacking_code"].size,
+                                                        len(Stacking))))
     if kind == "empty":  # no scans at all
         return _npz({name: arr[:0] if arr.ndim else arr for name, arr in members.items()})
     if kind == "duplicate":  # one scan twice, a -0.0 x as 0.0: the same key
@@ -1514,8 +1528,6 @@ class TestSidecar:
 
     @pytest.mark.parametrize("kind", SIDECAR_KINDS)
     def test_only_an_intact_sidecar_is_trusted(self, tmp_path, kind, monkeypatch):
-        from portcanyon.dataio import _load_sidecar
-
         path = tmp_path / "case.csv"
         path.write_text(_canonical_text(), encoding="utf-8")
         other = tmp_path / "other.csv"
@@ -1524,7 +1536,12 @@ class TestSidecar:
             ingest(csv_path)
         good = (tmp_path / "case.csv.scanset.npz").read_bytes()
         stale = (tmp_path / "other.csv.scanset.npz").read_bytes()
-        corrupt = _corrupt(kind, good, stale, file_sha256(path), lambda n: n // 3)
+        # A bit flipped where no reader reads changes nothing, so bitflip
+        # flips one in the middle of gain_db's stored bytes.
+        gain_db = _stored_bytes(good, "gain_db.npy")
+        middle = gain_db[len(gain_db) // 2]
+        corrupt = _corrupt(kind, good, stale, file_sha256(path),
+                           lambda n: middle if kind == "bitflip" and n == len(good) else n // 3)
         sidecar = tmp_path / "case.csv.scanset.npz"
         sidecar.unlink()
         if corrupt is not None:
@@ -1534,7 +1551,7 @@ class TestSidecar:
                             lambda npz, key: read.append(key) or real(npz, key))
         monkeypatch.setattr(np, "fromfile", lambda *a, **k: read.append("fromfile")
                             or real_fromfile(*a, **k))
-        got = _load_sidecar(str(sidecar), file_sha256(path), path.stat().st_size)
+        got = sidecars.load(str(sidecar), file_sha256(path), path.stat().st_size)
         # The loader passes rows that only the build refuses.
         assert (got is not None) == (kind in ("intact", "invalid"))
         if kind == "invalid":
@@ -1544,26 +1561,63 @@ class TestSidecar:
             assert _set_state(ScanSet.from_rows(*got, "h")) == _set_state(
                 ScanSet.from_rows(*_ingest_columnar(path), "h"))
         if kind == "oversized":
-            assert read == ["version", "sha256", "sizes", *ScanSet.KEYS]
+            assert read == ["version", "sha256", "sizes", "tx_ids", *ScanSet.KEYS]
         assert "fromfile" not in read
 
     @pytest.mark.parametrize("key, value", [
-        ("tx", ""), ("tx", "#TX2"), ("x", np.nan), ("y", np.inf), ("y", -np.inf),
-        ("vehicle_state", "parked"), ("stacking", "bogus"),
+        ("tx_ids", ""), ("tx_ids", "#TX2"), ("tx_ids", "TX1_63"), ("tx_code", 2),
+        ("tx_code", -1), ("x", np.nan), ("y", np.inf), ("y", -np.inf), ("state_code", 3),
+        ("state_code", -1), ("stacking_code", 2), ("stacking_code", -1),
     ])
     def test_keys_must_pass_the_readers_rules(self, tmp_path, key, value):
-        from portcanyon.dataio import _load_sidecar
-
         path = tmp_path / "case.csv"
         path.write_text(_canonical_text(), encoding="utf-8")
         sha256, size = ingest(path).sha256, path.stat().st_size
         sidecar = tmp_path / "case.csv.scanset.npz"
-        assert _load_sidecar(str(sidecar), sha256, size) is not None
+        assert sidecars.load(str(sidecar), sha256, size) is not None
         members = _members(sidecar.read_bytes())
-        column = members[key].tolist()
-        column[1] = value
-        sidecar.write_bytes(_npz(dict(members, **{key: np.array(column)})))
-        assert _load_sidecar(str(sidecar), sha256, size) is None
+        values = members[key].tolist()
+        values[1] = value
+        sidecar.write_bytes(_npz(dict(members, **{key: np.array(values)})))
+        assert sidecars.load(str(sidecar), sha256, size) is None
+
+    def test_ids_out_of_first_seen_order_are_a_miss(self, tmp_path):
+        # The same keys under swapped labels and codes: a set the parse
+        # never gives, though every scan reads the same.
+        path = tmp_path / "case.csv"
+        path.write_text(_canonical_text(), encoding="utf-8")
+        sha256, size = ingest(path).sha256, path.stat().st_size
+        sidecar = tmp_path / "case.csv.scanset.npz"
+        members = _members(sidecar.read_bytes())
+        assert members["tx_ids"].tolist() == ["TX1_63", "TX2"]
+        sidecar.write_bytes(_npz(dict(members, tx_ids=members["tx_ids"][::-1],
+                                      tx_code=1 - members["tx_code"])))
+        assert sidecars.load(str(sidecar), sha256, size) is None
+
+    def test_format_2_sidecar_is_a_miss_and_is_rewritten(self, tmp_path, monkeypatch):
+        # Format 2 held each scan's key as text; ingest parses the file and
+        # saves format 3 over it.
+        path = tmp_path / "case.csv"
+        path.write_text(_canonical_text(), encoding="utf-8")
+        scans = ingest(path)
+        sidecar = tmp_path / "case.csv.scanset.npz"
+        members = _members(sidecar.read_bytes())
+        format2 = {"version": np.array(2, dtype=np.int64), "sha256": members["sha256"],
+                   "sizes": members["sizes"],
+                   **{name: np.array(values) for name, values in zip(
+                       ("tx", "x", "y", "vehicle_state", "stacking"),
+                       zip(*map(scans.key, range(len(scans)))))},
+                   "phi_deg": members["phi_deg"], "gain_db": members["gain_db"]}
+        sidecar.write_bytes(_npz(format2))
+        assert _sidecar_rows(path) is None
+        parses = []
+        monkeypatch.setattr(dataio, "_ingest_columnar",
+                            lambda p, read=dataio._ingest_columnar: parses.append(p) or read(p))
+        assert _set_state(ingest(path)) == _set_state(scans)
+        assert parses == [path]
+        rewritten = _members(sidecar.read_bytes())
+        assert int(rewritten["version"]) == 3 and set(rewritten) == sidecars._MEMBERS
+        assert _rows_of(_sidecar_rows, path) == _rows_of(_saved_rows, path)
 
     def test_a_hit_skips_the_text(self, tmp_path, monkeypatch):
         from portcanyon import dataio
@@ -1579,30 +1633,30 @@ class TestSidecar:
         assert _set_state(ingest(path)) == cold
 
     def test_sidecar_keeps_signed_zero_order_and_str_columns(self, tmp_path):
-        from portcanyon.dataio import _load_sidecar
-
         path = tmp_path / "case.csv"
         # Three 8-angle scans, the middle one keyed at x = -0.0.
         path.write_text(_canonical_text(), encoding="utf-8")
         parsed = ingest(path)
-        rows = _load_sidecar(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
+        rows = sidecars.load(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
         cached = ScanSet.from_rows(*rows, parsed.sha256)
         assert _set_state(cached) == _set_state(parsed)
-        assert cached.tx.tolist() == ["TX1_63", "TX2", "TX1_63"]
+        assert column(cached, "tx") == ["TX1_63", "TX2", "TX1_63"]
+        assert cached.tx_ids == ("TX1_63", "TX2")
         assert repr(float(cached.x[1])) == "-0.0"
 
     def test_trailing_nul_in_tx_is_not_cached(self, tmp_path):
         path = tmp_path / "case.csv"
         write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows(tx="TX2\x00"))
         scans = ingest(path)
-        assert scans.tx.tolist() == ["TX2\x00"]
+        assert column(scans, "tx") == ["TX2\x00"]
         assert not os.path.exists(str(path) + ".scanset.npz")
         assert _set_state(ingest(path)) == _set_state(scans)
 
     def test_a_long_tx_id_saves_no_sidecar_larger_than_the_input(self, tmp_path):
         # numpy stores a text column at its longest value's width, so one
-        # 20,000-character tx_id made a tx member of 41 x 80 kB (3.3 MB) for
-        # a 0.2 MB input, which the load then refused as larger than it.
+        # 20,000-character tx_id made a per-scan tx member of 41 x 80 kB
+        # (3.3 MB) for a 0.2 MB input, which the load then refused as larger
+        # than it.  The ids are saved once: 2 x 80 kB, under the input's size.
         import tracemalloc
 
         path = tmp_path / "case.csv"
@@ -1616,15 +1670,17 @@ class TestSidecar:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(scans) == 41 and len(scans.tx[0]) == 20003
-        assert not os.path.exists(str(path) + dataio.SIDECAR_SUFFIX)
+        assert len(scans) == 41 and len(scans.tx_ids[0]) == 20003
+        assert os.path.getsize(str(path) + dataio.SIDECAR_SUFFIX) < path.stat().st_size
+        assert _set_state(scans) == _set_state(ScanSet.from_rows(*_sidecar_rows(path),
+                                                                        scans.sha256))
         assert peak < member, peak
 
 
 def _sidecar_rows(path):
     """The rows in path's sidecar, if it holds path's content (else None)."""
-    return dataio._load_sidecar(str(path) + dataio.SIDECAR_SUFFIX, file_sha256(path),
-                                os.path.getsize(path))
+    return sidecars.load(str(path) + dataio.SIDECAR_SUFFIX, file_sha256(path),
+                         os.path.getsize(path))
 
 
 def _saved_rows(path):
@@ -1656,7 +1712,7 @@ class TestSavedSidecar:
             warm = _set_state(ingest(path))
             os.unlink(path + dataio.SIDECAR_SUFFIX)
             assert saved == _rows_of(_saved_rows, path)
-            assert len(saved[2]) == 8 * n_angles  # one grid's phi_deg bytes
+            assert len(saved[3]) == 8 * n_angles  # one grid's phi_deg bytes
             assert warm == _set_state(ingest(path))
 
     def test_sidecar_save_copies_no_member(self, tmp_path):
@@ -1669,12 +1725,12 @@ class TestSavedSidecar:
         os.unlink(sidecar)
         tracemalloc.start()
         try:
-            dataio.save_sidecar(path, scans, "h")
+            sidecars.save(path, scans, "h")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < scans.gains.nbytes, (peak, scans.gains.nbytes)
-        loaded = dataio._load_sidecar(sidecar, "h", path.stat().st_size)
+        loaded = sidecars.load(sidecar, "h", path.stat().st_size)
         assert _rows_of(lambda p: loaded, path) == _rows_of(_saved_rows, path)
         # The very bytes np.savez writes for the same members, in the same order.
         with np.load(sidecar, allow_pickle=False) as npz:

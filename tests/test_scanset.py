@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scansets import Scan, gain_samples, records, scan_set, whole
+from scansets import Scan, gain_samples, key_columns, records, scan_set, whole
 
 import portcanyon
 from portcanyon import synth
@@ -184,7 +184,7 @@ class TestStatisticsOracle:
 
     def test_gain_cdfs(self, campaign):
         scans = ingest(campaign)
-        base = np.flatnonzero(scans.vehicle_state == "absent")
+        base = np.flatnonzero(scans.state_code == VehicleState.ABSENT.code)
         positions = {tx: synth.tx_position(tx)[:2] for tx in ("TX1_63", "TX2")}
         got = gain_cdfs(scans, base, positions)
         want = _oracle_gain_cdfs(_baseline(_oracle_scans(campaign)), positions)
@@ -197,7 +197,8 @@ class TestStatisticsOracle:
         scans = ingest(campaign)
         oracle = [s for s in _baseline(_oracle_scans(campaign)) if s.tx == "TX1_63"]
         got = ensemble_stats(
-            scans, np.flatnonzero((scans.tx == "TX1_63") & (scans.vehicle_state == "absent")),
+            scans, np.flatnonzero((scans.tx_code == scans.tx_ids.index("TX1_63"))
+                                  & (scans.state_code == VehicleState.ABSENT.code)),
             db_bin_width=0.5)
         want = _oracle_ensemble(oracle, 0.5)
         assert len(got) == len(want) == 3
@@ -219,7 +220,8 @@ class TestStatisticsOracle:
     def test_vehicle_delta_pairs_row_by_row(self, campaign):
         scans = ingest(campaign)
         oracle = _oracle_scans(campaign)
-        moved_at = np.flatnonzero(scans.vehicle_state == "position2")  # TX2, x=5.0 then x=0.0
+        moved_at = np.flatnonzero(scans.state_code == VehicleState.POSITION2.code)  # TX2, x=5.0
+        # then x=0.0
         base_at = [1, 3]  # TX2 at x=5.0, then x=-0.0: found by key, -0.0 == 0.0
         got = vehicle_delta(scans, VehicleState.POSITION2)
         want = np.stack([oracle[b].gains - oracle[v].gains
@@ -381,7 +383,7 @@ class TestChecks:
                                             r"of scan \('TX2', 0.0, .*\); "):
             scan_set(scans)
         # A 16-angle scan after the 12-angle ones: the set is never built.
-        keys = [("TX2", float(x), 3.5, "absent", "uniform") for x in (0.0, 1.0, 9.0)]
+        keys = key_columns(("TX2", x, 3.5, "absent", "uniform") for x in (0.0, 1.0, 9.0))
         angles = np.concatenate([grid12, grid12, 22.5 * np.arange(16)])
         with pytest.raises(GridError, match=r"^scan \('TX2', 9.0, 3.5, 'absent', 'uniform'\): "
                                             r"16 angles where scan \('TX2', 0.0, .*\) has 12; "):
@@ -391,7 +393,7 @@ class TestChecks:
         # The set keeps a copy of the grid in degrees and a view of the
         # gains; the check converts its own scratch, so rows come out as they
         # went in, whether the set builds or not.
-        keys = [("TX2", float(x), 3.5, "absent", "uniform") for x in range(3)]
+        keys = key_columns(("TX2", x, 3.5, "absent", "uniform") for x in range(3))
         for off in (0.0, 1.0):
             angles = np.tile(30.0 * np.arange(12), 3)
             angles[-1] += off

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scansets import Scan, grid, scan_set
 
-from portcanyon.angular import to_db
+from portcanyon.angular import VehicleState, to_db
 from portcanyon.errors import DomainError, GridError
 from portcanyon.spatialcorr import averaged_correlation, dense_lines
 
@@ -85,6 +85,14 @@ class TestDenseLines:
                          + line_scans(flat(3), positions, y=3.5)
                          + line_scans(flat(3), positions, y=10.5))
         assert dense_lines(scans, positions).tolist() == [[6, 7, 8], [3, 4, 5], [0, 1, 2]]
+        # A line sorts by the y its first scan spells: "-0.0" before "-0.5",
+        # "0.0" after it, whatever its later scans spell.
+        for first, later, want in ((-0.0, 0.0, [[3, 4, 5], [0, 1, 2]]),
+                                   (0.0, -0.0, [[0, 1, 2], [3, 4, 5]])):
+            zero = line_scans(flat(3), positions, y=later)
+            zero[0] = zero[0]._replace(y=first)
+            scans = scan_set(line_scans(flat(3), positions, y=-0.5) + zero)
+            assert dense_lines(scans, positions).tolist() == want
 
     def test_scans_match_positions_within_the_tolerance(self):
         positions = np.array([13.5, 13.6, 13.7])
@@ -131,11 +139,11 @@ class TestDenseLines:
                                state)
                           for state in ("absent", "position1", "position2")]
         whole = scan_set(scans)
-        base_at = np.flatnonzero(whole.vehicle_state == "absent")
+        base_at = np.flatnonzero(whole.state_code == VehicleState.ABSENT.code)
         base = scan_set(s for s in scans if s.vehicle_state == "absent")
         lines, base_lines = dense_lines(whole, POSITIONS), dense_lines(base, POSITIONS)
         assert lines.shape == (2, 15)
-        assert (whole.vehicle_state[lines] == "absent").all()
+        assert (whole.state_code[lines] == VehicleState.ABSENT.code).all()
         assert lines.tolist() == base_at[base_lines].tolist()
         lag_m, curve = averaged_correlation(whole, lines, POSITIONS)
         base_lag_m, base_curve = averaged_correlation(base, base_lines, POSITIONS)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scansets import Scan, gain_samples, grid, records, scan_set
+from scansets import Scan, column, gain_samples, grid, records, scan_set
 from test_dataio import oracle_scans_bytes
 
 from portcanyon import synth
@@ -260,10 +260,10 @@ class TestBaselineScans:
 
     def test_scan_metadata(self):
         scans = generate_campaign(one_point(self.layout, self.point), CFG)
-        assert scans.tx.tolist() == list(self.layout.txs)
+        assert column(scans, "tx") == list(self.layout.txs)
         assert (scans.x[0], scans.y[0]) == self.point
-        assert set(scans.stacking) == {Stacking.UNIFORM.value}
-        assert set(scans.vehicle_state) == {VehicleState.ABSENT.value}
+        assert set(column(scans, "stacking")) == {Stacking.UNIFORM.value}
+        assert set(column(scans, "vehicle_state")) == {VehicleState.ABSENT.value}
         assert scans.gains.shape == (len(self.layout.txs), 360)
         assert scans.grid.tobytes() == grid(360).tobytes()
 
@@ -294,7 +294,7 @@ class TestVehicleScans:
         cfg = SynthConfig(seed=11, n_angles=64)
         scans = generate_campaign(one_point(layout, layout.dense_points[0], dense=True), cfg,
                                   vehicle_mode="dense")
-        assert scans.vehicle_state[:3].tolist() == ["absent", "position1", "position2"]
+        assert column(scans, "vehicle_state")[:3] == ["absent", "position1", "position2"]
         v1, v2 = scans.gains[1:3]
         assert not np.array_equal(v1, v2)
 
@@ -384,8 +384,9 @@ class TestCampaign:
         layout = replace(build_layout("uniform"), dense_points=())
         scans = generate_campaign(layout, cfg)
         distance = {tx: tx_position(tx)[1] - layout.near_edge_y_m for tx in layout.txs}
-        crane = np.flatnonzero([tx.startswith("TX1_") for tx in scans.tx.tolist()])
-        return gain_samples([distance[tx] for tx in scans.tx[crane].tolist()],
+        txs = column(scans, "tx")
+        crane = np.flatnonzero([tx.startswith("TX1_") for tx in txs])
+        return gain_samples([distance[txs[i]] for i in crane],
                             circular_mean_gain(scans, crane))
 
     def test_free_slope_regression_recovers_fourth_power(self):
