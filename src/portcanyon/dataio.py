@@ -32,10 +32,13 @@ through the row loop alone, which names the line of an error.
 ids and codes.
 
 `ingest` keeps the set it built in a sidecar beside the input,
-`<input>.scanset.npz`, and takes it from there while it holds the file's
-sha256 (see `sidecar`, imported on first use, so a command that reads no
-CSV does not compile it).  A failing build removes the input's sidecar, a
-stale one too, so a failing ingest leaves none.
+`<input>.scanset.npz` (see `sidecar`, imported on first use, so a command
+that reads no CSV does not compile it), by three rules.  A hit: a sidecar
+that holds the file's sha256 and builds is the result.  A change: a file
+whose inode, size or mtime differ once the parse is done is an IngestError,
+raised before the build, so no set names the hash of bytes never parsed.  A
+failure: any error of the parse, that check or the build removes the
+input's sidecar, a stale one too, so a failing ingest leaves none.
 """
 
 from __future__ import annotations
@@ -396,30 +399,29 @@ def ingest(path) -> ScanSet:
     full rotation.  The file's text is read once (see the module
     docstring).  The set's `sha256` is the file's.
 
-    The set is kept in the sidecar `<path>.scanset.npz` and taken from
-    there while it holds the file's sha256 (see `sidecar`).
+    The set is kept in the sidecar `<path>.scanset.npz`, by the module
+    docstring's three rules: hit, change and failure.
     """
     from . import sidecar
 
     before = os.stat(path)
     sha256 = file_sha256(path)
     sidecar_path = os.fspath(path) + SIDECAR_SUFFIX
-    cached = sidecar.load(sidecar_path, sha256, before.st_size)
-    if cached is not None:
-        with contextlib.suppress(Exception):  # sidecar rows that do not build are a miss
-            return ScanSet.from_rows(*cached, sha256)
-    rows = _ingest_columnar(path)
+    scans = sidecar.load(sidecar_path, sha256, before.st_size)
+    if scans is not None:
+        return scans
     try:
+        rows = _ingest_columnar(path)
+        after = os.stat(path)
+        # A file changed while it was read may not match its hash.
+        if (before.st_ino, before.st_size, before.st_mtime_ns) != (
+                after.st_ino, after.st_size, after.st_mtime_ns):
+            raise IngestError("file changed while it was read")
         scans = ScanSet.from_rows(*rows, sha256)
     except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(sidecar_path)
+        sidecar.remove(sidecar_path)
         raise
-    after = os.stat(path)
-    # A file changed while it was read may not match its hash.
-    if (before.st_ino, before.st_size, before.st_mtime_ns) == (
-            after.st_ino, after.st_size, after.st_mtime_ns):
-        sidecar.save(path, scans, sha256)
+    sidecar.save(path, scans, sha256)
     return scans
 
 

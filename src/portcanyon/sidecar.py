@@ -6,14 +6,19 @@ same content skips the parse.  `save` writes it atomically (umask mode) for
 `ingest`, and for `synth` from the set `write_scans` wrote and the sha256 it
 returned, so a file `synth` wrote is never parsed; a directory that refuses
 the write just leaves no sidecar.  Format 3 saves the grid and the tx ids
-once, and the key columns as the set holds them.  A sidecar is trusted only
-if it passes every check of `load` (format version, input sha256, members,
-dtypes, shapes and sizes, CRC-32s, one positive angle count, ids that pass
-the row loop's rules, key columns as a parse codes them: `_canonical`); its
-rows then go through the same `ScanSet.from_rows` and checks as a parse's.
+once, and the key columns as the set holds them.
+
+`load` builds the set or misses.  A sidecar is trusted only if it passes
+every check of `load` (format version, input sha256, members, dtypes,
+shapes and sizes, CRC-32s, one positive angle count, ids that pass the row
+loop's rules, key columns as a parse codes them: `_canonical`), and then
+only if its rows pass the same `ScanSet.from_rows` and checks as a parse's.
 Anything else, an I/O error or a format-1 or format-2 sidecar included, is a
-miss: the file is parsed and the sidecar rewritten.  So a sidecar never
-changes a result, and deleting it, `synth`'s too, is always safe.
+miss: the file is parsed and the sidecar rewritten.  An ingest that fails
+after a miss, whether in the read, the parse or the build, or because the
+file changed while it was read, `remove`s the sidecar, a stale one too.  So
+a sidecar never changes a result, and deleting it, `synth`'s too, is always
+safe.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ import numpy as np
 from .angular import ScanSet, Stacking, VehicleState
 from .dataio import SIDECAR_SUFFIX, _atomic_write, _valid_key
 
-__all__ = ["load", "save"]
+__all__ = ["load", "remove", "save"]
 
 _VERSION = 3
 _MEMBERS = {"version", "sha256", "sizes", "tx_ids", *ScanSet.KEYS, "phi_deg", "gain_db"}
@@ -37,10 +42,11 @@ _NPY_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
 
 
 def load(path, sha256, limit):
-    """The rows in the sidecar at path, if it holds the input of hash sha256;
-    None if it is missing or anything about it is off.  No member is read
-    unless its header has the expected dtype and shape and at most limit
-    (the input's size in) bytes."""
+    """The ScanSet of the sidecar at path, built by `ScanSet.from_rows`, if
+    it holds the input of hash sha256; None if it is missing, anything about
+    it is off or its rows do not build.  No member is read unless its header
+    has the expected dtype and shape and at most limit (the input's size in)
+    bytes."""
     try:
         with open(path, "rb") as fh:
             # np.load would read a bare .npy whole, whatever shape it claims.
@@ -75,10 +81,16 @@ def load(path, sha256, limit):
         # Ids that pass the row loop's rules, and keys as a parse codes them.
         if (isinstance(tx_ids, list) and _canonical(keys)
                 and all(_valid_key(tx_id, 0.0, 0.0, "absent", "uniform") for tx_id in tx_ids)):
-            return (tuple(tx_ids), *keys[1:]), sizes, phi_deg, gain_db
+            return ScanSet.from_rows((tuple(tx_ids), *keys[1:]), sizes, phi_deg, gain_db, sha256)
         return None
-    except Exception:  # whatever the file holds, a sidecar that fails is a miss
+    except Exception:  # whatever the file holds, a sidecar that fails or fails to build is a miss
         return None
+
+
+def remove(path) -> None:
+    """Remove the sidecar at path, if there is one and it can be removed."""
+    with contextlib.suppress(OSError):
+        os.unlink(path)
 
 
 def _canonical(keys) -> bool:

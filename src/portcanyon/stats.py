@@ -132,25 +132,16 @@ def aligned_histograms(samples, bin_width: float):
     edges = lo + bin_width * np.arange(n_bins + 1)
     # np.histogram's bins: [edges[k], edges[k + 1]), the last one closed, and
     # nothing outside the edges; every column is counted at once, in one
-    # flat count.  The quotient gives each value's bin; searchsorted places
-    # the few values that rounding, or the clip, put in a bin that does not
-    # hold them.  The rows go CHUNK_ROWS at a time, each step in place where
-    # it can, so the scratch is a few chunk-sized arrays.
+    # flat count.  The rows go CHUNK_ROWS at a time, so the scratch is a few
+    # chunk-sized arrays.
     n_columns = samples.shape[1]
     offsets = np.arange(n_columns) * n_bins
     counts = np.zeros(n_columns * n_bins, dtype=np.intp)
     for top in range(0, len(samples), CHUNK_ROWS):
         chunk = samples[top:top + CHUNK_ROWS]
-        bins = chunk - lo
-        bins /= bin_width
-        bins = np.clip(np.floor(bins, out=bins), 0, n_bins - 1, out=bins).astype(np.intp)
-        misplaced = chunk < edges[bins]
-        misplaced |= chunk >= edges[1:][bins]
-        bins[misplaced] = np.searchsorted(edges, chunk[misplaced], side="right") - 1
-        bins[chunk == edges[-1]] = n_bins - 1
-        inside = (bins >= 0) & (bins < n_bins)
+        bins = np.searchsorted(edges[1:-1], chunk, side="right")
         bins += offsets
-        np.add.at(counts, bins[inside], 1)
+        np.add.at(counts, bins[(chunk >= edges[0]) & (chunk <= edges[-1])], 1)
     return edges, counts.reshape(n_columns, n_bins)
 
 

@@ -183,8 +183,8 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class CampaignLayout:
-    """Full campaign geometry: canyon, stacking, TX mounts (their ids, each
-    placed by `tx_position`), RX grids."""
+    """Campaign geometry: stacking, TX mounts (their ids, each placed by
+    `tx_position`), RX grids, in the canyon the module's constants fix."""
 
     stacking: Stacking
     section_heights_row1_m: tuple[float, ...]
@@ -193,9 +193,6 @@ class CampaignLayout:
     coarse_points: tuple[tuple[float, float], ...]
     dense_points: tuple[tuple[float, float], ...]
     rx_height_m: float = 1.5
-    length_m: float = CANYON_LENGTH_M
-    width_m: float = CANYON_WIDTH_M
-    near_edge_y_m: float = NEAR_EDGE_Y_M
 
     def __post_init__(self) -> None:
         for row in (self.section_heights_row1_m, self.section_heights_row2_m):
@@ -206,14 +203,11 @@ class CampaignLayout:
             raise DomainError(f"RX antenna height must be in (0, {lowest:g}) m, below the "
                               f"TX-side canyon top, got {self.rx_height_m}")
 
-    def section_index(self, x: float) -> int:
-        if not 0.0 <= x <= self.length_m:
-            raise DomainError(f"x={x} outside the canyon (0..{self.length_m} m)")
-        return min(int(x // SECTION_LENGTH_M), N_SECTIONS - 1)
-
     def tx_side_height_at(self, x: float) -> float:
         """Height of the TX-side wall (row 2) at position x along the canyon."""
-        return self.section_heights_row2_m[self.section_index(x)]
+        if not 0.0 <= x <= CANYON_LENGTH_M:
+            raise DomainError(f"x={x} outside the canyon (0..{CANYON_LENGTH_M} m)")
+        return self.section_heights_row2_m[min(int(x // SECTION_LENGTH_M), N_SECTIONS - 1)]
 
     def all_points(self) -> tuple[tuple[float, float], ...]:
         return self.coarse_points + self.dense_points
@@ -283,14 +277,14 @@ def geometry_for(
     x, _y = rx_point
     _, tx_y, tx_z = tx_position(tx_id)
     wall_h = layout.tx_side_height_at(x)
-    distance = tx_y - layout.near_edge_y_m
+    distance = tx_y - NEAR_EDGE_Y_M
     if distance <= 0.0:
         raise DomainError(
             f"TX {tx_id!r} is above or inside the canyon (y={tx_y}); "
             "the canyon model needs the TX beyond the near edge"
         )
     h_prime = wall_h - layout.rx_height_m  # > 0: the layout keeps the RX below every wall top
-    return CanyonGeometry(h=tx_z - wall_h, d=layout.width_m, D=distance, h_prime=h_prime,
+    return CanyonGeometry(h=tx_z - wall_h, d=CANYON_WIDTH_M, D=distance, h_prime=h_prime,
                           psi=psi)
 
 

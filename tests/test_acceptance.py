@@ -11,6 +11,7 @@ from dataclasses import replace
 import numpy as np
 from scansets import Scan, gain_samples, grid, key_columns, records, scan_set, whole
 
+from portcanyon import synth
 from portcanyon.angular import (
     ScanSet,
     VehicleState,
@@ -125,7 +126,7 @@ def test_criterion_03_model_slope():
     layout = build_layout("uniform")
     cfg = SynthConfig(seed=0, n_angles=36)
     distances = np.linspace(60.0, 300.0, 25)
-    txs = tuple(f"TX1_{y:g}" for y in layout.near_edge_y_m + distances)
+    txs = tuple(f"TX1_{y:g}" for y in synth.NEAR_EDGE_Y_M + distances)
     sweep = replace(layout, txs=txs)
     fit = fit_loglinear(gain_samples(
         distances, [mean_gain_at(sweep, tx, (5.0, 3.5), cfg) for tx in txs]))

@@ -230,6 +230,22 @@ class TestErrors:
         assert rc == 2
         assert "error[config]" in capsys.readouterr().err
 
+    def test_no_command_prints_the_help(self, capsys):
+        assert main([]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("usage: portcanyon ") and "--print-default-config" in out
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.ini")
+        assert main(["--config", missing, "coverage"]) == 2
+        assert capsys.readouterr().err == f"error[config]: cannot read config file {missing!r}\n"
+
+    def test_negative_vehicle_sigma_is_domain_error(self, tmp_path, capsys):
+        cfg = tmp_path / "sigma.ini"
+        cfg.write_text("[synth]\nvehicle_sigma_db = -1\n", encoding="utf-8")
+        assert main(["--config", str(cfg), "coverage"]) == 4
+        assert capsys.readouterr().err == "error[domain]: vehicle sigma must be >= 0\n"
+
     def test_spatial_without_dense_line(self, tmp_path, small_config, capsys):
         scans = [
             Scan(tx="TX2", x=1.0, y=3.5, angles=GRID,
@@ -317,6 +333,15 @@ class TestBoundaryValues:
                    "--fixed-slope", "nan"])
         assert rc == 4
         assert "error[domain]" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fit_huge_fixed_slope_gives_a_non_finite_intercept(self, tmp_path, line_data,
+                                                                capsys):
+        out = tmp_path / "fit.csv"
+        assert main(["fit", "--input", str(line_data), "--out", str(out),
+                     "--fixed-slope", "1e308"]) == 4
+        assert capsys.readouterr().err == ("error[domain]: r0_db must be finite, "
+                                           "got r0_db=-inf\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--height", "--width", "--distance", "--rx-depth"])
@@ -1650,6 +1675,46 @@ class TestSidecar:
         assert main(["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]) == rc
         assert capsys.readouterr().err.startswith(message)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.csv"]
+
+    def test_parse_error_after_a_saved_sidecar_leaves_none(self, tmp_path, capsys):
+        data = tmp_path / "data.csv"
+        write_scans(data, scan_set(_line_scans((1.0, 5.0, 9.0))))
+        argv = ["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]
+        assert main(argv) == 0
+        assert Path(str(data) + ".scanset.npz").exists()
+        (tmp_path / "fit.csv").unlink()
+        with open(data, "a", encoding="utf-8") as fh:
+            fh.write("TX2,1.0,3.5,notanumber,0.0,absent,uniform\n")
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith(
+            f"error[ingest]: line {3 + 3 * N_ANGLES}: phi_deg is not a number")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
+
+    def test_file_rewritten_while_it_is_read_writes_no_table(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # The hash is of the bytes before a same-size rewrite, the parse of
+        # those after it: no table may name that hash.
+        from portcanyon import dataio
+
+        data = tmp_path / "data.csv"
+        write_scans(data, scan_set(_line_scans((1.0, 5.0, 9.0))))
+        real = dataio._texts
+
+        def rewritten(path):
+            before = os.stat(path)
+            lines = Path(path).read_bytes().split(b"\n")
+            fields = lines[-2].split(b",")
+            fields[4] = b"-60." + b"0" * (len(fields[4]) - 4)  # the last gain, respelled
+            Path(path).write_bytes(b"\n".join(lines[:-2] + [b",".join(fields), b""]))
+            # A rewrite within the clock tick of the write may keep the mtime.
+            os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            assert os.stat(path).st_size == before.st_size
+            yield from real(path)
+
+        monkeypatch.setattr(dataio, "_texts", rewritten)
+        assert main(["fit", "--input", str(data), "--out", str(tmp_path / "fit.csv")]) == 3
+        assert capsys.readouterr().err == "error[ingest]: file changed while it was read\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["data.csv"]
 
     @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
     def test_sidecar_mode_follows_the_umask(self, tmp_path, umask):

@@ -172,6 +172,24 @@ class TestIngestValidation:
         with pytest.raises(IngestError, match=f"line {2 + 13}.*duplicate"):
             ingest(path)
 
+    def test_duplicate_angle_gone_on_the_second_pass_is_a_changed_file(self, tmp_path,
+                                                                      monkeypatch):
+        # The duplicate's line is found by reading the file again; a file
+        # rewritten in between no longer holds it.
+        rows = self.rows_for() + ["TX2,1.0,3.5,0.0,-58.0,absent,uniform"]
+        path = tmp_path / "dup.csv"
+        write_csv(path, self.header() + rows)
+        real = dataio._duplicate_angle
+
+        def rewritten(p, row):
+            write_csv(path, self.header() + rows[:-1])
+            return real(p, row)
+
+        monkeypatch.setattr(dataio, "_duplicate_angle", rewritten)
+        with pytest.raises(IngestError, match="^file changed while it was read$"):
+            ingest(path)
+        assert not os.path.exists(str(path) + ".scanset.npz")
+
     def test_unknown_tokens_rejected(self, tmp_path):
         rows = self.rows_for()
         rows[1] = "TX2,1.0,3.5,30.0,-60.0,parked,uniform"
@@ -397,6 +415,27 @@ class TestColumnarIngest:
             ingest(path)
         assert not os.path.exists(str(path) + ".scanset.npz")
 
+    def test_a_file_rewritten_in_place_while_it_is_read_is_an_ingest_error(self, tmp_path,
+                                                                          monkeypatch):
+        # Same size, other bytes, between the hash and the parse: a set of the
+        # rows read would name the hash of bytes that were never parsed.
+        path = tmp_path / "case.csv"
+        write_csv(path, [provenance_line(), CANONICAL_HEADER] + _rows())
+        real = dataio._texts
+
+        def rewritten(p):
+            before = os.stat(p)
+            Path(p).write_bytes(Path(p).read_bytes().replace(b",-60.0,", b",-70.0,"))
+            # A rewrite within the clock tick of the write may keep the mtime.
+            os.utime(p, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            assert os.stat(p).st_size == before.st_size
+            yield from real(p)
+
+        monkeypatch.setattr(dataio, "_texts", rewritten)
+        with pytest.raises(IngestError, match="^file changed while it was read$"):
+            ingest(path)
+        assert not os.path.exists(str(path) + ".scanset.npz")
+
     def test_equal_numbers_spelled_differently_share_a_key(self, tmp_path):
         body = _rows(x="1.0")[:4] + _rows(x="1.00", y="3.50e0")[4:]
         assert self.ingest_lines(tmp_path, body) == "columnar"
@@ -594,9 +633,9 @@ class TestColumnarIngest:
             outcomes.append((code, capsys.readouterr().err))
         assert outcomes[0][0] == rc
         assert outcomes == [outcomes[0]] * 3
-        # The sidecar's rows load; a gain out of range fails their build, which
-        # makes the sidecar a miss, so the file is parsed for the error.
-        assert len(loaded) == 1 and loaded[0] is not None
+        # A gain out of range fails the build of the sidecar's rows, which makes
+        # the sidecar a miss, so the file is parsed for the error.
+        assert len(loaded) == 1 and (loaded[0] is not None) == (rc == 0)
         assert len(parses) == (0 if rc == 0 else 1)
 
     @settings(max_examples=150, deadline=None)
@@ -1551,15 +1590,23 @@ class TestSidecar:
                             lambda npz, key: read.append(key) or real(npz, key))
         monkeypatch.setattr(np, "fromfile", lambda *a, **k: read.append("fromfile")
                             or real_fromfile(*a, **k))
+        built, real_from_rows = [], ScanSet.from_rows
+
+        def from_rows(*rows):
+            try:
+                return real_from_rows(*rows)
+            except DomainError as exc:
+                built.append(exc)
+                raise
+
+        monkeypatch.setattr(ScanSet, "from_rows", from_rows)
         got = sidecars.load(str(sidecar), file_sha256(path), path.stat().st_size)
-        # The loader passes rows that only the build refuses.
-        assert (got is not None) == (kind in ("intact", "invalid"))
-        if kind == "invalid":
-            with pytest.raises(DomainError, match="finite"):
-                ScanSet.from_rows(*got, "h")
+        assert (got is not None) == (kind == "intact")
+        # The loader's checks pass rows that only the build refuses: a miss.
+        assert len(built) == (kind == "invalid") and all("finite" in str(e) for e in built)
         if kind == "intact":
-            assert _set_state(ScanSet.from_rows(*got, "h")) == _set_state(
-                ScanSet.from_rows(*_ingest_columnar(path), "h"))
+            assert _set_state(got) == _set_state(
+                real_from_rows(*_ingest_columnar(path), file_sha256(path)))
         if kind == "oversized":
             assert read == ["version", "sha256", "sizes", "tx_ids", *ScanSet.KEYS]
         assert "fromfile" not in read
@@ -1619,6 +1666,17 @@ class TestSidecar:
         assert int(rewritten["version"]) == 3 and set(rewritten) == sidecars._MEMBERS
         assert _rows_of(_sidecar_rows, path) == _rows_of(_saved_rows, path)
 
+    def test_a_parse_error_removes_the_saved_sidecar(self, tmp_path):
+        path = tmp_path / "case.csv"
+        path.write_text(_canonical_text(), encoding="utf-8")
+        ingest(path)
+        assert os.path.exists(str(path) + dataio.SIDECAR_SUFFIX)
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("TX2,1.0,3.5,notanumber,0.0,absent,uniform\n")
+        with pytest.raises(IngestError, match="^line 27: phi_deg is not a number: 'notanumber'$"):
+            ingest(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["case.csv"]
+
     def test_a_hit_skips_the_text(self, tmp_path, monkeypatch):
         from portcanyon import dataio
 
@@ -1637,8 +1695,7 @@ class TestSidecar:
         # Three 8-angle scans, the middle one keyed at x = -0.0.
         path.write_text(_canonical_text(), encoding="utf-8")
         parsed = ingest(path)
-        rows = sidecars.load(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
-        cached = ScanSet.from_rows(*rows, parsed.sha256)
+        cached = sidecars.load(str(path) + ".scanset.npz", parsed.sha256, path.stat().st_size)
         assert _set_state(cached) == _set_state(parsed)
         assert column(cached, "tx") == ["TX1_63", "TX2", "TX1_63"]
         assert cached.tx_ids == ("TX1_63", "TX2")
@@ -1672,15 +1729,26 @@ class TestSidecar:
             tracemalloc.stop()
         assert len(scans) == 41 and len(scans.tx_ids[0]) == 20003
         assert os.path.getsize(str(path) + dataio.SIDECAR_SUFFIX) < path.stat().st_size
-        assert _set_state(scans) == _set_state(ScanSet.from_rows(*_sidecar_rows(path),
-                                                                        scans.sha256))
+        assert _set_state(scans) == _set_state(_sidecar_set(path))
         assert peak < member, peak
 
 
-def _sidecar_rows(path):
-    """The rows in path's sidecar, if it holds path's content (else None)."""
+def _sidecar_set(path):
+    """The set of path's sidecar, if it holds path's content (else None)."""
     return sidecars.load(str(path) + dataio.SIDECAR_SUFFIX, file_sha256(path),
                          os.path.getsize(path))
+
+
+def _stored_rows(scans):
+    """The rows of a set as `sidecar.save` stores them: the grid once."""
+    return ((scans.tx_ids, *(getattr(scans, key) for key in ScanSet.KEYS)),
+            np.full(len(scans), scans.grid.size), scans.grid, scans.gains.ravel())
+
+
+def _sidecar_rows(path):
+    """The rows of path's sidecar set, if it holds path's content (else None)."""
+    scans = _sidecar_set(path)
+    return None if scans is None else _stored_rows(scans)
 
 
 def _saved_rows(path):
@@ -1731,7 +1799,7 @@ class TestSavedSidecar:
             tracemalloc.stop()
         assert peak < scans.gains.nbytes, (peak, scans.gains.nbytes)
         loaded = sidecars.load(sidecar, "h", path.stat().st_size)
-        assert _rows_of(lambda p: loaded, path) == _rows_of(_saved_rows, path)
+        assert _rows_of(lambda p: _stored_rows(loaded), path) == _rows_of(_saved_rows, path)
         # The very bytes np.savez writes for the same members, in the same order.
         with np.load(sidecar, allow_pickle=False) as npz:
             members = {name: npz[name] for name in npz.files}

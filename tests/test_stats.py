@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy import stats as sps
 
 from portcanyon import stats, vehicle
-from portcanyon.errors import DomainError
+from portcanyon.errors import DomainError, InsufficientDataError
 from portcanyon.stats import (
     MAX_HISTOGRAM_BINS,
     aligned_histograms,
@@ -158,3 +158,10 @@ def test_sorted_ks_gap_equals_one_pass(n, seed, ties):
 def test_quantile_outside_unit_interval_is_domain_error(p):
     with pytest.raises(DomainError, match="p must be in"):
         empirical_cdf([1.0, 2.0, 3.0]).quantile(p)
+
+
+def test_empty_samples_are_insufficient_data():
+    with pytest.raises(InsufficientDataError, match="^empirical CDF needs at least one sample$"):
+        empirical_cdf([])
+    with pytest.raises(InsufficientDataError, match="^KS gap needs at least one sample$"):
+        stats.ks_gap([], 0.0, 1.0)

@@ -166,14 +166,14 @@ class TestGeometryMapping:
         layout = build_layout("uniform")
         tx = layout.txs[0]  # TX1_63
         geom = geometry_for(layout, tx, (5.0, 3.5), psi=0.1)
-        assert geom.D == pytest.approx(63.0 - layout.near_edge_y_m, abs=1e-12)
+        assert geom.D == pytest.approx(63.0 - synth.NEAR_EDGE_Y_M, abs=1e-12)
         assert geom.h == pytest.approx(23.0 - 7.5, abs=1e-12)
         assert geom.h_prime == pytest.approx(7.5 - 1.5, abs=1e-12)
         assert geom.d == 8.0
 
     def test_tx_over_the_edge_rejected(self):
         layout = build_layout("uniform")
-        assert tx_position("TX1_10.5")[1] == layout.near_edge_y_m
+        assert tx_position("TX1_10.5")[1] == synth.NEAR_EDGE_Y_M
         with pytest.raises(DomainError, match="above or inside the canyon"):
             geometry_for(layout, "TX1_10.5", (5.0, 3.5))
 
@@ -181,7 +181,7 @@ class TestGeometryMapping:
 class TestMeanGain:
     def test_doubling_edge_distance(self):
         layout = build_layout("uniform")
-        edge = layout.near_edge_y_m
+        edge = synth.NEAR_EDGE_Y_M
         near, far = f"TX1_{edge + 50.0:g}", f"TX1_{edge + 100.0:g}"
         layout2 = layout.__class__(**{**layout.__dict__, "txs": (near, far)})
         drop = mean_gain_at(layout2, near, (5.0, 3.5), CFG) - mean_gain_at(
@@ -383,7 +383,7 @@ class TestCampaign:
         height, model distance varying), against the model distance."""
         layout = replace(build_layout("uniform"), dense_points=())
         scans = generate_campaign(layout, cfg)
-        distance = {tx: tx_position(tx)[1] - layout.near_edge_y_m for tx in layout.txs}
+        distance = {tx: tx_position(tx)[1] - synth.NEAR_EDGE_Y_M for tx in layout.txs}
         txs = column(scans, "tx")
         crane = np.flatnonzero([tx.startswith("TX1_") for tx in txs])
         return gain_samples([distance[txs[i]] for i in crane],
