@@ -28,9 +28,6 @@ from .pathloss import fit_fixed_slope, fit_loglinear
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
-EXIT_DOMAIN = 4
-
-_DATA_CATEGORIES = {"ingest", "grid", "data"}
 
 
 class Report(NamedTuple):
@@ -72,7 +69,7 @@ def _cmd_synth(args, cfg: ToolConfig) -> Report:
     from . import sidecar
 
     scfg = cfg.synth_config()
-    layout = synth.build_layout(args.layout, rx_height_m=cfg.rx_height_m)
+    layout = synth.build_layout(args.layout)
     scans = synth.generate_campaign(layout, scfg, vehicle_mode=args.vehicle_mode)
     sha256 = dataio.write_scans(args.out, scans, seed=scfg.seed)
     sidecar.save(args.out, scans, sha256)
@@ -453,11 +450,7 @@ def main(argv=None) -> int:
         _write_tables(report, getattr(args, "out_dir", None))
     except ToolkitError as exc:
         print(f"error[{exc.category}]: {exc}", file=sys.stderr)
-        if isinstance(exc, ConfigError):
-            return EXIT_CONFIG
-        if exc.category in _DATA_CATEGORIES:
-            return EXIT_DATA
-        return EXIT_DOMAIN
+        return exc.exit_code
     except OSError as exc:
         print(f"error[io]: {exc}", file=sys.stderr)
         return EXIT_DATA

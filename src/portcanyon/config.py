@@ -1,8 +1,9 @@
 """Tool configuration: one INI file, every knob declared once.
 
 Each `ToolConfig` field is the only declaration of its INI key: its section and
-reference comment are field metadata, and the generator and link-budget
-defaults are those of `SynthConfig`, `CampaignLayout` and `LinkBudgetConfig`.
+reference comment are field metadata.  Every [model] and [synth] default is
+that of the `SynthConfig` field it builds, every [linkbudget] default that of
+its `LinkBudgetConfig` field; only `histogram_bin_db` is declared here.
 The key check, the value parsers, the reference file `DEFAULT_INI` and the CLI
 overrides are derived from the fields.  Flags override file values, file
 values override the defaults.  `load_config` range-checks every key of a file
@@ -14,11 +15,10 @@ from __future__ import annotations
 import configparser
 from dataclasses import dataclass, field, fields
 
-from .angular import Stacking
 from .errors import ConfigError
 from .linkbudget import LinkBudgetConfig, max_allowable_pathloss_db
 from .stats import check_bin_width
-from .synth import CampaignLayout, SynthConfig, build_layout
+from .synth import SynthConfig
 
 __all__ = ["ToolConfig", "DEFAULT_INI", "load_config"]
 
@@ -35,7 +35,7 @@ class ToolConfig:
         "model", SynthConfig.psi,
         "Maximum azimuthal acceptance angle of the canyon model (rad).")
     rx_height_m: float = _key(
-        "model", CampaignLayout.rx_height_m, "RX antenna height above ground (m).")
+        "model", SynthConfig.rx_height_m, "RX antenna height above ground (m).")
     histogram_bin_db: float = _key(
         "angular", 1.0, "Histogram bin width for ensemble spectrum statistics (dB).")
     seed: int = _key(
@@ -83,8 +83,6 @@ class ToolConfig:
         that a file gets one verdict whatever the command (a DomainError)."""
         self.synth_config()
         max_allowable_pathloss_db(self.linkbudget_config())
-        for stacking in Stacking:
-            build_layout(stacking, rx_height_m=self.rx_height_m)
         check_bin_width(self.histogram_bin_db)
 
 

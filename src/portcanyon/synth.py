@@ -49,9 +49,11 @@ N_SECTIONS = 6
 # and spans the canyon width.
 NEAR_EDGE_Y_M = WALL_THICKNESS_M + CANYON_WIDTH_M
 
+# TX-side wall (row 2) tops by section, the only wall the canyon model reads.
 UNIFORM_HEIGHTS_M = (7.5, 7.5, 7.5, 7.5, 7.5, 5.0)
-NONUNIFORM_ROW1_M = (10.0, 7.5, 5.0, 5.0, 7.5, 5.0)
 NONUNIFORM_ROW2_M = (5.0, 5.0, 5.0, 7.5, 7.5, 7.5)
+# The RX stays below every TX-side wall top of either stacking.
+MAX_RX_HEIGHT_M = min(UNIFORM_HEIGHTS_M + NONUNIFORM_ROW2_M)
 
 TX1_X_M, TX1_Z_M = 18.8, 23.0
 TX2_X_M, TX2_Y_M, TX2_Z_M = 18.85, 60.5, 22.0
@@ -120,7 +122,14 @@ class HornPattern:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator knobs; a fixed seed makes every output byte-identical.
+    """Generator knobs and the measurement setup (psi and the RX antenna
+    height); a fixed seed makes every output byte-identical.
+
+    rx_height_m lies in (0, MAX_RX_HEIGHT_M), below the lowest TX-side wall
+    top of either stacking (5 m), so the RX is inside the canyon at every
+    point.  It sets the depth h' of `geometry_for` and the 3-D distances that
+    `fit` regresses on; the model's mean gain, psi*h*d/D**4, has no h', so it
+    changes no synthetic gain.
 
     |gain_offset_db| and |vehicle_mu_db| are at most MAX_OFFSET_DB (1000 dB),
     vehicle_sigma_db at most MAX_SIGMA_DB (100 dB) and psi at least MIN_PSI
@@ -147,6 +156,7 @@ class SynthConfig:
     gain_offset_db: float = 0.0
     vehicle_mu_db: float = 1.13
     vehicle_sigma_db: float = 6.91
+    rx_height_m: float = 1.5
 
     def __post_init__(self) -> None:
         if self.seed < 0:
@@ -171,6 +181,9 @@ class SynthConfig:
         if self.psi < MIN_PSI:
             raise DomainError(f"psi must be >= {MIN_PSI:g} rad for the synthetic gains to "
                               f"fit a float, got psi={self.psi}")
+        if not 0.0 < self.rx_height_m < MAX_RX_HEIGHT_M:
+            raise DomainError(f"RX antenna height must be in (0, {MAX_RX_HEIGHT_M:g}) m, below "
+                              f"the TX-side canyon top, got {self.rx_height_m}")
 
     @property
     def horn(self) -> HornPattern:
@@ -183,25 +196,16 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class CampaignLayout:
-    """Campaign geometry: stacking, TX mounts (their ids, each placed by
-    `tx_position`), RX grids, in the canyon the module's constants fix."""
+    """The paper's fixed geometry of one stacking: its TX-side wall tops, TX
+    mounts (their ids, each placed by `tx_position`) and RX grids, in the
+    canyon the module's constants fix.  The measurement setup, the RX height
+    and psi, is `SynthConfig`'s."""
 
     stacking: Stacking
-    section_heights_row1_m: tuple[float, ...]
     section_heights_row2_m: tuple[float, ...]
     txs: tuple[str, ...]
     coarse_points: tuple[tuple[float, float], ...]
     dense_points: tuple[tuple[float, float], ...]
-    rx_height_m: float = 1.5
-
-    def __post_init__(self) -> None:
-        for row in (self.section_heights_row1_m, self.section_heights_row2_m):
-            if len(row) != N_SECTIONS:
-                raise DomainError(f"stacking profile needs {N_SECTIONS} sections per row")
-        lowest = min(self.section_heights_row2_m)
-        if not 0.0 < self.rx_height_m < lowest:
-            raise DomainError(f"RX antenna height must be in (0, {lowest:g}) m, below the "
-                              f"TX-side canyon top, got {self.rx_height_m}")
 
     def tx_side_height_at(self, x: float) -> float:
         """Height of the TX-side wall (row 2) at position x along the canyon."""
@@ -227,7 +231,7 @@ def tx_position(tx_id: str) -> tuple[float, float, float]:
     return (TX1_X_M, y, TX1_Z_M)
 
 
-def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> CampaignLayout:
+def build_layout(kind) -> CampaignLayout:
     """Assemble the campaign layout for one stacking configuration.
 
     Coarse RX grid: 4 lines across the canyon, x starting at 1 m with a 4 m
@@ -236,11 +240,11 @@ def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> Campa
     """
     kind = Stacking(kind)
     if kind is Stacking.UNIFORM:
-        row1 = row2 = UNIFORM_HEIGHTS_M
+        row2 = UNIFORM_HEIGHTS_M
         tx1_ys = TX1_Y_UNIFORM_M
         coarse_step = COARSE_X_STEP_UNIFORM_M
     else:
-        row1, row2 = NONUNIFORM_ROW1_M, NONUNIFORM_ROW2_M
+        row2 = NONUNIFORM_ROW2_M
         tx1_ys = TX1_Y_NONUNIFORM_M
         coarse_step = COARSE_X_STEP_NONUNIFORM_M
 
@@ -255,24 +259,20 @@ def build_layout(kind, rx_height_m: float = CampaignLayout.rx_height_m) -> Campa
 
     return CampaignLayout(
         stacking=kind,
-        section_heights_row1_m=row1,
         section_heights_row2_m=row2,
         txs=tuple(f"TX1_{y:g}" for y in tx1_ys) + ("TX2",),
         coarse_points=coarse,
         dense_points=dense,
-        rx_height_m=rx_height_m,
     )
 
 
-def geometry_for(
-    layout: CampaignLayout, tx_id: str, rx_point, psi: float = CanyonGeometry.psi
-) -> CanyonGeometry:
+def geometry_for(layout: CampaignLayout, tx_id: str, rx_point, cfg: SynthConfig) -> CanyonGeometry:
     """Map layout coordinates onto the canyon-model geometry for one link.
 
     D is the horizontal distance of the TX (at `tx_position`) to the near
     (TX-side) canyon edge, h the TX height above the local wall top, and
-    h_prime the RX antenna depth below it.  Uses the wall section at the RX's
-    x position.
+    h_prime the depth of the RX antenna (at `cfg.rx_height_m`) below it.
+    Uses the wall section at the RX's x position and the model's `cfg.psi`.
     """
     x, _y = rx_point
     _, tx_y, tx_z = tx_position(tx_id)
@@ -283,9 +283,9 @@ def geometry_for(
             f"TX {tx_id!r} is above or inside the canyon (y={tx_y}); "
             "the canyon model needs the TX beyond the near edge"
         )
-    h_prime = wall_h - layout.rx_height_m  # > 0: the layout keeps the RX below every wall top
+    h_prime = wall_h - cfg.rx_height_m  # > 0: the config keeps the RX below every wall top
     return CanyonGeometry(h=tx_z - wall_h, d=CANYON_WIDTH_M, D=distance, h_prime=h_prime,
-                          psi=psi)
+                          psi=cfg.psi)
 
 
 def mean_gain_at(layout: CampaignLayout, tx_id: str, rx_point, cfg: SynthConfig) -> float:
@@ -294,7 +294,7 @@ def mean_gain_at(layout: CampaignLayout, tx_id: str, rx_point, cfg: SynthConfig)
     Proportional gain plus the configured calibration offset; the offset is
     the knob that pins synthetic gains to a desired absolute level.
     """
-    geom = geometry_for(layout, tx_id, rx_point, cfg.psi)
+    geom = geometry_for(layout, tx_id, rx_point, cfg)
     return to_db(received_power_approx(geom)) + cfg.gain_offset_db
 
 

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ import pytest
 from peaks import HAS_VMHWM, command_peak_kib
 from scansets import Scan, column, gain_samples, grid, plant_sidecar, records, scan_set, whole
 
+from portcanyon import cli, errors
 from portcanyon.angular import ScanSet, Stacking, circular_mean_gain, to_db
 from portcanyon.cli import main
+from portcanyon.config import ToolConfig
 from portcanyon.dataio import CANONICAL_HEADER, ingest, provenance_line, write_scans
 from portcanyon.pathloss import fit_fixed_slope, fit_loglinear
 from portcanyon import sidecar as sidecars
@@ -229,6 +232,21 @@ class TestErrors:
         rc = main(["--config", str(cfg), "coverage"])
         assert rc == 2
         assert "error[config]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error, category, exit_code", [
+        (errors.ToolkitError, "error", 4), (errors.DomainError, "domain", 4),
+        (errors.GridError, "grid", 3), (errors.InsufficientDataError, "data", 3),
+        (errors.DegenerateFitError, "fit", 4), (errors.NoSolutionError, "fit", 4),
+        (errors.IngestError, "ingest", 3), (errors.ConfigError, "config", 2), (OSError, "io", 3),
+    ], ids=lambda value: value.__name__ if isinstance(value, type) else None)
+    def test_each_error_class_states_its_exit_code(self, monkeypatch, capsys, error, category,
+                                                   exit_code):
+        def fail(args, cfg):
+            raise error("it failed")
+
+        monkeypatch.setattr(cli, "_cmd_coverage", fail)
+        assert main(["coverage"]) == exit_code
+        assert capsys.readouterr() == ("", f"error[{category}]: it failed\n")
 
     def test_no_command_prints_the_help(self, capsys):
         assert main([]) == 2
@@ -1414,6 +1432,114 @@ def test_every_section_is_checked_at_load(tmp_path, capsys, line):
     assert rc == 4
     assert captured.err.startswith("error[domain]: ")
     assert captured.out == ""
+
+
+# Each config key, the command whose output it shapes, and an in-range value
+# other than its default.
+_KEY_CHANGES = {
+    "psi_rad": ("synth", 0.2),
+    "rx_height_m": ("fit", 3.0),
+    "histogram_bin_db": ("angular", 2.0),
+    "seed": ("synth", 1),
+    "n_angles": ("synth", 9),
+    "hpbw_deg": ("synth", 30.0),
+    "fading": ("synth", False),
+    "gain_offset_db": ("synth", 1.0),
+    "vehicle_mu_db": ("synth", 2.0),
+    "vehicle_sigma_db": ("synth", 3.0),
+    "tx_power_dbm_per_pol": ("coverage", 20.0),
+    "tx_antenna_gain_dbi": ("coverage", 20.0),
+    "shadow_margin_db": ("coverage", 5.0),
+    "bandwidth_hz": ("coverage", 200e6),
+    "temperature_k": ("coverage", 290.0),
+    "noise_figure_db": ("coverage", 9.0),
+    "required_snr_db": ("coverage", 3.0),
+    "spectral_efficiency_bps_hz": ("coverage", 3.0),
+}
+# Keys that no command's output shows, each with its reason.
+_KEYS_NO_COMMAND_SHOWS = {
+    "n_realizations": "only fullspread_gain_distribution reads it, for criterion 10 and the "
+                      "benchmark's traced call",
+}
+
+
+def _ini_text(**values):
+    """An INI file's text: n_angles = 8, then the given keys, each in its section."""
+    sections = {"synth": {"n_angles": 8}}
+    for key, value in values.items():
+        section = ToolConfig.__dataclass_fields__[key].metadata["section"]
+        sections.setdefault(section, {})[key] = value
+    return "".join(f"[{section}]\n" + "".join(
+        f"{key} = {str(value).lower() if type(value) is bool else repr(value)}\n"
+        for key, value in keys.items()) for section, keys in sections.items())
+
+
+@pytest.fixture(scope="module")
+def small_campaign(tmp_path_factory):
+    """An 8-angle nonuniform campaign with the vehicle on the dense grid."""
+    out = tmp_path_factory.mktemp("campaign") / "data.csv"
+    ini = out.with_name("small.ini")
+    ini.write_text(_ini_text(), encoding="utf-8")
+    assert main(["--config", str(ini), "synth", "--layout", "nonuniform",
+                 "--vehicle-mode", "dense", "--out", str(out)]) == 0
+    return str(out)
+
+
+def _command_outputs(run_dir, capsys, campaign, command, ini_text):
+    """stdout and the data lines (not the '#' provenance) of each table that
+    command writes under run_dir, run under the config ini_text."""
+    argv, tables = {
+        "synth": (["synth", "--layout", "nonuniform", "--vehicle-mode", "dense",
+                   "--out", str(run_dir / "data.csv")], "data.csv"),
+        "angular": (["angular", "--input", campaign, "--out-dir", str(run_dir)],
+                    "angular_hist_*.csv"),
+        "fit": (["fit", "--input", campaign, "--out", str(run_dir / "fit.csv")], "fit.csv"),
+        "coverage": (["coverage"], None),
+    }[command]
+    ini = run_dir / "cfg.ini"
+    ini.write_text(ini_text, encoding="utf-8")
+    capsys.readouterr()
+    assert main(["--config", str(ini), *argv]) == 0
+    written = {path.name: [line for line in path.read_text(encoding="utf-8").splitlines()
+                           if not line.startswith("#")]
+               for path in sorted(run_dir.glob(tables))} if tables else {}
+    assert bool(written) == bool(tables)
+    return capsys.readouterr().out, written
+
+
+def test_every_config_key_is_shown_by_a_command_or_listed():
+    assert not set(_KEY_CHANGES) & set(_KEYS_NO_COMMAND_SHOWS)
+    assert set(_KEY_CHANGES) | set(_KEYS_NO_COMMAND_SHOWS) == {f.name for f in fields(ToolConfig)}
+
+
+@pytest.mark.parametrize("key", sorted(_KEY_CHANGES))
+def test_every_config_key_reaches_an_output(tmp_path, capsys, small_campaign, key):
+    command, value = _KEY_CHANGES[key]
+    assert value != ToolConfig.__dataclass_fields__[key].default
+    default = _command_outputs(tmp_path, capsys, small_campaign, command, _ini_text())
+    changed = _command_outputs(tmp_path, capsys, small_campaign, command,
+                               _ini_text(**{key: value}))
+    assert changed != default
+
+
+def test_rx_height_moves_the_fit_and_no_synthetic_gain(tmp_path, capsys):
+    # The model's mean gain, psi*h*d/D**4, has no RX depth h', so the synthetic
+    # campaign is the same bytes; fit regresses on the 3-D distances to the RX.
+    campaigns, slopes = [], []
+    for rx_height in (1.5, 3.0):
+        run_dir = tmp_path / f"rx{rx_height}"
+        run_dir.mkdir()
+        ini = _write_ini(run_dir, _ini_text(rx_height_m=rx_height))
+        data, fit = run_dir / "data.csv", run_dir / "fit.csv"
+        assert main(["--config", ini, "synth", "--layout", "nonuniform", "--out", str(data)]) == 0
+        assert main(["--config", ini, "fit", "--input", str(tmp_path / "rx1.5" / "data.csv"),
+                     "--out", str(fit)]) == 0
+        campaigns.append(data.read_bytes())
+        header, rows = read_table(fit)
+        slopes.append(float(rows[0][header.index("n")]))
+    capsys.readouterr()
+    assert campaigns[0] == campaigns[1]
+    assert slopes == [pytest.approx(-4.485, abs=5e-4), pytest.approx(-4.436, abs=5e-4)]
 
 
 # Arguments each subcommand needs besides the option under test.

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import tempfile
 from dataclasses import replace
 
@@ -150,7 +151,6 @@ class TestLayout:
 
     def test_nonuniform_wall_heights(self):
         layout = build_layout("nonuniform")
-        assert layout.section_heights_row1_m == (10.0, 7.5, 5.0, 5.0, 7.5, 5.0)
         assert layout.section_heights_row2_m == (5.0, 5.0, 5.0, 7.5, 7.5, 7.5)
         assert layout.tx_side_height_at(0.0) == 5.0
         assert layout.tx_side_height_at(20.0) == 7.5
@@ -165,17 +165,20 @@ class TestGeometryMapping:
     def test_link_geometry_fields(self):
         layout = build_layout("uniform")
         tx = layout.txs[0]  # TX1_63
-        geom = geometry_for(layout, tx, (5.0, 3.5), psi=0.1)
+        geom = geometry_for(layout, tx, (5.0, 3.5), SynthConfig(psi=0.1))
         assert geom.D == pytest.approx(63.0 - synth.NEAR_EDGE_Y_M, abs=1e-12)
         assert geom.h == pytest.approx(23.0 - 7.5, abs=1e-12)
         assert geom.h_prime == pytest.approx(7.5 - 1.5, abs=1e-12)
         assert geom.d == 8.0
+        # The RX depth is the wall top less the configured RX height.
+        cfg = SynthConfig(psi=0.1, rx_height_m=3.0)
+        assert geometry_for(layout, tx, (5.0, 3.5), cfg).h_prime == 7.5 - cfg.rx_height_m
 
     def test_tx_over_the_edge_rejected(self):
         layout = build_layout("uniform")
         assert tx_position("TX1_10.5")[1] == synth.NEAR_EDGE_Y_M
         with pytest.raises(DomainError, match="above or inside the canyon"):
-            geometry_for(layout, "TX1_10.5", (5.0, 3.5))
+            geometry_for(layout, "TX1_10.5", (5.0, 3.5), CFG)
 
 
 class TestMeanGain:
@@ -193,7 +196,7 @@ class TestMeanGain:
         layout = build_layout("uniform")
         tx = layout.txs[0]
         point = (5.0, 3.5)
-        geom = geometry_for(layout, tx, point, CFG.psi)
+        geom = geometry_for(layout, tx, point, CFG)
         expected = 10.0 * math.log10(received_power_approx(geom)) + CFG.gain_offset_db
         assert mean_gain_at(layout, tx, point, CFG) == pytest.approx(expected, abs=1e-12)
 
@@ -419,6 +422,18 @@ def test_n_angles_is_bounded(tmp_path, n_angles):
     cfg.n_angles = n_angles  # as the --n-angles flag sets it
     with pytest.raises(DomainError, match=f"at most {synth.MAX_N_ANGLES} angles"):
         cfg.synth_config()
+
+
+def test_rx_height_below_the_lowest_tx_side_wall_top_is_accepted():
+    assert SynthConfig(rx_height_m=4.999).rx_height_m == 4.999
+
+
+@pytest.mark.parametrize("rx_height_m", [0.0, 5.0, -1.0, math.nan])
+def test_rx_height_outside_the_canyon_is_a_domain_error(rx_height_m):
+    message = ("RX antenna height must be in (0, 5) m, below the TX-side canyon top, "
+               f"got {rx_height_m}")
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        SynthConfig(rx_height_m=rx_height_m)
 
 
 def test_psi_bound_keeps_every_extreme_gain_in_range():

@@ -56,7 +56,8 @@ class TestVehicleDelta:
         backward = pair_delta(scan(veh_db), scan(base_db, VehicleState.POSITION1))
         assert np.allclose(forward, -backward, atol=1e-9)
 
-    @pytest.mark.parametrize("state", ["absent", VehicleState.ABSENT, "parked"])
+    @pytest.mark.parametrize("state", ["absent", VehicleState.ABSENT, "parked"],
+                             ids=["absent-text", "absent-state", "parked"])
     def test_state_must_be_a_vehicle_position(self, state):
         db = np.full(8, -60.0)
         scans = scan_set([scan(db), scan(db, VehicleState.POSITION1)])
