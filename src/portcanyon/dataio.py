@@ -11,9 +11,10 @@ input hash) followed by the header row; files are written atomically, with
 the mode the umask gives a newly created file.  `write_table` takes columns
 and writes them `_CHUNK_ROWS` rows at a time; `write_scans` takes a ScanSet
 and writes `_SCAN_BATCH` scans at a time, in set order, so no output exists
-as one string.  `csvtext` formats each chunk into one bytes array (float
-arrays in integer arithmetic, by `floatrepr`); it is imported on the first
-write, so a command that writes nothing does not compile it.
+as one string.  `csvtext` formats each chunk into one bytes object (float
+arrays in integer arithmetic, by `floatrepr`, and a chunk's NULs dropped by
+one `bytes.translate`); it is imported on the first write, so a command that
+writes nothing does not compile it.
 
 `ingest` returns an `angular.ScanSet`: the tx ids, the key columns (codes
 and floats), the one angle grid (the file's degrees), the (scans x angles)
@@ -425,7 +426,10 @@ def ingest(path) -> ScanSet:
     return scans
 
 
-_CHUNK_ROWS = 1 << 10  # table rows formatted per write
+# Table rows formatted per write: a CDF table's chunk is 2,048-3,072 floats,
+# 16-24 KB a pass of the formatter.  At 2,048 rows a write left the chunks'
+# heap resident (`tests/test_dataio.py::test_table_write_peak_is_flat`).
+_CHUNK_ROWS = 1 << 10
 _SCAN_BATCH = 8  # scans formatted per write
 
 

@@ -2,7 +2,8 @@
 
 `format_floats(values, out)` writes each value's repr into one row of
 `WORDS` little-endian uint64 words; a byte the value does not use is NUL,
-and the last byte of a row always is.  The digits are the shortest that read back as the
+and the last byte of a row always is (`csvtext` writes the field's
+separator there).  The digits are the shortest that read back as the
 value, the closest of those, ties to even: Schubfach's (R. Giulietti, "The
 Schubfach way to render doubles", 2020), the digits Ryu gives (U. Adams,
 PLDI 2018) and CPython's `repr`.  Everything is integer arithmetic, so no
@@ -16,13 +17,17 @@ and the interval's ends by 10^-k, rounded to odd, which keeps every
 comparison with an even integer exact.  10^-k is one of the 126-bit values
 g = floor(10^-k 2^r) + 1, 2^125 < g <= 2^126, of `_GH` and `_GL` (its high
 and low words); 64 x 64-bit products are formed from their 32-bit halves.
+The scaled value is c 2^q / 10^k, 2^52 <= c < 2^53, with 2^q / 10^k in
+[1, 10) (in [4/3, 40/3) at a closer lower end), so its digits, or the one
+fewer of a shorter result, are 15 to 17 long: two compares scale them to 17.
 
 The digits are laid out by CPython's 'r' rules: fixed notation when
 -4 < decpt <= 16 (the value is 0.d1d2... 10^decpt), with ".0" after a whole
 number, else d[.ddd]e+XX or e-XXX.  A negative sign, -0.0's included, is a
 '-'.  Each byte has a fixed slot: the sign, the "0." and zeros before the
 digits of a value in [1e-4, 1), each of the 17 digits followed by the slot
-of a point, and the exponent.  Zeros take the array path; only subnormal,
+of a point, and the exponent; digits 1-16 fill words 1-4 as pairs of digits
+looked up in `_PAIR_WORDS`.  Zeros take the array path; only subnormal,
 infinite and NaN values are formatted by `repr` itself.
 """
 
@@ -211,9 +216,12 @@ def format_floats(values, out) -> None:
     c |= _U(2 ** 52)
     digits, k = _shortest(c, biased, closer)
     digits[zero] = 0
-    length = np.searchsorted(_POW10[:17], digits, side="right")
-    digits *= np.take(_POW10, 17 - length)  # 17 digits, the first not 0
+    # 15 to 17 digits, a zero's none: scaled to 17, the first not 0.
+    length = (digits >= _POW10[15]).astype(np.intp)
+    length += digits >= _POW10[16]
+    digits *= np.take(_POW10[2::-1], length)
     k += length
+    k += 15
     k[zero] = 1
     _layout(digits, k, bits >> _U(63), out)
     for i in np.flatnonzero(special):
@@ -223,52 +231,47 @@ def format_floats(values, out) -> None:
         row[:len(text)] = np.frombuffer(text, np.uint8)
 
 
-_LANES = _U(0x0001000100010001)
+def _pair_words():
+    """The words of the pairs of digits, a digit in each 16-bit lane, the
+    first lowest: at p (0..99) p's digits up to its last that is not 0, at
+    p + 100 both."""
+    tens, ones = np.divmod(np.arange(100, dtype=np.uint64), _U(10))
+    both = tens + _U(48) | (ones + _U(48)) << _U(16)
+    return np.concatenate([np.where(ones, both, np.where(tens, tens + _U(48), _U(0))), both])
+
+
+_PAIR_WORDS = _pair_words()
 
 
 def _layout(digits, decpt, negative, words):
     """Write the rows of digits (17 each) 10^(decpt-17) into their slots."""
     top = digits // _POW10[16]
     digits -= top * _POW10[16]
-    # Words 1-4 of every row, one array row per word: first the groups of 4
-    # digits, then the digits in their slots.
+    several = digits != 0
+    # Words 1-4 of every row, one array row per word: the groups of 4
+    # digits, then their pairs' words, a pair shown in full if a later digit
+    # is not 0.
     groups = np.empty((4, digits.size), dtype=np.uint64)
     halves = groups.reshape(2, 2, -1)
     np.floor_divide(digits, _POW10[8], out=halves[0, 1])
     np.subtract(digits, halves[0, 1] * _POW10[8], out=halves[1, 1])
     np.floor_divide(halves[:, 1], _POW10[4], out=halves[:, 0])
     halves[:, 1] -= halves[:, 0] * _POW10[4]
-    hundreds = groups * _U(5243)
-    hundreds >>= _U(19)  # // 100 below 43,699
-    tens = hundreds * _U(100)
-    groups -= tens
+    later = groups[1:] != 0
+    later[1] |= later[2]
+    later[0] |= later[1]
+    first = groups * _U(5243)
+    first >>= _U(19)  # // 100 below 43,699
+    groups -= first * _U(100)
+    full = groups != 0
+    full[:3] |= later
+    first += full * _U(100)
+    groups[:3] += later * _U(100)
+    del later, full
+    groups = np.take(_PAIR_WORDS, groups.view(np.intp))
     groups <<= _U(32)
-    groups |= hundreds  # two 2-digit numbers, in the word's 32-bit lanes
-    np.multiply(groups, _U(103), out=tens)
-    tens >>= _U(10)  # // 10 below 179
-    tens &= _U(0x0000000F0000000F)
-    np.multiply(tens, _U(10), out=hundreds)
-    groups -= hundreds
-    groups <<= _U(16)
-    groups |= tens  # a digit in each 16-bit lane
-    # A digit is shown if it or a later one is not 0: in its word, its lane
-    # of `later` is not 0 then.
-    after = groups[1:] != 0
-    after[1] |= after[2]
-    after[0] |= after[1]
-    later = np.right_shift(groups, _U(16), out=hundreds)
-    later |= groups
-    later |= np.right_shift(later, _U(32), out=tens)
-    del tens
-    later += _U(0x00FF00FF00FF00FF)
-    later >>= _U(8)
-    later &= _LANES
-    later *= _U(0xFF)
-    later[:3] |= after * _U(0x00FF00FF00FF00FF)
-    groups |= _U(0x0030003000300030)
-    groups &= later
-    several = later[0] != 0
-    del later, after
+    groups |= np.take(_PAIR_WORDS, first.view(np.intp))
+    del first
     frame = decpt + 3
     rows = np.flatnonzero(frame.view(np.uint64) > _U(19))  # not -3 <= decpt <= 16
     frame[rows] = 20 + several[rows]
